@@ -1,40 +1,19 @@
-"""Hot numeric kernels with a numba fast path and a numpy/scipy fallback.
+"""Hot numeric kernels: the scalar sweep and the symmetric tridiagonal ops.
 
-The backend is chosen once at import time: numba is used when it imports
-cleanly and the environment variable ``FRACSTEP_NO_NUMBA`` is unset/empty.
-Both implementations are always importable (``*_numpy`` / ``*_numba``) so
-they can be compared directly in tests and benchmarks; the module-level
-names ``scalar_sweep``, ``tridiag_solve`` and ``tridiag_matvec`` point at
-the selected backend.
+Every 1D system the steppers meet is symmetric positive definite and
+tridiagonal, given as its diagonal ``d`` and off-diagonal ``e``.  The solves
+call LAPACK directly (``?ptsv`` for one-shot solves, ``?pttrf``/``?pttrs``
+for a matrix factored once and solved many times), which skips the argument
+checks and band-array copies of ``scipy.linalg.solve_banded``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import scipy.linalg as _sla
-
-_env_off = bool(os.environ.get("FRACSTEP_NO_NUMBA", ""))
-
-try:  # pragma: no cover - exercised indirectly via backend dispatch
-    if _env_off:
-        raise ImportError("numba disabled via FRACSTEP_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover
-    njit = None
-    NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
+from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 
-# ---------------------------------------------------------------------------
-# numpy/scipy implementations
-# ---------------------------------------------------------------------------
-
-def scalar_sweep_numpy(lams, t_left, ks, p, q, alpha, delta):
+def scalar_sweep(lams, t_left, ks, p, q, alpha, delta):
     """Run the multiplicative scalar recurrence for every lambda at once.
 
     For each step (t, k) the running value picks up the factor
@@ -55,113 +34,38 @@ def scalar_sweep_numpy(lams, t_left, ks, p, q, alpha, delta):
     return mu
 
 
-def tridiag_matvec_numpy(dl, d, du, x):
-    """y = T x for tridiagonal T given by (sub, diag, super) bands."""
+def tridiag_matvec(d, e, x):
+    """y = T x for the symmetric tridiagonal T with diagonal d, off-diagonal e."""
     y = d * x
-    y[:-1] += du * x[1:]
-    y[1:] += dl * x[:-1]
+    y[:-1] += e * x[1:]
+    y[1:] += e * x[:-1]
     return y
 
 
-def tridiag_solve_numpy(dl, d, du, b):
-    """Solve T x = b for tridiagonal T; LAPACK banded solve."""
-    n = d.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = du
-    ab[1] = d
-    ab[2, :-1] = dl
-    return _sla.solve_banded((1, 1), ab, b, check_finite=False)
+def _check(info, routine):
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed (info={info}): matrix not SPD")
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
+def tridiag_solve(d, e, b):
+    """Solve T x = b for SPD tridiagonal T (diagonal d, off-diagonal e).
 
-if NUMBA_ENABLED:
+    ``d`` and ``e`` are overwritten by the factorization, so pass bands
+    built for this call; ``b`` (a vector or an n x k block) is left intact.
+    """
+    _, _, x, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1)
+    _check(info, "dptsv")
+    return x
 
-    @njit(cache=True)
-    def scalar_sweep_numba(lams, t_left, ks, p, q, alpha, delta):
-        n = lams.shape[0]
-        mu = np.empty(n)
-        mu0 = delta ** (-alpha)
-        deg = p.shape[0] - 1
-        nsteps = t_left.shape[0]
-        for i in range(n):
-            d = lams[i] - delta
-            v = mu0
-            for s in range(nsteps):
-                theta = ks[s] * d / (delta + t_left[s] * d)
-                num = p[deg]
-                den = q[deg]
-                for j in range(deg - 1, -1, -1):
-                    num = num * theta + p[j]
-                    den = den * theta + q[j]
-                v *= num / den
-            mu[i] = v
-        return mu
 
-    @njit(cache=True)
-    def tridiag_matvec_numba(dl, d, du, x):
-        n = d.shape[0]
-        y = np.empty(n)
-        if n == 1:
-            y[0] = d[0] * x[0]
-            return y
-        y[0] = d[0] * x[0] + du[0] * x[1]
-        for i in range(1, n - 1):
-            y[i] = dl[i - 1] * x[i - 1] + d[i] * x[i] + du[i] * x[i + 1]
-        y[n - 1] = dl[n - 2] * x[n - 2] + d[n - 1] * x[n - 1]
-        return y
+class TridiagFactor:
+    """L D L^T factorization of an SPD tridiagonal, solved many times."""
 
-    @njit(cache=True)
-    def tridiag_solve_numba(dl, d, du, b):
-        # Thomas algorithm; the systems solved here are SPD so no pivoting.
-        n = d.shape[0]
-        cp = np.empty(n)
-        xp = np.empty(n)
-        x = np.empty(n)
-        cp[0] = du[0] / d[0] if n > 1 else 0.0
-        xp[0] = b[0] / d[0]
-        for i in range(1, n):
-            denom = d[i] - dl[i - 1] * cp[i - 1]
-            if i < n - 1:
-                cp[i] = du[i] / denom
-            xp[i] = (b[i] - dl[i - 1] * xp[i - 1]) / denom
-        x[n - 1] = xp[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = xp[i] - cp[i] * x[i + 1]
+    def __init__(self, d, e):
+        self.d, self.e, info = dpttrf(d, e)
+        _check(info, "dpttrf")
+
+    def solve(self, b):
+        x, info = dpttrs(self.d, self.e, b)
+        _check(info, "dpttrs")
         return x
-
-    scalar_sweep = scalar_sweep_numba
-    tridiag_matvec = tridiag_matvec_numba
-
-    def tridiag_solve(dl, d, du, b):
-        b = np.asarray(b)
-        if b.ndim == 1:
-            return tridiag_solve_numba(dl, d, du, b)
-        return tridiag_solve_numpy(dl, d, du, b)
-
-else:
-    scalar_sweep_numba = None
-    tridiag_matvec_numba = None
-    tridiag_solve_numba = None
-
-    scalar_sweep = scalar_sweep_numpy
-    tridiag_matvec = tridiag_matvec_numpy
-    tridiag_solve = tridiag_solve_numpy
-
-
-def warmup():
-    """Trigger jit compilation of the hot kernels (no-op on the numpy path)."""
-    if not NUMBA_ENABLED:
-        return
-    lams = np.array([2.0, 3.0])
-    t = np.array([0.0, 0.5])
-    k = np.array([0.5, 0.5])
-    p = np.array([1.0, 0.25])
-    q = np.array([1.0, 0.75])
-    scalar_sweep(lams, t, k, p, q, 0.5, 1.0)
-    dl = np.array([-1.0, -1.0])
-    d = np.array([2.0, 2.0, 2.0])
-    tridiag_solve(dl, d, dl, np.ones(3))
-    tridiag_matvec(dl, d, dl, np.ones(3))

@@ -243,18 +243,23 @@ def _grm_at(op, f, alpha, m, delta, L, Nt, solver, return_stats=False):
 
 def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold, solver,
                          Nt_cap=4096):
-    """Smallest per-interval count whose geometric run beats the threshold."""
+    """Smallest per-interval count whose geometric run beats the threshold.
+
+    Returns (Nt, error, stats) of that run; each count is run at most once.
+    """
+    runs = {}
+
     def error_at(Nt):
-        out = _grm_at(op, f, alpha, m, delta, L, Nt, solver)
-        return m_norm(op, GridFunction(out.coeffs - u_ref.coeffs, op))
+        if Nt not in runs:
+            out, stats = _grm_at(op, f, alpha, m, delta, L, Nt, solver, return_stats=True)
+            runs[Nt] = (m_norm(op, GridFunction(out.coeffs - u_ref.coeffs, op)), stats)
+        return runs[Nt][0]
 
     lo, hi = 0, 1
-    err_hi = error_at(hi)
-    while err_hi > threshold:
+    while error_at(hi) > threshold:
         lo, hi = hi, hi * 2
         if hi > Nt_cap:
             raise RuntimeError(f"no Nt <= {Nt_cap} reaches threshold {threshold:.3e}")
-        err_hi = error_at(hi)
     # invariant: error(hi) <= threshold < error(lo) (or lo == 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -262,7 +267,7 @@ def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold, solver,
             hi = mid
         else:
             lo = mid
-    return hi, error_at(hi)
+    return (hi, *runs[hi])
 
 
 def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
@@ -296,10 +301,8 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
         }
         growth = 0.0
         for m in spec.ms:
-            Nt, err = _smallest_passing_Nt(
+            Nt, err, stats = _smallest_passing_Nt(
                 op, f, alpha, m, delta, L, u_ref, threshold, solver)
-            _, stats = _grm_at(op, f, alpha, m, delta, L, Nt, solver,
-                               return_stats=True)
             growth = max(growth, stats.max_growth)
             row[f"NS_m{m}"] = (L + 1) * Nt
             row[f"E_GRM_m{m}"] = err

@@ -35,7 +35,7 @@ class DiscreteOperator:
     dof_coords: np.ndarray
     nodes: np.ndarray
     factor: "DiscreteOperator | None" = None
-    # tridiagonal bands of the 1D matrices, reused heavily by the steppers
+    # (diagonal, off-diagonal) of the 1D matrices, reused heavily by the steppers
     mass_bands: tuple = field(default=None, repr=False)
     stiffness_bands: tuple = field(default=None, repr=False)
 
@@ -93,8 +93,8 @@ def assemble_1d(nodes) -> DiscreteOperator:
         stiffness=K,
         dof_coords=nodes[1:-1].copy(),
         nodes=nodes.copy(),
-        mass_bands=(Ml.copy(), Md.copy(), Ml.copy()),
-        stiffness_bands=(Kl.copy(), Kd.copy(), Kl.copy()),
+        mass_bands=(Md, Ml),
+        stiffness_bands=(Kd, Kl),
     )
 
 
@@ -200,8 +200,8 @@ def _indicator_load_1d(nodes, lo=0.25, hi=0.75):
 
 
 def _mass_solve_1d(op: DiscreteOperator, rhs):
-    lo, d, up = op.mass_bands
-    return _kernels.tridiag_solve(lo, d, up, rhs)
+    d, e = op.mass_bands
+    return _kernels.tridiag_solve(d.copy(), e.copy(), rhs)
 
 
 def load_vector(op: DiscreteOperator, f) -> np.ndarray:

@@ -1,10 +1,10 @@
 """SPD solve backends used by the steppers.
 
-1D systems are tridiagonal and solved directly.  Tensor 2D systems
-a*K2 + b*M2 are solved either by fast diagonalization in the 1D eigenbasis
-(direct, default) or by Jacobi-preconditioned conjugate gradients with warm
-starts (policy "cg").  A generic entry point covers dense and sparse SPD
-matrices for utility use.
+1D systems are SPD tridiagonals, solved directly by LAPACK in ``_kernels``.
+Tensor 2D systems a*K2 + b*M2 are solved either by fast diagonalization in
+the 1D eigenbasis (direct, default) or by Jacobi-preconditioned conjugate
+gradients with warm starts (policy "cg").  A generic entry point covers
+dense and sparse SPD matrices for utility use.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ class SolverPolicy:
     def __post_init__(self):
         if self.method not in ("direct", "cg"):
             raise ValueError(f"unknown solver method {self.method!r}")
-
-
-def solve_tridiag(bands, rhs):
-    """Direct solve of a tridiagonal system given as (sub, diag, super)."""
-    lo, d, up = bands
-    return _kernels.tridiag_solve(lo, d, up, np.asarray(rhs, dtype=np.float64))
 
 
 class TensorDiagSolver:
@@ -84,6 +78,10 @@ class WarmStartCG:
         self.policy = policy
         self._x0 = None
 
+    def reset(self) -> None:
+        """Forget the warm start; the next solve starts from zero."""
+        self._x0 = None
+
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
         A = (a * self.K + b * self.M).tocsr()
         dinv = 1.0 / (a * self.Kdiag + b * self.Mdiag)
@@ -110,16 +108,20 @@ class WarmStartCG:
 def solve_spd(matrix, rhs, policy: SolverPolicy | None = None) -> np.ndarray:
     """Solve A x = rhs for a symmetric positive definite A.
 
-    ``matrix`` may be a dense array, a scipy sparse matrix, or a
-    (sub, diag, super) band triple.  Direct policies verify the residual to
-    1e-13 relative (1e-12 for CG) and raise :class:`SolveError` otherwise.
+    ``matrix`` may be a dense array, a scipy sparse matrix, or the
+    (diagonal, off-diagonal) pair of a symmetric tridiagonal.  Direct
+    policies verify the residual to 1e-13 relative (1e-12 for CG) and raise
+    :class:`SolveError` otherwise.
     """
     policy = policy or SolverPolicy()
     rhs = np.asarray(rhs, dtype=np.float64)
-    if isinstance(matrix, tuple) and len(matrix) == 3:
-        x = solve_tridiag(matrix, rhs)
-        lo, d, up = matrix
-        resid = np.linalg.norm(_kernels.tridiag_matvec_numpy(lo, d, up, x) - rhs)
+    if isinstance(matrix, tuple) and len(matrix) == 2:
+        d, e = (np.asarray(band, dtype=np.float64) for band in matrix)
+        try:
+            x = _kernels.tridiag_solve(d.copy(), e.copy(), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(str(exc)) from exc
+        resid = np.linalg.norm(_kernels.tridiag_matvec(d, e, x) - rhs)
         tol = 1e-13
     elif sp.issparse(matrix):
         if policy.method == "cg":

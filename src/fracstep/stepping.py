@@ -11,7 +11,10 @@ plus a single mass solve: since r(0) = 1, the update collapses to
     u_next = u + k M^{-1} (K - delta M) sum_i (w_i / x_i) z_i.
 
 Every G_i is SPD because -x_i > 1 forces both (k - x_i t) > 0 and
-delta (x_i (t - 1) - k) > 0 while t + k <= 1.
+delta (x_i (t - 1) - k) > 0 while t + k <= 1.  In 1D each G_i is a
+tridiagonal solved by one LAPACK ?ptsv call, and M is factored once per
+operator.  The shifts of every G_i are computed once per run, and the M u
+of the growth norm after each step is the next step's right-hand side.
 """
 
 from __future__ import annotations
@@ -130,56 +133,80 @@ class _StepWorkspace:
     def __init__(self, op: DiscreteOperator, policy: SolverPolicy):
         self.op = op
         self.policy = policy
+        self.tensor_solver = None
+        self.cg = None
         if op.dim == 1:
-            self.Klo, self.Kd, self.Kup = op.stiffness_bands
-            self.Mlo, self.Md, self.Mup = op.mass_bands
-            self.tensor_solver = None
-            self.cg = None
+            self.Kd, self.Ke = op.stiffness_bands
+            self.Md, self.Me = op.mass_bands
+            # [diag | off-diag] of K and of M, so a * K_band + b * M_band is aK + bM
+            self.K_band = np.concatenate(op.stiffness_bands)
+            self.M_band = np.concatenate(op.mass_bands)
+            self.mass_factor = _kernels.TridiagFactor(self.Md, self.Me)
         else:
-            self.tensor_solver = TensorDiagSolver(op) if policy.method == "direct" else None
-            self.cg = WarmStartCG(op, policy) if policy.method == "cg" else None
+            if policy.method == "direct":
+                self.tensor_solver = TensorDiagSolver(op)
+            else:
+                self.cg = WarmStartCG(op, policy)
             self.K = op.stiffness.tocsr()
             self.M = op.mass.tocsr()
 
     def mass_apply(self, u):
         if self.op.dim == 1:
-            return _kernels.tridiag_matvec(self.Mlo, self.Md, self.Mup, u)
+            return _kernels.tridiag_matvec(self.Md, self.Me, u)
         return self.M @ u
 
     def stiff_apply(self, u):
         if self.op.dim == 1:
-            return _kernels.tridiag_matvec(self.Klo, self.Kd, self.Kup, u)
+            return _kernels.tridiag_matvec(self.Kd, self.Ke, u)
         return self.K @ u
 
     def shifted_solve(self, a, b, rhs):
-        """Solve (a K + b M) z = rhs with a, b > 0."""
-        if self.op.dim == 1:
-            return _kernels.tridiag_solve(
-                a * self.Klo + b * self.Mlo,
-                a * self.Kd + b * self.Md,
-                a * self.Kup + b * self.Mup,
-                rhs,
-            )
+        """Solve (a K + b M) z = rhs on a 2D operator."""
         if self.tensor_solver is not None:
             return self.tensor_solver.solve(a, b, rhs)
         return self.cg.solve(a, b, rhs)
 
+    def shifted_solves(self, shifts, rhs):
+        """Solve (a_i K + b_i M) z_i = rhs for every row (a_i, b_i) of shifts."""
+        if self.op.dim == 1:
+            n = len(rhs)
+            bands = shifts[:, :1] * self.K_band
+            bands += shifts[:, 1:] * self.M_band
+            # one fresh band per row; the LAPACK solve factors it in place
+            return [_kernels.tridiag_solve(band[:n], band[n:], rhs) for band in bands]
+        return [self.shifted_solve(a, b, rhs) for a, b in shifts.tolist()]
+
     def mass_solve(self, rhs):
+        if self.op.dim == 1:
+            return self.mass_factor.solve(rhs)
         return self.shifted_solve(0.0, 1.0, rhs)
 
 
-def _apply_step(ws: _StepWorkspace, u: np.ndarray, t: float, k: float,
-                r: PadeRational, delta: float) -> np.ndarray:
+def _pole_shifts(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(a, b) of G_i = a K + b M for every step and pole, shape (steps, m, 2)."""
+    t, k = t[:, None], k[:, None]
+    a = k - r.poles * t
+    b = delta * (r.poles * (t - 1.0) - k)
+    return np.stack([a, b], axis=-1)
+
+
+def _apply_step(ws: _StepWorkspace, u: np.ndarray, Mu: np.ndarray, k: float,
+                shifts: np.ndarray, weights: list, delta: float) -> np.ndarray:
+    """One step of size k from u, given Mu = M u and the step's pole shifts."""
     if k == 0.0:
         return u.copy()
-    Mu = ws.mass_apply(u)
-    acc = np.zeros_like(u)
-    for pole, w in zip(r.poles, r.residues):
-        a = k - pole * t
-        b = delta * (pole * (t - 1.0) - k)
-        acc += (w / pole) * ws.shifted_solve(a, b, Mu)
+    zs = ws.shifted_solves(shifts, Mu)
+    acc = weights[0] * zs[0]
+    for c, z in zip(weights[1:], zs[1:]):
+        acc += c * z
+    # B acc = K acc - delta M acc; folding delta into one K - delta M band
+    # cancels digits and moves the published errors by about 1%
     rhs = ws.stiff_apply(acc) - delta * ws.mass_apply(acc)
     return u + k * ws.mass_solve(rhs)
+
+
+def _weights(r: PadeRational) -> list:
+    return [float(w / pole) for pole, w in zip(r.poles, r.residues)]
 
 
 def apply_pade_step(u: GridFunction, t: float, k: float, r: PadeRational,
@@ -192,7 +219,10 @@ def apply_pade_step(u: GridFunction, t: float, k: float, r: PadeRational,
     if u.op is not op:
         raise ValueError("grid function lives on a different operator")
     ws = _StepWorkspace.get(op, cfg.solver)
-    return GridFunction(_apply_step(ws, u.coeffs, t, k, r, cfg.delta), op)
+    shifts = _pole_shifts(r, cfg.delta, np.array([t]), np.array([k]))[0]
+    Mu = ws.mass_apply(u.coeffs)
+    return GridFunction(
+        _apply_step(ws, u.coeffs, Mu, k, shifts, _weights(r), cfg.delta), op)
 
 
 def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
@@ -202,14 +232,22 @@ def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
     if v.op is not op:
         raise ValueError("grid function lives on a different operator")
     ws = _StepWorkspace.get(op, cfg.solver)
-    u = cfg.delta ** (-cfg.alpha) * v.coeffs
+    if ws.cg is not None:
+        ws.cg.reset()  # a warm start from an earlier run would change the bits
+    r, delta = cfg.rational, cfg.delta
+    shifts = _pole_shifts(r, delta, cfg.mesh.t_left, cfg.mesh.k)
+    weights = _weights(r)
+    u = delta ** (-cfg.alpha) * v.coeffs
     stats = RunStats()
-    prev_norm = float(np.sqrt(max(u @ ws.mass_apply(u), 0.0)))
-    for t, k in zip(cfg.mesh.t_left, cfg.mesh.k):
-        u = _apply_step(ws, u, t, k, cfg.rational, cfg.delta)
+    Mu = ws.mass_apply(u)
+    prev_norm = float(np.sqrt(max(u @ Mu, 0.0)))
+    for k, step_shifts in zip(cfg.mesh.k.tolist(), shifts):
+        u = _apply_step(ws, u, Mu, k, step_shifts, weights, delta)
         stats.steps += 1
-        stats.solves += cfg.rational.m
-        cur = float(np.sqrt(max(u @ ws.mass_apply(u), 0.0)))
+        stats.solves += r.m
+        # M u feeds both the growth norm and the next step's right-hand side
+        Mu = ws.mass_apply(u)
+        cur = float(np.sqrt(max(u @ Mu, 0.0)))
         if prev_norm > 0:
             stats.max_growth = max(stats.max_growth, cur / prev_norm)
         prev_norm = cur

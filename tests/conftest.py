@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from fracstep import _kernels
 from fracstep.fem import assemble_1d, assemble_2d_tensor
 from fracstep.spectral import eig_1d, eig_2d_tensor
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # keep jit compilation out of any timed assertion
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

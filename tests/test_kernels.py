@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from fracstep import _kernels
+from fracstep.fem import GridFunction, assemble_1d
+from fracstep.meshes import build_uniform_mesh
 from fracstep.pade import pade_coefficients
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba backend disabled or unavailable"
-)
+from fracstep.stepping import StepperConfig, apply_pade_step
 
 
 def _sweep_inputs():
@@ -17,58 +17,38 @@ def _sweep_inputs():
     return lams, t_left, ks, r.p_coeffs, r.q_coeffs
 
 
-def _tridiag_inputs(n=40, seed=0):
+def _spd_bands(n=40, seed=0):
+    """Diagonally dominant, hence SPD, tridiagonal (d, e) plus a right-hand side."""
     rng = np.random.default_rng(seed)
     d = 2.0 + rng.random(n)
-    off = -rng.random(n - 1) * 0.5
+    e = -rng.random(n - 1) * 0.9
     b = rng.standard_normal(n)
-    return off, d, off, b
+    return d, e, b
 
 
-class TestBackendsAgree:
-    @needs_numba
-    def test_scalar_sweep(self):
-        lams, t_left, ks, p, q = _sweep_inputs()
-        a = _kernels.scalar_sweep_numpy(lams, t_left, ks, p, q, 0.4, 0.5)
-        b = _kernels.scalar_sweep_numba(lams, t_left, ks, p, q, 0.4, 0.5)
-        np.testing.assert_allclose(a, b, rtol=1e-13)
-
-    @needs_numba
-    def test_tridiag_solve(self):
-        lo, d, up, b = _tridiag_inputs()
-        x_np = _kernels.tridiag_solve_numpy(lo, d, up, b)
-        x_nb = _kernels.tridiag_solve_numba(lo, d, up, b)
-        np.testing.assert_allclose(x_nb, x_np, rtol=1e-12, atol=1e-14)
-
-    @needs_numba
-    def test_tridiag_matvec(self):
-        lo, d, up, _ = _tridiag_inputs()
-        x = np.arange(len(d), dtype=float)
-        y_np = _kernels.tridiag_matvec_numpy(lo, d, up, x)
-        y_nb = _kernels.tridiag_matvec_numba(lo, d, up, x)
-        np.testing.assert_allclose(y_nb, y_np, rtol=1e-14)
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 class TestNumpyBackend:
     def test_solve_then_matvec_roundtrip(self):
-        lo, d, up, b = _tridiag_inputs(seed=5)
-        x = _kernels.tridiag_solve_numpy(lo, d, up, b)
-        back = _kernels.tridiag_matvec_numpy(lo, d, up, x)
+        d, e, b = _spd_bands(seed=5)
+        x = _kernels.tridiag_solve(d.copy(), e.copy(), b)
+        back = _kernels.tridiag_matvec(d, e, x)
         np.testing.assert_allclose(back, b, rtol=1e-12, atol=1e-13)
 
     def test_matrix_rhs_dispatch(self):
-        lo, d, up, _ = _tridiag_inputs(seed=6)
+        d, e, _ = _spd_bands(seed=6)
         B = np.random.default_rng(6).standard_normal((len(d), 3))
-        X = _kernels.tridiag_solve(lo, d, up, B)
+        X = _kernels.tridiag_solve(d.copy(), e.copy(), B)
         for col in range(3):
             np.testing.assert_allclose(
-                _kernels.tridiag_matvec_numpy(lo, d, up, X[:, col]), B[:, col],
+                _kernels.tridiag_matvec(d, e, X[:, col]), B[:, col],
                 rtol=1e-12, atol=1e-13)
 
     def test_sweep_matches_direct_product(self):
         lams, t_left, ks, p, q = _sweep_inputs()
-        got = _kernels.scalar_sweep_numpy(lams, t_left, ks, p, q, 0.4, 0.5)
-        from numpy.polynomial import polynomial as npoly
+        got = _kernels.scalar_sweep(lams, t_left, ks, p, q, 0.4, 0.5)
 
         want = np.full_like(lams, 0.5 ** -0.4)
         for t, k in zip(t_left, ks):
@@ -77,6 +57,76 @@ class TestNumpyBackend:
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
-def test_backend_flag_consistency():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    assert _kernels.BACKEND == ("numba" if _kernels.NUMBA_ENABLED else "numpy")
+class TestTridiagLapack:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_solve_matches_dense(self, seed):
+        d, e, b = _spd_bands(n=30 + seed, seed=seed)
+        T = _dense(d, e)
+        B = np.random.default_rng(seed + 100).standard_normal((len(d), 4))
+        for rhs in (b, B):
+            want = np.linalg.solve(T, rhs)
+            got = _kernels.tridiag_solve(d.copy(), e.copy(), rhs)
+            assert got.shape == rhs.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    def test_rhs_left_intact(self):
+        d, e, b = _spd_bands(seed=7)
+        kept = b.copy()
+        _kernels.tridiag_solve(d.copy(), e.copy(), b)
+        assert np.array_equal(b, kept)
+
+    def test_matvec_matches_dense(self):
+        d, e, b = _spd_bands(seed=8)
+        np.testing.assert_allclose(_kernels.tridiag_matvec(d, e, b), _dense(d, e) @ b,
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_not_spd_raises(self):
+        d = np.array([1.0, 1.0, 1.0])
+        e = np.array([2.0, 0.5])
+        with pytest.raises(np.linalg.LinAlgError):
+            _kernels.tridiag_solve(d.copy(), e.copy(), np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            _kernels.TridiagFactor(d, e)
+
+    def test_factor_solve_matches_one_shot(self):
+        d, e, b = _spd_bands(seed=9)
+        factor = _kernels.TridiagFactor(d, e)
+        B = np.random.default_rng(9).standard_normal((len(d), 3))
+        for rhs in (b, B):
+            np.testing.assert_allclose(
+                factor.solve(rhs), _kernels.tridiag_solve(d.copy(), e.copy(), rhs),
+                rtol=1e-14, atol=1e-15)
+        # the factor keeps its own copy of the bands
+        np.testing.assert_array_equal(d, _spd_bands(seed=9)[0])
+
+
+class TestStepAgainstDense:
+    """One 1D operator step against r(X) u with X = k B (delta I + t B)^{-1}."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("t,k", [(0.0, 1e-3), (0.25, 0.125), (0.5, 0.5)])
+    def test_matches_dense_rational(self, m, t, k):
+        rng = np.random.default_rng(m)
+        # a jittered uniform mesh keeps the dense reference well conditioned
+        nodes = np.linspace(0.0, 1.0, 52)
+        nodes[1:-1] += rng.uniform(-0.3, 0.3, 50) / 51
+        op = assemble_1d(nodes)
+        u = GridFunction(rng.standard_normal(op.n_dofs), op)
+        delta, alpha = 4.0, 0.3
+        cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(1))
+        got = apply_pade_step(u, t, k, cfg.rational, op, cfg).coeffs
+
+        n = op.n_dofs
+        A = np.linalg.solve(op.mass.toarray(), op.stiffness.toarray())
+        B = A - delta * np.eye(n)
+        X = k * B @ np.linalg.inv(delta * np.eye(n) + t * B)
+
+        def poly(coeffs):
+            out = coeffs[-1] * np.eye(n)
+            for c in coeffs[-2::-1]:
+                out = out @ X + c * np.eye(n)
+            return out
+
+        r = cfg.rational
+        want = np.linalg.solve(poly(r.q_coeffs), poly(r.p_coeffs) @ u.coeffs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -232,6 +232,18 @@ class Test2DSolvers:
         diff = GridFunction(out_direct.coeffs - out_cg.coeffs, op)
         assert m_norm(op, diff) / m_norm(op, out_direct) < 1e-8
 
+    def test_cg_runs_are_bit_identical(self):
+        # the CG warm start must not carry over from one run to the next
+        op = assemble_2d_tensor(12)
+        delta = default_delta(op)
+        f = l2_project(op, "f")
+        cfg = StepperConfig(alpha=0.5, m=2, delta=delta,
+                            mesh=build_geometric_mesh(None, 2, L_override=6),
+                            solver=SolverPolicy("cg"))
+        first = run_grm(f, op, cfg)
+        second = run_grm(f, op, cfg)
+        assert np.array_equal(first.coeffs, second.coeffs)
+
     def test_2d_eigen_equivalence(self):
         from fracstep.spectral import eig_2d_tensor
 
