@@ -2,13 +2,17 @@
 
 1D systems are SPD tridiagonals, solved directly by LAPACK in ``_kernels``.
 Tensor 2D systems a*K2 + b*M2 are solved either by fast diagonalization in
-the 1D eigenbasis (direct, default) or by Jacobi-preconditioned conjugate
-gradients with warm starts (policy "cg").  A generic entry point covers
+the 1D eigenbasis (direct, default) or by conjugate gradients with warm
+starts (policy "cg").  There is one CG: ``_pcg``, a Jacobi-preconditioned
+loop on a preassembled CSR matrix that repeats the recurrences and the
+stopping rule of ``scipy.sparse.linalg.cg`` (atol = 0), so it returns the
+same bits without scipy's operator wrappers.  A generic entry point covers
 dense and sparse SPD matrices for utility use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,45 +66,89 @@ class TensorDiagSolver:
         return (self.V @ C @ self.Vt).ravel()
 
 
-class WarmStartCG:
-    """Conjugate gradients on a*K2 + b*M2 with Jacobi scaling.
+def _pcg(A, dinv: np.ndarray, b: np.ndarray, x0: np.ndarray | None, rtol: float,
+         maxiter: int) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned CG on the SPD matrix A; returns (x, iterations).
 
-    Each call reuses the previous solution as the initial guess; the shifted
-    systems change slowly along a stepping run, so this typically saves a
-    sizable fraction of the iterations.
+    ``dinv`` is the inverse diagonal of A.  The start, the recurrences for
+    p, x and r, and the test ``norm(r) < rtol * norm(b)`` before each
+    iteration are those of ``scipy.sparse.linalg.cg`` with ``atol=0``, in
+    the same order, so both return the same bits.  ``x0`` is not modified.
+    Raises :class:`SolveError` when ``maxiter`` iterations do not converge.
+    """
+    bnrm = np.linalg.norm(b)
+    if bnrm == 0:
+        return b, 0
+    tol = rtol * bnrm
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b - A @ x if x.any() else b.copy()
+    z = np.empty_like(b)
+    p = np.empty_like(b)
+    step = np.empty_like(b)
+    rho_prev = 1.0
+    for it in range(maxiter):
+        # sqrt(r . r) is how np.linalg.norm evaluates a real vector
+        if math.sqrt(r.dot(r)) < tol:
+            return x, it
+        np.multiply(dinv, r, out=z)
+        rho = r.dot(z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p[:] = z
+        q = A @ p
+        alpha = rho / p.dot(q)
+        np.multiply(alpha, p, out=step)
+        x += step
+        np.multiply(alpha, q, out=step)
+        r -= step
+        rho_prev = rho
+    res = np.linalg.norm(b - A @ x) / bnrm
+    raise SolveError(
+        f"cg did not converge in {maxiter} iterations: relative residual "
+        f"{res:.3e}, target {rtol:.1e}"
+    )
+
+
+class WarmStartCG:
+    """Jacobi-preconditioned CG (``_pcg``) on a*K2 + b*M2 with warm starts.
+
+    K2 and M2 must share one CSR sparsity pattern, as the tensor assembly
+    gives them.  The shifted matrix is built once on that pattern and each
+    solve only rewrites its values as a*K2 + b*M2.  Each call reuses the
+    previous solution as the initial guess; the shifted systems change
+    slowly along a stepping run, so this typically saves a sizable fraction
+    of the iterations.  ``iters`` and ``iters_max`` count the iterations
+    (total and worst single solve) since the last :meth:`reset`.
     """
 
     def __init__(self, op: DiscreteOperator, policy: SolverPolicy):
-        self.K = op.stiffness.tocsr()
-        self.M = op.mass.tocsr()
-        self.Kdiag = self.K.diagonal()
-        self.Mdiag = self.M.diagonal()
+        K = op.stiffness.tocsr()
+        M = op.mass.tocsr()
+        if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
+            raise ValueError("WarmStartCG needs stiffness and mass on one sparsity pattern")
+        self.Kdata = K.data
+        self.Mdata = M.data
+        self.A = K.copy()
+        self.Kdiag = K.diagonal()
+        self.Mdiag = M.diagonal()
         self.policy = policy
-        self._x0 = None
+        self.reset()
 
     def reset(self) -> None:
-        """Forget the warm start; the next solve starts from zero."""
+        """Forget the warm start and the iteration counts."""
         self._x0 = None
+        self.iters = 0
+        self.iters_max = 0
 
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-        A = (a * self.K + b * self.M).tocsr()
+        np.multiply(self.Kdata, a, out=self.A.data)
+        self.A.data += b * self.Mdata
         dinv = 1.0 / (a * self.Kdiag + b * self.Mdiag)
-        precond = spla.LinearOperator(A.shape, matvec=lambda x: dinv * x)
-        x, info = spla.cg(
-            A,
-            rhs,
-            x0=self._x0,
-            rtol=self.policy.rtol,
-            atol=0.0,
-            maxiter=self.policy.maxiter,
-            M=precond,
-        )
-        if info != 0:
-            res = np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-            raise SolveError(
-                f"cg failed (info={info}) at relative residual {res:.3e}, "
-                f"target {self.policy.rtol:.1e}"
-            )
+        x, iters = _pcg(self.A, dinv, rhs, self._x0, self.policy.rtol, self.policy.maxiter)
+        self.iters += iters
+        self.iters_max = max(self.iters_max, iters)
         self._x0 = x
         return x
 
@@ -126,12 +174,7 @@ def solve_spd(matrix, rhs, policy: SolverPolicy | None = None) -> np.ndarray:
     elif sp.issparse(matrix):
         if policy.method == "cg":
             A = matrix.tocsr()
-            dinv = 1.0 / A.diagonal()
-            precond = spla.LinearOperator(A.shape, matvec=lambda v: dinv * v)
-            x, info = spla.cg(A, rhs, rtol=policy.rtol, atol=0.0,
-                              maxiter=policy.maxiter, M=precond)
-            if info != 0:
-                raise SolveError(f"cg failed with info={info}")
+            x, _ = _pcg(A, 1.0 / A.diagonal(), rhs, None, policy.rtol, policy.maxiter)
         else:
             x = spla.spsolve(sp.csc_matrix(matrix), rhs)
         resid = np.linalg.norm(matrix @ x - rhs)

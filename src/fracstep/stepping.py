@@ -67,11 +67,18 @@ class StepperConfig:
 
 @dataclass
 class RunStats:
-    """Per-run stability record: worst per-step M-norm growth ratio."""
+    """Per-run record: worst per-step M-norm growth ratio and solve counts.
+
+    ``cg_iters`` is the total of CG iterations over the run and
+    ``cg_iters_max`` the most any single solve took; both stay 0 under the
+    direct policy.
+    """
 
     steps: int = 0
     max_growth: float = 0.0
     solves: int = 0
+    cg_iters: int = 0
+    cg_iters_max: int = 0
 
 
 def estimate_spectral_bounds(op: DiscreteOperator, seed: int = 0) -> SpectralBounds:
@@ -150,6 +157,11 @@ class _StepWorkspace:
             self.K = op.stiffness.tocsr()
             self.M = op.mass.tocsr()
 
+    def reset(self) -> None:
+        """Start a new run: a CG warm start from an earlier one would change the bits."""
+        if self.cg is not None:
+            self.cg.reset()
+
     def mass_apply(self, u):
         if self.op.dim == 1:
             return _kernels.tridiag_matvec(self.Md, self.Me, u)
@@ -219,6 +231,7 @@ def apply_pade_step(u: GridFunction, t: float, k: float, r: PadeRational,
     if u.op is not op:
         raise ValueError("grid function lives on a different operator")
     ws = _StepWorkspace.get(op, cfg.solver)
+    ws.reset()
     shifts = _pole_shifts(r, cfg.delta, np.array([t]), np.array([k]))[0]
     Mu = ws.mass_apply(u.coeffs)
     return GridFunction(
@@ -232,8 +245,7 @@ def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
     if v.op is not op:
         raise ValueError("grid function lives on a different operator")
     ws = _StepWorkspace.get(op, cfg.solver)
-    if ws.cg is not None:
-        ws.cg.reset()  # a warm start from an earlier run would change the bits
+    ws.reset()
     r, delta = cfg.rational, cfg.delta
     shifts = _pole_shifts(r, delta, cfg.mesh.t_left, cfg.mesh.k)
     weights = _weights(r)
@@ -251,6 +263,8 @@ def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
         if prev_norm > 0:
             stats.max_growth = max(stats.max_growth, cur / prev_norm)
         prev_norm = cur
+    if ws.cg is not None:
+        stats.cg_iters, stats.cg_iters_max = ws.cg.iters, ws.cg.iters_max
     out = GridFunction(u, op)
     return (out, stats) if return_stats else out
 

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fracstep.fem import assemble_1d, assemble_2d_tensor
 from fracstep.solvers import (
@@ -8,6 +11,7 @@ from fracstep.solvers import (
     SolverPolicy,
     TensorDiagSolver,
     WarmStartCG,
+    _pcg,
     solve_spd,
 )
 
@@ -89,3 +93,51 @@ class TestWarmStartCG:
             want = direct.solve(a, b, rhs)
             scale = np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-8 * scale
+
+
+class TestPcg:
+    @pytest.fixture(scope="class")
+    def system(self):
+        op = assemble_2d_tensor(12)
+        A = (0.3 * op.stiffness + 5.0 * op.mass).tocsr()
+        rhs = np.random.default_rng(5).standard_normal(op.n_dofs)
+        return A, 1.0 / A.diagonal(), rhs
+
+    def test_bit_identical_to_scipy_cg(self, system):
+        A, dinv, rhs = system
+        jacobi = spla.LinearOperator(A.shape, matvec=lambda v: dinv * v)
+        warm = np.linspace(-1.0, 1.0, len(rhs))
+        for x0 in (None, warm):
+            want, info = spla.cg(A, rhs, x0=x0, rtol=1e-12, atol=0.0, maxiter=500, M=jacobi)
+            got, iters = _pcg(A, dinv, rhs, x0, 1e-12, 500)
+            assert info == 0 and iters > 0
+            assert np.array_equal(got, want)
+        assert np.array_equal(warm, np.linspace(-1.0, 1.0, len(rhs)))  # x0 untouched
+
+    def test_zero_rhs_returns_zeros_without_iterating(self, system):
+        A, dinv, rhs = system
+        x, iters = _pcg(A, dinv, np.zeros_like(rhs), rhs, 1e-12, 500)
+        assert iters == 0
+        assert not x.any()
+
+
+class TestWarmStartCGPattern:
+    def test_mismatched_patterns_rejected(self):
+        op = assemble_2d_tensor(6)
+        lumped = dataclasses.replace(op, mass=sp.diags(op.mass.sum(axis=1).A1).tocsr())
+        with pytest.raises(ValueError):
+            WarmStartCG(lumped, SolverPolicy(method="cg"))
+
+    def test_iterations_counted_until_reset(self):
+        op = assemble_2d_tensor(9)
+        policy = SolverPolicy(method="cg")
+        cg = WarmStartCG(op, policy)
+        rhs = np.ones(op.n_dofs)
+        A = (2.0 * op.stiffness + 3.0 * op.mass).tocsr()
+        _, cold = _pcg(A, 1.0 / A.diagonal(), rhs, None, policy.rtol, policy.maxiter)
+        cg.solve(2.0, 3.0, rhs)
+        assert cg.iters == cg.iters_max == cold
+        cg.solve(2.1, 3.0, rhs)
+        assert cg.iters > cg.iters_max >= cold
+        cg.reset()
+        assert cg.iters == cg.iters_max == 0

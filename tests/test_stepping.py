@@ -244,6 +244,30 @@ class Test2DSolvers:
         second = run_grm(f, op, cfg)
         assert np.array_equal(first.coeffs, second.coeffs)
 
+    def test_cg_steps_are_bit_identical(self):
+        # a single step also starts CG cold, not from the previous call's solve
+        op = assemble_2d_tensor(10)
+        f = l2_project(op, "e")
+        cfg = StepperConfig(alpha=0.5, m=2, delta=default_delta(op),
+                            mesh=build_uniform_mesh(4), solver=SolverPolicy("cg"))
+        first = apply_pade_step(f, 0.25, 0.25, cfg.rational, op, cfg)
+        second = apply_pade_step(f, 0.25, 0.25, cfg.rational, op, cfg)
+        assert np.array_equal(first.coeffs, second.coeffs)
+
+    def test_cg_iterations_on_run_stats(self):
+        op = assemble_2d_tensor(10)
+        f = l2_project(op, "f")
+        mesh = build_geometric_mesh(None, 2, L_override=4)
+        kwargs = dict(alpha=0.5, m=2, delta=default_delta(op), mesh=mesh)
+        _, direct = run_grm(f, op, StepperConfig(**kwargs), return_stats=True)
+        assert direct.cg_iters == direct.cg_iters_max == 0
+        cfg = StepperConfig(**kwargs, solver=SolverPolicy("cg"))
+        _, first = run_grm(f, op, cfg, return_stats=True)
+        _, second = run_grm(f, op, cfg, return_stats=True)
+        assert 0 < first.cg_iters_max < first.cg_iters
+        # counts are per run: the warm start and the tallies reset together
+        assert (second.cg_iters, second.cg_iters_max) == (first.cg_iters, first.cg_iters_max)
+
     def test_2d_eigen_equivalence(self):
         from fracstep.spectral import eig_2d_tensor
 
