@@ -47,13 +47,18 @@ def _check(info, routine):
         raise np.linalg.LinAlgError(f"{routine} failed (info={info}): matrix not SPD")
 
 
+def _offdiag(e):
+    # the LAPACK wrappers want an off-diagonal of length 1 when n == 1
+    return e if len(e) else np.zeros(1)
+
+
 def tridiag_solve(d, e, b):
     """Solve T x = b for SPD tridiagonal T (diagonal d, off-diagonal e).
 
     ``d`` and ``e`` are overwritten by the factorization, so pass bands
     built for this call; ``b`` (a vector or an n x k block) is left intact.
     """
-    _, _, x, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1)
+    _, _, x, info = dptsv(d, _offdiag(e), b, overwrite_d=1, overwrite_e=1)
     _check(info, "dptsv")
     return x
 
@@ -62,7 +67,7 @@ class TridiagFactor:
     """L D L^T factorization of an SPD tridiagonal, solved many times."""
 
     def __init__(self, d, e):
-        self.d, self.e, info = dpttrf(d, e)
+        self.d, self.e, info = dpttrf(d, _offdiag(e))
         _check(info, "dpttrf")
 
     def solve(self, b):

@@ -39,7 +39,7 @@ from .meshes import (
     experiment_refinement_level,
     refinement_level_for,
 )
-from .scalar import ScalarRunConfig, fit_loglog_slope, scalar_error_sweep
+from .scalar import fit_loglog_slope, sup_error
 from .solvers import SolverPolicy
 from .spectral import eig_1d, eig_2d_tensor, reference_power
 from .stepping import StepperConfig, estimate_spectral_bounds, run_grm, run_um
@@ -224,7 +224,7 @@ def run_table_2d(spec: ExperimentSpec) -> list[dict]:
 # spatial refinement study
 # ---------------------------------------------------------------------------
 
-def _graded_setup(N: int, alpha: float, delta_fraction: float, solver, seed: int):
+def _graded_setup(N: int, delta_fraction: float, seed: int):
     nodes = build_graded_spatial_mesh(N)
     op = assemble_1d(nodes)
     h_min = nodes[1] - nodes[0]
@@ -280,16 +280,14 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
     solver = spec.solver
     # fine-mesh solution used as the stand-in for the continuum limit
     N_fine = max(Ns) * reference_factor
-    fnodes, fop, fL, fdelta, ff = _graded_setup(
-        N_fine, alpha, spec.delta_fraction, solver, spec.seed)
+    fnodes, fop, fL, fdelta, ff = _graded_setup(N_fine, spec.delta_fraction, spec.seed)
     u_fine = _grm_at(fop, ff, alpha, 2, fdelta, fL, reference_Nt, solver)
     xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
     fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
 
     rows = []
     for N in Ns:
-        nodes, op, L, delta, f = _graded_setup(
-            N, alpha, spec.delta_fraction, solver, spec.seed)
+        nodes, op, L, delta, f = _graded_setup(N, spec.delta_fraction, spec.seed)
         nx = len(nodes) - 1
         u_ref = _grm_at(op, f, alpha, 2, delta, L, reference_Nt, solver)
         fine_here = GridFunction(np.interp(op.dof_coords, xp, fp), op)
@@ -336,10 +334,10 @@ def run_scalar_diagnostics(alphas=(0.1, 0.5, 0.9), ms=(1, 2), Ns=(8, 16, 32, 64)
                 sups = []
                 for N in Ns:
                     if scheme == "grm":
-                        cfg = ScalarRunConfig.grm(alpha, delta, m, lam_max, N)
+                        cfg = StepperConfig.grm(alpha, delta, m, lam_max, N)
                     else:
-                        cfg = ScalarRunConfig.um(alpha, delta, m, N)
-                    sups.append(float(np.max(scalar_error_sweep(lams, cfg))))
+                        cfg = StepperConfig.um(alpha, delta, m, N)
+                    sups.append(sup_error(lams, cfg))
                 slope = fit_loglog_slope(Ns, sups)
                 for N, sup in zip(Ns, sups):
                     rows.append({

@@ -263,7 +263,8 @@ def l2_project(op: DiscreteOperator, f) -> GridFunction:
         c = C.ravel()
     residual = np.linalg.norm(op.mass @ c - b)
     scale = np.linalg.norm(b)
-    if scale > 0 and residual > 1e-12 * scale:
+    # written so that a NaN residual (say from a NaN-valued f) fails too
+    if not residual <= 1e-12 * scale:
         raise ArithmeticError(
             f"projection residual {residual:.2e} exceeds 1e-12 * |b| = {1e-12 * scale:.2e}"
         )

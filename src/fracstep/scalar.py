@@ -9,38 +9,14 @@ and for convergence-rate studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import _kernels
-from .meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
-from .pade import PadeRational, eval_rational, pade_coefficients
+from .pade import eval_rational
+from .stepping import StepperConfig
 
-
-@dataclass(frozen=True, eq=False)
-class ScalarRunConfig:
-    """Parameters of a scalar run: exponent, shift, order and time mesh."""
-
-    alpha: float
-    delta: float
-    m: int
-    mesh: TimeMesh
-    rational: PadeRational = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.rational is None:
-            object.__setattr__(self, "rational", pade_coefficients(self.m, self.alpha))
-
-    @classmethod
-    def grm(cls, alpha, delta, m, lambda_max, N, L_override=None):
-        return cls(alpha, delta, m, build_geometric_mesh(lambda_max, N, L_override))
-
-    @classmethod
-    def um(cls, alpha, delta, m, N):
-        return cls(alpha, delta, m, build_uniform_mesh(N))
+# one run config serves the operator and the scalar recurrences
+ScalarRunConfig = StepperConfig
 
 
 def exact_power(lam: float, alpha: float) -> float:
@@ -105,13 +81,6 @@ def scalar_error_sweep(lambda_grid, cfg: ScalarRunConfig, scheme: str | None = N
     return np.abs(lams ** (-cfg.alpha) - mu)
 
 
-def default_lambda_grid(lo: float, hi: float, per_decade: int = 400) -> np.ndarray:
-    """Log-spaced grid, endpoint inclusive, ``per_decade`` points per decade."""
-    decades = np.log10(hi) - np.log10(lo)
-    n = max(2, int(round(per_decade * decades)) + 1)
-    return np.logspace(np.log10(lo), np.log10(hi), n)
-
-
 def fit_loglog_slope(ns, errors) -> float:
     """Least-squares slope of log2(error) against log2(n); needs >= 3 points."""
     ns = np.asarray(ns, dtype=np.float64)
@@ -124,15 +93,6 @@ def fit_loglog_slope(ns, errors) -> float:
     return float(-coeffs[0])
 
 
-def grm_sup_error(alpha, m, delta, lambda_grid, N, lambda_max=None) -> float:
-    """Sup over the grid of the geometric-mesh error at refinement N."""
-    lams = np.asarray(lambda_grid, dtype=np.float64)
-    lam_max = float(lambda_max if lambda_max is not None else lams.max())
-    cfg = ScalarRunConfig.grm(alpha, delta, m, lam_max, N)
-    return float(np.max(scalar_error_sweep(lams, cfg)))
-
-
-def um_sup_error(alpha, m, delta, lambda_grid, N) -> float:
-    """Sup over the grid of the uniform-mesh error with N steps."""
-    cfg = ScalarRunConfig.um(alpha, delta, m, N)
-    return float(np.max(scalar_error_sweep(np.asarray(lambda_grid), cfg)))
+def sup_error(lambda_grid, cfg: ScalarRunConfig) -> float:
+    """Sup over the grid of |lam**-alpha - mu(lam)| for the config's mesh."""
+    return float(np.max(scalar_error_sweep(lambda_grid, cfg)))

@@ -1,17 +1,29 @@
 """SPD solve backends used by the steppers.
 
-1D systems are SPD tridiagonals, solved directly by LAPACK in ``_kernels``.
-Tensor 2D systems a*K2 + b*M2 are solved either by fast diagonalization in
-the 1D eigenbasis (direct, default) or by conjugate gradients with warm
-starts (policy "cg").  There is one CG: ``_pcg``, a Jacobi-preconditioned
-loop on a preassembled CSR matrix that repeats the recurrences and the
-stopping rule of ``scipy.sparse.linalg.cg`` (atol = 0), so it returns the
-same bits without scipy's operator wrappers.  A generic entry point covers
-dense and sparse SPD matrices for utility use.
+One rational step needs shifted solves (a K + b M) z = rhs, the mass solve
+M z = rhs, and the applies of K and M.  Every backend offers them through
+one protocol: ``apply_K(u)``, ``apply_M(u)``, ``solves(shifts, rhs)`` (one
+solve per row (a_i, b_i) of ``shifts``), ``solve_M(rhs)``, and the CG
+iteration counts ``iters`` and ``iters_max`` (0 for direct backends).
+
+* ``BandedPencil``: 1D SPD tridiagonals, solved directly by LAPACK in
+  ``_kernels`` (``?ptsv`` per shift, one ``?pttrf`` factor of M).
+* ``TensorDiagSolver``: tensor 2D systems by fast diagonalization in the 1D
+  eigenbasis, which is cached per 1D factor across runs.
+* ``WarmStartCG``: tensor 2D systems by conjugate gradients, each solve
+  warm-started from the previous one.  There is one CG: ``_pcg``, a
+  Jacobi-preconditioned loop on a preassembled CSR matrix that repeats the
+  recurrences and the stopping rule of ``scipy.sparse.linalg.cg``
+  (atol = 0), so it returns the same bits without scipy's operator wrappers.
+
+A backend is built for one run and holds that run's state (the CG warm
+start and counts).  A generic entry point, ``solve_spd``, covers dense and
+sparse SPD matrices for utility use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,19 +53,82 @@ class SolverPolicy:
             raise ValueError(f"unknown solver method {self.method!r}")
 
 
-class TensorDiagSolver:
+class BandedPencil:
+    """The shifted pencil of a 1D operator: SPD tridiagonals solved by LAPACK."""
+
+    iters = 0
+    iters_max = 0
+
+    def __init__(self, op: DiscreteOperator):
+        self.Kd, self.Ke = op.stiffness_bands
+        self.Md, self.Me = op.mass_bands
+        # [diag | off-diag] of K and of M, so a * K_band + b * M_band is aK + bM
+        self.K_band = np.concatenate(op.stiffness_bands)
+        self.M_band = np.concatenate(op.mass_bands)
+        self.mass_factor = _kernels.TridiagFactor(self.Md, self.Me)
+
+    def apply_K(self, u):
+        return _kernels.tridiag_matvec(self.Kd, self.Ke, u)
+
+    def apply_M(self, u):
+        return _kernels.tridiag_matvec(self.Md, self.Me, u)
+
+    def solves(self, shifts, rhs):
+        n = len(rhs)
+        bands = shifts[:, :1] * self.K_band
+        bands += shifts[:, 1:] * self.M_band
+        # one fresh band per row; the LAPACK solve factors it in place
+        return [_kernels.tridiag_solve(band[:n], band[n:], rhs) for band in bands]
+
+    def solve_M(self, rhs):
+        return self.mass_factor.solve(rhs)
+
+
+class _TensorPencil:
+    """The protocol on a 2D operator around a per-shift ``solve(a, b, rhs)``."""
+
+    iters = 0
+    iters_max = 0
+
+    def __init__(self, op: DiscreteOperator):
+        self.K = op.stiffness.tocsr()
+        self.M = op.mass.tocsr()
+
+    def apply_K(self, u):
+        return self.K @ u
+
+    def apply_M(self, u):
+        return self.M @ u
+
+    def solves(self, shifts, rhs):
+        return [self.solve(a, b, rhs) for a, b in shifts.tolist()]
+
+    def solve_M(self, rhs):
+        return self.solve(0.0, 1.0, rhs)
+
+
+@functools.lru_cache(maxsize=8)
+def _eigenbasis(factor: DiscreteOperator):
+    """Generalized eigenpairs of a 1D factor (K V = M V diag(lam), V^T M V = I)."""
+    lam, V = sla.eigh(factor.stiffness.toarray(), factor.mass.toarray())
+    lam.setflags(write=False)  # every solver on this factor shares them
+    V.setflags(write=False)
+    return lam, V
+
+
+class TensorDiagSolver(_TensorPencil):
     """Fast diagonalization for a*K2 + b*M2 on tensor operators.
 
-    Built once per operator from the generalized eigenpairs of the 1D
-    factor (K V = M V diag(lam), V^T M V = I); each solve costs four dense
-    n x n multiplies.
+    Built from the generalized eigenpairs of the 1D factor, which are
+    computed once per factor and shared by later runs; each solve costs
+    four dense n x n multiplies.
     """
 
     def __init__(self, op: DiscreteOperator):
         if not op.is_tensor:
             raise ValueError("TensorDiagSolver requires a tensor operator")
-        lam, V = sla.eigh(op.factor.stiffness.toarray(), op.factor.mass.toarray())
-        self.lam = lam
+        super().__init__(op)
+        lam, V = _eigenbasis(op.factor)
         self.V = V
         self.Vt = np.ascontiguousarray(V.T)
         self.lam_sum = lam[:, None] + lam[None, :]
@@ -111,7 +186,7 @@ def _pcg(A, dinv: np.ndarray, b: np.ndarray, x0: np.ndarray | None, rtol: float,
     )
 
 
-class WarmStartCG:
+class WarmStartCG(_TensorPencil):
     """Jacobi-preconditioned CG (``_pcg``) on a*K2 + b*M2 with warm starts.
 
     K2 and M2 must share one CSR sparsity pattern, as the tensor assembly
@@ -120,31 +195,23 @@ class WarmStartCG:
     previous solution as the initial guess; the shifted systems change
     slowly along a stepping run, so this typically saves a sizable fraction
     of the iterations.  ``iters`` and ``iters_max`` count the iterations
-    (total and worst single solve) since the last :meth:`reset`.
+    (total and worst single solve) of this solver's lifetime, one run.
     """
 
     def __init__(self, op: DiscreteOperator, policy: SolverPolicy):
-        K = op.stiffness.tocsr()
-        M = op.mass.tocsr()
+        super().__init__(op)
+        K, M = self.K, self.M
         if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
             raise ValueError("WarmStartCG needs stiffness and mass on one sparsity pattern")
-        self.Kdata = K.data
-        self.Mdata = M.data
         self.A = K.copy()
         self.Kdiag = K.diagonal()
         self.Mdiag = M.diagonal()
         self.policy = policy
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget the warm start and the iteration counts."""
         self._x0 = None
-        self.iters = 0
-        self.iters_max = 0
 
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-        np.multiply(self.Kdata, a, out=self.A.data)
-        self.A.data += b * self.Mdata
+        np.multiply(self.K.data, a, out=self.A.data)
+        self.A.data += b * self.M.data
         dinv = 1.0 / (a * self.Kdiag + b * self.Mdiag)
         x, iters = _pcg(self.A, dinv, rhs, self._x0, self.policy.rtol, self.policy.maxiter)
         self.iters += iters
@@ -186,6 +253,7 @@ def solve_spd(matrix, rhs, policy: SolverPolicy | None = None) -> np.ndarray:
         resid = np.linalg.norm(A @ x - rhs)
         tol = 1e-12
     scale = np.linalg.norm(rhs)
-    if scale > 0 and resid > tol * scale * max(1.0, np.sqrt(len(rhs))):
+    # written so that a NaN residual fails too
+    if not resid <= tol * scale * max(1.0, np.sqrt(len(rhs))):
         raise SolveError(f"solve residual {resid / scale:.3e} above tolerance {tol:.1e}")
     return x

@@ -221,6 +221,11 @@ class TestProjection:
         direct = l2_project(op2, lambda xy: xy[0] * (1 - xy[0]) * xy[1] * (1 - xy[1]))
         np.testing.assert_allclose(proj.coeffs, direct.coeffs, atol=1e-13)
 
+    def test_nan_valued_function_rejected(self):
+        op = assemble_1d(np.linspace(0, 1, 11))
+        with pytest.raises(ArithmeticError):
+            l2_project(op, lambda x: np.full_like(x, np.nan))
+
 
 class TestInnerProduct:
     def test_zero_norm(self, op_1d_small):

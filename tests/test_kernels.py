@@ -88,6 +88,13 @@ class TestTridiagLapack:
         with pytest.raises(np.linalg.LinAlgError):
             _kernels.TridiagFactor(d, e)
 
+    def test_single_unknown(self):
+        d, e = np.array([4.0]), np.array([])
+        assert _kernels.tridiag_solve(d.copy(), e.copy(), np.array([2.0]))[0] == 0.5
+        assert _kernels.TridiagFactor(d, e).solve(np.array([2.0]))[0] == 0.5
+        with pytest.raises(np.linalg.LinAlgError):
+            _kernels.tridiag_solve(-d, e.copy(), np.array([2.0]))
+
     def test_factor_solve_matches_one_shot(self):
         d, e, b = _spd_bands(seed=9)
         factor = _kernels.TridiagFactor(d, e)

@@ -8,12 +8,11 @@ from fracstep.scalar import (
     ScalarRunConfig,
     exact_power,
     fit_loglog_slope,
-    grm_sup_error,
     scalar_error_sweep,
     scalar_grm,
     scalar_run_grid,
     scalar_um,
-    um_sup_error,
+    sup_error,
 )
 
 DELTA = 0.5
@@ -62,7 +61,7 @@ class TestGeometricRecurrence:
     @pytest.mark.parametrize("m,lo,hi", [(1, 1.9, 2.1), (2, 3.8, 4.2)])
     def test_sup_error_slope(self, m, lo, hi):
         Ns = (4, 8, 16, 32)
-        sups = [grm_sup_error(0.5, m, DELTA, LAMS, N, lambda_max=1e6) for N in Ns]
+        sups = [sup_error(LAMS, ScalarRunConfig.grm(0.5, DELTA, m, 1e6, N)) for N in Ns]
         slope = fit_loglog_slope(Ns, sups)
         assert lo <= slope <= hi
 
@@ -71,7 +70,7 @@ class TestGeometricRecurrence:
         for m in (1, 2):
             cs = []
             for N in (8, 16, 32, 64):
-                sup = grm_sup_error(0.5, m, DELTA, LAMS, N, lambda_max=1e6)
+                sup = sup_error(LAMS, ScalarRunConfig.grm(0.5, DELTA, m, 1e6, N))
                 cs.append(sup * N ** (2 * m))
             assert max(cs) / min(cs) < 2.0
 
@@ -91,12 +90,13 @@ class TestUniformRecurrence:
         assert got > 0 and math.isfinite(got)
 
     def test_sup_error_halves_like_sqrt_k(self):
-        sups = [um_sup_error(0.5, 1, DELTA, LAMS, N) for N in (16, 32)]
+        sups = [sup_error(LAMS, ScalarRunConfig.um(0.5, DELTA, 1, N)) for N in (16, 32)]
         assert 1.25 <= sups[0] / sups[1] <= 1.6
 
     def test_sup_error_slope_is_alpha(self):
         for alpha in (0.3, 0.5):
-            sups = [um_sup_error(alpha, 1, DELTA, LAMS, N) for N in (8, 16, 32, 64)]
+            cfgs = [ScalarRunConfig.um(alpha, DELTA, 1, N) for N in (8, 16, 32, 64)]
+            sups = [sup_error(LAMS, cfg) for cfg in cfgs]
             slope = fit_loglog_slope((8, 16, 32, 64), sups)
             assert abs(slope - alpha) < 0.12
 

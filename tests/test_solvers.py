@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracstep.fem import assemble_1d, assemble_2d_tensor
 from fracstep.solvers import (
@@ -14,6 +16,7 @@ from fracstep.solvers import (
     _pcg,
     solve_spd,
 )
+from fracstep.stepping import _pencil
 
 
 class TestSolveSpd:
@@ -61,6 +64,16 @@ class TestSolveSpd:
         with pytest.raises(ValueError):
             SolverPolicy(method="lu")
 
+    @pytest.mark.parametrize("kind", ("tridiagonal", "sparse", "dense"))
+    def test_nan_rhs_fails_the_residual_check(self, kind):
+        op = assemble_1d(np.linspace(0, 1, 12))
+        matrix = {"tridiagonal": op.stiffness_bands, "sparse": op.stiffness,
+                  "dense": op.stiffness.toarray()}[kind]
+        rhs = np.ones(op.n_dofs)
+        rhs[3] = np.nan
+        with pytest.raises(SolveError):
+            solve_spd(matrix, rhs)
+
 
 class TestTensorDiagSolver:
     def test_matches_sparse_solve(self):
@@ -78,6 +91,10 @@ class TestTensorDiagSolver:
         op = assemble_1d(np.linspace(0, 1, 9))
         with pytest.raises(ValueError):
             TensorDiagSolver(op)
+
+    def test_eigenbasis_shared_across_solvers(self):
+        op = assemble_2d_tensor(7)
+        assert TensorDiagSolver(op).V is TensorDiagSolver(op).V
 
 
 class TestWarmStartCG:
@@ -128,7 +145,7 @@ class TestWarmStartCGPattern:
         with pytest.raises(ValueError):
             WarmStartCG(lumped, SolverPolicy(method="cg"))
 
-    def test_iterations_counted_until_reset(self):
+    def test_iterations_counted_per_solver(self):
         op = assemble_2d_tensor(9)
         policy = SolverPolicy(method="cg")
         cg = WarmStartCG(op, policy)
@@ -139,5 +156,36 @@ class TestWarmStartCGPattern:
         assert cg.iters == cg.iters_max == cold
         cg.solve(2.1, 3.0, rhs)
         assert cg.iters > cg.iters_max >= cold
-        cg.reset()
-        assert cg.iters == cg.iters_max == 0
+
+
+def _random_operator(data, kind):
+    if kind == "banded":
+        # strictly increasing nodes with a mesh ratio of at most 10
+        gaps = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=40)))
+        nodes = np.concatenate([[0.0], np.cumsum(gaps)])
+        return assemble_1d(nodes / nodes[-1])
+    return assemble_2d_tensor(data.draw(st.integers(3, 10)))
+
+
+class TestShiftedPencils:
+    """Every backend of the stepping protocol against the assembled matrices."""
+
+    @pytest.mark.parametrize("kind,method", [("banded", "direct"), ("tensor", "direct"),
+                                             ("tensor", "cg")])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_applies_and_solves(self, kind, method, data):
+        op = _random_operator(data, kind)
+        shifts = np.array(data.draw(st.lists(
+            st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)), min_size=1, max_size=4)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = rng.standard_normal(op.n_dofs)
+        pencil = _pencil(op, SolverPolicy(method))
+        for got, want in ((pencil.apply_K(u), op.stiffness @ u),
+                          (pencil.apply_M(u), op.mass @ u)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        zs = pencil.solves(shifts, u)
+        assert len(zs) == len(shifts)
+        for (a, b), z in zip([*shifts, (0.0, 1.0)], [*zs, pencil.solve_M(u)]):
+            resid = (a * op.stiffness + b * op.mass) @ z - u
+            assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(u)

@@ -5,7 +5,7 @@ from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_proje
 from fracstep.meshes import build_geometric_mesh, build_uniform_mesh
 from fracstep.pade import eval_rational, pade_coefficients
 from fracstep.scalar import ScalarRunConfig, scalar_grm, scalar_um
-from fracstep.solvers import SolverPolicy
+from fracstep.solvers import SolveError, SolverPolicy
 from fracstep.spectral import discrete_sobolev_norm, eig_1d, reference_power
 from fracstep.stepping import (
     SpectralBounds,
@@ -208,6 +208,16 @@ class TestRunSchemes:
         with pytest.raises(ValueError):
             run_grm(f, op, cfg)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_iterate_raises(self, bad):
+        op = assemble_1d(np.linspace(0, 1, 51))
+        v = np.ones(op.n_dofs)
+        v[7] = bad
+        cfg = StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=build_uniform_mesh(4))
+        with pytest.raises(SolveError, match="after step 1 of 4"):
+            run_um(GridFunction(v, op), op, cfg)
+
     def test_operator_mismatch(self, setup_1d):
         op, dec, delta = setup_1d
         other = assemble_1d(np.linspace(0, 1, 51))
@@ -265,7 +275,7 @@ class Test2DSolvers:
         _, first = run_grm(f, op, cfg, return_stats=True)
         _, second = run_grm(f, op, cfg, return_stats=True)
         assert 0 < first.cg_iters_max < first.cg_iters
-        # counts are per run: the warm start and the tallies reset together
+        # counts are per run: every run builds its own CG, warm start and tallies
         assert (second.cg_iters, second.cg_iters_max) == (first.cg_iters, first.cg_iters_max)
 
     def test_2d_eigen_equivalence(self):
