@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: pade-info, scalar-sweep, table-1d, table-2d, spatial-refine.
-Every experiment flag can also come from a flat ``key = value`` config file
-(--config); explicit flags win over the file.  CSV goes to --out or stdout.
-Exit status is 0 on success and 2 when a solve or configuration fails.
+``COMMANDS`` lists, per subcommand, every setting it reads with its default;
+each one is a flag and can also come from a flat ``key = value`` config
+file (--config), and nothing else is accepted.  Explicit flags win over the
+file.  CSV goes to --out or stdout.  Exit status is 0 on success and 2 when
+a solve or configuration fails.
 """
 
 from __future__ import annotations
@@ -73,72 +75,66 @@ def read_config(path: str) -> dict:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, with_experiment: bool = True):
-    parser.add_argument("--config", help="flat key=value config file (flags win)")
-    parser.add_argument("--out", default=argparse.SUPPRESS, help="output CSV path (default: stdout)")
-    if with_experiment:
-        parser.add_argument("--cases", type=_CONVERTERS["cases"], default=argparse.SUPPRESS,
-                            help="comma-separated data cases, e.g. a,b,c,d")
-        parser.add_argument("--alphas", type=_floats, default=argparse.SUPPRESS,
-                            help="comma-separated exponents in (0,1)")
-        parser.add_argument("--ms", type=_ints, default=argparse.SUPPRESS,
-                            help="comma-separated orders, e.g. 1,2")
-        parser.add_argument("--scheme", choices=("grm", "um", "both"),
-                            default=argparse.SUPPRESS)
-        parser.add_argument("--Ns", type=_ints, default=argparse.SUPPRESS,
-                            help="per-interval step counts, e.g. 8,16")
-        parser.add_argument("--L-policy", dest="L_policy",
-                            choices=("theorem", "experiment", "fixed"),
-                            default=argparse.SUPPRESS)
-        parser.add_argument("--L", type=int, default=argparse.SUPPRESS,
-                            help="refinement depth for --L-policy fixed")
-        parser.add_argument("--delta", type=float, default=argparse.SUPPRESS,
-                            help="explicit shift (default: delta-fraction * lambda_min)")
-        parser.add_argument("--delta-fraction", dest="delta_fraction", type=float,
-                            default=argparse.SUPPRESS)
-        parser.add_argument("--solver", choices=("direct", "cg"), default=argparse.SUPPRESS)
-        parser.add_argument("--solver-rtol", dest="solver_rtol", type=float,
-                            default=argparse.SUPPRESS)
-        parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+_CHOICES = {"scheme": ("grm", "um", "both"), "L_policy": ("theorem", "experiment", "fixed"),
+            "solver": ("direct", "cg")}
+
+_HELP = {
+    "cases": "comma-separated data cases, e.g. a,b,c,d",
+    "alphas": "comma-separated exponents in (0,1)",
+    "ms": "comma-separated orders, e.g. 1,2",
+    "Ns": "per-interval step counts, e.g. 8,16",
+    "L": "refinement depth for --L-policy fixed",
+    "delta": "explicit shift (default: delta-fraction * lambda_min)",
+    "h": "uniform mesh size",
+}
+
+# shift, solver and seed: read by every stepping study
+_RUN = {"delta_fraction": 0.5, "solver": "direct", "solver_rtol": 1e-12, "seed": 0}
+_TABLE = {"cases": ("a", "b", "c", "d"), "alphas": (0.1, 0.5, 0.9), "ms": (1, 2),
+          "scheme": "both", "Ns": (8, 16), "L_policy": "experiment", "L": None,
+          "delta": None, **_RUN}
+
+COMMANDS = {
+    "pade-info": ("coefficients, poles, residues, bounds",
+                  {"ms": (1, 2), "alphas": (0.1, 0.3, 0.5, 0.7, 0.9)}),
+    "scalar-sweep": ("scalar sup-error sweeps and slopes",
+                     {"ms": (1, 2), "alphas": (0.1, 0.5, 0.9), "Ns": (8, 16, 32, 64),
+                      "lambda_lo": 1.0, "lambda_hi": 1e6, "points": 1000, "delta": 0.5}),
+    "table-1d": ("1D convergence-order table", {**_TABLE, "h": 1e-3}),
+    "table-2d": ("2D convergence-order table",
+                 {**_TABLE, "cases": ("e", "f"), "alphas": (0.1, 0.3, 0.5, 0.7, 0.9),
+                  "ms": (2,), "Ns": (1, 2, 4, 8, 16, 32), "L_policy": "fixed", "L": 14,
+                  "n_per_side": 100}),
+    "spatial-refine": ("graded-mesh step-count study",
+                       {"ms": (1, 2), "Ns": (4, 8, 16), "alpha": 0.5, "um_steps": 100_000,
+                        **_RUN}),
+}
+
+# CLI keys that name an ExperimentSpec field differently
+_SPEC_FIELD = {"cases": "data_cases", "L": "L_fixed"}
 
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    merged = dict(defaults)
+    """Defaults, then the config file, then explicit flags.
+
+    A config key outside ``defaults`` is rejected like an unknown one.
+    """
+    merged = {**defaults, "out": None}
     if getattr(args, "config", None):
         cfg = read_config(args.config)
-        merged.update({k: v for k, v in cfg.items() if k in merged})
-    explicit = {k: v for k, v in vars(args).items() if k not in ("config", "command")}
-    merged.update({k: v for k, v in explicit.items() if k in merged})
+        unread = sorted(set(cfg) - set(merged))
+        if unread:
+            raise ValueError(f"{args.config}: {args.command} does not read {unread}")
+        merged.update(cfg)
+    merged.update({k: v for k, v in vars(args).items() if k not in ("config", "command")})
     return merged
 
 
 def _spec_from(merged: dict, dimension: int) -> ExperimentSpec:
-    return ExperimentSpec(
-        dimension=dimension,
-        data_cases=merged["cases"],
-        alphas=merged["alphas"],
-        ms=merged["ms"],
-        scheme=merged["scheme"],
-        Ns=merged["Ns"],
-        h=merged["h"],
-        n_per_side=merged["n_per_side"],
-        L_policy=merged["L_policy"],
-        L_fixed=merged["L"],
-        delta=merged["delta"],
-        delta_fraction=merged["delta_fraction"],
-        solver=SolverPolicy(method=merged["solver"], rtol=merged["solver_rtol"]),
-        seed=merged["seed"],
-        um_steps=merged["um_steps"],
-        output=None,
-    )
-
-
-def _emit(rows, merged):
-    out = merged.get("out")
-    if out:
-        write_csv(rows, out)
-    else:
-        write_csv(rows, sys.stdout)
+    fields = {_SPEC_FIELD.get(k, k): v for k, v in merged.items()
+              if k not in ("solver", "solver_rtol", "alpha", "out")}
+    policy = SolverPolicy(method=merged["solver"], rtol=merged["solver_rtol"])
+    return ExperimentSpec(dimension=dimension, solver=policy, **fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,52 +144,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "elliptic FEM operators: diagnostics and table reproduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pade-info", help="coefficients, poles, residues, bounds")
-    p.add_argument("--ms", type=_ints, default=argparse.SUPPRESS)
-    p.add_argument("--alphas", type=_floats, default=argparse.SUPPRESS)
-    _add_common(p, with_experiment=False)
-
-    p = sub.add_parser("scalar-sweep", help="scalar sup-error sweeps and slopes")
-    p.add_argument("--ms", type=_ints, default=argparse.SUPPRESS)
-    p.add_argument("--alphas", type=_floats, default=argparse.SUPPRESS)
-    p.add_argument("--Ns", type=_ints, default=argparse.SUPPRESS)
-    p.add_argument("--lambda-lo", dest="lambda_lo", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--lambda-hi", dest="lambda_hi", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--points", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--delta", type=float, default=argparse.SUPPRESS)
-    _add_common(p, with_experiment=False)
-
-    p = sub.add_parser("table-1d", help="1D convergence-order table")
-    p.add_argument("--h", type=float, default=argparse.SUPPRESS, help="uniform mesh size")
-    _add_common(p)
-
-    p = sub.add_parser("table-2d", help="2D convergence-order table")
-    p.add_argument("--n-per-side", dest="n_per_side", type=int, default=argparse.SUPPRESS)
-    _add_common(p)
-
-    p = sub.add_parser("spatial-refine", help="graded-mesh step-count study")
-    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--um-steps", dest="um_steps", type=int, default=argparse.SUPPRESS)
-    _add_common(p)
+    for command, (help_text, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
+        p.add_argument("--config", help="flat key=value config file (flags win)")
+        p.add_argument("--out", help="output CSV path (default: stdout)")
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONVERTERS[key],
+                           choices=_CHOICES.get(key), help=_HELP.get(key))
     return parser
-
-
-_BASE_DEFAULTS = {
-    "cases": ("a", "b", "c", "d"), "alphas": (0.1, 0.5, 0.9), "ms": (1, 2),
-    "scheme": "both", "Ns": (8, 16), "h": 1e-3, "n_per_side": 100,
-    "L_policy": "experiment", "L": None, "delta": None, "delta_fraction": 0.5,
-    "solver": "direct", "solver_rtol": 1e-12, "seed": 0, "um_steps": 100_000,
-    "out": None,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        merged = _merge(args, COMMANDS[args.command][1])
         if args.command == "pade-info":
-            merged = _merge(args, {**_BASE_DEFAULTS, "ms": (1, 2),
-                                   "alphas": (0.1, 0.3, 0.5, 0.7, 0.9)})
             rows = []
             for m in merged["ms"]:
                 for alpha in merged["alphas"]:
@@ -207,35 +173,19 @@ def main(argv=None) -> int:
                         "p_coeffs": ";".join(f"{x:.12e}" for x in r.p_coeffs),
                         "q_coeffs": ";".join(f"{x:.12e}" for x in r.q_coeffs),
                     })
-            _emit(rows, merged)
         elif args.command == "scalar-sweep":
-            merged = _merge(args, {**_BASE_DEFAULTS, "Ns": (8, 16, 32, 64),
-                                   "lambda_lo": 1.0, "lambda_hi": 1e6,
-                                   "points": 1000, "delta": 0.5})
             rows = run_scalar_diagnostics(
                 alphas=merged["alphas"], ms=merged["ms"], Ns=merged["Ns"],
                 lambda_range=(merged["lambda_lo"], merged["lambda_hi"]),
                 delta=merged["delta"], points=merged["points"])
-            _emit(rows, merged)
         elif args.command == "table-1d":
-            merged = _merge(args, _BASE_DEFAULTS)
             rows = run_table_1d(_spec_from(merged, dimension=1))
-            _emit(rows, merged)
         elif args.command == "table-2d":
-            merged = _merge(args, {**_BASE_DEFAULTS, "cases": ("e", "f"),
-                                   "alphas": (0.1, 0.3, 0.5, 0.7, 0.9),
-                                   "ms": (2,), "Ns": (1, 2, 4, 8, 16, 32),
-                                   "L_policy": "fixed", "L": 14})
             rows = run_table_2d(_spec_from(merged, dimension=2))
-            _emit(rows, merged)
-        elif args.command == "spatial-refine":
-            merged = _merge(args, {**_BASE_DEFAULTS, "cases": ("d",),
-                                   "Ns": (4, 8, 16), "alpha": 0.5, "ms": (1, 2)})
-            spec = _spec_from(merged, dimension=1)
-            rows = run_spatial_refinement(spec, alpha=merged["alpha"])
-            _emit(rows, merged)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        else:
+            rows = run_spatial_refinement(_spec_from(merged, dimension=1),
+                                          alpha=merged["alpha"])
+        write_csv(rows, merged["out"] or sys.stdout)
     except (SolveError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"fracstep: error: {exc}", file=sys.stderr)
         return 2

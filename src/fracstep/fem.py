@@ -4,6 +4,9 @@
 2D operators are tensor products of a uniform 1D factor, so the stiffness
 and mass matrices satisfy K2 = kron(K, M) + kron(M, K) and M2 = kron(M, M)
 exactly.  Boundary rows/columns are eliminated, keeping both matrices SPD.
+``mass_solver`` is the one mass solve of the package (projection and
+stepping): a LAPACK factor of the 1D mass matrix, applied along both axes
+in 2D.
 """
 
 from __future__ import annotations
@@ -199,11 +202,6 @@ def _indicator_load_1d(nodes, lo=0.25, hi=0.75):
     return b[1:-1]
 
 
-def _mass_solve_1d(op: DiscreteOperator, rhs):
-    d, e = op.mass_bands
-    return _kernels.tridiag_solve(d.copy(), e.copy(), rhs)
-
-
 def load_vector(op: DiscreteOperator, f) -> np.ndarray:
     """Quadrature of f against every interior basis function."""
     if op.dim == 1:
@@ -247,6 +245,24 @@ def load_vector(op: DiscreteOperator, f) -> np.ndarray:
     return b[1:-1, 1:-1].ravel()
 
 
+def mass_solver(op: DiscreteOperator):
+    """M^{-1} as a callable, exact up to rounding for every operator assembled here.
+
+    One LAPACK factor of the 1D mass matrix serves both dimensions: a tensor
+    operator has M2 = kron(M1, M1), so M2^{-1} applies M1^{-1} along each
+    axis of the n x n coefficient array.
+    """
+    factor = _kernels.TridiagFactor(*(op.factor or op).mass_bands)
+    if not op.is_tensor:
+        return factor.solve
+    n = op.factor.n_dofs
+
+    def solve(rhs):
+        return factor.solve(factor.solve(rhs.reshape(n, n)).T).T.ravel()
+
+    return solve
+
+
 def l2_project(op: DiscreteOperator, f) -> GridFunction:
     """Orthogonal projection of f onto the FEM space: solve M c = b.
 
@@ -254,13 +270,7 @@ def l2_project(op: DiscreteOperator, f) -> GridFunction:
     arrays (1D) or an (X, Y) pair (2D).
     """
     b = load_vector(op, f)
-    if op.dim == 1:
-        c = _mass_solve_1d(op, b)
-    else:
-        n = op.factor.n_dofs
-        B = b.reshape(n, n)
-        C = _mass_solve_1d(op.factor, _mass_solve_1d(op.factor, B).T).T
-        c = C.ravel()
+    c = mass_solver(op)(b)
     residual = np.linalg.norm(op.mass @ c - b)
     scale = np.linalg.norm(b)
     # written so that a NaN residual (say from a NaN-valued f) fails too

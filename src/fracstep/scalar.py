@@ -67,15 +67,8 @@ def scalar_run_grid(lams, cfg: ScalarRunConfig) -> np.ndarray:
     )
 
 
-def scalar_error_sweep(lambda_grid, cfg: ScalarRunConfig, scheme: str | None = None) -> np.ndarray:
-    """|lam**-alpha - mu(lam)| for every lambda in the grid.
-
-    ``scheme`` ("grm" or "um") is checked against the mesh kind when given.
-    """
-    if scheme is not None:
-        expected = {"grm": "geometric", "um": "uniform"}[scheme.lower()]
-        if cfg.mesh.kind != expected:
-            raise ValueError(f"scheme {scheme} needs a {expected} mesh, have {cfg.mesh.kind}")
+def scalar_error_sweep(lambda_grid, cfg: ScalarRunConfig) -> np.ndarray:
+    """|lam**-alpha - mu(lam)| for every lambda in the grid."""
     lams = np.asarray(lambda_grid, dtype=np.float64)
     mu = scalar_run_grid(lams, cfg)
     return np.abs(lams ** (-cfg.alpha) - mu)

@@ -1,15 +1,16 @@
 """SPD solve backends used by the steppers.
 
-One rational step needs shifted solves (a K + b M) z = rhs, the mass solve
-M z = rhs, and the applies of K and M.  Every backend offers them through
-one protocol: ``apply_K(u)``, ``apply_M(u)``, ``solves(shifts, rhs)`` (one
-solve per row (a_i, b_i) of ``shifts``), ``solve_M(rhs)``, and the CG
-iteration counts ``iters`` and ``iters_max`` (0 for direct backends).
+One rational step needs shifted solves (a K + b M) z = rhs and the applies
+of K and M.  Every backend offers them through one protocol: ``apply_K(u)``,
+``apply_M(u)``, ``solves(shifts, rhs)`` (one solve per row (a_i, b_i) of
+``shifts``), and the CG iteration counts ``iters`` and ``iters_max`` (0 for
+direct backends).  The step's mass solve is not part of it: M is always M1
+or kron(M1, M1), solved exactly by ``fem.mass_solver``.
 
 * ``BandedPencil``: 1D SPD tridiagonals, solved directly by LAPACK in
-  ``_kernels`` (``?ptsv`` per shift, one ``?pttrf`` factor of M).
+  ``_kernels`` (``?ptsv`` per shift).
 * ``TensorDiagSolver``: tensor 2D systems by fast diagonalization in the 1D
-  eigenbasis, which is cached per 1D factor across runs.
+  eigenbasis of ``spectral.eig_2d_tensor``, which caches it per operator.
 * ``WarmStartCG``: tensor 2D systems by conjugate gradients, each solve
   warm-started from the previous one.  There is one CG: ``_pcg``, a
   Jacobi-preconditioned loop on a preassembled CSR matrix that repeats the
@@ -23,7 +24,6 @@ sparse SPD matrices for utility use.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +34,7 @@ import scipy.sparse.linalg as spla
 
 from . import _kernels
 from .fem import DiscreteOperator
+from .spectral import eig_2d_tensor
 
 
 class SolveError(RuntimeError):
@@ -65,7 +66,6 @@ class BandedPencil:
         # [diag | off-diag] of K and of M, so a * K_band + b * M_band is aK + bM
         self.K_band = np.concatenate(op.stiffness_bands)
         self.M_band = np.concatenate(op.mass_bands)
-        self.mass_factor = _kernels.TridiagFactor(self.Md, self.Me)
 
     def apply_K(self, u):
         return _kernels.tridiag_matvec(self.Kd, self.Ke, u)
@@ -79,9 +79,6 @@ class BandedPencil:
         bands += shifts[:, 1:] * self.M_band
         # one fresh band per row; the LAPACK solve factors it in place
         return [_kernels.tridiag_solve(band[:n], band[n:], rhs) for band in bands]
-
-    def solve_M(self, rhs):
-        return self.mass_factor.solve(rhs)
 
 
 class _TensorPencil:
@@ -103,32 +100,22 @@ class _TensorPencil:
     def solves(self, shifts, rhs):
         return [self.solve(a, b, rhs) for a, b in shifts.tolist()]
 
-    def solve_M(self, rhs):
-        return self.solve(0.0, 1.0, rhs)
-
-
-@functools.lru_cache(maxsize=8)
-def _eigenbasis(factor: DiscreteOperator):
-    """Generalized eigenpairs of a 1D factor (K V = M V diag(lam), V^T M V = I)."""
-    lam, V = sla.eigh(factor.stiffness.toarray(), factor.mass.toarray())
-    lam.setflags(write=False)  # every solver on this factor shares them
-    V.setflags(write=False)
-    return lam, V
-
 
 class TensorDiagSolver(_TensorPencil):
     """Fast diagonalization for a*K2 + b*M2 on tensor operators.
 
-    Built from the generalized eigenpairs of the 1D factor, which are
-    computed once per factor and shared by later runs; each solve costs
-    four dense n x n multiplies.
+    Built from the generalized eigenpairs of the 1D factor (K V = M V
+    diag(lam), V^T M V = I), which ``eig_2d_tensor`` computes once per
+    operator and shares with the reference solution and later runs; each
+    solve costs four dense n x n multiplies.
     """
 
     def __init__(self, op: DiscreteOperator):
         if not op.is_tensor:
             raise ValueError("TensorDiagSolver requires a tensor operator")
         super().__init__(op)
-        lam, V = _eigenbasis(op.factor)
+        decomp = eig_2d_tensor(op)
+        lam, V = decomp.lambdas_1d, decomp.modes
         self.V = V
         self.Vt = np.ascontiguousarray(V.T)
         self.lam_sum = lam[:, None] + lam[None, :]
@@ -149,11 +136,14 @@ def _pcg(A, dinv: np.ndarray, b: np.ndarray, x0: np.ndarray | None, rtol: float,
     p, x and r, and the test ``norm(r) < rtol * norm(b)`` before each
     iteration are those of ``scipy.sparse.linalg.cg`` with ``atol=0``, in
     the same order, so both return the same bits.  ``x0`` is not modified.
-    Raises :class:`SolveError` when ``maxiter`` iterations do not converge.
+    Raises :class:`SolveError` at once when ``b`` is not finite, and when
+    ``maxiter`` iterations do not converge.
     """
     bnrm = np.linalg.norm(b)
     if bnrm == 0:
         return b, 0
+    if not math.isfinite(bnrm):
+        raise SolveError(f"right-hand side not finite (norm {bnrm})")
     tol = rtol * bnrm
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - A @ x if x.any() else b.copy()

@@ -5,10 +5,15 @@ discrete fractional power available as a reference, and gives the discrete
 Sobolev norms used to grade data smoothness.  1D problems are solved densely
 (capped at 4000 dofs); tensor 2D problems reuse the 1D factor, with
 eigenvalues lambda_i + lambda_j and modes psi_i (x) psi_j never materialized.
+The tensor decomposition is cached per operator, because the fast-
+diagonalization solver of ``solvers`` reuses its 1D modes; ``eig_1d`` is not
+cached, so a dense 1D basis (up to 4000 modes) lives only as long as its
+caller holds it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +40,10 @@ class SpectralDecomposition:
     _proj: np.ndarray = field(default=None, repr=False)  # modes^T M, cached
 
     def __post_init__(self):
-        self.lambdas.setflags(write=False)
-        self.modes.setflags(write=False)
+        # tensor decompositions are cached and shared, so nothing may write them
+        for arr in (self.lambdas, self.modes, self.lambdas_1d, self._proj):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n_modes(self) -> int:
@@ -85,8 +92,9 @@ def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
     )
 
 
+@functools.lru_cache(maxsize=8)
 def eig_2d_tensor(op: DiscreteOperator) -> SpectralDecomposition:
-    """Implicit decomposition of a tensor operator from its 1D factor."""
+    """Implicit decomposition of a tensor operator from its 1D factor (cached)."""
     if not op.is_tensor:
         raise ValueError("eig_2d_tensor expects a tensor-assembled operator")
     base = eig_1d(op.factor)

@@ -11,10 +11,12 @@ plus a single mass solve: since r(0) = 1, the update collapses to
     u_next = u + k M^{-1} (K - delta M) sum_i (w_i / x_i) z_i.
 
 Every G_i is SPD because -x_i > 1 forces both (k - x_i t) > 0 and
-delta (x_i (t - 1) - k) > 0 while t + k <= 1.  The solves and the applies
-of K and M go through one shifted-pencil backend from ``solvers``, picked
-by ``_pencil`` and built once per run, so CG warm starts never outlive a
-run.  The shifts of every G_i are computed once per run, and the M u of
+delta (x_i (t - 1) - k) > 0 while t + k <= 1.  The pole solves and the
+applies of K and M go through one shifted-pencil backend from ``solvers``,
+picked by ``_pencil`` and built once per run, so CG warm starts never
+outlive a run.  The mass solve is exact under every backend: one LAPACK
+factor of the 1D mass matrix (``fem.mass_solver``), built next to the
+pencil.  The shifts of every G_i are computed once per run, and the M u of
 the growth norm after each step is the next step's right-hand side.
 """
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import DiscreteOperator, GridFunction
+from .fem import DiscreteOperator, GridFunction, mass_solver
 from .meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from .pade import PadeRational, pade_coefficients
 from .solvers import BandedPencil, SolveError, SolverPolicy, TensorDiagSolver, WarmStartCG
@@ -151,7 +153,7 @@ def _pole_shifts(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray) ->
     return np.stack([a, b], axis=-1)
 
 
-def _apply_step(pencil, u: np.ndarray, Mu: np.ndarray, k: float,
+def _apply_step(pencil, mass_solve, u: np.ndarray, Mu: np.ndarray, k: float,
                 shifts: np.ndarray, weights: list, delta: float) -> np.ndarray:
     """One step of size k from u, given Mu = M u and the step's pole shifts."""
     if k == 0.0:
@@ -163,7 +165,7 @@ def _apply_step(pencil, u: np.ndarray, Mu: np.ndarray, k: float,
     # B acc = K acc - delta M acc; folding delta into one K - delta M band
     # cancels digits and moves the published errors by about 1%
     rhs = pencil.apply_K(acc) - delta * pencil.apply_M(acc)
-    return u + k * pencil.solve_M(rhs)
+    return u + k * mass_solve(rhs)
 
 
 def _weights(r: PadeRational) -> list:
@@ -179,11 +181,11 @@ def apply_pade_step(u: GridFunction, t: float, k: float, r: PadeRational,
         raise ValueError(f"step (t, k) = ({t}, {k}) leaves the unit interval")
     if u.op is not op:
         raise ValueError("grid function lives on a different operator")
-    pencil = _pencil(op, cfg.solver)
+    pencil, mass_solve = _pencil(op, cfg.solver), mass_solver(op)
     shifts = _pole_shifts(r, cfg.delta, np.array([t]), np.array([k]))[0]
     Mu = pencil.apply_M(u.coeffs)
     return GridFunction(
-        _apply_step(pencil, u.coeffs, Mu, k, shifts, _weights(r), cfg.delta), op)
+        _apply_step(pencil, mass_solve, u.coeffs, Mu, k, shifts, _weights(r), cfg.delta), op)
 
 
 def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
@@ -192,7 +194,7 @@ def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
         raise ValueError(f"configuration holds a {cfg.mesh.kind} mesh, expected {kind}")
     if v.op is not op:
         raise ValueError("grid function lives on a different operator")
-    pencil = _pencil(op, cfg.solver)
+    pencil, mass_solve = _pencil(op, cfg.solver), mass_solver(op)
     r, delta = cfg.rational, cfg.delta
     shifts = _pole_shifts(r, delta, cfg.mesh.t_left, cfg.mesh.k)
     weights = _weights(r)
@@ -201,7 +203,7 @@ def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
     Mu = pencil.apply_M(u)
     prev_norm = float(np.sqrt(max(u @ Mu, 0.0)))
     for k, step_shifts in zip(cfg.mesh.k.tolist(), shifts):
-        u = _apply_step(pencil, u, Mu, k, step_shifts, weights, delta)
+        u = _apply_step(pencil, mass_solve, u, Mu, k, step_shifts, weights, delta)
         stats.steps += 1
         stats.solves += r.m
         # M u feeds both the growth norm and the next step's right-hand side

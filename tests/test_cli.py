@@ -96,3 +96,15 @@ class TestSpatialRefine:
         assert code == 0
         rows = parse_csv(out_path.read_text())
         assert rows[0]["nx"] == "72"
+
+    def test_unread_flag_rejected(self):
+        # the study reads --delta-fraction only; --delta must not abbreviate it
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["spatial-refine", "--delta", "5"])
+        assert exc.value.code == 2
+
+    def test_unread_config_key_fails(self, tmp_path):
+        cfg = tmp_path / "sr.cfg"
+        cfg.write_text("Ns = 4\ncases = a\n")
+        code, _ = run_cli(["spatial-refine", "--config", str(cfg)])
+        assert code == 2

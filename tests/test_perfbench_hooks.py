@@ -40,11 +40,11 @@ EXPECTED = {
     "pade.coeffs.calls": 12,
     "stepping.bounds.calls": 3,
     "fem.m_norm.calls": 15,
-    "kernels.tridiag_solve.calls": 125,
+    "kernels.tridiag_solve.calls": 120,
     "kernels.tridiag_matvec.calls": 184,
-    "solvers.tensor_solve.calls": 270,
-    "solvers.cg_solve.calls": 270,
-    "solvers.shifted_solve.calls": 660,
+    "solvers.tensor_solve.calls": 180,
+    "solvers.cg_solve.calls": 180,
+    "solvers.shifted_solve.calls": 480,
 }
 
 

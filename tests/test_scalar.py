@@ -127,11 +127,6 @@ class TestSweeps:
         loop = np.array([scalar_grm(lam, cfg) for lam in lams])
         np.testing.assert_allclose(grid, loop, rtol=1e-13)
 
-    def test_scheme_mismatch_rejected(self):
-        cfg = ScalarRunConfig.grm(0.3, DELTA, 1, 100.0, 2)
-        with pytest.raises(ValueError):
-            scalar_error_sweep(LAMS, cfg, scheme="um")
-
     def test_factors_never_exceed_one(self):
         r = pade_coefficients(2, 0.4)
         thetas = np.logspace(-8, 8, 200)

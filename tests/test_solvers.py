@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracstep.fem import assemble_1d, assemble_2d_tensor
+from fracstep.fem import assemble_1d, assemble_2d_tensor, mass_solver
 from fracstep.solvers import (
     SolveError,
     SolverPolicy,
@@ -73,6 +73,14 @@ class TestSolveSpd:
         rhs[3] = np.nan
         with pytest.raises(SolveError):
             solve_spd(matrix, rhs)
+
+    def test_cg_rejects_non_finite_rhs_at_once(self):
+        op = assemble_2d_tensor(10)
+        rhs = np.ones(op.n_dofs)
+        rhs[7] = np.nan
+        # the budget would let a NaN right-hand side spin for 20 000 iterations
+        with pytest.raises(SolveError, match="right-hand side not finite"):
+            solve_spd((op.stiffness + op.mass).tocsr(), rhs, SolverPolicy("cg"))
 
 
 class TestTensorDiagSolver:
@@ -168,7 +176,8 @@ def _random_operator(data, kind):
 
 
 class TestShiftedPencils:
-    """Every backend of the stepping protocol against the assembled matrices."""
+    """Every backend of the stepping protocol, and the exact mass solve the
+    steps use next to it, against the assembled matrices."""
 
     @pytest.mark.parametrize("kind,method", [("banded", "direct"), ("tensor", "direct"),
                                              ("tensor", "cg")])
@@ -186,6 +195,6 @@ class TestShiftedPencils:
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         zs = pencil.solves(shifts, u)
         assert len(zs) == len(shifts)
-        for (a, b), z in zip([*shifts, (0.0, 1.0)], [*zs, pencil.solve_M(u)]):
+        for (a, b), z in zip([*shifts, (0.0, 1.0)], [*zs, mass_solver(op)(u)]):
             resid = (a * op.stiffness + b * op.mass) @ z - u
             assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(u)

@@ -5,7 +5,7 @@ from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_proje
 from fracstep.meshes import build_geometric_mesh, build_uniform_mesh
 from fracstep.pade import eval_rational, pade_coefficients
 from fracstep.scalar import ScalarRunConfig, scalar_grm, scalar_um
-from fracstep.solvers import SolveError, SolverPolicy
+from fracstep.solvers import SolveError, SolverPolicy, WarmStartCG
 from fracstep.spectral import discrete_sobolev_norm, eig_1d, reference_power
 from fracstep.stepping import (
     SpectralBounds,
@@ -277,6 +277,23 @@ class Test2DSolvers:
         assert 0 < first.cg_iters_max < first.cg_iters
         # counts are per run: every run builds its own CG, warm start and tallies
         assert (second.cg_iters, second.cg_iters_max) == (first.cg_iters, first.cg_iters_max)
+
+    def test_cg_solves_only_the_poles(self, monkeypatch):
+        # the mass solve is exact (fem.mass_solver), never a CG solve
+        calls = []
+        solve = WarmStartCG.solve
+
+        def counted(self, a, b, rhs):
+            calls.append((a, b))
+            return solve(self, a, b, rhs)
+
+        monkeypatch.setattr(WarmStartCG, "solve", counted)
+        op = assemble_2d_tensor(8)
+        mesh = build_geometric_mesh(None, 2, L_override=3)
+        cfg = StepperConfig(alpha=0.5, m=3, delta=default_delta(op), mesh=mesh,
+                            solver=SolverPolicy("cg"))
+        run_grm(l2_project(op, "e"), op, cfg)
+        assert len(calls) == mesh.num_steps * 3
 
     def test_2d_eigen_equivalence(self):
         from fracstep.spectral import eig_2d_tensor
