@@ -80,6 +80,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown L policy {self.L_policy!r}")
         if self.L_policy == "fixed" and not self.L_fixed:
             raise ValueError("L_policy 'fixed' needs L_fixed")
+        # delta = fraction * lambda_min_est must stay below the spectrum
+        if not 0 < self.delta_fraction < 1:
+            raise ValueError(f"delta_fraction {self.delta_fraction} outside (0, 1)")
 
 
 def convergence_order(e_n: float, e_2n: float) -> float:

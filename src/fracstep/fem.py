@@ -4,9 +4,9 @@
 2D operators are tensor products of a uniform 1D factor, so the stiffness
 and mass matrices satisfy K2 = kron(K, M) + kron(M, K) and M2 = kron(M, M)
 exactly.  Boundary rows/columns are eliminated, keeping both matrices SPD.
-``mass_solver`` is the one mass solve of the package (projection and
-stepping): a LAPACK factor of the 1D mass matrix, applied along both axes
-in 2D.
+``mass_solver`` is the mass solve behind ``l2_project``: a LAPACK factor
+of the 1D mass matrix, applied along both axes in 2D (the time steps need
+no mass solve).
 """
 
 from __future__ import annotations

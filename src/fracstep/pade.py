@@ -13,6 +13,7 @@ SPD solves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +131,13 @@ def _minimum_on_half_line(p, q, limit):
     return float(min(candidates))
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def pade_coefficients(m: int, alpha: float) -> PadeRational:
     """Construct the degree-(m, m) approximant of (1+x)**(-alpha).
+
+    Equal arguments return the same (immutable) object: a bounded cache
+    keeps the latest 64 approximants, keyed by value and type, so an
+    invalid ``m = 2.0`` is never served the entry of ``m = 2``.
 
     Args:
         m: order, 1 <= m <= 8.

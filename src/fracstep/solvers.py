@@ -1,25 +1,27 @@
 """SPD solve backends used by the steppers.
 
-One rational step needs shifted solves (a K + b M) z = rhs and the applies
-of K and M.  Every backend offers them through one protocol: ``apply_K(u)``,
-``apply_M(u)``, ``solves(shifts, rhs)`` (one solve per row (a_i, b_i) of
-``shifts``), and the CG iteration counts ``iters`` and ``iters_max`` (0 for
-direct backends).  The step's mass solve is not part of it: M is always M1
-or kron(M1, M1), solved exactly by ``fem.mass_solver``.
+One rational step needs ``M u`` and a weighted sum of shifted solves,
+sum_i c_i (a_i K + b_i M)^{-1} rhs.  Every backend offers exactly that
+through one protocol: ``apply_M(u)``, ``combine(shifts, coeffs, rhs)``
+(one term per pair (a_i, b_i) of ``shifts`` and weight c_i of ``coeffs``),
+and the CG iteration counts ``iters`` and ``iters_max`` (0 for direct
+backends).  The step needs neither K nor a mass solve (see ``stepping``).
 
 * ``BandedPencil``: 1D SPD tridiagonals, solved directly by LAPACK in
-  ``_kernels`` (``?ptsv`` per shift).
+  ``_kernels`` (``?ptsv`` per shift), the terms added up.
 * ``TensorDiagSolver``: tensor 2D systems by fast diagonalization in the 1D
   eigenbasis of ``spectral.eig_2d_tensor``, which caches it per operator.
+  The weighted sum is diagonal in that basis, so ``combine`` costs one
+  transform and one back-transform (``solve``) for any number of shifts.
 * ``WarmStartCG``: tensor 2D systems by conjugate gradients, each solve
-  warm-started from the previous one.  There is one CG: ``_pcg``, a
-  Jacobi-preconditioned loop on a preassembled CSR matrix that repeats the
-  recurrences and the stopping rule of ``scipy.sparse.linalg.cg``
-  (atol = 0), so it returns the same bits without scipy's operator wrappers.
+  warm-started from the previous one, the terms added up.  There is one
+  CG: ``_pcg``, a Jacobi-preconditioned loop on a preassembled CSR matrix
+  that repeats the recurrences and the stopping rule of
+  ``scipy.sparse.linalg.cg`` (atol = 0), so it returns the same bits
+  without scipy's operator wrappers.
 
 A backend is built for one run and holds that run's state (the CG warm
-start and counts).  A generic entry point, ``solve_spd``, covers dense and
-sparse SPD matrices for utility use.
+start and counts).
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  a module global that perfbench/tracing.py swaps
 
 from . import _kernels
 from .fem import DiscreteOperator
@@ -54,66 +54,59 @@ class SolverPolicy:
             raise ValueError(f"unknown solver method {self.method!r}")
 
 
-class BandedPencil:
-    """The shifted pencil of a 1D operator: SPD tridiagonals solved by LAPACK."""
+class _Pencil:
+    """``apply_M`` by a CSR ``M``, and ``combine`` as a sum of per-shift
+    ``solve(a, b, rhs)`` calls (``TensorDiagSolver`` sums in modal space)."""
 
     iters = 0
     iters_max = 0
-
-    def __init__(self, op: DiscreteOperator):
-        self.Kd, self.Ke = op.stiffness_bands
-        self.Md, self.Me = op.mass_bands
-        # [diag | off-diag] of K and of M, so a * K_band + b * M_band is aK + bM
-        self.K_band = np.concatenate(op.stiffness_bands)
-        self.M_band = np.concatenate(op.mass_bands)
-
-    def apply_K(self, u):
-        return _kernels.tridiag_matvec(self.Kd, self.Ke, u)
-
-    def apply_M(self, u):
-        return _kernels.tridiag_matvec(self.Md, self.Me, u)
-
-    def solves(self, shifts, rhs):
-        n = len(rhs)
-        bands = shifts[:, :1] * self.K_band
-        bands += shifts[:, 1:] * self.M_band
-        # one fresh band per row; the LAPACK solve factors it in place
-        return [_kernels.tridiag_solve(band[:n], band[n:], rhs) for band in bands]
-
-
-class _TensorPencil:
-    """The protocol on a 2D operator around a per-shift ``solve(a, b, rhs)``."""
-
-    iters = 0
-    iters_max = 0
-
-    def __init__(self, op: DiscreteOperator):
-        self.K = op.stiffness.tocsr()
-        self.M = op.mass.tocsr()
-
-    def apply_K(self, u):
-        return self.K @ u
 
     def apply_M(self, u):
         return self.M @ u
 
-    def solves(self, shifts, rhs):
-        return [self.solve(a, b, rhs) for a, b in shifts.tolist()]
+    def combine(self, shifts, coeffs, rhs):
+        """sum_i coeffs[i] (a_i K + b_i M)^{-1} rhs over the pairs (a_i, b_i) of shifts."""
+        acc = np.zeros_like(rhs)
+        for (a, b), c in zip(shifts, coeffs):
+            acc += c * self.solve(a, b, rhs)
+        return acc
 
 
-class TensorDiagSolver(_TensorPencil):
-    """Fast diagonalization for a*K2 + b*M2 on tensor operators.
+class BandedPencil(_Pencil):
+    """The shifted pencil of a 1D operator: SPD tridiagonals solved by LAPACK."""
+
+    def __init__(self, op: DiscreteOperator):
+        self.Md, self.Me = op.mass_bands
+        # [diag | off-diag] of K and of M, so a * K_band + b * M_band is aK + bM
+        self.K_band = np.concatenate(op.stiffness_bands)
+        self.M_band = np.concatenate(op.mass_bands)
+        self.n = len(self.Md)
+
+    def apply_M(self, u):
+        return _kernels.tridiag_matvec(self.Md, self.Me, u)
+
+    def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
+        # a fresh band per call; the LAPACK solve factors it in place
+        band = a * self.K_band
+        band += b * self.M_band
+        return _kernels.tridiag_solve(band[:self.n], band[self.n:], rhs)
+
+
+class TensorDiagSolver(_Pencil):
+    """Fast diagonalization for sums of (a_i K2 + b_i M2)^{-1} on tensor operators.
 
     Built from the generalized eigenpairs of the 1D factor (K V = M V
     diag(lam), V^T M V = I), which ``eig_2d_tensor`` computes once per
-    operator and shares with the reference solution and later runs; each
-    solve costs four dense n x n multiplies.
+    operator and shares with the reference solution and later runs.  In
+    that basis (a K2 + b M2)^{-1} is the diagonal 1 / (a lam_sum + b), so a
+    whole weighted sum of solves is one modal multiplier and costs four
+    dense n x n multiplies, however many shifts it has.
     """
 
     def __init__(self, op: DiscreteOperator):
         if not op.is_tensor:
             raise ValueError("TensorDiagSolver requires a tensor operator")
-        super().__init__(op)
+        self.M = op.mass.tocsr()
         decomp = eig_2d_tensor(op)
         lam, V = decomp.lambdas_1d, decomp.modes
         self.V = V
@@ -121,10 +114,17 @@ class TensorDiagSolver(_TensorPencil):
         self.lam_sum = lam[:, None] + lam[None, :]
         self.n = len(lam)
 
-    def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-        R = rhs.reshape(self.n, self.n)
-        C = self.Vt @ R @ self.V
-        C /= a * self.lam_sum + b
+    def combine(self, shifts, coeffs, rhs):
+        modal = sum(c / (a * self.lam_sum + b) for (a, b), c in zip(shifts, coeffs))
+        return self.solve(modal, rhs)
+
+    def solve(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """V (modal * (V^T R V)) V^T, R the n x n reshape of rhs.
+
+        With ``modal = 1 / (a lam_sum + b)`` this solves (a K2 + b M2) x = rhs.
+        """
+        C = self.Vt @ rhs.reshape(self.n, self.n) @ self.V
+        C *= modal
         return (self.V @ C @ self.Vt).ravel()
 
 
@@ -176,7 +176,7 @@ def _pcg(A, dinv: np.ndarray, b: np.ndarray, x0: np.ndarray | None, rtol: float,
     )
 
 
-class WarmStartCG(_TensorPencil):
+class WarmStartCG(_Pencil):
     """Jacobi-preconditioned CG (``_pcg``) on a*K2 + b*M2 with warm starts.
 
     K2 and M2 must share one CSR sparsity pattern, as the tensor assembly
@@ -189,8 +189,8 @@ class WarmStartCG(_TensorPencil):
     """
 
     def __init__(self, op: DiscreteOperator, policy: SolverPolicy):
-        super().__init__(op)
-        K, M = self.K, self.M
+        self.K = K = op.stiffness.tocsr()
+        self.M = M = op.mass.tocsr()
         if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
             raise ValueError("WarmStartCG needs stiffness and mass on one sparsity pattern")
         self.A = K.copy()
@@ -208,42 +208,3 @@ class WarmStartCG(_TensorPencil):
         self.iters_max = max(self.iters_max, iters)
         self._x0 = x
         return x
-
-
-def solve_spd(matrix, rhs, policy: SolverPolicy | None = None) -> np.ndarray:
-    """Solve A x = rhs for a symmetric positive definite A.
-
-    ``matrix`` may be a dense array, a scipy sparse matrix, or the
-    (diagonal, off-diagonal) pair of a symmetric tridiagonal.  Direct
-    policies verify the residual to 1e-13 relative (1e-12 for CG) and raise
-    :class:`SolveError` otherwise.
-    """
-    policy = policy or SolverPolicy()
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if isinstance(matrix, tuple) and len(matrix) == 2:
-        d, e = (np.asarray(band, dtype=np.float64) for band in matrix)
-        try:
-            x = _kernels.tridiag_solve(d.copy(), e.copy(), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolveError(str(exc)) from exc
-        resid = np.linalg.norm(_kernels.tridiag_matvec(d, e, x) - rhs)
-        tol = 1e-13
-    elif sp.issparse(matrix):
-        if policy.method == "cg":
-            A = matrix.tocsr()
-            x, _ = _pcg(A, 1.0 / A.diagonal(), rhs, None, policy.rtol, policy.maxiter)
-        else:
-            x = spla.spsolve(sp.csc_matrix(matrix), rhs)
-        resid = np.linalg.norm(matrix @ x - rhs)
-        tol = max(policy.rtol, 1e-13) if policy.method == "cg" else 1e-13
-    else:
-        A = np.asarray(matrix, dtype=np.float64)
-        c, low = sla.cho_factor(A, check_finite=False)
-        x = sla.cho_solve((c, low), rhs, check_finite=False)
-        resid = np.linalg.norm(A @ x - rhs)
-        tol = 1e-12
-    scale = np.linalg.norm(rhs)
-    # written so that a NaN residual fails too
-    if not resid <= tol * scale * max(1.0, np.sqrt(len(rhs))):
-        raise SolveError(f"solve residual {resid / scale:.3e} above tolerance {tol:.1e}")
-    return x

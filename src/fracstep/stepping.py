@@ -2,22 +2,25 @@
 
 One step multiplies the iterate by r(k B (delta I + t B)^{-1}) where
 B = A_h - delta I and A_h = M^{-1} K in coefficient space.  Through the
-partial-fraction form this costs one shifted SPD solve per pole,
+partial-fraction form of r (poles x_i, residues w_i, c_i = w_i / x_i) and
+r(0) = 1, the step is
 
-    G_i z_i = M u,   G_i = (k - x_i t)(K - delta M) - x_i delta M,
+    u_next = u + k M^{-1} (K - delta M) sum_i c_i z_i,   G_i z_i = M u,
+    G_i = a_i (K - delta M) - x_i delta M,   a_i = k - x_i t.
 
-plus a single mass solve: since r(0) = 1, the update collapses to
+Every G_i is SPD because -x_i > 1 forces both a_i > 0 and
+delta (x_i (t - 1) - k) > 0 while t + k <= 1.  Neither K nor M^{-1} is
+needed: G_i z_i = M u reads a_i (K - delta M) z_i = M u + x_i delta M z_i,
+so M^{-1} (K - delta M) z_i = (u + x_i delta z_i) / a_i exactly, and
 
-    u_next = u + k M^{-1} (K - delta M) sum_i (w_i / x_i) z_i.
+    u_next = u (1 + k sum_i c_i / a_i) + sum_i (k delta w_i / a_i) z_i.
 
-Every G_i is SPD because -x_i > 1 forces both (k - x_i t) > 0 and
-delta (x_i (t - 1) - k) > 0 while t + k <= 1.  The pole solves and the
-applies of K and M go through one shifted-pencil backend from ``solvers``,
-picked by ``_pencil`` and built once per run, so CG warm starts never
-outlive a run.  The mass solve is exact under every backend: one LAPACK
-factor of the 1D mass matrix (``fem.mass_solver``), built next to the
-pencil.  The shifts of every G_i are computed once per run, and the M u of
-the growth norm after each step is the next step's right-hand side.
+A step thus costs the m shifted solves and one M apply: the M u of the
+growth norm after each step is the next step's right-hand side.  The
+weighted sum of solves is one ``combine`` call on a shifted-pencil backend
+from ``solvers``, picked by ``_pencil`` and built once per run, so CG warm
+starts never outlive a run.  The shifts and weights of every step are
+computed once per run.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import DiscreteOperator, GridFunction, mass_solver
+from .fem import DiscreteOperator, GridFunction
 from .meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from .pade import PadeRational, pade_coefficients
 from .solvers import BandedPencil, SolveError, SolverPolicy, TensorDiagSolver, WarmStartCG
@@ -145,31 +148,16 @@ def _pencil(op: DiscreteOperator, policy: SolverPolicy):
     return WarmStartCG(op, policy)
 
 
-def _pole_shifts(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """(a, b) of G_i = a K + b M for every step and pole, shape (steps, m, 2)."""
+def _step_terms(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray):
+    """Per step: the (a_i, b_i) of every G_i = a_i K + b_i M, shape (steps, m, 2),
+    the ``combine`` weights k delta w_i / a_i, shape (steps, m), and the
+    factor 1 + k sum_i c_i / a_i on u, shape (steps,)."""
     t, k = t[:, None], k[:, None]
     a = k - r.poles * t
     b = delta * (r.poles * (t - 1.0) - k)
-    return np.stack([a, b], axis=-1)
-
-
-def _apply_step(pencil, mass_solve, u: np.ndarray, Mu: np.ndarray, k: float,
-                shifts: np.ndarray, weights: list, delta: float) -> np.ndarray:
-    """One step of size k from u, given Mu = M u and the step's pole shifts."""
-    if k == 0.0:
-        return u.copy()
-    zs = pencil.solves(shifts, Mu)
-    acc = weights[0] * zs[0]
-    for c, z in zip(weights[1:], zs[1:]):
-        acc += c * z
-    # B acc = K acc - delta M acc; folding delta into one K - delta M band
-    # cancels digits and moves the published errors by about 1%
-    rhs = pencil.apply_K(acc) - delta * pencil.apply_M(acc)
-    return u + k * mass_solve(rhs)
-
-
-def _weights(r: PadeRational) -> list:
-    return [float(w / pole) for pole, w in zip(r.poles, r.residues)]
+    coeffs = k * delta * r.residues / a
+    scale = 1.0 + np.sum(k * (r.residues / r.poles) / a, axis=1)
+    return np.stack([a, b], axis=-1), coeffs, scale
 
 
 def apply_pade_step(u: GridFunction, t: float, k: float, r: PadeRational,
@@ -181,11 +169,12 @@ def apply_pade_step(u: GridFunction, t: float, k: float, r: PadeRational,
         raise ValueError(f"step (t, k) = ({t}, {k}) leaves the unit interval")
     if u.op is not op:
         raise ValueError("grid function lives on a different operator")
-    pencil, mass_solve = _pencil(op, cfg.solver), mass_solver(op)
-    shifts = _pole_shifts(r, cfg.delta, np.array([t]), np.array([k]))[0]
-    Mu = pencil.apply_M(u.coeffs)
-    return GridFunction(
-        _apply_step(pencil, mass_solve, u.coeffs, Mu, k, shifts, _weights(r), cfg.delta), op)
+    if k == 0.0:
+        return u.copy()
+    pencil = _pencil(op, cfg.solver)
+    shifts, coeffs, scale = _step_terms(r, cfg.delta, np.array([t]), np.array([k]))
+    z = pencil.combine(shifts[0], coeffs[0], pencil.apply_M(u.coeffs))
+    return GridFunction(z + scale[0] * u.coeffs, op)
 
 
 def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
@@ -194,16 +183,15 @@ def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
         raise ValueError(f"configuration holds a {cfg.mesh.kind} mesh, expected {kind}")
     if v.op is not op:
         raise ValueError("grid function lives on a different operator")
-    pencil, mass_solve = _pencil(op, cfg.solver), mass_solver(op)
+    pencil = _pencil(op, cfg.solver)
     r, delta = cfg.rational, cfg.delta
-    shifts = _pole_shifts(r, delta, cfg.mesh.t_left, cfg.mesh.k)
-    weights = _weights(r)
+    shifts, coeffs, scales = _step_terms(r, delta, cfg.mesh.t_left, cfg.mesh.k)
     u = delta ** (-cfg.alpha) * v.coeffs
     stats = RunStats()
     Mu = pencil.apply_M(u)
     prev_norm = float(np.sqrt(max(u @ Mu, 0.0)))
-    for k, step_shifts in zip(cfg.mesh.k.tolist(), shifts):
-        u = _apply_step(pencil, mass_solve, u, Mu, k, step_shifts, weights, delta)
+    for i, scale in enumerate(scales.tolist()):
+        u = pencil.combine(shifts[i].tolist(), coeffs[i].tolist(), Mu) + scale * u
         stats.steps += 1
         stats.solves += r.m
         # M u feeds both the growth norm and the next step's right-hand side

@@ -103,6 +103,14 @@ class TestSpatialRefine:
             run_cli(["spatial-refine", "--delta", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fraction", ("5", "1", "0", "-0.5", "nan"))
+    def test_delta_fraction_outside_unit_interval_fails(self, fraction, capsys):
+        # a shift at or above lambda_min would let the steps grow
+        code, _ = run_cli(["spatial-refine", "--Ns", "4", "--ms", "2", "--um-steps", "50",
+                           "--delta-fraction", fraction])
+        assert code == 2
+        assert "delta_fraction" in capsys.readouterr().err
+
     def test_unread_config_key_fails(self, tmp_path):
         cfg = tmp_path / "sr.cfg"
         cfg.write_text("Ns = 4\ncases = a\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fracstep.fem import (
     DiscreteOperator,
@@ -15,6 +16,7 @@ from fracstep.fem import (
     load_vector,
     m_inner,
     m_norm,
+    mass_solver,
 )
 
 
@@ -225,6 +227,16 @@ class TestProjection:
         op = assemble_1d(np.linspace(0, 1, 11))
         with pytest.raises(ArithmeticError):
             l2_project(op, lambda x: np.full_like(x, np.nan))
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_mass_solver_matches_sparse_solve(self, dim):
+        rng = np.random.default_rng(dim)
+        nodes = np.sort(np.r_[0.0, 1.0, rng.random(15)])
+        op = assemble_1d(nodes) if dim == 1 else assemble_2d_tensor(7)
+        rhs = rng.standard_normal(op.n_dofs)
+        want = spla.spsolve(op.mass.tocsc(), rhs)
+        got = mass_solver(op)(rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestInnerProduct:

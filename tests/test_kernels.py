@@ -3,9 +3,10 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from fracstep import _kernels
-from fracstep.fem import GridFunction, assemble_1d
+from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor
 from fracstep.meshes import build_uniform_mesh
 from fracstep.pade import pade_coefficients
+from fracstep.solvers import SolverPolicy
 from fracstep.stepping import StepperConfig, apply_pade_step
 
 
@@ -107,8 +108,24 @@ class TestTridiagLapack:
         np.testing.assert_array_equal(d, _spd_bands(seed=9)[0])
 
 
+def _dense_step(op, u, t, k, delta, r):
+    """Q(X)^{-1} P(X) u with X = k B (delta I + t B)^{-1}, all matrices dense."""
+    n = op.n_dofs
+    A = np.linalg.solve(op.mass.toarray(), op.stiffness.toarray())
+    B = A - delta * np.eye(n)
+    X = k * B @ np.linalg.inv(delta * np.eye(n) + t * B)
+
+    def poly(coeffs):
+        out = coeffs[-1] * np.eye(n)
+        for c in coeffs[-2::-1]:
+            out = out @ X + c * np.eye(n)
+        return out
+
+    return np.linalg.solve(poly(r.q_coeffs), poly(r.p_coeffs) @ u)
+
+
 class TestStepAgainstDense:
-    """One 1D operator step against r(X) u with X = k B (delta I + t B)^{-1}."""
+    """One operator step against r(X) u with X = k B (delta I + t B)^{-1}."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("t,k", [(0.0, 1e-3), (0.25, 0.125), (0.5, 0.5)])
@@ -122,18 +139,18 @@ class TestStepAgainstDense:
         delta, alpha = 4.0, 0.3
         cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(1))
         got = apply_pade_step(u, t, k, cfg.rational, op, cfg).coeffs
+        want = _dense_step(op, u.coeffs, t, k, delta, cfg.rational)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-        n = op.n_dofs
-        A = np.linalg.solve(op.mass.toarray(), op.stiffness.toarray())
-        B = A - delta * np.eye(n)
-        X = k * B @ np.linalg.inv(delta * np.eye(n) + t * B)
-
-        def poly(coeffs):
-            out = coeffs[-1] * np.eye(n)
-            for c in coeffs[-2::-1]:
-                out = out @ X + c * np.eye(n)
-            return out
-
-        r = cfg.rational
-        want = np.linalg.solve(poly(r.q_coeffs), poly(r.p_coeffs) @ u.coeffs)
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("t,k", [(0.0, 1e-3), (0.25, 0.125), (0.5, 0.5)])
+    def test_2d_matches_dense_rational(self, method, m, t, k):
+        op = assemble_2d_tensor(6)
+        u = GridFunction(np.random.default_rng(m).standard_normal(op.n_dofs), op)
+        delta, alpha = 10.0, 0.3
+        cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(1),
+                            solver=SolverPolicy(method, rtol=1e-14))
+        got = apply_pade_step(u, t, k, cfg.rational, op, cfg).coeffs
+        want = _dense_step(op, u.coeffs, t, k, delta, cfg.rational)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -121,6 +121,17 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             pade_coefficients(1, -0.3)
 
+    def test_equal_calls_share_one_object(self):
+        r = pade_coefficients(2, 0.5)
+        assert pade_coefficients(2, 0.5) is r
+        assert not r.poles.flags.writeable
+        # a cached valid entry never answers for an invalid argument
+        for m, alpha in ((2.0, 0.5), (2, 1.5), (0, 0.5), (9, 0.5)):
+            with pytest.raises(ValueError):
+                pade_coefficients(m, alpha)
+            with pytest.raises(ValueError):
+                pade_coefficients(m, alpha)
+
 
 class TestEvaluation:
     def test_value_at_zero_is_one(self):

@@ -41,10 +41,10 @@ EXPECTED = {
     "stepping.bounds.calls": 3,
     "fem.m_norm.calls": 15,
     "kernels.tridiag_solve.calls": 120,
-    "kernels.tridiag_matvec.calls": 184,
-    "solvers.tensor_solve.calls": 180,
+    "kernels.tridiag_matvec.calls": 64,
+    "solvers.tensor_solve.calls": 90,
     "solvers.cg_solve.calls": 180,
-    "solvers.shifted_solve.calls": 480,
+    "solvers.shifted_solve.calls": 390,
 }
 
 

@@ -7,22 +7,30 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracstep.fem import assemble_1d, assemble_2d_tensor, mass_solver
+from fracstep import _kernels
+from fracstep.fem import assemble_1d, assemble_2d_tensor
 from fracstep.solvers import (
     SolveError,
     SolverPolicy,
     TensorDiagSolver,
     WarmStartCG,
     _pcg,
-    solve_spd,
 )
 from fracstep.stepping import _pencil
 
 
+def _cg(A, rhs, rtol=1e-12, maxiter=20000):
+    A = A.tocsr()
+    return _pcg(A, 1.0 / A.diagonal(), rhs, None, rtol, maxiter)[0]
+
+
 class TestSolveSpd:
+    """The SPD solves under the pencils: the Jacobi-CG loop ``_pcg`` and the
+    LAPACK tridiagonal solve."""
+
     def test_identity(self):
         rhs = np.arange(5, dtype=float)
-        out = solve_spd(np.eye(5), rhs)
+        out = _cg(sp.identity(5), rhs)
         np.testing.assert_allclose(out, rhs, rtol=1e-14)
 
     def test_poisson_solution_second_order(self):
@@ -30,49 +38,34 @@ class TestSolveSpd:
         for n in (100, 200):
             op = assemble_1d(np.linspace(0, 1, n + 1))
             rhs = op.mass @ np.ones(op.n_dofs)
-            sol = solve_spd(op.stiffness_bands, rhs)
+            sol = _kernels.tridiag_solve(*(band.copy() for band in op.stiffness_bands), rhs)
             x = op.dof_coords
             errs.append(np.max(np.abs(sol - x * (1 - x) / 2)))
             assert errs[-1] <= (1.0 / n) ** 2
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
-
-    def test_random_dense_spd(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((50, 50))
-        A = A @ A.T + 50 * np.eye(50)
-        b = rng.standard_normal(50)
-        x = solve_spd(A, b)
-        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_sparse_direct_and_cg_agree(self):
         op = assemble_2d_tensor(10)
         A = (op.stiffness + 3.0 * op.mass).tocsr()
         rng = np.random.default_rng(1)
         b = rng.standard_normal(op.n_dofs)
-        x_direct = solve_spd(A, b)
-        x_cg = solve_spd(A, b, SolverPolicy(method="cg", rtol=1e-12))
+        x_direct = spla.spsolve(A.tocsc(), b)
+        x_cg = _cg(A, b)
         np.testing.assert_allclose(x_cg, x_direct, atol=1e-9)
 
     def test_cg_iteration_budget_raises(self):
         op = assemble_2d_tensor(12)
         A = (op.stiffness + op.mass).tocsr()
         b = np.ones(op.n_dofs)
+        with pytest.raises(SolveError, match="did not converge in 1 iterations"):
+            _cg(A, b, rtol=1e-14, maxiter=1)
+        cg = WarmStartCG(op, SolverPolicy(method="cg", rtol=1e-14, maxiter=1))
         with pytest.raises(SolveError):
-            solve_spd(A, b, SolverPolicy(method="cg", rtol=1e-14, maxiter=1))
+            cg.solve(1.0, 1.0, b)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             SolverPolicy(method="lu")
-
-    @pytest.mark.parametrize("kind", ("tridiagonal", "sparse", "dense"))
-    def test_nan_rhs_fails_the_residual_check(self, kind):
-        op = assemble_1d(np.linspace(0, 1, 12))
-        matrix = {"tridiagonal": op.stiffness_bands, "sparse": op.stiffness,
-                  "dense": op.stiffness.toarray()}[kind]
-        rhs = np.ones(op.n_dofs)
-        rhs[3] = np.nan
-        with pytest.raises(SolveError):
-            solve_spd(matrix, rhs)
 
     def test_cg_rejects_non_finite_rhs_at_once(self):
         op = assemble_2d_tensor(10)
@@ -80,7 +73,9 @@ class TestSolveSpd:
         rhs[7] = np.nan
         # the budget would let a NaN right-hand side spin for 20 000 iterations
         with pytest.raises(SolveError, match="right-hand side not finite"):
-            solve_spd((op.stiffness + op.mass).tocsr(), rhs, SolverPolicy("cg"))
+            _cg(op.stiffness + op.mass, rhs)
+        with pytest.raises(SolveError, match="right-hand side not finite"):
+            WarmStartCG(op, SolverPolicy("cg")).solve(1.0, 1.0, rhs)
 
 
 class TestTensorDiagSolver:
@@ -91,9 +86,11 @@ class TestTensorDiagSolver:
         rhs = rng.standard_normal(op.n_dofs)
         for a, b in ((1.0, 1.0), (0.25, 3.5), (0.0, 1.0)):
             A = (a * op.stiffness + b * op.mass).tocsc()
-            want = sp.linalg.spsolve(A, rhs)
-            got = solver.solve(a, b, rhs)
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            want = spla.spsolve(A, rhs)
+            np.testing.assert_allclose(solver.combine([(a, b)], [1.0], rhs), want,
+                                       rtol=1e-9, atol=1e-12)
+            modal = 1.0 / (a * solver.lam_sum + b)
+            np.testing.assert_allclose(solver.solve(modal, rhs), want, rtol=1e-9, atol=1e-12)
 
     def test_requires_tensor_operator(self):
         op = assemble_1d(np.linspace(0, 1, 9))
@@ -115,7 +112,7 @@ class TestWarmStartCG:
         # repeated solves with slowly drifting shifts exercise the warm start
         for a, b in ((1.0, 2.0), (1.05, 2.0), (1.1, 2.1)):
             got = cg.solve(a, b, rhs)
-            want = direct.solve(a, b, rhs)
+            want = direct.combine([(a, b)], [1.0], rhs)
             scale = np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-8 * scale
 
@@ -176,8 +173,7 @@ def _random_operator(data, kind):
 
 
 class TestShiftedPencils:
-    """Every backend of the stepping protocol, and the exact mass solve the
-    steps use next to it, against the assembled matrices."""
+    """Every backend of the stepping protocol against the assembled matrices."""
 
     @pytest.mark.parametrize("kind,method", [("banded", "direct"), ("tensor", "direct"),
                                              ("tensor", "cg")])
@@ -187,14 +183,16 @@ class TestShiftedPencils:
         op = _random_operator(data, kind)
         shifts = np.array(data.draw(st.lists(
             st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)), min_size=1, max_size=4)))
+        coeffs = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(shifts),
+                                    max_size=len(shifts)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         u = rng.standard_normal(op.n_dofs)
-        pencil = _pencil(op, SolverPolicy(method))
-        for got, want in ((pencil.apply_K(u), op.stiffness @ u),
-                          (pencil.apply_M(u), op.mass @ u)):
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-        zs = pencil.solves(shifts, u)
-        assert len(zs) == len(shifts)
-        for (a, b), z in zip([*shifts, (0.0, 1.0)], [*zs, mass_solver(op)(u)]):
-            resid = (a * op.stiffness + b * op.mass) @ z - u
-            assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(u)
+        pencil = _pencil(op, SolverPolicy(method, rtol=1e-14))
+        want = op.mass @ u
+        assert np.linalg.norm(pencil.apply_M(u) - want) <= 1e-13 * np.linalg.norm(want)
+        terms = [c * spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), u)
+                 for (a, b), c in zip(shifts, coeffs)]
+        got = pencil.combine(shifts, coeffs, u)
+        # relative to the terms, so that coefficients which cancel do not count
+        scale = sum(np.linalg.norm(term) for term in terms)
+        assert np.linalg.norm(got - sum(terms)) <= 1e-10 * scale

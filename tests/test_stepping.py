@@ -279,7 +279,7 @@ class Test2DSolvers:
         assert (second.cg_iters, second.cg_iters_max) == (first.cg_iters, first.cg_iters_max)
 
     def test_cg_solves_only_the_poles(self, monkeypatch):
-        # the mass solve is exact (fem.mass_solver), never a CG solve
+        # a step has no mass solve: every CG solve is a pole solve
         calls = []
         solve = WarmStartCG.solve
 
