@@ -7,8 +7,6 @@ from .fem import (
     assemble_1d,
     assemble_2d_tensor,
     data_case,
-    export_dof_coords_csv,
-    export_matrix_coo,
     l2_project,
     m_inner,
     m_norm,
@@ -98,8 +96,6 @@ __all__ = [
     "eval_partial_fractions",
     "eval_rational",
     "exact_power",
-    "export_dof_coords_csv",
-    "export_matrix_coo",
     "fit_loglog_slope",
     "l2_project",
     "m_inner",

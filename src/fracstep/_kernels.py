@@ -35,10 +35,11 @@ def scalar_sweep(lams, t_left, ks, p, q, alpha, delta):
 
 
 def tridiag_matvec(d, e, x):
-    """y = T x for the symmetric tridiagonal T with diagonal d, off-diagonal e."""
+    """y = T x along the last axis of x, T symmetric tridiagonal with diagonal d
+    and off-diagonal e; a (c, n) block gets T applied to each of its rows."""
     y = d * x
-    y[:-1] += e * x[1:]
-    y[1:] += e * x[:-1]
+    y[..., :-1] += e * x[..., 1:]
+    y[..., 1:] += e * x[..., :-1]
     return y
 
 

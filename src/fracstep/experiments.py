@@ -102,10 +102,19 @@ def _resolve_L(spec: ExperimentSpec, op: DiscreteOperator, h_min: float, seed: i
 
 
 def _resolve_delta(spec: ExperimentSpec, op: DiscreteOperator) -> float:
-    if spec.delta is not None:
-        return float(spec.delta)
+    """``spec.delta`` if given, else ``delta_fraction * lambda_min_est``.
+
+    A given shift must lie below ``lambda_min_est``: at or above the
+    spectrum the steps stop being contractive.
+    """
     bounds = estimate_spectral_bounds(op, seed=spec.seed)
-    return spec.delta_fraction * bounds.lambda_min_est
+    if spec.delta is None:
+        return spec.delta_fraction * bounds.lambda_min_est
+    delta = float(spec.delta)
+    if not delta < bounds.lambda_min_est:
+        raise ValueError(f"delta {delta} not below lambda_min_est "
+                         f"{bounds.lambda_min_est:.6g} of the operator")
+    return delta
 
 
 def _provenance(spec: ExperimentSpec, delta: float) -> dict:
@@ -149,30 +158,41 @@ def write_csv(rows: list[dict], path_or_file) -> None:
 # ---------------------------------------------------------------------------
 
 def _table_runs(spec: ExperimentSpec, op: DiscreteOperator, decomp, L: int) -> list[dict]:
+    """One block run per (alpha, m, scheme, N) over all data cases, since the
+    cases share every shifted system; rows come out case by case."""
     delta = _resolve_delta(spec, op)
     prov = _provenance(spec, delta)
     schemes = ("grm", "um") if spec.scheme == "both" else (spec.scheme,)
+    tags = spec.data_cases
+    fs = [l2_project(op, tag) for tag in tags]
+    # (case, alpha, m, scheme, N) -> (relative error, RunStats)
+    results = {}
+    for alpha in spec.alphas:
+        refs = [reference_power(decomp, f, alpha) for f in fs]
+        ref_norms = [m_norm(op, ref) for ref in refs]
+        for m in spec.ms:
+            for scheme in schemes:
+                for N in spec.Ns:
+                    if scheme == "grm":
+                        mesh = build_geometric_mesh(None, N, L_override=L)
+                        runner = run_grm
+                    else:
+                        mesh = build_uniform_mesh((L + 1) * N)
+                        runner = run_um
+                    cfg = StepperConfig(alpha=alpha, m=m, delta=delta,
+                                        mesh=mesh, solver=spec.solver)
+                    outs, stats = runner(fs, op, cfg, return_stats=True)
+                    for tag, out, ref, ref_norm, st in zip(tags, outs, refs, ref_norms, stats):
+                        diff = GridFunction(out.coeffs - ref.coeffs, op)
+                        results[tag, alpha, m, scheme, N] = (m_norm(op, diff) / ref_norm, st)
     rows = []
-    for tag in spec.data_cases:
-        f = l2_project(op, tag)
+    for tag in tags:
         for alpha in spec.alphas:
-            ref = reference_power(decomp, f, alpha)
-            ref_norm = m_norm(op, ref)
             for m in spec.ms:
                 for scheme in schemes:
                     errors = {}
                     for N in spec.Ns:
-                        if scheme == "grm":
-                            mesh = build_geometric_mesh(None, N, L_override=L)
-                            runner = run_grm
-                        else:
-                            mesh = build_uniform_mesh((L + 1) * N)
-                            runner = run_um
-                        cfg = StepperConfig(alpha=alpha, m=m, delta=delta,
-                                            mesh=mesh, solver=spec.solver)
-                        out, stats = runner(f, op, cfg, return_stats=True)
-                        diff = GridFunction(out.coeffs - ref.coeffs, op)
-                        err = m_norm(op, diff) / ref_norm
+                        err, stats = results[tag, alpha, m, scheme, N]
                         errors[N] = err
                         order = (
                             convergence_order(errors[N // 2], err)
@@ -186,7 +206,7 @@ def _table_runs(spec: ExperimentSpec, op: DiscreteOperator, decomp, L: int) -> l
                             "m": m,
                             "L": L,
                             "N": N,
-                            "steps": mesh.num_steps,
+                            "steps": stats.steps,
                             # one shifted solve per pole per step
                             "solves": stats.solves,
                             "rel_error": err,

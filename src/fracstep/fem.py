@@ -11,7 +11,6 @@ no mass solve).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,28 +289,3 @@ def m_inner(op: DiscreteOperator, u: GridFunction, v: GridFunction) -> float:
 
 def m_norm(op: DiscreteOperator, u: GridFunction) -> float:
     return float(np.sqrt(max(m_inner(op, u, u), 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# debugging exports
-# ---------------------------------------------------------------------------
-
-def export_matrix_coo(matrix, path) -> None:
-    """Write a sparse matrix as 'row col value' lines."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v:.17g}\n")
-
-
-def export_dof_coords_csv(op: DiscreteOperator, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if op.dim == 1:
-            writer.writerow(["x"])
-            for x in op.dof_coords:
-                writer.writerow([f"{x:.17g}"])
-        else:
-            writer.writerow(["x", "y"])
-            for x, y in op.dof_coords:
-                writer.writerow([f"{x:.17g}", f"{y:.17g}"])

@@ -1,27 +1,34 @@
 """SPD solve backends used by the steppers.
 
 One rational step needs ``M u`` and a weighted sum of shifted solves,
-sum_i c_i (a_i K + b_i M)^{-1} rhs.  Every backend offers exactly that
-through one protocol: ``apply_M(u)``, ``combine(shifts, coeffs, rhs)``
-(one term per pair (a_i, b_i) of ``shifts`` and weight c_i of ``coeffs``),
-and the CG iteration counts ``iters`` and ``iters_max`` (0 for direct
-backends).  The step needs neither K nor a mass solve (see ``stepping``).
+sum_i c_i (a_i K + b_i M)^{-1} rhs, for every data case of a run.  The
+cases of a run share every shift, so they travel together as one block of
+shape (c, n), one row per case.  Every backend offers one protocol on that
+block: ``apply_M(U)``, ``combine(shifts, coeffs, rhs)`` (one term per pair
+(a_i, b_i) of ``shifts`` and weight c_i of ``coeffs``, applied to every
+row), and ``iterations(j)``, the CG counts of row j (0 for direct
+backends).  Each row of a result has the bits that a one-row block would
+give it.  The step needs neither K nor a mass solve (see ``stepping``).
 
 * ``BandedPencil``: 1D SPD tridiagonals, solved directly by LAPACK in
-  ``_kernels`` (``?ptsv`` per shift), the terms added up.
+  ``_kernels`` (one ``?ptsv`` per shift for the whole block, handed over
+  as the Fortran-ordered (n, c) view ``rhs.T``), the terms added up.
 * ``TensorDiagSolver``: tensor 2D systems by fast diagonalization in the 1D
   eigenbasis of ``spectral.eig_2d_tensor``, which caches it per operator.
   The weighted sum is diagonal in that basis, so ``combine`` costs one
-  transform and one back-transform (``solve``) for any number of shifts.
-* ``WarmStartCG``: tensor 2D systems by conjugate gradients, each solve
-  warm-started from the previous one, the terms added up.  There is one
-  CG: ``_pcg``, a Jacobi-preconditioned loop on a preassembled CSR matrix
-  that repeats the recurrences and the stopping rule of
+  modal multiplier, shared by the rows, and one transform and
+  back-transform of the (c, n, n) stack (``solve``) for any number of
+  shifts.
+* ``WarmStartCG``: tensor 2D systems by conjugate gradients, the terms
+  added up.  Each row keeps its own warm-start chain and iteration counts.
+  There is one CG: ``_pcg``, a Jacobi-preconditioned loop on a preassembled
+  CSR matrix that repeats the recurrences and the stopping rule of
   ``scipy.sparse.linalg.cg`` (atol = 0), so it returns the same bits
   without scipy's operator wrappers.
 
-A backend is built for one run and holds that run's state (the CG warm
-start and counts).
+The tensor backends apply the CSR ``M`` one row at a time: a sparse product
+with the whole block is slower than c vector products.  A backend is built
+for one run and holds that run's state (the CG warm starts and counts).
 """
 
 from __future__ import annotations
@@ -55,41 +62,45 @@ class SolverPolicy:
 
 
 class _Pencil:
-    """``apply_M`` by a CSR ``M``, and ``combine`` as a sum of per-shift
-    ``solve(a, b, rhs)`` calls (``TensorDiagSolver`` sums in modal space)."""
+    """``apply_M`` by a CSR ``M`` row by row, and ``combine`` as a sum of
+    per-shift block ``solve(a, b, rhs)`` calls (``TensorDiagSolver`` sums in
+    modal space)."""
 
-    iters = 0
-    iters_max = 0
-
-    def apply_M(self, u):
-        return self.M @ u
+    def apply_M(self, U):
+        return np.stack([self.M @ u for u in U])
 
     def combine(self, shifts, coeffs, rhs):
-        """sum_i coeffs[i] (a_i K + b_i M)^{-1} rhs over the pairs (a_i, b_i) of shifts."""
-        acc = np.zeros_like(rhs)
-        for (a, b), c in zip(shifts, coeffs):
-            acc += c * self.solve(a, b, rhs)
-        return acc
+        """sum_i coeffs[i] (a_i K + b_i M)^{-1} rhs over the pairs (a_i, b_i) of
+        shifts, for every row of the (c, n) block rhs."""
+        # summed from 0 like np.zeros, in fewer array operations
+        return sum(c * self.solve(a, b, rhs) for (a, b), c in zip(shifts, coeffs))
+
+    def iterations(self, column: int) -> tuple[int, int]:
+        """(total, worst single solve) CG iterations of one row; 0 when direct."""
+        return 0, 0
 
 
 class BandedPencil(_Pencil):
     """The shifted pencil of a 1D operator: SPD tridiagonals solved by LAPACK."""
 
     def __init__(self, op: DiscreteOperator):
-        self.Md, self.Me = op.mass_bands
+        # (1, n) rows: the block matvec then broadcasts without a rank change,
+        # which keeps a one-row block as cheap as a vector
+        self.Md, self.Me = (band[None] for band in op.mass_bands)
         # [diag | off-diag] of K and of M, so a * K_band + b * M_band is aK + bM
         self.K_band = np.concatenate(op.stiffness_bands)
         self.M_band = np.concatenate(op.mass_bands)
-        self.n = len(self.Md)
+        self.n = len(op.mass_bands[0])
 
-    def apply_M(self, u):
-        return _kernels.tridiag_matvec(self.Md, self.Me, u)
+    def apply_M(self, U):
+        return _kernels.tridiag_matvec(self.Md, self.Me, U)
 
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-        # a fresh band per call; the LAPACK solve factors it in place
+        # a fresh band per call; the LAPACK solve factors it in place and
+        # reads the (n, c) Fortran view rhs.T without a copy
         band = a * self.K_band
         band += b * self.M_band
-        return _kernels.tridiag_solve(band[:self.n], band[self.n:], rhs)
+        return _kernels.tridiag_solve(band[:self.n], band[self.n:], rhs.T).T
 
 
 class TensorDiagSolver(_Pencil):
@@ -119,13 +130,14 @@ class TensorDiagSolver(_Pencil):
         return self.solve(modal, rhs)
 
     def solve(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """V (modal * (V^T R V)) V^T, R the n x n reshape of rhs.
+        """V (modal * (V^T R V)) V^T for each n x n reshape R of a row of rhs.
 
-        With ``modal = 1 / (a lam_sum + b)`` this solves (a K2 + b M2) x = rhs.
+        With ``modal = 1 / (a lam_sum + b)`` this solves (a K2 + b M2) x = rhs
+        row by row; ``rhs`` is a (c, n^2) block or one vector.
         """
-        C = self.Vt @ rhs.reshape(self.n, self.n) @ self.V
+        C = self.Vt @ rhs.reshape(-1, self.n, self.n) @ self.V
         C *= modal
-        return (self.V @ C @ self.Vt).ravel()
+        return (self.V @ C @ self.Vt).reshape(rhs.shape)
 
 
 def _pcg(A, dinv: np.ndarray, b: np.ndarray, x0: np.ndarray | None, rtol: float,
@@ -184,11 +196,13 @@ class WarmStartCG(_Pencil):
     solve only rewrites its values as a*K2 + b*M2.  Each call reuses the
     previous solution as the initial guess; the shifted systems change
     slowly along a stepping run, so this typically saves a sizable fraction
-    of the iterations.  ``iters`` and ``iters_max`` count the iterations
-    (total and worst single solve) of this solver's lifetime, one run.
+    of the iterations.  Every row of the block has its own warm start, and
+    ``iters`` and ``iters_max`` count the iterations of each row (total and
+    worst single solve) over this solver's lifetime, one run of ``columns``
+    rows.
     """
 
-    def __init__(self, op: DiscreteOperator, policy: SolverPolicy):
+    def __init__(self, op: DiscreteOperator, policy: SolverPolicy, columns: int = 1):
         self.K = K = op.stiffness.tocsr()
         self.M = M = op.mass.tocsr()
         if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
@@ -197,14 +211,23 @@ class WarmStartCG(_Pencil):
         self.Kdiag = K.diagonal()
         self.Mdiag = M.diagonal()
         self.policy = policy
-        self._x0 = None
+        self._x0 = [None] * columns
+        self.iters = [0] * columns
+        self.iters_max = [0] * columns
 
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
+        """(a K2 + b M2)^{-1} applied to each row of the (c, n) block rhs."""
         np.multiply(self.K.data, a, out=self.A.data)
         self.A.data += b * self.M.data
         dinv = 1.0 / (a * self.Kdiag + b * self.Mdiag)
-        x, iters = _pcg(self.A, dinv, rhs, self._x0, self.policy.rtol, self.policy.maxiter)
-        self.iters += iters
-        self.iters_max = max(self.iters_max, iters)
-        self._x0 = x
-        return x
+        out = np.empty_like(rhs)
+        for j, row in enumerate(rhs):
+            x, iters = _pcg(self.A, dinv, row, self._x0[j], self.policy.rtol,
+                            self.policy.maxiter)
+            self.iters[j] += iters
+            self.iters_max[j] = max(self.iters_max[j], iters)
+            self._x0[j] = out[j] = x
+        return out
+
+    def iterations(self, column: int) -> tuple[int, int]:
+        return self.iters[column], self.iters_max[column]

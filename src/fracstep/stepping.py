@@ -21,6 +21,14 @@ weighted sum of solves is one ``combine`` call on a shifted-pencil backend
 from ``solvers``, picked by ``_pencil`` and built once per run, so CG warm
 starts never outlive a run.  The shifts and weights of every step are
 computed once per run.
+
+None of that depends on the data, so one run steps a block of c data
+vectors at once: U has shape (c, n), one row per grid function, and every
+backend call acts on all rows (see ``solvers``).  A single grid function is
+the block with c = 1.  Each row ends with the bits of its own one-row run
+and gets its own ``RunStats``.  The steps contract in the M-norm when
+delta lies below the spectrum, so a step that grows the M-norm of a row by
+more than 1 + 1e-9 raises ``SolveError``.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .solvers import BandedPencil, SolveError, SolverPolicy, TensorDiagSolver, W
 
 _BOUNDS_TOL = 1e-8
 _BOUNDS_MAXITER = 10_000
+_GROWTH_TOL = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,11 +93,12 @@ class StepperConfig:
 
 @dataclass
 class RunStats:
-    """Per-run record: worst per-step M-norm growth ratio and solve counts.
+    """Per-run record of one data vector (one row of a block run): worst
+    per-step M-norm growth ratio and solve counts.
 
-    ``cg_iters`` is the total of CG iterations over the run and
-    ``cg_iters_max`` the most any single solve took; both stay 0 under the
-    direct policy.
+    ``cg_iters`` is the total of CG iterations of this row over the run and
+    ``cg_iters_max`` the most any single solve of it took; both stay 0 under
+    the direct policy.
     """
 
     steps: int = 0
@@ -139,13 +149,14 @@ def default_delta(op: DiscreteOperator, fraction: float = 0.5, seed: int = 0) ->
     return fraction * estimate_spectral_bounds(op, seed=seed).lambda_min_est
 
 
-def _pencil(op: DiscreteOperator, policy: SolverPolicy):
-    """The shifted-pencil backend for one run on ``op`` (see ``solvers``)."""
+def _pencil(op: DiscreteOperator, policy: SolverPolicy, columns: int = 1):
+    """The shifted-pencil backend for one run of ``columns`` rows on ``op``
+    (see ``solvers``)."""
     if not op.is_tensor:
         return BandedPencil(op)
     if policy.method == "direct":
         return TensorDiagSolver(op)
-    return WarmStartCG(op, policy)
+    return WarmStartCG(op, policy, columns)
 
 
 def _step_terms(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray):
@@ -173,48 +184,62 @@ def apply_pade_step(u: GridFunction, t: float, k: float, r: PadeRational,
         return u.copy()
     pencil = _pencil(op, cfg.solver)
     shifts, coeffs, scale = _step_terms(r, cfg.delta, np.array([t]), np.array([k]))
-    z = pencil.combine(shifts[0], coeffs[0], pencil.apply_M(u.coeffs))
-    return GridFunction(z + scale[0] * u.coeffs, op)
+    z = pencil.combine(shifts[0], coeffs[0], pencil.apply_M(u.coeffs[None]))
+    return GridFunction(z[0] + scale[0] * u.coeffs, op)
 
 
-def _run(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig, kind: str,
-         return_stats: bool):
+def _run(v, op: DiscreteOperator, cfg: StepperConfig, kind: str, return_stats: bool):
     if cfg.mesh.kind != kind:
         raise ValueError(f"configuration holds a {cfg.mesh.kind} mesh, expected {kind}")
-    if v.op is not op:
+    single = isinstance(v, GridFunction)
+    vs = [v] if single else list(v)
+    if not vs:
+        raise ValueError("no grid function to step")
+    if any(w.op is not op for w in vs):
         raise ValueError("grid function lives on a different operator")
-    pencil = _pencil(op, cfg.solver)
-    r, delta = cfg.rational, cfg.delta
-    shifts, coeffs, scales = _step_terms(r, delta, cfg.mesh.t_left, cfg.mesh.k)
-    u = delta ** (-cfg.alpha) * v.coeffs
-    stats = RunStats()
-    Mu = pencil.apply_M(u)
-    prev_norm = float(np.sqrt(max(u @ Mu, 0.0)))
+    c = len(vs)
+    pencil = _pencil(op, cfg.solver, c)
+    delta, steps = cfg.delta, cfg.mesh.num_steps
+    shifts, coeffs, scales = _step_terms(cfg.rational, delta, cfg.mesh.t_left, cfg.mesh.k)
+    U = delta ** (-cfg.alpha) * np.stack([w.coeffs for w in vs])
+    Mu = pencil.apply_M(U)
+    # per row, in Python floats: the M-norm and the worst growth so far
+    norms = [math.sqrt(max(float(U[j].dot(Mu[j])), 0.0)) for j in range(c)]
+    growth = [0.0] * c
     for i, scale in enumerate(scales.tolist()):
-        u = pencil.combine(shifts[i].tolist(), coeffs[i].tolist(), Mu) + scale * u
-        stats.steps += 1
-        stats.solves += r.m
-        # M u feeds both the growth norm and the next step's right-hand side
-        Mu = pencil.apply_M(u)
-        cur = float(np.sqrt(max(u @ Mu, 0.0)))
-        if not math.isfinite(cur):
-            raise SolveError(f"iterate not finite after step {stats.steps} of "
-                             f"{cfg.mesh.num_steps} (M-norm {cur})")
-        if prev_norm > 0:
-            stats.max_growth = max(stats.max_growth, cur / prev_norm)
-        prev_norm = cur
-    stats.cg_iters, stats.cg_iters_max = pencil.iters, pencil.iters_max
-    out = GridFunction(u, op)
-    return (out, stats) if return_stats else out
+        U = pencil.combine(shifts[i].tolist(), coeffs[i].tolist(), Mu) + scale * U
+        # M U feeds both the growth norms and the next step's right-hand side
+        Mu = pencil.apply_M(U)
+        for j in range(c):
+            # ndarray.dot gives the bits of u @ Mu at half the call cost
+            cur = math.sqrt(max(float(U[j].dot(Mu[j])), 0.0))
+            if not math.isfinite(cur):
+                raise SolveError(f"iterate not finite after step {i + 1} of {steps} "
+                                 f"in column {j} (M-norm {cur})")
+            if norms[j] > 0:
+                ratio = cur / norms[j]
+                if ratio > _GROWTH_TOL:
+                    raise SolveError(f"step {i + 1} of {steps} grew the M-norm of column "
+                                     f"{j} by {ratio:.12f} (delta above the spectrum?)")
+                growth[j] = max(growth[j], ratio)
+            norms[j] = cur
+    outs = [GridFunction(u, op) for u in U]
+    stats = [RunStats(steps, growth[j], steps * cfg.m, *pencil.iterations(j))
+             for j in range(c)]
+    if single:
+        outs, stats = outs[0], stats[0]
+    return (outs, stats) if return_stats else outs
 
 
-def run_grm(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig,
-            return_stats: bool = False):
-    """Geometric-mesh run: U_0 = delta**-alpha v stepped over all (L+1)*N steps."""
+def run_grm(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False):
+    """Geometric-mesh run: U_0 = delta**-alpha v stepped over all (L+1)*N steps.
+
+    ``v`` is one ``GridFunction`` or a sequence of them on ``op``, stepped
+    as one block; a sequence gives a list of outputs and of ``RunStats``.
+    """
     return _run(v, op, cfg, "geometric", return_stats)
 
 
-def run_um(v: GridFunction, op: DiscreteOperator, cfg: StepperConfig,
-           return_stats: bool = False):
-    """Uniform-mesh run with N steps of size 1/N."""
+def run_um(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False):
+    """Uniform-mesh run with N steps of size 1/N; ``v`` as for ``run_grm``."""
     return _run(v, op, cfg, "uniform", return_stats)

@@ -60,6 +60,13 @@ class TestTable1D:
         code, _ = run_cli(["table-1d", "--config", str(cfg)])
         assert code == 2
 
+    def test_shift_above_the_spectrum_fails(self, capsys):
+        # lambda_min is about 9.87: delta = 50 would let every step grow
+        code, _ = run_cli(["table-1d", "--h", "0.05", "--cases", "b", "--alphas", "0.5",
+                           "--ms", "2", "--Ns", "4,8", "--delta", "50"])
+        assert code == 2
+        assert "not below lambda_min_est" in capsys.readouterr().err
+
     def test_invalid_alpha_fails(self):
         code, _ = run_cli(["table-1d", "--alphas", "1.5", "--cases", "c",
                            "--ms", "1", "--Ns", "8,16", "--h", "0.1"])

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,6 +85,24 @@ class TestTable1D:
         um = [r for r in small_1d_rows if r["scheme"] == "UM"]
         for row in um:
             assert row["steps"] == (row["L"] + 1) * row["N"]
+
+    def test_block_of_cases_matches_one_case_tables(self):
+        # the cases step as one block; every row must equal its one-case table's
+        base = dict(dimension=1, alphas=(0.3, 0.5), ms=(1, 2), Ns=(4, 8), h=0.05)
+        rows = run_table_1d(ExperimentSpec(data_cases=("b", "c", "a"), **base))
+        singles = [row for tag in "bca"
+                   for row in run_table_1d(ExperimentSpec(data_cases=(tag,), **base))]
+        assert len(rows) == 3 * 2 * 2 * 2 * 2
+        # exact equality, NaN orders included
+        np.testing.assert_equal(rows, singles)
+
+    def test_explicit_delta_below_the_spectrum_is_used(self):
+        spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),
+                              ms=(1,), Ns=(4,), h=0.05, delta=5.0)
+        rows = run_table_1d(spec)
+        assert {row["delta"] for row in rows} == {5.0}
+        with pytest.raises(ValueError, match="not below lambda_min_est"):
+            run_table_1d(replace(spec, delta=50.0))
 
     def test_determinism(self, small_1d_rows, tmp_path):
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracstep.fem import (
@@ -10,8 +9,6 @@ from fracstep.fem import (
     assemble_1d,
     assemble_2d_tensor,
     data_case,
-    export_dof_coords_csv,
-    export_matrix_coo,
     l2_project,
     load_vector,
     m_inner,
@@ -263,24 +260,3 @@ class TestInnerProduct:
         v = GridFunction(np.ones(other.n_dofs), other)
         with pytest.raises(ValueError):
             m_inner(op_1d_small, u, v)
-
-
-class TestExports:
-    def test_matrix_roundtrip(self, tmp_path):
-        op = assemble_1d(np.linspace(0, 1, 6))
-        path = tmp_path / "mass.txt"
-        export_matrix_coo(op.mass, path)
-        rows, cols, vals = [], [], []
-        for line in path.read_text().splitlines():
-            i, j, v = line.split()
-            rows.append(int(i)); cols.append(int(j)); vals.append(float(v))
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=op.mass.shape)
-        assert np.max(np.abs((mat - op.mass).toarray())) == 0.0
-
-    def test_coords_csv(self, tmp_path):
-        op = assemble_2d_tensor(4)
-        path = tmp_path / "coords.csv"
-        export_dof_coords_csv(op, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y"
-        assert len(lines) == op.n_dofs + 1

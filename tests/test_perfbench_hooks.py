@@ -3,7 +3,8 @@
 The benchmark swaps module globals and class attributes of fracstep for
 timed wrappers, looked up by name.  A renamed hook raises at install time;
 a call that bypasses its module global silently drops out of the layer
-split.  Three tiny CLI runs in a fresh interpreter pin both down.
+split.  Three tiny CLI runs in a fresh interpreter pin both down, and a
+four-case table must make the stepping calls of a one-case table.
 """
 
 import json
@@ -48,13 +49,29 @@ EXPECTED = {
 }
 
 
-def test_traced_cli_runs_hit_every_hook(tmp_path):
+def _traced(runs, tmp_path):
+    """``layer_metrics`` of the CLI runs ``runs`` under the tracing hooks."""
     path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(RUNS), str(tmp_path)],
+        [sys.executable, "-c", SCRIPT, json.dumps(runs), str(tmp_path)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_traced_cli_runs_hit_every_hook(tmp_path):
+    metrics = _traced(RUNS, tmp_path)
     assert {k: metrics[k] for k in EXPECTED} == EXPECTED
+
+
+def test_data_cases_share_one_stepping_pass(tmp_path):
+    # the cases a-d step as one block: four cases cost the runs and pole
+    # solves of one
+    one = RUNS[0]
+    four = [*one[:4], "a,b,c,d", *one[5:]]
+    keys = ("experiments.runs", "kernels.tridiag_solve.calls")
+    m1, m4 = _traced([one], tmp_path), _traced([four], tmp_path)
+    assert m4["experiments.steps"] == m1["experiments.steps"] > 0
+    assert {k: m4[k] for k in keys} == {k: m1[k] for k in keys}

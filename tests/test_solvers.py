@@ -61,7 +61,7 @@ class TestSolveSpd:
             _cg(A, b, rtol=1e-14, maxiter=1)
         cg = WarmStartCG(op, SolverPolicy(method="cg", rtol=1e-14, maxiter=1))
         with pytest.raises(SolveError):
-            cg.solve(1.0, 1.0, b)
+            cg.solve(1.0, 1.0, b[None])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -75,7 +75,7 @@ class TestSolveSpd:
         with pytest.raises(SolveError, match="right-hand side not finite"):
             _cg(op.stiffness + op.mass, rhs)
         with pytest.raises(SolveError, match="right-hand side not finite"):
-            WarmStartCG(op, SolverPolicy("cg")).solve(1.0, 1.0, rhs)
+            WarmStartCG(op, SolverPolicy("cg")).solve(1.0, 1.0, rhs[None])
 
 
 class TestTensorDiagSolver:
@@ -111,8 +111,8 @@ class TestWarmStartCG:
         rhs = rng.standard_normal(op.n_dofs)
         # repeated solves with slowly drifting shifts exercise the warm start
         for a, b in ((1.0, 2.0), (1.05, 2.0), (1.1, 2.1)):
-            got = cg.solve(a, b, rhs)
-            want = direct.combine([(a, b)], [1.0], rhs)
+            got = cg.solve(a, b, rhs[None])[0]
+            want = direct.combine([(a, b)], [1.0], rhs[None])[0]
             scale = np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-8 * scale
 
@@ -157,10 +157,24 @@ class TestWarmStartCGPattern:
         rhs = np.ones(op.n_dofs)
         A = (2.0 * op.stiffness + 3.0 * op.mass).tocsr()
         _, cold = _pcg(A, 1.0 / A.diagonal(), rhs, None, policy.rtol, policy.maxiter)
-        cg.solve(2.0, 3.0, rhs)
-        assert cg.iters == cg.iters_max == cold
-        cg.solve(2.1, 3.0, rhs)
-        assert cg.iters > cg.iters_max >= cold
+        cg.solve(2.0, 3.0, rhs[None])
+        assert cg.iterations(0) == (cold, cold)
+        cg.solve(2.1, 3.0, rhs[None])
+        total, worst = cg.iterations(0)
+        assert total > worst >= cold
+
+    def test_rows_keep_their_own_warm_starts_and_counts(self):
+        op = assemble_2d_tensor(9)
+        rng = np.random.default_rng(6)
+        rhs = rng.standard_normal((2, op.n_dofs))
+        block = WarmStartCG(op, SolverPolicy("cg"), columns=2)
+        singles = [WarmStartCG(op, SolverPolicy("cg")) for _ in range(2)]
+        for a, b in ((1.0, 2.0), (1.05, 2.0)):
+            got = block.solve(a, b, rhs)
+            for j, single in enumerate(singles):
+                assert np.array_equal(got[j], single.solve(a, b, rhs[j:j + 1])[0])
+        for j, single in enumerate(singles):
+            assert block.iterations(j) == single.iterations(0)
 
 
 def _random_operator(data, kind):
@@ -186,13 +200,17 @@ class TestShiftedPencils:
         coeffs = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(shifts),
                                     max_size=len(shifts)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        u = rng.standard_normal(op.n_dofs)
-        pencil = _pencil(op, SolverPolicy(method, rtol=1e-14))
-        want = op.mass @ u
-        assert np.linalg.norm(pencil.apply_M(u) - want) <= 1e-13 * np.linalg.norm(want)
-        terms = [c * spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), u)
-                 for (a, b), c in zip(shifts, coeffs)]
-        got = pencil.combine(shifts, coeffs, u)
-        # relative to the terms, so that coefficients which cancel do not count
-        scale = sum(np.linalg.norm(term) for term in terms)
-        assert np.linalg.norm(got - sum(terms)) <= 1e-10 * scale
+        # a block of data vectors, one per row
+        U = rng.standard_normal((data.draw(st.integers(1, 3)), op.n_dofs))
+        pencil = _pencil(op, SolverPolicy(method, rtol=1e-14), len(U))
+        MU = pencil.apply_M(U)
+        got = pencil.combine(shifts, coeffs, U)
+        assert MU.shape == got.shape == U.shape
+        for u, Mu, row in zip(U, MU, got):
+            want = op.mass @ u
+            assert np.linalg.norm(Mu - want) <= 1e-13 * np.linalg.norm(want)
+            terms = [c * spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), u)
+                     for (a, b), c in zip(shifts, coeffs)]
+            # relative to the terms, so that coefficients which cancel do not count
+            scale = sum(np.linalg.norm(term) for term in terms)
+            assert np.linalg.norm(row - sum(terms)) <= 1e-10 * scale

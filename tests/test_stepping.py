@@ -310,3 +310,65 @@ class Test2DSolvers:
             mu = scalar_um(dec.lambdas[j], scfg)
             diff = GridFunction(out.coeffs - mu * psi.coeffs, op)
             assert m_norm(op, diff) / abs(mu) < 1e-10
+
+
+def _block_problem(backend):
+    """(op, cfg) of a short GRM run on one of the three pencil backends."""
+    if backend == "banded":
+        op = assemble_1d(np.linspace(0, 1, 101) ** 1.5)
+        policy = SolverPolicy()
+    else:
+        op = assemble_2d_tensor(9)
+        policy = SolverPolicy("cg" if backend == "cg" else "direct")
+    cfg = StepperConfig(alpha=0.4, m=3, delta=default_delta(op),
+                        mesh=build_geometric_mesh(None, 2, L_override=4), solver=policy)
+    return op, cfg
+
+
+class TestBlockRuns:
+    """A run of c data vectors equals c one-vector runs, bit for bit."""
+
+    @pytest.mark.parametrize("backend", ("banded", "tensor", "cg"))
+    @pytest.mark.parametrize("c", (1, 3))
+    def test_columns_match_single_runs(self, backend, c):
+        op, cfg = _block_problem(backend)
+        rng = np.random.default_rng(c)
+        vs = [GridFunction(rng.standard_normal(op.n_dofs), op) for _ in range(c)]
+        outs, stats = run_grm(vs, op, cfg, return_stats=True)
+        assert len(outs) == len(stats) == c
+        for v, out, st in zip(vs, outs, stats):
+            one, one_stats = run_grm(v, op, cfg, return_stats=True)
+            assert np.array_equal(out.coeffs, one.coeffs)
+            assert (st.steps, st.solves) == (one_stats.steps, one_stats.solves)
+            assert (st.max_growth, st.cg_iters, st.cg_iters_max) == (
+                one_stats.max_growth, one_stats.cg_iters, one_stats.cg_iters_max)
+            if backend == "cg":
+                assert st.cg_iters > 0
+
+    def test_block_needs_one_operator(self, setup_1d):
+        op, _, delta = setup_1d
+        other = assemble_1d(np.linspace(0, 1, 51))
+        cfg = StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4))
+        v = GridFunction(np.ones(op.n_dofs), op)
+        with pytest.raises(ValueError):
+            run_um([v, GridFunction(np.ones(other.n_dofs), other)], op, cfg)
+        with pytest.raises(ValueError):
+            run_um([], op, cfg)
+
+
+class TestGrowthContract:
+    def test_shift_above_the_spectrum_raises(self):
+        # delta = 5 lambda_min makes the low modes grow from the first step on
+        op = assemble_1d(np.linspace(0, 1, 21))
+        lam_min = eig_1d(op).lambdas[0]
+        cfg = StepperConfig(alpha=0.5, m=2, delta=5.0 * lam_min, mesh=build_uniform_mesh(8))
+        f = l2_project(op, "b")
+        with pytest.raises(SolveError, match=r"step 1 of 8 grew the M-norm of column 1"):
+            run_um([GridFunction(np.zeros(op.n_dofs), op), f], op, cfg)
+
+    def test_shift_below_the_spectrum_passes(self):
+        op = assemble_1d(np.linspace(0, 1, 21))
+        lam_min = eig_1d(op).lambdas[0]
+        cfg = StepperConfig(alpha=0.5, m=2, delta=0.99 * lam_min, mesh=build_uniform_mesh(8))
+        _, stats = run_um(l2_project(op, "b"), op, cfg, return_stats=True)
+        assert stats.max_growth <= 1.0
