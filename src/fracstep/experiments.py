@@ -42,7 +42,13 @@ from .meshes import (
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import SolverPolicy
 from .spectral import eig_1d, eig_2d_tensor, reference_power
-from .stepping import StepperConfig, estimate_spectral_bounds, run_grm, run_um
+from .stepping import (
+    SpectralBounds,
+    StepperConfig,
+    estimate_spectral_bounds,
+    run_grm,
+    run_um,
+)
 
 DEFAULT_DELTA_FRACTION = 0.5
 
@@ -92,22 +98,20 @@ def convergence_order(e_n: float, e_2n: float) -> float:
     return math.log(e_n / e_2n) / math.log(2.0)
 
 
-def _resolve_L(spec: ExperimentSpec, op: DiscreteOperator, h_min: float, seed: int) -> int:
+def _resolve_L(spec: ExperimentSpec, bounds: SpectralBounds, h_min: float) -> int:
     if spec.L_policy == "fixed":
         return int(spec.L_fixed)
     if spec.L_policy == "experiment":
         return experiment_refinement_level(h_min)
-    bounds = estimate_spectral_bounds(op, seed=seed)
     return refinement_level_for(bounds.lambda_max_est)
 
 
-def _resolve_delta(spec: ExperimentSpec, op: DiscreteOperator) -> float:
+def _resolve_delta(spec: ExperimentSpec, bounds: SpectralBounds) -> float:
     """``spec.delta`` if given, else ``delta_fraction * lambda_min_est``.
 
     A given shift must lie below ``lambda_min_est``: at or above the
     spectrum the steps stop being contractive.
     """
-    bounds = estimate_spectral_bounds(op, seed=spec.seed)
     if spec.delta is None:
         return spec.delta_fraction * bounds.lambda_min_est
     delta = float(spec.delta)
@@ -157,10 +161,13 @@ def write_csv(rows: list[dict], path_or_file) -> None:
 # 1D / 2D convergence tables
 # ---------------------------------------------------------------------------
 
-def _table_runs(spec: ExperimentSpec, op: DiscreteOperator, decomp, L: int) -> list[dict]:
+def _table_runs(spec: ExperimentSpec, op: DiscreteOperator, decomp, h_min: float) -> list[dict]:
     """One block run per (alpha, m, scheme, N) over all data cases, since the
-    cases share every shifted system; rows come out case by case."""
-    delta = _resolve_delta(spec, op)
+    cases share every shifted system; rows come out case by case.  The
+    spectral bounds behind L and delta are estimated once per table."""
+    bounds = estimate_spectral_bounds(op, seed=spec.seed)
+    L = _resolve_L(spec, bounds, h_min)
+    delta = _resolve_delta(spec, bounds)
     prov = _provenance(spec, delta)
     schemes = ("grm", "um") if spec.scheme == "both" else (spec.scheme,)
     tags = spec.data_cases
@@ -223,9 +230,7 @@ def run_table_1d(spec: ExperimentSpec) -> list[dict]:
         raise ValueError("run_table_1d needs a 1D spec")
     n = int(round(1.0 / spec.h))
     op = assemble_1d(np.linspace(0.0, 1.0, n + 1))
-    decomp = eig_1d(op)
-    L = _resolve_L(spec, op, spec.h, spec.seed)
-    rows = _table_runs(spec, op, decomp, L)
+    rows = _table_runs(spec, op, eig_1d(op), spec.h)
     if spec.output:
         write_csv(rows, spec.output)
     return rows
@@ -234,10 +239,8 @@ def run_table_1d(spec: ExperimentSpec) -> list[dict]:
 def run_table_2d(spec: ExperimentSpec) -> list[dict]:
     """Tables on the tensor grid; terminal order evaluated at N = 2 -> 4."""
     op = assemble_2d_tensor(spec.n_per_side)
-    decomp = eig_2d_tensor(op)
-    spec2 = replace(spec, dimension=2)
-    L = _resolve_L(spec2, op, 1.0 / spec.n_per_side, spec.seed)
-    rows = _table_runs(spec2, op, decomp, L)
+    rows = _table_runs(replace(spec, dimension=2), op, eig_2d_tensor(op),
+                       1.0 / spec.n_per_side)
     if spec.output:
         write_csv(rows, spec.output)
     return rows

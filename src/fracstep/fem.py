@@ -170,34 +170,43 @@ def _element_load_1d(nodes, func, split_points=()):
     """b_i = int f phi_i dx with 5-point Gauss per (sub)element.
 
     Elements crossing a listed split point are integrated on each side, so
-    kinks aligned with the splits do not degrade the quadrature.
+    kinks aligned with the splits do not degrade the quadrature.  All
+    (sub)elements are done at once: ``func`` gets one (pieces, 5) array of
+    Gauss points, and each node sums its contributions from left to right.
     """
     nodes = np.asarray(nodes)
-    b = np.zeros(len(nodes))
-    for e in range(len(nodes) - 1):
-        x0, x1 = nodes[e], nodes[e + 1]
-        cuts = [x0] + [s for s in split_points if x0 < s < x1] + [x1]
-        for a, c in zip(cuts[:-1], cuts[1:]):
-            half = (c - a) / 2.0
-            xs = (a + c) / 2.0 + half * _GAUSS_X
-            fv = func(xs)
-            b[e] += half * np.sum(_GAUSS_W * fv * (x1 - xs)) / (x1 - x0)
-            b[e + 1] += half * np.sum(_GAUSS_W * fv * (xs - x0)) / (x1 - x0)
-    return b[1:-1]
+    inner = [s for s in split_points if nodes[0] < s < nodes[-1]]
+    cuts = np.unique(np.concatenate([nodes, inner])) if inner else nodes
+    a, c = cuts[:-1], cuts[1:]
+    e = np.searchsorted(nodes, a, side="right") - 1
+    x0, x1 = nodes[e], nodes[e + 1]
+    half = (c - a) / 2.0
+    xs = ((a + c) / 2.0)[:, None] + half[:, None] * _GAUSS_X
+    fv = func(xs)
+    left = half * np.sum(_GAUSS_W * fv * (x1[:, None] - xs), axis=1) / (x1 - x0)
+    right = half * np.sum(_GAUSS_W * fv * (xs - x0[:, None]), axis=1) / (x1 - x0)
+    return _scatter(len(nodes), e, left, right)
 
 
 def _indicator_load_1d(nodes, lo=0.25, hi=0.75):
     """Exact hat-function integrals of the indicator of [lo, hi]."""
     nodes = np.asarray(nodes)
-    b = np.zeros(len(nodes))
-    for e in range(len(nodes) - 1):
-        x0, x1 = nodes[e], nodes[e + 1]
-        c, d = max(x0, lo), min(x1, hi)
-        if d <= c:
-            continue
-        h = x1 - x0
-        b[e] += ((x1 - c) ** 2 - (x1 - d) ** 2) / (2.0 * h)
-        b[e + 1] += ((d - x0) ** 2 - (c - x0) ** 2) / (2.0 * h)
+    x0, x1 = nodes[:-1], nodes[1:]
+    c, d = np.maximum(x0, lo), np.minimum(x1, hi)
+    e = np.flatnonzero(d > c)
+    x0, x1, c, d = x0[e], x1[e], c[e], d[e]
+    h = x1 - x0
+    left = ((x1 - c) ** 2 - (x1 - d) ** 2) / (2.0 * h)
+    right = ((d - x0) ** 2 - (c - x0) ** 2) / (2.0 * h)
+    return _scatter(len(nodes), e, left, right)
+
+
+def _scatter(n_nodes, e, left, right):
+    """Interior entries of the node vector that gets left[k] at node e[k]
+    and right[k] at node e[k] + 1, added in the order of k (element pieces
+    from left to right), then left before right."""
+    b = np.zeros(n_nodes)
+    np.add.at(b, np.stack([e, e + 1], axis=1).ravel(), np.stack([left, right], axis=1).ravel())
     return b[1:-1]
 
 

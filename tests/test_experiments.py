@@ -13,6 +13,8 @@ from fracstep.experiments import (
     run_table_2d,
     write_csv,
 )
+from fracstep.fem import assemble_1d
+from fracstep.meshes import refinement_level_for
 from fracstep.solvers import SolverPolicy
 
 
@@ -103,6 +105,25 @@ class TestTable1D:
         assert {row["delta"] for row in rows} == {5.0}
         with pytest.raises(ValueError, match="not below lambda_min_est"):
             run_table_1d(replace(spec, delta=50.0))
+
+    def test_theorem_policy_estimates_the_bounds_once(self, monkeypatch):
+        import fracstep.experiments as experiments
+
+        calls = []
+        estimate = experiments.estimate_spectral_bounds
+
+        def counted(op, seed=0):
+            calls.append(seed)
+            return estimate(op, seed=seed)
+
+        monkeypatch.setattr(experiments, "estimate_spectral_bounds", counted)
+        spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,), ms=(1,),
+                              Ns=(2,), h=0.05, L_policy="theorem", seed=3)
+        rows = run_table_1d(spec)
+        assert calls == [3]
+        bounds = estimate(assemble_1d(np.linspace(0.0, 1.0, 21)), seed=3)
+        assert {row["L"] for row in rows} == {refinement_level_for(bounds.lambda_max_est)}
+        assert {row["delta"] for row in rows} == {0.5 * bounds.lambda_min_est}
 
     def test_determinism(self, small_1d_rows, tmp_path):
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),

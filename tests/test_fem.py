@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -15,6 +17,8 @@ from fracstep.fem import (
     m_norm,
     mass_solver,
 )
+from fracstep.fem import _GAUSS_W, _GAUSS_X, _element_load_1d, _indicator_load_1d
+from fracstep.meshes import build_graded_spatial_mesh
 
 
 def fem_eigenvalue(h, j):
@@ -60,6 +64,35 @@ def q1_assembly_reference(n):
                         M[loc[a], loc[b]] += w * vals[a] * vals[b]
     interior = [i * nn + j for i in range(1, n) for j in range(1, n)]
     return K[np.ix_(interior, interior)], M[np.ix_(interior, interior)]
+
+
+def element_load_loop(nodes, func, split_points=()):
+    """The element-by-element loop that ``fem._element_load_1d`` replaces."""
+    b = np.zeros(len(nodes))
+    for e in range(len(nodes) - 1):
+        x0, x1 = nodes[e], nodes[e + 1]
+        cuts = [x0] + [s for s in split_points if x0 < s < x1] + [x1]
+        for a, c in zip(cuts[:-1], cuts[1:]):
+            half = (c - a) / 2.0
+            xs = (a + c) / 2.0 + half * _GAUSS_X
+            fv = func(xs)
+            b[e] += half * np.sum(_GAUSS_W * fv * (x1 - xs)) / (x1 - x0)
+            b[e + 1] += half * np.sum(_GAUSS_W * fv * (xs - x0)) / (x1 - x0)
+    return b[1:-1]
+
+
+def indicator_load_loop(nodes, lo, hi):
+    """The element-by-element loop that ``fem._indicator_load_1d`` replaces."""
+    b = np.zeros(len(nodes))
+    for e in range(len(nodes) - 1):
+        x0, x1 = nodes[e], nodes[e + 1]
+        c, d = max(x0, lo), min(x1, hi)
+        if d <= c:
+            continue
+        h = x1 - x0
+        b[e] += ((x1 - c) ** 2 - (x1 - d) ** 2) / (2.0 * h)
+        b[e + 1] += ((d - x0) ** 2 - (c - x0) ** 2) / (2.0 * h)
+    return b[1:-1]
 
 
 class TestAssembly1D:
@@ -199,6 +232,45 @@ class TestProjection:
                 lambda x: min(x, 1 - x) * hat(x), 0, 1, points=[0.5],
                 limit=400, epsabs=1e-14, epsrel=1e-14)
             assert b[i - 1] == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("nodes", [
+        np.linspace(0, 1, 12),
+        np.concatenate([[0.0], np.cumsum(np.random.default_rng(7).uniform(0.1, 1.0, 17))]),
+    ], ids=["uniform", "random"])
+    def test_kink_case_load_accuracy_split_element(self, nodes):
+        # 0.5 falls inside an element, which is integrated on each side of it
+        nodes = nodes / nodes[-1]
+        assert not np.any(nodes == 0.5)
+        op = assemble_1d(nodes)
+        b = load_vector(op, "c")
+        for i in range(1, len(nodes) - 1):
+            def hat(x):
+                return np.interp(x, nodes, np.eye(len(nodes))[i])
+            want, _ = scipy.integrate.quad(
+                lambda x: min(x, 1 - x) * hat(x), 0, 1, points=[0.5, *nodes[1:-1]],
+                limit=400, epsabs=1e-14, epsrel=1e-14)
+            assert b[i - 1] == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("nodes", [
+        np.linspace(0, 1, 12),
+        np.linspace(0, 1, 1001),
+        build_graded_spatial_mesh(8),
+        np.concatenate([[0.0], np.cumsum(np.random.default_rng(7).uniform(0.1, 1.0, 17))]),
+    ], ids=["uniform12", "uniform1000", "graded", "random"])
+    def test_loads_repeat_the_element_loop_bits(self, nodes):
+        nodes = nodes / nodes[-1]
+        for tag, splits in (("a", ()), ("b", ()), ("c", (0.5,)), ("d", ())):
+            func = functools.partial(data_case, tag)
+            np.testing.assert_array_equal(_element_load_1d(nodes, func, splits),
+                                          element_load_loop(nodes, func, splits))
+        # two splits in one element, and a split at a node
+        func = np.sin
+        for splits in ((0.3, 0.31), (nodes[3],)):
+            np.testing.assert_array_equal(_element_load_1d(nodes, func, splits),
+                                          element_load_loop(nodes, func, splits))
+        for lo, hi in ((0.25, 0.75), (0.1, 0.33), (nodes[2], nodes[5])):
+            np.testing.assert_array_equal(_indicator_load_1d(nodes, lo, hi),
+                                          indicator_load_loop(nodes, lo, hi))
 
     def test_indicator_load_exact(self):
         # h = 1/50 puts the jumps at 0.25 and 0.75 inside elements

@@ -5,7 +5,9 @@ a run on the eigenvector psi_j must return mu(lambda_j) psi_j with mu from
 the scalar recurrence.  Inputs: strictly increasing 1D nodes with a mesh
 ratio of at most 10, and tensor grids of 3..8 cells per side; exponents in
 (0, 1), orders 1..8, shifts in (0, lambda_min), both time meshes, and
-blocks of 1..4 data vectors stepped as one run.
+blocks of 1..4 data vectors stepped as one run.  The same meshes check the
+spectral bracket: the dense eigenvalues lie in [dim pi^2, ub] and the
+ARPACK estimates match the dense extremes.
 """
 
 import numpy as np
@@ -14,23 +16,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, m_norm
-from fracstep.meshes import build_geometric_mesh, build_uniform_mesh
+from fracstep.meshes import build_geometric_mesh, build_graded_spatial_mesh, build_uniform_mesh
 from fracstep.scalar import scalar_run_grid
 from fracstep.spectral import eig_1d, eig_2d_tensor
-from fracstep.stepping import StepperConfig, run_grm, run_um
+from fracstep.stepping import (
+    StepperConfig,
+    estimate_spectral_bounds,
+    run_grm,
+    run_um,
+    spectral_upper_bound,
+)
 
 SETTINGS = settings(max_examples=20, deadline=None)
 
 
-def _problem(data, dim):
-    """(op, decomp, cfg, runner) drawn at random."""
+def _operator(data, dim):
+    """(op, decomp) drawn at random."""
     if dim == 1:
         gaps = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=30)))
         op = assemble_1d(np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum())
-        dec = eig_1d(op)
-    else:
-        op = assemble_2d_tensor(data.draw(st.integers(3, 8)))
-        dec = eig_2d_tensor(op)
+        return op, eig_1d(op)
+    op = assemble_2d_tensor(data.draw(st.integers(3, 8)))
+    return op, eig_2d_tensor(op)
+
+
+def _problem(data, dim):
+    """(op, decomp, cfg, runner) drawn at random."""
+    op, dec = _operator(data, dim)
     alpha = data.draw(st.floats(0.01, 0.99))
     m = data.draw(st.integers(1, 8))
     delta = data.draw(st.floats(0.01, 0.99)) * dec.lambdas[0]
@@ -87,3 +99,26 @@ def test_steps_never_grow_the_m_norm(dim, data):
     for stat in stats:
         assert stat.steps == cfg.mesh.num_steps
         assert stat.max_growth <= 1.0 + 1e-9
+
+
+def _check_bracket(op, dec, dim, seed):
+    lam = dec.lambdas
+    # conforming eigenvalues lie above the continuous dim pi^2 (min-max)
+    assert dim * np.pi**2 <= lam[0]
+    assert lam[-1] <= spectral_upper_bound(op)
+    bounds = estimate_spectral_bounds(op, seed=seed)
+    assert bounds.lambda_max_est / 1.01 == pytest.approx(lam[-1], rel=1e-8)
+    assert bounds.lambda_min_est / 0.99 == pytest.approx(lam[0], rel=1e-8)
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+@SETTINGS
+@given(data=st.data())
+def test_spectral_bracket(dim, data):
+    op, dec = _operator(data, dim)
+    _check_bracket(op, dec, dim, data.draw(st.integers(0, 2**32 - 1)))
+
+
+def test_spectral_bracket_on_graded_mesh():
+    op = assemble_1d(build_graded_spatial_mesh(16))
+    _check_bracket(op, eig_1d(op), 1, 0)

@@ -15,6 +15,7 @@ from fracstep.stepping import (
     estimate_spectral_bounds,
     run_grm,
     run_um,
+    spectral_upper_bound,
 )
 from tests.test_fem import fem_eigenvalue
 
@@ -60,6 +61,20 @@ class TestSpectralBounds:
         a = estimate_spectral_bounds(op, seed=1)
         b = estimate_spectral_bounds(op, seed=1)
         assert a == b
+
+    def test_upper_bound_is_fried_on_uniform_meshes(self, setup_1d):
+        op, _, _ = setup_1d
+        assert spectral_upper_bound(op) == pytest.approx(12 * 200**2, rel=1e-12)
+        op2 = assemble_2d_tensor(10)
+        assert spectral_upper_bound(op2) == pytest.approx(24 * 10**2, rel=1e-12)
+
+    def test_upper_bound_needs_a_dominant_mass(self, setup_1d):
+        from dataclasses import replace
+
+        op, _, _ = setup_1d
+        Md, Ml = op.mass_bands
+        with pytest.raises(ValueError, match="diagonally dominant"):
+            spectral_upper_bound(replace(op, mass_bands=(Md, 3.0 * Ml)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
