@@ -25,16 +25,13 @@ from .pade import (
     eval_rational,
     pade_coefficients,
     pade_error_bound_check,
-    partial_fractions,
 )
 from .scalar import (
     ScalarRunConfig,
     exact_power,
     fit_loglog_slope,
     scalar_error_sweep,
-    scalar_grm,
     scalar_run_grid,
-    scalar_um,
 )
 from .solvers import SolveError, SolverPolicy
 from .spectral import (
@@ -51,8 +48,7 @@ from .stepping import (
     apply_pade_step,
     default_delta,
     estimate_spectral_bounds,
-    run_grm,
-    run_um,
+    run,
     spectral_upper_bound,
 )
 from .experiments import (
@@ -103,18 +99,14 @@ __all__ = [
     "m_norm",
     "pade_coefficients",
     "pade_error_bound_check",
-    "partial_fractions",
     "reference_power",
-    "run_grm",
+    "run",
     "run_scalar_diagnostics",
     "run_spatial_refinement",
     "run_table_1d",
     "run_table_2d",
-    "run_um",
     "scalar_error_sweep",
-    "scalar_grm",
     "scalar_run_grid",
-    "scalar_um",
     "spectral_upper_bound",
     "__version__",
 ]

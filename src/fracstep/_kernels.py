@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the scalar sweep and the symmetric tridiagonal ops.
+"""Hot numeric kernels: the symmetric tridiagonal ops.
 
 Every 1D system the steppers meet is symmetric positive definite and
 tridiagonal, given as its diagonal ``d`` and off-diagonal ``e``.  The solves
@@ -11,27 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
-
-
-def scalar_sweep(lams, t_left, ks, p, q, alpha, delta):
-    """Run the multiplicative scalar recurrence for every lambda at once.
-
-    For each step (t, k) the running value picks up the factor
-    r(theta) = P(theta)/Q(theta) with theta = k*(lam-delta)/(delta+t*(lam-delta)).
-    Returns the final values, starting from delta**(-alpha).
-    """
-    lams = np.asarray(lams, dtype=np.float64)
-    mu = np.full(lams.shape, delta ** (-alpha))
-    d = lams - delta
-    for t, k in zip(t_left, ks):
-        theta = k * d / (delta + t * d)
-        num = np.full(theta.shape, p[-1])
-        den = np.full(theta.shape, q[-1])
-        for j in range(len(p) - 2, -1, -1):
-            num = num * theta + p[j]
-            den = den * theta + q[j]
-        mu *= num / den
-    return mu
 
 
 def tridiag_matvec(d, e, x):

@@ -42,6 +42,8 @@ from .meshes import (
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import SolverPolicy
 from .spectral import eig_1d, eig_2d_tensor, reference_power
+# run_grm and run_um are both stepping.run: perfbench/tracing.py times
+# the runs by wrapping these two names
 from .stepping import (
     SpectralBounds,
     StepperConfig,
@@ -250,15 +252,14 @@ def run_table_2d(spec: ExperimentSpec) -> list[dict]:
 # spatial refinement study
 # ---------------------------------------------------------------------------
 
-def _graded_setup(N: int, delta_fraction: float, seed: int):
+def _graded_setup(spec: ExperimentSpec, N: int):
+    """Operator, L, delta and data case d on the graded mesh of parameter N;
+    L and delta are resolved from ``spec`` as in the tables."""
     nodes = build_graded_spatial_mesh(N)
     op = assemble_1d(nodes)
-    h_min = nodes[1] - nodes[0]
-    L = experiment_refinement_level(h_min)
-    bounds = estimate_spectral_bounds(op, seed=seed)
-    delta = delta_fraction * bounds.lambda_min_est
-    f = l2_project(op, "d")
-    return nodes, op, L, delta, f
+    bounds = estimate_spectral_bounds(op, seed=spec.seed)
+    L = _resolve_L(spec, bounds, nodes[1] - nodes[0])
+    return op, L, _resolve_delta(spec, bounds), l2_project(op, "d")
 
 
 def _grm_at(op, f, alpha, m, delta, L, Nt, solver, return_stats=False):
@@ -301,20 +302,21 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
                            reference_Nt: int = 32) -> list[dict]:
     """Graded-mesh study: per N, the step count needed to reach the
     semi-discrete error proxy, plus the uniform scheme's error at a large
-    fixed step count (default 1e5)."""
+    fixed step count (default 1e5).  Each mesh takes L and delta from the
+    spec as the tables do."""
     Ns = spec.Ns
     solver = spec.solver
     # fine-mesh solution used as the stand-in for the continuum limit
     N_fine = max(Ns) * reference_factor
-    fnodes, fop, fL, fdelta, ff = _graded_setup(N_fine, spec.delta_fraction, spec.seed)
+    fop, fL, fdelta, ff = _graded_setup(spec, N_fine)
     u_fine = _grm_at(fop, ff, alpha, 2, fdelta, fL, reference_Nt, solver)
     xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
     fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
 
     rows = []
     for N in Ns:
-        nodes, op, L, delta, f = _graded_setup(N, spec.delta_fraction, spec.seed)
-        nx = len(nodes) - 1
+        op, L, delta, f = _graded_setup(spec, N)
+        nx = len(op.nodes) - 1
         u_ref = _grm_at(op, f, alpha, 2, delta, L, reference_Nt, solver)
         fine_here = GridFunction(np.interp(op.dof_coords, xp, fp), op)
         threshold = m_norm(op, GridFunction(fine_here.coeffs - u_ref.coeffs, op))

@@ -228,29 +228,20 @@ def load_vector(op: DiscreteOperator, f) -> np.ndarray:
             return np.kron(b1, b1)
         b1 = _indicator_load_1d(f1.nodes)
         return np.kron(b1, b1)
-    # generic separable quadrature over the tensor grid, element by element
-    n = f1.n_dofs
-    b = np.zeros((n + 2, n + 2))
+    # tensor Gauss rule: with W[i, g] the weight of Gauss point g against hat
+    # function i along one axis, b = W F W^T for F = f on the point grid
     nodes = f1.nodes
-    for ex in range(len(nodes) - 1):
-        x0, x1 = nodes[ex], nodes[ex + 1]
-        hx = (x1 - x0) / 2.0
-        xs = (x0 + x1) / 2.0 + hx * _GAUSS_X
-        for ey in range(len(nodes) - 1):
-            y0, y1 = nodes[ey], nodes[ey + 1]
-            hy = (y1 - y0) / 2.0
-            ys = (y0 + y1) / 2.0 + hy * _GAUSS_X
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            F = np.asarray(f((X, Y)), dtype=np.float64) * hx * hy
-            wx0 = _GAUSS_W * (x1 - xs) / (x1 - x0)
-            wx1 = _GAUSS_W * (xs - x0) / (x1 - x0)
-            wy0 = _GAUSS_W * (y1 - ys) / (y1 - y0)
-            wy1 = _GAUSS_W * (ys - y0) / (y1 - y0)
-            b[ex, ey] += wx0 @ F @ wy0
-            b[ex, ey + 1] += wx0 @ F @ wy1
-            b[ex + 1, ey] += wx1 @ F @ wy0
-            b[ex + 1, ey + 1] += wx1 @ F @ wy1
-    return b[1:-1, 1:-1].ravel()
+    e = np.arange(len(nodes) - 1)
+    x0, x1 = nodes[:-1, None], nodes[1:, None]
+    half = (x1 - x0) / 2.0
+    xs = (x0 + x1) / 2.0 + half * _GAUSS_X
+    W = np.zeros((len(nodes), len(e), len(_GAUSS_X)))
+    W[e, e] = half * _GAUSS_W * (x1 - xs) / (x1 - x0)
+    W[e + 1, e] = half * _GAUSS_W * (xs - x0) / (x1 - x0)
+    W = W.reshape(len(nodes), -1)
+    X, Y = np.meshgrid(xs.ravel(), xs.ravel(), indexing="ij")
+    F = np.asarray(f((X, Y)), dtype=np.float64)
+    return (W @ F @ W.T)[1:-1, 1:-1].ravel()
 
 
 def mass_solver(op: DiscreteOperator):

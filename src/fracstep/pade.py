@@ -207,11 +207,6 @@ def eval_partial_fractions(r: PadeRational, x) -> np.ndarray | float:
     return out if np.ndim(x) else float(out[0])
 
 
-def partial_fractions(r: PadeRational):
-    """Return (limit_at_infinity, poles, residues) of the pole expansion."""
-    return r.limit_at_infinity, r.poles, r.residues
-
-
 def _remainder_series_coeffs(m: int, alpha: float, nterms: int) -> np.ndarray:
     """Coefficients d_n of the error expansion, n = 2m+1, ..., 2m+nterms.
 

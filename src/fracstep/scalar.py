@@ -3,16 +3,16 @@
 Expanded in the generalized eigenbasis, the vector schemes act mode by mode:
 the coefficient of the mode with eigenvalue ``lam`` is multiplied per step by
 r(theta) with theta = k*(lam-delta)/(delta + t*(lam-delta)).  Running that
-product directly gives an exact, cheap oracle for the operator stepping code
-and for convergence-rate studies.
+product directly (``scalar_run_grid``, for one lambda or a whole grid) gives
+an exact, cheap oracle for the operator stepping code and for
+convergence-rate studies.  As in ``stepping``, the time mesh of the config
+picks the scheme.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-from .pade import eval_rational
 from .stepping import StepperConfig
 
 # one run config serves the operator and the scalar recurrences
@@ -26,45 +26,31 @@ def exact_power(lam: float, alpha: float) -> float:
     return lam ** (-alpha)
 
 
-def _run_single(lam: float, cfg: ScalarRunConfig) -> float:
-    if lam < cfg.delta:
-        raise ValueError(f"lambda = {lam} below delta = {cfg.delta}; invalid configuration")
-    mu = cfg.delta ** (-cfg.alpha)
-    d = lam - cfg.delta
-    for t, k in zip(cfg.mesh.t_left, cfg.mesh.k):
-        theta = k * d / (cfg.delta + t * d)
-        mu *= eval_rational(cfg.rational, theta)
-    return mu
+def scalar_run_grid(lams, cfg: ScalarRunConfig):
+    """mu(lam) = delta**-alpha prod_n r(theta_n) over every step of ``cfg.mesh``.
 
-
-def scalar_grm(lam: float, cfg: ScalarRunConfig) -> float:
-    """Run the geometric-mesh recurrence; returns mu(lam) after (L+1)*N steps."""
-    if cfg.mesh.kind != "geometric":
-        raise ValueError("scalar_grm requires a geometric mesh")
-    return _run_single(lam, cfg)
-
-
-def scalar_um(lam: float, cfg: ScalarRunConfig) -> float:
-    """Run the uniform-mesh recurrence; returns delta**-alpha * prod r(theta_n)."""
-    if cfg.mesh.kind != "uniform":
-        raise ValueError("scalar_um requires a uniform mesh")
-    return _run_single(lam, cfg)
-
-
-def scalar_run_grid(lams, cfg: ScalarRunConfig) -> np.ndarray:
-    """Vectorized recurrence over a lambda grid (hot path, kernel-backed)."""
+    ``lams`` is one lambda, which gives a float, or an array of them, all
+    stepped at once.  Each factor r(theta) = P(theta)/Q(theta) is evaluated
+    by Horner's rule.
+    """
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(lams < cfg.delta):
-        raise ValueError("every lambda must be >= delta")
-    return _kernels.scalar_sweep(
-        np.ascontiguousarray(lams),
-        np.ascontiguousarray(cfg.mesh.t_left),
-        np.ascontiguousarray(cfg.mesh.k),
-        cfg.rational.p_coeffs,
-        cfg.rational.q_coeffs,
-        cfg.alpha,
-        cfg.delta,
-    )
+        raise ValueError(f"every lambda must be >= delta = {cfg.delta}")
+    p, q = cfg.rational.p_coeffs, cfg.rational.q_coeffs
+    mu = np.full(lams.shape, cfg.delta ** (-cfg.alpha))
+    d = lams - cfg.delta
+    for t, k in zip(cfg.mesh.t_left, cfg.mesh.k):
+        theta = k * d / (cfg.delta + t * d)
+        num, den = p[-1], q[-1]
+        for j in range(len(p) - 2, -1, -1):
+            num = num * theta + p[j]
+            den = den * theta + q[j]
+        mu *= num / den
+    return mu if lams.ndim else float(mu)
+
+
+# the GRM and UM names of ``scalar_run_grid``; the mesh in the config picks the scheme
+scalar_grm = scalar_um = scalar_run_grid
 
 
 def scalar_error_sweep(lambda_grid, cfg: ScalarRunConfig) -> np.ndarray:

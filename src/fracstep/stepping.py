@@ -1,7 +1,9 @@
 """Operator-level time stepping for the discrete fractional power.
 
 One step multiplies the iterate by r(k B (delta I + t B)^{-1}) where
-B = A_h - delta I and A_h = M^{-1} K in coefficient space.  Through the
+B = A_h - delta I and A_h = M^{-1} K in coefficient space.  ``run``
+steps U_0 = delta**-alpha v over the time mesh of the config, which alone
+picks the scheme: geometric for GRM, uniform for UM.  Through the
 partial-fraction form of r (poles x_i, residues w_i, c_i = w_i / x_i) and
 r(0) = 1, the step is
 
@@ -195,9 +197,9 @@ def _step_terms(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray):
     return np.stack([a, b], axis=-1), coeffs, scale
 
 
-def apply_pade_step(u: GridFunction, t: float, k: float, r: PadeRational,
-                    op: DiscreteOperator, cfg: StepperConfig) -> GridFunction:
-    """Apply one rational step r(k B (delta I + t B)^{-1}) to u."""
+def apply_pade_step(u: GridFunction, t: float, k: float, op: DiscreteOperator,
+                    cfg: StepperConfig) -> GridFunction:
+    """Apply one rational step r(k B (delta I + t B)^{-1}) to u, r = ``cfg.rational``."""
     if not (0.0 <= t < 1.0 or k == 0.0):
         raise ValueError(f"step start t = {t} outside [0, 1)")
     if k < 0.0 or t + k > 1.0 + 1e-12:
@@ -207,14 +209,19 @@ def apply_pade_step(u: GridFunction, t: float, k: float, r: PadeRational,
     if k == 0.0:
         return u.copy()
     pencil = _pencil(op, cfg.solver)
-    shifts, coeffs, scale = _step_terms(r, cfg.delta, np.array([t]), np.array([k]))
+    shifts, coeffs, scale = _step_terms(cfg.rational, cfg.delta, np.array([t]), np.array([k]))
     z = pencil.combine(shifts[0], coeffs[0], pencil.apply_M(u.coeffs[None]))
     return GridFunction(z[0] + scale[0] * u.coeffs, op)
 
 
-def _run(v, op: DiscreteOperator, cfg: StepperConfig, kind: str, return_stats: bool):
-    if cfg.mesh.kind != kind:
-        raise ValueError(f"configuration holds a {cfg.mesh.kind} mesh, expected {kind}")
+def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False):
+    """U_0 = delta**-alpha v stepped over every step of ``cfg.mesh``.
+
+    The mesh picks the scheme: a geometric mesh gives GRM ((L+1)*N steps),
+    a uniform one UM (N steps of size 1/N).  ``v`` is one ``GridFunction``
+    or a sequence of them on ``op``, stepped as one block; a sequence gives
+    a list of outputs and of ``RunStats``.
+    """
     single = isinstance(v, GridFunction)
     vs = [v] if single else list(v)
     if not vs:
@@ -255,15 +262,5 @@ def _run(v, op: DiscreteOperator, cfg: StepperConfig, kind: str, return_stats: b
     return (outs, stats) if return_stats else outs
 
 
-def run_grm(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False):
-    """Geometric-mesh run: U_0 = delta**-alpha v stepped over all (L+1)*N steps.
-
-    ``v`` is one ``GridFunction`` or a sequence of them on ``op``, stepped
-    as one block; a sequence gives a list of outputs and of ``RunStats``.
-    """
-    return _run(v, op, cfg, "geometric", return_stats)
-
-
-def run_um(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False):
-    """Uniform-mesh run with N steps of size 1/N; ``v`` as for ``run_grm``."""
-    return _run(v, op, cfg, "uniform", return_stats)
+# the GRM and UM names of ``run``; the mesh in the config picks the scheme
+run_grm = run_um = run

@@ -166,6 +166,19 @@ class TestSpatialRefinement:
         assert row["threshold_kind"] == "proxy_fine_mesh"
 
 
+    def test_explicit_delta_and_L_are_used(self):
+        spec = ExperimentSpec(dimension=1, ms=(2,), Ns=(4,), um_steps=200, delta=1.0,
+                              L_policy="fixed", L_fixed=3)
+        rows = run_spatial_refinement(spec, alpha=0.5, reference_factor=2)
+        assert (rows[0]["delta"], rows[0]["L"]) == (1.0, 3)
+        assert rows[0]["E_GRM_m2"] <= rows[0]["e_semi_proxy"]
+
+    def test_delta_at_the_spectrum_rejected(self):
+        spec = ExperimentSpec(dimension=1, ms=(2,), Ns=(4,), um_steps=200, delta=500.0)
+        with pytest.raises(ValueError, match="not below lambda_min_est"):
+            run_spatial_refinement(spec, alpha=0.5, reference_factor=2)
+
+
 class TestScalarDiagnostics:
     def test_slopes_recorded(self):
         rows = run_scalar_diagnostics(alphas=(0.5,), ms=(1,), Ns=(8, 16, 32),

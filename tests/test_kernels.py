@@ -6,16 +6,9 @@ from fracstep import _kernels
 from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor
 from fracstep.meshes import build_uniform_mesh
 from fracstep.pade import pade_coefficients
+from fracstep.scalar import scalar_run_grid
 from fracstep.solvers import SolverPolicy
 from fracstep.stepping import StepperConfig, apply_pade_step
-
-
-def _sweep_inputs():
-    r = pade_coefficients(2, 0.4)
-    lams = np.logspace(0, 5, 64)
-    t_left = np.linspace(0.0, 0.9, 10)
-    ks = np.full(10, 0.1)
-    return lams, t_left, ks, r.p_coeffs, r.q_coeffs
 
 
 def _spd_bands(n=40, seed=0):
@@ -48,13 +41,16 @@ class TestNumpyBackend:
                 rtol=1e-12, atol=1e-13)
 
     def test_sweep_matches_direct_product(self):
-        lams, t_left, ks, p, q = _sweep_inputs()
-        got = _kernels.scalar_sweep(lams, t_left, ks, p, q, 0.4, 0.5)
+        # the scalar recurrence's Horner loop against numpy's polyval
+        lams = np.logspace(0, 5, 64)
+        cfg = StepperConfig(alpha=0.4, m=2, delta=0.5, mesh=build_uniform_mesh(10))
+        got = scalar_run_grid(lams, cfg)
 
+        r = pade_coefficients(2, 0.4)
         want = np.full_like(lams, 0.5 ** -0.4)
-        for t, k in zip(t_left, ks):
+        for t, k in zip(cfg.mesh.t_left, cfg.mesh.k):
             theta = k * (lams - 0.5) / (0.5 + t * (lams - 0.5))
-            want *= npoly.polyval(theta, p) / npoly.polyval(theta, q)
+            want *= npoly.polyval(theta, r.p_coeffs) / npoly.polyval(theta, r.q_coeffs)
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
@@ -138,7 +134,7 @@ class TestStepAgainstDense:
         u = GridFunction(rng.standard_normal(op.n_dofs), op)
         delta, alpha = 4.0, 0.3
         cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(1))
-        got = apply_pade_step(u, t, k, cfg.rational, op, cfg).coeffs
+        got = apply_pade_step(u, t, k, op, cfg).coeffs
         want = _dense_step(op, u.coeffs, t, k, delta, cfg.rational)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -151,6 +147,6 @@ class TestStepAgainstDense:
         delta, alpha = 10.0, 0.3
         cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(1),
                             solver=SolverPolicy(method, rtol=1e-14))
-        got = apply_pade_step(u, t, k, cfg.rational, op, cfg).coeffs
+        got = apply_pade_step(u, t, k, op, cfg).coeffs
         want = _dense_step(op, u.coeffs, t, k, delta, cfg.rational)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -22,8 +22,7 @@ from fracstep.spectral import eig_1d, eig_2d_tensor
 from fracstep.stepping import (
     StepperConfig,
     estimate_spectral_bounds,
-    run_grm,
-    run_um,
+    run,
     spectral_upper_bound,
 )
 
@@ -41,7 +40,7 @@ def _operator(data, dim):
 
 
 def _problem(data, dim):
-    """(op, decomp, cfg, runner) drawn at random."""
+    """(op, decomp, cfg) drawn at random."""
     op, dec = _operator(data, dim)
     alpha = data.draw(st.floats(0.01, 0.99))
     m = data.draw(st.integers(1, 8))
@@ -50,19 +49,18 @@ def _problem(data, dim):
         mesh = build_geometric_mesh(dec.lambdas[-1], data.draw(st.integers(1, 4)))
     else:
         mesh = build_uniform_mesh(data.draw(st.integers(1, 32)))
-    runner = run_grm if mesh.kind == "geometric" else run_um
-    return op, dec, StepperConfig(alpha=alpha, m=m, delta=delta, mesh=mesh), runner
+    return op, dec, StepperConfig(alpha=alpha, m=m, delta=delta, mesh=mesh)
 
 
 @pytest.mark.parametrize("dim", (1, 2))
 @SETTINGS
 @given(data=st.data())
 def test_eigenvector_scaled_by_scalar_oracle(dim, data):
-    op, dec, cfg, runner = _problem(data, dim)
+    op, dec, cfg = _problem(data, dim)
     js = data.draw(st.lists(st.integers(0, dec.n_modes - 1), min_size=1, max_size=4))
     psis = [GridFunction(dec.mode_vector(j), op) for j in js]
     mus = scalar_run_grid(dec.lambdas[js], cfg)
-    for psi, mu, out in zip(psis, mus, runner(psis, op, cfg)):
+    for psi, mu, out in zip(psis, mus, run(psis, op, cfg)):
         assert m_norm(op, GridFunction(out.coeffs - mu * psi.coeffs, op)) <= 1e-10 * abs(mu)
 
 
@@ -70,12 +68,12 @@ def test_eigenvector_scaled_by_scalar_oracle(dim, data):
 @SETTINGS
 @given(data=st.data())
 def test_runs_are_linear(dim, data):
-    op, _, cfg, runner = _problem(data, dim)
+    op, _, cfg = _problem(data, dim)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     u, v = rng.standard_normal((2, op.n_dofs))
     a, b = data.draw(st.floats(-4.0, 4.0)), data.draw(st.floats(-4.0, 4.0))
     # one block run of u, v and a u + b v
-    run_u, run_v, run_w = (out.coeffs for out in runner(
+    run_u, run_v, run_w = (out.coeffs for out in run(
         [GridFunction(x, op) for x in (u, v, a * u + b * v)], op, cfg))
 
     def norm(coeffs):
@@ -89,12 +87,12 @@ def test_runs_are_linear(dim, data):
 @SETTINGS
 @given(data=st.data())
 def test_steps_never_grow_the_m_norm(dim, data):
-    op, _, cfg, runner = _problem(data, dim)
+    op, _, cfg = _problem(data, dim)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     vs = [GridFunction(u, op) for u in rng.standard_normal((data.draw(st.integers(1, 4)),
                                                             op.n_dofs))]
     # the run itself raises on growth above 1 + 1e-9; the stats must agree
-    _, stats = runner(vs, op, cfg, return_stats=True)
+    _, stats = run(vs, op, cfg, return_stats=True)
     assert len(stats) == len(vs)
     for stat in stats:
         assert stat.steps == cfg.mesh.num_steps

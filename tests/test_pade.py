@@ -13,7 +13,6 @@ from fracstep.pade import (
     eval_rational,
     pade_coefficients,
     pade_error_bound_check,
-    partial_fractions,
 )
 
 ALPHAS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95)
@@ -174,16 +173,16 @@ class TestEvaluation:
 
 class TestPartialFractions:
     def test_m1_alpha_half_decomposition(self):
-        limit, poles, residues = partial_fractions(pade_coefficients(1, 0.5))
-        assert limit == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert poles[0] == pytest.approx(-4.0 / 3.0, rel=1e-14)
-        assert residues[0] == pytest.approx(8.0 / 9.0, rel=1e-14)
+        r = pade_coefficients(1, 0.5)
+        assert r.limit_at_infinity == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert r.poles[0] == pytest.approx(-4.0 / 3.0, rel=1e-14)
+        assert r.residues[0] == pytest.approx(8.0 / 9.0, rel=1e-14)
 
     def test_sums_to_one_at_zero(self):
         for m in (1, 2, 5, 8):
             for alpha in ALPHAS:
-                limit, poles, residues = partial_fractions(pade_coefficients(m, alpha))
-                total = limit + np.sum(residues / (0.0 - poles))
+                r = pade_coefficients(m, alpha)
+                total = r.limit_at_infinity + np.sum(r.residues / (0.0 - r.poles))
                 assert total == pytest.approx(1.0, abs=1e-13)
 
     def test_m2_reconstruction_spot_values(self):

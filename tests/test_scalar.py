@@ -53,11 +53,6 @@ class TestGeometricRecurrence:
         with pytest.raises(ValueError):
             scalar_grm(0.1, cfg)
 
-    def test_mesh_kind_checked(self):
-        cfg = ScalarRunConfig.um(0.5, DELTA, 1, 4)
-        with pytest.raises(ValueError):
-            scalar_grm(1.0, cfg)
-
     @pytest.mark.parametrize("m,lo,hi", [(1, 1.9, 2.1), (2, 3.8, 4.2)])
     def test_sup_error_slope(self, m, lo, hi):
         Ns = (4, 8, 16, 32)
@@ -121,11 +116,29 @@ class TestSweeps:
         np.testing.assert_array_equal(scalar_error_sweep(np.array([DELTA]), cfg), [0.0])
 
     def test_grid_matches_scalar_loop(self):
+        # oracle: one lambda at a time, each factor through eval_rational
         cfg = ScalarRunConfig.grm(0.3, DELTA, 2, 1e4, 4)
         lams = np.array([0.5, 1.0, 11.0, 1e4])
         grid = scalar_run_grid(lams, cfg)
-        loop = np.array([scalar_grm(lam, cfg) for lam in lams])
+        loop = []
+        for lam in lams:
+            mu = DELTA ** -0.3
+            for t, k in zip(cfg.mesh.t_left, cfg.mesh.k):
+                mu *= eval_rational(cfg.rational, k * (lam - DELTA) / (DELTA + t * (lam - DELTA)))
+            loop.append(mu)
         np.testing.assert_allclose(grid, loop, rtol=1e-13)
+
+    @pytest.mark.parametrize("kind", ("grm", "um"))
+    def test_scalar_lambda_gives_the_float_of_the_grid(self, kind):
+        # the mesh in the config picks the scheme; the GRM/UM names are aliases
+        assert scalar_grm is scalar_um is scalar_run_grid
+        cfg = (ScalarRunConfig.grm(0.6, DELTA, 2, 1e4, 4) if kind == "grm"
+               else ScalarRunConfig.um(0.6, DELTA, 2, 16))
+        lams = np.array([DELTA, 3.0, 1e4])
+        grid = scalar_run_grid(lams, cfg)
+        for lam, want in zip(lams, grid):
+            got = scalar_run_grid(lam, cfg)
+            assert type(got) is float and got == want
 
     def test_factors_never_exceed_one(self):
         r = pade_coefficients(2, 0.4)

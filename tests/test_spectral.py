@@ -12,7 +12,7 @@ from fracstep.spectral import (
     eig_2d_tensor,
     reference_power,
 )
-from fracstep.stepping import StepperConfig, run_grm
+from fracstep.stepping import StepperConfig, run
 from tests.test_fem import fem_eigenvalue
 
 
@@ -156,7 +156,7 @@ class TestAgreementChain:
         for N in (1, 2, 4, 8, 16):
             cfg = StepperConfig(alpha=0.5, m=2, delta=0.5 * lam1,
                                 mesh=build_geometric_mesh(lamM, N))
-            out = run_grm(f, op, cfg)
+            out = run(f, op, cfg)
             errs.append(m_norm(op, GridFunction(out.coeffs - ref.coeffs, op)))
         for a, b in zip(errs[:-1], errs[1:]):
             assert b <= a * 1.05 + 1e-11

@@ -4,7 +4,7 @@ import pytest
 from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
 from fracstep.meshes import build_geometric_mesh, build_uniform_mesh
 from fracstep.pade import eval_rational, pade_coefficients
-from fracstep.scalar import ScalarRunConfig, scalar_grm, scalar_um
+from fracstep.scalar import ScalarRunConfig, scalar_run_grid
 from fracstep.solvers import SolveError, SolverPolicy, WarmStartCG
 from fracstep.spectral import discrete_sobolev_norm, eig_1d, reference_power
 from fracstep.stepping import (
@@ -13,6 +13,7 @@ from fracstep.stepping import (
     apply_pade_step,
     default_delta,
     estimate_spectral_bounds,
+    run,
     run_grm,
     run_um,
     spectral_upper_bound,
@@ -86,11 +87,10 @@ class TestSpectralBounds:
 class TestApplyStep:
     def test_zero_step_is_identity(self, setup_1d):
         op, dec, delta = setup_1d
-        r = pade_coefficients(1, 0.5)
         cfg = StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4))
         rng = np.random.default_rng(0)
         u = GridFunction(rng.standard_normal(op.n_dofs), op)
-        out = apply_pade_step(u, 0.3, 0.0, r, op, cfg)
+        out = apply_pade_step(u, 0.3, 0.0, op, cfg)
         np.testing.assert_array_equal(out.coeffs, u.coeffs)
 
     @pytest.mark.parametrize("j", (0, 10, 100, 198))
@@ -100,7 +100,7 @@ class TestApplyStep:
         cfg = StepperConfig(alpha=0.3, m=2, delta=delta, mesh=build_uniform_mesh(4))
         t, k = 0.25, 0.125
         psi = GridFunction(dec.modes[:, j].copy(), op)
-        out = apply_pade_step(psi, t, k, r, op, cfg)
+        out = apply_pade_step(psi, t, k, op, cfg)
         lam = dec.lambdas[j]
         theta = k * (lam - delta) / (delta + t * (lam - delta))
         expected = eval_rational(r, theta)
@@ -114,7 +114,7 @@ class TestApplyStep:
         r = pade_coefficients(m, alpha)
         cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(1))
         f = l2_project(op, "b")
-        out = apply_pade_step(f, 0.0, 1.0, r, op, cfg)
+        out = apply_pade_step(f, 0.0, 1.0, op, cfg)
         theta = (dec.lambdas - delta) / delta
         coeffs = dec.coefficients(f.coeffs)
         expected = dec.synthesize(eval_rational(r, theta) * coeffs)
@@ -123,13 +123,12 @@ class TestApplyStep:
 
     def test_step_preconditions(self, setup_1d):
         op, _, delta = setup_1d
-        r = pade_coefficients(1, 0.5)
         cfg = StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4))
         u = GridFunction(np.ones(op.n_dofs), op)
         with pytest.raises(ValueError):
-            apply_pade_step(u, 0.9, 0.2, r, op, cfg)
+            apply_pade_step(u, 0.9, 0.2, op, cfg)
         with pytest.raises(ValueError):
-            apply_pade_step(u, 1.2, 0.1, r, op, cfg)
+            apply_pade_step(u, 1.2, 0.1, op, cfg)
 
 
 class TestRunSchemes:
@@ -138,19 +137,14 @@ class TestRunSchemes:
         op, dec, delta = setup_1d
         alpha, m = 0.5, 1
         lamM = dec.lambdas[-1]
-        if scheme == "grm":
-            mesh = build_geometric_mesh(lamM, 4)
-            runner, scalar = run_grm, scalar_grm
-        else:
-            mesh = build_uniform_mesh(16)
-            runner, scalar = run_um, scalar_um
+        mesh = build_geometric_mesh(lamM, 4) if scheme == "grm" else build_uniform_mesh(16)
         cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=mesh)
         scfg = ScalarRunConfig(alpha=alpha, delta=delta, m=m, mesh=mesh)
         rng = np.random.default_rng(42)
         for j in rng.choice(dec.n_modes, size=10, replace=False):
             psi = GridFunction(dec.modes[:, j].copy(), op)
-            out = runner(psi, op, cfg)
-            mu = scalar(dec.lambdas[j], scfg)
+            out = run(psi, op, cfg)
+            mu = scalar_run_grid(dec.lambdas[j], scfg)
             diff = GridFunction(out.coeffs - mu * psi.coeffs, op)
             assert m_norm(op, diff) / abs(mu) < 1e-10
 
@@ -158,7 +152,7 @@ class TestRunSchemes:
         op, dec, delta = setup_1d
         cfg = StepperConfig(alpha=0.5, m=1, delta=delta,
                             mesh=build_geometric_mesh(dec.lambdas[-1], 2))
-        out = run_grm(GridFunction(np.zeros(op.n_dofs), op), op, cfg)
+        out = run(GridFunction(np.zeros(op.n_dofs), op), op, cfg)
         assert m_norm(op, out) == 0.0
 
     def test_linearity(self, setup_1d):
@@ -169,8 +163,8 @@ class TestRunSchemes:
         u = GridFunction(rng.standard_normal(op.n_dofs), op)
         v = GridFunction(rng.standard_normal(op.n_dofs), op)
         w = GridFunction(2.5 * u.coeffs - 0.75 * v.coeffs, op)
-        out_w = run_grm(w, op, cfg)
-        combo = 2.5 * run_grm(u, op, cfg).coeffs - 0.75 * run_grm(v, op, cfg).coeffs
+        out_w = run(w, op, cfg)
+        combo = 2.5 * run(u, op, cfg).coeffs - 0.75 * run(v, op, cfg).coeffs
         diff = GridFunction(out_w.coeffs - combo, op)
         assert m_norm(op, diff) / m_norm(op, out_w) < 1e-11
 
@@ -182,8 +176,8 @@ class TestRunSchemes:
         scfg = ScalarRunConfig(alpha=alpha, delta=delta, m=m, mesh=mesh)
         rng = np.random.default_rng(1)
         v = GridFunction(rng.standard_normal(op.n_dofs), op)
-        out = run_grm(v, op, cfg)
-        mus = np.array([scalar_grm(lam, scfg) for lam in dec.lambdas])
+        out = run(v, op, cfg)
+        mus = scalar_run_grid(dec.lambdas, scfg)
         expected = dec.synthesize(mus * dec.coefficients(v.coeffs))
         diff = GridFunction(out.coeffs - expected, op)
         assert m_norm(op, diff) / m_norm(op, out) < 1e-9
@@ -192,9 +186,8 @@ class TestRunSchemes:
         op, dec, delta = setup_1d
         f = l2_project(op, "d")
         for mesh in (build_geometric_mesh(dec.lambdas[-1], 4), build_uniform_mesh(32)):
-            runner = run_grm if mesh.kind == "geometric" else run_um
             cfg = StepperConfig(alpha=0.5, m=2, delta=delta, mesh=mesh)
-            _, stats = runner(f, op, cfg, return_stats=True)
+            _, stats = run(f, op, cfg, return_stats=True)
             assert stats.max_growth <= 1.0 + 1e-9
             assert stats.steps == mesh.num_steps
 
@@ -208,7 +201,7 @@ class TestRunSchemes:
         for N in Ns:
             cfg = StepperConfig(alpha=alpha, m=m, delta=delta,
                                 mesh=build_geometric_mesh(dec.lambdas[-1], N))
-            out = run_grm(f, op, cfg)
+            out = run(f, op, cfg)
             diff = GridFunction(out.coeffs - ref.coeffs, op)
             errs.append(discrete_sobolev_norm(dec, diff, s))
         from fracstep.scalar import fit_loglog_slope
@@ -216,12 +209,9 @@ class TestRunSchemes:
         slope = fit_loglog_slope(Ns, errs)
         assert abs(slope - 2 * m) < 0.3
 
-    def test_mesh_kind_mismatch(self, setup_1d):
-        op, dec, delta = setup_1d
-        cfg = StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4))
-        f = l2_project(op, "d")
-        with pytest.raises(ValueError):
-            run_grm(f, op, cfg)
+    def test_one_entry_point_for_both_meshes(self):
+        # the mesh in the config picks the scheme; the GRM/UM names are aliases
+        assert run_grm is run_um is run
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
@@ -231,7 +221,7 @@ class TestRunSchemes:
         v[7] = bad
         cfg = StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=build_uniform_mesh(4))
         with pytest.raises(SolveError, match="after step 1 of 4"):
-            run_um(GridFunction(v, op), op, cfg)
+            run(GridFunction(v, op), op, cfg)
 
     def test_operator_mismatch(self, setup_1d):
         op, dec, delta = setup_1d
@@ -240,7 +230,7 @@ class TestRunSchemes:
                             mesh=build_geometric_mesh(dec.lambdas[-1], 2))
         v = GridFunction(np.ones(other.n_dofs), other)
         with pytest.raises(ValueError):
-            run_grm(v, op, cfg)
+            run(v, op, cfg)
 
 
 class Test2DSolvers:
@@ -250,8 +240,8 @@ class Test2DSolvers:
         bounds = estimate_spectral_bounds(op)
         f = l2_project(op, "e")
         mesh = build_geometric_mesh(bounds.lambda_max_est, 2)
-        out_direct = run_grm(f, op, StepperConfig(alpha=0.5, m=2, delta=delta, mesh=mesh))
-        out_cg = run_grm(f, op, StepperConfig(
+        out_direct = run(f, op, StepperConfig(alpha=0.5, m=2, delta=delta, mesh=mesh))
+        out_cg = run(f, op, StepperConfig(
             alpha=0.5, m=2, delta=delta, mesh=mesh,
             solver=SolverPolicy(method="cg", rtol=1e-12)))
         diff = GridFunction(out_direct.coeffs - out_cg.coeffs, op)
@@ -265,8 +255,8 @@ class Test2DSolvers:
         cfg = StepperConfig(alpha=0.5, m=2, delta=delta,
                             mesh=build_geometric_mesh(None, 2, L_override=6),
                             solver=SolverPolicy("cg"))
-        first = run_grm(f, op, cfg)
-        second = run_grm(f, op, cfg)
+        first = run(f, op, cfg)
+        second = run(f, op, cfg)
         assert np.array_equal(first.coeffs, second.coeffs)
 
     def test_cg_steps_are_bit_identical(self):
@@ -275,8 +265,8 @@ class Test2DSolvers:
         f = l2_project(op, "e")
         cfg = StepperConfig(alpha=0.5, m=2, delta=default_delta(op),
                             mesh=build_uniform_mesh(4), solver=SolverPolicy("cg"))
-        first = apply_pade_step(f, 0.25, 0.25, cfg.rational, op, cfg)
-        second = apply_pade_step(f, 0.25, 0.25, cfg.rational, op, cfg)
+        first = apply_pade_step(f, 0.25, 0.25, op, cfg)
+        second = apply_pade_step(f, 0.25, 0.25, op, cfg)
         assert np.array_equal(first.coeffs, second.coeffs)
 
     def test_cg_iterations_on_run_stats(self):
@@ -284,11 +274,11 @@ class Test2DSolvers:
         f = l2_project(op, "f")
         mesh = build_geometric_mesh(None, 2, L_override=4)
         kwargs = dict(alpha=0.5, m=2, delta=default_delta(op), mesh=mesh)
-        _, direct = run_grm(f, op, StepperConfig(**kwargs), return_stats=True)
+        _, direct = run(f, op, StepperConfig(**kwargs), return_stats=True)
         assert direct.cg_iters == direct.cg_iters_max == 0
         cfg = StepperConfig(**kwargs, solver=SolverPolicy("cg"))
-        _, first = run_grm(f, op, cfg, return_stats=True)
-        _, second = run_grm(f, op, cfg, return_stats=True)
+        _, first = run(f, op, cfg, return_stats=True)
+        _, second = run(f, op, cfg, return_stats=True)
         assert 0 < first.cg_iters_max < first.cg_iters
         # counts are per run: every run builds its own CG, warm start and tallies
         assert (second.cg_iters, second.cg_iters_max) == (first.cg_iters, first.cg_iters_max)
@@ -307,7 +297,7 @@ class Test2DSolvers:
         mesh = build_geometric_mesh(None, 2, L_override=3)
         cfg = StepperConfig(alpha=0.5, m=3, delta=default_delta(op), mesh=mesh,
                             solver=SolverPolicy("cg"))
-        run_grm(l2_project(op, "e"), op, cfg)
+        run(l2_project(op, "e"), op, cfg)
         assert len(calls) == mesh.num_steps * 3
 
     def test_2d_eigen_equivalence(self):
@@ -321,8 +311,8 @@ class Test2DSolvers:
         scfg = ScalarRunConfig(alpha=0.7, delta=delta, m=2, mesh=mesh)
         for j in (0, 7, 33):
             psi = GridFunction(dec.mode_vector(j), op)
-            out = run_um(psi, op, cfg)
-            mu = scalar_um(dec.lambdas[j], scfg)
+            out = run(psi, op, cfg)
+            mu = scalar_run_grid(dec.lambdas[j], scfg)
             diff = GridFunction(out.coeffs - mu * psi.coeffs, op)
             assert m_norm(op, diff) / abs(mu) < 1e-10
 
@@ -349,10 +339,10 @@ class TestBlockRuns:
         op, cfg = _block_problem(backend)
         rng = np.random.default_rng(c)
         vs = [GridFunction(rng.standard_normal(op.n_dofs), op) for _ in range(c)]
-        outs, stats = run_grm(vs, op, cfg, return_stats=True)
+        outs, stats = run(vs, op, cfg, return_stats=True)
         assert len(outs) == len(stats) == c
         for v, out, st in zip(vs, outs, stats):
-            one, one_stats = run_grm(v, op, cfg, return_stats=True)
+            one, one_stats = run(v, op, cfg, return_stats=True)
             assert np.array_equal(out.coeffs, one.coeffs)
             assert (st.steps, st.solves) == (one_stats.steps, one_stats.solves)
             assert (st.max_growth, st.cg_iters, st.cg_iters_max) == (
@@ -366,9 +356,9 @@ class TestBlockRuns:
         cfg = StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4))
         v = GridFunction(np.ones(op.n_dofs), op)
         with pytest.raises(ValueError):
-            run_um([v, GridFunction(np.ones(other.n_dofs), other)], op, cfg)
+            run([v, GridFunction(np.ones(other.n_dofs), other)], op, cfg)
         with pytest.raises(ValueError):
-            run_um([], op, cfg)
+            run([], op, cfg)
 
 
 class TestGrowthContract:
@@ -379,11 +369,11 @@ class TestGrowthContract:
         cfg = StepperConfig(alpha=0.5, m=2, delta=5.0 * lam_min, mesh=build_uniform_mesh(8))
         f = l2_project(op, "b")
         with pytest.raises(SolveError, match=r"step 1 of 8 grew the M-norm of column 1"):
-            run_um([GridFunction(np.zeros(op.n_dofs), op), f], op, cfg)
+            run([GridFunction(np.zeros(op.n_dofs), op), f], op, cfg)
 
     def test_shift_below_the_spectrum_passes(self):
         op = assemble_1d(np.linspace(0, 1, 21))
         lam_min = eig_1d(op).lambdas[0]
         cfg = StepperConfig(alpha=0.5, m=2, delta=0.99 * lam_min, mesh=build_uniform_mesh(8))
-        _, stats = run_um(l2_project(op, "b"), op, cfg, return_stats=True)
+        _, stats = run(l2_project(op, "b"), op, cfg, return_stats=True)
         assert stats.max_growth <= 1.0
