@@ -56,8 +56,7 @@ from .experiments import (
     convergence_order,
     run_scalar_diagnostics,
     run_spatial_refinement,
-    run_table_1d,
-    run_table_2d,
+    run_table,
 )
 
 __version__ = "0.1.0"
@@ -103,8 +102,7 @@ __all__ = [
     "run",
     "run_scalar_diagnostics",
     "run_spatial_refinement",
-    "run_table_1d",
-    "run_table_2d",
+    "run_table",
     "scalar_error_sweep",
     "scalar_run_grid",
     "spectral_upper_bound",

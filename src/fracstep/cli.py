@@ -17,8 +17,7 @@ from .experiments import (
     ExperimentSpec,
     run_scalar_diagnostics,
     run_spatial_refinement,
-    run_table_1d,
-    run_table_2d,
+    run_table,
     write_csv,
 )
 from .pade import pade_coefficients
@@ -178,13 +177,12 @@ def main(argv=None) -> int:
                 alphas=merged["alphas"], ms=merged["ms"], Ns=merged["Ns"],
                 lambda_range=(merged["lambda_lo"], merged["lambda_hi"]),
                 delta=merged["delta"], points=merged["points"])
-        elif args.command == "table-1d":
-            rows = run_table_1d(_spec_from(merged, dimension=1))
-        elif args.command == "table-2d":
-            rows = run_table_2d(_spec_from(merged, dimension=2))
-        else:
+        elif args.command == "spatial-refine":
             rows = run_spatial_refinement(_spec_from(merged, dimension=1),
                                           alpha=merged["alpha"])
+        else:
+            dimension = 1 if args.command == "table-1d" else 2
+            rows = run_table(_spec_from(merged, dimension=dimension))
         write_csv(rows, merged["out"] or sys.stdout)
     except (SolveError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"fracstep: error: {exc}", file=sys.stderr)

@@ -20,18 +20,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (
-    DiscreteOperator,
-    GridFunction,
-    assemble_1d,
-    assemble_2d_tensor,
-    l2_project,
-    m_norm,
-)
+from .fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
 from .meshes import (
     build_geometric_mesh,
     build_graded_spatial_mesh,
@@ -57,7 +50,11 @@ DEFAULT_DELTA_FRACTION = 0.5
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment request; field names mirror the CLI flags."""
+    """One experiment request; field names mirror the CLI flags.
+
+    ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of size
+    ``h`` or the tensor grid of ``n_per_side``.
+    """
 
     dimension: int = 1
     data_cases: tuple = ("a", "b", "c", "d")
@@ -74,9 +71,13 @@ class ExperimentSpec:
     solver: SolverPolicy = SolverPolicy()
     seed: int = 0
     um_steps: int = 100_000
-    output: str | None = None
 
     def __post_init__(self):
+        if self.dimension not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
+        for name in ("data_cases", "alphas", "ms", "Ns"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} is empty")
         if self.scheme not in ("grm", "um", "both"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if list(self.Ns) != sorted(set(self.Ns)):
@@ -163,24 +164,34 @@ def write_csv(rows: list[dict], path_or_file) -> None:
 # 1D / 2D convergence tables
 # ---------------------------------------------------------------------------
 
-def _table_runs(spec: ExperimentSpec, op: DiscreteOperator, decomp, h_min: float) -> list[dict]:
-    """One block run per (alpha, m, scheme, N) over all data cases, since the
-    cases share every shifted system; rows come out case by case.  The
-    spectral bounds behind L and delta are estimated once per table."""
+def run_table(spec: ExperimentSpec) -> list[dict]:
+    """Relative-error/order table on the uniform 1D mesh of size ``spec.h``,
+    or in 2D on the tensor grid of ``spec.n_per_side`` cells per side.
+
+    One block run per (alpha, m, scheme, N) steps all data cases, since they
+    share every shifted system; a stable sort by case then gives the rows
+    case by case.  The spectral bounds behind L and delta are estimated
+    once per table.
+    """
+    if spec.dimension == 1:
+        op = assemble_1d(np.linspace(0.0, 1.0, int(round(1.0 / spec.h)) + 1))
+        decomp, h_min = eig_1d(op), spec.h
+    else:
+        op = assemble_2d_tensor(spec.n_per_side)
+        decomp, h_min = eig_2d_tensor(op), 1.0 / spec.n_per_side
     bounds = estimate_spectral_bounds(op, seed=spec.seed)
     L = _resolve_L(spec, bounds, h_min)
     delta = _resolve_delta(spec, bounds)
     prov = _provenance(spec, delta)
     schemes = ("grm", "um") if spec.scheme == "both" else (spec.scheme,)
-    tags = spec.data_cases
-    fs = [l2_project(op, tag) for tag in tags]
-    # (case, alpha, m, scheme, N) -> (relative error, RunStats)
-    results = {}
+    fs = [l2_project(op, tag) for tag in spec.data_cases]
+    rows = []  # (position of the case in spec.data_cases, row)
     for alpha in spec.alphas:
         refs = [reference_power(decomp, f, alpha) for f in fs]
         ref_norms = [m_norm(op, ref) for ref in refs]
         for m in spec.ms:
             for scheme in schemes:
+                errors = {}  # (case position, N) -> relative error
                 for N in spec.Ns:
                     if scheme == "grm":
                         mesh = build_geometric_mesh(None, N, L_override=L)
@@ -191,61 +202,33 @@ def _table_runs(spec: ExperimentSpec, op: DiscreteOperator, decomp, h_min: float
                     cfg = StepperConfig(alpha=alpha, m=m, delta=delta,
                                         mesh=mesh, solver=spec.solver)
                     outs, stats = runner(fs, op, cfg, return_stats=True)
-                    for tag, out, ref, ref_norm, st in zip(tags, outs, refs, ref_norms, stats):
+                    for i, (out, ref, ref_norm, st) in enumerate(zip(outs, refs, ref_norms, stats)):
                         diff = GridFunction(out.coeffs - ref.coeffs, op)
-                        results[tag, alpha, m, scheme, N] = (m_norm(op, diff) / ref_norm, st)
-    rows = []
-    for tag in tags:
-        for alpha in spec.alphas:
-            for m in spec.ms:
-                for scheme in schemes:
-                    errors = {}
-                    for N in spec.Ns:
-                        err, stats = results[tag, alpha, m, scheme, N]
-                        errors[N] = err
-                        order = (
-                            convergence_order(errors[N // 2], err)
-                            if N // 2 in errors else float("nan")
-                        )
-                        rows.append({
+                        err = errors[i, N] = m_norm(op, diff) / ref_norm
+                        prev = errors.get((i, N // 2))
+                        rows.append((i, {
                             "dimension": spec.dimension,
                             "scheme": scheme.upper(),
-                            "case": tag,
+                            "case": spec.data_cases[i],
                             "alpha": alpha,
                             "m": m,
                             "L": L,
                             "N": N,
-                            "steps": stats.steps,
+                            "steps": st.steps,
                             # one shifted solve per pole per step
-                            "solves": stats.solves,
+                            "solves": st.solves,
                             "rel_error": err,
-                            "order_vs_prev": order,
-                            "max_step_growth": stats.max_growth,
+                            "order_vs_prev": (float("nan") if prev is None
+                                              else convergence_order(prev, err)),
+                            "max_step_growth": st.max_growth,
                             **prov,
-                        })
-    return rows
+                        }))
+    rows.sort(key=lambda pair: pair[0])
+    return [row for _, row in rows]
 
 
-def run_table_1d(spec: ExperimentSpec) -> list[dict]:
-    """Relative-error/order table on a uniform 1D mesh of size h."""
-    if spec.dimension != 1:
-        raise ValueError("run_table_1d needs a 1D spec")
-    n = int(round(1.0 / spec.h))
-    op = assemble_1d(np.linspace(0.0, 1.0, n + 1))
-    rows = _table_runs(spec, op, eig_1d(op), spec.h)
-    if spec.output:
-        write_csv(rows, spec.output)
-    return rows
-
-
-def run_table_2d(spec: ExperimentSpec) -> list[dict]:
-    """Tables on the tensor grid; terminal order evaluated at N = 2 -> 4."""
-    op = assemble_2d_tensor(spec.n_per_side)
-    rows = _table_runs(replace(spec, dimension=2), op, eig_2d_tensor(op),
-                       1.0 / spec.n_per_side)
-    if spec.output:
-        write_csv(rows, spec.output)
-    return rows
+# the 1D and 2D names of ``run_table``; the spec's dimension picks the operator
+run_table_1d = run_table_2d = run_table
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +323,6 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
         row["max_step_growth"] = growth
         row.update(_provenance(spec, delta))
         rows.append(row)
-    if spec.output:
-        write_csv(rows, spec.output)
     return rows
 
 
@@ -350,8 +331,7 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
 # ---------------------------------------------------------------------------
 
 def run_scalar_diagnostics(alphas=(0.1, 0.5, 0.9), ms=(1, 2), Ns=(8, 16, 32, 64),
-                           lambda_range=(1.0, 1e6), delta=0.5, points=1000,
-                           output=None) -> list[dict]:
+                           lambda_range=(1.0, 1e6), delta=0.5, points=1000) -> list[dict]:
     """Sup-error sweeps over a lambda grid with fitted convergence slopes."""
     lams = np.logspace(math.log10(lambda_range[0]), math.log10(lambda_range[1]), points)
     lam_max = float(lambda_range[1])
@@ -374,6 +354,4 @@ def run_scalar_diagnostics(alphas=(0.1, 0.5, 0.9), ms=(1, 2), Ns=(8, 16, 32, 64)
                         "delta": delta, "lambda_lo": lambda_range[0],
                         "lambda_hi": lambda_range[1], "points": points,
                     })
-    if output:
-        write_csv(rows, output)
     return rows

@@ -27,11 +27,11 @@ DATA_CASE_DIM = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 2, "f": 2}
 class DiscreteOperator:
     """Mass/stiffness pair (M, K) over the interior degrees of freedom.
 
-    For dim == 2 the operator is a tensor product of ``factor`` with itself
-    and ``dof_coords`` has shape (n**2, 2) in row-major (x-major) ordering.
+    An operator with a ``factor`` is 2D, the tensor product of that 1D
+    factor with itself, and its ``dof_coords`` has shape (n**2, 2) in
+    row-major (x-major) ordering.
     """
 
-    dim: int
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     dof_coords: np.ndarray
@@ -48,6 +48,10 @@ class DiscreteOperator:
     @property
     def is_tensor(self) -> bool:
         return self.factor is not None
+
+    @property
+    def dim(self) -> int:
+        return 2 if self.is_tensor else 1
 
 
 @dataclass
@@ -90,7 +94,6 @@ def assemble_1d(nodes) -> DiscreteOperator:
     K = sp.diags([Kl, Kd, Kl], [-1, 0, 1], format="csr")
     M = sp.diags([Ml, Md, Ml], [-1, 0, 1], format="csr")
     return DiscreteOperator(
-        dim=1,
         mass=M,
         stiffness=K,
         dof_coords=nodes[1:-1].copy(),
@@ -111,7 +114,7 @@ def assemble_2d_tensor(n_per_side: int) -> DiscreteOperator:
     x = f1.dof_coords
     coords = np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
     return DiscreteOperator(
-        dim=2, mass=M2, stiffness=K2, dof_coords=coords, nodes=f1.nodes, factor=f1
+        mass=M2, stiffness=K2, dof_coords=coords, nodes=f1.nodes, factor=f1
     )
 
 

@@ -1,11 +1,12 @@
 """Time meshes on [0, 1] and the boundary-graded spatial mesh.
 
-The geometric mesh covers [0, 1] with dyadic intervals [2**(i-1-L), 2**(i-L)]
-plus the leading [0, 2**-L], each split into N equal steps; it resolves the
+Both geometric meshes share one dyadic layout at depth L: the leading
+interval [0, 2**-L] and then [2**(i-1-L), 2**(i-L)] for i = 1..L, each split
+into N equal steps.  The geometric time mesh is that layout; it resolves the
 t -> 0 singularity of the evolution being stepped.  The uniform mesh is the
-plain N-step grid.  The graded spatial mesh reuses the same dyadic layout,
-restricted to [0, 1/2] and reflected, to concentrate elements at the domain
-endpoints.
+plain N-step grid.  The graded spatial mesh is the layout at depth L - 1
+scaled into [0, 1/2] and mirrored, to concentrate elements at the domain
+endpoints.  A time mesh is nothing but its breakpoints.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ import numpy as np
 class TimeMesh:
     """Ordered breakpoints of a stepping grid on [0, 1].
 
-    kind is "geometric" (L+1 dyadic intervals times N substeps) or
-    "uniform" (N equal steps).  ``t_left`` and ``k`` hold, per step, the
-    left endpoint and the step size actually used by the recurrences.
+    ``t_left`` and ``k`` hold, per step, the left endpoint and the step
+    size actually used by the recurrences.
     """
 
-    kind: str
-    N: int
-    L: int | None
     breakpoints: np.ndarray
 
     def __post_init__(self):
@@ -45,24 +42,6 @@ class TimeMesh:
     def k(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
-    def step_of(self, n: int, j: int | None = None):
-        """(k_n, t_{n,j}) accessor.
-
-        Geometric meshes index by coarse interval n in [0, L] and substep
-        j in [0, N]; uniform meshes take the step index n alone.
-        """
-        if self.kind == "geometric":
-            if j is None:
-                raise ValueError("geometric meshes need both n and j")
-            if not (0 <= n <= self.L and 0 <= j <= self.N):
-                raise IndexError(f"(n, j) = ({n}, {j}) outside mesh")
-            base = n * self.N
-            k_n = self.breakpoints[base + 1] - self.breakpoints[base]
-            return k_n, self.breakpoints[base + j]
-        if not 0 <= n <= self.N:
-            raise IndexError(f"step {n} outside mesh")
-        return 1.0 / self.N, self.breakpoints[n]
-
 
 def refinement_level_for(lambda_max: float) -> int:
     """Smallest L with 2**-L <= 1/lambda_max, i.e. ceil(log2(lambda_max))."""
@@ -72,6 +51,19 @@ def refinement_level_for(lambda_max: float) -> int:
 def experiment_refinement_level(h_min: float) -> int:
     """The experiments' choice L = ceil(2 |log h| / log 2) for mesh size h."""
     return math.ceil(2.0 * abs(math.log2(h_min)))
+
+
+def _dyadic_layout(L: int, N: int) -> np.ndarray:
+    """The (L+1)*N + 1 points from 0 to 1 of the dyadic layout at depth L.
+
+    Interval n takes the points s_n + j k_n, j < N, from its exact dyadic
+    start s_n; its end is the next interval's start, so every coarse
+    endpoint is exact for any N.
+    """
+    ends = np.ldexp(1.0, np.arange(-L, 1))
+    starts = np.concatenate([[0.0], ends[:-1]])
+    k = (ends - starts) / N
+    return np.append(starts[:, None] + np.arange(N) * k[:, None], 1.0)
 
 
 def build_geometric_mesh(lambda_max: float | None, N: int, L_override: int | None = None) -> TimeMesh:
@@ -91,19 +83,7 @@ def build_geometric_mesh(lambda_max: float | None, N: int, L_override: int | Non
         if lambda_max is None or lambda_max <= 1.0:
             raise ValueError("lambda_max must exceed 1 when L_override is not given")
         L = refinement_level_for(lambda_max)
-
-    coarse = [0.0] + [math.ldexp(1.0, i - 1 - L) for i in range(1, L + 2)]
-    pts = np.empty((L + 1) * N + 1)
-    pts[0] = 0.0
-    idx = 1
-    for n in range(L + 1):
-        k_n = (coarse[n + 1] - coarse[n]) / N
-        for j in range(1, N):
-            pts[idx] = coarse[n] + j * k_n
-            idx += 1
-        pts[idx] = coarse[n + 1]  # pin: keeps dyadic endpoints exact for any N
-        idx += 1
-    return TimeMesh(kind="geometric", N=N, L=L, breakpoints=pts)
+    return TimeMesh(_dyadic_layout(L, N))
 
 
 def build_uniform_mesh(N: int) -> TimeMesh:
@@ -111,7 +91,7 @@ def build_uniform_mesh(N: int) -> TimeMesh:
         raise ValueError(f"N must be >= 1, got {N}")
     pts = np.arange(N + 1, dtype=np.float64) / N
     pts[-1] = 1.0
-    return TimeMesh(kind="uniform", N=N, L=None, breakpoints=pts)
+    return TimeMesh(pts)
 
 
 def graded_refinement_level(N: int) -> int:
@@ -126,18 +106,10 @@ def build_graded_spatial_mesh(N: int) -> np.ndarray:
     On [0, 1/2] the dyadic intervals [2**(n-1-L), 2**(n-L)] for n < L plus
     the leading [0, 2**-L] are each split into N equal elements, giving
     element size h = 1/(4N) on [1/4, 1/2] and a first element narrower than
-    h**2; the right half mirrors the left.  2*L*N elements in total.
+    h**2; the right half mirrors the left.  2*L*N elements in total.  The
+    left half is the dyadic layout at depth L - 1 halved, which is exact.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    L = graded_refinement_level(N)
-    coarse = [0.0] + [math.ldexp(1.0, n - 1 - L) for n in range(1, L + 1)]
-    left = [0.0]
-    for n in range(L):
-        k_n = (coarse[n + 1] - coarse[n]) / N
-        for j in range(1, N):
-            left.append(coarse[n] + j * k_n)
-        left.append(coarse[n + 1])
-    left = np.asarray(left)
-    right = 1.0 - left[:-1][::-1]
-    return np.concatenate([left, right])
+    left = 0.5 * _dyadic_layout(graded_refinement_level(N) - 1, N)
+    return np.concatenate([left, 1.0 - left[:-1][::-1]])

@@ -119,11 +119,10 @@ class TensorDiagSolver(_Pencil):
             raise ValueError("TensorDiagSolver requires a tensor operator")
         self.M = op.mass.tocsr()
         decomp = eig_2d_tensor(op)
-        lam, V = decomp.lambdas_1d, decomp.modes
-        self.V = V
-        self.Vt = np.ascontiguousarray(V.T)
-        self.lam_sum = lam[:, None] + lam[None, :]
-        self.n = len(lam)
+        self.V = decomp.modes
+        self.Vt = np.ascontiguousarray(self.V.T)
+        self.n = len(self.V)
+        self.lam_sum = decomp.lambda_grid.reshape(self.n, self.n)
 
     def combine(self, shifts, coeffs, rhs):
         modal = sum(c / (a * self.lam_sum + b) for (a, b), c in zip(shifts, coeffs))

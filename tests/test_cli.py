@@ -67,6 +67,11 @@ class TestTable1D:
         assert code == 2
         assert "not below lambda_min_est" in capsys.readouterr().err
 
+    def test_empty_step_counts_fail(self, capsys):
+        code, out = run_cli(["table-1d", "--Ns", ",", "--h", "0.1"])
+        assert (code, out) == (2, "")
+        assert "Ns is empty" in capsys.readouterr().err
+
     def test_invalid_alpha_fails(self):
         code, _ = run_cli(["table-1d", "--alphas", "1.5", "--cases", "c",
                            "--ms", "1", "--Ns", "8,16", "--h", "0.1"])
@@ -103,6 +108,11 @@ class TestSpatialRefine:
         assert code == 0
         rows = parse_csv(out_path.read_text())
         assert rows[0]["nx"] == "72"
+
+    def test_empty_orders_fail(self, capsys):
+        code, out = run_cli(["spatial-refine", "--Ns", "4", "--ms", ",", "--um-steps", "50"])
+        assert (code, out) == (2, "")
+        assert "ms is empty" in capsys.readouterr().err
 
     def test_unread_flag_rejected(self):
         # the study reads --delta-fraction only; --delta must not abbreviate it

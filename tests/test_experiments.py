@@ -9,6 +9,7 @@ from fracstep.experiments import (
     convergence_order,
     run_scalar_diagnostics,
     run_spatial_refinement,
+    run_table,
     run_table_1d,
     run_table_2d,
     write_csv,
@@ -49,6 +50,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(L_policy="fixed")
 
+    def test_dimension_one_or_two(self):
+        with pytest.raises(ValueError, match="dimension"):
+            ExperimentSpec(dimension=3)
+
+    @pytest.mark.parametrize("name", ("data_cases", "alphas", "ms", "Ns"))
+    def test_empty_list(self, name):
+        with pytest.raises(ValueError, match=f"{name} is empty"):
+            ExperimentSpec(**{name: ()})
+
 
 class TestCsv:
     def test_header_and_determinism(self):
@@ -66,7 +76,7 @@ class TestCsv:
 def small_1d_rows():
     spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),
                           ms=(1,), Ns=(8, 16), h=0.01)
-    return run_table_1d(spec)
+    return run_table(spec)
 
 
 class TestTable1D:
@@ -91,9 +101,9 @@ class TestTable1D:
     def test_block_of_cases_matches_one_case_tables(self):
         # the cases step as one block; every row must equal its one-case table's
         base = dict(dimension=1, alphas=(0.3, 0.5), ms=(1, 2), Ns=(4, 8), h=0.05)
-        rows = run_table_1d(ExperimentSpec(data_cases=("b", "c", "a"), **base))
+        rows = run_table(ExperimentSpec(data_cases=("b", "c", "a"), **base))
         singles = [row for tag in "bca"
-                   for row in run_table_1d(ExperimentSpec(data_cases=(tag,), **base))]
+                   for row in run_table(ExperimentSpec(data_cases=(tag,), **base))]
         assert len(rows) == 3 * 2 * 2 * 2 * 2
         # exact equality, NaN orders included
         np.testing.assert_equal(rows, singles)
@@ -101,10 +111,10 @@ class TestTable1D:
     def test_explicit_delta_below_the_spectrum_is_used(self):
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),
                               ms=(1,), Ns=(4,), h=0.05, delta=5.0)
-        rows = run_table_1d(spec)
+        rows = run_table(spec)
         assert {row["delta"] for row in rows} == {5.0}
         with pytest.raises(ValueError, match="not below lambda_min_est"):
-            run_table_1d(replace(spec, delta=50.0))
+            run_table(replace(spec, delta=50.0))
 
     def test_theorem_policy_estimates_the_bounds_once(self, monkeypatch):
         import fracstep.experiments as experiments
@@ -119,7 +129,7 @@ class TestTable1D:
         monkeypatch.setattr(experiments, "estimate_spectral_bounds", counted)
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,), ms=(1,),
                               Ns=(2,), h=0.05, L_policy="theorem", seed=3)
-        rows = run_table_1d(spec)
+        rows = run_table(spec)
         assert calls == [3]
         bounds = estimate(assemble_1d(np.linspace(0.0, 1.0, 21)), seed=3)
         assert {row["L"] for row in rows} == {refinement_level_for(bounds.lambda_max_est)}
@@ -127,20 +137,22 @@ class TestTable1D:
 
     def test_determinism(self, small_1d_rows, tmp_path):
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),
-                              ms=(1,), Ns=(8, 16), h=0.01,
-                              output=str(tmp_path / "t1.csv"))
-        run_table_1d(spec)
-        first = (tmp_path / "t1.csv").read_bytes()
-        run_table_1d(spec)
-        assert (tmp_path / "t1.csv").read_bytes() == first
+                              ms=(1,), Ns=(8, 16), h=0.01)
+        write_csv(small_1d_rows, str(tmp_path / "t1.csv"))
+        write_csv(run_table(spec), str(tmp_path / "t2.csv"))
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
 class TestTable2D:
+    def test_one_driver_for_both_dimensions(self):
+        # the old entry points are names of run_table; the spec picks the operator
+        assert run_table_1d is run_table_2d is run_table
+
     def test_small_grid_smoke(self):
         spec = ExperimentSpec(dimension=2, data_cases=("e",), alphas=(0.5,),
                               ms=(2,), Ns=(1, 2), n_per_side=20,
                               L_policy="experiment", scheme="grm")
-        rows = run_table_2d(spec)
+        rows = run_table(spec)
         assert len(rows) == 2
         assert rows[0]["L"] == 9  # ceil(2 log2 20)
         assert rows[1]["rel_error"] < rows[0]["rel_error"]
@@ -148,8 +160,8 @@ class TestTable2D:
     def test_cg_solver_consistent_with_direct(self):
         base = dict(dimension=2, data_cases=("e",), alphas=(0.3,), ms=(2,),
                     Ns=(2,), n_per_side=12, L_policy="experiment", scheme="grm")
-        direct = run_table_2d(ExperimentSpec(**base))
-        cg = run_table_2d(ExperimentSpec(**base, solver=SolverPolicy("cg", 1e-13)))
+        direct = run_table(ExperimentSpec(**base))
+        cg = run_table(ExperimentSpec(**base, solver=SolverPolicy("cg", 1e-13)))
         assert cg[0]["rel_error"] == pytest.approx(direct[0]["rel_error"], rel=1e-6)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fracstep.meshes import (
-    TimeMesh,
     build_geometric_mesh,
     build_graded_spatial_mesh,
     build_uniform_mesh,
@@ -17,13 +16,13 @@ from fracstep.meshes import (
 class TestGeometric:
     def test_level_from_lambda_max(self):
         mesh = build_geometric_mesh(1000.0, 4)
-        assert mesh.L == 10
+        assert mesh.num_steps == (10 + 1) * 4  # L = 10
         assert mesh.breakpoints[4] == math.ldexp(1.0, -10)  # t_1 = 2**-L
 
     def test_interval_count_and_endpoints(self):
         for lam, N in ((17.0, 1), (1000.0, 3), (1e6, 8)):
             mesh = build_geometric_mesh(lam, N)
-            assert mesh.num_steps == (mesh.L + 1) * N
+            assert mesh.num_steps == (refinement_level_for(lam) + 1) * N
             assert mesh.breakpoints[0] == 0.0
             assert mesh.breakpoints[-1] == 1.0
             assert np.all(np.diff(mesh.breakpoints) > 0)
@@ -43,19 +42,9 @@ class TestGeometric:
     @pytest.mark.parametrize("N", (1, 2, 3, 4, 5, 8))
     def test_interval_ends_exactly_dyadic(self, N):
         mesh = build_geometric_mesh(None, N, L_override=11)
-        for n in range(mesh.L + 1):
+        assert mesh.num_steps == 12 * N
+        for n in range(12):
             assert mesh.breakpoints[(n + 1) * N] == math.ldexp(1.0, n - 11)
-
-    def test_step_accessor(self):
-        mesh = build_geometric_mesh(None, 4, L_override=3)
-        k2, t22 = mesh.step_of(2, 2)
-        t2 = math.ldexp(1.0, 2 - 1 - 3)
-        assert k2 == pytest.approx(t2 / 4, rel=1e-15)
-        assert t22 == pytest.approx(t2 + 2 * k2, rel=1e-15)
-        with pytest.raises(IndexError):
-            mesh.step_of(9, 0)
-        with pytest.raises(ValueError):
-            mesh.step_of(1)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -79,11 +68,6 @@ class TestUniform:
         # breakpoints live near 1, so steps agree to a few ulps of 1
         np.testing.assert_allclose(mesh.k, 1.0 / N, rtol=0, atol=5e-16)
         assert mesh.breakpoints[-1] == 1.0
-
-    def test_step_accessor(self):
-        mesh = build_uniform_mesh(5)
-        k, t = mesh.step_of(2)
-        assert k == 0.2 and t == pytest.approx(0.4)
 
 
 class TestGradedSpatial:
@@ -111,6 +95,43 @@ class TestGradedSpatial:
     def test_requires_two_points_per_interval(self):
         with pytest.raises(ValueError):
             build_graded_spatial_mesh(1)
+
+
+def _geometric_loop(L, N):
+    """The geometric breakpoints, one interval and one step at a time."""
+    coarse = [0.0] + [math.ldexp(1.0, i - 1 - L) for i in range(1, L + 2)]
+    pts = [0.0]
+    for n in range(L + 1):
+        k_n = (coarse[n + 1] - coarse[n]) / N
+        pts += [coarse[n] + j * k_n for j in range(1, N)] + [coarse[n + 1]]
+    return np.array(pts)
+
+
+def _graded_loop(N):
+    """The graded nodes, built on [0, 1/2] one element at a time and mirrored."""
+    L = graded_refinement_level(N)
+    coarse = [0.0] + [math.ldexp(1.0, n - 1 - L) for n in range(1, L + 1)]
+    left = [0.0]
+    for n in range(L):
+        k_n = (coarse[n + 1] - coarse[n]) / N
+        left += [coarse[n] + j * k_n for j in range(1, N)] + [coarse[n + 1]]
+    left = np.array(left)
+    return np.concatenate([left, 1.0 - left[:-1][::-1]])
+
+
+class TestLoopReferences:
+    """The vectorized dyadic layout keeps every bit of the loop builders."""
+
+    @pytest.mark.parametrize("N", (1, 2, 3, 5, 8, 16))
+    def test_geometric(self, N):
+        for L in range(1, 31):
+            got = build_geometric_mesh(None, N, L_override=L).breakpoints
+            np.testing.assert_array_equal(got.view(np.int64), _geometric_loop(L, N).view(np.int64))
+
+    def test_graded(self):
+        for N in range(2, 65):
+            got = build_graded_spatial_mesh(N)
+            np.testing.assert_array_equal(got.view(np.int64), _graded_loop(N).view(np.int64))
 
 
 class TestLevels:

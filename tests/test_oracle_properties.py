@@ -7,7 +7,8 @@ ratio of at most 10, and tensor grids of 3..8 cells per side; exponents in
 (0, 1), orders 1..8, shifts in (0, lambda_min), both time meshes, and
 blocks of 1..4 data vectors stepped as one run.  The same meshes check the
 spectral bracket: the dense eigenvalues lie in [dim pi^2, ub] and the
-ARPACK estimates match the dense extremes.
+ARPACK estimates match the dense extremes.  On uniform meshes the closed-form
+eigenvalues check the same bracket, up to 5000 elements.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from fracstep.stepping import (
     run,
     spectral_upper_bound,
 )
+from tests.test_fem import fem_eigenvalue
 
 SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -99,12 +101,13 @@ def test_steps_never_grow_the_m_norm(dim, data):
         assert stat.max_growth <= 1.0 + 1e-9
 
 
-def _check_bracket(op, dec, dim, seed):
-    lam = dec.lambdas
+def _check_bracket(op, lam, dim, seed):
+    """``lam``: the ascending eigenvalues, or just the two extremes."""
     # conforming eigenvalues lie above the continuous dim pi^2 (min-max)
     assert dim * np.pi**2 <= lam[0]
     assert lam[-1] <= spectral_upper_bound(op)
     bounds = estimate_spectral_bounds(op, seed=seed)
+    assert bounds.lambda_min_est <= lam[0] and lam[-1] <= bounds.lambda_max_est
     assert bounds.lambda_max_est / 1.01 == pytest.approx(lam[-1], rel=1e-8)
     assert bounds.lambda_min_est / 0.99 == pytest.approx(lam[0], rel=1e-8)
 
@@ -114,9 +117,18 @@ def _check_bracket(op, dec, dim, seed):
 @given(data=st.data())
 def test_spectral_bracket(dim, data):
     op, dec = _operator(data, dim)
-    _check_bracket(op, dec, dim, data.draw(st.integers(0, 2**32 - 1)))
+    _check_bracket(op, dec.lambdas, dim, data.draw(st.integers(0, 2**32 - 1)))
 
 
 def test_spectral_bracket_on_graded_mesh():
     op = assemble_1d(build_graded_spatial_mesh(16))
-    _check_bracket(op, eig_1d(op), 1, 0)
+    _check_bracket(op, eig_1d(op).lambdas, 1, 0)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 10), (1, 200), (1, 1000), (1, 5000), (2, 10), (2, 200)])
+def test_spectral_bracket_on_uniform_meshes(dim, n):
+    # the closed-form extremes j = 1 and j = n - 1 of (6/h^2)(1 - cos j pi h)/(2 + cos j pi h),
+    # doubled on tensor grids; 5000 elements lie past the dense eigensolve's cap
+    lam = dim * fem_eigenvalue(1.0 / n, np.array([1, n - 1]))
+    op = assemble_1d(np.linspace(0.0, 1.0, n + 1)) if dim == 1 else assemble_2d_tensor(n)
+    _check_bracket(op, lam, dim, 0)
