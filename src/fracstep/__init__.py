@@ -54,6 +54,7 @@ from .stepping import (
 from .experiments import (
     ExperimentSpec,
     convergence_order,
+    run_pade_info,
     run_scalar_diagnostics,
     run_spatial_refinement,
     run_table,
@@ -100,6 +101,7 @@ __all__ = [
     "pade_error_bound_check",
     "reference_power",
     "run",
+    "run_pade_info",
     "run_scalar_diagnostics",
     "run_spatial_refinement",
     "run_table",

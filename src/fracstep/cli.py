@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: pade-info, scalar-sweep, table-1d, table-2d, spatial-refine.
-``COMMANDS`` lists, per subcommand, every setting it reads with its default;
-each one is a flag and can also come from a flat ``key = value`` config
-file (--config), and nothing else is accepted.  Explicit flags win over the
-file.  CSV goes to --out or stdout.  Exit status is 0 on success and 2 when
-a solve or configuration fails.
+``COMMANDS`` lists, per subcommand, every setting it reads; each one is a
+flag and can also come from a flat ``key = value`` config file (--config),
+and nothing else is accepted.  Explicit flags win over the file.  Only the
+settings given reach the one library call behind the command, which holds
+every default and every check.  CSV goes to --out or stdout.  Exit status
+is 0 on success and 2 when a solve or configuration fails.
 """
 
 from __future__ import annotations
@@ -14,29 +15,27 @@ import argparse
 import sys
 
 from .experiments import (
+    SPATIAL_REFINE,
+    TABLE_2D,
     ExperimentSpec,
+    run_pade_info,
     run_scalar_diagnostics,
     run_spatial_refinement,
     run_table,
     write_csv,
 )
-from .pade import pade_coefficients
 from .solvers import SolveError, SolverPolicy
 
 
-def _floats(text: str):
-    return tuple(float(v) for v in text.replace(";", ",").split(",") if v)
-
-
-def _ints(text: str):
-    return tuple(int(v) for v in text.replace(";", ",").split(",") if v)
+def _list_of(kind):
+    return lambda text: tuple(kind(v) for v in text.replace(";", ",").split(",") if v)
 
 
 _CONVERTERS = {
     "cases": lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
-    "alphas": _floats,
-    "ms": _ints,
-    "Ns": _ints,
+    "alphas": _list_of(float),
+    "ms": _list_of(int),
+    "Ns": _list_of(int),
     "scheme": str,
     "h": float,
     "n_per_side": int,
@@ -83,57 +82,51 @@ _HELP = {
     "ms": "comma-separated orders, e.g. 1,2",
     "Ns": "per-interval step counts, e.g. 8,16",
     "L": "refinement depth for --L-policy fixed",
-    "delta": "explicit shift (default: delta-fraction * lambda_min)",
+    "delta": "explicit shift (stepping studies default to delta-fraction * lambda_min)",
     "h": "uniform mesh size",
 }
 
-# shift, solver and seed: read by every stepping study
-_RUN = {"delta_fraction": 0.5, "solver": "direct", "solver_rtol": 1e-12, "seed": 0}
-_TABLE = {"cases": ("a", "b", "c", "d"), "alphas": (0.1, 0.5, 0.9), "ms": (1, 2),
-          "scheme": "both", "Ns": (8, 16), "L_policy": "experiment", "L": None,
-          "delta": None, **_RUN}
+# shift, depth, solver and seed: read by every stepping study
+_RUN_KEYS = ("delta", "delta_fraction", "L_policy", "L", "solver", "solver_rtol", "seed")
+_TABLE_KEYS = ("cases", "alphas", "ms", "scheme", "Ns", *_RUN_KEYS)
 
 COMMANDS = {
-    "pade-info": ("coefficients, poles, residues, bounds",
-                  {"ms": (1, 2), "alphas": (0.1, 0.3, 0.5, 0.7, 0.9)}),
+    "pade-info": ("coefficients, poles, residues, bounds", ("ms", "alphas")),
     "scalar-sweep": ("scalar sup-error sweeps and slopes",
-                     {"ms": (1, 2), "alphas": (0.1, 0.5, 0.9), "Ns": (8, 16, 32, 64),
-                      "lambda_lo": 1.0, "lambda_hi": 1e6, "points": 1000, "delta": 0.5}),
-    "table-1d": ("1D convergence-order table", {**_TABLE, "h": 1e-3}),
-    "table-2d": ("2D convergence-order table",
-                 {**_TABLE, "cases": ("e", "f"), "alphas": (0.1, 0.3, 0.5, 0.7, 0.9),
-                  "ms": (2,), "Ns": (1, 2, 4, 8, 16, 32), "L_policy": "fixed", "L": 14,
-                  "n_per_side": 100}),
+                     ("ms", "alphas", "Ns", "lambda_lo", "lambda_hi", "points", "delta")),
+    "table-1d": ("1D convergence-order table", (*_TABLE_KEYS, "h")),
+    "table-2d": ("2D convergence-order table", (*_TABLE_KEYS, "n_per_side")),
     "spatial-refine": ("graded-mesh step-count study",
-                       {"ms": (1, 2), "Ns": (4, 8, 16), "alpha": 0.5, "um_steps": 100_000,
-                        **_RUN}),
+                       ("ms", "Ns", "alpha", "um_steps", *_RUN_KEYS)),
 }
 
-# CLI keys that name an ExperimentSpec field differently
+# CLI keys that name an ExperimentSpec or SolverPolicy field differently
 _SPEC_FIELD = {"cases": "data_cases", "L": "L_fixed"}
+_POLICY_FIELD = {"solver": "method", "solver_rtol": "rtol"}
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults, then the config file, then explicit flags.
+def _given(args: argparse.Namespace) -> dict:
+    """The settings the user gave: the config file, then explicit flags.
 
-    A config key outside ``defaults`` is rejected like an unknown one.
+    A config key the command does not read is rejected like an unknown one.
     """
-    merged = {**defaults, "out": None}
+    given = {}
     if getattr(args, "config", None):
-        cfg = read_config(args.config)
-        unread = sorted(set(cfg) - set(merged))
+        given = read_config(args.config)
+        unread = sorted(set(given) - {*COMMANDS[args.command][1], "out"})
         if unread:
             raise ValueError(f"{args.config}: {args.command} does not read {unread}")
-        merged.update(cfg)
-    merged.update({k: v for k, v in vars(args).items() if k not in ("config", "command")})
-    return merged
+    given.update({k: v for k, v in vars(args).items() if k not in ("config", "command")})
+    return given
 
 
-def _spec_from(merged: dict, dimension: int) -> ExperimentSpec:
-    fields = {_SPEC_FIELD.get(k, k): v for k, v in merged.items()
-              if k not in ("solver", "solver_rtol", "alpha", "out")}
-    policy = SolverPolicy(method=merged["solver"], rtol=merged["solver_rtol"])
-    return ExperimentSpec(dimension=dimension, solver=policy, **fields)
+def _spec_from(given: dict, published: dict) -> ExperimentSpec:
+    """The published settings of a study, overridden by those given."""
+    fields = {_SPEC_FIELD.get(k, k): v for k, v in given.items() if k not in _POLICY_FIELD}
+    policy = {_POLICY_FIELD[k]: v for k, v in given.items() if k in _POLICY_FIELD}
+    if policy:
+        fields["solver"] = SolverPolicy(**policy)
+    return ExperimentSpec(**{**published, **fields})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,12 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "elliptic FEM operators: diagnostics and table reproduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, defaults) in COMMANDS.items():
+    for command, (help_text, keys) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS,
                            allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file (flags win)")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        for key in defaults:
+        for key in keys:
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONVERTERS[key],
                            choices=_CHOICES.get(key), help=_HELP.get(key))
     return parser
@@ -157,33 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        merged = _merge(args, COMMANDS[args.command][1])
+        given = _given(args)
+        out = given.pop("out", None)
         if args.command == "pade-info":
-            rows = []
-            for m in merged["ms"]:
-                for alpha in merged["alphas"]:
-                    r = pade_coefficients(m, alpha)
-                    rows.append({
-                        "m": m, "alpha": alpha,
-                        "limit_at_infinity": r.limit_at_infinity,
-                        "rho_m": r.rho_m,
-                        "poles": ";".join(f"{x:.12e}" for x in r.poles),
-                        "residues": ";".join(f"{x:.12e}" for x in r.residues),
-                        "p_coeffs": ";".join(f"{x:.12e}" for x in r.p_coeffs),
-                        "q_coeffs": ";".join(f"{x:.12e}" for x in r.q_coeffs),
-                    })
+            rows = run_pade_info(**given)
         elif args.command == "scalar-sweep":
-            rows = run_scalar_diagnostics(
-                alphas=merged["alphas"], ms=merged["ms"], Ns=merged["Ns"],
-                lambda_range=(merged["lambda_lo"], merged["lambda_hi"]),
-                delta=merged["delta"], points=merged["points"])
+            rows = run_scalar_diagnostics(**given)
         elif args.command == "spatial-refine":
-            rows = run_spatial_refinement(_spec_from(merged, dimension=1),
-                                          alpha=merged["alpha"])
+            alpha = {"alpha": given.pop("alpha")} if "alpha" in given else {}
+            rows = run_spatial_refinement(_spec_from(given, SPATIAL_REFINE), **alpha)
         else:
-            dimension = 1 if args.command == "table-1d" else 2
-            rows = run_table(_spec_from(merged, dimension=dimension))
-        write_csv(rows, merged["out"] or sys.stdout)
+            rows = run_table(_spec_from(given, TABLE_2D if args.command == "table-2d" else {}))
+        write_csv(rows, out or sys.stdout)
     except (SolveError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"fracstep: error: {exc}", file=sys.stderr)
         return 2

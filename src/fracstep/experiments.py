@@ -1,5 +1,6 @@
-"""Experiment harness: convergence tables, the spatial-refinement study and
-scalar-sweep diagnostics, all emitted as provenance-carrying CSV rows.
+"""Experiment harness: convergence tables, the spatial-refinement study,
+the Pade data and scalar-sweep diagnostics, all emitted as CSV rows.  The
+defaults of every study and the checks on its settings live here.
 
 Conventions baked in here (they reproduce the published tables):
 
@@ -32,6 +33,7 @@ from .meshes import (
     experiment_refinement_level,
     refinement_level_for,
 )
+from .pade import pade_coefficients
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import SolverPolicy
 from .spectral import eig_1d, eig_2d_tensor, reference_power
@@ -48,9 +50,17 @@ from .stepping import (
 DEFAULT_DELTA_FRACTION = 0.5
 
 
+def _require_nonempty(**lists) -> None:
+    """Refuse an empty list of cases, exponents, orders or step counts."""
+    for name, values in lists.items():
+        if not len(values):
+            raise ValueError(f"{name} is empty")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment request; field names mirror the CLI flags.
+    """One experiment request; field names mirror the CLI flags, and the
+    defaults are the published 1D table.
 
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of size
     ``h`` or the tensor grid of ``n_per_side``.
@@ -75,9 +85,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        for name in ("data_cases", "alphas", "ms", "Ns"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} is empty")
+        _require_nonempty(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
+                          Ns=self.Ns)
         if self.scheme not in ("grm", "um", "both"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if list(self.Ns) != sorted(set(self.Ns)):
@@ -92,6 +101,14 @@ class ExperimentSpec:
         # delta = fraction * lambda_min_est must stay below the spectrum
         if not 0 < self.delta_fraction < 1:
             raise ValueError(f"delta_fraction {self.delta_fraction} outside (0, 1)")
+
+
+# The other published studies, where they differ from ExperimentSpec's
+# defaults: the 2D table of cases e and f at m = 2 with L fixed at 14, and
+# the spatial study on the graded meshes N = 4, 8, 16.
+TABLE_2D = {"dimension": 2, "data_cases": ("e", "f"), "alphas": (0.1, 0.3, 0.5, 0.7, 0.9),
+            "ms": (2,), "Ns": (1, 2, 4, 8, 16, 32), "L_policy": "fixed", "L_fixed": 14}
+SPATIAL_REFINE = {"Ns": (4, 8, 16)}
 
 
 def convergence_order(e_n: float, e_2n: float) -> float:
@@ -143,21 +160,13 @@ def write_csv(rows: list[dict], path_or_file) -> None:
     """Write rows with a header naming every column; floats at 12 digits."""
     if not rows:
         return
-    fields = list(rows[0].keys())
-    close = False
     if isinstance(path_or_file, (str, bytes)):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row[f]) for f in fields])
-    finally:
-        if close:
-            fh.close()
+        with open(path_or_file, "w", newline="") as fh:
+            return write_csv(rows, fh)
+    fields = list(rows[0].keys())
+    writer = csv.writer(path_or_file, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([_fmt(row[f]) for f in fields] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +336,31 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
 
 
 # ---------------------------------------------------------------------------
-# scalar diagnostics
+# Pade data and scalar diagnostics
 # ---------------------------------------------------------------------------
 
+def run_pade_info(ms=(1, 2), alphas=(0.1, 0.3, 0.5, 0.7, 0.9)) -> list[dict]:
+    """Coefficients, poles and residues of each approximant, order by order."""
+    _require_nonempty(ms=ms, alphas=alphas)
+    rows = []
+    for m in ms:
+        for alpha in alphas:
+            r = pade_coefficients(m, alpha)
+            rows.append({
+                "m": m, "alpha": alpha,
+                "limit_at_infinity": r.limit_at_infinity, "rho_m": r.rho_m,
+                **{key: ";".join(f"{x:.12e}" for x in getattr(r, key))
+                   for key in ("poles", "residues", "p_coeffs", "q_coeffs")},
+            })
+    return rows
+
+
 def run_scalar_diagnostics(alphas=(0.1, 0.5, 0.9), ms=(1, 2), Ns=(8, 16, 32, 64),
-                           lambda_range=(1.0, 1e6), delta=0.5, points=1000) -> list[dict]:
+                           lambda_lo=1.0, lambda_hi=1e6, delta=0.5, points=1000) -> list[dict]:
     """Sup-error sweeps over a lambda grid with fitted convergence slopes."""
-    lams = np.logspace(math.log10(lambda_range[0]), math.log10(lambda_range[1]), points)
-    lam_max = float(lambda_range[1])
+    _require_nonempty(alphas=alphas, ms=ms, Ns=Ns)
+    lams = np.logspace(math.log10(lambda_lo), math.log10(lambda_hi), points)
+    lam_max = float(lambda_hi)
     rows = []
     for m in ms:
         for alpha in alphas:
@@ -351,7 +377,7 @@ def run_scalar_diagnostics(alphas=(0.1, 0.5, 0.9), ms=(1, 2), Ns=(8, 16, 32, 64)
                     rows.append({
                         "scheme": scheme.upper(), "m": m, "alpha": alpha,
                         "N": N, "sup_error": sup, "fitted_slope": slope,
-                        "delta": delta, "lambda_lo": lambda_range[0],
-                        "lambda_hi": lambda_range[1], "points": points,
+                        "delta": delta, "lambda_lo": lambda_lo,
+                        "lambda_hi": lambda_hi, "points": points,
                     })
     return rows

@@ -8,13 +8,15 @@ left of -1, and the partial-fraction form
     r(x) = limit_at_infinity + sum_i residues[i] / (x - poles[i])
 
 lets r of a rational matrix argument be applied with m independent shifted
-SPD solves.
+SPD solves.  Every residue is positive, so
+r'(x) = -sum_i residues[i] / (x - poles[i])**2 < 0 on [0, inf): r falls
+from r(0) = 1 to its limit at infinity, its minimum there.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -42,7 +44,6 @@ class PadeRational:
         residues: residues matching ``poles`` in the partial-fraction form.
         limit_at_infinity: lim_{x->inf} r(x), equal to the ratio of leading
             coefficients; positive.
-        rho_m: minimum of r over [0, inf); 0 < rho_m <= 1.
     """
 
     m: int
@@ -52,11 +53,15 @@ class PadeRational:
     poles: np.ndarray
     residues: np.ndarray
     limit_at_infinity: float
-    rho_m: float = field(repr=False, default=0.0)
 
     def __post_init__(self):
         for arr in (self.p_coeffs, self.q_coeffs, self.poles, self.residues):
             arr.setflags(write=False)
+
+    @property
+    def rho_m(self) -> float:
+        """Minimum of r over [0, inf): r decreases, so its limit at infinity."""
+        return self.limit_at_infinity
 
 
 def _series_coefficients(m: int, alpha: float):
@@ -113,24 +118,6 @@ def _refine_poles_and_residues(p, q):
             np.array([float(w) for w in residues]))
 
 
-def _minimum_on_half_line(p, q, limit):
-    """Exact minimum of r over [0, inf): checked at 0, at +inf and at the
-    nonnegative real critical points of r."""
-    num_deriv = npoly.polytrim(
-        npoly.polysub(
-            npoly.polymul(npoly.polyder(p), q), npoly.polymul(p, npoly.polyder(q))
-        ),
-        tol=0.0,
-    )
-    candidates = [1.0, limit]
-    if len(num_deriv) > 1:
-        for z in npoly.polyroots(num_deriv):
-            if abs(z.imag) < 1e-9 and z.real > 0:
-                x = z.real
-                candidates.append(npoly.polyval(x, p) / npoly.polyval(x, q))
-    return float(min(candidates))
-
-
 @functools.lru_cache(maxsize=64, typed=True)
 def pade_coefficients(m: int, alpha: float) -> PadeRational:
     """Construct the degree-(m, m) approximant of (1+x)**(-alpha).
@@ -146,7 +133,8 @@ def pade_coefficients(m: int, alpha: float) -> PadeRational:
     Raises:
         ValueError: order or exponent outside the supported range.
         PadeConstructionError: root finding failed its residual contract or
-            poles are too clustered to decompose reliably.
+            poles are too clustered to decompose reliably, or a residue is
+            not positive (r would not decrease on [0, inf)).
     """
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_ORDER:
         raise ValueError(f"order m must be an integer in [1, {MAX_ORDER}], got {m!r}")
@@ -174,9 +162,10 @@ def pade_coefficients(m: int, alpha: float) -> PadeRational:
             raise PadeConstructionError(
                 f"pole cluster (relative gap {np.min(gaps):.2e}) is numerically degenerate"
             )
+    if np.any(residues <= 0.0):
+        raise PadeConstructionError(f"expected all residues > 0, got {residues} "
+                                    f"for m={m}, alpha={alpha}")
 
-    limit = float(p[-1] / q[-1])
-    rho = _minimum_on_half_line(p, q, limit)
     return PadeRational(
         m=m,
         alpha=alpha,
@@ -184,8 +173,7 @@ def pade_coefficients(m: int, alpha: float) -> PadeRational:
         q_coeffs=q,
         poles=poles,
         residues=residues,
-        limit_at_infinity=limit,
-        rho_m=rho,
+        limit_at_infinity=float(p[-1] / q[-1]),
     )
 
 

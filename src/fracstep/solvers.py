@@ -59,6 +59,11 @@ class SolverPolicy:
     def __post_init__(self):
         if self.method not in ("direct", "cg"):
             raise ValueError(f"unknown solver method {self.method!r}")
+        # rtol >= 1 accepts CG's zero start; rtol <= 0 is never met
+        if not 0 < self.rtol < 1:
+            raise ValueError(f"solver rtol {self.rtol} outside (0, 1)")
+        if not self.maxiter >= 1:
+            raise ValueError(f"solver maxiter {self.maxiter} below 1")
 
 
 class _Pencil:

@@ -4,7 +4,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from fracstep import cli
 from fracstep.cli import main, read_config
+from fracstep.experiments import SPATIAL_REFINE, TABLE_2D, ExperimentSpec
 
 
 def run_cli(argv):
@@ -27,6 +29,11 @@ class TestPadeInfo:
         assert float(rows[0]["limit_at_infinity"]) == pytest.approx(1 / 3, rel=1e-10)
         assert float(rows[0]["poles"]) == pytest.approx(-4 / 3, rel=1e-10)
 
+    def test_empty_orders_fail(self, capsys):
+        code, out = run_cli(["pade-info", "--ms", ","])
+        assert (code, out) == (2, "")
+        assert "ms is empty" in capsys.readouterr().err
+
 
 class TestScalarSweep:
     def test_writes_file(self, tmp_path):
@@ -39,6 +46,11 @@ class TestScalarSweep:
         rows = parse_csv(out_path.read_text())
         grm = [r for r in rows if r["scheme"] == "GRM"]
         assert float(grm[0]["fitted_slope"]) == pytest.approx(2.0, abs=0.2)
+
+    def test_empty_exponents_fail(self, capsys):
+        code, out = run_cli(["scalar-sweep", "--alphas", ","])
+        assert (code, out) == (2, "")
+        assert "alphas is empty" in capsys.readouterr().err
 
 
 class TestTable1D:
@@ -78,6 +90,33 @@ class TestTable1D:
         assert code == 2
 
 
+class TestTable2D:
+    @pytest.mark.parametrize("rtol", ("2", "0", "-1"))
+    def test_cg_tolerance_outside_unit_interval_fails(self, rtol, capsys):
+        # rtol 2 would accept CG's zero start, rtol <= 0 would never be met
+        code, out = run_cli(["table-2d", "--n-per-side", "20", "--cases", "e", "--alphas",
+                             "0.5", "--Ns", "1", "--solver", "cg", "--solver-rtol", rtol])
+        assert (code, out) == (2, "")
+        assert "rtol" in capsys.readouterr().err
+
+
+class TestLibraryDefaults:
+    """With no flags, a command hands the library only its own defaults."""
+
+    @pytest.mark.parametrize("command, call, args", [
+        ("pade-info", "run_pade_info", ()),
+        ("scalar-sweep", "run_scalar_diagnostics", ()),
+        ("table-1d", "run_table", (ExperimentSpec(),)),
+        ("table-2d", "run_table", (ExperimentSpec(**TABLE_2D),)),
+        ("spatial-refine", "run_spatial_refinement", (ExperimentSpec(**SPATIAL_REFINE),)),
+    ])
+    def test_no_flags(self, monkeypatch, command, call, args):
+        calls = []
+        monkeypatch.setattr(cli, call, lambda *a, **kw: calls.append((a, kw)) or [])
+        assert run_cli([command]) == (0, "")
+        assert calls == [(args, {})]
+
+
 class TestConfigParser:
     def test_values_and_comments(self, tmp_path):
         cfg = tmp_path / "a.cfg"
@@ -115,10 +154,27 @@ class TestSpatialRefine:
         assert "ms is empty" in capsys.readouterr().err
 
     def test_unread_flag_rejected(self):
-        # the study reads --delta-fraction only; --delta must not abbreviate it
+        # --delta-frac must not abbreviate --delta-fraction
         with pytest.raises(SystemExit) as exc:
-            run_cli(["spatial-refine", "--delta", "5"])
+            run_cli(["spatial-refine", "--delta-frac", "0.5"])
         assert exc.value.code == 2
+
+    QUICK = ["spatial-refine", "--Ns", "4", "--ms", "2", "--um-steps", "50"]
+
+    def test_explicit_shift(self):
+        code, out = run_cli([*self.QUICK, "--delta", "1"])
+        assert code == 0
+        assert float(parse_csv(out)[0]["delta"]) == 1.0
+
+    def test_fixed_depth(self):
+        code, out = run_cli([*self.QUICK, "--L-policy", "fixed", "--L", "3"])
+        assert code == 0
+        assert parse_csv(out)[0]["L"] == "3"
+
+    def test_shift_above_the_spectrum_fails(self, capsys):
+        code, out = run_cli([*self.QUICK, "--delta", "50"])
+        assert (code, out) == (2, "")
+        assert "not below lambda_min_est" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fraction", ("5", "1", "0", "-0.5", "nan"))
     def test_delta_fraction_outside_unit_interval_fails(self, fraction, capsys):

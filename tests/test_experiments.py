@@ -7,6 +7,7 @@ import pytest
 from fracstep.experiments import (
     ExperimentSpec,
     convergence_order,
+    run_pade_info,
     run_scalar_diagnostics,
     run_spatial_refinement,
     run_table,
@@ -194,9 +195,27 @@ class TestSpatialRefinement:
 class TestScalarDiagnostics:
     def test_slopes_recorded(self):
         rows = run_scalar_diagnostics(alphas=(0.5,), ms=(1,), Ns=(8, 16, 32),
-                                      lambda_range=(1.0, 1e4), points=200)
+                                      lambda_lo=1.0, lambda_hi=1e4, points=200)
         grm = [r for r in rows if r["scheme"] == "GRM"]
         um = [r for r in rows if r["scheme"] == "UM"]
         assert grm[0]["fitted_slope"] == pytest.approx(2.0, abs=0.15)
         assert um[0]["fitted_slope"] == pytest.approx(0.5, abs=0.15)
         assert {r["N"] for r in grm} == {8, 16, 32}
+        assert (rows[0]["lambda_lo"], rows[0]["lambda_hi"]) == (1.0, 1e4)
+
+    @pytest.mark.parametrize("empty", ("alphas", "ms", "Ns"))
+    def test_empty_list_rejected(self, empty):
+        with pytest.raises(ValueError, match=f"{empty} is empty"):
+            run_scalar_diagnostics(**{empty: ()})
+
+
+class TestPadeInfo:
+    def test_one_row_per_order_and_exponent(self):
+        rows = run_pade_info(ms=(1, 3), alphas=(0.5,))
+        assert [(r["m"], r["alpha"]) for r in rows] == [(1, 0.5), (3, 0.5)]
+        assert len(rows[1]["poles"].split(";")) == 3
+
+    @pytest.mark.parametrize("empty", ("alphas", "ms"))
+    def test_empty_list_rejected(self, empty):
+        with pytest.raises(ValueError, match=f"{empty} is empty"):
+            run_pade_info(**{empty: ()})

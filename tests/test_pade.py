@@ -108,6 +108,26 @@ class TestCoefficients:
                 assert 0 < r.rho_m <= r.limit_at_infinity + 1e-15
                 assert np.all(vals >= r.rho_m - 1e-13)
 
+    def test_positive_residues_make_r_fall_to_its_limit(self):
+        x = np.logspace(-3, 3, 200)
+        for m in range(1, MAX_ORDER + 1):
+            for alpha in np.linspace(0.01, 0.99, 50):
+                r = pade_coefficients(m, float(alpha))
+                assert np.all(r.residues > 0)
+                assert r.rho_m == r.limit_at_infinity
+                vals = eval_rational(r, x)
+                assert np.all(np.diff(vals) < 0)
+                assert vals[-1] > r.rho_m
+
+    def test_nonpositive_residue_rejected(self, monkeypatch):
+        import fracstep.pade as pade
+
+        refine = pade._refine_poles_and_residues
+        monkeypatch.setattr(pade, "_refine_poles_and_residues",
+                            lambda p, q: (refine(p, q)[0], -refine(p, q)[1]))
+        with pytest.raises(PadeConstructionError, match="residues > 0"):
+            pade_coefficients.__wrapped__(2, 0.5)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             pade_coefficients(0, 0.5)

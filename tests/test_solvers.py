@@ -67,6 +67,17 @@ class TestSolveSpd:
         with pytest.raises(ValueError):
             SolverPolicy(method="lu")
 
+    @pytest.mark.parametrize("rtol", (2.0, 1.0, 0.0, -1.0, float("nan")))
+    def test_tolerance_outside_unit_interval_rejected(self, rtol):
+        # rtol >= 1 would accept CG's zero start; rtol <= 0 is never met
+        for method in ("direct", "cg"):
+            with pytest.raises(ValueError, match="rtol"):
+                SolverPolicy(method, rtol=rtol)
+
+    def test_empty_iteration_budget_rejected(self):
+        with pytest.raises(ValueError, match="maxiter"):
+            SolverPolicy("cg", maxiter=0)
+
     def test_cg_rejects_non_finite_rhs_at_once(self):
         op = assemble_2d_tensor(10)
         rhs = np.ones(op.n_dofs)
