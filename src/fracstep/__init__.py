@@ -35,22 +35,16 @@ from .scalar import (
 )
 from .solvers import SolveError, SolverPolicy
 from .spectral import (
+    SpectralBounds,
     SpectralDecomposition,
     discrete_sobolev_norm,
     eig_1d,
     eig_2d_tensor,
-    reference_power,
-)
-from .stepping import (
-    RunStats,
-    SpectralBounds,
-    StepperConfig,
-    apply_pade_step,
-    default_delta,
     estimate_spectral_bounds,
-    run,
+    reference_power,
     spectral_upper_bound,
 )
+from .stepping import RunStats, StepperConfig, run
 from .experiments import (
     ExperimentSpec,
     convergence_order,
@@ -75,7 +69,6 @@ __all__ = [
     "RunStats",
     "TimeMesh",
     "ExperimentSpec",
-    "apply_pade_step",
     "approximation_error",
     "assemble_1d",
     "assemble_2d_tensor",
@@ -84,7 +77,6 @@ __all__ = [
     "build_uniform_mesh",
     "convergence_order",
     "data_case",
-    "default_delta",
     "discrete_sobolev_norm",
     "eig_1d",
     "eig_2d_tensor",

@@ -36,16 +36,11 @@ from .meshes import (
 from .pade import pade_coefficients
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import SolverPolicy
-from .spectral import eig_1d, eig_2d_tensor, reference_power
+from .spectral import (SpectralBounds, eig_1d, eig_2d_tensor, estimate_spectral_bounds,
+                       reference_power)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
 # the runs by wrapping these two names
-from .stepping import (
-    SpectralBounds,
-    StepperConfig,
-    estimate_spectral_bounds,
-    run_grm,
-    run_um,
-)
+from .stepping import StepperConfig, run_grm, run_um
 
 DEFAULT_DELTA_FRACTION = 0.5
 

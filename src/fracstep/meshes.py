@@ -16,19 +16,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_MIN_STEP = float(np.finfo(np.float64).tiny)
+
 
 @dataclass(frozen=True, eq=False)
 class TimeMesh:
     """Ordered breakpoints of a stepping grid on [0, 1].
 
-    ``t_left`` and ``k`` hold, per step, the left endpoint and the step
-    size actually used by the recurrences.
+    At least two points of [0, 1], each step at least the smallest normal
+    double long (a shorter k underflows in the step's weights); the first
+    point need not be 0 nor the last 1.  Every step thus has
+    0 <= t < t + k <= 1, which keeps its shifted systems SPD (see
+    ``stepping``).  ``t_left`` and ``k`` hold, per step, the left endpoint
+    and the step size actually used by the recurrences.
     """
 
     breakpoints: np.ndarray
 
     def __post_init__(self):
-        self.breakpoints.setflags(write=False)
+        pts = np.array(self.breakpoints, dtype=np.float64)
+        # NaN fails every comparison, so it is refused with the rest
+        if not (pts.ndim == 1 and len(pts) >= 2 and pts[0] >= 0.0 and pts[-1] <= 1.0
+                and np.all(np.diff(pts) >= _MIN_STEP)):
+            raise ValueError("time mesh breakpoints must be at least two increasing points "
+                             f"in [0, 1], no closer than {_MIN_STEP:.3g}, got {pts}")
+        pts.setflags(write=False)
+        object.__setattr__(self, "breakpoints", pts)
 
     @property
     def num_steps(self) -> int:

@@ -21,7 +21,7 @@ ScalarRunConfig = StepperConfig
 
 def exact_power(lam: float, alpha: float) -> float:
     """lam**(-alpha), the value every scheme approximates at t = 1."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     return lam ** (-alpha)
 
@@ -34,7 +34,8 @@ def scalar_run_grid(lams, cfg: ScalarRunConfig):
     by Horner's rule.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    if np.any(lams < cfg.delta):
+    # NaN fails the comparison, so it is refused too
+    if not np.all(lams >= cfg.delta):
         raise ValueError(f"every lambda must be >= delta = {cfg.delta}")
     p, q = cfg.rational.p_coeffs, cfg.rational.q_coeffs
     mu = np.full(lams.shape, cfg.delta ** (-cfg.alpha))

@@ -148,10 +148,12 @@ def _pcg(A, dinv: np.ndarray, b: np.ndarray, x0: np.ndarray | None, rtol: float,
          maxiter: int) -> tuple[np.ndarray, int]:
     """Jacobi-preconditioned CG on the SPD matrix A; returns (x, iterations).
 
-    ``dinv`` is the inverse diagonal of A.  The start, the recurrences for
-    p, x and r, and the test ``norm(r) < rtol * norm(b)`` before each
-    iteration are those of ``scipy.sparse.linalg.cg`` with ``atol=0``, in
-    the same order, so both return the same bits.  ``x0`` is not modified.
+    ``dinv`` is the inverse diagonal of A.  A warm start ``x0`` is used
+    only when its residual is below ``norm(b)``; otherwise CG starts from
+    zero.  From that start on, the recurrences for p, x and r, and the test
+    ``norm(r) < rtol * norm(b)`` before each iteration are those of
+    ``scipy.sparse.linalg.cg`` with ``atol=0``, in the same order, so both
+    return the same bits.  ``x0`` is not modified.
     Raises :class:`SolveError` at once when ``b`` is not finite, and when
     ``maxiter`` iterations do not converge.
     """
@@ -161,8 +163,12 @@ def _pcg(A, dinv: np.ndarray, b: np.ndarray, x0: np.ndarray | None, rtol: float,
     if not math.isfinite(bnrm):
         raise SolveError(f"right-hand side not finite (norm {bnrm})")
     tol = rtol * bnrm
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - A @ x if x.any() else b.copy()
+    x, r = np.zeros_like(b), b.copy()
+    if x0 is not None and x0.any():
+        r0 = b - A @ x0
+        # past |b|, the updated residual that the test reads drifts off the true one
+        if math.sqrt(r0.dot(r0)) < bnrm:
+            x, r = np.array(x0, dtype=np.float64), r0
     z = np.empty_like(b)
     p = np.empty_like(b)
     step = np.empty_like(b)
@@ -197,13 +203,13 @@ class WarmStartCG(_Pencil):
 
     K2 and M2 must share one CSR sparsity pattern, as the tensor assembly
     gives them.  The shifted matrix is built once on that pattern and each
-    solve only rewrites its values as a*K2 + b*M2.  Each call reuses the
-    previous solution as the initial guess; the shifted systems change
-    slowly along a stepping run, so this typically saves a sizable fraction
-    of the iterations.  Every row of the block has its own warm start, and
-    ``iters`` and ``iters_max`` count the iterations of each row (total and
-    worst single solve) over this solver's lifetime, one run of ``columns``
-    rows.
+    solve only rewrites its values as a*K2 + b*M2.  Each call offers the
+    previous solution as the initial guess, which ``_pcg`` takes unless it
+    is worse than zero; the shifted systems change slowly along a stepping
+    run, so this typically saves a sizable fraction of the iterations.
+    Every row of the block has its own warm start, and ``iters`` and
+    ``iters_max`` count the iterations of each row (total and worst single
+    solve) over this solver's lifetime, one run of ``columns`` rows.
     """
 
     def __init__(self, op: DiscreteOperator, policy: SolverPolicy, columns: int = 1):

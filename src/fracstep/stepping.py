@@ -3,7 +3,8 @@
 One step multiplies the iterate by r(k B (delta I + t B)^{-1}) where
 B = A_h - delta I and A_h = M^{-1} K in coefficient space.  ``run``
 steps U_0 = delta**-alpha v over the time mesh of the config, which alone
-picks the scheme: geometric for GRM, uniform for UM.  Through the
+picks the scheme: geometric for GRM, uniform for UM.  A single step from t
+is a run over the one-step mesh ``TimeMesh([t, t + k])``.  Through the
 partial-fraction form of r (poles x_i, residues w_i, c_i = w_i / x_i) and
 r(0) = 1, the step is
 
@@ -11,7 +12,8 @@ r(0) = 1, the step is
     G_i = a_i (K - delta M) - x_i delta M,   a_i = k - x_i t.
 
 Every G_i is SPD because -x_i > 1 forces both a_i > 0 and
-delta (x_i (t - 1) - k) > 0 while t + k <= 1.  Neither K nor M^{-1} is
+delta (x_i (t - 1) - k) > 0 while 0 <= t < t + k <= 1, which ``TimeMesh``
+guarantees for each of its steps.  Neither K nor M^{-1} is
 needed: G_i z_i = M u reads a_i (K - delta M) z_i = M u + x_i delta M z_i,
 so M^{-1} (K - delta M) z_i = (u + x_i delta z_i) / a_i exactly, and
 
@@ -31,6 +33,9 @@ the block with c = 1.  Each row ends with the bits of its own one-row run
 and gets its own ``RunStats``.  The steps contract in the M-norm when
 delta lies below the spectrum, so a step that grows the M-norm of a row by
 more than 1 + 1e-9 raises ``SolveError``.
+
+The shift delta and the depth L of a geometric mesh come from the bracket
+of the spectrum in ``spectral``; this module takes them as given.
 """
 
 from __future__ import annotations
@@ -39,28 +44,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fem import DiscreteOperator, GridFunction
 from .meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from .pade import PadeRational, pade_coefficients
 from .solvers import BandedPencil, SolveError, SolverPolicy, TensorDiagSolver, WarmStartCG
 
-_BOUNDS_TOL = 1e-8
-_BOUNDS_MAXITER = 10_000
 _GROWTH_TOL = 1.0 + 1e-9
-
-
-@dataclass(frozen=True)
-class SpectralBounds:
-    """Safeguarded estimate of the extremes of the generalized spectrum of (K, M)."""
-
-    lambda_min_est: float
-    lambda_max_est: float
-
-    def __post_init__(self):
-        if not 0 < self.lambda_min_est <= self.lambda_max_est:
-            raise ValueError("need 0 < lambda_min_est <= lambda_max_est")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +69,8 @@ class StepperConfig:
     rational: PadeRational = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         object.__setattr__(self, "rational", pade_coefficients(self.m, self.alpha))
 
     @classmethod
@@ -110,71 +100,6 @@ class RunStats:
     cg_iters_max: int = 0
 
 
-def spectral_upper_bound(op: DiscreteOperator) -> float:
-    """A proven upper bound on the spectrum of M^{-1} K, read off the bands.
-
-    rho(M^{-1} K) <= ||M^{-1}||_inf ||K||_inf, and a strictly diagonally
-    dominant M has ||M^{-1}||_inf <= 1 / min_i (M_ii - sum_{j != i} |M_ij|)
-    (Varah 1975).  Every P1 mass matrix is, with a margin of at least
-    (h_l + h_r) / 6 in each row.  On a uniform mesh the bound is Fried's
-    12 / h**2.  Tensor operators double the bound of their 1D factor.
-    """
-    if op.is_tensor:
-        return 2.0 * spectral_upper_bound(op.factor)
-
-    def row_sums(diag, off):
-        s = np.abs(diag)
-        s[:-1] += np.abs(off)
-        s[1:] += np.abs(off)
-        return s
-
-    Md, Ml = op.mass_bands
-    margin = 2.0 * np.abs(Md) - row_sums(Md, Ml)
-    if not np.all(margin > 0):
-        raise ValueError("mass matrix is not strictly diagonally dominant")
-    return float(np.max(row_sums(*op.stiffness_bands)) / np.min(margin))
-
-
-def estimate_spectral_bounds(op: DiscreteOperator, seed: int = 0) -> SpectralBounds:
-    """Bracket the spectrum of M^{-1} K with safeguarded Krylov estimates.
-
-    Both extremes come from ARPACK's M-generalized Lanczos in shift-invert
-    mode, to relative tolerance 1e-8 with a 10^4 iteration budget: the
-    bottom eigenvalue is the one nearest 0, the top the one nearest
-    ``spectral_upper_bound(op)``, which no eigenvalue exceeds.  The top
-    estimate is then inflated by 1% and the bottom deflated by 1% so the
-    returned interval brackets the true extremes.  ``seed`` only picks the
-    Lanczos start vector.  Up to two dofs are solved densely.  Tensor
-    operators reuse their 1D factor: both extremes double.
-    """
-    if op.is_tensor:
-        base = estimate_spectral_bounds(op.factor, seed=seed)
-        return SpectralBounds(2.0 * base.lambda_min_est, 2.0 * base.lambda_max_est)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(op.n_dofs)
-    K = op.stiffness.tocsc()
-    M = op.mass.tocsc()
-    try:
-        if op.n_dofs <= 2:
-            import scipy.linalg as sla
-
-            lam = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-            top, bottom = lam[-1], lam[0]
-        else:
-            lanczos = dict(k=1, M=M, which="LM", tol=_BOUNDS_TOL, maxiter=_BOUNDS_MAXITER,
-                           v0=v0, return_eigenvectors=False)
-            top = spla.eigsh(K, sigma=spectral_upper_bound(op), **lanczos)[0]
-            bottom = spla.eigsh(K, sigma=0.0, **lanczos)[0]
-    except spla.ArpackNoConvergence as exc:
-        raise SolveError(f"spectral bound estimation did not converge: {exc}") from exc
-    return SpectralBounds(lambda_min_est=0.99 * bottom, lambda_max_est=1.01 * top)
-
-
-def default_delta(op: DiscreteOperator, fraction: float = 0.5, seed: int = 0) -> float:
-    """The documented default shift: fraction * lambda_min_est."""
-    return fraction * estimate_spectral_bounds(op, seed=seed).lambda_min_est
-
-
 def _pencil(op: DiscreteOperator, policy: SolverPolicy, columns: int = 1):
     """The shifted-pencil backend for one run of ``columns`` rows on ``op``
     (see ``solvers``)."""
@@ -195,23 +120,6 @@ def _step_terms(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray):
     coeffs = k * delta * r.residues / a
     scale = 1.0 + np.sum(k * (r.residues / r.poles) / a, axis=1)
     return np.stack([a, b], axis=-1), coeffs, scale
-
-
-def apply_pade_step(u: GridFunction, t: float, k: float, op: DiscreteOperator,
-                    cfg: StepperConfig) -> GridFunction:
-    """Apply one rational step r(k B (delta I + t B)^{-1}) to u, r = ``cfg.rational``."""
-    if not (0.0 <= t < 1.0 or k == 0.0):
-        raise ValueError(f"step start t = {t} outside [0, 1)")
-    if k < 0.0 or t + k > 1.0 + 1e-12:
-        raise ValueError(f"step (t, k) = ({t}, {k}) leaves the unit interval")
-    if u.op is not op:
-        raise ValueError("grid function lives on a different operator")
-    if k == 0.0:
-        return u.copy()
-    pencil = _pencil(op, cfg.solver)
-    shifts, coeffs, scale = _step_terms(cfg.rational, cfg.delta, np.array([t]), np.array([k]))
-    z = pencil.combine(shifts[0], coeffs[0], pencil.apply_M(u.coeffs[None]))
-    return GridFunction(z[0] + scale[0] * u.coeffs, op)
 
 
 def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False):

@@ -52,6 +52,13 @@ class TestScalarSweep:
         assert (code, out) == (2, "")
         assert "alphas is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,message", [("--lambda-lo", "every lambda must be >= delta"),
+                                              ("--delta", "delta must be positive")])
+    def test_nan_setting_fails(self, flag, message, capsys):
+        code, out = run_cli(["scalar-sweep", flag, "nan"])
+        assert (code, out) == (2, "")
+        assert message in capsys.readouterr().err
+
 
 class TestTable1D:
     def test_config_file_with_flag_override(self, tmp_path):

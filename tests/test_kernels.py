@@ -4,11 +4,11 @@ from numpy.polynomial import polynomial as npoly
 
 from fracstep import _kernels
 from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor
-from fracstep.meshes import build_uniform_mesh
+from fracstep.meshes import TimeMesh, build_uniform_mesh
 from fracstep.pade import pade_coefficients
 from fracstep.scalar import scalar_run_grid
 from fracstep.solvers import SolverPolicy
-from fracstep.stepping import StepperConfig, apply_pade_step
+from fracstep.stepping import StepperConfig, run
 
 
 def _spd_bands(n=40, seed=0):
@@ -120,8 +120,19 @@ def _dense_step(op, u, t, k, delta, r):
     return np.linalg.solve(poly(r.q_coeffs), poly(r.p_coeffs) @ u)
 
 
+def _one_step(u, t, k, op, alpha, m, delta, policy=SolverPolicy()):
+    """(run over the one-step mesh [t, t + k], its dense reference)."""
+    cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=TimeMesh([t, t + k]),
+                        solver=policy)
+    # the run starts from delta**-alpha u and takes the mesh's own t and k
+    want = delta ** -alpha * _dense_step(op, u.coeffs, cfg.mesh.t_left[0], cfg.mesh.k[0],
+                                          delta, cfg.rational)
+    return run(u, op, cfg).coeffs, want
+
+
 class TestStepAgainstDense:
-    """One operator step against r(X) u with X = k B (delta I + t B)^{-1}."""
+    """One operator step, a run over the one-step mesh [t, t + k], against
+    delta**-alpha r(X) u with X = k B (delta I + t B)^{-1}."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("t,k", [(0.0, 1e-3), (0.25, 0.125), (0.5, 0.5)])
@@ -132,10 +143,7 @@ class TestStepAgainstDense:
         nodes[1:-1] += rng.uniform(-0.3, 0.3, 50) / 51
         op = assemble_1d(nodes)
         u = GridFunction(rng.standard_normal(op.n_dofs), op)
-        delta, alpha = 4.0, 0.3
-        cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(1))
-        got = apply_pade_step(u, t, k, op, cfg).coeffs
-        want = _dense_step(op, u.coeffs, t, k, delta, cfg.rational)
+        got, want = _one_step(u, t, k, op, alpha=0.3, m=m, delta=4.0)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("method", ["direct", "cg"])
@@ -144,9 +152,6 @@ class TestStepAgainstDense:
     def test_2d_matches_dense_rational(self, method, m, t, k):
         op = assemble_2d_tensor(6)
         u = GridFunction(np.random.default_rng(m).standard_normal(op.n_dofs), op)
-        delta, alpha = 10.0, 0.3
-        cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(1),
-                            solver=SolverPolicy(method, rtol=1e-14))
-        got = apply_pade_step(u, t, k, op, cfg).coeffs
-        want = _dense_step(op, u.coeffs, t, k, delta, cfg.rational)
+        got, want = _one_step(u, t, k, op, alpha=0.3, m=m, delta=10.0,
+                              policy=SolverPolicy(method, rtol=1e-14))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

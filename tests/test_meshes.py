@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracstep.meshes import (
+    TimeMesh,
     build_geometric_mesh,
     build_graded_spatial_mesh,
     build_uniform_mesh,
@@ -68,6 +69,33 @@ class TestUniform:
         # breakpoints live near 1, so steps agree to a few ulps of 1
         np.testing.assert_allclose(mesh.k, 1.0 / N, rtol=0, atol=5e-16)
         assert mesh.breakpoints[-1] == 1.0
+
+
+class TestTimeMesh:
+    def test_accepts_a_plain_list(self):
+        # any increasing points of [0, 1]; the first need not be 0
+        mesh = TimeMesh([0.25, 0.375, 1.0])
+        assert isinstance(mesh.breakpoints, np.ndarray)
+        assert not mesh.breakpoints.flags.writeable
+        np.testing.assert_array_equal(mesh.t_left, [0.25, 0.375])
+        np.testing.assert_array_equal(mesh.k, [0.125, 0.625])
+
+    @pytest.mark.parametrize("points", [
+        pytest.param([0.5], id="no-step"),
+        pytest.param([[0.0, 0.5], [0.5, 1.0]], id="not-one-row"),
+        pytest.param([0.0, np.nan, 1.0], id="nan"),
+        pytest.param([0.0, 0.5, np.inf], id="inf"),
+        pytest.param([-0.25, 0.5], id="below-zero"),
+        pytest.param([0.9, 1.1], id="past-one"),
+        pytest.param([1.2, 1.3], id="starts-past-one"),
+        pytest.param([0.0, 0.5, 0.5, 1.0], id="zero-length-step"),
+        pytest.param([0.0, 0.75, 0.5, 1.0], id="decreasing"),
+        # below the smallest normal double, k underflows in the step's weights
+        pytest.param([0.0, 5e-324], id="subnormal-step"),
+    ])
+    def test_refuses_bad_breakpoints(self, points):
+        with pytest.raises(ValueError, match="breakpoints"):
+            TimeMesh(points)
 
 
 class TestGradedSpatial:

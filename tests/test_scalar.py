@@ -26,8 +26,9 @@ class TestExactPower:
         assert exact_power(1000.0, 0.3) == pytest.approx(1000.0 ** -0.3, rel=1e-15)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            exact_power(0.0, 0.5)
+        for lam in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                exact_power(lam, 0.5)
 
 
 class TestGeometricRecurrence:
@@ -50,8 +51,10 @@ class TestGeometricRecurrence:
 
     def test_lambda_below_delta_rejected(self):
         cfg = ScalarRunConfig.grm(0.5, DELTA, 1, 10.0, 2)
-        with pytest.raises(ValueError):
-            scalar_grm(0.1, cfg)
+        # NaN fails the comparison with delta like a lambda below it
+        for lam in (0.1, np.nan, [1.0, np.nan]):
+            with pytest.raises(ValueError, match="must be >= delta"):
+                scalar_grm(lam, cfg)
 
     @pytest.mark.parametrize("m,lo,hi", [(1, 1.9, 2.1), (2, 3.8, 4.2)])
     def test_sup_error_slope(self, m, lo, hi):

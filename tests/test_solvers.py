@@ -139,13 +139,22 @@ class TestPcg:
     def test_bit_identical_to_scipy_cg(self, system):
         A, dinv, rhs = system
         jacobi = spla.LinearOperator(A.shape, matvec=lambda v: dinv * v)
-        warm = np.linspace(-1.0, 1.0, len(rhs))
+        # a warm start better than zero: its residual is a tenth of rhs
+        warm = 0.9 * spla.spsolve(A.tocsc(), rhs)
+        kept = warm.copy()
         for x0 in (None, warm):
             want, info = spla.cg(A, rhs, x0=x0, rtol=1e-12, atol=0.0, maxiter=500, M=jacobi)
             got, iters = _pcg(A, dinv, rhs, x0, 1e-12, 500)
             assert info == 0 and iters > 0
             assert np.array_equal(got, want)
-        assert np.array_equal(warm, np.linspace(-1.0, 1.0, len(rhs)))  # x0 untouched
+        assert np.array_equal(warm, kept)  # x0 untouched
+
+    def test_start_worse_than_zero_is_dropped(self, system):
+        A, dinv, rhs = system
+        worse = np.linspace(-1.0, 1.0, len(rhs))
+        assert np.linalg.norm(rhs - A @ worse) >= np.linalg.norm(rhs)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            _pcg(A, dinv, rhs, worse, 1e-12, 500), _pcg(A, dinv, rhs, None, 1e-12, 500)))
 
     def test_zero_rhs_returns_zeros_without_iterating(self, system):
         A, dinv, rhs = system
@@ -213,15 +222,27 @@ class TestShiftedPencils:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         # a block of data vectors, one per row
         U = rng.standard_normal((data.draw(st.integers(1, 3)), op.n_dofs))
-        pencil = _pencil(op, SolverPolicy(method, rtol=1e-14), len(U))
-        MU = pencil.apply_M(U)
-        got = pencil.combine(shifts, coeffs, U)
-        assert MU.shape == got.shape == U.shape
-        for u, Mu, row in zip(U, MU, got):
-            want = op.mass @ u
-            assert np.linalg.norm(Mu - want) <= 1e-13 * np.linalg.norm(want)
-            terms = [c * spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), u)
-                     for (a, b), c in zip(shifts, coeffs)]
-            # relative to the terms, so that coefficients which cancel do not count
-            scale = sum(np.linalg.norm(term) for term in terms)
-            assert np.linalg.norm(row - sum(terms)) <= 1e-10 * scale
+        _check_pencil(op, method, shifts, coeffs, U)
+
+    def test_cg_warm_start_worse_than_zero(self):
+        # the second solve's warm start, the first solve's result, has a
+        # residual far above |rhs|; kept, it left an error of 1.05e-10
+        op = assemble_2d_tensor(3)
+        U = np.random.default_rng(0).standard_normal((1, op.n_dofs))
+        _check_pencil(op, "cg", [(0.001, 0.0078125), (813.75, 1.0)], [0.0, 1.0], U)
+
+
+def _check_pencil(op, method, shifts, coeffs, U):
+    """``apply_M`` and ``combine`` of the backend against the assembled matrices."""
+    pencil = _pencil(op, SolverPolicy(method, rtol=1e-14), len(U))
+    MU = pencil.apply_M(U)
+    got = pencil.combine(shifts, coeffs, U)
+    assert MU.shape == got.shape == U.shape
+    for u, Mu, row in zip(U, MU, got):
+        want = op.mass @ u
+        assert np.linalg.norm(Mu - want) <= 1e-13 * np.linalg.norm(want)
+        terms = [c * spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), u)
+                 for (a, b), c in zip(shifts, coeffs)]
+        # relative to the terms, so that coefficients which cancel do not count
+        scale = sum(np.linalg.norm(term) for term in terms)
+        assert np.linalg.norm(row - sum(terms)) <= 1e-10 * scale

@@ -2,23 +2,25 @@ import numpy as np
 import pytest
 
 from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
-from fracstep.meshes import build_geometric_mesh, build_uniform_mesh
+from fracstep.meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from fracstep.pade import eval_rational, pade_coefficients
 from fracstep.scalar import ScalarRunConfig, scalar_run_grid
 from fracstep.solvers import SolveError, SolverPolicy, WarmStartCG
-from fracstep.spectral import discrete_sobolev_norm, eig_1d, reference_power
-from fracstep.stepping import (
+from fracstep.spectral import (
     SpectralBounds,
-    StepperConfig,
-    apply_pade_step,
-    default_delta,
+    discrete_sobolev_norm,
+    eig_1d,
     estimate_spectral_bounds,
-    run,
-    run_grm,
-    run_um,
+    reference_power,
     spectral_upper_bound,
 )
+from fracstep.stepping import StepperConfig, run, run_grm, run_um
 from tests.test_fem import fem_eigenvalue
+
+
+def _half_bottom(op):
+    """The experiments' default shift: half the estimated bottom of the spectrum."""
+    return 0.5 * estimate_spectral_bounds(op).lambda_min_est
 
 
 @pytest.fixture(scope="module")
@@ -30,14 +32,16 @@ def setup_1d():
 
 
 class TestSpectralBounds:
+    """The bracket behind a run's shift and depth, from ``spectral``."""
+
     def test_uniform_mesh_brackets(self, setup_1d):
         op, dec, _ = setup_1d
         bounds = estimate_spectral_bounds(op)
-        lam1, lamM = dec.lambdas[0], dec.lambdas[-1]
-        assert bounds.lambda_min_est <= lam1 <= bounds.lambda_max_est
-        assert bounds.lambda_max_est >= lamM
+        assert bounds.lambda_min_est <= dec.lambdas[0]
         assert bounds.lambda_min_est == pytest.approx(np.pi**2, rel=0.02)
-        assert bounds.lambda_max_est == pytest.approx(fem_eigenvalue(1 / 200, 200), rel=0.02)
+        # the top is the proven bound, Fried's 12 / h**2 here
+        assert bounds.lambda_max_est == spectral_upper_bound(op) >= dec.lambdas[-1]
+        assert bounds.lambda_max_est == pytest.approx(fem_eigenvalue(1 / 200, 200), rel=1e-12)
 
     def test_proportional_pair(self, setup_1d):
         from dataclasses import replace
@@ -48,14 +52,14 @@ class TestSpectralBounds:
                          stiffness_bands=tuple(c * b for b in op.mass_bands))
         bounds = estimate_spectral_bounds(scaled)
         assert bounds.lambda_min_est == pytest.approx(c, rel=0.02)
-        assert bounds.lambda_max_est == pytest.approx(c, rel=0.02)
+        assert bounds.lambda_max_est == spectral_upper_bound(scaled) >= c
 
     def test_tensor_doubles_factor_bounds(self):
         op2 = assemble_2d_tensor(10)
         b1 = estimate_spectral_bounds(op2.factor)
         b2 = estimate_spectral_bounds(op2)
         assert b2.lambda_min_est == pytest.approx(2 * b1.lambda_min_est, rel=1e-12)
-        assert b2.lambda_max_est == pytest.approx(2 * b1.lambda_max_est, rel=1e-12)
+        assert b2.lambda_max_est == 2 * b1.lambda_max_est == spectral_upper_bound(op2)
 
     def test_determinism(self, setup_1d):
         op, _, _ = setup_1d
@@ -85,50 +89,41 @@ class TestSpectralBounds:
 
 
 class TestApplyStep:
-    def test_zero_step_is_identity(self, setup_1d):
-        op, dec, delta = setup_1d
-        cfg = StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4))
-        rng = np.random.default_rng(0)
-        u = GridFunction(rng.standard_normal(op.n_dofs), op)
-        out = apply_pade_step(u, 0.3, 0.0, op, cfg)
-        np.testing.assert_array_equal(out.coeffs, u.coeffs)
+    """A single step from t is a run over the one-step mesh [t, t + k]; the
+    run starts from delta**-alpha u."""
 
     @pytest.mark.parametrize("j", (0, 10, 100, 198))
     def test_eigenvector_scaling(self, setup_1d, j):
         op, dec, delta = setup_1d
         r = pade_coefficients(2, 0.3)
-        cfg = StepperConfig(alpha=0.3, m=2, delta=delta, mesh=build_uniform_mesh(4))
-        t, k = 0.25, 0.125
+        cfg = StepperConfig(alpha=0.3, m=2, delta=delta, mesh=TimeMesh([0.25, 0.375]))
+        t, k = cfg.mesh.t_left[0], cfg.mesh.k[0]
         psi = GridFunction(dec.modes[:, j].copy(), op)
-        out = apply_pade_step(psi, t, k, op, cfg)
+        out = run(psi, op, cfg)
         lam = dec.lambdas[j]
         theta = k * (lam - delta) / (delta + t * (lam - delta))
-        expected = eval_rational(r, theta)
+        expected = delta ** -0.3 * eval_rational(r, theta)
         diff = GridFunction(out.coeffs - expected * psi.coeffs, op)
         assert m_norm(op, diff) / abs(expected) < 1e-10
 
     def test_single_step_matches_spectral_application(self, setup_1d):
         op, dec, _ = setup_1d
-        delta = 0.5
-        alpha, m = 0.5, 1
+        delta, alpha, m = 0.5, 0.5, 1
         r = pade_coefficients(m, alpha)
-        cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(1))
+        cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=TimeMesh([0.0, 1.0]))
         f = l2_project(op, "b")
-        out = apply_pade_step(f, 0.0, 1.0, op, cfg)
+        out = run(f, op, cfg)
         theta = (dec.lambdas - delta) / delta
         coeffs = dec.coefficients(f.coeffs)
-        expected = dec.synthesize(eval_rational(r, theta) * coeffs)
+        expected = delta ** -alpha * dec.synthesize(eval_rational(r, theta) * coeffs)
         diff = GridFunction(out.coeffs - expected, op)
-        assert m_norm(op, diff) / m_norm(op, f) < 1e-10
+        assert m_norm(op, diff) / m_norm(op, GridFunction(expected, op)) < 1e-10
 
-    def test_step_preconditions(self, setup_1d):
-        op, _, delta = setup_1d
-        cfg = StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4))
-        u = GridFunction(np.ones(op.n_dofs), op)
-        with pytest.raises(ValueError):
-            apply_pade_step(u, 0.9, 0.2, op, cfg)
-        with pytest.raises(ValueError):
-            apply_pade_step(u, 1.2, 0.1, op, cfg)
+
+@pytest.mark.parametrize("delta", (0.0, -1.0, np.nan, np.inf))
+def test_config_refuses_a_shift_that_is_not_positive_and_finite(delta):
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4))
 
 
 class TestRunSchemes:
@@ -236,7 +231,7 @@ class TestRunSchemes:
 class Test2DSolvers:
     def test_cg_policy_matches_direct(self):
         op = assemble_2d_tensor(12)
-        delta = default_delta(op)
+        delta = _half_bottom(op)
         bounds = estimate_spectral_bounds(op)
         f = l2_project(op, "e")
         mesh = build_geometric_mesh(bounds.lambda_max_est, 2)
@@ -250,7 +245,7 @@ class Test2DSolvers:
     def test_cg_runs_are_bit_identical(self):
         # the CG warm start must not carry over from one run to the next
         op = assemble_2d_tensor(12)
-        delta = default_delta(op)
+        delta = _half_bottom(op)
         f = l2_project(op, "f")
         cfg = StepperConfig(alpha=0.5, m=2, delta=delta,
                             mesh=build_geometric_mesh(None, 2, L_override=6),
@@ -263,17 +258,17 @@ class Test2DSolvers:
         # a single step also starts CG cold, not from the previous call's solve
         op = assemble_2d_tensor(10)
         f = l2_project(op, "e")
-        cfg = StepperConfig(alpha=0.5, m=2, delta=default_delta(op),
-                            mesh=build_uniform_mesh(4), solver=SolverPolicy("cg"))
-        first = apply_pade_step(f, 0.25, 0.25, op, cfg)
-        second = apply_pade_step(f, 0.25, 0.25, op, cfg)
+        cfg = StepperConfig(alpha=0.5, m=2, delta=_half_bottom(op),
+                            mesh=TimeMesh([0.25, 0.5]), solver=SolverPolicy("cg"))
+        first = run(f, op, cfg)
+        second = run(f, op, cfg)
         assert np.array_equal(first.coeffs, second.coeffs)
 
     def test_cg_iterations_on_run_stats(self):
         op = assemble_2d_tensor(10)
         f = l2_project(op, "f")
         mesh = build_geometric_mesh(None, 2, L_override=4)
-        kwargs = dict(alpha=0.5, m=2, delta=default_delta(op), mesh=mesh)
+        kwargs = dict(alpha=0.5, m=2, delta=_half_bottom(op), mesh=mesh)
         _, direct = run(f, op, StepperConfig(**kwargs), return_stats=True)
         assert direct.cg_iters == direct.cg_iters_max == 0
         cfg = StepperConfig(**kwargs, solver=SolverPolicy("cg"))
@@ -295,7 +290,7 @@ class Test2DSolvers:
         monkeypatch.setattr(WarmStartCG, "solve", counted)
         op = assemble_2d_tensor(8)
         mesh = build_geometric_mesh(None, 2, L_override=3)
-        cfg = StepperConfig(alpha=0.5, m=3, delta=default_delta(op), mesh=mesh,
+        cfg = StepperConfig(alpha=0.5, m=3, delta=_half_bottom(op), mesh=mesh,
                             solver=SolverPolicy("cg"))
         run(l2_project(op, "e"), op, cfg)
         assert len(calls) == mesh.num_steps * 3
@@ -325,7 +320,7 @@ def _block_problem(backend):
     else:
         op = assemble_2d_tensor(9)
         policy = SolverPolicy("cg" if backend == "cg" else "direct")
-    cfg = StepperConfig(alpha=0.4, m=3, delta=default_delta(op),
+    cfg = StepperConfig(alpha=0.4, m=3, delta=_half_bottom(op),
                         mesh=build_geometric_mesh(None, 2, L_override=4), solver=policy)
     return op, cfg
 
