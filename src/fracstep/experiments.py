@@ -352,8 +352,19 @@ def run_pade_info(ms=(1, 2), alphas=(0.1, 0.3, 0.5, 0.7, 0.9)) -> list[dict]:
 
 def run_scalar_diagnostics(alphas=(0.1, 0.5, 0.9), ms=(1, 2), Ns=(8, 16, 32, 64),
                            lambda_lo=1.0, lambda_hi=1e6, delta=0.5, points=1000) -> list[dict]:
-    """Sup-error sweeps over a lambda grid with fitted convergence slopes."""
+    """Sup-error sweeps over a lambda grid with fitted convergence slopes.
+
+    The grid is ``points >= 2`` log-spaced values from ``lambda_lo`` up to
+    ``lambda_hi``, which is also the spectral top the GRM meshes take their
+    depth L from.
+    """
     _require_nonempty(alphas=alphas, ms=ms, Ns=Ns)
+    # NaN fails every comparison, so it is refused too
+    if not 0 < lambda_lo < lambda_hi < math.inf:
+        raise ValueError(f"lambda_lo = {lambda_lo} and lambda_hi = {lambda_hi} must satisfy "
+                         "0 < lambda_lo < lambda_hi < inf, and every lambda must be >= delta")
+    if not points >= 2:
+        raise ValueError(f"points must be >= 2, got {points}")
     lams = np.logspace(math.log10(lambda_lo), math.log10(lambda_hi), points)
     lam_max = float(lambda_hi)
     rows = []

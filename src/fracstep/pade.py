@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 MAX_ORDER = 8
 
-_MP_DPS = 50
+_POLISH_DIGITS = 50
 _NEWTON_STEPS = 8
 
 
@@ -92,28 +93,29 @@ def _refine_poles_and_residues(p, q):
 
     In plain doubles the residues of the near--1 pole lose ~4 digits for
     m = 8, which breaks the 1e-12 reconstruction contract; a few Newton
-    iterations at 50 significant digits restore full double accuracy at
-    negligible cost (construction runs once per (m, alpha)).
+    iterations in ``decimal`` at 50 significant digits restore full double
+    accuracy at negligible cost (construction runs once per (m, alpha)).
+    ``Decimal(float)`` is exact and ``float(Decimal)`` rounds correctly, so
+    only the 50-digit arithmetic rounds.
     """
-    import mpmath as mp
-
     m = len(q) - 1
     seeds = np.sort(npoly.polyroots(q).real)
-    with mp.workdps(_MP_DPS):
-        qmp = [mp.mpf(float(c)) for c in q]
-        pmp = [mp.mpf(float(c)) for c in p]
-        qdmp = [j * qmp[j] for j in range(1, m + 1)]
+    with localcontext() as ctx:
+        ctx.prec = _POLISH_DIGITS
+        qd = [Decimal(float(c)) for c in q]
+        pd = [Decimal(float(c)) for c in p]
+        qdd = [j * qd[j] for j in range(1, m + 1)]
 
         def horner(coeffs, x):
-            acc = mp.mpf(0)
+            acc = Decimal(0)
             for c in reversed(coeffs):
                 acc = acc * x + c
             return acc
 
-        roots = [mp.mpf(float(r)) for r in seeds]
+        roots = [Decimal(float(r)) for r in seeds]
         for _ in range(_NEWTON_STEPS):
-            roots = [r - horner(qmp, r) / horner(qdmp, r) for r in roots]
-        residues = [horner(pmp, r) / horner(qdmp, r) for r in roots]
+            roots = [r - horner(qd, r) / horner(qdd, r) for r in roots]
+        residues = [horner(pd, r) / horner(qdd, r) for r in roots]
     return (np.array([float(r) for r in roots]),
             np.array([float(w) for w in residues]))
 

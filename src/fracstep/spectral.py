@@ -9,13 +9,14 @@ The eigenpairs are the ground-truth oracle.  Diagonalizing
 K psi = lambda M psi with M-orthonormal modes makes the exact discrete
 fractional power available as a reference, and gives the discrete Sobolev
 norms used to grade data smoothness.  A decomposition stores the
-eigenpairs of the 1D factor only, solved densely (capped at 4000 dofs): a
-tensor 2D operator has eigenvalues lambda_i + lambda_j and modes
-psi_i (x) psi_j, never materialized, and every transform applies the 1D
-factor along each axis.  The tensor decomposition is cached per operator,
-because the fast-diagonalization solver of ``solvers`` reuses its 1D modes;
-``eig_1d`` is not cached, so a dense 1D basis (up to 4000 modes) lives only
-as long as its caller holds it.
+eigenpairs of the 1D factor only, as dense arrays (capped at 4000 dofs):
+on a uniform mesh they are the closed-form sine modes, on any other mesh
+a dense generalized eigensolve.  A tensor 2D operator has eigenvalues
+lambda_i + lambda_j and modes psi_i (x) psi_j, never materialized, and
+every transform applies the 1D factor along each axis.  The tensor
+decomposition is cached per operator, because the fast-diagonalization
+solver of ``solvers`` reuses its 1D modes; ``eig_1d`` is not cached, so a
+dense 1D basis (up to 4000 modes) lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
@@ -160,12 +161,56 @@ class SpectralDecomposition:
         return self.synthesize(unit)
 
 
+def _uniform_spacing(op: DiscreteOperator) -> float | None:
+    """The spacing h when (K, M) are the P1 matrices of a uniform mesh, else None.
+
+    The bands must be 2/h, -1/h, 2h/3 and h/6 to a relative 4 (n+1) eps:
+    assembling on ``np.linspace`` nodes leaves them about (n+1) eps / 2 off.
+    """
+    n = op.n_dofs
+    h = (op.nodes[-1] - op.nodes[0]) / (n + 1)
+    rtol = 4 * (n + 1) * np.finfo(np.float64).eps
+    bands = zip((*op.stiffness_bands, *op.mass_bands), (2 / h, -1 / h, 2 * h / 3, h / 6))
+    if all(np.allclose(band, value, rtol=rtol, atol=0) for band, value in bands):
+        return h
+    return None
+
+
+def _uniform_eigenpairs(n: int, h: float):
+    """Eigenvalues, M-orthonormal modes and M-weights of the uniform P1 pair
+    (Strang & Fix): theta_j = j pi / (n+1), mode j is sin(i theta_j) scaled,
+    K and M act on it as (4/h) sin^2(theta_j/2) and (h/3)(2 + cos theta_j).
+    """
+    j = np.arange(1, n + 1)
+    theta = j * (np.pi / (n + 1))
+    # sin^2 of the half angle, not 1 - cos theta, which cancels for small j
+    lam = (12.0 / h**2) * np.sin(theta / 2) ** 2 / (2.0 + np.cos(theta))
+    mu = (h / 3.0) * (2.0 + np.cos(theta))
+    # sin(pi i j / (n+1)) from one period of samples, indexed by i j mod 2(n+1)
+    period = 2 * (n + 1)
+    sines = np.sin(np.arange(period) * (np.pi / (n + 1)))
+    modes = sines[np.outer(j, j) % period]
+    # sum_i sin^2(i theta_j) = (n+1)/2, so this makes psi_j^T M psi_j = 1
+    modes *= np.sqrt(2.0 / ((n + 1) * mu))
+    return lam, modes, mu
+
+
 def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
-    """Dense symmetric generalized eigensolve of the 1D pair (K, M)."""
+    """Eigenvalues and M-orthonormal modes of the 1D pair (K, M).
+
+    On a uniform mesh (see ``_uniform_spacing``) they are built in closed
+    form, and ``_proj = (modes diag(mu))^T`` because M modes = modes diag(mu).
+    Any other pair takes a dense symmetric generalized eigensolve.  Both
+    are capped at ``DENSE_EIG_CAP`` dofs.
+    """
     if op.is_tensor:
         raise ValueError("eig_1d expects a 1D operator")
     if op.n_dofs > DENSE_EIG_CAP:
         raise ValueError(f"dense eigensolve capped at {DENSE_EIG_CAP} dofs, have {op.n_dofs}")
+    h = _uniform_spacing(op)
+    if h is not None:
+        lam, modes, mu = _uniform_eigenpairs(op.n_dofs, h)
+        return SpectralDecomposition(op, lam, modes, (modes * mu).T)
     lam, modes = sla.eigh(op.stiffness.toarray(), op.mass.toarray())
     return SpectralDecomposition(op, lam, modes, modes.T @ op.mass.toarray())
 

@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,21 @@ class TestScalarSweep:
         code, out = run_cli(["scalar-sweep", flag, "nan"])
         assert (code, out) == (2, "")
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,setting", [
+        # the default lambda_hi is 1e6: this range would run downwards above it
+        (("--lambda-lo", "1e7"), "lambda_lo"),
+        (("--lambda-lo", "5", "--lambda-hi", "5"), "lambda_lo"),
+        (("--lambda-lo", "0"), "lambda_lo"),
+        (("--lambda-hi", "nan"), "lambda_hi"),
+        (("--lambda-hi", "inf"), "lambda_hi"),
+        (("--points", "1"), "points"),
+        (("--points", "0"), "points"),
+    ])
+    def test_bad_grid_fails(self, args, setting, capsys):
+        code, out = run_cli(["scalar-sweep", *args])
+        assert (code, out) == (2, "")
+        assert setting in capsys.readouterr().err
 
 
 class TestTable1D:
@@ -196,3 +215,17 @@ class TestSpatialRefine:
         cfg.write_text("Ns = 4\ncases = a\n")
         code, _ = run_cli(["spatial-refine", "--config", str(cfg)])
         assert code == 2
+
+
+def test_cli_runs_without_mpmath():
+    # mpmath is a test dependency only: a table run must never import it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    script = ("import io, sys, contextlib; from fracstep import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(['table-1d', '--h', '0.1', '--cases', 'c', '--alphas',"
+              " '0.5', '--ms', '2', '--Ns', '4,8'])\n"
+              "assert code == 0, code\n"
+              "assert 'mpmath' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)

@@ -3,10 +3,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from fracstep.pade import (
     MAX_ORDER,
     PadeConstructionError,
+    _refine_poles_and_residues,
+    _series_coefficients,
     approximation_error,
     error_bound_constant,
     eval_partial_fractions,
@@ -48,6 +51,41 @@ def mp_error(m, alpha, x, dps=120):
             den = den * xx + c
         exact = (1 + xx) ** (-mp.mpf(alpha))
         return abs(exact - num / den)
+
+
+def mp_refine_poles_and_residues(p, q):
+    """The same 8 Newton steps from the companion-matrix roots, in mpmath at
+    50 digits: the polish that ``_refine_poles_and_residues`` must match."""
+    m = len(q) - 1
+    seeds = np.sort(npoly.polyroots(q).real)
+    with mp.workdps(50):
+        qmp = [mp.mpf(float(c)) for c in q]
+        pmp = [mp.mpf(float(c)) for c in p]
+        qdmp = [j * qmp[j] for j in range(1, m + 1)]
+
+        def horner(coeffs, x):
+            acc = mp.mpf(0)
+            for c in reversed(coeffs):
+                acc = acc * x + c
+            return acc
+
+        roots = [mp.mpf(float(r)) for r in seeds]
+        for _ in range(8):
+            roots = [r - horner(qmp, r) / horner(qdmp, r) for r in roots]
+        residues = [horner(pmp, r) / horner(qdmp, r) for r in roots]
+    return (np.array([float(r) for r in roots]),
+            np.array([float(w) for w in residues]))
+
+
+class TestPolish:
+    @pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
+    def test_bits_match_mpmath(self, m):
+        for alpha in np.linspace(0.01, 0.99, 50):
+            p, q = _series_coefficients(m, float(alpha))
+            got = _refine_poles_and_residues(p, q)
+            want = mp_refine_poles_and_residues(p, q)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
 
 class TestCoefficients:

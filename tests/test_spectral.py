@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from fracstep import _kernels
-from fracstep.fem import GridFunction, assemble_1d, l2_project, m_norm
+from fracstep import _kernels, spectral
+from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
 from fracstep.meshes import build_geometric_mesh
 from fracstep.spectral import (
     DENSE_EIG_CAP,
@@ -49,6 +50,80 @@ class TestEig1D:
         op = assemble_1d(np.linspace(0, 1, 4003))
         with pytest.raises(ValueError):
             eig_1d(op)
+
+
+def uniform_op(n):
+    return assemble_1d(np.linspace(0.0, 1.0, n + 2))
+
+
+class TestUniformClosedForm:
+    @pytest.fixture
+    def no_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on a uniform mesh")
+
+        monkeypatch.setattr(spectral.sla, "eigh", refuse)
+
+    @pytest.mark.parametrize("n", (1, 2, 10, 199, 999))
+    def test_no_dense_eigensolve(self, n, no_eigh):
+        # linspace bands are about (n+1) eps / 2 off the uniform ones
+        assert eig_1d(uniform_op(n)).n_modes == n
+
+    def test_tensor_factor_takes_closed_form(self, no_eigh):
+        assert eig_2d_tensor(assemble_2d_tensor(100)).n_modes == 99**2
+
+    def test_perturbed_mesh_takes_dense_eigensolve(self, monkeypatch):
+        nodes = np.linspace(0.0, 1.0, 12)
+        nodes[5] += 1e-9
+        calls = []
+        eigh = sla.eigh
+        monkeypatch.setattr(spectral.sla, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+        eig_1d(assemble_1d(nodes))
+        assert calls == [1]
+
+    @pytest.mark.parametrize("n", (10, 199, 999))
+    def test_eigenvalues_match_dense_eigh(self, n):
+        # dense eigh is itself off by up to 7e-12 relative at 999 dofs
+        op = uniform_op(n)
+        dense = sla.eigh(op.stiffness.toarray(), op.mass.toarray(), eigvals_only=True)
+        np.testing.assert_allclose(eig_1d(op).lambdas, dense, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n", (10, 199, 999))
+    def test_orthonormality_and_residuals(self, n):
+        op = uniform_op(n)
+        dec = eig_1d(op)
+        K, M, V = op.stiffness.toarray(), op.mass.toarray(), dec.modes
+        assert np.max(np.abs(V.T @ M @ V - np.eye(n))) < 1e-13
+        assert np.max(np.abs(dec._proj - V.T @ M)) < 1e-13
+        # normwise backward error of each eigenpair, in infinity norms
+        R = K @ V - M @ V * dec.lambdas
+        scale = (np.abs(K).sum(1).max() + dec.lambdas * np.abs(M).sum(1).max())
+        scale *= np.abs(V).max(axis=0)
+        assert np.max(np.abs(R).max(axis=0) / scale) < 1e-13
+
+    def test_reference_power_against_long_double_sine_series(self):
+        n = 999
+        op = uniform_op(n)
+        dec = eig_1d(op)
+        ld = np.longdouble
+        pi = 4 * np.arctan(ld(1))
+        h = ld(1) / (n + 1)
+        j = np.arange(1, n + 1)
+        theta = j * pi / (n + 1)
+        lam = 12 / h**2 * np.sin(theta / 2) ** 2 / (2 + np.cos(theta))
+        mu = h / 3 * (2 + np.cos(theta))
+        # mode j is scale_j sin(i theta_j), and M acts on it as mu_j
+        sines = np.sin(np.outer(j, j).astype(ld) * (pi / (n + 1)))
+        scale = np.sqrt(2 / ((n + 1) * mu))
+        for tag in "abcd":
+            f = l2_project(op, tag)
+            weights = mu * scale**2 * (sines @ f.coeffs.astype(ld))
+            for alpha in (0.1, 0.5, 0.9):
+                exact = sines @ (lam ** -ld(alpha) * weights)
+                got = reference_power(dec, f, alpha)
+                diff = GridFunction((got.coeffs - exact).astype(np.float64), op)
+                exact_norm = m_norm(op, GridFunction(exact.astype(np.float64), op))
+                assert m_norm(op, diff) / exact_norm < 1e-13, (tag, alpha)
 
 
 class TestEig2D:
