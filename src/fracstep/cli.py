@@ -86,8 +86,9 @@ _HELP = {
     "h": "uniform mesh size",
 }
 
-# shift, depth, solver and seed: read by every stepping study
-_RUN_KEYS = ("delta", "delta_fraction", "L_policy", "L", "solver", "solver_rtol", "seed")
+# shift, depth and seed: read by every stepping study; only the 2D table
+# offers a solver choice, since 1D solves are always direct
+_RUN_KEYS = ("delta", "delta_fraction", "L_policy", "L", "seed")
 _TABLE_KEYS = ("cases", "alphas", "ms", "scheme", "Ns", *_RUN_KEYS)
 
 COMMANDS = {
@@ -95,7 +96,8 @@ COMMANDS = {
     "scalar-sweep": ("scalar sup-error sweeps and slopes",
                      ("ms", "alphas", "Ns", "lambda_lo", "lambda_hi", "points", "delta")),
     "table-1d": ("1D convergence-order table", (*_TABLE_KEYS, "h")),
-    "table-2d": ("2D convergence-order table", (*_TABLE_KEYS, "n_per_side")),
+    "table-2d": ("2D convergence-order table",
+                 (*_TABLE_KEYS, "n_per_side", "solver", "solver_rtol")),
     "spatial-refine": ("graded-mesh step-count study",
                        ("ms", "Ns", "alpha", "um_steps", *_RUN_KEYS)),
 }

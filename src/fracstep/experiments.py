@@ -58,7 +58,8 @@ class ExperimentSpec:
     defaults are the published 1D table.
 
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of size
-    ``h`` or the tensor grid of ``n_per_side``.
+    ``h`` or the tensor grid of ``n_per_side``.  The "cg" solver serves the
+    tensor grid only; 1D studies always solve directly.
     """
 
     dimension: int = 1
@@ -80,6 +81,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
+        if self.solver.method == "cg" and self.dimension == 1:
+            raise ValueError("the cg solver needs a 2D (tensor) operator; "
+                             "1D solves are always direct")
         _require_nonempty(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
                           Ns=self.Ns)
         if self.scheme not in ("grm", "um", "both"):

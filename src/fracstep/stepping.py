@@ -22,9 +22,9 @@ so M^{-1} (K - delta M) z_i = (u + x_i delta z_i) / a_i exactly, and
 A step thus costs the m shifted solves and one M apply: the M u of the
 growth norm after each step is the next step's right-hand side.  The
 weighted sum of solves is one ``combine`` call on a shifted-pencil backend
-from ``solvers``, picked by ``_pencil`` and built once per run, so CG warm
-starts never outlive a run.  The shifts and weights of every step are
-computed once per run.
+from ``solvers``, picked by ``_pencil`` and built once per run, so CG
+iteration counts never outlive a run.  The shifts and weights of every
+step are computed once per run.
 
 None of that depends on the data, so one run steps a block of c data
 vectors at once: U has shape (c, n), one row per grid function, and every
@@ -48,7 +48,8 @@ import numpy as np
 from .fem import DiscreteOperator, GridFunction
 from .meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from .pade import PadeRational, pade_coefficients
-from .solvers import BandedPencil, SolveError, SolverPolicy, TensorDiagSolver, WarmStartCG
+from .solvers import (BandedPencil, PreconditionedCG, SolveError, SolverPolicy,
+                      TensorDiagSolver)
 
 _GROWTH_TOL = 1.0 + 1e-9
 
@@ -102,12 +103,13 @@ class RunStats:
 
 def _pencil(op: DiscreteOperator, policy: SolverPolicy, columns: int = 1):
     """The shifted-pencil backend for one run of ``columns`` rows on ``op``
-    (see ``solvers``)."""
-    if not op.is_tensor:
-        return BandedPencil(op)
-    if policy.method == "direct":
-        return TensorDiagSolver(op)
-    return WarmStartCG(op, policy, columns)
+    (see ``solvers``).  CG serves tensor operators only: a 1D operator is
+    always solved directly, so a "cg" policy there is refused."""
+    if policy.method == "cg":
+        if not op.is_tensor:
+            raise ValueError("the cg solver needs a tensor (2D) operator")
+        return PreconditionedCG(op, policy, columns)
+    return TensorDiagSolver(op) if op.is_tensor else BandedPencil(op)
 
 
 def _step_terms(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray):

@@ -115,6 +115,22 @@ class TestTable1D:
                            "--ms", "1", "--Ns", "8,16", "--h", "0.1"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--solver", "cg"), ("--solver-rtol", "1e-10")])
+    def test_solver_flags_not_offered(self, flag, value):
+        # 1D solves are always direct, so the 1D commands have no solver setting
+        for command in ("table-1d", "spatial-refine"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([command, flag, value])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ("table-1d", "spatial-refine"))
+    def test_solver_config_key_fails(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cg.cfg"
+        cfg.write_text("solver = cg\n")
+        code, out = run_cli([command, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "does not read ['solver']" in capsys.readouterr().err
+
 
 class TestTable2D:
     @pytest.mark.parametrize("rtol", ("2", "0", "-1"))

@@ -55,6 +55,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="dimension"):
             ExperimentSpec(dimension=3)
 
+    def test_cg_needs_dimension_two(self):
+        # 1D solves are always direct: a cg policy would be ignored yet reported
+        with pytest.raises(ValueError, match="cg"):
+            ExperimentSpec(solver=SolverPolicy("cg"))
+        assert ExperimentSpec(dimension=2, solver=SolverPolicy("cg")).solver.method == "cg"
+
     @pytest.mark.parametrize("name", ("data_cases", "alphas", "ms", "Ns"))
     def test_empty_list(self, name):
         with pytest.raises(ValueError, match=f"{name} is empty"):

@@ -5,7 +5,7 @@ from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_proje
 from fracstep.meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from fracstep.pade import eval_rational, pade_coefficients
 from fracstep.scalar import ScalarRunConfig, scalar_run_grid
-from fracstep.solvers import SolveError, SolverPolicy, WarmStartCG
+from fracstep.solvers import PreconditionedCG, SolveError, SolverPolicy
 from fracstep.spectral import (
     SpectralBounds,
     discrete_sobolev_norm,
@@ -14,7 +14,7 @@ from fracstep.spectral import (
     reference_power,
     spectral_upper_bound,
 )
-from fracstep.stepping import StepperConfig, run, run_grm, run_um
+from fracstep.stepping import StepperConfig, _pencil, run, run_grm, run_um
 from tests.test_fem import fem_eigenvalue
 
 
@@ -242,8 +242,29 @@ class Test2DSolvers:
         diff = GridFunction(out_direct.coeffs - out_cg.coeffs, op)
         assert m_norm(op, diff) / m_norm(op, out_direct) < 1e-8
 
+    @pytest.mark.parametrize("n", (25, 50, 100))
+    def test_cg_takes_one_or_two_iterations(self, n):
+        # the modal preconditioner is the exact inverse of each shifted pencil
+        op = assemble_2d_tensor(n)
+        delta = _half_bottom(op)
+        fs = [l2_project(op, "e"), l2_project(op, "f")]
+        mesh = build_geometric_mesh(None, 2, L_override=10)
+        kwargs = dict(alpha=0.5, m=2, delta=delta, mesh=mesh)
+        direct = run(fs, op, StepperConfig(**kwargs))
+        cg, stats = run(fs, op, StepperConfig(**kwargs, solver=SolverPolicy("cg")),
+                        return_stats=True)
+        for want, got, st in zip(direct, cg, stats):
+            assert 1 <= st.cg_iters_max <= 2
+            diff = GridFunction(want.coeffs - got.coeffs, op)
+            assert m_norm(op, diff) <= 1e-10 * m_norm(op, want)
+
+    def test_cg_refused_on_a_1d_operator(self):
+        # 1D pencils are always solved directly: a cg policy there would be ignored
+        with pytest.raises(ValueError, match="tensor"):
+            _pencil(assemble_1d(np.linspace(0, 1, 11)), SolverPolicy("cg"))
+
     def test_cg_runs_are_bit_identical(self):
-        # the CG warm start must not carry over from one run to the next
+        # the CG counts and matrix of one run must not carry over to the next
         op = assemble_2d_tensor(12)
         delta = _half_bottom(op)
         f = l2_project(op, "f")
@@ -255,7 +276,7 @@ class Test2DSolvers:
         assert np.array_equal(first.coeffs, second.coeffs)
 
     def test_cg_steps_are_bit_identical(self):
-        # a single step also starts CG cold, not from the previous call's solve
+        # a single step too, and every solve starts from zero
         op = assemble_2d_tensor(10)
         f = l2_project(op, "e")
         cfg = StepperConfig(alpha=0.5, m=2, delta=_half_bottom(op),
@@ -275,19 +296,19 @@ class Test2DSolvers:
         _, first = run(f, op, cfg, return_stats=True)
         _, second = run(f, op, cfg, return_stats=True)
         assert 0 < first.cg_iters_max < first.cg_iters
-        # counts are per run: every run builds its own CG, warm start and tallies
+        # counts are per run: every run builds its own CG and tallies
         assert (second.cg_iters, second.cg_iters_max) == (first.cg_iters, first.cg_iters_max)
 
     def test_cg_solves_only_the_poles(self, monkeypatch):
         # a step has no mass solve: every CG solve is a pole solve
         calls = []
-        solve = WarmStartCG.solve
+        solve = PreconditionedCG.solve
 
         def counted(self, a, b, rhs):
             calls.append((a, b))
             return solve(self, a, b, rhs)
 
-        monkeypatch.setattr(WarmStartCG, "solve", counted)
+        monkeypatch.setattr(PreconditionedCG, "solve", counted)
         op = assemble_2d_tensor(8)
         mesh = build_geometric_mesh(None, 2, L_override=3)
         cfg = StepperConfig(alpha=0.5, m=3, delta=_half_bottom(op), mesh=mesh,
