@@ -32,6 +32,11 @@ def _offdiag(e):
     return e if len(e) else np.zeros(1)
 
 
+def is_spd(d, e):
+    """Whether ``?pttrf`` factors a copy of the tridiagonal (d, e) as L D L^T, D > 0."""
+    return dpttrf(d, _offdiag(e))[2] == 0
+
+
 def tridiag_solve(d, e, b):
     """Solve T x = b for SPD tridiagonal T (diagonal d, off-diagonal e).
 

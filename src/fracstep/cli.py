@@ -84,6 +84,7 @@ _HELP = {
     "L": "refinement depth for --L-policy fixed",
     "delta": "explicit shift (stepping studies default to delta-fraction * lambda_min)",
     "h": "uniform mesh size",
+    "seed": "recorded in the CSV; no result depends on it",
 }
 
 # shift, depth and seed: read by every stepping study; only the 2D table

@@ -75,6 +75,7 @@ class ExperimentSpec:
     delta: float | None = None
     delta_fraction: float = DEFAULT_DELTA_FRACTION
     solver: SolverPolicy = SolverPolicy()
+    # recorded in the CSV rows; no result depends on it
     seed: int = 0
     um_steps: int = 100_000
 
@@ -187,7 +188,7 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     else:
         op = assemble_2d_tensor(spec.n_per_side)
         decomp, h_min = eig_2d_tensor(op), 1.0 / spec.n_per_side
-    bounds = estimate_spectral_bounds(op, seed=spec.seed)
+    bounds = estimate_spectral_bounds(op)
     L = _resolve_L(spec, bounds, h_min)
     delta = _resolve_delta(spec, bounds)
     prov = _provenance(spec, delta)
@@ -248,7 +249,7 @@ def _graded_setup(spec: ExperimentSpec, N: int):
     L and delta are resolved from ``spec`` as in the tables."""
     nodes = build_graded_spatial_mesh(N)
     op = assemble_1d(nodes)
-    bounds = estimate_spectral_bounds(op, seed=spec.seed)
+    bounds = estimate_spectral_bounds(op)
     L = _resolve_L(spec, bounds, nodes[1] - nodes[0])
     return op, L, _resolve_delta(spec, bounds), l2_project(op, "d")
 

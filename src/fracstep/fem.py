@@ -69,9 +69,6 @@ class GridFunction:
                 f"with {self.op.n_dofs} dofs"
             )
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.coeffs.copy(), self.op)
-
 
 def assemble_1d(nodes) -> DiscreteOperator:
     """Assemble interior M, K for piecewise linears on the given nodes.

@@ -167,7 +167,8 @@ def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarr
     recurrences for p, x and r, and the test ``norm(r) < rtol * norm(b)``
     before each iteration, are those of ``scipy.sparse.linalg.cg`` with
     ``atol=0`` and ``M`` a ``LinearOperator`` of ``precond``, in the same
-    order, so both return the same bits.
+    order, so both return the same bits; unlike scipy, the test runs once
+    more after the last iteration.
     Raises :class:`SolveError` at once when ``b`` is not finite, and when
     ``maxiter`` iterations do not converge.
     """
@@ -199,6 +200,8 @@ def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarr
         np.multiply(alpha, q, out=step)
         r -= step
         rho_prev = rho
+    if math.sqrt(r.dot(r)) < tol:
+        return x, maxiter
     res = np.linalg.norm(b - A @ x) / bnrm
     raise SolveError(
         f"cg did not converge in {maxiter} iterations: relative residual "

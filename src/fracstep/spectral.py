@@ -2,8 +2,8 @@
 
 The bracket feeds the runs: a shift delta must lie below the spectrum, and
 the theorem's depth L needs a bound above it.  ``spectral_upper_bound``
-reads a proven top off the bands, and ``estimate_spectral_bounds`` adds a
-safeguarded ARPACK estimate of the bottom.
+reads a proven top off the bands, and ``estimate_spectral_bounds`` finds
+the bottom by bisection on the definiteness of K - s M, less 1%.
 
 The eigenpairs are the ground-truth oracle.  Diagonalizing
 K psi = lambda M psi with M-orthonormal modes makes the exact discrete
@@ -26,8 +26,8 @@ import functools
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
+from ._kernels import is_spd
 from .fem import DiscreteOperator, GridFunction
 
 DENSE_EIG_CAP = 4000
@@ -35,8 +35,8 @@ DENSE_EIG_CAP = 4000
 
 @dataclasses.dataclass(frozen=True)
 class SpectralBounds:
-    """A bracket of the generalized spectrum of (K, M): a safeguarded
-    estimate of the bottom and a proven bound on the top."""
+    """A bracket of the generalized spectrum of (K, M): 99% of the bottom
+    eigenvalue, found by bisection, and a proven bound on the top."""
 
     lambda_min_est: float
     lambda_max_est: float
@@ -71,34 +71,25 @@ def spectral_upper_bound(op: DiscreteOperator) -> float:
     return float(np.max(row_sums(*op.stiffness_bands)) / np.min(margin))
 
 
-def estimate_spectral_bounds(op: DiscreteOperator, seed: int = 0) -> SpectralBounds:
-    """Bracket the spectrum of M^{-1} K: an estimate below, a proof above.
+def estimate_spectral_bounds(op: DiscreteOperator) -> SpectralBounds:
+    """Bracket the spectrum of M^{-1} K: 99% of the bottom below, a proof above.
 
-    The bottom eigenvalue comes from ARPACK's M-generalized Lanczos in
-    shift-invert mode about 0, to relative tolerance 1e-8 with a 10^4
-    iteration budget, and is deflated by 1% so that it lies below the true
-    one.  ``seed`` only picks the Lanczos start vector.  Up to two dofs are
-    solved densely.  The top is ``spectral_upper_bound(op)``.  Tensor
-    operators reuse their 1D factor: both ends double.
+    K - s M is positive definite exactly when s lies below the bottom
+    eigenvalue, and one L D L^T factorization says which (spectrum slicing;
+    Parlett, The Symmetric Eigenvalue Problem).  Bisection on [0, top] raises
+    the lower end while the test passes, until the ends are adjacent doubles.
+    The top is ``spectral_upper_bound(op)``.  Tensor operators reuse their
+    1D factor: both ends double.
     """
     if op.is_tensor:
-        base = estimate_spectral_bounds(op.factor, seed=seed)
+        base = estimate_spectral_bounds(op.factor)
         return SpectralBounds(2.0 * base.lambda_min_est, 2.0 * base.lambda_max_est)
-    v0 = np.random.default_rng(seed).standard_normal(op.n_dofs)
-    K = op.stiffness.tocsc()
-    M = op.mass.tocsc()
-    try:
-        if op.n_dofs <= 2:
-            bottom = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
-        else:
-            bottom = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM", tol=1e-8, maxiter=10_000,
-                                v0=v0, return_eigenvectors=False)[0]
-    except spla.ArpackNoConvergence as exc:
-        # solvers imports this module, so its error class is looked up here
-        from .solvers import SolveError
-
-        raise SolveError(f"spectral bound estimation did not converge: {exc}") from exc
-    return SpectralBounds(lambda_min_est=0.99 * bottom, lambda_max_est=spectral_upper_bound(op))
+    (Kd, Ke), (Md, Me) = op.stiffness_bands, op.mass_bands
+    top = spectral_upper_bound(op)
+    lo, hi = 0.0, top
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if is_spd(Kd - mid * Md, Ke - mid * Me) else (lo, mid)
+    return SpectralBounds(lambda_min_est=0.99 * lo, lambda_max_est=top)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -47,6 +47,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(alphas=(0.5, 1.5))
 
+    def test_unknown_L_policy(self):
+        with pytest.raises(ValueError, match="L policy"):
+            ExperimentSpec(L_policy="bogus")
+
     def test_fixed_policy_needs_L(self):
         with pytest.raises(ValueError):
             ExperimentSpec(L_policy="fixed")
@@ -129,16 +133,16 @@ class TestTable1D:
         calls = []
         estimate = experiments.estimate_spectral_bounds
 
-        def counted(op, seed=0):
-            calls.append(seed)
-            return estimate(op, seed=seed)
+        def counted(op):
+            calls.append(op.n_dofs)
+            return estimate(op)
 
         monkeypatch.setattr(experiments, "estimate_spectral_bounds", counted)
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,), ms=(1,),
-                              Ns=(2,), h=0.05, L_policy="theorem", seed=3)
+                              Ns=(2,), h=0.05, L_policy="theorem")
         rows = run_table(spec)
-        assert calls == [3]
-        bounds = estimate(assemble_1d(np.linspace(0.0, 1.0, 21)), seed=3)
+        assert calls == [19]
+        bounds = estimate(assemble_1d(np.linspace(0.0, 1.0, 21)))
         assert {row["L"] for row in rows} == {refinement_level_for(bounds.lambda_max_est)}
         assert {row["delta"] for row in rows} == {0.5 * bounds.lambda_min_est}
 
@@ -192,10 +196,43 @@ class TestSpatialRefinement:
         assert (rows[0]["delta"], rows[0]["L"]) == (1.0, 3)
         assert rows[0]["E_GRM_m2"] <= rows[0]["e_semi_proxy"]
 
+    def test_unreachable_threshold_raises(self):
+        from fracstep.experiments import _graded_setup, _smallest_passing_Nt
+
+        op, L, delta, f = _graded_setup(ExperimentSpec(), 4)
+        with pytest.raises(RuntimeError, match="no Nt <= 1"):
+            _smallest_passing_Nt(op, f, 0.5, 1, delta, L, f, 0.0, SolverPolicy(), Nt_cap=1)
+
     def test_delta_at_the_spectrum_rejected(self):
         spec = ExperimentSpec(dimension=1, ms=(2,), Ns=(4,), um_steps=200, delta=500.0)
         with pytest.raises(ValueError, match="not below lambda_min_est"):
             run_spatial_refinement(spec, alpha=0.5, reference_factor=2)
+
+
+def _rows_without_seed(rows):
+    # repr keeps every bit of a float and makes NaN equal to NaN
+    return [{key: repr(value) for key, value in row.items() if key != "seed"} for row in rows]
+
+
+class TestSeed:
+    """The seed is recorded in every row and changes nothing else."""
+
+    STUDIES = {
+        "table_1d": lambda seed: run_table(ExperimentSpec(
+            dimension=1, data_cases=("b",), alphas=(0.5,), ms=(2,), Ns=(2, 4), h=0.01,
+            seed=seed)),
+        "table_2d": lambda seed: run_table(ExperimentSpec(
+            dimension=2, data_cases=("e",), alphas=(0.5,), ms=(2,), Ns=(1, 2), n_per_side=12,
+            seed=seed)),
+        "spatial": lambda seed: run_spatial_refinement(ExperimentSpec(
+            ms=(2,), Ns=(4,), um_steps=200, seed=seed), alpha=0.5, reference_factor=2),
+    }
+
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_rows_do_not_depend_on_the_seed(self, study):
+        rows_0, rows_1 = (self.STUDIES[study](seed) for seed in (0, 1))
+        assert [row["seed"] for row in rows_0 + rows_1] == [0] * len(rows_0) + [1] * len(rows_1)
+        assert _rows_without_seed(rows_0) == _rows_without_seed(rows_1)
 
 
 class TestScalarDiagnostics:

@@ -162,6 +162,9 @@ class TestAssembly1D:
             assemble_1d([0.0, 1.0])
         with pytest.raises(ValueError):
             assemble_1d([0.0, 0.5, 0.4, 1.0])
+        # two cells per side leave a tensor grid one interior node per axis short
+        with pytest.raises(ValueError):
+            assemble_2d_tensor(2)
 
 
 class TestAssembly2D:
@@ -204,6 +207,10 @@ class TestDataCases:
             data_case("e", 0.5)
         with pytest.raises(ValueError):
             data_case("unknown", 0.5)
+        with pytest.raises(ValueError, match="1D operator"):
+            load_vector(assemble_1d(np.linspace(0, 1, 11)), "e")
+        with pytest.raises(ValueError, match="2D operator"):
+            load_vector(assemble_2d_tensor(4), "a")
 
 
 class TestProjection:
@@ -369,3 +376,5 @@ class TestInnerProduct:
         v = GridFunction(np.ones(other.n_dofs), other)
         with pytest.raises(ValueError):
             m_inner(op_1d_small, u, v)
+        with pytest.raises(ValueError, match="does not match"):
+            GridFunction(np.ones(op_1d_small.n_dofs + 1), op_1d_small)

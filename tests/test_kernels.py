@@ -92,6 +92,17 @@ class TestTridiagLapack:
         with pytest.raises(np.linalg.LinAlgError):
             _kernels.tridiag_solve(-d, e.copy(), np.array([2.0]))
 
+    def test_is_spd_reads_the_factorization(self):
+        d, e, _ = _spd_bands(seed=10)
+        lam = np.linalg.eigvalsh(_dense(d, e))[0]
+        assert _kernels.is_spd(d, e)
+        assert _kernels.is_spd(d - 0.99 * lam, e)
+        assert not _kernels.is_spd(d - 1.01 * lam, e)
+        # the test factors copies: the bands are left intact
+        np.testing.assert_array_equal(d, _spd_bands(seed=10)[0])
+        assert _kernels.is_spd(np.array([4.0]), np.array([]))
+        assert not _kernels.is_spd(np.array([-4.0]), np.array([]))
+
     def test_factor_solve_matches_one_shot(self):
         d, e, b = _spd_bands(seed=9)
         factor = _kernels.TridiagFactor(d, e)

@@ -54,6 +54,8 @@ class TestGeometric:
             build_geometric_mesh(0.5, 2)
         with pytest.raises(ValueError):
             build_geometric_mesh(100.0, 0)
+        with pytest.raises(ValueError):
+            build_uniform_mesh(0)
 
 
 class TestUniform:

@@ -208,6 +208,8 @@ class TestEvaluation:
         r = pade_coefficients(1, 0.5)
         with pytest.raises(ValueError):
             eval_rational(r, -1.5)
+        with pytest.raises(ValueError):
+            approximation_error(r, [0.5, -1e-3])
 
     def test_range_on_half_line(self):
         x = np.concatenate([[0.0], np.logspace(-8, 8, 2000)])

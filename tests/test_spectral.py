@@ -141,9 +141,12 @@ class TestEig2D:
     def test_mode_count_squares(self, op_2d_small, decomp_2d_small):
         assert decomp_2d_small.n_modes == op_2d_small.factor.n_dofs ** 2
 
-    def test_requires_tensor(self, op_1d_small):
+    def test_requires_tensor(self, op_1d_small, op_2d_small):
         with pytest.raises(ValueError):
             eig_2d_tensor(op_1d_small)
+        # and the 1D decomposition refuses a tensor operator
+        with pytest.raises(ValueError):
+            eig_1d(op_2d_small)
 
 
 class TestReferencePower:
@@ -184,6 +187,14 @@ class TestReferencePower:
         v = GridFunction(rng.standard_normal(op_1d_small.n_dofs), op_1d_small)
         coeffs = decomp_1d_small.coefficients(v.coeffs)
         assert np.sum(coeffs**2) == pytest.approx(m_norm(op_1d_small, v) ** 2, rel=1e-10)
+
+    def test_operator_mismatch(self, decomp_1d_small):
+        other = assemble_1d(np.linspace(0.0, 1.0, 201))
+        v = GridFunction(np.ones(other.n_dofs), other)
+        with pytest.raises(ValueError, match="different operator"):
+            reference_power(decomp_1d_small, v, 0.5)
+        with pytest.raises(ValueError, match="different operator"):
+            discrete_sobolev_norm(decomp_1d_small, v, 1.0)
 
     def test_2d_reference(self, op_2d_small, decomp_2d_small):
         j = 5

@@ -61,10 +61,21 @@ class TestSpectralBounds:
         assert b2.lambda_min_est == pytest.approx(2 * b1.lambda_min_est, rel=1e-12)
         assert b2.lambda_max_est == 2 * b1.lambda_max_est == spectral_upper_bound(op2)
 
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_bottom_matches_dense_eigh_on_few_dofs(self, n):
+        import scipy.linalg as sla
+
+        interior = np.sort(np.random.default_rng(n).random(n))
+        for nodes in (np.linspace(0.0, 1.0, n + 2), np.concatenate([[0.0], interior, [1.0]])):
+            op = assemble_1d(nodes)
+            lam = sla.eigh(op.stiffness.toarray(), op.mass.toarray(), eigvals_only=True)[0]
+            bounds = estimate_spectral_bounds(op)
+            assert bounds.lambda_min_est / 0.99 == pytest.approx(lam, rel=1e-14)
+
     def test_determinism(self, setup_1d):
         op, _, _ = setup_1d
-        a = estimate_spectral_bounds(op, seed=1)
-        b = estimate_spectral_bounds(op, seed=1)
+        a = estimate_spectral_bounds(op)
+        b = estimate_spectral_bounds(op)
         assert a == b
 
     def test_upper_bound_is_fried_on_uniform_meshes(self, setup_1d):
