@@ -36,8 +36,8 @@ from .meshes import (
 from .pade import pade_coefficients
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import SolverPolicy
-from .spectral import (SpectralBounds, eig_1d, eig_2d_tensor, estimate_spectral_bounds,
-                       reference_power)
+from .spectral import (DENSE_EIG_CAP, SpectralBounds, eig_1d, eig_2d_tensor,
+                       estimate_spectral_bounds, reference_power)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
 # the runs by wrapping these two names
 from .stepping import StepperConfig, run_grm, run_um
@@ -57,9 +57,10 @@ class ExperimentSpec:
     """One experiment request; field names mirror the CLI flags, and the
     defaults are the published 1D table.
 
-    ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of size
-    ``h`` or the tensor grid of ``n_per_side``.  The "cg" solver serves the
-    tensor grid only; 1D studies always solve directly.
+    ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of
+    ``round(1 / h)`` cells or the tensor grid of ``n_per_side``, with at most
+    ``DENSE_EIG_CAP`` dofs per axis (the reference's dense modes).  The "cg"
+    solver serves the tensor grid only; 1D studies always solve directly.
     """
 
     dimension: int = 1
@@ -85,6 +86,8 @@ class ExperimentSpec:
         if self.solver.method == "cg" and self.dimension == 1:
             raise ValueError("the cg solver needs a 2D (tensor) operator; "
                              "1D solves are always direct")
+        if self.cells - 1 > DENSE_EIG_CAP:  # refused before anything is assembled
+            raise ValueError(f"{self.cells - 1} dofs per axis, over the cap {DENSE_EIG_CAP}")
         _require_nonempty(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
                           Ns=self.Ns)
         if self.scheme not in ("grm", "um", "both"):
@@ -101,6 +104,11 @@ class ExperimentSpec:
         # delta = fraction * lambda_min_est must stay below the spectrum
         if not 0 < self.delta_fraction < 1:
             raise ValueError(f"delta_fraction {self.delta_fraction} outside (0, 1)")
+
+    @property
+    def cells(self) -> int:
+        """Cells per side of the table's mesh."""
+        return int(round(1.0 / self.h)) if self.dimension == 1 else self.n_per_side
 
 
 # The other published studies, where they differ from ExperimentSpec's
@@ -174,22 +182,21 @@ def write_csv(rows: list[dict], path_or_file) -> None:
 # ---------------------------------------------------------------------------
 
 def run_table(spec: ExperimentSpec) -> list[dict]:
-    """Relative-error/order table on the uniform 1D mesh of size ``spec.h``,
-    or in 2D on the tensor grid of ``spec.n_per_side`` cells per side.
+    """Relative-error/order table on the uniform 1D mesh of ``spec.cells``
+    cells, or in 2D on the tensor grid of that many cells per side.
 
     One block run per (alpha, m, scheme, N) steps all data cases, since they
     share every shifted system; a stable sort by case then gives the rows
     case by case.  The spectral bounds behind L and delta are estimated
-    once per table.
+    once per table, and the mesh size behind L is 1 / ``spec.cells``.
     """
     if spec.dimension == 1:
-        op = assemble_1d(np.linspace(0.0, 1.0, int(round(1.0 / spec.h)) + 1))
-        decomp, h_min = eig_1d(op), spec.h
+        op = assemble_1d(np.linspace(0.0, 1.0, spec.cells + 1))
     else:
-        op = assemble_2d_tensor(spec.n_per_side)
-        decomp, h_min = eig_2d_tensor(op), 1.0 / spec.n_per_side
+        op = assemble_2d_tensor(spec.cells)
+    decomp = eig_2d_tensor(op) if op.is_tensor else eig_1d(op)
     bounds = estimate_spectral_bounds(op)
-    L = _resolve_L(spec, bounds, h_min)
+    L = _resolve_L(spec, bounds, 1.0 / spec.cells)
     delta = _resolve_delta(spec, bounds)
     prov = _provenance(spec, delta)
     schemes = ("grm", "um") if spec.scheme == "both" else (spec.scheme,)

@@ -14,16 +14,16 @@ give it.  The step needs neither K nor a mass solve (see ``stepping``).
   ``_kernels`` (one ``?ptsv`` per shift for the whole block, handed over
   as the Fortran-ordered (n, c) view ``rhs.T``), the terms added up.
 * ``TensorDiagSolver``: tensor 2D systems by fast diagonalization in the 1D
-  eigenbasis of ``spectral.eig_2d_tensor``, which caches it per operator.
-  The weighted sum is diagonal in that basis, so ``combine`` costs one
-  modal multiplier, shared by the rows, and one transform and
-  back-transform of the (c, n, n) stack (``solve``) for any number of
-  shifts.
+  eigenbasis, through ``apply`` of the decomposition that
+  ``spectral.eig_2d_tensor`` caches per operator (no transform of its own).
+  The weighted sum is diagonal there, so ``combine`` costs one modal
+  multiplier on ``lambda_grid``, shared by the rows, and one ``apply``
+  (``solve``) for any number of shifts.
 * ``PreconditionedCG``: tensor 2D systems by conjugate gradients, the
   terms added up, each row solved from zero with its own iteration counts.
   Each solve is preconditioned by the modal inverse of its own shifted
-  pencil, the transform of ``TensorDiagSolver`` with one shift's
-  multiplier, which is exact on these constant-coefficient operators.
+  pencil, the decomposition's ``apply`` with one shift's multiplier, which
+  is exact on these constant-coefficient operators.
   There is one CG: ``_pcg``, a loop on a preassembled CSR matrix that
   repeats the recurrences and the stopping rule of
   ``scipy.sparse.linalg.cg`` (atol = 0), so it returns the same bits
@@ -52,13 +52,15 @@ class SolveError(RuntimeError):
     """An SPD solve failed (breakdown or iteration budget exhausted)."""
 
 
+CG_MAXITER = 20_000  # the iteration budget of every CG solve
+
+
 @dataclass(frozen=True)
 class SolverPolicy:
     """How shifted systems are solved: "direct" or "cg" (with tolerance)."""
 
     method: str = "direct"
     rtol: float = 1e-12
-    maxiter: int = 20000
 
     def __post_init__(self):
         if self.method not in ("direct", "cg"):
@@ -66,8 +68,6 @@ class SolverPolicy:
         # rtol >= 1 accepts CG's zero start; rtol <= 0 is never met
         if not 0 < self.rtol < 1:
             raise ValueError(f"solver rtol {self.rtol} outside (0, 1)")
-        if not self.maxiter >= 1:
-            raise ValueError(f"solver maxiter {self.maxiter} below 1")
 
 
 class _Pencil:
@@ -113,51 +113,30 @@ class BandedPencil(_Pencil):
 
 
 class _TensorPencil(_Pencil):
-    """What the two tensor backends share: the CSR ``M`` and the generalized
-    eigenbasis of the 1D factor (K V = M V diag(lam), V^T M V = I).
-
-    ``eig_2d_tensor`` computes that basis once per operator and shares it
-    with the reference solution and later runs.  In it (a K2 + b M2)^{-1}
-    is the diagonal 1 / (a lam_sum + b).
-    """
+    """What the two tensor backends share: the CSR ``M`` and the decomposition
+    ``eig_2d_tensor(op)``, computed once per operator and shared with the
+    reference; its ``apply`` with 1 / (a lambda_grid + b) is (a K2 + b M2)^{-1}."""
 
     def __init__(self, op: DiscreteOperator):
         if not op.is_tensor:
             raise ValueError(f"{type(self).__name__} requires a tensor operator")
         self.M = op.mass.tocsr()
-        decomp = eig_2d_tensor(op)
-        self.V = decomp.modes
-        self.Vt = np.ascontiguousarray(self.V.T)
-        self.n = len(self.V)
-        self.lam_sum = decomp.lambda_grid.reshape(self.n, self.n)
-
-    def _transform(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """V (modal * (V^T R V)) V^T for each n x n reshape R of a row of rhs.
-
-        With ``modal = 1 / (a lam_sum + b)`` this solves (a K2 + b M2) x = rhs
-        row by row; ``rhs`` is a (c, n^2) block or one vector.
-        """
-        C = self.Vt @ rhs.reshape(-1, self.n, self.n) @ self.V
-        C *= modal
-        return (self.V @ C @ self.Vt).reshape(rhs.shape)
+        self.decomp = eig_2d_tensor(op)
+        self.n = len(self.decomp.lambdas_1d)
 
 
 class TensorDiagSolver(_TensorPencil):
-    """Fast diagonalization for sums of (a_i K2 + b_i M2)^{-1} on tensor operators.
-
-    The weighted sum of solves is diagonal in the modal basis, so it is one
-    modal multiplier and costs four dense n x n multiplies, however many
-    shifts it has.
-    """
+    """Fast diagonalization for sums of (a_i K2 + b_i M2)^{-1} on tensor operators:
+    one modal multiplier, so four dense n x n multiplies however many shifts."""
 
     def combine(self, shifts, coeffs, rhs):
-        modal = sum(c / (a * self.lam_sum + b) for (a, b), c in zip(shifts, coeffs))
-        return self.solve(modal, rhs)
+        lam = self.decomp.lambda_grid
+        return self.solve(sum(c / (a * lam + b) for (a, b), c in zip(shifts, coeffs)), rhs)
 
     def solve(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """(a K2 + b M2)^{-1} rhs, row by row, for ``modal = 1 / (a lam_sum + b)``;
-        any other modal multiplier is applied the same way (``_transform``)."""
-        return self._transform(modal, rhs)
+        """(a K2 + b M2)^{-1} rhs, row by row, for ``modal = 1 / (a lambda_grid + b)``;
+        any other modal multiplier is applied the same way."""
+        return self.decomp.apply(modal, rhs)
 
 
 def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
@@ -213,7 +192,7 @@ class PreconditionedCG(_TensorPencil):
     """CG (``_pcg``) on a*K2 + b*M2, preconditioned by fast diagonalization.
 
     Each solve is preconditioned by the modal inverse of the pencil at its
-    own shift, ``_transform`` with ``1 / (a lam_sum + b)`` (Concus & Golub
+    own shift, ``decomp.apply`` with ``1 / (a lambda_grid + b)`` (Concus & Golub
     1973).  On the constant-coefficient operators of ``assemble_2d_tensor``
     it is the exact inverse, so a solve takes one or two iterations.
     K2 and M2 must share one CSR sparsity pattern, as the tensor assembly
@@ -240,12 +219,12 @@ class PreconditionedCG(_TensorPencil):
         """(a K2 + b M2)^{-1} applied to each row of the (c, n) block rhs."""
         np.multiply(self.K.data, a, out=self.A.data)
         self.A.data += b * self.M.data
-        # _transform, not TensorDiagSolver.solve: perfbench/tracing.py counts
-        # the calls of that method as direct solves
-        precond = functools.partial(self._transform, 1.0 / (a * self.lam_sum + b))
+        # the decomposition, not TensorDiagSolver.solve: perfbench/tracing.py
+        # counts the calls of that method as direct solves
+        precond = functools.partial(self.decomp.apply, 1.0 / (a * self.decomp.lambda_grid + b))
         out = np.empty_like(rhs)
         for j, row in enumerate(rhs):
-            out[j], iters = _pcg(self.A, precond, row, self.policy.rtol, self.policy.maxiter)
+            out[j], iters = _pcg(self.A, precond, row, self.policy.rtol, CG_MAXITER)
             self.iters[j] += iters
             self.iters_max[j] = max(self.iters_max[j], iters)
         return out

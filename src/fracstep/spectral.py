@@ -13,10 +13,12 @@ eigenpairs of the 1D factor only, as dense arrays (capped at 4000 dofs):
 on a uniform mesh they are the closed-form sine modes, on any other mesh
 a dense generalized eigensolve.  A tensor 2D operator has eigenvalues
 lambda_i + lambda_j and modes psi_i (x) psi_j, never materialized, and
-every transform applies the 1D factor along each axis.  The tensor
-decomposition is cached per operator, because the fast-diagonalization
-solver of ``solvers`` reuses its 1D modes; ``eig_1d`` is not cached, so a
-dense 1D basis (up to 4000 modes) lives only as long as its caller holds it.
+every transform applies the 1D factor along each axis, here only:
+``SpectralDecomposition.apply`` also serves the tensor solvers of
+``solvers``.  With contiguous operands the 2D bits do not depend on the
+BLAS thread count up to 100 dofs per axis (measured, OpenBLAS).  The
+tensor decomposition is cached per operator; ``eig_1d`` is not, so a dense
+1D basis lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
@@ -130,20 +132,32 @@ class SpectralDecomposition:
     def n_modes(self) -> int:
         return len(self.lambda_grid)
 
-    def _along_axes(self, A: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The 1D matrix A applied along every axis of the flat vector v."""
+    @functools.cached_property
+    def _transposes(self) -> tuple[np.ndarray, np.ndarray]:
+        """modes^T and _proj^T: contiguous copies in 2D, built on first use, views in 1D."""
         if not self.op.is_tensor:
-            return A @ v
+            return self.modes.T, self._proj.T
+        return tuple(_read_only(np.ascontiguousarray(a.T)) for a in (self.modes, self._proj))
+
+    def _along_axes(self, A: np.ndarray, At: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A along every axis of each row of v (a (c, N) block or one vector); At = A^T."""
+        if not self.op.is_tensor:
+            return (A @ v.T).T
         n = len(self.lambdas_1d)
-        return (A @ v.reshape(n, n) @ A.T).ravel()
+        return (A @ v.reshape(-1, n, n) @ At).reshape(v.shape)
 
     def coefficients(self, v: np.ndarray) -> np.ndarray:
-        """M-weighted mode coefficients of a coefficient vector."""
-        return self._along_axes(self._proj, v)
+        """M-weighted mode coefficients of a coefficient vector or block."""
+        return self._along_axes(self._proj, self._transposes[1], v)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`coefficients`."""
-        return self._along_axes(self.modes, coeffs)
+        return self._along_axes(self.modes, self._transposes[0], coeffs)
+
+    def apply(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """modes (modal * modes^T rhs) along every axis, with one ``modal`` factor
+        per mode: (a K + b M)^{-1} rhs for ``modal = 1 / (a lambda_grid + b)``."""
+        return self.synthesize(modal * self._along_axes(self._transposes[0], self.modes, rhs))
 
     def mode_vector(self, j: int) -> np.ndarray:
         """The eigenvector of ``lambdas[j]`` as a flat coefficient vector."""

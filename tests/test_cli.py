@@ -245,3 +245,29 @@ def test_cli_runs_without_mpmath():
               "assert code == 0, code\n"
               "assert 'mpmath' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+
+def test_2d_table_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """One 2D table row at one and at two OpenBLAS threads, byte for byte.
+
+    Every tensor transform multiplies by contiguous n x n operands (see
+    ``spectral.SpectralDecomposition``), here n = 99.  Measured with OpenBLAS
+    0.3.31: ``A @ X @ At`` on a stack X of two n x n arrays, with A and At
+    contiguous, has the same bits at one and two threads for every n from 2
+    to 100; from 101 to 130 only at 104, 112, 120 and 128, and not at 199 or
+    255.  So larger grids are reproducible only at a fixed thread count.  The
+    projection of a 2D callable (``W @ F @ W.T`` in ``fem.load_vector``)
+    also changes with the thread count at n = 50 and 100, contiguous or not;
+    the table's data cases do not take that path.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    argv = ["table-2d", "--n-per-side", "100", "--cases", "e", "--alphas", "0.5",
+            "--Ns", "2", "--scheme", "grm"]
+    runs = [subprocess.Popen([sys.executable, "-m", "fracstep.cli", *argv,
+                              "--out", str(tmp_path / f"{threads}.csv")],
+                             env={**env, "OPENBLAS_NUM_THREADS": str(threads)})
+            for threads in (1, 2)]
+    assert [run.wait(timeout=300) for run in runs] == [0, 0]
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()

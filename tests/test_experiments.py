@@ -16,7 +16,7 @@ from fracstep.experiments import (
     write_csv,
 )
 from fracstep.fem import assemble_1d
-from fracstep.meshes import refinement_level_for
+from fracstep.meshes import experiment_refinement_level, refinement_level_for
 from fracstep.solvers import SolverPolicy
 
 
@@ -64,6 +64,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="cg"):
             ExperimentSpec(solver=SolverPolicy("cg"))
         assert ExperimentSpec(dimension=2, solver=SolverPolicy("cg")).solver.method == "cg"
+
+    @pytest.mark.parametrize("dimension,key,cells", ((1, "h", lambda n: 1.0 / n),
+                                                     (2, "n_per_side", lambda n: n)))
+    def test_grid_over_the_dense_cap_refused_at_construction(self, dimension, key, cells):
+        # 4001 dofs per axis: refused before run_table assembles anything
+        with pytest.raises(ValueError, match="4001 dofs per axis"):
+            ExperimentSpec(dimension=dimension, **{key: cells(4002)})
+        assert ExperimentSpec(dimension=dimension, **{key: cells(4001)}).cells == 4001
 
     @pytest.mark.parametrize("name", ("data_cases", "alphas", "ms", "Ns"))
     def test_empty_list(self, name):
@@ -145,6 +153,13 @@ class TestTable1D:
         bounds = estimate(assemble_1d(np.linspace(0.0, 1.0, 21)))
         assert {row["L"] for row in rows} == {refinement_level_for(bounds.lambda_max_est)}
         assert {row["delta"] for row in rows} == {0.5 * bounds.lambda_min_est}
+
+    def test_depth_from_the_mesh_it_assembles(self):
+        # h = 0.385 assembles round(1/h) = 3 cells, so the mesh size is 1/3
+        spec = ExperimentSpec(dimension=1, data_cases=("a",), alphas=(0.5,), ms=(1,),
+                              Ns=(2,), scheme="grm", h=0.385)
+        assert {row["L"] for row in run_table(spec)} == {experiment_refinement_level(1 / 3)}
+        assert experiment_refinement_level(1 / 3) == 4
 
     def test_determinism(self, small_1d_rows, tmp_path):
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from fracstep import _kernels, spectral
 from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
@@ -147,6 +148,43 @@ class TestEig2D:
         # and the 1D decomposition refuses a tensor operator
         with pytest.raises(ValueError):
             eig_1d(op_2d_small)
+
+
+class TestModalApply:
+    """``apply``, the one transform the tensor solvers and the reference share."""
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_solves_the_shifted_pencil_row_by_row(self, dim, request):
+        op = request.getfixturevalue(f"op_{dim}d_small")
+        dec = request.getfixturevalue(f"decomp_{dim}d_small")
+        rhs = np.random.default_rng(dim).standard_normal((3, op.n_dofs))
+        a, b = 0.3, 5.0
+        got = dec.apply(1.0 / (a * dec.lambda_grid + b), rhs)
+        assert got.shape == rhs.shape
+        A = (a * op.stiffness + b * op.mass).tocsc()
+        for row, r in zip(got, rhs):
+            want = spla.spsolve(A, r)
+            assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_tensor_rows_have_their_one_vector_bits(self, op_2d_small, decomp_2d_small):
+        dec = decomp_2d_small
+        rhs = np.random.default_rng(7).standard_normal((3, op_2d_small.n_dofs))
+        modal = 1.0 / (dec.lambda_grid + 2.0)
+        for block, one in ((dec.apply(modal, rhs), lambda r: dec.apply(modal, r)),
+                           (dec.coefficients(rhs), dec.coefficients),
+                           (dec.synthesize(rhs), dec.synthesize)):
+            for j, r in enumerate(rhs):
+                assert np.array_equal(block[j], one(r))
+
+    def test_contiguous_transposes_only_for_tensor_operators(self, op_1d_small,
+                                                               decomp_2d_small):
+        # a 1D decomposition (up to 4000 x 4000) gets no copy of its modes
+        dec = eig_1d(op_1d_small)
+        dec.synthesize(dec.coefficients(np.ones(op_1d_small.n_dofs)))
+        assert all(map(np.shares_memory, dec._transposes, (dec.modes, dec._proj)))
+        modes_t, proj_t = decomp_2d_small._transposes
+        assert modes_t.flags.c_contiguous and proj_t.flags.c_contiguous
+        assert not np.shares_memory(modes_t, decomp_2d_small.modes)
 
 
 class TestReferencePower:
