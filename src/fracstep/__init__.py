@@ -33,7 +33,7 @@ from .scalar import (
     scalar_error_sweep,
     scalar_run_grid,
 )
-from .solvers import SolveError, SolverPolicy
+from .solvers import SolveError
 from .spectral import (
     SpectralBounds,
     SpectralDecomposition,
@@ -62,7 +62,6 @@ __all__ = [
     "PadeRational",
     "ScalarRunConfig",
     "SolveError",
-    "SolverPolicy",
     "SpectralBounds",
     "SpectralDecomposition",
     "StepperConfig",

@@ -5,7 +5,8 @@ Subcommands: pade-info, scalar-sweep, table-1d, table-2d, spatial-refine.
 flag and can also come from a flat ``key = value`` config file (--config),
 and nothing else is accepted.  Explicit flags win over the file.  Only the
 settings given reach the one library call behind the command, which holds
-every default and every check.  CSV goes to --out or stdout.  Exit status
+every default and every check on the values; ``_spec_from`` only refuses a
+given setting that the study would ignore.  CSV goes to --out or stdout.  Exit status
 is 0 on success and 2 when a solve or configuration fails.
 """
 
@@ -24,7 +25,7 @@ from .experiments import (
     run_table,
     write_csv,
 )
-from .solvers import SolveError, SolverPolicy
+from .solvers import SOLVERS, SolveError
 
 
 def _list_of(kind):
@@ -44,7 +45,6 @@ _CONVERTERS = {
     "delta": float,
     "delta_fraction": float,
     "solver": str,
-    "solver_rtol": float,
     "seed": int,
     "um_steps": int,
     "out": str,
@@ -74,7 +74,7 @@ def read_config(path: str) -> dict:
 
 
 _CHOICES = {"scheme": ("grm", "um", "both"), "L_policy": ("theorem", "experiment", "fixed"),
-            "solver": ("direct", "cg")}
+            "solver": SOLVERS}
 
 _HELP = {
     "cases": "comma-separated data cases, e.g. a,b,c,d",
@@ -98,14 +98,13 @@ COMMANDS = {
                      ("ms", "alphas", "Ns", "lambda_lo", "lambda_hi", "points", "delta")),
     "table-1d": ("1D convergence-order table", (*_TABLE_KEYS, "h")),
     "table-2d": ("2D convergence-order table",
-                 (*_TABLE_KEYS, "n_per_side", "solver", "solver_rtol")),
+                 (*_TABLE_KEYS, "n_per_side", "solver")),
     "spatial-refine": ("graded-mesh step-count study",
                        ("ms", "Ns", "alpha", "um_steps", *_RUN_KEYS)),
 }
 
-# CLI keys that name an ExperimentSpec or SolverPolicy field differently
+# CLI keys that name an ExperimentSpec field differently
 _SPEC_FIELD = {"cases": "data_cases", "L": "L_fixed"}
-_POLICY_FIELD = {"solver": "method", "solver_rtol": "rtol"}
 
 
 def _given(args: argparse.Namespace) -> dict:
@@ -124,12 +123,19 @@ def _given(args: argparse.Namespace) -> dict:
 
 
 def _spec_from(given: dict, published: dict) -> ExperimentSpec:
-    """The published settings of a study, overridden by those given."""
-    fields = {_SPEC_FIELD.get(k, k): v for k, v in given.items() if k not in _POLICY_FIELD}
-    policy = {_POLICY_FIELD[k]: v for k, v in given.items() if k in _POLICY_FIELD}
-    if policy:
-        fields["solver"] = SolverPolicy(**policy)
-    return ExperimentSpec(**{**published, **fields})
+    """The published settings of a study, overridden by those given.
+
+    A given setting that the study would then ignore is refused: L outside
+    L-policy fixed, and delta next to delta-fraction (delta wins).  The spec
+    alone cannot tell, since a published L (TABLE_2D's) is not a given one.
+    """
+    if "delta" in given and "delta_fraction" in given:
+        raise ValueError("give delta or delta-fraction, not both: an explicit delta "
+                         "ignores delta-fraction")
+    spec = ExperimentSpec(**{**published, **{_SPEC_FIELD.get(k, k): v for k, v in given.items()}})
+    if "L" in given and spec.L_policy != "fixed":
+        raise ValueError(f"L is read only under L-policy fixed, not {spec.L_policy!r}")
+    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:

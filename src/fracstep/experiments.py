@@ -35,7 +35,7 @@ from .meshes import (
 )
 from .pade import pade_coefficients
 from .scalar import fit_loglog_slope, sup_error
-from .solvers import SolverPolicy
+from .solvers import CG_RTOL, SOLVERS
 from .spectral import (DENSE_EIG_CAP, SpectralBounds, eig_1d, eig_2d_tensor,
                        estimate_spectral_bounds, reference_power)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
@@ -59,8 +59,9 @@ class ExperimentSpec:
 
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of
     ``round(1 / h)`` cells or the tensor grid of ``n_per_side``, with at most
-    ``DENSE_EIG_CAP`` dofs per axis (the reference's dense modes).  The "cg"
-    solver serves the tensor grid only; 1D studies always solve directly.
+    ``DENSE_EIG_CAP`` dofs per axis (the reference's dense modes).  ``solver``
+    is "direct" or "cg"; "cg" serves the tensor grid only, since 1D studies
+    always solve directly.
     """
 
     dimension: int = 1
@@ -75,7 +76,7 @@ class ExperimentSpec:
     L_fixed: int | None = None
     delta: float | None = None
     delta_fraction: float = DEFAULT_DELTA_FRACTION
-    solver: SolverPolicy = SolverPolicy()
+    solver: str = "direct"
     # recorded in the CSV rows; no result depends on it
     seed: int = 0
     um_steps: int = 100_000
@@ -83,9 +84,16 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.solver.method == "cg" and self.dimension == 1:
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}")
+        if self.solver == "cg" and self.dimension == 1:
             raise ValueError("the cg solver needs a 2D (tensor) operator; "
                              "1D solves are always direct")
+        # NaN fails every comparison; round(1 / h) >= 2 cells needs 1 / h >= 1.5,
+        # and a subnormal h overflows 1 / h
+        if self.dimension == 1 and not (0 < self.h and 1.5 <= 1 / self.h < math.inf):
+            raise ValueError(f"h = {self.h} must give a finite count of at least 2 cells "
+                             "(0 < h <= 2/3)")
         if self.cells - 1 > DENSE_EIG_CAP:  # refused before anything is assembled
             raise ValueError(f"{self.cells - 1} dofs per axis, over the cap {DENSE_EIG_CAP}")
         _require_nonempty(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
@@ -152,8 +160,8 @@ def _resolve_delta(spec: ExperimentSpec, bounds: SpectralBounds) -> float:
 def _provenance(spec: ExperimentSpec, delta: float) -> dict:
     return {
         "delta": delta,
-        "solver": spec.solver.method,
-        "solver_rtol": spec.solver.rtol,
+        "solver": spec.solver,
+        "solver_rtol": CG_RTOL,
         "seed": spec.seed,
     }
 
@@ -194,7 +202,7 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
         op = assemble_1d(np.linspace(0.0, 1.0, spec.cells + 1))
     else:
         op = assemble_2d_tensor(spec.cells)
-    decomp = eig_2d_tensor(op) if op.is_tensor else eig_1d(op)
+    decomp = eig_2d_tensor(op) if op.dim == 2 else eig_1d(op)
     bounds = estimate_spectral_bounds(op)
     L = _resolve_L(spec, bounds, 1.0 / spec.cells)
     delta = _resolve_delta(spec, bounds)

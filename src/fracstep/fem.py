@@ -46,12 +46,8 @@ class DiscreteOperator:
         return self.mass.shape[0]
 
     @property
-    def is_tensor(self) -> bool:
-        return self.factor is not None
-
-    @property
     def dim(self) -> int:
-        return 2 if self.is_tensor else 1
+        return 1 if self.factor is None else 2
 
 
 @dataclass
@@ -251,13 +247,16 @@ def mass_solver(op: DiscreteOperator):
     operator has M2 = kron(M1, M1), so M2^{-1} applies M1^{-1} along each
     axis of the n x n coefficient array.
     """
-    factor = _kernels.TridiagFactor(*(op.factor or op).mass_bands)
-    if not op.is_tensor:
-        return factor.solve
-    n = op.factor.n_dofs
+    base = op.factor or op
+    factor = _kernels.TridiagFactor(*base.mass_bands)
+    shape = (base.n_dofs,) * op.dim
 
     def solve(rhs):
-        return factor.solve(factor.solve(rhs.reshape(n, n)).T).T.ravel()
+        # M1^{-1} along the first axis, then the axes rotated, op.dim times
+        x = rhs.reshape(shape)
+        for _ in range(op.dim):
+            x = factor.solve(x).T
+        return x.ravel()
 
     return solve
 

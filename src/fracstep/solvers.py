@@ -20,7 +20,8 @@ give it.  The step needs neither K nor a mass solve (see ``stepping``).
   multiplier on ``lambda_grid``, shared by the rows, and one ``apply``
   (``solve``) for any number of shifts.
 * ``PreconditionedCG``: tensor 2D systems by conjugate gradients, the
-  terms added up, each row solved from zero with its own iteration counts.
+  terms added up, each row solved from zero to the relative residual
+  ``CG_RTOL`` within ``CG_MAXITER`` iterations, with its own iteration counts.
   Each solve is preconditioned by the modal inverse of its own shifted
   pencil, the decomposition's ``apply`` with one shift's multiplier, which
   is exact on these constant-coefficient operators.
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  a module global that perfbench/tracing.py swaps
@@ -52,22 +52,9 @@ class SolveError(RuntimeError):
     """An SPD solve failed (breakdown or iteration budget exhausted)."""
 
 
+SOLVERS = ("direct", "cg")  # the solver names a run can pick (see stepping._pencil)
+CG_RTOL = 1e-12  # the relative residual every CG solve stops at
 CG_MAXITER = 20_000  # the iteration budget of every CG solve
-
-
-@dataclass(frozen=True)
-class SolverPolicy:
-    """How shifted systems are solved: "direct" or "cg" (with tolerance)."""
-
-    method: str = "direct"
-    rtol: float = 1e-12
-
-    def __post_init__(self):
-        if self.method not in ("direct", "cg"):
-            raise ValueError(f"unknown solver method {self.method!r}")
-        # rtol >= 1 accepts CG's zero start; rtol <= 0 is never met
-        if not 0 < self.rtol < 1:
-            raise ValueError(f"solver rtol {self.rtol} outside (0, 1)")
 
 
 class _Pencil:
@@ -118,7 +105,7 @@ class _TensorPencil(_Pencil):
     reference; its ``apply`` with 1 / (a lambda_grid + b) is (a K2 + b M2)^{-1}."""
 
     def __init__(self, op: DiscreteOperator):
-        if not op.is_tensor:
+        if op.dim != 2:
             raise ValueError(f"{type(self).__name__} requires a tensor operator")
         self.M = op.mass.tocsr()
         self.decomp = eig_2d_tensor(op)
@@ -203,7 +190,7 @@ class PreconditionedCG(_TensorPencil):
     rows.
     """
 
-    def __init__(self, op: DiscreteOperator, policy: SolverPolicy, columns: int = 1):
+    def __init__(self, op: DiscreteOperator, columns: int = 1):
         super().__init__(op)
         self.K = K = op.stiffness.tocsr()
         M = self.M
@@ -211,7 +198,6 @@ class PreconditionedCG(_TensorPencil):
             raise ValueError("PreconditionedCG needs stiffness and mass on one "
                              "sparsity pattern")
         self.A = K.copy()
-        self.policy = policy
         self.iters = [0] * columns
         self.iters_max = [0] * columns
 
@@ -224,7 +210,7 @@ class PreconditionedCG(_TensorPencil):
         precond = functools.partial(self.decomp.apply, 1.0 / (a * self.decomp.lambda_grid + b))
         out = np.empty_like(rhs)
         for j, row in enumerate(rhs):
-            out[j], iters = _pcg(self.A, precond, row, self.policy.rtol, CG_MAXITER)
+            out[j], iters = _pcg(self.A, precond, row, CG_RTOL, CG_MAXITER)
             self.iters[j] += iters
             self.iters_max[j] = max(self.iters_max[j], iters)
         return out

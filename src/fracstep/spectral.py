@@ -55,22 +55,22 @@ def spectral_upper_bound(op: DiscreteOperator) -> float:
     dominant M has ||M^{-1}||_inf <= 1 / min_i (M_ii - sum_{j != i} |M_ij|)
     (Varah 1975).  Every P1 mass matrix is, with a margin of at least
     (h_l + h_r) / 6 in each row.  On a uniform mesh the bound is Fried's
-    12 / h**2.  Tensor operators double the bound of their 1D factor.
+    12 / h**2.  A tensor operator's spectrum is lambda_i + lambda_j over its
+    1D factor's, so the bound of the factor (of ``op`` in 1D) is taken
+    ``op.dim`` times.
     """
-    if op.is_tensor:
-        return 2.0 * spectral_upper_bound(op.factor)
-
     def row_sums(diag, off):
         s = np.abs(diag)
         s[:-1] += np.abs(off)
         s[1:] += np.abs(off)
         return s
 
-    Md, Ml = op.mass_bands
+    base = op.factor or op
+    Md, Ml = base.mass_bands
     margin = 2.0 * np.abs(Md) - row_sums(Md, Ml)
     if not np.all(margin > 0):
         raise ValueError("mass matrix is not strictly diagonally dominant")
-    return float(np.max(row_sums(*op.stiffness_bands)) / np.min(margin))
+    return op.dim * float(np.max(row_sums(*base.stiffness_bands)) / np.min(margin))
 
 
 def estimate_spectral_bounds(op: DiscreteOperator) -> SpectralBounds:
@@ -80,18 +80,16 @@ def estimate_spectral_bounds(op: DiscreteOperator) -> SpectralBounds:
     eigenvalue, and one L D L^T factorization says which (spectrum slicing;
     Parlett, The Symmetric Eigenvalue Problem).  Bisection on [0, top] raises
     the lower end while the test passes, until the ends are adjacent doubles.
-    The top is ``spectral_upper_bound(op)``.  Tensor operators reuse their
-    1D factor: both ends double.
+    The top is ``spectral_upper_bound``.  A tensor operator brackets its 1D
+    factor and takes both ends ``op.dim`` times.
     """
-    if op.is_tensor:
-        base = estimate_spectral_bounds(op.factor)
-        return SpectralBounds(2.0 * base.lambda_min_est, 2.0 * base.lambda_max_est)
-    (Kd, Ke), (Md, Me) = op.stiffness_bands, op.mass_bands
-    top = spectral_upper_bound(op)
+    base = op.factor or op
+    (Kd, Ke), (Md, Me) = base.stiffness_bands, base.mass_bands
+    top = spectral_upper_bound(base)
     lo, hi = 0.0, top
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if is_spd(Kd - mid * Md, Ke - mid * Me) else (lo, mid)
-    return SpectralBounds(lambda_min_est=0.99 * lo, lambda_max_est=top)
+    return SpectralBounds(lambda_min_est=op.dim * (0.99 * lo), lambda_max_est=op.dim * top)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -122,7 +120,7 @@ class SpectralDecomposition:
     def lambda_grid(self) -> np.ndarray:
         """The eigenvalue of every mode coefficient, in coefficient order."""
         lam = self.lambdas_1d
-        return _read_only((lam[:, None] + lam[None, :]).ravel()) if self.op.is_tensor else lam
+        return _read_only((lam[:, None] + lam[None, :]).ravel()) if self.op.dim == 2 else lam
 
     @functools.cached_property
     def lambdas(self) -> np.ndarray:
@@ -135,13 +133,13 @@ class SpectralDecomposition:
     @functools.cached_property
     def _transposes(self) -> tuple[np.ndarray, np.ndarray]:
         """modes^T and _proj^T: contiguous copies in 2D, built on first use, views in 1D."""
-        if not self.op.is_tensor:
+        if self.op.dim == 1:
             return self.modes.T, self._proj.T
         return tuple(_read_only(np.ascontiguousarray(a.T)) for a in (self.modes, self._proj))
 
     def _along_axes(self, A: np.ndarray, At: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A along every axis of each row of v (a (c, N) block or one vector); At = A^T."""
-        if not self.op.is_tensor:
+        if self.op.dim == 1:
             return (A @ v.T).T
         n = len(self.lambdas_1d)
         return (A @ v.reshape(-1, n, n) @ At).reshape(v.shape)
@@ -208,7 +206,7 @@ def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
     Any other pair takes a dense symmetric generalized eigensolve.  Both
     are capped at ``DENSE_EIG_CAP`` dofs.
     """
-    if op.is_tensor:
+    if op.dim != 1:
         raise ValueError("eig_1d expects a 1D operator")
     if op.n_dofs > DENSE_EIG_CAP:
         raise ValueError(f"dense eigensolve capped at {DENSE_EIG_CAP} dofs, have {op.n_dofs}")
@@ -223,7 +221,7 @@ def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
 @functools.lru_cache(maxsize=8)
 def eig_2d_tensor(op: DiscreteOperator) -> SpectralDecomposition:
     """The decomposition of a tensor operator's 1D factor, bound to it (cached)."""
-    if not op.is_tensor:
+    if op.dim != 2:
         raise ValueError("eig_2d_tensor expects a tensor-assembled operator")
     return dataclasses.replace(eig_1d(op.factor), op=op)
 

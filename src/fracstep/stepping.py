@@ -48,8 +48,7 @@ import numpy as np
 from .fem import DiscreteOperator, GridFunction
 from .meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from .pade import PadeRational, pade_coefficients
-from .solvers import (BandedPencil, PreconditionedCG, SolveError, SolverPolicy,
-                      TensorDiagSolver)
+from .solvers import SOLVERS, BandedPencil, PreconditionedCG, SolveError, TensorDiagSolver
 
 _GROWTH_TOL = 1.0 + 1e-9
 
@@ -58,20 +57,23 @@ _GROWTH_TOL = 1.0 + 1e-9
 class StepperConfig:
     """Everything one run needs: exponent, order, shift, mesh and solver.
 
-    The scalar recurrences take the same config (``scalar.ScalarRunConfig``
-    is this class) and ignore ``solver``.
+    ``solver`` names how the shifted systems are solved, "direct" or "cg"
+    (see ``_pencil``).  The scalar recurrences take the same config
+    (``scalar.ScalarRunConfig`` is this class) and ignore ``solver``.
     """
 
     alpha: float
     m: int
     delta: float
     mesh: TimeMesh
-    solver: SolverPolicy = SolverPolicy()
+    solver: str = "direct"
     rational: PadeRational = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}")
         object.__setattr__(self, "rational", pade_coefficients(self.m, self.alpha))
 
     @classmethod
@@ -90,8 +92,8 @@ class RunStats:
     per-step M-norm growth ratio and solve counts.
 
     ``cg_iters`` is the total of CG iterations of this row over the run and
-    ``cg_iters_max`` the most any single solve of it took; both stay 0 under
-    the direct policy.
+    ``cg_iters_max`` the most any single solve of it took; both stay 0 when
+    the solves are direct.
     """
 
     steps: int = 0
@@ -101,15 +103,15 @@ class RunStats:
     cg_iters_max: int = 0
 
 
-def _pencil(op: DiscreteOperator, policy: SolverPolicy, columns: int = 1):
+def _pencil(op: DiscreteOperator, solver: str, columns: int = 1):
     """The shifted-pencil backend for one run of ``columns`` rows on ``op``
     (see ``solvers``).  CG serves tensor operators only: a 1D operator is
-    always solved directly, so a "cg" policy there is refused."""
-    if policy.method == "cg":
-        if not op.is_tensor:
+    always solved directly, so ``solver="cg"`` there is refused."""
+    if solver == "cg":
+        if op.dim != 2:
             raise ValueError("the cg solver needs a tensor (2D) operator")
-        return PreconditionedCG(op, policy, columns)
-    return TensorDiagSolver(op) if op.is_tensor else BandedPencil(op)
+        return PreconditionedCG(op, columns)
+    return TensorDiagSolver(op) if op.dim == 2 else BandedPencil(op)
 
 
 def _step_terms(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray):

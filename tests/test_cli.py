@@ -132,14 +132,51 @@ class TestTable1D:
         assert "does not read ['solver']" in capsys.readouterr().err
 
 
-class TestTable2D:
-    @pytest.mark.parametrize("rtol", ("2", "0", "-1"))
-    def test_cg_tolerance_outside_unit_interval_fails(self, rtol, capsys):
-        # rtol 2 would accept CG's zero start, rtol <= 0 would never be met
-        code, out = run_cli(["table-2d", "--n-per-side", "20", "--cases", "e", "--alphas",
-                             "0.5", "--Ns", "1", "--solver", "cg", "--solver-rtol", rtol])
+    QUICK = ["table-1d", "--h", "0.05", "--cases", "b", "--alphas", "0.5", "--ms", "1",
+             "--Ns", "2", "--scheme", "grm"]
+
+    @pytest.mark.parametrize("policy", ((), ("--L-policy", "experiment"),
+                                        ("--L-policy", "theorem")))
+    def test_depth_outside_the_fixed_policy_fails(self, policy, tmp_path, capsys):
+        # the depth would be ignored: the run would report L = 9, not 3
+        code, out = run_cli([*self.QUICK, *policy, "--L", "3"])
         assert (code, out) == (2, "")
-        assert "rtol" in capsys.readouterr().err
+        assert "L is read only under L-policy fixed" in capsys.readouterr().err
+        cfg = tmp_path / "depth.cfg"
+        cfg.write_text("L = 3\n")
+        code, out = run_cli([*self.QUICK, *policy, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "L is read only under L-policy fixed" in capsys.readouterr().err
+
+    def test_shift_with_shift_fraction_fails(self, capsys):
+        # an explicit delta would silently override the fraction
+        code, out = run_cli([*self.QUICK, "--delta", "1", "--delta-fraction", "0.9"])
+        assert (code, out) == (2, "")
+        assert "delta or delta-fraction, not both" in capsys.readouterr().err
+
+
+class TestTable2D:
+    QUICK = ["table-2d", "--n-per-side", "12", "--cases", "e", "--alphas", "0.5",
+             "--Ns", "1,2", "--scheme", "grm"]
+
+    def test_cg_tolerance_not_offered(self, tmp_path):
+        # every CG solve stops at solvers.CG_RTOL
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*self.QUICK, "--solver-rtol", "1e-8"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "rtol.cfg"
+        cfg.write_text("solver_rtol = 1e-8\n")
+        assert run_cli([*self.QUICK, "--config", str(cfg)]) == (2, "")
+
+    def test_theorem_policy_overrides_the_published_depth(self):
+        # TABLE_2D publishes L = 14 under the fixed policy; a given policy
+        # drops it without any L being given
+        code, out = run_cli([*self.QUICK, "--L-policy", "theorem"])
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["N"] for r in rows] == ["1", "2"]
+        assert rows[0]["L"] != "14"
+        assert rows[0]["solver_rtol"] == "1.000000000000e-12"
 
 
 class TestLibraryDefaults:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fracstep import solvers
 from fracstep.experiments import (
     ExperimentSpec,
     convergence_order,
@@ -17,7 +18,6 @@ from fracstep.experiments import (
 )
 from fracstep.fem import assemble_1d
 from fracstep.meshes import experiment_refinement_level, refinement_level_for
-from fracstep.solvers import SolverPolicy
 
 
 class TestConvergenceOrder:
@@ -60,10 +60,17 @@ class TestSpecValidation:
             ExperimentSpec(dimension=3)
 
     def test_cg_needs_dimension_two(self):
-        # 1D solves are always direct: a cg policy would be ignored yet reported
+        # 1D solves are always direct: cg would be ignored yet reported
         with pytest.raises(ValueError, match="cg"):
-            ExperimentSpec(solver=SolverPolicy("cg"))
-        assert ExperimentSpec(dimension=2, solver=SolverPolicy("cg")).solver.method == "cg"
+            ExperimentSpec(solver="cg")
+        assert ExperimentSpec(dimension=2, solver="cg").solver == "cg"
+
+    @pytest.mark.parametrize("h", (0.0, -0.1, float("nan"), float("inf"), 0.9, 1e-320))
+    def test_h_without_two_cells_refused(self, h):
+        # zero, negative or non-finite h, h = 0.9 (1 cell, no interior dof) and
+        # a subnormal h, whose 1 / h overflows
+        with pytest.raises(ValueError, match=r"^h = "):
+            ExperimentSpec(h=h)
 
     @pytest.mark.parametrize("dimension,key,cells", ((1, "h", lambda n: 1.0 / n),
                                                      (2, "n_per_side", lambda n: n)))
@@ -183,11 +190,12 @@ class TestTable2D:
         assert rows[0]["L"] == 9  # ceil(2 log2 20)
         assert rows[1]["rel_error"] < rows[0]["rel_error"]
 
-    def test_cg_solver_consistent_with_direct(self):
+    def test_cg_solver_consistent_with_direct(self, monkeypatch):
+        monkeypatch.setattr(solvers, "CG_RTOL", 1e-13)
         base = dict(dimension=2, data_cases=("e",), alphas=(0.3,), ms=(2,),
                     Ns=(2,), n_per_side=12, L_policy="experiment", scheme="grm")
         direct = run_table(ExperimentSpec(**base))
-        cg = run_table(ExperimentSpec(**base, solver=SolverPolicy("cg", 1e-13)))
+        cg = run_table(ExperimentSpec(**base, solver="cg"))
         assert cg[0]["rel_error"] == pytest.approx(direct[0]["rel_error"], rel=1e-6)
 
 
@@ -216,7 +224,7 @@ class TestSpatialRefinement:
 
         op, L, delta, f = _graded_setup(ExperimentSpec(), 4)
         with pytest.raises(RuntimeError, match="no Nt <= 1"):
-            _smallest_passing_Nt(op, f, 0.5, 1, delta, L, f, 0.0, SolverPolicy(), Nt_cap=1)
+            _smallest_passing_Nt(op, f, 0.5, 1, delta, L, f, 0.0, "direct", Nt_cap=1)
 
     def test_delta_at_the_spectrum_rejected(self):
         spec = ExperimentSpec(dimension=1, ms=(2,), Ns=(4,), um_steps=200, delta=500.0)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from fracstep import _kernels
+from fracstep import _kernels, solvers
 from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor
 from fracstep.meshes import TimeMesh, build_uniform_mesh
 from fracstep.pade import pade_coefficients
 from fracstep.scalar import scalar_run_grid
-from fracstep.solvers import SolverPolicy
 from fracstep.stepping import StepperConfig, run
 
 
@@ -131,10 +130,10 @@ def _dense_step(op, u, t, k, delta, r):
     return np.linalg.solve(poly(r.q_coeffs), poly(r.p_coeffs) @ u)
 
 
-def _one_step(u, t, k, op, alpha, m, delta, policy=SolverPolicy()):
+def _one_step(u, t, k, op, alpha, m, delta, solver="direct"):
     """(run over the one-step mesh [t, t + k], its dense reference)."""
     cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=TimeMesh([t, t + k]),
-                        solver=policy)
+                        solver=solver)
     # the run starts from delta**-alpha u and takes the mesh's own t and k
     want = delta ** -alpha * _dense_step(op, u.coeffs, cfg.mesh.t_left[0], cfg.mesh.k[0],
                                           delta, cfg.rational)
@@ -160,9 +159,10 @@ class TestStepAgainstDense:
     @pytest.mark.parametrize("method", ["direct", "cg"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("t,k", [(0.0, 1e-3), (0.25, 0.125), (0.5, 0.5)])
-    def test_2d_matches_dense_rational(self, method, m, t, k):
+    def test_2d_matches_dense_rational(self, method, m, t, k, monkeypatch):
+        monkeypatch.setattr(solvers, "CG_RTOL", 1e-14)
         op = assemble_2d_tensor(6)
         u = GridFunction(np.random.default_rng(m).standard_normal(op.n_dofs), op)
         got, want = _one_step(u, t, k, op, alpha=0.3, m=m, delta=10.0,
-                              policy=SolverPolicy(method, rtol=1e-14))
+                              solver=method)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -13,11 +13,12 @@ from fracstep.fem import assemble_1d, assemble_2d_tensor
 from fracstep.solvers import (
     PreconditionedCG,
     SolveError,
-    SolverPolicy,
     TensorDiagSolver,
     _pcg,
 )
-from fracstep.stepping import _pencil
+from fracstep.experiments import ExperimentSpec
+from fracstep.meshes import TimeMesh
+from fracstep.stepping import StepperConfig, _pencil
 
 
 def _jacobi(A):
@@ -74,21 +75,19 @@ class TestSolveSpd:
             _cg(A, b, rtol=1e-14, maxiter=1)
         # the exact preconditioner converges in the one iteration the budget allows
         monkeypatch.setattr(solvers, "CG_MAXITER", 1)
-        cg = PreconditionedCG(op, SolverPolicy(method="cg", rtol=1e-14))
+        monkeypatch.setattr(solvers, "CG_RTOL", 1e-14)
+        cg = PreconditionedCG(op)
         x = cg.solve(1.0, 1.0, b[None])[0]
         assert cg.iterations(0) == (1, 1)
         assert np.linalg.norm(b - A @ x) < 1e-13 * np.linalg.norm(b)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            SolverPolicy(method="lu")
-
-    @pytest.mark.parametrize("rtol", (2.0, 1.0, 0.0, -1.0, float("nan")))
-    def test_tolerance_outside_unit_interval_rejected(self, rtol):
-        # rtol >= 1 would accept CG's zero start; rtol <= 0 is never met
-        for method in ("direct", "cg"):
-            with pytest.raises(ValueError, match="rtol"):
-                SolverPolicy(method, rtol=rtol)
+        # a solver is one of solvers.SOLVERS, refused otherwise when a run or a
+        # study is configured
+        with pytest.raises(ValueError, match="unknown solver 'lu'"):
+            StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=TimeMesh([0.0, 1.0]), solver="lu")
+        with pytest.raises(ValueError, match="unknown solver 'lu'"):
+            ExperimentSpec(dimension=2, solver="lu")
 
     def test_cg_rejects_non_finite_rhs_at_once(self):
         op = assemble_2d_tensor(10)
@@ -98,7 +97,7 @@ class TestSolveSpd:
         with pytest.raises(SolveError, match="right-hand side not finite"):
             _cg(op.stiffness + op.mass, rhs)
         with pytest.raises(SolveError, match="right-hand side not finite"):
-            PreconditionedCG(op, SolverPolicy("cg")).solve(1.0, 1.0, rhs[None])
+            PreconditionedCG(op).solve(1.0, 1.0, rhs[None])
 
 
 class TestTensorDiagSolver:
@@ -129,9 +128,10 @@ class TestWarmStartCG:
     """``PreconditionedCG``, still reachable as ``WarmStartCG``, the name
     perfbench/tracing.py patches."""
 
-    def test_matches_direct(self):
+    def test_matches_direct(self, monkeypatch):
+        monkeypatch.setattr(solvers, "CG_RTOL", 1e-13)
         op = assemble_2d_tensor(9)
-        cg = PreconditionedCG(op, SolverPolicy(method="cg", rtol=1e-13))
+        cg = PreconditionedCG(op)
         direct = TensorDiagSolver(op)
         rng = np.random.default_rng(4)
         rhs = rng.standard_normal(op.n_dofs)
@@ -175,17 +175,17 @@ class TestWarmStartCGPattern:
         op = assemble_2d_tensor(6)
         lumped = dataclasses.replace(op, mass=sp.diags(op.mass.sum(axis=1).A1).tocsr())
         with pytest.raises(ValueError):
-            PreconditionedCG(lumped, SolverPolicy(method="cg"))
+            PreconditionedCG(lumped)
 
-    def test_iterations_counted_per_solver(self):
+    def test_iterations_counted_per_solver(self, monkeypatch):
+        monkeypatch.setattr(solvers, "CG_RTOL", 1e-14)
         op = assemble_2d_tensor(9)
-        policy = SolverPolicy(method="cg", rtol=1e-14)
-        cg = PreconditionedCG(op, policy)
+        cg = PreconditionedCG(op)
         rhs = np.linspace(1.0, 2.0, op.n_dofs)
         counts = []
         for a, b in ((2.0, 3.0), (0.01, 500.0)):
             A = (a * op.stiffness + b * op.mass).tocsr()
-            counts.append(_pcg(A, _modal(op, a, b), rhs, policy.rtol, solvers.CG_MAXITER)[1])
+            counts.append(_pcg(A, _modal(op, a, b), rhs, solvers.CG_RTOL, solvers.CG_MAXITER)[1])
             cg.solve(a, b, rhs[None])
             assert cg.iterations(0) == (sum(counts), max(counts))
         assert 1 <= min(counts) and max(counts) <= 2
@@ -194,8 +194,8 @@ class TestWarmStartCGPattern:
         op = assemble_2d_tensor(9)
         rng = np.random.default_rng(6)
         rhs = rng.standard_normal((2, op.n_dofs))
-        block = PreconditionedCG(op, SolverPolicy("cg"), columns=2)
-        singles = [PreconditionedCG(op, SolverPolicy("cg")) for _ in range(2)]
+        block = PreconditionedCG(op, columns=2)
+        singles = [PreconditionedCG(op) for _ in range(2)]
         for a, b in ((1.0, 2.0), (1.05, 2.0)):
             got = block.solve(a, b, rhs)
             for j, single in enumerate(singles):
@@ -234,9 +234,11 @@ class TestShiftedPencils:
 
 def _check_pencil(op, method, shifts, coeffs, U):
     """``apply_M`` and ``combine`` of the backend against the assembled matrices."""
-    pencil = _pencil(op, SolverPolicy(method, rtol=1e-14), len(U))
+    pencil = _pencil(op, method, len(U))
     MU = pencil.apply_M(U)
-    got = pencil.combine(shifts, coeffs, U)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "CG_RTOL", 1e-14)
+        got = pencil.combine(shifts, coeffs, U)
     assert MU.shape == got.shape == U.shape
     for u, Mu, row in zip(U, MU, got):
         want = op.mass @ u

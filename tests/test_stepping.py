@@ -5,7 +5,7 @@ from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_proje
 from fracstep.meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from fracstep.pade import eval_rational, pade_coefficients
 from fracstep.scalar import ScalarRunConfig, scalar_run_grid
-from fracstep.solvers import PreconditionedCG, SolveError, SolverPolicy
+from fracstep.solvers import PreconditionedCG, SolveError
 from fracstep.spectral import (
     SpectralBounds,
     discrete_sobolev_norm,
@@ -249,7 +249,7 @@ class Test2DSolvers:
         out_direct = run(f, op, StepperConfig(alpha=0.5, m=2, delta=delta, mesh=mesh))
         out_cg = run(f, op, StepperConfig(
             alpha=0.5, m=2, delta=delta, mesh=mesh,
-            solver=SolverPolicy(method="cg", rtol=1e-12)))
+            solver="cg"))
         diff = GridFunction(out_direct.coeffs - out_cg.coeffs, op)
         assert m_norm(op, diff) / m_norm(op, out_direct) < 1e-8
 
@@ -262,7 +262,7 @@ class Test2DSolvers:
         mesh = build_geometric_mesh(None, 2, L_override=10)
         kwargs = dict(alpha=0.5, m=2, delta=delta, mesh=mesh)
         direct = run(fs, op, StepperConfig(**kwargs))
-        cg, stats = run(fs, op, StepperConfig(**kwargs, solver=SolverPolicy("cg")),
+        cg, stats = run(fs, op, StepperConfig(**kwargs, solver="cg"),
                         return_stats=True)
         for want, got, st in zip(direct, cg, stats):
             assert 1 <= st.cg_iters_max <= 2
@@ -270,9 +270,9 @@ class Test2DSolvers:
             assert m_norm(op, diff) <= 1e-10 * m_norm(op, want)
 
     def test_cg_refused_on_a_1d_operator(self):
-        # 1D pencils are always solved directly: a cg policy there would be ignored
+        # 1D pencils are always solved directly: cg there would be ignored
         with pytest.raises(ValueError, match="tensor"):
-            _pencil(assemble_1d(np.linspace(0, 1, 11)), SolverPolicy("cg"))
+            _pencil(assemble_1d(np.linspace(0, 1, 11)), "cg")
 
     def test_cg_runs_are_bit_identical(self):
         # the CG counts and matrix of one run must not carry over to the next
@@ -281,7 +281,7 @@ class Test2DSolvers:
         f = l2_project(op, "f")
         cfg = StepperConfig(alpha=0.5, m=2, delta=delta,
                             mesh=build_geometric_mesh(None, 2, L_override=6),
-                            solver=SolverPolicy("cg"))
+                            solver="cg")
         first = run(f, op, cfg)
         second = run(f, op, cfg)
         assert np.array_equal(first.coeffs, second.coeffs)
@@ -291,7 +291,7 @@ class Test2DSolvers:
         op = assemble_2d_tensor(10)
         f = l2_project(op, "e")
         cfg = StepperConfig(alpha=0.5, m=2, delta=_half_bottom(op),
-                            mesh=TimeMesh([0.25, 0.5]), solver=SolverPolicy("cg"))
+                            mesh=TimeMesh([0.25, 0.5]), solver="cg")
         first = run(f, op, cfg)
         second = run(f, op, cfg)
         assert np.array_equal(first.coeffs, second.coeffs)
@@ -303,7 +303,7 @@ class Test2DSolvers:
         kwargs = dict(alpha=0.5, m=2, delta=_half_bottom(op), mesh=mesh)
         _, direct = run(f, op, StepperConfig(**kwargs), return_stats=True)
         assert direct.cg_iters == direct.cg_iters_max == 0
-        cfg = StepperConfig(**kwargs, solver=SolverPolicy("cg"))
+        cfg = StepperConfig(**kwargs, solver="cg")
         _, first = run(f, op, cfg, return_stats=True)
         _, second = run(f, op, cfg, return_stats=True)
         assert 0 < first.cg_iters_max < first.cg_iters
@@ -323,7 +323,7 @@ class Test2DSolvers:
         op = assemble_2d_tensor(8)
         mesh = build_geometric_mesh(None, 2, L_override=3)
         cfg = StepperConfig(alpha=0.5, m=3, delta=_half_bottom(op), mesh=mesh,
-                            solver=SolverPolicy("cg"))
+                            solver="cg")
         run(l2_project(op, "e"), op, cfg)
         assert len(calls) == mesh.num_steps * 3
 
@@ -348,12 +348,11 @@ def _block_problem(backend):
     """(op, cfg) of a short GRM run on one of the three pencil backends."""
     if backend == "banded":
         op = assemble_1d(np.linspace(0, 1, 101) ** 1.5)
-        policy = SolverPolicy()
     else:
         op = assemble_2d_tensor(9)
-        policy = SolverPolicy("cg" if backend == "cg" else "direct")
     cfg = StepperConfig(alpha=0.4, m=3, delta=_half_bottom(op),
-                        mesh=build_geometric_mesh(None, 2, L_override=4), solver=policy)
+                        mesh=build_geometric_mesh(None, 2, L_override=4),
+                        solver="cg" if backend == "cg" else "direct")
     return op, cfg
 
 
