@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
+from .fem import DATA_CASE_DIM, GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
 from .meshes import (
     build_geometric_mesh,
     build_graded_spatial_mesh,
@@ -59,7 +59,8 @@ class ExperimentSpec:
 
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of
     ``round(1 / h)`` cells or the tensor grid of ``n_per_side``, with at most
-    ``DENSE_EIG_CAP`` dofs per axis (the reference's dense modes).  ``solver``
+    ``DENSE_EIG_CAP`` dofs per axis (the reference's dense modes).  Each data
+    case must be one of ``fem.DATA_CASE_DIM`` of that dimension.  ``solver``
     is "direct" or "cg"; "cg" serves the tensor grid only, since 1D studies
     always solve directly.
     """
@@ -94,8 +95,15 @@ class ExperimentSpec:
         if self.dimension == 1 and not (0 < self.h and 1.5 <= 1 / self.h < math.inf):
             raise ValueError(f"h = {self.h} must give a finite count of at least 2 cells "
                              "(0 < h <= 2/3)")
-        if self.cells - 1 > DENSE_EIG_CAP:  # refused before anything is assembled
+        # the cap and the data cases are refused before anything is assembled
+        if self.cells - 1 > DENSE_EIG_CAP:
             raise ValueError(f"{self.cells - 1} dofs per axis, over the cap {DENSE_EIG_CAP}")
+        for tag in self.data_cases:
+            if tag not in DATA_CASE_DIM:
+                raise ValueError(f"unknown data case {tag!r}")
+            if DATA_CASE_DIM[tag] != self.dimension:
+                raise ValueError(f"data case {tag!r} is {DATA_CASE_DIM[tag]}D, "
+                                 f"the table is {self.dimension}D")
         _require_nonempty(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
                           Ns=self.Ns)
         if self.scheme not in ("grm", "um", "both"):
@@ -107,7 +115,9 @@ class ExperimentSpec:
                 raise ValueError(f"alpha {a} outside (0, 1)")
         if self.L_policy not in ("theorem", "experiment", "fixed"):
             raise ValueError(f"unknown L policy {self.L_policy!r}")
-        if self.L_policy == "fixed" and not self.L_fixed:
+        if self.L_fixed is not None and not self.L_fixed >= 1:
+            raise ValueError(f"L = {self.L_fixed} must be >= 1")
+        if self.L_policy == "fixed" and self.L_fixed is None:
             raise ValueError("L_policy 'fixed' needs L_fixed")
         # delta = fraction * lambda_min_est must stay below the spectrum
         if not 0 < self.delta_fraction < 1:
@@ -196,16 +206,18 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     One block run per (alpha, m, scheme, N) steps all data cases, since they
     share every shifted system; a stable sort by case then gives the rows
     case by case.  The spectral bounds behind L and delta are estimated
-    once per table, and the mesh size behind L is 1 / ``spec.cells``.
+    once per table, and the mesh size behind L is 1 / ``spec.cells``; both
+    are resolved (and a bad delta refused) before the n x n eigenbasis of
+    the reference is built.
     """
     if spec.dimension == 1:
         op = assemble_1d(np.linspace(0.0, 1.0, spec.cells + 1))
     else:
         op = assemble_2d_tensor(spec.cells)
-    decomp = eig_2d_tensor(op) if op.dim == 2 else eig_1d(op)
     bounds = estimate_spectral_bounds(op)
     L = _resolve_L(spec, bounds, 1.0 / spec.cells)
     delta = _resolve_delta(spec, bounds)
+    decomp = eig_2d_tensor(op) if op.dim == 2 else eig_1d(op)
     prov = _provenance(spec, delta)
     schemes = ("grm", "um") if spec.scheme == "both" else (spec.scheme,)
     fs = [l2_project(op, tag) for tag in spec.data_cases]

@@ -9,13 +9,15 @@ The eigenpairs are the ground-truth oracle.  Diagonalizing
 K psi = lambda M psi with M-orthonormal modes makes the exact discrete
 fractional power available as a reference, and gives the discrete Sobolev
 norms used to grade data smoothness.  A decomposition stores the
-eigenpairs of the 1D factor only, as dense arrays (capped at 4000 dofs):
-on a uniform mesh they are the closed-form sine modes, on any other mesh
-a dense generalized eigensolve.  A tensor 2D operator has eigenvalues
-lambda_i + lambda_j and modes psi_i (x) psi_j, never materialized, and
-every transform applies the 1D factor along each axis, here only:
-``SpectralDecomposition.apply`` also serves the tensor solvers of
-``solvers``.  With contiguous operands the 2D bits do not depend on the
+eigenpairs of the 1D factor only, and its modes are its one n x n array
+(capped at 4000 dofs, 8 n**2 bytes): on a uniform mesh they are the
+closed-form sine modes, on any other mesh a dense generalized eigensolve.
+Mode coefficients are (v, psi_j)_M = modes^T (M v) with the operator's
+sparse M, so no projector modes^T M is stored.  A tensor 2D operator has
+eigenvalues lambda_i + lambda_j and modes psi_i (x) psi_j, never
+materialized, and every transform applies the 1D factor along each axis,
+here only: ``SpectralDecomposition.apply`` also serves the tensor solvers
+of ``solvers``.  With contiguous operands the 2D bits do not depend on the
 BLAS thread count up to 100 dofs per axis (measured, OpenBLAS).  The
 tensor decomposition is cached per operator; ``eig_1d`` is not, so a dense
 1D basis lives only as long as its caller holds it.
@@ -100,7 +102,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and M-orthonormal modes of the 1D factor of
-    ``op`` (of ``op`` itself in 1D), with ``_proj = modes^T M``.
+    ``op`` (of ``op`` itself in 1D): one dense n x n array, ``modes``.
 
     Mode coefficients come in the order of ``lambda_grid``; ``lambdas``
     holds the same eigenvalues sorted.
@@ -109,11 +111,10 @@ class SpectralDecomposition:
     op: DiscreteOperator
     lambdas_1d: np.ndarray
     modes: np.ndarray
-    _proj: np.ndarray = dataclasses.field(repr=False)
 
     def __post_init__(self):
         # tensor decompositions are cached and shared, so nothing may write them
-        for arr in (self.lambdas_1d, self.modes, self._proj):
+        for arr in (self.lambdas_1d, self.modes):
             _read_only(arr)
 
     @functools.cached_property
@@ -131,11 +132,11 @@ class SpectralDecomposition:
         return len(self.lambda_grid)
 
     @functools.cached_property
-    def _transposes(self) -> tuple[np.ndarray, np.ndarray]:
-        """modes^T and _proj^T: contiguous copies in 2D, built on first use, views in 1D."""
+    def _modes_t(self) -> np.ndarray:
+        """modes^T: a contiguous copy in 2D, built on first use, a view in 1D."""
         if self.op.dim == 1:
-            return self.modes.T, self._proj.T
-        return tuple(_read_only(np.ascontiguousarray(a.T)) for a in (self.modes, self._proj))
+            return self.modes.T
+        return _read_only(np.ascontiguousarray(self.modes.T))
 
     def _along_axes(self, A: np.ndarray, At: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A along every axis of each row of v (a (c, N) block or one vector); At = A^T."""
@@ -145,17 +146,18 @@ class SpectralDecomposition:
         return (A @ v.reshape(-1, n, n) @ At).reshape(v.shape)
 
     def coefficients(self, v: np.ndarray) -> np.ndarray:
-        """M-weighted mode coefficients of a coefficient vector or block."""
-        return self._along_axes(self._proj, self._transposes[1], v)
+        """M-weighted mode coefficients (v, psi_j)_M of a coefficient vector or
+        block: modes^T (M v) along every axis."""
+        return self._along_axes(self._modes_t, self.modes, (self.op.mass @ v.T).T)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`coefficients`."""
-        return self._along_axes(self.modes, self._transposes[0], coeffs)
+        return self._along_axes(self.modes, self._modes_t, coeffs)
 
     def apply(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """modes (modal * modes^T rhs) along every axis, with one ``modal`` factor
         per mode: (a K + b M)^{-1} rhs for ``modal = 1 / (a lambda_grid + b)``."""
-        return self.synthesize(modal * self._along_axes(self._transposes[0], self.modes, rhs))
+        return self.synthesize(modal * self._along_axes(self._modes_t, self.modes, rhs))
 
     def mode_vector(self, j: int) -> np.ndarray:
         """The eigenvector of ``lambdas[j]`` as a flat coefficient vector."""
@@ -180,31 +182,34 @@ def _uniform_spacing(op: DiscreteOperator) -> float | None:
 
 
 def _uniform_eigenpairs(n: int, h: float):
-    """Eigenvalues, M-orthonormal modes and M-weights of the uniform P1 pair
-    (Strang & Fix): theta_j = j pi / (n+1), mode j is sin(i theta_j) scaled,
-    K and M act on it as (4/h) sin^2(theta_j/2) and (h/3)(2 + cos theta_j).
+    """Eigenvalues and M-orthonormal modes of the uniform P1 pair (Strang &
+    Fix): theta_j = j pi / (n+1), mode j is sin(i theta_j) scaled, K and M
+    act on it as (4/h) sin^2(theta_j/2) and (h/3)(2 + cos theta_j).
     """
     j = np.arange(1, n + 1)
     theta = j * (np.pi / (n + 1))
     # sin^2 of the half angle, not 1 - cos theta, which cancels for small j
     lam = (12.0 / h**2) * np.sin(theta / 2) ** 2 / (2.0 + np.cos(theta))
     mu = (h / 3.0) * (2.0 + np.cos(theta))
-    # sin(pi i j / (n+1)) from one period of samples, indexed by i j mod 2(n+1)
+    # sum_i sin^2(i theta_j) = (n+1)/2, so this makes psi_j^T M psi_j = 1
+    scale = np.sqrt(2.0 / ((n + 1) * mu))
+    # sin(pi i j / (n+1)) from one period of samples, indexed by i j mod 2(n+1),
+    # one row i at a time, so that the modes are the only n x n array
     period = 2 * (n + 1)
     sines = np.sin(np.arange(period) * (np.pi / (n + 1)))
-    modes = sines[np.outer(j, j) % period]
-    # sum_i sin^2(i theta_j) = (n+1)/2, so this makes psi_j^T M psi_j = 1
-    modes *= np.sqrt(2.0 / ((n + 1) * mu))
-    return lam, modes, mu
+    modes = np.empty((n, n))
+    for i, row in enumerate(modes, 1):
+        np.multiply(sines[i * j % period], scale, out=row)
+    return lam, modes
 
 
 def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
-    """Eigenvalues and M-orthonormal modes of the 1D pair (K, M).
+    """Eigenvalues and M-orthonormal modes of the 1D pair (K, M), held as one
+    dense n x n array.
 
     On a uniform mesh (see ``_uniform_spacing``) they are built in closed
-    form, and ``_proj = (modes diag(mu))^T`` because M modes = modes diag(mu).
-    Any other pair takes a dense symmetric generalized eigensolve.  Both
-    are capped at ``DENSE_EIG_CAP`` dofs.
+    form; any other pair takes a dense symmetric generalized eigensolve.
+    Both are capped at ``DENSE_EIG_CAP`` dofs.
     """
     if op.dim != 1:
         raise ValueError("eig_1d expects a 1D operator")
@@ -212,10 +217,8 @@ def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
         raise ValueError(f"dense eigensolve capped at {DENSE_EIG_CAP} dofs, have {op.n_dofs}")
     h = _uniform_spacing(op)
     if h is not None:
-        lam, modes, mu = _uniform_eigenpairs(op.n_dofs, h)
-        return SpectralDecomposition(op, lam, modes, (modes * mu).T)
-    lam, modes = sla.eigh(op.stiffness.toarray(), op.mass.toarray())
-    return SpectralDecomposition(op, lam, modes, modes.T @ op.mass.toarray())
+        return SpectralDecomposition(op, *_uniform_eigenpairs(op.n_dofs, h))
+    return SpectralDecomposition(op, *sla.eigh(op.stiffness.toarray(), op.mass.toarray()))
 
 
 @functools.lru_cache(maxsize=8)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fracstep import cli
+from fracstep import cli, experiments
 from fracstep.cli import main, read_config
 from fracstep.experiments import SPATIAL_REFINE, TABLE_2D, ExperimentSpec
 
@@ -147,6 +147,20 @@ class TestTable1D:
         code, out = run_cli([*self.QUICK, *policy, "--config", str(cfg)])
         assert (code, out) == (2, "")
         assert "L is read only under L-policy fixed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", (
+        (("table-1d", "--cases", "z"), "unknown data case 'z'"),
+        (("table-2d", "--cases", "a"), "data case 'a' is 1D, the table is 2D"),
+        (("table-1d", "--L-policy", "fixed", "--L", "0"), "L = 0 must be >= 1"),
+        (("table-1d", "--L-policy", "fixed", "--L", "-3"), "L = -3 must be >= 1")))
+    def test_bad_case_or_depth_fails_before_assembly(self, args, message, monkeypatch, capsys):
+        def refuse(*a):
+            raise AssertionError("operator assembled before the settings were checked")
+
+        monkeypatch.setattr(experiments, "assemble_1d", refuse)
+        monkeypatch.setattr(experiments, "assemble_2d_tensor", refuse)
+        assert run_cli(list(args)) == (2, "")
+        assert message in capsys.readouterr().err
 
     def test_shift_with_shift_fraction_fails(self, capsys):
         # an explicit delta would silently override the fraction

@@ -63,7 +63,7 @@ class TestSpecValidation:
         # 1D solves are always direct: cg would be ignored yet reported
         with pytest.raises(ValueError, match="cg"):
             ExperimentSpec(solver="cg")
-        assert ExperimentSpec(dimension=2, solver="cg").solver == "cg"
+        assert ExperimentSpec(dimension=2, data_cases=("e",), solver="cg").solver == "cg"
 
     @pytest.mark.parametrize("h", (0.0, -0.1, float("nan"), float("inf"), 0.9, 1e-320))
     def test_h_without_two_cells_refused(self, h):
@@ -78,7 +78,23 @@ class TestSpecValidation:
         # 4001 dofs per axis: refused before run_table assembles anything
         with pytest.raises(ValueError, match="4001 dofs per axis"):
             ExperimentSpec(dimension=dimension, **{key: cells(4002)})
-        assert ExperimentSpec(dimension=dimension, **{key: cells(4001)}).cells == 4001
+        cases = ("a",) if dimension == 1 else ("e",)
+        spec = ExperimentSpec(dimension=dimension, data_cases=cases, **{key: cells(4001)})
+        assert spec.cells == 4001
+
+    @pytest.mark.parametrize("dimension,cases,message", (
+        (1, ("a", "z"), "unknown data case 'z'"),
+        (2, ("e", "a"), "data case 'a' is 1D, the table is 2D"),
+        (1, ("f",), "data case 'f' is 2D, the table is 1D")))
+    def test_bad_data_case_refused_at_construction(self, dimension, cases, message):
+        # before run_table assembles the operator, its eigenbasis and bracket
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(dimension=dimension, data_cases=cases)
+
+    @pytest.mark.parametrize("L", (0, -3))
+    def test_depth_below_one_refused(self, L):
+        with pytest.raises(ValueError, match=rf"^L = {L} must be >= 1"):
+            ExperimentSpec(L_policy="fixed", L_fixed=L)
 
     @pytest.mark.parametrize("name", ("data_cases", "alphas", "ms", "Ns"))
     def test_empty_list(self, name):
@@ -141,6 +157,21 @@ class TestTable1D:
         assert {row["delta"] for row in rows} == {5.0}
         with pytest.raises(ValueError, match="not below lambda_min_est"):
             run_table(replace(spec, delta=50.0))
+
+    @pytest.mark.parametrize("dimension,grid", ((1, {"h": 0.05, "data_cases": ("c",)}),
+                                                (2, {"n_per_side": 12, "data_cases": ("e",)})))
+    def test_refused_shift_builds_no_eigenbasis(self, monkeypatch, dimension, grid):
+        import fracstep.experiments as experiments
+
+        def refuse(op):
+            raise AssertionError("eigenbasis built before the shift was checked")
+
+        monkeypatch.setattr(experiments, "eig_1d", refuse)
+        monkeypatch.setattr(experiments, "eig_2d_tensor", refuse)
+        spec = ExperimentSpec(dimension=dimension, alphas=(0.5,), ms=(1,), Ns=(2,),
+                              delta=50.0, **grid)
+        with pytest.raises(ValueError, match="not below lambda_min_est"):
+            run_table(spec)
 
     def test_theorem_policy_estimates_the_bounds_once(self, monkeypatch):
         import fracstep.experiments as experiments

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -95,12 +97,23 @@ class TestUniformClosedForm:
         dec = eig_1d(op)
         K, M, V = op.stiffness.toarray(), op.mass.toarray(), dec.modes
         assert np.max(np.abs(V.T @ M @ V - np.eye(n))) < 1e-13
-        assert np.max(np.abs(dec._proj - V.T @ M)) < 1e-13
         # normwise backward error of each eigenpair, in infinity norms
         R = K @ V - M @ V * dec.lambdas
         scale = (np.abs(K).sum(1).max() + dec.lambdas * np.abs(M).sum(1).max())
         scale *= np.abs(V).max(axis=0)
         assert np.max(np.abs(R).max(axis=0) / scale) < 1e-13
+
+    def test_modes_are_the_one_n_by_n_array(self):
+        # no projector modes^T M and no n x n index array along the way
+        n = 999
+        op = uniform_op(n)
+        tracemalloc.start()
+        try:
+            eig_1d(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n**2
 
     def test_reference_power_against_long_double_sine_series(self):
         n = 999
@@ -181,9 +194,9 @@ class TestModalApply:
         # a 1D decomposition (up to 4000 x 4000) gets no copy of its modes
         dec = eig_1d(op_1d_small)
         dec.synthesize(dec.coefficients(np.ones(op_1d_small.n_dofs)))
-        assert all(map(np.shares_memory, dec._transposes, (dec.modes, dec._proj)))
-        modes_t, proj_t = decomp_2d_small._transposes
-        assert modes_t.flags.c_contiguous and proj_t.flags.c_contiguous
+        assert np.shares_memory(dec._modes_t, dec.modes)
+        modes_t = decomp_2d_small._modes_t
+        assert modes_t.flags.c_contiguous
         assert not np.shares_memory(modes_t, decomp_2d_small.modes)
 
 
