@@ -1,24 +1,29 @@
 """SPD solve backends used by the steppers.
 
-One rational step needs ``M u`` and a weighted sum of shifted solves,
-sum_i c_i (a_i K + b_i M)^{-1} rhs, for every data case of a run.  The
-cases of a run share every shift, so they travel together as one block of
-shape (c, n), one row per case.  Every backend offers one protocol on that
-block: ``apply_M(U)``, ``combine(shifts, coeffs, rhs)`` (one term per pair
-(a_i, b_i) of ``shifts`` and weight c_i of ``coeffs``, applied to every
-row), and ``iterations(j)``, the CG counts of row j (0 for direct
-backends).  Each row of a result has the bits that a one-row block would
-give it.  The step needs neither K nor a mass solve (see ``stepping``).
+One rational step needs a weighted sum of shifted solves,
+sum_i c_i (a_i K + b_i M)^{-1} M u, and the M-norm of u, for every data
+case of a run.  The cases of a run share every shift, so they travel
+together as one block of shape (c, n), one row per case.  Every backend
+offers one protocol on that block: ``load(U)``, which gives a right-hand
+side block and the squared M-norm of each row, ``combine(shifts, coeffs,
+rhs)`` on that right-hand side (one term per pair (a_i, b_i) of ``shifts``
+and weight c_i of ``coeffs``, applied to every row), and ``iterations(j)``,
+the CG counts of row j (0 for direct backends).  Each row of a result has
+the bits that a one-row block would give it.  The step needs neither K nor
+a mass solve (see ``stepping``).
 
 * ``BandedPencil``: 1D SPD tridiagonals, solved directly by LAPACK in
   ``_kernels`` (one ``?ptsv`` per shift for the whole block, handed over
   as the Fortran-ordered (n, c) view ``rhs.T``), the terms added up.
+  ``load`` is the banded ``M U`` and u . M u per row.
 * ``TensorDiagSolver``: tensor 2D systems by fast diagonalization in the 1D
-  eigenbasis, through ``apply`` of the decomposition that
-  ``spectral.eig_2d_tensor`` caches per operator (no transform of its own).
-  The weighted sum is diagonal there, so ``combine`` costs one modal
-  multiplier on ``lambda_grid``, shared by the rows, and one ``apply``
-  (``solve``) for any number of shifts.
+  eigenbasis of the decomposition that ``spectral.eig_2d_tensor`` caches
+  per operator (no transform of its own).  ``load`` gives the mode
+  coefficients of each row, P^T U P along both axes, and their squared
+  Euclidean norm, which is the squared M-norm (Parseval), so no step makes
+  a sparse product.  The weighted sum is diagonal in the modes, so
+  ``combine`` costs one modal multiplier on ``lambda_grid``, shared by the
+  rows, and one synthesis (``solve``) for any number of shifts.
 * ``PreconditionedCG``: tensor 2D systems by conjugate gradients, the
   terms added up, each row solved from zero to the relative residual
   ``CG_RTOL`` within ``CG_MAXITER`` iterations, with its own iteration counts.
@@ -28,11 +33,12 @@ give it.  The step needs neither K nor a mass solve (see ``stepping``).
   There is one CG: ``_pcg``, a loop on a preassembled CSR matrix that
   repeats the recurrences and the stopping rule of
   ``scipy.sparse.linalg.cg`` (atol = 0), so it returns the same bits
-  without scipy's operator wrappers.
+  without scipy's operator wrappers.  ``load`` is ``M U`` by the CSR ``M``
+  one row at a time (a sparse product with the whole block is slower than
+  c vector products) and u . M u per row.
 
-The tensor backends apply the CSR ``M`` one row at a time: a sparse product
-with the whole block is slower than c vector products.  A backend is built
-for one run and holds that run's state (the CG iteration counts).
+A backend is built for one run and holds that run's state (the CG
+iteration counts).
 """
 
 from __future__ import annotations
@@ -58,16 +64,19 @@ CG_MAXITER = 20_000  # the iteration budget of every CG solve
 
 
 class _Pencil:
-    """``apply_M`` by a CSR ``M`` row by row, and ``combine`` as a sum of
-    per-shift block ``solve(a, b, rhs)`` calls (``TensorDiagSolver`` sums in
-    modal space)."""
+    """``load`` by the subclass's ``apply_M``, and ``combine`` as a sum of
+    per-shift block ``solve(a, b, rhs)`` calls (``TensorDiagSolver`` loads
+    and sums in modal space)."""
 
-    def apply_M(self, U):
-        return np.stack([self.M @ u for u in U])
+    def load(self, U):
+        """(M U, [u . M u for each row u]) for the (c, n) block U."""
+        MU = self.apply_M(U)
+        # ndarray.dot gives the bits of u @ Mu at half the call cost
+        return MU, [float(u.dot(Mu)) for u, Mu in zip(U, MU)]
 
     def combine(self, shifts, coeffs, rhs):
         """sum_i coeffs[i] (a_i K + b_i M)^{-1} rhs over the pairs (a_i, b_i) of
-        shifts, for every row of the (c, n) block rhs."""
+        shifts, for every row of the (c, n) block rhs = ``load(U)[0]``."""
         # summed from 0 like np.zeros, in fewer array operations
         return sum(c * self.solve(a, b, rhs) for (a, b), c in zip(shifts, coeffs))
 
@@ -100,30 +109,37 @@ class BandedPencil(_Pencil):
 
 
 class _TensorPencil(_Pencil):
-    """What the two tensor backends share: the CSR ``M`` and the decomposition
+    """What the two tensor backends share: the decomposition
     ``eig_2d_tensor(op)``, computed once per operator and shared with the
     reference; its ``apply`` with 1 / (a lambda_grid + b) is (a K2 + b M2)^{-1}."""
 
     def __init__(self, op: DiscreteOperator):
         if op.dim != 2:
             raise ValueError(f"{type(self).__name__} requires a tensor operator")
-        self.M = op.mass.tocsr()
         self.decomp = eig_2d_tensor(op)
         self.n = len(self.decomp.lambdas_1d)
 
 
 class TensorDiagSolver(_TensorPencil):
-    """Fast diagonalization for sums of (a_i K2 + b_i M2)^{-1} on tensor operators:
-    one modal multiplier, so four dense n x n multiplies however many shifts."""
+    """Fast diagonalization for sums of (a_i K2 + b_i M2)^{-1} M2 on tensor
+    operators, in mode coefficients: per step and row, two dense n x n
+    products analyse U (``load``) and two synthesize the result (``solve``),
+    however many shifts."""
+
+    def load(self, U):
+        """(C, [c . c for each row c]) with C the mode coefficients of U."""
+        C = self.decomp.coefficients(U)
+        return C, [float(c.dot(c)) for c in C]
 
     def combine(self, shifts, coeffs, rhs):
         lam = self.decomp.lambda_grid
         return self.solve(sum(c / (a * lam + b) for (a, b), c in zip(shifts, coeffs)), rhs)
 
-    def solve(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """(a K2 + b M2)^{-1} rhs, row by row, for ``modal = 1 / (a lambda_grid + b)``;
-        any other modal multiplier is applied the same way."""
-        return self.decomp.apply(modal, rhs)
+    def solve(self, modal: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """modes (modal * coeffs) along both axes, row by row: (a K2 + b M2)^{-1} M2 u
+        for ``modal = 1 / (a lambda_grid + b)`` and ``coeffs`` the mode
+        coefficients of u; any other modal multiplier is applied the same way."""
+        return self.decomp.synthesize(modal * coeffs)
 
 
 def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
@@ -193,13 +209,16 @@ class PreconditionedCG(_TensorPencil):
     def __init__(self, op: DiscreteOperator, columns: int = 1):
         super().__init__(op)
         self.K = K = op.stiffness.tocsr()
-        M = self.M
+        self.M = M = op.mass.tocsr()
         if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
             raise ValueError("PreconditionedCG needs stiffness and mass on one "
                              "sparsity pattern")
         self.A = K.copy()
         self.iters = [0] * columns
         self.iters_max = [0] * columns
+
+    def apply_M(self, U):
+        return np.stack([self.M @ u for u in U])
 
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
         """(a K2 + b M2)^{-1} applied to each row of the (c, n) block rhs."""

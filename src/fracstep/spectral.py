@@ -9,16 +9,19 @@ The eigenpairs are the ground-truth oracle.  Diagonalizing
 K psi = lambda M psi with M-orthonormal modes makes the exact discrete
 fractional power available as a reference, and gives the discrete Sobolev
 norms used to grade data smoothness.  A decomposition stores the
-eigenpairs of the 1D factor only, and its modes are its one n x n array
-(capped at 4000 dofs, 8 n**2 bytes): on a uniform mesh they are the
+eigenpairs of the 1D factor only, and in 1D its modes are its one n x n
+array (capped at 4000 dofs, 8 n**2 bytes): on a uniform mesh they are the
 closed-form sine modes, on any other mesh a dense generalized eigensolve.
-Mode coefficients are (v, psi_j)_M = modes^T (M v) with the operator's
-sparse M, so no projector modes^T M is stored.  A tensor 2D operator has
-eigenvalues lambda_i + lambda_j and modes psi_i (x) psi_j, never
-materialized, and every transform applies the 1D factor along each axis,
-here only: ``SpectralDecomposition.apply`` also serves the tensor solvers
-of ``solvers``.  With contiguous operands the 2D bits do not depend on the
-BLAS thread count up to 100 dofs per axis (measured, OpenBLAS).  The
+Mode coefficients are (v, psi_j)_M: modes^T (M v) in 1D with the
+operator's sparse M, so a 1D basis stores no projector.  A tensor 2D
+operator has eigenvalues lambda_i + lambda_j and modes psi_i (x) psi_j,
+never materialized; as M2 = M1 (x) M1, its coefficients are P^T V P on the
+n x n grid V of v with the cached projector P = M1 modes (Lynch, Rice &
+Thomas 1964), and the M-norm of v is their Euclidean norm (Parseval).
+Every transform applies a 1D factor along each axis, here only: the
+tensor solvers of ``solvers`` call these too.  With contiguous operands
+the 2D bits do not depend on the BLAS thread count up to 100 dofs per
+axis (measured, OpenBLAS).  The
 tensor decomposition is cached per operator; ``eig_1d`` is not, so a dense
 1D basis lives only as long as its caller holds it.
 """
@@ -102,7 +105,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and M-orthonormal modes of the 1D factor of
-    ``op`` (of ``op`` itself in 1D): one dense n x n array, ``modes``.
+    ``op`` (of ``op`` itself in 1D): one dense n x n array, ``modes``, in 1D;
+    a tensor decomposition also caches ``modes^T`` and the projector
+    M1 modes with its transpose, each n x n, on first use.
 
     Mode coefficients come in the order of ``lambda_grid``; ``lambdas``
     holds the same eigenvalues sorted.
@@ -145,10 +150,19 @@ class SpectralDecomposition:
         n = len(self.lambdas_1d)
         return (A @ v.reshape(-1, n, n) @ At).reshape(v.shape)
 
+    @functools.cached_property
+    def _projector(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P^T, P) for P = M1 modes, both contiguous, built on first use by a
+        tensor decomposition only."""
+        proj = self.op.factor.mass @ self.modes
+        return _read_only(np.ascontiguousarray(proj.T)), _read_only(proj)
+
     def coefficients(self, v: np.ndarray) -> np.ndarray:
         """M-weighted mode coefficients (v, psi_j)_M of a coefficient vector or
-        block: modes^T (M v) along every axis."""
-        return self._along_axes(self._modes_t, self.modes, (self.op.mass @ v.T).T)
+        block: modes^T (M v) in 1D, P^T V P along both axes in 2D."""
+        if self.op.dim == 1:
+            return self._along_axes(self._modes_t, self.modes, (self.op.mass @ v.T).T)
+        return self._along_axes(*self._projector, v)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`coefficients`."""

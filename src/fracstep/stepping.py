@@ -19,10 +19,13 @@ so M^{-1} (K - delta M) z_i = (u + x_i delta z_i) / a_i exactly, and
 
     u_next = u (1 + k sum_i c_i / a_i) + sum_i (k delta w_i / a_i) z_i.
 
-A step thus costs the m shifted solves and one M apply: the M u of the
-growth norm after each step is the next step's right-hand side.  The
-weighted sum of solves is one ``combine`` call on a shifted-pencil backend
-from ``solvers``, picked by ``_pencil`` and built once per run, so CG
+A step thus costs the m shifted solves and one ``load`` of the new
+iterate, which gives both the next step's right-hand side and the squared
+M-norm that the growth guard reads: M u and u . M u on the banded and CG
+backends, the mode coefficients of u and their squared norm (Parseval) on
+the direct tensor backend.  The weighted sum of solves is one ``combine``
+call on that right-hand side, on a shifted-pencil backend from
+``solvers``, picked by ``_pencil`` and built once per run, so CG
 iteration counts never outlive a run.  The shifts and weights of every
 step are computed once per run.
 
@@ -145,17 +148,16 @@ def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False)
     delta, steps = cfg.delta, cfg.mesh.num_steps
     shifts, coeffs, scales = _step_terms(cfg.rational, delta, cfg.mesh.t_left, cfg.mesh.k)
     U = delta ** (-cfg.alpha) * np.stack([w.coeffs for w in vs])
-    Mu = pencil.apply_M(U)
+    rhs, sq_norms = pencil.load(U)
     # per row, in Python floats: the M-norm and the worst growth so far
-    norms = [math.sqrt(max(float(U[j].dot(Mu[j])), 0.0)) for j in range(c)]
+    norms = [math.sqrt(max(sq, 0.0)) for sq in sq_norms]
     growth = [0.0] * c
     for i, scale in enumerate(scales.tolist()):
-        U = pencil.combine(shifts[i].tolist(), coeffs[i].tolist(), Mu) + scale * U
-        # M U feeds both the growth norms and the next step's right-hand side
-        Mu = pencil.apply_M(U)
-        for j in range(c):
-            # ndarray.dot gives the bits of u @ Mu at half the call cost
-            cur = math.sqrt(max(float(U[j].dot(Mu[j])), 0.0))
+        U = pencil.combine(shifts[i].tolist(), coeffs[i].tolist(), rhs) + scale * U
+        # one load feeds both the growth norms and the next step's right-hand side
+        rhs, sq_norms = pencil.load(U)
+        for j, sq in enumerate(sq_norms):
+            cur = math.sqrt(max(sq, 0.0))
             if not math.isfinite(cur):
                 raise SolveError(f"iterate not finite after step {i + 1} of {steps} "
                                  f"in column {j} (M-norm {cur})")

@@ -29,8 +29,8 @@ def _jacobi(A):
 
 def _modal(op, a, b):
     """The fast-diagonalization inverse of a K2 + b M2 as a callable."""
-    solver = TensorDiagSolver(op)
-    return functools.partial(solver.solve, 1.0 / (a * solver.decomp.lambda_grid + b))
+    decomp = TensorDiagSolver(op).decomp
+    return functools.partial(decomp.apply, 1.0 / (a * decomp.lambda_grid + b))
 
 
 def _cg(A, rhs, rtol=1e-12, maxiter=20000):
@@ -102,17 +102,21 @@ class TestSolveSpd:
 
 class TestTensorDiagSolver:
     def test_matches_sparse_solve(self):
+        # solve and combine take the mode coefficients of u and give
+        # (a K2 + b M2)^{-1} M2 u
         op = assemble_2d_tensor(9)
         solver = TensorDiagSolver(op)
         rng = np.random.default_rng(3)
-        rhs = rng.standard_normal(op.n_dofs)
+        u = rng.standard_normal(op.n_dofs)
+        coeffs = solver.load(u[None])[0]
         for a, b in ((1.0, 1.0), (0.25, 3.5), (0.0, 1.0)):
             A = (a * op.stiffness + b * op.mass).tocsc()
-            want = spla.spsolve(A, rhs)
-            np.testing.assert_allclose(solver.combine([(a, b)], [1.0], rhs), want,
+            want = spla.spsolve(A, op.mass @ u)
+            np.testing.assert_allclose(solver.combine([(a, b)], [1.0], coeffs)[0], want,
                                        rtol=1e-9, atol=1e-12)
             modal = 1.0 / (a * solver.decomp.lambda_grid + b)
-            np.testing.assert_allclose(solver.solve(modal, rhs), want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(solver.solve(modal, coeffs)[0], want,
+                                       rtol=1e-9, atol=1e-12)
 
     def test_requires_tensor_operator(self):
         op = assemble_1d(np.linspace(0, 1, 9))
@@ -134,10 +138,11 @@ class TestWarmStartCG:
         cg = PreconditionedCG(op)
         direct = TensorDiagSolver(op)
         rng = np.random.default_rng(4)
-        rhs = rng.standard_normal(op.n_dofs)
+        u = rng.standard_normal(op.n_dofs)
         for a, b in ((1.0, 2.0), (1.05, 2.0), (1.1, 2.1)):
-            got = cg.solve(a, b, rhs[None])[0]
-            want = direct.combine([(a, b)], [1.0], rhs[None])[0]
+            # both give (a K2 + b M2)^{-1} M2 u from what their own load gives
+            got = cg.solve(a, b, cg.load(u[None])[0])[0]
+            want = direct.combine([(a, b)], [1.0], direct.load(u[None])[0])[0]
             scale = np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-8 * scale
 
@@ -233,17 +238,19 @@ class TestShiftedPencils:
 
 
 def _check_pencil(op, method, shifts, coeffs, U):
-    """``apply_M`` and ``combine`` of the backend against the assembled matrices."""
+    """``load`` and ``combine`` of the backend against the assembled matrices:
+    the squared M-norm of each row, and sum_i c_i (a_i K + b_i M)^{-1} M u."""
     pencil = _pencil(op, method, len(U))
-    MU = pencil.apply_M(U)
+    rhs, sq_norms = pencil.load(U)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "CG_RTOL", 1e-14)
-        got = pencil.combine(shifts, coeffs, U)
-    assert MU.shape == got.shape == U.shape
-    for u, Mu, row in zip(U, MU, got):
-        want = op.mass @ u
-        assert np.linalg.norm(Mu - want) <= 1e-13 * np.linalg.norm(want)
-        terms = [c * spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), u)
+        got = pencil.combine(shifts, coeffs, rhs)
+    assert got.shape == U.shape and len(sq_norms) == len(U)
+    for u, sq, row in zip(U, sq_norms, got):
+        Mu = op.mass @ u
+        want = u.dot(Mu)
+        assert abs(sq - want) <= 1e-13 * want
+        terms = [c * spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), Mu)
                  for (a, b), c in zip(shifts, coeffs)]
         # relative to the terms, so that coefficients which cancel do not count
         scale = sum(np.linalg.norm(term) for term in terms)

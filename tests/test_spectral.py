@@ -192,12 +192,26 @@ class TestModalApply:
     def test_contiguous_transposes_only_for_tensor_operators(self, op_1d_small,
                                                                decomp_2d_small):
         # a 1D decomposition (up to 4000 x 4000) gets no copy of its modes
+        # and no projector
         dec = eig_1d(op_1d_small)
         dec.synthesize(dec.coefficients(np.ones(op_1d_small.n_dofs)))
         assert np.shares_memory(dec._modes_t, dec.modes)
+        assert "_projector" not in vars(dec)
         modes_t = decomp_2d_small._modes_t
         assert modes_t.flags.c_contiguous
         assert not np.shares_memory(modes_t, decomp_2d_small.modes)
+        assert all(arr.flags.c_contiguous for arr in decomp_2d_small._projector)
+
+    @pytest.mark.parametrize("n", range(4, 31))
+    def test_tensor_coefficients_match_the_assembled_mass(self, n):
+        # P^T V P with P = M1 modes is modes^T (M2 v) modes along both axes
+        op = assemble_2d_tensor(n)
+        dec = eig_2d_tensor(op)
+        v = np.random.default_rng(n).standard_normal((2, op.n_dofs))
+        side = len(dec.lambdas_1d)
+        for got, row in zip(dec.coefficients(v), v):
+            want = dec.modes.T @ (op.mass @ row).reshape(side, side) @ dec.modes
+            assert np.linalg.norm(got - want.ravel()) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestReferencePower:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fracstep.spectral import (
     SpectralBounds,
     discrete_sobolev_norm,
     eig_1d,
+    eig_2d_tensor,
     estimate_spectral_bounds,
     reference_power,
     spectral_upper_bound,
@@ -21,6 +24,17 @@ from tests.test_fem import fem_eigenvalue
 def _half_bottom(op):
     """The experiments' default shift: half the estimated bottom of the spectrum."""
     return 0.5 * estimate_spectral_bounds(op).lambda_min_est
+
+
+BACKENDS = ("banded", "tensor", "cg")  # the backends of the stepping protocol
+
+
+def _backend_op(backend):
+    """A small operator that runs on ``backend``, the solver name that picks
+    it there, and a smooth data case."""
+    if backend == "banded":
+        return assemble_1d(np.linspace(0, 1, 21)), "direct", "b"
+    return assemble_2d_tensor(8), "cg" if backend == "cg" else "direct", "e"
 
 
 @pytest.fixture(scope="module")
@@ -221,12 +235,17 @@ class TestRunSchemes:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
-    def test_non_finite_iterate_raises(self, bad):
-        op = assemble_1d(np.linspace(0, 1, 51))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_non_finite_iterate_raises(self, backend, bad):
+        op, solver, _ = _backend_op(backend)
         v = np.ones(op.n_dofs)
         v[7] = bad
-        cfg = StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=build_uniform_mesh(4))
-        with pytest.raises(SolveError, match="after step 1 of 4"):
+        cfg = StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=build_uniform_mesh(4),
+                            solver=solver)
+        # CG refuses the non-finite right-hand side before it iterates
+        match = ("right-hand side not finite" if solver == "cg"
+                 else "iterate not finite after step 1 of 4")
+        with pytest.raises(SolveError, match=match):
             run(GridFunction(v, op), op, cfg)
 
     def test_operator_mismatch(self, setup_1d):
@@ -388,14 +407,39 @@ class TestBlockRuns:
 
 
 class TestGrowthContract:
-    def test_shift_above_the_spectrum_raises(self):
-        # delta = 5 lambda_min makes the low modes grow from the first step on
-        op = assemble_1d(np.linspace(0, 1, 21))
-        lam_min = eig_1d(op).lambdas[0]
-        cfg = StepperConfig(alpha=0.5, m=2, delta=5.0 * lam_min, mesh=build_uniform_mesh(8))
-        f = l2_project(op, "b")
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_shift_above_the_spectrum_raises(self, backend):
+        # delta = 5 lambda_min makes the low modes grow from the first step on;
+        # the direct tensor backend measures the growth by Parseval
+        op, solver, case = _backend_op(backend)
+        lam_min = (eig_1d(op) if op.dim == 1 else eig_2d_tensor(op)).lambdas[0]
+        cfg = StepperConfig(alpha=0.5, m=2, delta=5.0 * lam_min, mesh=build_uniform_mesh(8),
+                            solver=solver)
+        f = l2_project(op, case)
         with pytest.raises(SolveError, match=r"step 1 of 8 grew the M-norm of column 1"):
             run([GridFunction(np.zeros(op.n_dofs), op), f], op, cfg)
+
+    def test_direct_tensor_steps_apply_no_sparse_mass(self):
+        # the direct tensor step loads mode coefficients: a run on an operator
+        # whose assembled mass refuses every product has the bits of the real one
+        class NoProducts:
+            def __init__(self, M):
+                self.shape = M.shape
+
+            def tocsr(self):  # a backend that converts it still reaches the product
+                return self
+
+            def __matmul__(self, other):
+                raise AssertionError("the step applied the assembled mass")
+
+        op = assemble_2d_tensor(8)
+        blind = dataclasses.replace(op, mass=NoProducts(op.mass))
+        f = l2_project(op, "e")
+        cfg = StepperConfig(alpha=0.5, m=2, delta=_half_bottom(op),
+                            mesh=build_geometric_mesh(None, 2, L_override=4))
+        want = run(f, op, cfg)
+        got = run(GridFunction(f.coeffs, blind), blind, cfg)
+        assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_shift_below_the_spectrum_passes(self):
         op = assemble_1d(np.linspace(0, 1, 21))
