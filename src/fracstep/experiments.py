@@ -20,7 +20,9 @@ Conventions baked in here (they reproduce the published tables):
 from __future__ import annotations
 
 import csv
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,8 @@ from .spectral import (DENSE_EIG_CAP, SpectralBounds, eig_1d, eig_2d_tensor,
 from .stepping import StepperConfig, run_grm, run_um
 
 DEFAULT_DELTA_FRACTION = 0.5
+log = logging.getLogger("fracstep")
+log.addHandler(logging.NullHandler())  # silent unless the caller configures logging
 
 
 def _require_nonempty(**lists) -> None:
@@ -59,7 +63,7 @@ class ExperimentSpec:
 
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of
     ``round(1 / h)`` cells or the tensor grid of ``n_per_side``, with at most
-    ``DENSE_EIG_CAP`` dofs per axis (the reference's dense modes).  Each data
+    ``DENSE_EIG_CAP`` dofs per axis in 2D (the reference's dense modes).  Each data
     case must be one of ``fem.DATA_CASE_DIM`` of that dimension.  ``solver``
     is "direct" or "cg"; "cg" serves the tensor grid only, since 1D studies
     always solve directly.
@@ -96,7 +100,7 @@ class ExperimentSpec:
             raise ValueError(f"h = {self.h} must give a finite count of at least 2 cells "
                              "(0 < h <= 2/3)")
         # the cap and the data cases are refused before anything is assembled
-        if self.cells - 1 > DENSE_EIG_CAP:
+        if self.dimension == 2 and self.cells - 1 > DENSE_EIG_CAP:
             raise ValueError(f"{self.cells - 1} dofs per axis, over the cap {DENSE_EIG_CAP}")
         for tag in self.data_cases:
             if tag not in DATA_CASE_DIM:
@@ -207,23 +211,32 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     share every shifted system; a stable sort by case then gives the rows
     case by case.  The spectral bounds behind L and delta are estimated
     once per table, and the mesh size behind L is 1 / ``spec.cells``; both
-    are resolved (and a bad delta refused) before the n x n eigenbasis of
-    the reference is built.
+    are resolved (and a bad delta refused) before the eigenbasis is built,
+    and ``log`` gets one DEBUG record of the setup seconds.
     """
+    marks = [time.perf_counter()]
     if spec.dimension == 1:
         op = assemble_1d(np.linspace(0.0, 1.0, spec.cells + 1))
     else:
         op = assemble_2d_tensor(spec.cells)
+    fs = [l2_project(op, tag) for tag in spec.data_cases]
+    marks.append(time.perf_counter())
     bounds = estimate_spectral_bounds(op)
     L = _resolve_L(spec, bounds, 1.0 / spec.cells)
     delta = _resolve_delta(spec, bounds)
+    marks.append(time.perf_counter())
     decomp = eig_2d_tensor(op) if op.dim == 2 else eig_1d(op)
+    marks.append(time.perf_counter())
+    references = {alpha: [reference_power(decomp, f, alpha) for f in fs] for alpha in spec.alphas}
+    seconds = np.diff([*marks, time.perf_counter()]).tolist()
+    info = {"n_dofs": op.n_dofs,
+            "setup_s": dict(zip(("assembly", "bounds", "eigenbasis", "references"), seconds))}
+    log.debug("run_table setup on %(n_dofs)d dofs, in seconds: %(setup_s)s", info, extra=info)
     prov = _provenance(spec, delta)
     schemes = ("grm", "um") if spec.scheme == "both" else (spec.scheme,)
-    fs = [l2_project(op, tag) for tag in spec.data_cases]
     rows = []  # (position of the case in spec.data_cases, row)
     for alpha in spec.alphas:
-        refs = [reference_power(decomp, f, alpha) for f in fs]
+        refs = references[alpha]
         ref_norms = [m_norm(op, ref) for ref in refs]
         for m in spec.ms:
             for scheme in schemes:

@@ -9,21 +9,21 @@ The eigenpairs are the ground-truth oracle.  Diagonalizing
 K psi = lambda M psi with M-orthonormal modes makes the exact discrete
 fractional power available as a reference, and gives the discrete Sobolev
 norms used to grade data smoothness.  A decomposition stores the
-eigenpairs of the 1D factor only, and in 1D its modes are its one n x n
-array (capped at 4000 dofs, 8 n**2 bytes): on a uniform mesh they are the
-closed-form sine modes, on any other mesh a dense generalized eigensolve.
+eigenpairs of the 1D factor only: on a uniform mesh the closed-form sine
+modes as two length-n vectors, at any size, with a DST-I (``sine_transform``)
+as 1D transform; on any other a dense eigensolve, one n x n array (capped).
 Mode coefficients are (v, psi_j)_M: modes^T (M v) in 1D with the
 operator's sparse M, so a 1D basis stores no projector.  A tensor 2D
 operator has eigenvalues lambda_i + lambda_j and modes psi_i (x) psi_j,
 never materialized; as M2 = M1 (x) M1, its coefficients are P^T V P on the
 n x n grid V of v with the cached projector P = M1 modes (Lynch, Rice &
 Thomas 1964), and the M-norm of v is their Euclidean norm (Parseval).
-Every transform applies a 1D factor along each axis, here only: the
-tensor solvers of ``solvers`` call these too.  With contiguous operands
-the 2D bits do not depend on the BLAS thread count up to 100 dofs per
-axis (measured, OpenBLAS).  The
-tensor decomposition is cached per operator; ``eig_1d`` is not, so a dense
-1D basis lives only as long as its caller holds it.
+The 2D transforms are GEMMs with the dense ``modes``, and every transform
+applies a 1D factor along each axis, here only: the tensor solvers of
+``solvers`` call these too.  With contiguous operands the 2D bits do not
+depend on the BLAS thread count up to 100 dofs per axis (measured,
+OpenBLAS).  The tensor decomposition is cached per operator; ``eig_1d`` is
+not, so a dense 1D basis lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
@@ -102,12 +102,22 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def sine_transform(x: np.ndarray) -> np.ndarray:
+    """S x along the last axis, S_ij = sin(pi i j / (n+1)): the DST-I
+    -Im(rfft(0, x, 0, -x reversed))[1:n+1] / 2 of each row (Van Loan 1992),
+    which has the bits the row has alone."""
+    n = x.shape[-1]
+    ext = np.zeros((*x.shape[:-1], 2 * (n + 1)))
+    ext[..., 1:n + 1], ext[..., :n + 1:-1] = x, -x
+    return -0.5 * np.fft.rfft(ext).imag[..., 1:n + 1]
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and M-orthonormal modes of the 1D factor of
-    ``op`` (of ``op`` itself in 1D): one dense n x n array, ``modes``, in 1D;
-    a tensor decomposition also caches ``modes^T`` and the projector
-    M1 modes with its transpose, each n x n, on first use.
+    ``op`` (of ``op`` itself in 1D): ``scale[j] sin(i theta_j)`` on a uniform
+    mesh, else the columns of ``eigh_modes``.  The n x n ``modes``, and in 2D
+    ``modes^T`` and the projector M1 modes with its transpose, are built on first use.
 
     Mode coefficients come in the order of ``lambda_grid``; ``lambdas``
     holds the same eigenvalues sorted.
@@ -115,12 +125,25 @@ class SpectralDecomposition:
 
     op: DiscreteOperator
     lambdas_1d: np.ndarray
-    modes: np.ndarray
+    eigh_modes: np.ndarray | None = None
+    scale: np.ndarray | None = None
 
     def __post_init__(self):
         # tensor decompositions are cached and shared, so nothing may write them
-        for arr in (self.lambdas_1d, self.modes):
-            _read_only(arr)
+        for arr in (self.lambdas_1d, self.scale, self.eigh_modes):
+            if arr is not None:
+                _read_only(arr)
+
+    @functools.cached_property
+    def modes(self) -> np.ndarray:
+        if self.scale is None:
+            return self.eigh_modes
+        if (n := len(self.scale)) > DENSE_EIG_CAP:
+            raise ValueError(f"dense modes capped at {DENSE_EIG_CAP} dofs, have {n}")
+        modes = np.empty((n, n))
+        for lo in range(0, n, 8):  # 8 rows of the identity at a time: one n x n array
+            modes[lo:lo + 8] = sine_transform(np.eye(min(8, n - lo), n, lo)) * self.scale
+        return _read_only(modes)
 
     @functools.cached_property
     def lambda_grid(self) -> np.ndarray:
@@ -150,6 +173,12 @@ class SpectralDecomposition:
         n = len(self.lambdas_1d)
         return (A @ v.reshape(-1, n, n) @ At).reshape(v.shape)
 
+    def _analyse(self, v: np.ndarray) -> np.ndarray:
+        """modes^T along every axis of each row of v."""
+        if self.op.dim == 1 and self.scale is not None:
+            return sine_transform(v) * self.scale
+        return self._along_axes(self._modes_t, self.modes, v)
+
     @functools.cached_property
     def _projector(self) -> tuple[np.ndarray, np.ndarray]:
         """(P^T, P) for P = M1 modes, both contiguous, built on first use by a
@@ -161,17 +190,19 @@ class SpectralDecomposition:
         """M-weighted mode coefficients (v, psi_j)_M of a coefficient vector or
         block: modes^T (M v) in 1D, P^T V P along both axes in 2D."""
         if self.op.dim == 1:
-            return self._along_axes(self._modes_t, self.modes, (self.op.mass @ v.T).T)
+            return self._analyse((self.op.mass @ v.T).T)
         return self._along_axes(*self._projector, v)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`coefficients`."""
+        if self.op.dim == 1 and self.scale is not None:
+            return sine_transform(self.scale * coeffs)
         return self._along_axes(self.modes, self._modes_t, coeffs)
 
     def apply(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """modes (modal * modes^T rhs) along every axis, with one ``modal`` factor
         per mode: (a K + b M)^{-1} rhs for ``modal = 1 / (a lambda_grid + b)``."""
-        return self.synthesize(modal * self._along_axes(self._modes_t, self.modes, rhs))
+        return self.synthesize(modal * self._analyse(rhs))
 
     def mode_vector(self, j: int) -> np.ndarray:
         """The eigenvector of ``lambdas[j]`` as a flat coefficient vector."""
@@ -195,43 +226,24 @@ def _uniform_spacing(op: DiscreteOperator) -> float | None:
     return None
 
 
-def _uniform_eigenpairs(n: int, h: float):
-    """Eigenvalues and M-orthonormal modes of the uniform P1 pair (Strang &
-    Fix): theta_j = j pi / (n+1), mode j is sin(i theta_j) scaled, K and M
-    act on it as (4/h) sin^2(theta_j/2) and (h/3)(2 + cos theta_j).
-    """
-    j = np.arange(1, n + 1)
-    theta = j * (np.pi / (n + 1))
-    # sin^2 of the half angle, not 1 - cos theta, which cancels for small j
-    lam = (12.0 / h**2) * np.sin(theta / 2) ** 2 / (2.0 + np.cos(theta))
-    mu = (h / 3.0) * (2.0 + np.cos(theta))
-    # sum_i sin^2(i theta_j) = (n+1)/2, so this makes psi_j^T M psi_j = 1
-    scale = np.sqrt(2.0 / ((n + 1) * mu))
-    # sin(pi i j / (n+1)) from one period of samples, indexed by i j mod 2(n+1),
-    # one row i at a time, so that the modes are the only n x n array
-    period = 2 * (n + 1)
-    sines = np.sin(np.arange(period) * (np.pi / (n + 1)))
-    modes = np.empty((n, n))
-    for i, row in enumerate(modes, 1):
-        np.multiply(sines[i * j % period], scale, out=row)
-    return lam, modes
-
-
 def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
-    """Eigenvalues and M-orthonormal modes of the 1D pair (K, M), held as one
-    dense n x n array.
-
-    On a uniform mesh (see ``_uniform_spacing``) they are built in closed
-    form; any other pair takes a dense symmetric generalized eigensolve.
-    Both are capped at ``DENSE_EIG_CAP`` dofs.
-    """
+    """Eigenvalues and M-orthonormal modes of the 1D pair (K, M): on a uniform
+    mesh (see ``_uniform_spacing``) the closed-form sine modes, two length-n
+    vectors at any size; on any other a dense symmetric generalized
+    eigensolve, one n x n array capped at ``DENSE_EIG_CAP`` dofs."""
     if op.dim != 1:
         raise ValueError("eig_1d expects a 1D operator")
-    if op.n_dofs > DENSE_EIG_CAP:
-        raise ValueError(f"dense eigensolve capped at {DENSE_EIG_CAP} dofs, have {op.n_dofs}")
-    h = _uniform_spacing(op)
+    n, h = op.n_dofs, _uniform_spacing(op)
     if h is not None:
-        return SpectralDecomposition(op, *_uniform_eigenpairs(op.n_dofs, h))
+        # Strang & Fix: K, M act on sin(i theta_j) as (4/h) sin^2(theta_j/2), (h/3)(2 + cos theta_j)
+        theta = np.arange(1, n + 1) * (np.pi / (n + 1))
+        # sin^2 of the half angle, not 1 - cos theta, which cancels for small j
+        lam = (12.0 / h**2) * np.sin(theta / 2) ** 2 / (2.0 + np.cos(theta))
+        mu = (h / 3.0) * (2.0 + np.cos(theta))
+        # sum_i sin^2(i theta_j) = (n+1)/2, so this makes psi_j^T M psi_j = 1
+        return SpectralDecomposition(op, lam, scale=np.sqrt(2.0 / ((n + 1) * mu)))
+    if n > DENSE_EIG_CAP:
+        raise ValueError(f"dense eigensolve capped at {DENSE_EIG_CAP} dofs, have {n}")
     return SpectralDecomposition(op, *sla.eigh(op.stiffness.toarray(), op.mass.toarray()))
 
 

@@ -98,6 +98,14 @@ class TestTable1D:
         code, _ = run_cli(["table-1d", "--config", str(cfg)])
         assert code == 2
 
+    def test_mesh_over_the_dense_cap(self):
+        # 4999 dofs: the 1D reference is a sine transform, with no cap
+        code, out = run_cli(["table-1d", "--h", "2e-4", "--cases", "a", "--alphas", "0.5",
+                             "--ms", "2", "--Ns", "8,16", "--scheme", "grm"])
+        assert code == 0
+        errors = [float(row["rel_error"]) for row in parse_csv(out)]
+        assert len(errors) == 2 and errors[1] < errors[0]
+
     def test_shift_above_the_spectrum_fails(self, capsys):
         # lambda_min is about 9.87: delta = 50 would let every step grow
         code, _ = run_cli(["table-1d", "--h", "0.05", "--cases", "b", "--alphas", "0.5",
@@ -294,7 +302,9 @@ def test_cli_runs_without_mpmath():
               "    code = cli.main(['table-1d', '--h', '0.1', '--cases', 'c', '--alphas',"
               " '0.5', '--ms', '2', '--Ns', '4,8'])\n"
               "assert code == 0, code\n"
-              "assert 'mpmath' not in sys.modules\n")
+              "assert 'mpmath' not in sys.modules\n"
+              # scipy.fft costs 5 MB of resident memory; the sine transform is numpy.fft
+              "assert 'scipy.fft' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
 

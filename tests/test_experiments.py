@@ -1,4 +1,5 @@
 import io
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -72,8 +73,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"^h = "):
             ExperimentSpec(h=h)
 
-    @pytest.mark.parametrize("dimension,key,cells", ((1, "h", lambda n: 1.0 / n),
-                                                     (2, "n_per_side", lambda n: n)))
+    # only 2D grids are capped: the 1D reference is a sine transform of any
+    # size (tests/test_cli.py runs a 4999-dof table)
+    @pytest.mark.parametrize("dimension,key,cells", ((2, "n_per_side", lambda n: n),))
     def test_grid_over_the_dense_cap_refused_at_construction(self, dimension, key, cells):
         # 4001 dofs per axis: refused before run_table assembles anything
         with pytest.raises(ValueError, match="4001 dofs per axis"):
@@ -198,6 +200,23 @@ class TestTable1D:
                               Ns=(2,), scheme="grm", h=0.385)
         assert {row["L"] for row in run_table(spec)} == {experiment_refinement_level(1 / 3)}
         assert experiment_refinement_level(1 / 3) == 4
+
+    def test_setup_split_logged_at_debug(self, caplog):
+        spec = ExperimentSpec(dimension=1, data_cases=("c", "d"), alphas=(0.1, 0.5),
+                              ms=(1,), Ns=(2,), h=0.05)
+        with caplog.at_level(logging.DEBUG, logger="fracstep"):
+            run_table(spec)
+        [record] = [r for r in caplog.records if r.name == "fracstep"]
+        assert record.levelno == logging.DEBUG
+        assert record.n_dofs == 19
+        assert list(record.setup_s) == ["assembly", "bounds", "eigenbasis", "references"]
+        assert all(0 <= t < 60 for t in record.setup_s.values())
+        assert "19 dofs" in record.getMessage()
+
+    def test_logger_silent_by_default(self):
+        # without a handler of the caller's, records go to the NullHandler
+        handlers = logging.getLogger("fracstep").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
     def test_determinism(self, small_1d_rows, tmp_path):
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),

@@ -50,9 +50,11 @@ class TestEig1D:
         np.testing.assert_allclose(dec.lambdas, 1.0, rtol=1e-12)
 
     def test_dense_cap(self):
-        op = assemble_1d(np.linspace(0, 1, 4003))
-        with pytest.raises(ValueError):
-            eig_1d(op)
+        # the cap holds on the dense eigensolve, not on the uniform sine basis
+        nodes = np.linspace(0, 1, 4003)
+        nodes[5] += 1e-9
+        with pytest.raises(ValueError, match="dense eigensolve capped at 4000 dofs"):
+            eig_1d(assemble_1d(nodes))
 
 
 def uniform_op(n):
@@ -104,16 +106,53 @@ class TestUniformClosedForm:
         assert np.max(np.abs(R).max(axis=0) / scale) < 1e-13
 
     def test_modes_are_the_one_n_by_n_array(self):
-        # no projector modes^T M and no n x n index array along the way
+        # built on first use, in place: no second n x n array along the way
         n = 999
-        op = uniform_op(n)
+        dec = eig_1d(uniform_op(n))
         tracemalloc.start()
         try:
-            eig_1d(op)
+            dec.modes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 8 * n**2
+
+    def test_reference_memory_is_linear(self):
+        # the sine basis is two length-n vectors and each transform one row
+        # of 2 (n+1) samples: no n x n array (3.2 GB here) along the way
+        n = 20_000
+        op = uniform_op(n)
+        f = l2_project(op, "a")
+        tracemalloc.start()
+        try:
+            reference_power(eig_1d(op), f, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * n
+
+    def test_modes_over_the_cap_refused_without_allocating(self):
+        n = DENSE_EIG_CAP + 1
+        dec = eig_1d(uniform_op(n))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense modes capped at 4000 dofs"):
+                dec.modes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
+        assert "modes" not in vars(dec)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 10, 64))
+    def test_sine_transform_is_the_sine_matrix(self, n):
+        j = np.arange(1, n + 1)
+        S = np.sin(np.outer(j, j) * (np.pi / (n + 1)))
+        x = np.random.default_rng(n).standard_normal((3, n))
+        got = spectral.sine_transform(x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, x @ S, rtol=0, atol=1e-14 * np.abs(x).sum())
+        np.testing.assert_allclose(spectral.sine_transform(x[0]), got[0], rtol=0, atol=0)
 
     def test_reference_power_against_long_double_sine_series(self):
         n = 999
@@ -189,14 +228,30 @@ class TestModalApply:
             for j, r in enumerate(rhs):
                 assert np.array_equal(block[j], one(r))
 
+    def test_sine_rows_have_their_one_vector_bits(self):
+        dec = eig_1d(uniform_op(999))
+        rhs = np.random.default_rng(8).standard_normal((4, 999))
+        modal = 1.0 / (dec.lambda_grid + 2.0)
+        for block, one in ((dec.apply(modal, rhs), lambda r: dec.apply(modal, r)),
+                           (dec.coefficients(rhs), dec.coefficients),
+                           (dec.synthesize(rhs), dec.synthesize)):
+            for j, r in enumerate(rhs):
+                assert np.array_equal(block[j], one(r))
+
     def test_contiguous_transposes_only_for_tensor_operators(self, op_1d_small,
                                                                decomp_2d_small):
-        # a 1D decomposition (up to 4000 x 4000) gets no copy of its modes
-        # and no projector
+        # a uniform 1D basis transforms by sines and builds no n x n array
         dec = eig_1d(op_1d_small)
         dec.synthesize(dec.coefficients(np.ones(op_1d_small.n_dofs)))
-        assert np.shares_memory(dec._modes_t, dec.modes)
-        assert "_projector" not in vars(dec)
+        dec.apply(np.ones(dec.n_modes), np.ones(op_1d_small.n_dofs))
+        assert {"modes", "_modes_t", "_projector"}.isdisjoint(vars(dec))
+        # a dense 1D basis (up to 4000 x 4000) gets no copy of its modes
+        nodes = np.linspace(0.0, 1.0, 12)
+        nodes[5] += 1e-9
+        dense = eig_1d(assemble_1d(nodes))
+        dense.synthesize(dense.coefficients(np.ones(10)))
+        assert np.shares_memory(dense._modes_t, dense.modes)
+        assert "_projector" not in vars(dense)
         modes_t = decomp_2d_small._modes_t
         assert modes_t.flags.c_contiguous
         assert not np.shares_memory(modes_t, decomp_2d_small.modes)
