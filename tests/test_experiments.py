@@ -19,6 +19,7 @@ from fracstep.experiments import (
 )
 from fracstep.fem import assemble_1d
 from fracstep.meshes import experiment_refinement_level, refinement_level_for
+from tests.test_fem import built_fields
 
 
 class TestConvergenceOrder:
@@ -239,6 +240,48 @@ class TestTable2D:
         assert len(rows) == 2
         assert rows[0]["L"] == 9  # ceil(2 log2 20)
         assert rows[1]["rel_error"] < rows[0]["rel_error"]
+
+    @pytest.mark.parametrize("solver", solvers.SOLVERS)
+    def test_sparse_pair_built_only_for_cg_and_once(self, monkeypatch, solver):
+        # a tensor operator builds its CSR pair on the first read: the direct
+        # path never reads it, CG reads it in every run and builds it once
+        import fracstep.experiments as experiments
+        from fracstep import fem
+
+        ops, krons = [], []
+        assemble, kron = experiments.assemble_2d_tensor, fem.sp.kron
+
+        def assemble_kept(n):
+            ops.append(assemble(n))
+            return ops[-1]
+
+        def kron_counted(*args, **kwargs):
+            krons.append(args)
+            return kron(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "assemble_2d_tensor", assemble_kept)
+        monkeypatch.setattr(fem.sp, "kron", kron_counted)
+        spec = ExperimentSpec(dimension=2, data_cases=("e", "f"), alphas=(0.3, 0.7),
+                              ms=(1,), Ns=(1, 2), n_per_side=10, L_policy="fixed",
+                              L_fixed=4, solver=solver)
+        assert len(run_table(spec)) == 16
+        [op] = ops
+        if solver == "direct":
+            assert built_fields(op) == set() and krons == []
+        else:
+            # one kron for M2, two for K2
+            assert built_fields(op) == {"mass", "stiffness"} and len(krons) == 3
+
+    def test_setup_books_the_dense_factors_under_eigenbasis(self, caplog):
+        # eig_2d_tensor builds them (see test_spectral), so the eigenbasis
+        # time is theirs
+        spec = ExperimentSpec(dimension=2, data_cases=("e",), alphas=(0.5,), ms=(1,),
+                              Ns=(1,), n_per_side=30, L_policy="fixed", L_fixed=4)
+        with caplog.at_level(logging.DEBUG, logger="fracstep"):
+            run_table(spec)
+        [record] = [r for r in caplog.records if r.name == "fracstep"]
+        assert record.n_dofs == 29**2
+        assert record.setup_s["eigenbasis"] > 0
 
     def test_cg_solver_consistent_with_direct(self, monkeypatch):
         monkeypatch.setattr(solvers, "CG_RTOL", 1e-13)

@@ -1,8 +1,10 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracstep.fem import (
@@ -15,6 +17,7 @@ from fracstep.fem import (
     load_vector,
     m_inner,
     m_norm,
+    mass_apply,
     mass_solver,
 )
 from fracstep.fem import _GAUSS_W, _GAUSS_X, _element_load_1d, _indicator_load_1d
@@ -189,6 +192,66 @@ class TestAssembly2D:
         op = assemble_2d_tensor(5)
         diff = (op.stiffness - op.stiffness.T).toarray()
         assert np.max(np.abs(diff)) == 0.0
+
+
+def built_fields(op):
+    """The on-demand fields of an operator that have been built."""
+    return {name for name in ("mass", "stiffness", "dof_coords") if vars(op)[name] is not None}
+
+
+class TestTensorOperator:
+    """A tensor operator holds its 1D factor; its n^2 x n^2 pair is built on
+    demand, and the mass products of ``fem`` never build it."""
+
+    @pytest.mark.parametrize("n", (3, 8, 100))
+    def test_mass_apply_is_the_kron_product(self, n):
+        op = assemble_2d_tensor(n)
+        M2 = sp.kron(op.factor.mass, op.factor.mass).tocsr()
+        rng = np.random.default_rng(n)
+        v, block = rng.standard_normal(op.n_dofs), rng.standard_normal((3, op.n_dofs))
+        assert np.linalg.norm(mass_apply(op, v) - M2 @ v) <= 1e-15 * np.linalg.norm(M2 @ v)
+        want = (M2 @ block.T).T
+        got = mass_apply(op, block)
+        assert got.shape == block.shape
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+        u, w = (GridFunction(x, op) for x in block[:2])
+        assert built_fields(op) == set()
+        assert m_inner(op, u, w) == pytest.approx(u.coeffs @ (M2 @ w.coeffs), rel=1e-13)
+        assert m_norm(op, u) == pytest.approx(np.sqrt(u.coeffs @ (M2 @ u.coeffs)), rel=1e-14)
+        assert built_fields(op) == set()
+
+    def test_nan_valued_function_rejected(self):
+        op = assemble_2d_tensor(6)
+        with pytest.raises(ArithmeticError):
+            l2_project(op, lambda xy: np.full_like(xy[0], np.nan))
+
+    def test_assembly_allocates_only_the_factor(self):
+        tracemalloc.start()
+        try:
+            op = assemble_2d_tensor(400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.n_dofs == 399**2 and op.dim == 2
+        assert peak <= 0.5e6
+        assert built_fields(op) == set()
+
+    @pytest.mark.parametrize("n", (3, 8))
+    def test_pair_built_on_read_is_the_kron_formula(self, n):
+        op = assemble_2d_tensor(n)
+        K1, M1 = op.factor.stiffness, op.factor.mass
+        assert built_fields(op) == set()
+        M2 = op.mass
+        assert built_fields(op) == {"mass"}
+        assert op.mass is M2  # kept, not rebuilt
+        assert isinstance(M2, sp.csr_matrix) and isinstance(op.stiffness, sp.csr_matrix)
+        assert np.array_equal(M2.toarray(), sp.kron(M1, M1).toarray())
+        assert np.array_equal(op.stiffness.toarray(),
+                              (sp.kron(K1, M1) + sp.kron(M1, K1)).toarray())
+        x = op.factor.dof_coords
+        assert np.array_equal(op.dof_coords.reshape(n - 1, n - 1, 2),
+                              np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1))
+        assert built_fields(op) == {"mass", "stiffness", "dof_coords"}
 
 
 class TestDataCases:

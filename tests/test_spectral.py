@@ -257,6 +257,12 @@ class TestModalApply:
         assert not np.shares_memory(modes_t, decomp_2d_small.modes)
         assert all(arr.flags.c_contiguous for arr in decomp_2d_small._projector)
 
+    def test_tensor_basis_returned_with_its_dense_factors(self):
+        # built by eig_2d_tensor, so they count as eigenbasis setup, not as
+        # the first transform's
+        dec = eig_2d_tensor(assemble_2d_tensor(12))
+        assert {"modes", "_modes_t", "_projector"} <= set(vars(dec))
+
     @pytest.mark.parametrize("n", range(4, 31))
     def test_tensor_coefficients_match_the_assembled_mass(self, n):
         # P^T V P with P = M1 modes is modes^T (M2 v) modes along both axes
