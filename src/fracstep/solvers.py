@@ -4,13 +4,16 @@ One rational step needs a weighted sum of shifted solves,
 sum_i c_i (a_i K + b_i M)^{-1} M u, and the M-norm of u, for every data
 case of a run.  The cases of a run share every shift, so they travel
 together as one block of shape (c, n), one row per case.  Every backend
-offers one protocol on that block: ``load(U)``, which gives a right-hand
-side block and the squared M-norm of each row, ``combine(shifts, coeffs,
-rhs)`` on that right-hand side (one term per pair (a_i, b_i) of ``shifts``
-and weight c_i of ``coeffs``, applied to every row), and ``iterations(j)``,
-the CG counts of row j (0 for direct backends).  Each row of a result has
-the bits that a one-row block would give it.  The step needs neither K nor
-a mass solve (see ``stepping``).
+offers one protocol on that block: ``fold(U)`` and ``unfold(U)``, which
+move it to and from the coordinates the backend steps in (U itself, but
+for ``TensorDiagSolver``), ``load(U)`` on the moved block, which gives a
+right-hand side block and the squared M-norm of each row, ``combine(shifts,
+coeffs, rhs)`` on that right-hand side (one term per pair (a_i, b_i) of
+``shifts`` and weight c_i of ``coeffs``, applied to every row), which gives
+a block in the same coordinates as U, and ``iterations(j)``, the CG counts
+of row j (0 for direct backends).  Each row of a result has the bits that a
+one-row block would give it.  The step needs neither K nor a mass solve
+(see ``stepping``).
 
 * ``BandedPencil``: 1D SPD tridiagonals, solved directly by LAPACK in
   ``_kernels`` (one ``?ptsv`` per shift for the whole block, handed over
@@ -18,18 +21,23 @@ a mass solve (see ``stepping``).
   ``load`` is the banded ``M U`` and u . M u per row.
 * ``TensorDiagSolver``: tensor 2D systems by fast diagonalization in the 1D
   eigenbasis of the decomposition that ``spectral.eig_2d_tensor`` caches
-  per operator (no transform of its own).  ``load`` gives the mode
-  coefficients of each row, P^T U P along both axes, and their squared
-  Euclidean norm, which is the squared M-norm (Parseval), so no step makes
-  a sparse product.  The weighted sum is diagonal in the modes, so
-  ``combine`` costs one modal multiplier on ``lambda_grid``, shared by the
-  rows, and one synthesis (``solve``) for any number of shifts.
+  per operator (no transform of its own).  Its iterate is parity-folded
+  along both grid axes (``fold``, see ``spectral``) for the whole run, so
+  every transform is two half-size GEMMs per side.  ``load`` gives the
+  mode coefficients of each row, P^T U P along both axes in the folded
+  mode order, and their squared Euclidean norm, which is the squared
+  M-norm (Parseval), so no step makes a sparse product.  The weighted sum
+  is diagonal in the modes, so ``combine`` costs one modal multiplier on
+  ``lambda_grid``, shared by the rows, and one synthesis back to the folded
+  grid (``solve``) for any number of shifts.
 * ``PreconditionedCG``: tensor 2D systems by conjugate gradients, the
   terms added up, each row solved from zero to the relative residual
   ``CG_RTOL`` within ``CG_MAXITER`` iterations, with its own iteration counts.
   Each solve is preconditioned by the modal inverse of its own shifted
   pencil, the decomposition's ``apply`` with one shift's multiplier, which
-  is exact on these constant-coefficient operators.
+  is exact on these constant-coefficient operators.  ``apply`` multiplies
+  the unfolded grid by the dense modes: a fold per preconditioner call
+  would cost more than its half-size products save.
   There is one CG: ``_pcg``, a loop on a preassembled CSR matrix that
   repeats the recurrences and the stopping rule of
   ``scipy.sparse.linalg.cg`` (atol = 0), so it returns the same bits
@@ -70,6 +78,14 @@ class _Pencil:
     """``load`` by the subclass's ``apply_M``, and ``combine`` as a sum of
     per-shift block ``solve(a, b, rhs)`` calls (``TensorDiagSolver`` loads
     and sums in modal space)."""
+
+    def fold(self, U):
+        """The block in the coordinates the backend steps in: U itself here."""
+        return U
+
+    def unfold(self, U):
+        """Inverse of :meth:`fold`."""
+        return U
 
     def load(self, U):
         """(M U, [u . M u for each row u]) for the (c, n) block U."""
@@ -125,13 +141,20 @@ class _TensorPencil(_Pencil):
 
 class TensorDiagSolver(_TensorPencil):
     """Fast diagonalization for sums of (a_i K2 + b_i M2)^{-1} M2 on tensor
-    operators, in mode coefficients: per step and row, two dense n x n
-    products analyse U (``load``) and two synthesize the result (``solve``),
-    however many shifts."""
+    operators, on parity-folded blocks (``fold``) in the folded mode order:
+    per step and row, two pairs of half-size products analyse U (``load``)
+    and two synthesize the result (``solve``), however many shifts."""
+
+    def fold(self, U):
+        return self.decomp.fold(U)
+
+    def unfold(self, U):
+        return self.decomp.unfold(U)
 
     def load(self, U):
-        """(C, [c . c for each row c]) with C the mode coefficients of U."""
-        C = self.decomp.coefficients(U)
+        """(C, [c . c for each row c]) with C the mode coefficients of the
+        folded block U."""
+        C = self.decomp.folded_coefficients(U)
         return C, [float(c.dot(c)) for c in C]
 
     def combine(self, shifts, coeffs, rhs):
@@ -139,10 +162,11 @@ class TensorDiagSolver(_TensorPencil):
         return self.solve(sum(c / (a * lam + b) for (a, b), c in zip(shifts, coeffs)), rhs)
 
     def solve(self, modal: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """modes (modal * coeffs) along both axes, row by row: (a K2 + b M2)^{-1} M2 u
-        for ``modal = 1 / (a lambda_grid + b)`` and ``coeffs`` the mode
-        coefficients of u; any other modal multiplier is applied the same way."""
-        return self.decomp.synthesize(modal * coeffs)
+        """modes (modal * coeffs) along both axes, row by row, folded:
+        (a K2 + b M2)^{-1} M2 u for ``modal = 1 / (a lambda_grid + b)`` and
+        ``coeffs`` the mode coefficients of u; any other modal multiplier is
+        applied the same way."""
+        return self.decomp.folded_synthesize(modal * coeffs)
 
 
 def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:

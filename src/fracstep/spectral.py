@@ -16,15 +16,27 @@ Mode coefficients are (v, psi_j)_M: modes^T (M v) in 1D with the
 operator's sparse M, so a 1D basis stores no projector.  A tensor 2D
 operator has eigenvalues lambda_i + lambda_j and modes psi_i (x) psi_j,
 never materialized; as M2 = M1 (x) M1, its coefficients are P^T V P on the
-n x n grid V of v with the cached projector P = M1 modes (Lynch, Rice &
+n x n grid V of v with the projector P = M1 modes (Lynch, Rice &
 Thomas 1964), and the M-norm of v is their Euclidean norm (Parseval).
-The 2D transforms are GEMMs with the dense ``modes``, and every transform
-applies a 1D factor along each axis, here only: the tensor solvers of
-``solvers`` call these too.  With contiguous operands the 2D bits do not
-depend on the BLAS thread count up to 100 dofs per axis (measured,
-OpenBLAS).  The tensor decomposition is cached per operator and builds
-its dense factors before it returns; ``eig_1d`` is not cached, so a dense
-1D basis lives only as long as its caller holds it.
+
+A tensor factor must be uniform, so that its modes are sines, and sine
+mode j is symmetric about the midpoint of the grid for odd j and
+antisymmetric for even j.  Parity-folding an axis (``fold``: the sums of
+mirrored nodes, then their differences; the first butterfly of the DST,
+Van Loan 1992) therefore splits every 2D transform into two half-size
+products per side, odd modes on the sum parts and even modes on the
+difference parts: half the flops of the dense n x n GEMMs, still GEMMs.
+2D coefficients come in that folded mode order (odd j, then even j, along
+each axis; see ``lambda_grid``).  The direct tensor step keeps its iterate
+folded for a whole run (``solvers.TensorDiagSolver``), and ``coefficients``
+and ``synthesize`` fold and unfold around the same transforms.  Only
+``apply``, the CG preconditioner, multiplies the unfolded grid by the dense
+modes, built on first use.  With these contiguous half-size factors the
+2D bits of a table do not depend on the BLAS thread count on every grid
+tried from 99 to 229 dofs per axis but 199 (measured, OpenBLAS; see
+README).  The tensor decomposition is cached per operator and builds its half-size
+factors before it returns; ``eig_1d`` is not cached, so a dense 1D basis
+lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
@@ -113,13 +125,26 @@ def sine_transform(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(ext).imag[..., 1:n + 1]
 
 
+def _parity_order(n: int) -> np.ndarray:
+    """The folded order of n sine modes: odd j (symmetric about the midpoint)
+    first, then even j (antisymmetric); 0-based, the even indices first."""
+    return np.r_[0:n:2, 1:n:2]
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and M-orthonormal modes of the 1D factor of
     ``op`` (of ``op`` itself in 1D): ``scale[j] sin(i theta_j)`` on a uniform
     mesh, else the columns of ``eigh_modes``.  The n x n ``modes`` are built
-    on first use; in 2D ``eig_2d_tensor`` builds them, ``modes^T`` and the
-    projector M1 modes with its transpose before it returns.
+    on first use.
+
+    In 2D the factor is uniform, and its modes are taken in the folded
+    order (odd j, then even j), in ``modes`` and along each axis of
+    ``lambda_grid`` alike.  ``fold`` and ``unfold`` move a grid to and from
+    parity-folded coordinates, where ``folded_coefficients`` and
+    ``folded_synthesize`` multiply by the four half blocks of the modes
+    and of the projector (``_blocks``, built by ``eig_2d_tensor``): two
+    half-size GEMMs per side, with no n x n operand.
 
     Mode coefficients come in the order of ``lambda_grid``; ``lambdas``
     holds the same eigenvalues sorted.
@@ -145,13 +170,18 @@ class SpectralDecomposition:
         modes = np.empty((n, n))
         for lo in range(0, n, 8):  # 8 rows of the identity at a time: one n x n array
             modes[lo:lo + 8] = sine_transform(np.eye(min(8, n - lo), n, lo)) * self.scale
+        if self.op.dim == 2:
+            modes = np.ascontiguousarray(modes[:, _parity_order(n)])
         return _read_only(modes)
 
     @functools.cached_property
     def lambda_grid(self) -> np.ndarray:
         """The eigenvalue of every mode coefficient, in coefficient order."""
         lam = self.lambdas_1d
-        return _read_only((lam[:, None] + lam[None, :]).ravel()) if self.op.dim == 2 else lam
+        if self.op.dim == 1:
+            return lam
+        lam = lam[_parity_order(len(lam))]
+        return _read_only((lam[:, None] + lam[None, :]).ravel())
 
     @functools.cached_property
     def lambdas(self) -> np.ndarray:
@@ -163,7 +193,7 @@ class SpectralDecomposition:
 
     @functools.cached_property
     def _modes_t(self) -> np.ndarray:
-        """modes^T: a contiguous copy in 2D (built by ``eig_2d_tensor``), a view in 1D."""
+        """modes^T: a contiguous copy in 2D, a view in 1D."""
         if self.op.dim == 1:
             return self.modes.T
         return _read_only(np.ascontiguousarray(self.modes.T))
@@ -181,36 +211,143 @@ class SpectralDecomposition:
             return sine_transform(v) * self.scale
         return self._along_axes(self._modes_t, self.modes, v)
 
-    @functools.cached_property
-    def _projector(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P^T, P) for P = M1 modes, both contiguous; a tensor decomposition's
-        only (built by ``eig_2d_tensor``)."""
-        proj = self.op.factor.mass @ self.modes
-        return _read_only(np.ascontiguousarray(proj.T)), _read_only(proj)
-
-    def coefficients(self, v: np.ndarray) -> np.ndarray:
-        """M-weighted mode coefficients (v, psi_j)_M of a coefficient vector or
-        block: modes^T (M v) in 1D, P^T V P along both axes in 2D."""
-        if self.op.dim == 1:
-            return self._analyse((self.op.mass @ v.T).T)
-        return self._along_axes(*self._projector, v)
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`coefficients`."""
+    def _synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """modes along every axis of each row of coeffs."""
         if self.op.dim == 1 and self.scale is not None:
             return sine_transform(self.scale * coeffs)
         return self._along_axes(self.modes, self._modes_t, coeffs)
 
+    @functools.cached_property
+    def _blocks(self):
+        """The half-size factors of the folded transforms, all contiguous
+        (built by ``eig_2d_tensor``): ``(analysis, synthesis)``, each
+        ``((L_s, R_s), (L_a, R_a))`` as ``_folded`` takes them.
+
+        Q_s holds the first n - n // 2 rows of the odd modes, the nodes of
+        the sum part, and Q_a the first n // 2 rows of the even ones.
+        Analysis multiplies by P^T and P, with P = M1 Q = Q diag(mu) on a
+        uniform factor.  Synthesis multiplies by S and S^T, with S = 2 Q: a
+        sum or difference holds a node and its mirror, but the middle row
+        of an odd n holds one node."""
+        n = len(self.scale)
+        h = n // 2
+        top = sine_transform(np.eye(n - h, n)) * self.scale  # rows i < n - h of the modes
+        # scale = sqrt(2 / ((n+1) mu)), mu_j the eigenvalue of M1 at mode j
+        mu = 2.0 / ((n + 1) * self.scale**2)
+        analysis, synthesis = [], []
+        for Q, mu_part in ((top[:, 0::2], mu[0::2]), (top[:h, 1::2], mu[1::2])):
+            S = 2.0 * Q
+            S[h:] = Q[h:]  # the middle row, when n is odd
+            P = Q * mu_part
+            analysis.append((P.T, P))
+            synthesis.append((S, S.T))
+        return tuple(tuple(tuple(_read_only(np.ascontiguousarray(A)) for A in pair)
+                           for pair in part) for part in (analysis, synthesis))
+
+    def _folded(self, blocks, v: np.ndarray) -> np.ndarray:
+        """diag(L_s, L_a) X diag(R_s, R_a) on the n x n grid X of each
+        folded row of v, for the ``((L_s, R_s), (L_a, R_a))`` of ``_blocks``
+        (X split after its n - n // 2 sum rows and columns): four half-size
+        GEMMs, each row of v on its own."""
+        n = len(self.lambdas_1d)
+        k = n - n // 2
+        (Ls, Rs), (La, Ra) = blocks
+        x = v.reshape(-1, n, n)
+        rows, out = np.empty_like(x), np.empty_like(x)
+        np.matmul(Ls, x[:, :k], out=rows[:, :k])
+        np.matmul(La, x[:, k:], out=rows[:, k:])
+        np.matmul(rows[:, :, :k], Rs, out=out[:, :, :k])
+        np.matmul(rows[:, :, k:], Ra, out=out[:, :, k:])
+        return out.reshape(v.shape)
+
+    def fold(self, v: np.ndarray) -> np.ndarray:
+        """Each row of v (a (c, N) block or one vector) parity-folded along
+        both axes of its n x n grid (see ``_fold_rows``)."""
+        return self._both_axes(_fold_rows, v)
+
+    def unfold(self, v: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`fold`: ``_unfold_rows`` along both axes, which
+        doubles a node once per axis on which it has a mirror, then one
+        product with the weights that undo that."""
+        out = self._both_axes(_unfold_rows, v)
+        out *= self._unfold_weights
+        return out
+
+    @functools.cached_property
+    def _unfold_weights(self) -> np.ndarray:
+        """w_i w_j on the flat n x n grid, w_i = 1 at the middle node of an
+        odd n and 1/2 elsewhere."""
+        n = len(self.lambdas_1d)
+        w = np.full(n, 0.5)
+        w[n // 2:n - n // 2] = 1.0
+        return _read_only(np.outer(w, w).ravel())
+
+    def _both_axes(self, along_rows, v: np.ndarray) -> np.ndarray:
+        n = len(self.lambdas_1d)
+        x = v.reshape(-1, n, n)
+        rows, out = np.empty_like(x), np.empty_like(x)
+        along_rows(x, rows)
+        along_rows(rows.swapaxes(1, 2), out.swapaxes(1, 2))
+        return out.reshape(v.shape)
+
+    def folded_coefficients(self, v: np.ndarray) -> np.ndarray:
+        """:meth:`coefficients` of the rows that ``fold`` gives: P^T V P in
+        two half-size products per side."""
+        return self._folded(self._blocks[0], v)
+
+    def folded_synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`folded_coefficients`: ``fold`` of :meth:`synthesize`."""
+        return self._folded(self._blocks[1], coeffs)
+
+    def coefficients(self, v: np.ndarray) -> np.ndarray:
+        """M-weighted mode coefficients (v, psi_j)_M of a coefficient vector or
+        block: modes^T (M v) in 1D, P^T V P along both axes of the folded
+        grid in 2D."""
+        if self.op.dim == 1:
+            return self._analyse((self.op.mass @ v.T).T)
+        return self.folded_coefficients(self.fold(v))
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`coefficients`."""
+        if self.op.dim == 1:
+            return self._synthesize(coeffs)
+        return self.unfold(self.folded_synthesize(coeffs))
+
     def apply(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """modes (modal * modes^T rhs) along every axis, with one ``modal`` factor
-        per mode: (a K + b M)^{-1} rhs for ``modal = 1 / (a lambda_grid + b)``."""
-        return self.synthesize(modal * self._analyse(rhs))
+        per mode: (a K + b M)^{-1} rhs for ``modal = 1 / (a lambda_grid + b)``.
+        Dense n x n products in 2D, on the grid as it is."""
+        return self._synthesize(modal * self._analyse(rhs))
 
     def mode_vector(self, j: int) -> np.ndarray:
         """The eigenvector of ``lambdas[j]`` as a flat coefficient vector."""
         unit = np.zeros(self.n_modes)
         unit[np.argsort(self.lambda_grid, kind="stable")[j]] = 1.0
         return self.synthesize(unit)
+
+
+def _fold_rows(x: np.ndarray, out: np.ndarray) -> None:
+    """x parity-folded along axis 1 (length n) into out, with h = n // 2:
+    the sum part x_i + x_{n-1-i} for i < h, the middle node x_h of an odd
+    n, then the difference part x_i - x_{n-1-i}, as one length-n axis."""
+    n = x.shape[1]
+    h = n // 2
+    first, mirror = x[:, :h], x[:, :n - h - 1:-1]  # x_i and x_{n-1-i}, i < h
+    np.add(first, mirror, out=out[:, :h])
+    np.subtract(first, mirror, out=out[:, n - h:])
+    out[:, h:n - h] = x[:, h:n - h]
+
+
+def _unfold_rows(y: np.ndarray, out: np.ndarray) -> None:
+    """``_fold_rows`` undone up to a factor 2 on the paired nodes: sum +
+    difference and sum - difference back at the node and its mirror, the
+    middle node as it is."""
+    n = y.shape[1]
+    h = n // 2
+    sums, diffs = y[:, :h], y[:, n - h:]
+    np.add(sums, diffs, out=out[:, :h])
+    np.subtract(sums, diffs, out=out[:, :n - h - 1:-1])
+    out[:, h:n - h] = y[:, h:n - h]
 
 
 def _uniform_spacing(op: DiscreteOperator) -> float | None:
@@ -252,13 +389,16 @@ def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
 @functools.lru_cache(maxsize=8)
 def eig_2d_tensor(op: DiscreteOperator) -> SpectralDecomposition:
     """The decomposition of a tensor operator's 1D factor, bound to it (cached),
-    with the dense factors that every 2D transform multiplies by (``modes``,
-    its contiguous transpose and the projector) already built."""
+    with the half-size factors of the folded transforms already built.  The
+    fold needs the parity of the sine modes, so a factor that is not a
+    uniform mesh is refused."""
     if op.dim != 2:
         raise ValueError("eig_2d_tensor expects a tensor-assembled operator")
+    if _uniform_spacing(op.factor) is None:
+        raise ValueError("eig_2d_tensor needs a uniform 1D factor (sine modes)")
     decomp = dataclasses.replace(eig_1d(op.factor), op=op)
     # read once to build them here rather than inside the first transform
-    decomp._modes_t, decomp._projector
+    decomp._blocks
     return decomp
 
 

@@ -26,8 +26,12 @@ backends, the mode coefficients of u and their squared norm (Parseval) on
 the direct tensor backend.  The weighted sum of solves is one ``combine``
 call on that right-hand side, on a shifted-pencil backend from
 ``solvers``, picked by ``_pencil`` and built once per run, so CG
-iteration counts never outlive a run.  The shifts and weights of every
-step are computed once per run.
+iteration counts never outlive a run.  The iterate lives in the backend's
+coordinates: ``fold`` once before the first ``load`` and ``unfold`` once
+after the last step (parity-folded grids on the direct tensor backend,
+the coefficients as they are elsewhere); the update above is linear, so
+it holds in either.  The shifts and weights of every step are computed
+once per run.
 
 None of that depends on the data, so one run steps a block of c data
 vectors at once: U has shape (c, n), one row per grid function, and every
@@ -147,7 +151,7 @@ def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False)
     pencil = _pencil(op, cfg.solver, c)
     delta, steps = cfg.delta, cfg.mesh.num_steps
     shifts, coeffs, scales = _step_terms(cfg.rational, delta, cfg.mesh.t_left, cfg.mesh.k)
-    U = delta ** (-cfg.alpha) * np.stack([w.coeffs for w in vs])
+    U = pencil.fold(delta ** (-cfg.alpha) * np.stack([w.coeffs for w in vs]))
     rhs, sq_norms = pencil.load(U)
     # per row, in Python floats: the M-norm and the worst growth so far
     norms = [math.sqrt(max(sq, 0.0)) for sq in sq_norms]
@@ -168,7 +172,7 @@ def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False)
                                      f"{j} by {ratio:.12f} (delta above the spectrum?)")
                 growth[j] = max(growth[j], ratio)
             norms[j] = cur
-    outs = [GridFunction(u, op) for u in U]
+    outs = [GridFunction(u, op) for u in pencil.unfold(U)]
     stats = [RunStats(steps, growth[j], steps * cfg.m, *pencil.iterations(j))
              for j in range(c)]
     if single:

@@ -309,26 +309,30 @@ def test_cli_runs_without_mpmath():
 
 
 def test_2d_table_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """One 2D table row at one and at two OpenBLAS threads, byte for byte.
+    """One 2D table row at one and at two OpenBLAS threads, byte for byte,
+    at two grid sizes.
 
-    Every tensor transform multiplies by contiguous n x n operands (see
-    ``spectral.SpectralDecomposition``), here n = 99.  Measured with OpenBLAS
-    0.3.31: ``A @ X @ At`` on a stack X of two n x n arrays, with A and At
-    contiguous, has the same bits at one and two threads for every n from 2
-    to 100; from 101 to 130 only at 104, 112, 120 and 128, and not at 199 or
-    255.  So larger grids are reproducible only at a fixed thread count.  The
-    projection of a 2D callable (``W @ F @ W.T`` in ``fem.load_vector``)
-    also changes with the thread count at n = 50 and 100, contiguous or not;
-    the table's data cases do not take that path.
+    Every tensor transform of the direct path multiplies parity-folded
+    grids by contiguous half-size factors (see
+    ``spectral.SpectralDecomposition``), here for n = 99 and 129 dofs per
+    side.  Measured with OpenBLAS 0.3.31, full ``table-2d`` CSVs of this
+    row have the same bytes at one and two threads for every
+    ``--n-per-side`` tried from 100 to 230 (23 sizes) but 200, and at 256,
+    300 and 400; at 200 they differ.  So other grids are reproducible only
+    at a fixed thread count.  The projection of a 2D callable
+    (``W @ F @ W.T`` in ``fem.load_vector``) also changes with the thread
+    count at n = 50 and 100, contiguous or not; the table's data cases do
+    not take that path.
     """
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    argv = ["table-2d", "--n-per-side", "100", "--cases", "e", "--alphas", "0.5",
-            "--Ns", "2", "--scheme", "grm"]
-    runs = [subprocess.Popen([sys.executable, "-m", "fracstep.cli", *argv,
-                              "--out", str(tmp_path / f"{threads}.csv")],
-                             env={**env, "OPENBLAS_NUM_THREADS": str(threads)})
-            for threads in (1, 2)]
-    assert [run.wait(timeout=300) for run in runs] == [0, 0]
-    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+    for n_per_side in (100, 130):
+        argv = ["table-2d", "--n-per-side", str(n_per_side), "--cases", "e", "--alphas",
+                "0.5", "--Ns", "2", "--scheme", "grm"]
+        runs = [subprocess.Popen([sys.executable, "-m", "fracstep.cli", *argv,
+                                  "--out", str(tmp_path / f"{threads}.csv")],
+                                 env={**env, "OPENBLAS_NUM_THREADS": str(threads)})
+                for threads in (1, 2)]
+        assert [run.wait(timeout=300) for run in runs] == [0, 0]
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes(), n_per_side

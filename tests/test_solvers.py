@@ -102,21 +102,36 @@ class TestSolveSpd:
 
 class TestTensorDiagSolver:
     def test_matches_sparse_solve(self):
-        # solve and combine take the mode coefficients of u and give
-        # (a K2 + b M2)^{-1} M2 u
+        # solve and combine take the mode coefficients of u, loaded from the
+        # folded u, and give (a K2 + b M2)^{-1} M2 u folded
         op = assemble_2d_tensor(9)
         solver = TensorDiagSolver(op)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(op.n_dofs)
-        coeffs = solver.load(u[None])[0]
+        coeffs = solver.load(solver.fold(u[None]))[0]
         for a, b in ((1.0, 1.0), (0.25, 3.5), (0.0, 1.0)):
             A = (a * op.stiffness + b * op.mass).tocsc()
             want = spla.spsolve(A, op.mass @ u)
-            np.testing.assert_allclose(solver.combine([(a, b)], [1.0], coeffs)[0], want,
-                                       rtol=1e-9, atol=1e-12)
+            got = solver.unfold(solver.combine([(a, b)], [1.0], coeffs))
+            np.testing.assert_allclose(got[0], want, rtol=1e-9, atol=1e-12)
             modal = 1.0 / (a * solver.decomp.lambda_grid + b)
-            np.testing.assert_allclose(solver.solve(modal, coeffs)[0], want,
+            np.testing.assert_allclose(solver.unfold(solver.solve(modal, coeffs))[0], want,
                                        rtol=1e-9, atol=1e-12)
+
+    def test_matches_sparse_solve_with_a_middle_node(self):
+        # an odd n per side (9 here) folds a middle row and column of its own
+        op = assemble_2d_tensor(10)
+        solver = TensorDiagSolver(op)
+        U = np.random.default_rng(10).standard_normal((2, op.n_dofs))
+        rhs, sq_norms = solver.load(solver.fold(U))
+        a, b = 0.25, 3.5
+        got = solver.unfold(solver.combine([(a, b), (1.0, 2.0)], [1.0, -0.5], rhs))
+        for u, sq, row in zip(U, sq_norms, got):
+            Mu = op.mass @ u
+            assert sq == pytest.approx(u.dot(Mu), rel=1e-13)
+            want = (spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), Mu)
+                    - 0.5 * spla.spsolve((op.stiffness + 2.0 * op.mass).tocsc(), Mu))
+            np.testing.assert_allclose(row, want, rtol=1e-9, atol=1e-12)
 
     def test_requires_tensor_operator(self):
         op = assemble_1d(np.linspace(0, 1, 9))
@@ -142,7 +157,8 @@ class TestWarmStartCG:
         for a, b in ((1.0, 2.0), (1.05, 2.0), (1.1, 2.1)):
             # both give (a K2 + b M2)^{-1} M2 u from what their own load gives
             got = cg.solve(a, b, cg.load(u[None])[0])[0]
-            want = direct.combine([(a, b)], [1.0], direct.load(u[None])[0])[0]
+            rhs = direct.load(direct.fold(u[None]))[0]
+            want = direct.unfold(direct.combine([(a, b)], [1.0], rhs))[0]
             scale = np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-8 * scale
 
@@ -238,13 +254,14 @@ class TestShiftedPencils:
 
 
 def _check_pencil(op, method, shifts, coeffs, U):
-    """``load`` and ``combine`` of the backend against the assembled matrices:
-    the squared M-norm of each row, and sum_i c_i (a_i K + b_i M)^{-1} M u."""
+    """``load`` and ``combine`` of the backend, between its ``fold`` and
+    ``unfold``, against the assembled matrices: the squared M-norm of each
+    row, and sum_i c_i (a_i K + b_i M)^{-1} M u."""
     pencil = _pencil(op, method, len(U))
-    rhs, sq_norms = pencil.load(U)
+    rhs, sq_norms = pencil.load(pencil.fold(U))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "CG_RTOL", 1e-14)
-        got = pencil.combine(shifts, coeffs, rhs)
+        got = pencil.unfold(pencil.combine(shifts, coeffs, rhs))
     assert got.shape == U.shape and len(sq_norms) == len(U)
     for u, sq, row in zip(U, sq_norms, got):
         Mu = op.mass @ u

@@ -6,7 +6,8 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from fracstep import _kernels, spectral
-from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
+from fracstep.fem import (DiscreteOperator, GridFunction, assemble_1d, assemble_2d_tensor,
+                          l2_project, m_norm)
 from fracstep.meshes import build_geometric_mesh
 from fracstep.spectral import (
     DENSE_EIG_CAP,
@@ -202,6 +203,76 @@ class TestEig2D:
             eig_1d(op_2d_small)
 
 
+class TestParityFold:
+    """The folded grid and the half-size transforms on it, at both parities
+    of n (n_per_side 3 and 9 give an even n, 4 and 10 an odd one with a
+    middle node)."""
+
+    SIDES = (3, 4, 9, 10)
+
+    @staticmethod
+    def _setup(n_per_side):
+        op = assemble_2d_tensor(n_per_side)
+        v = np.random.default_rng(n_per_side).standard_normal((3, op.n_dofs))
+        return op, eig_2d_tensor(op), v
+
+    @pytest.mark.parametrize("n_per_side", SIDES)
+    def test_fold_is_the_sum_and_difference_of_mirrored_nodes(self, n_per_side):
+        op, dec, v = self._setup(n_per_side)
+        n, h = n_per_side - 1, (n_per_side - 1) // 2
+        F = np.zeros((n, n))
+        for i in range(h):
+            F[i, i] = F[i, n - 1 - i] = F[n - h + i, i] = 1.0
+            F[n - h + i, n - 1 - i] = -1.0
+        if n % 2:
+            F[h, h] = 1.0
+        for got, row in zip(dec.fold(v), v):
+            assert np.array_equal(got, (F @ row.reshape(n, n) @ F.T).ravel())
+        back = dec.unfold(dec.fold(v))
+        assert np.abs(back - v).max() <= 4 * np.finfo(float).eps * np.abs(v).max()
+
+    @pytest.mark.parametrize("n_per_side", SIDES)
+    def test_folded_coefficients_are_the_dense_ones_in_parity_order(self, n_per_side):
+        # modes^T M1 V M1 modes with the natural sine modes of the factor,
+        # rows and columns taken odd j first, then even j
+        op, dec, v = self._setup(n_per_side)
+        n = n_per_side - 1
+        Q = eig_1d(op.factor).modes
+        M1 = op.factor.mass.toarray()
+        order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
+        for got, row in zip(dec.folded_coefficients(dec.fold(v)), v):
+            want = (Q.T @ M1 @ row.reshape(n, n) @ M1 @ Q)[np.ix_(order, order)].ravel()
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        lam = eig_1d(op.factor).lambdas[order]
+        np.testing.assert_array_equal(dec.lambda_grid, (lam[:, None] + lam[None, :]).ravel())
+        # the synthesis of those coefficients is the folded grid again
+        np.testing.assert_allclose(dec.folded_synthesize(dec.coefficients(v)), dec.fold(v),
+                                   rtol=0, atol=1e-13 * np.abs(v).max())
+
+    @pytest.mark.parametrize("n_per_side", SIDES)
+    def test_parseval(self, n_per_side):
+        op, dec, v = self._setup(n_per_side)
+        for coeffs, row in zip(dec.coefficients(v), v):
+            u = GridFunction(row, op)
+            assert np.sum(coeffs**2) == pytest.approx(m_norm(op, u) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("n_per_side", SIDES)
+    def test_block_rows_have_their_one_row_bits(self, n_per_side):
+        _, dec, v = self._setup(n_per_side)
+        for transform in (dec.fold, dec.unfold, dec.folded_coefficients,
+                          dec.folded_synthesize):
+            block = transform(v)
+            for j, row in enumerate(v):
+                assert np.array_equal(block[j], transform(row))
+
+    def test_non_uniform_factor_refused(self):
+        # the fold needs the parity of the sine modes, which a graded factor lacks
+        graded = assemble_1d(np.linspace(0.0, 1.0, 10) ** 1.5)
+        op = DiscreteOperator(nodes=graded.nodes, factor=graded)
+        with pytest.raises(ValueError, match="uniform 1D factor"):
+            eig_2d_tensor(op)
+
+
 class TestModalApply:
     """``apply``, the one transform the tensor solvers and the reference share."""
 
@@ -244,24 +315,27 @@ class TestModalApply:
         dec = eig_1d(op_1d_small)
         dec.synthesize(dec.coefficients(np.ones(op_1d_small.n_dofs)))
         dec.apply(np.ones(dec.n_modes), np.ones(op_1d_small.n_dofs))
-        assert {"modes", "_modes_t", "_projector"}.isdisjoint(vars(dec))
+        assert {"modes", "_modes_t", "_blocks"}.isdisjoint(vars(dec))
         # a dense 1D basis (up to 4000 x 4000) gets no copy of its modes
         nodes = np.linspace(0.0, 1.0, 12)
         nodes[5] += 1e-9
         dense = eig_1d(assemble_1d(nodes))
         dense.synthesize(dense.coefficients(np.ones(10)))
         assert np.shares_memory(dense._modes_t, dense.modes)
-        assert "_projector" not in vars(dense)
+        assert "_blocks" not in vars(dense)
         modes_t = decomp_2d_small._modes_t
         assert modes_t.flags.c_contiguous
         assert not np.shares_memory(modes_t, decomp_2d_small.modes)
-        assert all(arr.flags.c_contiguous for arr in decomp_2d_small._projector)
+        blocks = [A for part in decomp_2d_small._blocks for pair in part for A in pair]
+        assert len(blocks) == 8 and all(A.flags.c_contiguous for A in blocks)
 
     def test_tensor_basis_returned_with_its_dense_factors(self):
-        # built by eig_2d_tensor, so they count as eigenbasis setup, not as
-        # the first transform's
+        # the half-size factors of the folded transforms are built by
+        # eig_2d_tensor, so they count as eigenbasis setup, not as the first
+        # transform's; the n x n modes only serve apply (CG), on first use
         dec = eig_2d_tensor(assemble_2d_tensor(12))
-        assert {"modes", "_modes_t", "_projector"} <= set(vars(dec))
+        assert "_blocks" in vars(dec)
+        assert {"modes", "_modes_t"}.isdisjoint(vars(dec))
 
     @pytest.mark.parametrize("n", range(4, 31))
     def test_tensor_coefficients_match_the_assembled_mass(self, n):
