@@ -13,12 +13,25 @@ import numpy as np
 from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 
-def tridiag_matvec(d, e, x):
+def tridiag_matvec(d, e, x, row=0):
     """y = T x along the last axis of x, T symmetric tridiagonal with diagonal d
-    and off-diagonal e; a (c, n) block gets T applied to each of its rows."""
+    and off-diagonal e; a (c, n) block gets T applied to each of its rows.
+
+    With ``row`` = n > 0, x is a flat block of rows of length n, d and e are
+    tiled over it, and every product that crosses a row boundary is set to
+    zero rather than formed: a zero coupling would still carry 0 * nan into
+    the neighbouring row.  Each row then gets the bits of its own product.
+    """
     y = d * x
-    y[..., :-1] += e * x[..., 1:]
-    y[..., 1:] += e * x[..., :-1]
+    upper = e * x[..., 1:]
+    if row:
+        # x + (-0.0) is x for every x, -0.0 included
+        upper[row - 1::row] = -0.0
+    y[..., :-1] += upper
+    lower = e * x[..., :-1]
+    if row:
+        lower[row - 1::row] = -0.0
+    y[..., 1:] += lower
     return y
 
 

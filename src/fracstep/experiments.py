@@ -227,7 +227,9 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     marks.append(time.perf_counter())
     decomp = eig_2d_tensor(op) if op.dim == 2 else eig_1d(op)
     marks.append(time.perf_counter())
-    references = {alpha: [reference_power(decomp, f, alpha) for f in fs] for alpha in spec.alphas}
+    # one analysis per data case gives its references at every alpha
+    per_case = [reference_power(decomp, f, spec.alphas) for f in fs]
+    references = {alpha: [refs[k] for refs in per_case] for k, alpha in enumerate(spec.alphas)}
     seconds = np.diff([*marks, time.perf_counter()]).tolist()
     info = {"n_dofs": op.n_dofs,
             "setup_s": dict(zip(("assembly", "bounds", "eigenbasis", "references"), seconds))}

@@ -17,8 +17,12 @@ one-row block would give it.  The step needs neither K nor a mass solve
 
 * ``BandedPencil``: 1D SPD tridiagonals, solved directly by LAPACK in
   ``_kernels`` (one ``?ptsv`` per shift for the whole block, handed over
-  as the Fortran-ordered (n, c) view ``rhs.T``), the terms added up.
-  ``load`` is the banded ``M U`` and u . M u per row.
+  as the Fortran-ordered (n, c) view ``rhs.T``), each term scaled and
+  added in place.  The pencil is built for its block height c: it builds
+  each aK + bM in a band buffer of its own, which LAPACK factors in place,
+  and holds the mass bands tiled over the flat (c n,) block, so ``load``
+  is one contiguous banded ``M U`` (no product across a row boundary, so
+  rows stay apart, a non-finite one included) and u . M u per row.
 * ``TensorDiagSolver``: tensor 2D systems by fast diagonalization in the 1D
   eigenbasis of the decomposition that ``spectral.eig_2d_tensor`` caches
   per operator (no transform of its own).  Its iterate is parity-folded
@@ -76,8 +80,8 @@ CG_MAXITER = 20_000  # the iteration budget of every CG solve
 
 class _Pencil:
     """``load`` by the subclass's ``apply_M``, and ``combine`` as a sum of
-    per-shift block ``solve(a, b, rhs)`` calls (``TensorDiagSolver`` loads
-    and sums in modal space)."""
+    per-shift block ``solve(a, b, rhs)`` calls, each a fresh array
+    (``TensorDiagSolver`` loads and sums in modal space)."""
 
     def fold(self, U):
         """The block in the coordinates the backend steps in: U itself here."""
@@ -96,8 +100,14 @@ class _Pencil:
     def combine(self, shifts, coeffs, rhs):
         """sum_i coeffs[i] (a_i K + b_i M)^{-1} rhs over the pairs (a_i, b_i) of
         shifts, for every row of the (c, n) block rhs = ``load(U)[0]``."""
-        # summed from 0 like np.zeros, in fewer array operations
-        return sum(c * self.solve(a, b, rhs) for (a, b), c in zip(shifts, coeffs))
+        # in place, with no temporary per term and no sum from 0
+        out = self.solve(*shifts[0], rhs)
+        out *= coeffs[0]
+        for (a, b), c in zip(shifts[1:], coeffs[1:]):
+            term = self.solve(a, b, rhs)
+            term *= c
+            out += term
+        return out
 
     def iterations(self, column: int) -> tuple[int, int]:
         """(total, worst single solve) CG iterations of one row; 0 when direct."""
@@ -105,25 +115,31 @@ class _Pencil:
 
 
 class BandedPencil(_Pencil):
-    """The shifted pencil of a 1D operator: SPD tridiagonals solved by LAPACK."""
+    """The shifted pencil of a 1D operator on blocks of ``columns`` rows: SPD
+    tridiagonals solved by LAPACK, the mass apply on the flat block."""
 
-    def __init__(self, op: DiscreteOperator):
-        # (1, n) rows: the block matvec then broadcasts without a rank change,
-        # which keeps a one-row block as cheap as a vector
-        self.Md, self.Me = (band[None] for band in op.mass_bands)
+    def __init__(self, op: DiscreteOperator, columns: int = 1):
+        md, me = op.mass_bands
+        self.n = len(md)
+        # the mass bands tiled over the flat (columns * n,) block; the
+        # coupling across each row boundary is never used
+        self.Md = np.tile(md, columns)
+        self.Me = np.tile(np.append(me, 0.0), columns)[:-1]
         # [diag | off-diag] of K and of M, so a * K_band + b * M_band is aK + bM
         self.K_band = np.concatenate(op.stiffness_bands)
         self.M_band = np.concatenate(op.mass_bands)
-        self.n = len(op.mass_bands[0])
+        self.band = np.empty_like(self.K_band)
+        self.scratch = np.empty_like(self.M_band)
 
     def apply_M(self, U):
-        return _kernels.tridiag_matvec(self.Md, self.Me, U)
+        flat = _kernels.tridiag_matvec(self.Md, self.Me, U.reshape(-1), self.n)
+        return flat.reshape(U.shape)
 
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-        # a fresh band per call; the LAPACK solve factors it in place and
-        # reads the (n, c) Fortran view rhs.T without a copy
-        band = a * self.K_band
-        band += b * self.M_band
+        # aK + bM in the pencil's band buffer, which the LAPACK solve factors
+        # in place; it reads the (n, c) Fortran view rhs.T without a copy
+        band = np.multiply(self.K_band, a, out=self.band)
+        band += np.multiply(self.M_band, b, out=self.scratch)
         return _kernels.tridiag_solve(band[:self.n], band[self.n:], rhs.T).T
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -402,12 +403,20 @@ def eig_2d_tensor(op: DiscreteOperator) -> SpectralDecomposition:
     return decomp
 
 
-def reference_power(decomp: SpectralDecomposition, v: GridFunction, alpha: float) -> GridFunction:
-    """Exact discrete negative power: sum_j lambda_j**(-alpha) (v, psi_j) psi_j."""
+def reference_power(decomp: SpectralDecomposition, v: GridFunction,
+                    alpha: float | Sequence[float]) -> GridFunction | list[GridFunction]:
+    """Exact discrete negative power: sum_j lambda_j**(-alpha) (v, psi_j) psi_j.
+
+    ``alpha`` is one exponent or a sequence of them; a sequence gives a list
+    of one ``GridFunction`` per exponent, all from one analysis of v.
+    """
     if v.op is not decomp.op:
         raise ValueError("grid function lives on a different operator")
+    single = np.ndim(alpha) == 0
     coeffs = decomp.coefficients(v.coeffs)
-    return GridFunction(decomp.synthesize(decomp.lambda_grid ** -alpha * coeffs), decomp.op)
+    outs = [GridFunction(decomp.synthesize(decomp.lambda_grid ** -a * coeffs), decomp.op)
+            for a in ([alpha] if single else alpha)]
+    return outs[0] if single else outs
 
 
 def discrete_sobolev_norm(decomp: SpectralDecomposition, v: GridFunction, s: float) -> float:

@@ -26,7 +26,8 @@ backends, the mode coefficients of u and their squared norm (Parseval) on
 the direct tensor backend.  The weighted sum of solves is one ``combine``
 call on that right-hand side, on a shifted-pencil backend from
 ``solvers``, picked by ``_pencil`` and built once per run, so CG
-iteration counts never outlive a run.  The iterate lives in the backend's
+iteration counts never outlive a run.  ``combine`` gives a fresh array,
+and the step adds u times its factor into it in place.  The iterate lives in the backend's
 coordinates: ``fold`` once before the first ``load`` and ``unfold`` once
 after the last step (parity-folded grids on the direct tensor backend,
 the coefficients as they are elsewhere); the update above is linear, so
@@ -118,7 +119,7 @@ def _pencil(op: DiscreteOperator, solver: str, columns: int = 1):
         if op.dim != 2:
             raise ValueError("the cg solver needs a tensor (2D) operator")
         return PreconditionedCG(op, columns)
-    return TensorDiagSolver(op) if op.dim == 2 else BandedPencil(op)
+    return TensorDiagSolver(op) if op.dim == 2 else BandedPencil(op, columns)
 
 
 def _step_terms(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray):
@@ -157,7 +158,9 @@ def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False)
     norms = [math.sqrt(max(sq, 0.0)) for sq in sq_norms]
     growth = [0.0] * c
     for i, scale in enumerate(scales.tolist()):
-        U = pencil.combine(shifts[i].tolist(), coeffs[i].tolist(), rhs) + scale * U
+        step = pencil.combine(shifts[i].tolist(), coeffs[i].tolist(), rhs)
+        step += scale * U
+        U = step
         # one load feeds both the growth norms and the next step's right-hand side
         rhs, sq_norms = pencil.load(U)
         for j, sq in enumerate(sq_norms):

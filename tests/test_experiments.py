@@ -195,6 +195,28 @@ class TestTable1D:
         assert {row["L"] for row in rows} == {refinement_level_for(bounds.lambda_max_est)}
         assert {row["delta"] for row in rows} == {0.5 * bounds.lambda_min_est}
 
+    @pytest.mark.parametrize("dimension,grid", ((1, {"h": 0.05, "data_cases": ("a", "c")}),
+                                                (2, {"n_per_side": 8, "data_cases": ("e", "f")})),
+                             ids=("1d", "2d"))
+    def test_one_reference_analysis_per_data_case(self, monkeypatch, dimension, grid):
+        # every alpha's reference of a case comes from one reference_power call
+        import fracstep.experiments as experiments
+
+        calls = []
+        reference = experiments.reference_power
+
+        def counted(decomp, f, alpha):
+            calls.append(alpha)
+            return reference(decomp, f, alpha)
+
+        monkeypatch.setattr(experiments, "reference_power", counted)
+        spec = ExperimentSpec(dimension=dimension, alphas=(0.3, 0.5, 0.7), ms=(1,), Ns=(2,),
+                              **grid)
+        rows = run_table(spec)
+        assert calls == [spec.alphas, spec.alphas]
+        monkeypatch.setattr(experiments, "reference_power", reference)
+        np.testing.assert_equal(rows, run_table(spec))
+
     def test_depth_from_the_mesh_it_assembles(self):
         # h = 0.385 assembles round(1/h) = 3 cells, so the mesh size is 1/3
         spec = ExperimentSpec(dimension=1, data_cases=("a",), alphas=(0.5,), ms=(1,),

@@ -225,6 +225,25 @@ class TestWarmStartCGPattern:
             assert block.iterations(j) == single.iterations(0)
 
 
+class TestBandedPencil:
+    @pytest.mark.parametrize("n", (1, 2, 37))
+    @pytest.mark.parametrize("c", (1, 2, 4))
+    def test_flat_load_is_the_row_by_row_product(self, c, n):
+        # the mass apply on the flat block gives every row the bits of its
+        # own product: no coupling across a row boundary, even from a nan,
+        # and the sign of a zero kept
+        rng = np.random.default_rng(10 * c + n)
+        op = assemble_1d(np.concatenate([[0.0], np.sort(rng.random(n)), [1.0]]))
+        U = rng.standard_normal((c, n))
+        U[0] = -0.0
+        U[-1, 0] = np.nan
+        MU, sq_norms = _pencil(op, "direct", c).load(U)
+        for u, Mu, sq in zip(U, MU, sq_norms):
+            want = _kernels.tridiag_matvec(*op.mass_bands, u)
+            assert Mu.tobytes() == want.tobytes()
+            assert np.array_equal(sq, u.dot(want), equal_nan=True)
+
+
 def _random_operator(data, kind):
     if kind == "banded":
         # strictly increasing nodes with a mesh ratio of at most 10

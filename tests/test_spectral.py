@@ -396,6 +396,29 @@ class TestReferencePower:
         with pytest.raises(ValueError, match="different operator"):
             discrete_sobolev_norm(decomp_1d_small, v, 1.0)
 
+    @pytest.mark.parametrize("kind", ("uniform", "graded", "tensor"))
+    def test_sequence_of_exponents_from_one_analysis(self, monkeypatch, kind):
+        # a sequence of exponents gives, bit for bit, the per-exponent
+        # references, and analyses v once
+        if kind == "tensor":
+            op = assemble_2d_tensor(8)
+            dec = eig_2d_tensor(op)
+        else:
+            op = assemble_1d(np.linspace(0.0, 1.0, 41) ** (1 if kind == "uniform" else 2))
+            dec = eig_1d(op)
+        v = GridFunction(np.random.default_rng(6).standard_normal(op.n_dofs), op)
+        alphas = (0.1, 0.5, 0.9)
+        singles = [reference_power(dec, v, alpha) for alpha in alphas]
+        calls = []
+        analyse = type(dec).coefficients
+        monkeypatch.setattr(type(dec), "coefficients",
+                            lambda self, x: calls.append(1) or analyse(self, x))
+        refs = reference_power(dec, v, alphas)
+        assert len(calls) == 1 and isinstance(refs, list)
+        assert [ref.coeffs.tobytes() for ref in refs] == [
+            one.coeffs.tobytes() for one in singles]
+        assert all(ref.op is op for ref in refs)
+
     def test_2d_reference(self, op_2d_small, decomp_2d_small):
         j = 5
         psi = GridFunction(decomp_2d_small.mode_vector(j), op_2d_small)

@@ -245,6 +245,14 @@ class TestRunSchemes:
                  else "iterate not finite after step 1 of 4")
         with pytest.raises(SolveError, match=match):
             run(GridFunction(v, op), op, cfg)
+        if backend == "banded":
+            # the flat block's mass apply forms no product across a row
+            # boundary, so the bad first entry of row 1 cannot reach row 0
+            v = np.ones(op.n_dofs)
+            v[0] = bad
+            rows = [GridFunction(np.ones(op.n_dofs), op), GridFunction(v, op)]
+            with pytest.raises(SolveError, match="after step 1 of 4 in column 1 "):
+                run(rows, op, cfg)
 
     def test_operator_mismatch(self, setup_1d):
         op, dec, delta = setup_1d
@@ -362,9 +370,13 @@ class Test2DSolvers:
 
 
 def _block_problem(backend):
-    """(op, cfg) of a short GRM run on one of the three pencil backends."""
+    """(op, cfg) of a short GRM run on one of the three pencil backends;
+    "one-dof" is the banded one on a mesh of one dof, where every coupling
+    of the flat block is a row boundary."""
     if backend == "banded":
         op = assemble_1d(np.linspace(0, 1, 101) ** 1.5)
+    elif backend == "one-dof":
+        op = assemble_1d(np.array([0.0, 0.5, 1.0]))
     else:
         op = assemble_2d_tensor(9)
     cfg = StepperConfig(alpha=0.4, m=3, delta=_half_bottom(op),
@@ -376,8 +388,10 @@ def _block_problem(backend):
 class TestBlockRuns:
     """A run of c data vectors equals c one-vector runs, bit for bit."""
 
-    @pytest.mark.parametrize("backend", ("banded", "tensor", "cg"))
-    @pytest.mark.parametrize("c", (1, 3))
+    # c = 4 is the block of table-1d's cases a-d
+    @pytest.mark.parametrize("c,backend", [*((c, backend) for c in (1, 3)
+                                             for backend in ("banded", "tensor", "cg")),
+                                           (4, "banded"), (4, "one-dof")])
     def test_columns_match_single_runs(self, backend, c):
         op, cfg = _block_problem(backend)
         rng = np.random.default_rng(c)
