@@ -35,6 +35,8 @@ from .scalar import (
 )
 from .solvers import SolveError
 from .spectral import (
+    FoldedSineBasis,
+    SineBasis,
     SpectralBounds,
     SpectralDecomposition,
     discrete_sobolev_norm,
@@ -58,9 +60,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteOperator",
+    "FoldedSineBasis",
     "GridFunction",
     "PadeRational",
     "ScalarRunConfig",
+    "SineBasis",
     "SolveError",
     "SpectralBounds",
     "SpectralDecomposition",

@@ -63,8 +63,9 @@ class ExperimentSpec:
 
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of
     ``round(1 / h)`` cells or the tensor grid of ``n_per_side``, with at most
-    ``DENSE_EIG_CAP`` dofs per axis in 2D (the reference's dense modes).  Each data
-    case must be one of ``fem.DATA_CASE_DIM`` of that dimension.  ``solver``
+    ``DENSE_EIG_CAP`` dofs per axis in 2D, where the eigenbasis holds dense
+    factors: the half blocks of the reference and the n x n modes of CG.
+    Each data case must be one of ``fem.DATA_CASE_DIM`` of that dimension.  ``solver``
     is "direct" or "cg"; "cg" serves the tensor grid only, since 1D studies
     always solve directly.
     """

@@ -263,20 +263,26 @@ def load_vector(op: DiscreteOperator, f) -> np.ndarray:
             return np.kron(b1, b1)
         b1 = _indicator_load_1d(f1.nodes)
         return np.kron(b1, b1)
-    # tensor Gauss rule: with W[i, g] the weight of Gauss point g against hat
-    # function i along one axis, b = W F W^T for F = f on the point grid
+    # tensor Gauss rule: F = f on the grid of Gauss points, then the 1D
+    # element rule along each axis in turn (no BLAS product, so the bits do
+    # not depend on the BLAS thread count)
     nodes = f1.nodes
-    e = np.arange(len(nodes) - 1)
     x0, x1 = nodes[:-1, None], nodes[1:, None]
     half = (x1 - x0) / 2.0
     xs = (x0 + x1) / 2.0 + half * _GAUSS_X
-    W = np.zeros((len(nodes), len(e), len(_GAUSS_X)))
-    W[e, e] = half * _GAUSS_W * (x1 - xs) / (x1 - x0)
-    W[e + 1, e] = half * _GAUSS_W * (xs - x0) / (x1 - x0)
-    W = W.reshape(len(nodes), -1)
+    # the weight of each point against the hat functions of its element's two nodes
+    w_left = half * _GAUSS_W * (x1 - xs) / (x1 - x0)
+    w_right = half * _GAUSS_W * (xs - x0) / (x1 - x0)
     X, Y = np.meshgrid(xs.ravel(), xs.ravel(), indexing="ij")
     F = np.asarray(f((X, Y)), dtype=np.float64)
-    return (W @ F @ W.T)[1:-1, 1:-1].ravel()
+    for _ in range(2):
+        # the rule along the first axis, then the two axes swapped
+        g = F.reshape(*w_left.shape, -1)
+        b = np.zeros((len(nodes), g.shape[-1]))
+        b[:-1] += np.sum(w_left[:, :, None] * g, axis=1)
+        b[1:] += np.sum(w_right[:, :, None] * g, axis=1)
+        F = b.T
+    return F[1:-1, 1:-1].ravel()
 
 
 def mass_apply(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:

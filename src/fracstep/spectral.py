@@ -8,35 +8,35 @@ the bottom by bisection on the definiteness of K - s M, less 1%.
 The eigenpairs are the ground-truth oracle.  Diagonalizing
 K psi = lambda M psi with M-orthonormal modes makes the exact discrete
 fractional power available as a reference, and gives the discrete Sobolev
-norms used to grade data smoothness.  A decomposition stores the
-eigenpairs of the 1D factor only: on a uniform mesh the closed-form sine
-modes as two length-n vectors, at any size, with a DST-I (``sine_transform``)
-as 1D transform; on any other a dense eigensolve, one n x n array (capped).
-Mode coefficients are (v, psi_j)_M: modes^T (M v) in 1D with the
-operator's sparse M, so a 1D basis stores no projector.  A tensor 2D
-operator has eigenvalues lambda_i + lambda_j and modes psi_i (x) psi_j,
-never materialized; as M2 = M1 (x) M1, its coefficients are P^T V P on the
-n x n grid V of v with the projector P = M1 modes (Lynch, Rice &
-Thomas 1964), and the M-norm of v is their Euclidean norm (Parseval).
+norms used to grade data smoothness.  Every table lives on a uniform mesh,
+whose modes are sines in closed form (Strang & Fix), so there is one basis
+per operator kind and no eigensolver: ``SineBasis`` (1D, a DST-I
+``sine_transform`` as transform) and ``FoldedSineBasis`` (tensor grid),
+each two length-n vectors of the 1D factor.  Any other mesh is refused; the
+graded-mesh study takes a fine run as reference.  Mode coefficients are
+(v, psi_j)_M: modes^T (M v) in 1D with the operator's sparse M, so a 1D
+basis stores no projector.  A tensor 2D operator has eigenvalues
+lambda_i + lambda_j and modes psi_i (x) psi_j, never materialized; as
+M2 = M1 (x) M1, its coefficients are P^T V P on the n x n grid V of v with
+the projector P = M1 modes (Lynch, Rice & Thomas 1964), and the M-norm of v
+is their Euclidean norm (Parseval).
 
-A tensor factor must be uniform, so that its modes are sines, and sine
-mode j is symmetric about the midpoint of the grid for odd j and
+Sine mode j is symmetric about the midpoint of the grid for odd j and
 antisymmetric for even j.  Parity-folding an axis (``fold``: the sums of
 mirrored nodes, then their differences; the first butterfly of the DST,
 Van Loan 1992) therefore splits every 2D transform into two half-size
 products per side, odd modes on the sum parts and even modes on the
-difference parts: half the flops of the dense n x n GEMMs, still GEMMs.
-2D coefficients come in that folded mode order (odd j, then even j, along
-each axis; see ``lambda_grid``).  The direct tensor step keeps its iterate
+difference parts: half the flops of the dense n x n GEMMs, still GEMMs.  2D
+coefficients come in that folded mode order (odd j, then even j, along each
+axis; see ``lambda_grid``).  The direct tensor step keeps its iterate
 folded for a whole run (``solvers.TensorDiagSolver``), and ``coefficients``
-and ``synthesize`` fold and unfold around the same transforms.  Only
-``apply``, the CG preconditioner, multiplies the unfolded grid by the dense
-modes, built on first use.  With these contiguous half-size factors the
-2D bits of a table do not depend on the BLAS thread count on every grid
-tried from 99 to 229 dofs per axis but 199 (measured, OpenBLAS; see
-README).  The tensor decomposition is cached per operator and builds its half-size
-factors before it returns; ``eig_1d`` is not cached, so a dense 1D basis
-lives only as long as its caller holds it.
+and ``synthesize`` fold and unfold around the same transforms.  With these
+contiguous half-size factors the 2D bits of a table do not depend on the
+BLAS thread count on every grid tried from 99 to 229 dofs per axis but 199
+(measured, OpenBLAS; see README).  The tensor decomposition is cached per
+operator and builds its half-size factors before it returns.  The dense
+n x n ``modes`` (in 2D only read by ``apply``, the CG preconditioner) are
+built on first read, capped at ``DENSE_EIG_CAP`` dofs per axis.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ import functools
 from collections.abc import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._kernels import is_spd
-from .fem import DiscreteOperator, GridFunction
+from .fem import DiscreteOperator, GridFunction, mass_apply
 
 DENSE_EIG_CAP = 4000
 
@@ -134,55 +133,33 @@ def _parity_order(n: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and M-orthonormal modes of the 1D factor of
-    ``op`` (of ``op`` itself in 1D): ``scale[j] sin(i theta_j)`` on a uniform
-    mesh, else the columns of ``eigh_modes``.  The n x n ``modes`` are built
-    on first use.
-
-    In 2D the factor is uniform, and its modes are taken in the folded
-    order (odd j, then even j), in ``modes`` and along each axis of
-    ``lambda_grid`` alike.  ``fold`` and ``unfold`` move a grid to and from
-    parity-folded coordinates, where ``folded_coefficients`` and
-    ``folded_synthesize`` multiply by the four half blocks of the modes
-    and of the projector (``_blocks``, built by ``eig_2d_tensor``): two
-    half-size GEMMs per side, with no n x n operand.
-
-    Mode coefficients come in the order of ``lambda_grid``; ``lambdas``
-    holds the same eigenvalues sorted.
-    """
+    """Eigenvalues (ascending in ``lambdas``) and M-orthonormal sine modes of
+    a uniform 1D mesh, ``scale[j] sin(i theta_j)``: the 1D factor of ``op``,
+    or ``op`` itself in 1D.  The n x n ``modes`` are built on first use, in
+    the order of the coefficients along an axis (``_axis_order``), and mode
+    coefficients come in the order of ``lambda_grid``."""
 
     op: DiscreteOperator
     lambdas_1d: np.ndarray
-    eigh_modes: np.ndarray | None = None
-    scale: np.ndarray | None = None
+    scale: np.ndarray
 
     def __post_init__(self):
         # tensor decompositions are cached and shared, so nothing may write them
-        for arr in (self.lambdas_1d, self.scale, self.eigh_modes):
-            if arr is not None:
-                _read_only(arr)
+        for arr in (self.lambdas_1d, self.scale):
+            _read_only(arr)
+
+    # the order of the 1D modes along each axis of the coefficients
+    _axis_order = slice(None)
 
     @functools.cached_property
     def modes(self) -> np.ndarray:
-        if self.scale is None:
-            return self.eigh_modes
         if (n := len(self.scale)) > DENSE_EIG_CAP:
             raise ValueError(f"dense modes capped at {DENSE_EIG_CAP} dofs, have {n}")
         modes = np.empty((n, n))
         for lo in range(0, n, 8):  # 8 rows of the identity at a time: one n x n array
-            modes[lo:lo + 8] = sine_transform(np.eye(min(8, n - lo), n, lo)) * self.scale
-        if self.op.dim == 2:
-            modes = np.ascontiguousarray(modes[:, _parity_order(n)])
+            rows = sine_transform(np.eye(min(8, n - lo), n, lo)) * self.scale
+            modes[lo:lo + 8] = rows[:, self._axis_order]
         return _read_only(modes)
-
-    @functools.cached_property
-    def lambda_grid(self) -> np.ndarray:
-        """The eigenvalue of every mode coefficient, in coefficient order."""
-        lam = self.lambdas_1d
-        if self.op.dim == 1:
-            return lam
-        lam = lam[_parity_order(len(lam))]
-        return _read_only((lam[:, None] + lam[None, :]).ravel())
 
     @functools.cached_property
     def lambdas(self) -> np.ndarray:
@@ -192,31 +169,65 @@ class SpectralDecomposition:
     def n_modes(self) -> int:
         return len(self.lambda_grid)
 
+    def mode_vector(self, j: int) -> np.ndarray:
+        """The eigenvector of ``lambdas[j]`` as a flat coefficient vector."""
+        unit = np.zeros(self.n_modes)
+        unit[np.argsort(self.lambda_grid, kind="stable")[j]] = 1.0
+        return self.synthesize(unit)
+
+
+class SineBasis(SpectralDecomposition):
+    """The basis of a uniform 1D operator, applied by the DST-I
+    ``sine_transform``: it holds two length-n vectors and no n x n array."""
+
+    @property
+    def lambda_grid(self) -> np.ndarray:
+        """The eigenvalue of every mode coefficient, in coefficient order."""
+        return self.lambdas_1d
+
+    def coefficients(self, v: np.ndarray) -> np.ndarray:
+        """M-weighted mode coefficients (v, psi_j)_M = modes^T (M v) of a
+        coefficient vector or of each row of a block."""
+        return sine_transform(mass_apply(self.op, v)) * self.scale
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`coefficients`."""
+        return sine_transform(self.scale * coeffs)
+
+
+class FoldedSineBasis(SpectralDecomposition):
+    """The basis of a tensor operator, on parity-folded grids.
+
+    Its modes are taken in the folded order (odd j, then even j), in
+    ``modes`` and along each axis of ``lambda_grid`` alike.  ``fold`` and
+    ``unfold`` move a grid to and from parity-folded coordinates, where
+    ``folded_coefficients`` and ``folded_synthesize`` multiply by the four
+    half blocks of the modes and of the projector (``_blocks``, built by
+    ``eig_2d_tensor``): two half-size GEMMs per side, with no n x n operand.
+    """
+
+    @property
+    def _axis_order(self) -> np.ndarray:
+        return _parity_order(len(self.scale))
+
+    @functools.cached_property
+    def lambda_grid(self) -> np.ndarray:
+        """The eigenvalue of every mode coefficient, in coefficient order."""
+        lam = self.lambdas_1d[self._axis_order]
+        return _read_only((lam[:, None] + lam[None, :]).ravel())
+
     @functools.cached_property
     def _modes_t(self) -> np.ndarray:
-        """modes^T: a contiguous copy in 2D, a view in 1D."""
-        if self.op.dim == 1:
-            return self.modes.T
         return _read_only(np.ascontiguousarray(self.modes.T))
 
-    def _along_axes(self, A: np.ndarray, At: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """A along every axis of each row of v (a (c, N) block or one vector); At = A^T."""
-        if self.op.dim == 1:
-            return (A @ v.T).T
-        n = len(self.lambdas_1d)
-        return (A @ v.reshape(-1, n, n) @ At).reshape(v.shape)
-
-    def _analyse(self, v: np.ndarray) -> np.ndarray:
-        """modes^T along every axis of each row of v."""
-        if self.op.dim == 1 and self.scale is not None:
-            return sine_transform(v) * self.scale
-        return self._along_axes(self._modes_t, self.modes, v)
-
-    def _synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """modes along every axis of each row of coeffs."""
-        if self.op.dim == 1 and self.scale is not None:
-            return sine_transform(self.scale * coeffs)
-        return self._along_axes(self.modes, self._modes_t, coeffs)
+    def apply(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """modes (modal * modes^T R modes) modes^T on the unfolded n x n grid
+        R of each row of rhs: (a K + b M)^{-1} rhs for ``modal = 1 / (a
+        lambda_grid + b)``, the CG preconditioner, in dense n x n GEMMs."""
+        n = len(self.scale)
+        Q, Qt = self.modes, self._modes_t
+        coeffs = modal * (Qt @ rhs.reshape(-1, n, n) @ Q).reshape(rhs.shape)
+        return (Q @ coeffs.reshape(-1, n, n) @ Qt).reshape(rhs.shape)
 
     @functools.cached_property
     def _blocks(self):
@@ -302,29 +313,12 @@ class SpectralDecomposition:
 
     def coefficients(self, v: np.ndarray) -> np.ndarray:
         """M-weighted mode coefficients (v, psi_j)_M of a coefficient vector or
-        block: modes^T (M v) in 1D, P^T V P along both axes of the folded
-        grid in 2D."""
-        if self.op.dim == 1:
-            return self._analyse((self.op.mass @ v.T).T)
+        block: P^T V P along both axes of the folded grid."""
         return self.folded_coefficients(self.fold(v))
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`coefficients`."""
-        if self.op.dim == 1:
-            return self._synthesize(coeffs)
         return self.unfold(self.folded_synthesize(coeffs))
-
-    def apply(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """modes (modal * modes^T rhs) along every axis, with one ``modal`` factor
-        per mode: (a K + b M)^{-1} rhs for ``modal = 1 / (a lambda_grid + b)``.
-        Dense n x n products in 2D, on the grid as it is."""
-        return self._synthesize(modal * self._analyse(rhs))
-
-    def mode_vector(self, j: int) -> np.ndarray:
-        """The eigenvector of ``lambdas[j]`` as a flat coefficient vector."""
-        unit = np.zeros(self.n_modes)
-        unit[np.argsort(self.lambda_grid, kind="stable")[j]] = 1.0
-        return self.synthesize(unit)
 
 
 def _fold_rows(x: np.ndarray, out: np.ndarray) -> None:
@@ -351,53 +345,45 @@ def _unfold_rows(y: np.ndarray, out: np.ndarray) -> None:
     out[:, h:n - h] = y[:, h:n - h]
 
 
-def _uniform_spacing(op: DiscreteOperator) -> float | None:
-    """The spacing h when (K, M) are the P1 matrices of a uniform mesh, else None.
-
-    The bands must be 2/h, -1/h, 2h/3 and h/6 to a relative 4 (n+1) eps:
-    assembling on ``np.linspace`` nodes leaves them about (n+1) eps / 2 off.
-    """
+def _sine_pairs(op: DiscreteOperator, refusal: str) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_j, scale_j) of the sine modes of the 1D pair (K, M), which must
+    be the P1 matrices of a uniform mesh: bands 2/h, -1/h, 2h/3 and h/6 to a
+    relative 4 (n+1) eps (assembling on ``np.linspace`` nodes leaves them
+    about (n+1) eps / 2 off).  Any other pair is refused with ``refusal``."""
     n = op.n_dofs
     h = (op.nodes[-1] - op.nodes[0]) / (n + 1)
     rtol = 4 * (n + 1) * np.finfo(np.float64).eps
     bands = zip((*op.stiffness_bands, *op.mass_bands), (2 / h, -1 / h, 2 * h / 3, h / 6))
-    if all(np.allclose(band, value, rtol=rtol, atol=0) for band, value in bands):
-        return h
-    return None
+    if not all(np.allclose(band, value, rtol=rtol, atol=0) for band, value in bands):
+        raise ValueError(refusal)
+    # Strang & Fix: K, M act on sin(i theta_j) as (4/h) sin^2(theta_j/2), (h/3)(2 + cos theta_j)
+    theta = np.arange(1, n + 1) * (np.pi / (n + 1))
+    # sin^2 of the half angle, not 1 - cos theta, which cancels for small j
+    lam = (12.0 / h**2) * np.sin(theta / 2) ** 2 / (2.0 + np.cos(theta))
+    mu = (h / 3.0) * (2.0 + np.cos(theta))
+    # sum_i sin^2(i theta_j) = (n+1)/2, so this makes psi_j^T M psi_j = 1
+    return lam, np.sqrt(2.0 / ((n + 1) * mu))
 
 
-def eig_1d(op: DiscreteOperator) -> SpectralDecomposition:
-    """Eigenvalues and M-orthonormal modes of the 1D pair (K, M): on a uniform
-    mesh (see ``_uniform_spacing``) the closed-form sine modes, two length-n
-    vectors at any size; on any other a dense symmetric generalized
-    eigensolve, one n x n array capped at ``DENSE_EIG_CAP`` dofs."""
+def eig_1d(op: DiscreteOperator) -> SineBasis:
+    """The closed-form sine basis of a 1D operator on a uniform mesh, two
+    length-n vectors at any size.  Any other mesh is refused: it has no
+    closed-form eigenpairs, and nothing here needs them."""
     if op.dim != 1:
         raise ValueError("eig_1d expects a 1D operator")
-    n, h = op.n_dofs, _uniform_spacing(op)
-    if h is not None:
-        # Strang & Fix: K, M act on sin(i theta_j) as (4/h) sin^2(theta_j/2), (h/3)(2 + cos theta_j)
-        theta = np.arange(1, n + 1) * (np.pi / (n + 1))
-        # sin^2 of the half angle, not 1 - cos theta, which cancels for small j
-        lam = (12.0 / h**2) * np.sin(theta / 2) ** 2 / (2.0 + np.cos(theta))
-        mu = (h / 3.0) * (2.0 + np.cos(theta))
-        # sum_i sin^2(i theta_j) = (n+1)/2, so this makes psi_j^T M psi_j = 1
-        return SpectralDecomposition(op, lam, scale=np.sqrt(2.0 / ((n + 1) * mu)))
-    if n > DENSE_EIG_CAP:
-        raise ValueError(f"dense eigensolve capped at {DENSE_EIG_CAP} dofs, have {n}")
-    return SpectralDecomposition(op, *sla.eigh(op.stiffness.toarray(), op.mass.toarray()))
+    return SineBasis(op, *_sine_pairs(op, "eig_1d needs a uniform mesh (sine modes)"))
 
 
 @functools.lru_cache(maxsize=8)
-def eig_2d_tensor(op: DiscreteOperator) -> SpectralDecomposition:
-    """The decomposition of a tensor operator's 1D factor, bound to it (cached),
+def eig_2d_tensor(op: DiscreteOperator) -> FoldedSineBasis:
+    """The sine basis of a tensor operator's 1D factor, bound to it (cached),
     with the half-size factors of the folded transforms already built.  The
     fold needs the parity of the sine modes, so a factor that is not a
     uniform mesh is refused."""
     if op.dim != 2:
         raise ValueError("eig_2d_tensor expects a tensor-assembled operator")
-    if _uniform_spacing(op.factor) is None:
-        raise ValueError("eig_2d_tensor needs a uniform 1D factor (sine modes)")
-    decomp = dataclasses.replace(eig_1d(op.factor), op=op)
+    decomp = FoldedSineBasis(op, *_sine_pairs(
+        op.factor, "eig_2d_tensor needs a uniform 1D factor (sine modes)"))
     # read once to build them here rather than inside the first transform
     decomp._blocks
     return decomp

@@ -314,15 +314,13 @@ def test_2d_table_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
 
     Every tensor transform of the direct path multiplies parity-folded
     grids by contiguous half-size factors (see
-    ``spectral.SpectralDecomposition``), here for n = 99 and 129 dofs per
-    side.  Measured with OpenBLAS 0.3.31, full ``table-2d`` CSVs of this
-    row have the same bytes at one and two threads for every
-    ``--n-per-side`` tried from 100 to 230 (23 sizes) but 200, and at 256,
-    300 and 400; at 200 they differ.  So other grids are reproducible only
-    at a fixed thread count.  The projection of a 2D callable
-    (``W @ F @ W.T`` in ``fem.load_vector``) also changes with the thread
-    count at n = 50 and 100, contiguous or not; the table's data cases do
-    not take that path.
+    ``spectral.FoldedSineBasis``), here for n = 99 and 129 dofs per side.
+    Measured with OpenBLAS 0.3.31, full ``table-2d`` CSVs of this row have
+    the same bytes at one and two threads for every ``--n-per-side`` tried
+    from 100 to 230 (23 sizes) but 200, and at 256, 300 and 400; at 200
+    they differ.  So other grids are reproducible only at a fixed thread
+    count.  The projection of a 2D callable makes no BLAS product (see
+    ``test_fem``); the table's data cases do not take that path.
     """
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -1,5 +1,9 @@
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import scipy.integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fracstep import fem
 from fracstep.fem import (
     DiscreteOperator,
     GridFunction,
@@ -398,6 +403,26 @@ class TestProjection:
         sep = load_vector(op2, "e")
         got = load_vector(op2, lambda xy: xy[0] * (1 - xy[0]) * xy[1] * (1 - xy[1]))
         assert np.max(np.abs(got - sep)) <= 1e-14 * np.max(np.abs(sep))
+
+    def test_callable_2d_load_bits_do_not_depend_on_the_blas_thread_count(self):
+        # one child process per OpenBLAS thread count, each hashing the load
+        # of one callable on three grids; a BLAS product W F W^T in place of
+        # the per-axis element rule gave other bits at 2 threads on all three
+        script = ("import hashlib, numpy as np\n"
+                  "from fracstep.fem import assemble_2d_tensor, load_vector\n"
+                  "for n in (50, 100, 200):\n"
+                  "    b = load_vector(assemble_2d_tensor(n),\n"
+                  "                    lambda xy: np.sin(3 * xy[0]) * xy[1] ** 2)\n"
+                  "    print(n, hashlib.sha256(b.tobytes()).hexdigest())\n")
+        src = Path(fem.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        runs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                 text=True, env={**env, "OPENBLAS_NUM_THREADS": str(threads)})
+                for threads in (1, 2)]
+        outs = [run.communicate(timeout=120)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert len(outs[0].splitlines()) == 3 and outs[0] == outs[1]
 
     def test_nan_valued_function_rejected(self):
         op = assemble_1d(np.linspace(0, 1, 11))

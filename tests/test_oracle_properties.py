@@ -2,16 +2,17 @@
 
 In the generalized eigenbasis of (K, M) every scheme acts mode by mode, so
 a run on the eigenvector psi_j must return mu(lambda_j) psi_j with mu from
-the scalar recurrence.  Inputs: strictly increasing 1D nodes with a mesh
-ratio of at most 10, and tensor grids of 3..8 cells per side; exponents in
-(0, 1), orders 1..8, shifts in (0, lambda_min), the geometric and the
-uniform time mesh or any other valid one (1..8 steps between sorted
-distinct points of [0, 1], so a single step from any t), and blocks of 1..4
-data vectors stepped as one run.  The same meshes check the spectral
-bracket: the dense eigenvalues lie in [dim pi^2, ub], the bisected bottom
-matches the dense one and the top of the bracket is ub itself.  On uniform
-meshes the closed-form eigenvalues check the same bracket, up to 5000
-elements.
+the scalar recurrence.  The eigenpairs of a random 1D mesh come from the
+dense oracle ``tests.dense_eigen``, those of a tensor grid from its sine
+basis.  Inputs: strictly increasing 1D nodes with a mesh ratio of at most
+10, and tensor grids of 3..8 cells per side; exponents in (0, 1), orders
+1..8, shifts in (0, lambda_min), the geometric and the uniform time mesh
+or any other valid one (1..8 steps between sorted distinct points of
+[0, 1], so a single step from any t), and blocks of 1..4 data vectors
+stepped as one run.  The same meshes check the spectral bracket: the
+eigenvalues lie in [dim pi^2, ub], the bisected bottom matches the
+smallest one and the top of the bracket is ub itself.  On uniform meshes
+the closed-form eigenvalues check the same bracket, up to 5000 elements.
 """
 
 import numpy as np
@@ -27,13 +28,9 @@ from fracstep.meshes import (
     build_uniform_mesh,
 )
 from fracstep.scalar import scalar_run_grid
-from fracstep.spectral import (
-    eig_1d,
-    eig_2d_tensor,
-    estimate_spectral_bounds,
-    spectral_upper_bound,
-)
+from fracstep.spectral import eig_2d_tensor, estimate_spectral_bounds, spectral_upper_bound
 from fracstep.stepping import StepperConfig, run
+from tests.dense_eigen import DenseEigenbasis
 from tests.test_fem import fem_eigenvalue
 
 SETTINGS = settings(max_examples=20, deadline=None)
@@ -44,7 +41,7 @@ def _operator(data, dim):
     if dim == 1:
         gaps = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=30)))
         op = assemble_1d(np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum())
-        return op, eig_1d(op)
+        return op, DenseEigenbasis.of(op)
     op = assemble_2d_tensor(data.draw(st.integers(3, 8)))
     return op, eig_2d_tensor(op)
 
@@ -139,13 +136,13 @@ def test_spectral_bracket(dim, data):
 
 def test_spectral_bracket_on_graded_mesh():
     op = assemble_1d(build_graded_spatial_mesh(16))
-    _check_bracket(op, eig_1d(op).lambdas, 1)
+    _check_bracket(op, DenseEigenbasis.of(op).lambdas, 1)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 10), (1, 200), (1, 1000), (1, 5000), (2, 10), (2, 200)])
 def test_spectral_bracket_on_uniform_meshes(dim, n):
     # the closed-form extremes j = 1 and j = n - 1 of (6/h^2)(1 - cos j pi h)/(2 + cos j pi h),
-    # doubled on tensor grids; 5000 elements lie past the dense eigensolve's cap
+    # doubled on tensor grids; 5000 elements lie past the cap on dense modes
     lam = dim * fem_eigenvalue(1.0 / n, np.array([1, n - 1]))
     op = assemble_1d(np.linspace(0.0, 1.0, n + 1)) if dim == 1 else assemble_2d_tensor(n)
     _check_bracket(op, lam, dim)

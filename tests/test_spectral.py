@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracstep import _kernels, spectral
 from fracstep.fem import (DiscreteOperator, GridFunction, assemble_1d, assemble_2d_tensor,
@@ -11,7 +13,6 @@ from fracstep.fem import (DiscreteOperator, GridFunction, assemble_1d, assemble_
 from fracstep.meshes import build_geometric_mesh
 from fracstep.spectral import (
     DENSE_EIG_CAP,
-    SpectralDecomposition,
     discrete_sobolev_norm,
     eig_1d,
     eig_2d_tensor,
@@ -42,20 +43,20 @@ class TestEig1D:
     def test_smallest_tends_to_continuum(self, decomp_1d_small):
         assert decomp_1d_small.lambdas[0] == pytest.approx(np.pi**2, rel=1e-3)
 
-    def test_mass_equals_stiffness_gives_unit_spectrum(self, op_1d_small):
-        from dataclasses import replace
-
-        op = replace(op_1d_small, stiffness=op_1d_small.mass,
-                     stiffness_bands=op_1d_small.mass_bands)
-        dec = eig_1d(op)
-        np.testing.assert_allclose(dec.lambdas, 1.0, rtol=1e-12)
-
-    def test_dense_cap(self):
-        # the cap holds on the dense eigensolve, not on the uniform sine basis
+    def test_perturbed_mesh_refused_without_allocating(self):
+        # a mesh with no closed-form eigenpairs is refused, and refusing it
+        # builds nothing n x n (here 128 MB)
         nodes = np.linspace(0, 1, 4003)
         nodes[5] += 1e-9
-        with pytest.raises(ValueError, match="dense eigensolve capped at 4000 dofs"):
-            eig_1d(assemble_1d(nodes))
+        op = assemble_1d(nodes)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="eig_1d needs a uniform mesh"):
+                eig_1d(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * op.n_dofs
 
 
 def uniform_op(n):
@@ -63,29 +64,25 @@ def uniform_op(n):
 
 
 class TestUniformClosedForm:
-    @pytest.fixture
-    def no_eigh(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense eigensolve on a uniform mesh")
-
-        monkeypatch.setattr(spectral.sla, "eigh", refuse)
-
     @pytest.mark.parametrize("n", (1, 2, 10, 199, 999))
-    def test_no_dense_eigensolve(self, n, no_eigh):
+    def test_no_dense_eigensolve(self, n):
         # linspace bands are about (n+1) eps / 2 off the uniform ones
         assert eig_1d(uniform_op(n)).n_modes == n
 
-    def test_tensor_factor_takes_closed_form(self, no_eigh):
+    def test_tensor_factor_takes_closed_form(self):
         assert eig_2d_tensor(assemble_2d_tensor(100)).n_modes == 99**2
 
-    def test_perturbed_mesh_takes_dense_eigensolve(self, monkeypatch):
-        nodes = np.linspace(0.0, 1.0, 12)
-        nodes[5] += 1e-9
-        calls = []
-        eigh = sla.eigh
-        monkeypatch.setattr(spectral.sla, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
-        eig_1d(assemble_1d(nodes))
-        assert calls == [1]
+    def test_every_table_mesh_is_uniform(self):
+        # a table assembles np.linspace(0, 1, cells + 1), in 1D and as the
+        # factor of a 2D grid; a mesh missed as uniform would be refused
+        for cells in range(2, 1001):
+            eig_1d(assemble_1d(np.linspace(0.0, 1.0, cells + 1)))
+
+    @settings(max_examples=5, deadline=None)
+    @given(cells=st.integers(1001, 10**6))
+    @example(cells=10**6)
+    def test_large_table_meshes_are_uniform(self, cells):
+        eig_1d(assemble_1d(np.linspace(0.0, 1.0, cells + 1)))
 
     @pytest.mark.parametrize("n", (10, 199, 999))
     def test_eigenvalues_match_dense_eigh(self, n):
@@ -274,13 +271,12 @@ class TestParityFold:
 
 
 class TestModalApply:
-    """``apply``, the one transform the tensor solvers and the reference share."""
+    """The transforms of both bases on blocks, and ``apply``, the dense
+    tensor transform of the CG preconditioner."""
 
-    @pytest.mark.parametrize("dim", (1, 2))
-    def test_solves_the_shifted_pencil_row_by_row(self, dim, request):
-        op = request.getfixturevalue(f"op_{dim}d_small")
-        dec = request.getfixturevalue(f"decomp_{dim}d_small")
-        rhs = np.random.default_rng(dim).standard_normal((3, op.n_dofs))
+    def test_solves_the_shifted_pencil_row_by_row(self, op_2d_small, decomp_2d_small):
+        op, dec = op_2d_small, decomp_2d_small
+        rhs = np.random.default_rng(2).standard_normal((3, op.n_dofs))
         a, b = 0.3, 5.0
         got = dec.apply(1.0 / (a * dec.lambda_grid + b), rhs)
         assert got.shape == rhs.shape
@@ -302,9 +298,7 @@ class TestModalApply:
     def test_sine_rows_have_their_one_vector_bits(self):
         dec = eig_1d(uniform_op(999))
         rhs = np.random.default_rng(8).standard_normal((4, 999))
-        modal = 1.0 / (dec.lambda_grid + 2.0)
-        for block, one in ((dec.apply(modal, rhs), lambda r: dec.apply(modal, r)),
-                           (dec.coefficients(rhs), dec.coefficients),
+        for block, one in ((dec.coefficients(rhs), dec.coefficients),
                            (dec.synthesize(rhs), dec.synthesize)):
             for j, r in enumerate(rhs):
                 assert np.array_equal(block[j], one(r))
@@ -314,15 +308,7 @@ class TestModalApply:
         # a uniform 1D basis transforms by sines and builds no n x n array
         dec = eig_1d(op_1d_small)
         dec.synthesize(dec.coefficients(np.ones(op_1d_small.n_dofs)))
-        dec.apply(np.ones(dec.n_modes), np.ones(op_1d_small.n_dofs))
-        assert {"modes", "_modes_t", "_blocks"}.isdisjoint(vars(dec))
-        # a dense 1D basis (up to 4000 x 4000) gets no copy of its modes
-        nodes = np.linspace(0.0, 1.0, 12)
-        nodes[5] += 1e-9
-        dense = eig_1d(assemble_1d(nodes))
-        dense.synthesize(dense.coefficients(np.ones(10)))
-        assert np.shares_memory(dense._modes_t, dense.modes)
-        assert "_blocks" not in vars(dense)
+        assert "modes" not in vars(dec)
         modes_t = decomp_2d_small._modes_t
         assert modes_t.flags.c_contiguous
         assert not np.shares_memory(modes_t, decomp_2d_small.modes)
@@ -396,7 +382,7 @@ class TestReferencePower:
         with pytest.raises(ValueError, match="different operator"):
             discrete_sobolev_norm(decomp_1d_small, v, 1.0)
 
-    @pytest.mark.parametrize("kind", ("uniform", "graded", "tensor"))
+    @pytest.mark.parametrize("kind", ("uniform", "tensor"))
     def test_sequence_of_exponents_from_one_analysis(self, monkeypatch, kind):
         # a sequence of exponents gives, bit for bit, the per-exponent
         # references, and analyses v once
@@ -404,7 +390,7 @@ class TestReferencePower:
             op = assemble_2d_tensor(8)
             dec = eig_2d_tensor(op)
         else:
-            op = assemble_1d(np.linspace(0.0, 1.0, 41) ** (1 if kind == "uniform" else 2))
+            op = assemble_1d(np.linspace(0.0, 1.0, 41))
             dec = eig_1d(op)
         v = GridFunction(np.random.default_rng(6).standard_normal(op.n_dofs), op)
         alphas = (0.1, 0.5, 0.9)
