@@ -43,9 +43,9 @@ class TestEig1D:
     def test_smallest_tends_to_continuum(self, decomp_1d_small):
         assert decomp_1d_small.lambdas[0] == pytest.approx(np.pi**2, rel=1e-3)
 
-    def test_perturbed_mesh_refused_without_allocating(self):
-        # a mesh with no closed-form eigenpairs is refused, and refusing it
-        # builds nothing n x n (here 128 MB)
+    def test_dense_cap(self):
+        # 4 001 dofs, over DENSE_EIG_CAP: a mesh with no closed-form eigenpairs
+        # is refused, and refusing it builds nothing n x n (here 128 MB)
         nodes = np.linspace(0, 1, 4003)
         nodes[5] += 1e-9
         op = assemble_1d(nodes)
@@ -274,9 +274,11 @@ class TestModalApply:
     """The transforms of both bases on blocks, and ``apply``, the dense
     tensor transform of the CG preconditioner."""
 
-    def test_solves_the_shifted_pencil_row_by_row(self, op_2d_small, decomp_2d_small):
-        op, dec = op_2d_small, decomp_2d_small
-        rhs = np.random.default_rng(2).standard_normal((3, op.n_dofs))
+    @pytest.mark.parametrize("dim", (2,))  # only the tensor basis has apply
+    def test_solves_the_shifted_pencil_row_by_row(self, dim, request):
+        op = request.getfixturevalue(f"op_{dim}d_small")
+        dec = request.getfixturevalue(f"decomp_{dim}d_small")
+        rhs = np.random.default_rng(dim).standard_normal((3, op.n_dofs))
         a, b = 0.3, 5.0
         got = dec.apply(1.0 / (a * dec.lambda_grid + b), rhs)
         assert got.shape == rhs.shape
