@@ -1,16 +1,16 @@
 """Hot numeric kernels: the symmetric tridiagonal ops.
 
 Every 1D system the steppers meet is symmetric positive definite and
-tridiagonal, given as its diagonal ``d`` and off-diagonal ``e``.  The solves
-call LAPACK directly (``?ptsv`` for one-shot solves, ``?pttrf``/``?pttrs``
-for a matrix factored once and solved many times), which skips the argument
-checks and band-array copies of ``scipy.linalg.solve_banded``.
+tridiagonal, given as its diagonal ``d`` and off-diagonal ``e``.  Every
+solve is one direct LAPACK ``?ptsv`` call (factor and solve in one, for one
+or many right-hand sides), which skips the argument checks and band-array
+copies of ``scipy.linalg.solve_banded``; the SPD test reads ``?pttrf``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
+from scipy.linalg.lapack import dptsv, dpttrf
 
 
 def tridiag_matvec(d, e, x, row=0):
@@ -35,11 +35,6 @@ def tridiag_matvec(d, e, x, row=0):
     return y
 
 
-def _check(info, routine):
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{routine} failed (info={info}): matrix not SPD")
-
-
 def _offdiag(e):
     # the LAPACK wrappers want an off-diagonal of length 1 when n == 1
     return e if len(e) else np.zeros(1)
@@ -57,18 +52,7 @@ def tridiag_solve(d, e, b):
     built for this call; ``b`` (a vector or an n x k block) is left intact.
     """
     _, _, x, info = dptsv(d, _offdiag(e), b, overwrite_d=1, overwrite_e=1)
-    _check(info, "dptsv")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dptsv failed (info={info}): matrix not SPD")
     return x
 
-
-class TridiagFactor:
-    """L D L^T factorization of an SPD tridiagonal, solved many times."""
-
-    def __init__(self, d, e):
-        self.d, self.e, info = dpttrf(d, _offdiag(e))
-        _check(info, "dpttrf")
-
-    def solve(self, b):
-        x, info = dpttrs(self.d, self.e, b)
-        _check(info, "dpttrs")
-        return x

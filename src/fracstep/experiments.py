@@ -297,14 +297,13 @@ def _graded_setup(spec: ExperimentSpec, N: int):
     return op, L, _resolve_delta(spec, bounds), l2_project(op, "d")
 
 
-def _grm_at(op, f, alpha, m, delta, L, Nt, solver, return_stats=False):
+def _grm_at(op, f, alpha, m, delta, L, Nt, return_stats=False):
     mesh = build_geometric_mesh(None, Nt, L_override=L)
-    cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=mesh, solver=solver)
+    cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=mesh)
     return run_grm(f, op, cfg, return_stats=return_stats)
 
 
-def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold, solver,
-                         Nt_cap=4096):
+def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold, Nt_cap=4096):
     """Smallest per-interval count whose geometric run beats the threshold.
 
     Returns (Nt, error, stats) of that run; each count is run at most once.
@@ -313,7 +312,7 @@ def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold, solver,
 
     def error_at(Nt):
         if Nt not in runs:
-            out, stats = _grm_at(op, f, alpha, m, delta, L, Nt, solver, return_stats=True)
+            out, stats = _grm_at(op, f, alpha, m, delta, L, Nt, return_stats=True)
             runs[Nt] = (m_norm(op, GridFunction(out.coeffs - u_ref.coeffs, op)), stats)
         return runs[Nt][0]
 
@@ -340,11 +339,10 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
     fixed step count (default 1e5).  Each mesh takes L and delta from the
     spec as the tables do."""
     Ns = spec.Ns
-    solver = spec.solver
     # fine-mesh solution used as the stand-in for the continuum limit
     N_fine = max(Ns) * reference_factor
     fop, fL, fdelta, ff = _graded_setup(spec, N_fine)
-    u_fine = _grm_at(fop, ff, alpha, 2, fdelta, fL, reference_Nt, solver)
+    u_fine = _grm_at(fop, ff, alpha, 2, fdelta, fL, reference_Nt)
     xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
     fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
 
@@ -352,7 +350,7 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
     for N in Ns:
         op, L, delta, f = _graded_setup(spec, N)
         nx = len(op.nodes) - 1
-        u_ref = _grm_at(op, f, alpha, 2, delta, L, reference_Nt, solver)
+        u_ref = _grm_at(op, f, alpha, 2, delta, L, reference_Nt)
         fine_here = GridFunction(np.interp(op.dof_coords, xp, fp), op)
         threshold = m_norm(op, GridFunction(fine_here.coeffs - u_ref.coeffs, op))
         row = {
@@ -362,13 +360,12 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
         }
         growth = 0.0
         for m in spec.ms:
-            Nt, err, stats = _smallest_passing_Nt(
-                op, f, alpha, m, delta, L, u_ref, threshold, solver)
+            Nt, err, stats = _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold)
             growth = max(growth, stats.max_growth)
             row[f"NS_m{m}"] = (L + 1) * Nt
             row[f"E_GRM_m{m}"] = err
             cfg = StepperConfig(alpha=alpha, m=m, delta=delta,
-                                mesh=build_uniform_mesh(spec.um_steps), solver=solver)
+                                mesh=build_uniform_mesh(spec.um_steps))
             u_um, um_stats = run_um(f, op, cfg, return_stats=True)
             growth = max(growth, um_stats.max_growth)
             row[f"E_UM_m{m}"] = m_norm(op, GridFunction(u_um.coeffs - u_ref.coeffs, op))

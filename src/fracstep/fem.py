@@ -1,98 +1,86 @@
 """P1/Q1 finite element assembly on (0,1) and (0,1)^2 with Dirichlet walls.
 
-1D operators are assembled on arbitrary strictly increasing node sets and
-hold their CSR pair (M, K).  2D operators are tensor products of a uniform
-1D factor and hold only that factor: their stiffness and mass matrices,
-K2 = kron(K, M) + kron(M, K) and M2 = kron(M, M), are built from it on
-first read and kept, so assembly allocates O(n) for n dofs per side.
-Boundary rows/columns are eliminated, keeping both matrices SPD.  The
-mass products and solves of this module apply the 1D factor along both
-axes of the n x n coefficient grid in 2D, never M2: ``mass_apply`` is the
-product behind ``m_inner`` and the check of ``l2_project``, and
-``mass_solver`` the solve behind ``l2_project``, a LAPACK factor of the 1D
-mass matrix (the time steps need no mass solve).
+Every matrix here is a symmetric tridiagonal or a Kronecker product of two.
+A 1D operator, assembled on any strictly increasing node set, is the two
+bands (diagonal, off-diagonal) of its mass and stiffness matrices M and K.
+A 2D operator is the tensor product of a uniform 1D factor with itself and
+holds only that factor: M2 = kron(M, M) and K2 = kron(K, M) + kron(M, K).
+Boundary rows/columns are eliminated, keeping both matrices SPD, and
+assembly allocates O(n) for n dofs per side.  ``mass_apply`` (the product
+behind ``m_inner`` and the check of ``l2_project``) and ``mass_solver``
+(the solve behind ``l2_project``, one ``?ptsv`` per axis) apply the 1D mass
+bands along each axis of the coefficient grid, in 1D as in 2D; no CSR
+matrix is built for them (the time steps need no mass solve).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels
 # bound here, not looked up in ``_kernels``: perfbench/tracing.py counts the
-# calls of ``_kernels.tridiag_matvec`` as the 1D step's mass applies
-from ._kernels import tridiag_matvec
+# calls of ``_kernels.tridiag_matvec`` as the 1D step's mass applies and of
+# ``_kernels.tridiag_solve`` as its shifted solves
+from ._kernels import tridiag_matvec, tridiag_solve
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
 DATA_CASE_DIM = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 2, "f": 2}
 
 
-def _kron_mass(f1: DiscreteOperator) -> sp.csr_matrix:
-    return sp.kron(f1.mass, f1.mass).tocsr()
+def _tridiag_csr(bands) -> sp.csr_matrix:
+    d, e = bands
+    return sp.diags([e, d, e], [-1, 0, 1], format="csr")
 
 
-def _kron_stiffness(f1: DiscreteOperator) -> sp.csr_matrix:
-    return (sp.kron(f1.stiffness, f1.mass) + sp.kron(f1.mass, f1.stiffness)).tocsr()
-
-
-def _grid_coords(f1: DiscreteOperator) -> np.ndarray:
-    x = f1.dof_coords
-    return np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
-
-
-class _FromFactor:
-    """A field that a 1D operator is given and a tensor operator builds on
-    first read, ``build(op.factor)``, and then keeps: until then it is None
-    in ``vars(op)``."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, op, owner=None):
-        if op is None:
-            return None  # the default: a tensor operator is given none
-        value = op.__dict__[self.name]
-        if value is None:
-            value = op.__dict__[self.name] = self.build(op.factor)
-        return value
-
-    def __set__(self, op, value):
-        op.__dict__[self.name] = value
-
-
-# no generated repr: it would read, and so build, a tensor operator's pair
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Mass/stiffness pair (M, K) over the interior degrees of freedom.
 
-    An operator with a ``factor`` is 2D, the tensor product of that 1D
-    factor with itself, and holds nothing else of size above O(n): its
-    ``mass``, ``stiffness`` and ``dof_coords`` (shape (n**2, 2), row-major,
-    x-major ordering) are built from the factor on first read and kept.
+    A 1D operator holds the (diagonal, off-diagonal) bands of M and K.  An
+    operator with a ``factor`` is 2D, the tensor product of that 1D factor
+    with itself, and holds nothing of size above O(n).  ``mass`` and
+    ``stiffness`` are the CSR matrices, built on first read and kept; only
+    the CG backend reads them.
     """
 
     nodes: np.ndarray
     factor: "DiscreteOperator | None" = None
-    mass: sp.csr_matrix = _FromFactor(_kron_mass)
-    stiffness: sp.csr_matrix = _FromFactor(_kron_stiffness)
-    dof_coords: np.ndarray = _FromFactor(_grid_coords)
-    # (diagonal, off-diagonal) of the 1D matrices, reused heavily by the steppers
     mass_bands: tuple = None
     stiffness_bands: tuple = None
 
     @property
     def n_dofs(self) -> int:
-        return self.mass.shape[0] if self.factor is None else self.factor.n_dofs ** 2
+        return (len(self.nodes) - 2) ** self.dim
 
     @property
     def dim(self) -> int:
         return 1 if self.factor is None else 2
+
+    @property
+    def dof_coords(self) -> np.ndarray:
+        """The interior nodes in 1D; in 2D the (n**2, 2) grid, row-major,
+        x-major ordering."""
+        x = self.nodes[1:-1]
+        if self.factor is None:
+            return x
+        return np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
+
+    @functools.cached_property
+    def mass(self) -> sp.csr_matrix:
+        if self.factor is None:
+            return _tridiag_csr(self.mass_bands)
+        return sp.kron(self.factor.mass, self.factor.mass).tocsr()
+
+    @functools.cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        if self.factor is None:
+            return _tridiag_csr(self.stiffness_bands)
+        f1 = self.factor
+        return (sp.kron(f1.stiffness, f1.mass) + sp.kron(f1.mass, f1.stiffness)).tocsr()
 
 
 @dataclass
@@ -112,7 +100,7 @@ class GridFunction:
 
 
 def assemble_1d(nodes) -> DiscreteOperator:
-    """Assemble interior M, K for piecewise linears on the given nodes.
+    """Assemble the bands of interior M, K for piecewise linears on the given nodes.
 
     Element contributions are the exact integrals of hat functions:
     stiffness (1/h)[[1,-1],[-1,1]] and mass (h/6)[[2,1],[1,2]] per element.
@@ -123,21 +111,11 @@ def assemble_1d(nodes) -> DiscreteOperator:
     h = np.diff(nodes)
     if np.any(h <= 0):
         raise ValueError("nodes must be strictly increasing")
-    n = len(nodes) - 2
     hl, hr = h[:-1], h[1:]
-    Kd = 1.0 / hl + 1.0 / hr
-    Kl = -1.0 / h[1:-1]
-    Md = (hl + hr) / 3.0
-    Ml = h[1:-1] / 6.0
-    K = sp.diags([Kl, Kd, Kl], [-1, 0, 1], format="csr")
-    M = sp.diags([Ml, Md, Ml], [-1, 0, 1], format="csr")
     return DiscreteOperator(
-        mass=M,
-        stiffness=K,
-        dof_coords=nodes[1:-1].copy(),
         nodes=nodes.copy(),
-        mass_bands=(Md, Ml),
-        stiffness_bands=(Kd, Kl),
+        mass_bands=((hl + hr) / 3.0, h[1:-1] / 6.0),
+        stiffness_bands=(1.0 / hl + 1.0 / hr, -1.0 / h[1:-1]),
     )
 
 
@@ -288,36 +266,34 @@ def load_vector(op: DiscreteOperator, f) -> np.ndarray:
 def mass_apply(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     """M v for a coefficient vector or each row of a (c, N) block.
 
-    A 1D operator multiplies by its CSR M; a tensor operator applies the 1D
-    mass bands along both axes of the n x n grid of each row, as
-    M2 = kron(M1, M1), and builds no M2.
+    The 1D mass bands are applied along each of the ``op.dim`` axes of the
+    coefficient grid of each row, as M2 = kron(M1, M1) in 2D; no sparse
+    matrix is built.
     """
-    if op.dim == 1:
-        return (op.mass @ v.T).T
-    n = op.factor.n_dofs
-    x = v.reshape(*v.shape[:-1], n, n)
-    for _ in range(2):
-        # M1 along the last axis, then the two grid axes swapped
-        x = tridiag_matvec(*op.factor.mass_bands, x).swapaxes(-1, -2)
+    bands = (op.factor or op).mass_bands
+    x = v.reshape(*v.shape[:-1], *(len(bands[0]),) * op.dim)
+    for _ in range(op.dim):
+        # M1 along the last grid axis, then that axis made the first grid axis
+        x = np.moveaxis(tridiag_matvec(*bands, x), -1, -op.dim)
     return x.reshape(v.shape)
 
 
 def mass_solver(op: DiscreteOperator):
     """M^{-1} as a callable, exact up to rounding for every operator assembled here.
 
-    One LAPACK factor of the 1D mass matrix serves both dimensions: a tensor
-    operator has M2 = kron(M1, M1), so M2^{-1} applies M1^{-1} along each
-    axis of the n x n coefficient array.
+    One ``?ptsv`` solve with the 1D mass bands serves both dimensions: a
+    tensor operator has M2 = kron(M1, M1), so M2^{-1} applies M1^{-1} along
+    each axis of the n x n coefficient array.
     """
-    base = op.factor or op
-    factor = _kernels.TridiagFactor(*base.mass_bands)
-    shape = (base.n_dofs,) * op.dim
+    d, e = (op.factor or op).mass_bands
+    shape = (len(d),) * op.dim
 
     def solve(rhs):
-        # M1^{-1} along the first axis, then the axes rotated, op.dim times
+        # M1^{-1} along the first axis, then the axes rotated, op.dim times;
+        # ?ptsv factors in place, so each solve gets copies of the bands
         x = rhs.reshape(shape)
         for _ in range(op.dim):
-            x = factor.solve(x).T
+            x = tridiag_solve(d.copy(), e.copy(), x).T
         return x.ravel()
 
     return solve

@@ -46,11 +46,11 @@ one-row block would give it.  The step needs neither K nor a mass solve
   repeats the recurrences and the stopping rule of
   ``scipy.sparse.linalg.cg`` (atol = 0), so it returns the same bits
   without scipy's operator wrappers.  It is the only reader of a tensor
-  operator's CSR pair (K2, M2), which the operator builds on the first
-  read and keeps (see ``fem.DiscreteOperator``), so once per operator,
-  not per run.  ``load`` is ``M U`` by the CSR ``M`` one row at a time (a
-  sparse product with the whole block is slower than c vector products)
-  and u . M u per row.
+  operator's CSR pair (K2, M2), which the operator builds from the bands
+  of its 1D factor on the first read and keeps (see
+  ``fem.DiscreteOperator``), so once per operator, not per run.  ``load``
+  is ``M U`` by the CSR ``M`` one row at a time (a sparse product with the
+  whole block is slower than c vector products) and u . M u per row.
 
 A backend is built for one run and holds that run's state (the CG
 iteration counts).
@@ -241,13 +241,13 @@ class PreconditionedCG(_TensorPencil):
     own shift, ``decomp.apply`` with ``1 / (a lambda_grid + b)`` (Concus & Golub
     1973).  On the constant-coefficient operators of ``assemble_2d_tensor``
     it is the exact inverse, so a solve takes one or two iterations.
-    K2 and M2 are the operator's CSR pair, built by its first reader and
-    then shared by every run on it.  They must share one sparsity pattern,
-    as the tensor assembly gives them: the shifted matrix is built once per
-    solver on that pattern and each solve only rewrites its values.  Every
-    solve starts from zero, and ``iters`` and ``iters_max`` count the
-    iterations of each row (total and worst single solve) over this
-    solver's lifetime, one run of ``columns`` rows.
+    K2 and M2 are the operator's CSR pair, built from its 1D factor's bands
+    by the first reader and then shared by every run on it.  They must
+    share one sparsity pattern, as the tensor assembly gives them: the
+    shifted matrix is built once per solver on that pattern and each solve
+    only rewrites its values.  Every solve starts from zero, and ``iters``
+    and ``iters_max`` count the iterations of each row (total and worst
+    single solve) over this solver's lifetime, one run of ``columns`` rows.
     """
 
     def __init__(self, op: DiscreteOperator, columns: int = 1):

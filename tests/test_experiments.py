@@ -289,10 +289,40 @@ class TestTable2D:
         assert len(run_table(spec)) == 16
         [op] = ops
         if solver == "direct":
-            assert built_fields(op) == set() and krons == []
+            assert built_fields(op) == built_fields(op.factor) == set() and krons == []
         else:
             # one kron for M2, two for K2
             assert built_fields(op) == {"mass", "stiffness"} and len(krons) == 3
+
+    @pytest.mark.parametrize("study", ("table", "spatial"))
+    def test_direct_1d_paths_build_no_csr_matrix(self, monkeypatch, study):
+        # a 1D operator is its bands: assembly makes no sparse matrix, and
+        # neither does a 1D table or the graded-mesh study
+        import fracstep.experiments as experiments
+        from fracstep import fem
+
+        ops, diags = [], []
+        assemble, diags_fn = experiments.assemble_1d, fem.sp.diags
+
+        def assemble_kept(nodes):
+            ops.append(assemble(nodes))
+            return ops[-1]
+
+        def diags_counted(*args, **kwargs):
+            diags.append(args)
+            return diags_fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "assemble_1d", assemble_kept)
+        monkeypatch.setattr(fem.sp, "diags", diags_counted)
+        if study == "table":
+            spec = ExperimentSpec(dimension=1, data_cases=("a", "d"), alphas=(0.5,),
+                                  ms=(1, 2), Ns=(1, 2), h=0.05)
+            assert len(run_table(spec)) == 16
+        else:
+            spec = ExperimentSpec(dimension=1, ms=(1,), Ns=(2,), um_steps=10)
+            assert len(run_spatial_refinement(spec, alpha=0.5, reference_factor=2)) == 1
+        assert ops and all(built_fields(op) == set() for op in ops)
+        assert diags == []
 
     def test_setup_books_the_dense_factors_under_eigenbasis(self, caplog):
         # eig_2d_tensor builds them (see test_spectral), so the eigenbasis
@@ -339,7 +369,7 @@ class TestSpatialRefinement:
 
         op, L, delta, f = _graded_setup(ExperimentSpec(), 4)
         with pytest.raises(RuntimeError, match="no Nt <= 1"):
-            _smallest_passing_Nt(op, f, 0.5, 1, delta, L, f, 0.0, "direct", Nt_cap=1)
+            _smallest_passing_Nt(op, f, 0.5, 1, delta, L, f, 0.0, Nt_cap=1)
 
     def test_delta_at_the_spectrum_rejected(self):
         spec = ExperimentSpec(dimension=1, ms=(2,), Ns=(4,), um_steps=200, delta=500.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from fracstep import _kernels, solvers
 from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor
@@ -82,12 +83,13 @@ class TestTridiagLapack:
         with pytest.raises(np.linalg.LinAlgError):
             _kernels.tridiag_solve(d.copy(), e.copy(), np.ones(3))
         with pytest.raises(np.linalg.LinAlgError):
-            _kernels.TridiagFactor(d, e)
+            _kernels.tridiag_solve(d.copy(), e.copy(), np.ones((3, 2)))
 
     def test_single_unknown(self):
         d, e = np.array([4.0]), np.array([])
         assert _kernels.tridiag_solve(d.copy(), e.copy(), np.array([2.0]))[0] == 0.5
-        assert _kernels.TridiagFactor(d, e).solve(np.array([2.0]))[0] == 0.5
+        assert np.array_equal(_kernels.tridiag_solve(d.copy(), e.copy(), np.array([[2.0, 4.0]])),
+                              [[0.5, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             _kernels.tridiag_solve(-d, e.copy(), np.array([2.0]))
 
@@ -103,15 +105,15 @@ class TestTridiagLapack:
         assert not _kernels.is_spd(np.array([-4.0]), np.array([]))
 
     def test_factor_solve_matches_one_shot(self):
+        # the one-shot ?ptsv has the bits of ?pttrf followed by ?pttrs
         d, e, b = _spd_bands(seed=9)
-        factor = _kernels.TridiagFactor(d, e)
+        df, ef, info = dpttrf(d, e)
+        assert info == 0
         B = np.random.default_rng(9).standard_normal((len(d), 3))
         for rhs in (b, B):
-            np.testing.assert_allclose(
-                factor.solve(rhs), _kernels.tridiag_solve(d.copy(), e.copy(), rhs),
-                rtol=1e-14, atol=1e-15)
-        # the factor keeps its own copy of the bands
-        np.testing.assert_array_equal(d, _spd_bands(seed=9)[0])
+            want, info = dpttrs(df, ef, rhs)
+            assert info == 0
+            assert np.array_equal(_kernels.tridiag_solve(d.copy(), e.copy(), rhs), want)
 
 
 def _dense_step(op, u, t, k, delta, r):
