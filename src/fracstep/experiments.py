@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ class ExperimentSpec:
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of
     ``round(1 / h)`` cells or the tensor grid of ``n_per_side``, with at most
     ``DENSE_EIG_CAP`` dofs per axis in 2D, where the eigenbasis holds dense
-    factors: the half blocks of the reference and the n x n modes of CG.
+    half blocks and CG the n x n modes of the 1D factor.
     Each data case must be one of ``fem.DATA_CASE_DIM`` of that dimension.  ``solver``
     is "direct" or "cg"; "cg" serves the tensor grid only, since 1D studies
     always solve directly.
@@ -191,7 +192,7 @@ def write_csv(rows: list[dict], path_or_file) -> None:
     """Write rows with a header naming every column; floats at 12 digits."""
     if not rows:
         return
-    if isinstance(path_or_file, (str, bytes)):
+    if isinstance(path_or_file, (str, bytes, os.PathLike)):
         with open(path_or_file, "w", newline="") as fh:
             return write_csv(rows, fh)
     fields = list(rows[0].keys())

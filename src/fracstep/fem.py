@@ -9,17 +9,15 @@ Boundary rows/columns are eliminated, keeping both matrices SPD, and
 assembly allocates O(n) for n dofs per side.  ``mass_apply`` (the product
 behind ``m_inner`` and the check of ``l2_project``) and ``mass_solver``
 (the solve behind ``l2_project``, one ``?ptsv`` per axis) apply the 1D mass
-bands along each axis of the coefficient grid, in 1D as in 2D; no CSR
-matrix is built for them (the time steps need no mass solve).
+bands along each axis of the coefficient grid, in 1D as in 2D.  No
+operator holds a CSR matrix; CG builds its own in ``solvers``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # bound here, not looked up in ``_kernels``: perfbench/tracing.py counts the
 # calls of ``_kernels.tridiag_matvec`` as the 1D step's mass applies and of
@@ -31,20 +29,13 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 DATA_CASE_DIM = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 2, "f": 2}
 
 
-def _tridiag_csr(bands) -> sp.csr_matrix:
-    d, e = bands
-    return sp.diags([e, d, e], [-1, 0, 1], format="csr")
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Mass/stiffness pair (M, K) over the interior degrees of freedom.
 
     A 1D operator holds the (diagonal, off-diagonal) bands of M and K.  An
     operator with a ``factor`` is 2D, the tensor product of that 1D factor
-    with itself, and holds nothing of size above O(n).  ``mass`` and
-    ``stiffness`` are the CSR matrices, built on first read and kept; only
-    the CG backend reads them.
+    with itself, and holds nothing of size above O(n).
     """
 
     nodes: np.ndarray
@@ -68,19 +59,6 @@ class DiscreteOperator:
         if self.factor is None:
             return x
         return np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
-
-    @functools.cached_property
-    def mass(self) -> sp.csr_matrix:
-        if self.factor is None:
-            return _tridiag_csr(self.mass_bands)
-        return sp.kron(self.factor.mass, self.factor.mass).tocsr()
-
-    @functools.cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        if self.factor is None:
-            return _tridiag_csr(self.stiffness_bands)
-        f1 = self.factor
-        return (sp.kron(f1.stiffness, f1.mass) + sp.kron(f1.mass, f1.stiffness)).tocsr()
 
 
 @dataclass
@@ -252,7 +230,8 @@ def load_vector(op: DiscreteOperator, f) -> np.ndarray:
     w_left = half * _GAUSS_W * (x1 - xs) / (x1 - x0)
     w_right = half * _GAUSS_W * (xs - x0) / (x1 - x0)
     X, Y = np.meshgrid(xs.ravel(), xs.ravel(), indexing="ij")
-    F = np.asarray(f((X, Y)), dtype=np.float64)
+    # a callable that returns a scalar, a constant, is broadcast as in 1D
+    F = np.broadcast_to(np.asarray(f((X, Y)), dtype=np.float64), X.shape)
     for _ in range(2):
         # the rule along the first axis, then the two axes swapped
         g = F.reshape(*w_left.shape, -1)

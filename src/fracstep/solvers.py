@@ -38,19 +38,15 @@ one-row block would give it.  The step needs neither K nor a mass solve
   terms added up, each row solved from zero to the relative residual
   ``CG_RTOL`` within ``CG_MAXITER`` iterations, with its own iteration counts.
   Each solve is preconditioned by the modal inverse of its own shifted
-  pencil, the decomposition's ``apply`` with one shift's multiplier, which
-  is exact on these constant-coefficient operators.  ``apply`` multiplies
-  the unfolded grid by the dense modes: a fold per preconditioner call
-  would cost more than its half-size products save.
-  There is one CG: ``_pcg``, a loop on a preassembled CSR matrix that
-  repeats the recurrences and the stopping rule of
-  ``scipy.sparse.linalg.cg`` (atol = 0), so it returns the same bits
-  without scipy's operator wrappers.  It is the only reader of a tensor
-  operator's CSR pair (K2, M2), which the operator builds from the bands
-  of its 1D factor on the first read and keeps (see
-  ``fem.DiscreteOperator``), so once per operator, not per run.  ``load``
-  is ``M U`` by the CSR ``M`` one row at a time (a sparse product with the
-  whole block is slower than c vector products) and u . M u per row.
+  pencil, which is exact on these constant-coefficient operators.  There
+  is one CG: ``_pcg``, a loop on a preassembled CSR matrix that repeats
+  the recurrences and the stopping rule of ``scipy.sparse.linalg.cg``
+  (atol = 0), so it returns the same bits without scipy's operator
+  wrappers.  All that only CG reads is the last block of this module:
+  ``_cg_state(op)`` builds the CSR pair (K2, M2) from the 1D factor's
+  bands, and takes the factor's dense sine modes, once per operator.
+  ``load`` is ``M U`` by the CSR ``M`` one row at a time (a sparse product
+  with the whole block is slower than c vector products) and u . M u per row.
 
 A backend is built for one run and holds that run's state (the CG
 iteration counts).
@@ -62,11 +58,12 @@ import functools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401  a module global that perfbench/tracing.py swaps
 
 from . import _kernels
 from .fem import DiscreteOperator
-from .spectral import eig_2d_tensor
+from .spectral import eig_1d, eig_2d_tensor
 
 
 class SolveError(RuntimeError):
@@ -143,23 +140,16 @@ class BandedPencil(_Pencil):
         return _kernels.tridiag_solve(band[:self.n], band[self.n:], rhs.T).T
 
 
-class _TensorPencil(_Pencil):
-    """What the two tensor backends share: the decomposition
-    ``eig_2d_tensor(op)``, computed once per operator and shared with the
-    reference; its ``apply`` with 1 / (a lambda_grid + b) is (a K2 + b M2)^{-1}."""
-
-    def __init__(self, op: DiscreteOperator):
-        if op.dim != 2:
-            raise ValueError(f"{type(self).__name__} requires a tensor operator")
-        self.decomp = eig_2d_tensor(op)
-        self.n = len(self.decomp.lambdas_1d)
-
-
-class TensorDiagSolver(_TensorPencil):
+class TensorDiagSolver(_Pencil):
     """Fast diagonalization for sums of (a_i K2 + b_i M2)^{-1} M2 on tensor
     operators, on parity-folded blocks (``fold``) in the folded mode order:
     per step and row, two pairs of half-size products analyse U (``load``)
-    and two synthesize the result (``solve``), however many shifts."""
+    and two synthesize the result (``solve``), however many shifts, in the
+    basis ``eig_2d_tensor(op)`` that the reference shares."""
+
+    def __init__(self, op: DiscreteOperator):
+        self.decomp = eig_2d_tensor(op)
+        self.n = len(self.decomp.lambdas_1d)
 
     def fold(self, U):
         return self.decomp.fold(U)
@@ -183,6 +173,33 @@ class TensorDiagSolver(_TensorPencil):
         ``coeffs`` the mode coefficients of u; any other modal multiplier is
         applied the same way."""
         return self.decomp.folded_synthesize(modal * coeffs)
+
+
+# CG, and all that only CG reads
+
+
+@functools.lru_cache(maxsize=8)
+def _cg_state(op: DiscreteOperator):
+    """(K2, M2, Q, Q^T, lambda_grid) of a tensor operator, built once per
+    operator (cached): the CSR pair K2 = kron(K1, M1) + kron(M1, K1), M2 =
+    kron(M1, M1) of the 1D factor's bands, refused on two sparsity patterns,
+    and the factor's sine modes Q (natural order) with a contiguous Q^T and
+    lambda_i + lambda_j in the same order.  A 1D operator is refused."""
+    if op.dim != 2:
+        raise ValueError("PreconditionedCG requires a tensor operator")
+    K1, M1 = (sp.diags([e, d, e], [-1, 0, 1], format="csr")
+              for d, e in (op.factor.stiffness_bands, op.factor.mass_bands))
+    K = (sp.kron(K1, M1) + sp.kron(M1, K1)).tocsr()
+    M = sp.kron(M1, M1).tocsr()
+    # each solve writes a K2 + b M2 into the values of a copy of K2
+    if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
+        raise ValueError("PreconditionedCG needs stiffness and mass on one sparsity pattern")
+    basis = eig_1d(op.factor)
+    lam = basis.lambda_grid
+    state = K, M, basis.modes, np.ascontiguousarray(basis.modes.T), (lam[:, None] + lam).ravel()
+    for arr in (K.data, M.data, *state[3:]):  # shared by every run: nothing may write it
+        arr.setflags(write=False)
+    return state
 
 
 def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
@@ -234,43 +251,42 @@ def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarr
     )
 
 
-class PreconditionedCG(_TensorPencil):
+class PreconditionedCG(_Pencil):
     """CG (``_pcg``) on a*K2 + b*M2, preconditioned by fast diagonalization.
 
     Each solve is preconditioned by the modal inverse of the pencil at its
-    own shift, ``decomp.apply`` with ``1 / (a lambda_grid + b)`` (Concus & Golub
-    1973).  On the constant-coefficient operators of ``assemble_2d_tensor``
-    it is the exact inverse, so a solve takes one or two iterations.
-    K2 and M2 are the operator's CSR pair, built from its 1D factor's bands
-    by the first reader and then shared by every run on it.  They must
-    share one sparsity pattern, as the tensor assembly gives them: the
-    shifted matrix is built once per solver on that pattern and each solve
-    only rewrites its values.  Every solve starts from zero, and ``iters``
-    and ``iters_max`` count the iterations of each row (total and worst
-    single solve) over this solver's lifetime, one run of ``columns`` rows.
+    own shift, ``precondition`` with ``1 / (a lambda_grid + b)`` (Concus &
+    Golub 1973).  On the constant-coefficient operators of
+    ``assemble_2d_tensor`` it is the exact inverse, so a solve takes one or
+    two iterations.  K2, M2 and the modes are ``_cg_state(op)``, shared by
+    every run on the operator; the shifted matrix is built once per solver.
+    Every solve starts from zero, and ``iters`` and ``iters_max`` count the
+    iterations of each row (total and worst single solve) over this
+    solver's lifetime, one run of ``columns`` rows.
     """
 
     def __init__(self, op: DiscreteOperator, columns: int = 1):
-        super().__init__(op)
-        self.K = K = op.stiffness.tocsr()
-        self.M = M = op.mass.tocsr()
-        if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
-            raise ValueError("PreconditionedCG needs stiffness and mass on one "
-                             "sparsity pattern")
-        self.A = K.copy()
+        self.K, self.M, self.Q, self.Qt, self.lambda_grid = _cg_state(op)
+        self.A = self.K.copy()
         self.iters = [0] * columns
         self.iters_max = [0] * columns
 
     def apply_M(self, U):
         return np.stack([self.M @ u for u in U])
 
+    def precondition(self, modal: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Q (modal * Q^T R Q) Q^T on the n x n grid R of r (one vector or
+        each row of a block): (a K2 + b M2)^{-1} r for ``modal = 1 / (a
+        lambda_grid + b)``, in dense n x n GEMMs."""
+        n = len(self.Q)
+        coeffs = modal * (self.Qt @ r.reshape(-1, n, n) @ self.Q).reshape(r.shape)
+        return (self.Q @ coeffs.reshape(-1, n, n) @ self.Qt).reshape(r.shape)
+
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
         """(a K2 + b M2)^{-1} applied to each row of the (c, n) block rhs."""
         np.multiply(self.K.data, a, out=self.A.data)
         self.A.data += b * self.M.data
-        # the decomposition, not TensorDiagSolver.solve: perfbench/tracing.py
-        # counts the calls of that method as direct solves
-        precond = functools.partial(self.decomp.apply, 1.0 / (a * self.decomp.lambda_grid + b))
+        precond = functools.partial(self.precondition, 1.0 / (a * self.lambda_grid + b))
         out = np.empty_like(rhs)
         for j, row in enumerate(rhs):
             out[j], iters = _pcg(self.A, precond, row, CG_RTOL, CG_MAXITER)

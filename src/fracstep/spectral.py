@@ -34,9 +34,9 @@ and ``synthesize`` fold and unfold around the same transforms.  With these
 contiguous half-size factors the 2D bits of a table do not depend on the
 BLAS thread count on every grid tried from 99 to 229 dofs per axis but 199
 (measured, OpenBLAS; see README).  The tensor decomposition is cached per
-operator and builds its half-size factors before it returns.  The dense
-n x n ``modes`` (in 2D only read by ``apply``, the CG preconditioner) are
-built on first read, capped at ``DENSE_EIG_CAP`` dofs per axis.
+operator and builds its half-size factors before it returns; it holds no
+n x n array.  Only a 1D basis has dense ``modes``, built on first read up
+to ``DENSE_EIG_CAP`` dofs (for the tests, and for CG on a tensor factor).
 """
 
 from __future__ import annotations
@@ -135,9 +135,8 @@ def _parity_order(n: int) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues (ascending in ``lambdas``) and M-orthonormal sine modes of
     a uniform 1D mesh, ``scale[j] sin(i theta_j)``: the 1D factor of ``op``,
-    or ``op`` itself in 1D.  The n x n ``modes`` are built on first use, in
-    the order of the coefficients along an axis (``_axis_order``), and mode
-    coefficients come in the order of ``lambda_grid``."""
+    or ``op`` itself in 1D.  Mode coefficients come in the order of
+    ``lambda_grid``."""
 
     op: DiscreteOperator
     lambdas_1d: np.ndarray
@@ -147,19 +146,6 @@ class SpectralDecomposition:
         # tensor decompositions are cached and shared, so nothing may write them
         for arr in (self.lambdas_1d, self.scale):
             _read_only(arr)
-
-    # the order of the 1D modes along each axis of the coefficients
-    _axis_order = slice(None)
-
-    @functools.cached_property
-    def modes(self) -> np.ndarray:
-        if (n := len(self.scale)) > DENSE_EIG_CAP:
-            raise ValueError(f"dense modes capped at {DENSE_EIG_CAP} dofs, have {n}")
-        modes = np.empty((n, n))
-        for lo in range(0, n, 8):  # 8 rows of the identity at a time: one n x n array
-            rows = sine_transform(np.eye(min(8, n - lo), n, lo)) * self.scale
-            modes[lo:lo + 8] = rows[:, self._axis_order]
-        return _read_only(modes)
 
     @functools.cached_property
     def lambdas(self) -> np.ndarray:
@@ -178,7 +164,17 @@ class SpectralDecomposition:
 
 class SineBasis(SpectralDecomposition):
     """The basis of a uniform 1D operator, applied by the DST-I
-    ``sine_transform``: it holds two length-n vectors and no n x n array."""
+    ``sine_transform``: it holds two length-n vectors, and ``modes`` once read."""
+
+    @functools.cached_property
+    def modes(self) -> np.ndarray:
+        """The n x n modes, one per column, built on first read."""
+        if (n := len(self.scale)) > DENSE_EIG_CAP:
+            raise ValueError(f"dense modes capped at {DENSE_EIG_CAP} dofs, have {n}")
+        modes = np.empty((n, n))
+        for lo in range(0, n, 8):  # 8 rows of the identity at a time: one n x n array
+            modes[lo:lo + 8] = sine_transform(np.eye(min(8, n - lo), n, lo)) * self.scale
+        return _read_only(modes)
 
     @property
     def lambda_grid(self) -> np.ndarray:
@@ -198,36 +194,19 @@ class SineBasis(SpectralDecomposition):
 class FoldedSineBasis(SpectralDecomposition):
     """The basis of a tensor operator, on parity-folded grids.
 
-    Its modes are taken in the folded order (odd j, then even j), in
-    ``modes`` and along each axis of ``lambda_grid`` alike.  ``fold`` and
+    Its modes are taken in the folded order (odd j, then even j) along each
+    axis of ``lambda_grid``.  ``fold`` and
     ``unfold`` move a grid to and from parity-folded coordinates, where
     ``folded_coefficients`` and ``folded_synthesize`` multiply by the four
     half blocks of the modes and of the projector (``_blocks``, built by
     ``eig_2d_tensor``): two half-size GEMMs per side, with no n x n operand.
     """
 
-    @property
-    def _axis_order(self) -> np.ndarray:
-        return _parity_order(len(self.scale))
-
     @functools.cached_property
     def lambda_grid(self) -> np.ndarray:
         """The eigenvalue of every mode coefficient, in coefficient order."""
-        lam = self.lambdas_1d[self._axis_order]
+        lam = self.lambdas_1d[_parity_order(len(self.scale))]
         return _read_only((lam[:, None] + lam[None, :]).ravel())
-
-    @functools.cached_property
-    def _modes_t(self) -> np.ndarray:
-        return _read_only(np.ascontiguousarray(self.modes.T))
-
-    def apply(self, modal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """modes (modal * modes^T R modes) modes^T on the unfolded n x n grid
-        R of each row of rhs: (a K + b M)^{-1} rhs for ``modal = 1 / (a
-        lambda_grid + b)``, the CG preconditioner, in dense n x n GEMMs."""
-        n = len(self.scale)
-        Q, Qt = self.modes, self._modes_t
-        coeffs = modal * (Qt @ rhs.reshape(-1, n, n) @ Q).reshape(rhs.shape)
-        return (Q @ coeffs.reshape(-1, n, n) @ Qt).reshape(rhs.shape)
 
     @functools.cached_property
     def _blocks(self):

@@ -3,9 +3,10 @@ closed-form eigenpairs.
 
 ``fracstep.spectral`` serves uniform meshes only, where the modes are
 sines.  The random and graded meshes of the property tests take their
-eigenpairs from ``scipy.linalg.eigh`` on the dense pair here, with the
-attributes the tests read of a basis: ``lambdas`` (ascending), ``n_modes``,
-``modes`` (M-orthonormal columns) and ``mode_vector``.
+eigenpairs from ``scipy.linalg.eigh`` on the pair of ``sparse_pair`` made
+dense, with the attributes the tests read of a basis: ``lambdas``
+(ascending), ``n_modes``, ``modes`` (M-orthonormal columns) and
+``mode_vector``.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from fracstep.fem import DiscreteOperator
+from tests.sparse_pair import sparse_pair
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -24,7 +26,8 @@ class DenseEigenbasis:
 
     @classmethod
     def of(cls, op: DiscreteOperator) -> "DenseEigenbasis":
-        return cls(op, *sla.eigh(op.stiffness.toarray(), op.mass.toarray()))
+        K, M = sparse_pair(op)
+        return cls(op, *sla.eigh(K.toarray(), M.toarray()))
 
     @property
     def n_modes(self) -> int:

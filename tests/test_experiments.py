@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracstep import solvers
+from fracstep import experiments, solvers
 from fracstep.experiments import (
     ExperimentSpec,
     convergence_order,
@@ -19,7 +19,16 @@ from fracstep.experiments import (
 )
 from fracstep.fem import assemble_1d
 from fracstep.meshes import experiment_refinement_level, refinement_level_for
+from fracstep.spectral import eig_2d_tensor
 from tests.test_fem import built_fields
+
+
+def _recorded(calls, fn):
+    """fn, with the result of every call appended to ``calls``."""
+    def recorded(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
+    return recorded
 
 
 class TestConvergenceOrder:
@@ -241,6 +250,12 @@ class TestTable1D:
         handlers = logging.getLogger("fracstep").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
+    def test_path_objects_accepted(self, small_1d_rows, tmp_path):
+        # a pathlib.Path names a file as a str does
+        write_csv(small_1d_rows, tmp_path / "t1.csv")
+        write_csv(small_1d_rows, str(tmp_path / "t2.csv"))
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
     def test_determinism(self, small_1d_rows, tmp_path):
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),
                               ms=(1,), Ns=(8, 16), h=0.01)
@@ -265,64 +280,68 @@ class TestTable2D:
 
     @pytest.mark.parametrize("solver", solvers.SOLVERS)
     def test_sparse_pair_built_only_for_cg_and_once(self, monkeypatch, solver):
-        # a tensor operator builds its CSR pair on the first read: the direct
-        # path never reads it, CG reads it in every run and builds it once
-        import fracstep.experiments as experiments
-        from fracstep import fem
-
+        # CG's state, its CSR pair and dense modes, is built by the first CG
+        # run on an operator and read by every later one; the direct path
+        # neither builds nor reads it, and no operator keeps a pair
         ops, krons = [], []
-        assemble, kron = experiments.assemble_2d_tensor, fem.sp.kron
-
-        def assemble_kept(n):
-            ops.append(assemble(n))
-            return ops[-1]
-
-        def kron_counted(*args, **kwargs):
-            krons.append(args)
-            return kron(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "assemble_2d_tensor", assemble_kept)
-        monkeypatch.setattr(fem.sp, "kron", kron_counted)
+        monkeypatch.setattr(experiments, "assemble_2d_tensor",
+                            _recorded(ops, experiments.assemble_2d_tensor))
+        monkeypatch.setattr(solvers.sp, "kron", _recorded(krons, solvers.sp.kron))
+        solvers._cg_state.cache_clear()
         spec = ExperimentSpec(dimension=2, data_cases=("e", "f"), alphas=(0.3, 0.7),
                               ms=(1,), Ns=(1, 2), n_per_side=10, L_policy="fixed",
                               L_fixed=4, solver=solver)
         assert len(run_table(spec)) == 16
         [op] = ops
+        assert built_fields(op) == built_fields(op.factor) == set()
+        info = solvers._cg_state.cache_info()
         if solver == "direct":
-            assert built_fields(op) == built_fields(op.factor) == set() and krons == []
+            assert (info.hits, info.misses) == (0, 0) and krons == []
         else:
-            # one kron for M2, two for K2
-            assert built_fields(op) == {"mass", "stiffness"} and len(krons) == 3
+            # 8 runs, one build: one kron for M2, two for K2
+            assert (info.hits, info.misses) == (7, 1) and len(krons) == 3
 
-    @pytest.mark.parametrize("study", ("table", "spatial"))
+    @pytest.mark.parametrize("study", ("table", "spatial", "table2d"))
     def test_direct_1d_paths_build_no_csr_matrix(self, monkeypatch, study):
-        # a 1D operator is its bands: assembly makes no sparse matrix, and
-        # neither does a 1D table or the graded-mesh study
-        import fracstep.experiments as experiments
-        from fracstep import fem
-
-        ops, diags = [], []
-        assemble, diags_fn = experiments.assemble_1d, fem.sp.diags
-
-        def assemble_kept(nodes):
-            ops.append(assemble(nodes))
-            return ops[-1]
-
-        def diags_counted(*args, **kwargs):
-            diags.append(args)
-            return diags_fn(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "assemble_1d", assemble_kept)
-        monkeypatch.setattr(fem.sp, "diags", diags_counted)
+        # an operator is its bands, a tensor operator its factor's: assembly
+        # makes no sparse matrix, and neither does a 1D table, the
+        # graded-mesh study or a direct 2D table, nor does any read CG's state
+        ops, built = [], []
+        for name in ("assemble_1d", "assemble_2d_tensor"):
+            monkeypatch.setattr(experiments, name, _recorded(ops, getattr(experiments, name)))
+        for name in ("diags", "kron"):
+            monkeypatch.setattr(solvers.sp, name, _recorded(built, getattr(solvers.sp, name)))
+        reads = solvers._cg_state.cache_info()
         if study == "table":
             spec = ExperimentSpec(dimension=1, data_cases=("a", "d"), alphas=(0.5,),
                                   ms=(1, 2), Ns=(1, 2), h=0.05)
             assert len(run_table(spec)) == 16
-        else:
+        elif study == "spatial":
             spec = ExperimentSpec(dimension=1, ms=(1,), Ns=(2,), um_steps=10)
             assert len(run_spatial_refinement(spec, alpha=0.5, reference_factor=2)) == 1
+        else:
+            spec = ExperimentSpec(dimension=2, data_cases=("e", "f"), alphas=(0.5,), ms=(1,),
+                                  Ns=(1, 2), n_per_side=10, L_policy="fixed", L_fixed=4)
+            assert len(run_table(spec)) == 8
         assert ops and all(built_fields(op) == set() for op in ops)
-        assert diags == []
+        assert built == [] and solvers._cg_state.cache_info() == reads
+
+    def test_cg_table_leaves_the_tensor_basis_without_dense_modes(self, monkeypatch):
+        # CG keeps the dense modes of the factor in its own state: the
+        # tensor basis of the reference, read by the same table, holds no
+        # n x n array
+        ops = []
+        monkeypatch.setattr(experiments, "assemble_2d_tensor",
+                            _recorded(ops, experiments.assemble_2d_tensor))
+        spec = ExperimentSpec(dimension=2, data_cases=("e",), alphas=(0.5,), ms=(1,),
+                              Ns=(1,), n_per_side=10, L_policy="fixed", L_fixed=4,
+                              solver="cg")
+        assert len(run_table(spec)) == 2
+        [op] = ops
+        dec, n = eig_2d_tensor(op), op.factor.n_dofs  # cached: the table's basis
+        assert "_blocks" in vars(dec) and {"modes", "_modes_t"}.isdisjoint(vars(dec))
+        assert not any(isinstance(v, np.ndarray) and v.shape == (n, n)
+                       for v in vars(dec).values())
 
     def test_setup_books_the_dense_factors_under_eigenbasis(self, caplog):
         # eig_2d_tensor builds them (see test_spectral), so the eigenbasis

@@ -8,10 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fracstep import fem
+from fracstep import fem, solvers
 from fracstep.fem import (
     DiscreteOperator,
     GridFunction,
@@ -27,6 +26,7 @@ from fracstep.fem import (
 )
 from fracstep.fem import _GAUSS_W, _GAUSS_X, _element_load_1d, _indicator_load_1d
 from fracstep.meshes import build_graded_spatial_mesh
+from tests.sparse_pair import sparse_pair
 
 
 def fem_eigenvalue(h, j):
@@ -130,8 +130,7 @@ class TestAssembly1D:
         n = 10
         op = assemble_1d(np.linspace(0, 1, n + 1))
         h = 1.0 / n
-        K = op.stiffness.toarray()
-        M = op.mass.toarray()
+        K, M = (A.toarray() for A in sparse_pair(op))
         assert K[3, 2] == pytest.approx(-1 / h) and K[3, 3] == pytest.approx(2 / h)
         assert M[3, 2] == pytest.approx(h / 6) and M[3, 3] == pytest.approx(2 * h / 3)
 
@@ -139,8 +138,7 @@ class TestAssembly1D:
         rng = np.random.default_rng(7)
         nodes = np.sort(np.concatenate([[0, 1], rng.uniform(0.01, 0.99, 30)]))
         op = assemble_1d(nodes)
-        K = op.stiffness.toarray()
-        M = op.mass.toarray()
+        K, M = (A.toarray() for A in sparse_pair(op))
         assert np.max(np.abs(K - K.T)) <= 1e-14 * np.max(np.abs(K))
         assert np.max(np.abs(M - M.T)) <= 1e-14 * np.max(np.abs(M))
         for _ in range(5):
@@ -150,8 +148,8 @@ class TestAssembly1D:
     def test_smallest_eigenvalue_near_continuum(self):
         import scipy.linalg as sla
 
-        op = assemble_1d(np.linspace(0, 1, 201))
-        lam = sla.eigh(op.stiffness.toarray(), op.mass.toarray(), eigvals_only=True)
+        K, M = sparse_pair(assemble_1d(np.linspace(0, 1, 201)))
+        lam = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
         assert abs(lam[0] - np.pi**2) / np.pi**2 < 1e-3
 
     def test_sine_vectors_are_eigenvectors(self):
@@ -159,11 +157,12 @@ class TestAssembly1D:
         op = assemble_1d(np.linspace(0, 1, n + 1))
         h = 1.0 / n
         x = op.dof_coords
+        K, M = sparse_pair(op)
         for j in (1, 5, 500, 999):
             psi = np.sin(j * np.pi * x)
             lam = fem_eigenvalue(h, j)
-            resid = op.stiffness @ psi - lam * (op.mass @ psi)
-            assert np.linalg.norm(resid) / np.linalg.norm(op.stiffness @ psi) < 1e-9
+            resid = K @ psi - lam * (M @ psi)
+            assert np.linalg.norm(resid) / np.linalg.norm(K @ psi) < 1e-9
 
     def test_rejects_bad_nodes(self):
         with pytest.raises(ValueError):
@@ -178,40 +177,46 @@ class TestAssembly1D:
 class TestAssembly2D:
     @pytest.mark.parametrize("n", (3, 4))
     def test_matches_direct_q1_assembly(self, n):
-        op = assemble_2d_tensor(n)
+        K, M = sparse_pair(assemble_2d_tensor(n))
         K_ref, M_ref = q1_assembly_reference(n)
-        assert np.max(np.abs(op.stiffness.toarray() - K_ref)) < 1e-13
-        assert np.max(np.abs(op.mass.toarray() - M_ref)) < 1e-13
+        assert np.max(np.abs(K.toarray() - K_ref)) < 1e-13
+        assert np.max(np.abs(M.toarray() - M_ref)) < 1e-13
 
     def test_eigenvalues_are_pair_sums(self):
         import scipy.linalg as sla
 
         op = assemble_2d_tensor(8)
-        lam1 = sla.eigh(op.factor.stiffness.toarray(), op.factor.mass.toarray(),
-                        eigvals_only=True)
-        lam2 = sla.eigh(op.stiffness.toarray(), op.mass.toarray(), eigvals_only=True)
+        lam1, lam2 = (sla.eigh(*(A.toarray() for A in sparse_pair(x)), eigvals_only=True)
+                      for x in (op.factor, op))
         expected = np.sort((lam1[:, None] + lam1[None, :]).ravel())
         np.testing.assert_allclose(lam2, expected, rtol=1e-9)
 
     def test_exact_symmetry(self):
-        op = assemble_2d_tensor(5)
-        diff = (op.stiffness - op.stiffness.T).toarray()
+        K, _ = sparse_pair(assemble_2d_tensor(5))
+        diff = (K - K.T).toarray()
         assert np.max(np.abs(diff)) == 0.0
 
 
 def built_fields(op):
-    """The CSR matrices of an operator that have been built (and kept)."""
-    return {"mass", "stiffness"} & set(vars(op))
+    """What an operator keeps beyond its four fields: nothing."""
+    return set(vars(op)) - {"nodes", "factor", "mass_bands", "stiffness_bands"}
 
 
 class TestTensorOperator:
-    """A tensor operator holds its 1D factor; its n^2 x n^2 pair is built on
-    demand, and the mass products of ``fem`` never build it."""
+    """A tensor operator holds its 1D factor and never an n^2 x n^2 pair;
+    CG builds that pair for itself."""
+
+    def test_operator_holds_no_sparse_pair(self):
+        # neither a 1D operator (its bands) nor a tensor one (its factor)
+        # has a CSR pair to read
+        for op in (assemble_1d(np.linspace(0.0, 1.0, 6)), assemble_2d_tensor(5)):
+            assert not hasattr(op, "mass") and not hasattr(op, "stiffness")
+            assert built_fields(op) == set()
 
     @pytest.mark.parametrize("n", (3, 8, 100))
     def test_mass_apply_is_the_kron_product(self, n):
         op = assemble_2d_tensor(n)
-        M2 = sp.kron(op.factor.mass, op.factor.mass).tocsr()
+        M2 = sparse_pair(op)[1]
         rng = np.random.default_rng(n)
         v, block = rng.standard_normal(op.n_dofs), rng.standard_normal((3, op.n_dofs))
         assert np.linalg.norm(mass_apply(op, v) - M2 @ v) <= 1e-15 * np.linalg.norm(M2 @ v)
@@ -224,6 +229,13 @@ class TestTensorOperator:
         assert m_inner(op, u, w) == pytest.approx(u.coeffs @ (M2 @ w.coeffs), rel=1e-13)
         assert m_norm(op, u) == pytest.approx(np.sqrt(u.coeffs @ (M2 @ u.coeffs)), rel=1e-14)
         assert built_fields(op) == set()
+
+    def test_scalar_valued_callable_is_broadcast(self):
+        # a constant given as a scalar projects, as in 1D, to the bits of the
+        # same constant given on the grid
+        op = assemble_2d_tensor(8)
+        got = l2_project(op, lambda xy: 1.0).coeffs
+        assert got.tobytes() == l2_project(op, lambda xy: np.ones_like(xy[0])).coeffs.tobytes()
 
     def test_nan_valued_function_rejected(self):
         op = assemble_2d_tensor(6)
@@ -243,20 +255,19 @@ class TestTensorOperator:
 
     @pytest.mark.parametrize("n", (3, 8))
     def test_pair_built_on_read_is_the_kron_formula(self, n):
+        # the pair CG builds from the factor's bands, on its first read,
+        # is the Kronecker formula; the operator keeps nothing of it
         op = assemble_2d_tensor(n)
-        K1, M1 = op.factor.stiffness, op.factor.mass
-        assert built_fields(op) == set()
-        M2 = op.mass
-        assert built_fields(op) == {"mass"}
-        assert op.mass is M2  # kept, not rebuilt
-        assert isinstance(M2, sp.csr_matrix) and isinstance(op.stiffness, sp.csr_matrix)
-        assert np.array_equal(M2.toarray(), sp.kron(M1, M1).toarray())
-        assert np.array_equal(op.stiffness.toarray(),
-                              (sp.kron(K1, M1) + sp.kron(M1, K1)).toarray())
+        K, M, *dense = state = solvers._cg_state(op)
+        assert solvers._cg_state(op) is state  # kept, not rebuilt
+        # shared by every CG run on the operator, so nothing may write it
+        assert not any(x.flags.writeable for x in (K.data, M.data, *dense))
+        for got, want in zip((K, M), sparse_pair(op)):
+            assert got.format == "csr" and np.array_equal(got.toarray(), want.toarray())
         x = op.factor.dof_coords
         assert np.array_equal(op.dof_coords.reshape(n - 1, n - 1, 2),
                               np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1))
-        assert built_fields(op) == {"mass", "stiffness"}
+        assert built_fields(op) == set()
 
 
 class TestDataCases:
@@ -435,7 +446,7 @@ class TestProjection:
         nodes = np.sort(np.r_[0.0, 1.0, rng.random(15)])
         op = assemble_1d(nodes) if dim == 1 else assemble_2d_tensor(7)
         rhs = rng.standard_normal(op.n_dofs)
-        want = spla.spsolve(op.mass.tocsc(), rhs)
+        want = spla.spsolve(sparse_pair(op)[1].tocsc(), rhs)
         got = mass_solver(op)(rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -9,6 +9,7 @@ from fracstep.meshes import TimeMesh, build_uniform_mesh
 from fracstep.pade import pade_coefficients
 from fracstep.scalar import scalar_run_grid
 from fracstep.stepping import StepperConfig, run
+from tests.sparse_pair import sparse_pair
 
 
 def _spd_bands(n=40, seed=0):
@@ -119,7 +120,8 @@ class TestTridiagLapack:
 def _dense_step(op, u, t, k, delta, r):
     """Q(X)^{-1} P(X) u with X = k B (delta I + t B)^{-1}, all matrices dense."""
     n = op.n_dofs
-    A = np.linalg.solve(op.mass.toarray(), op.stiffness.toarray())
+    K, M = sparse_pair(op)
+    A = np.linalg.solve(M.toarray(), K.toarray())
     B = A - delta * np.eye(n)
     X = k * B @ np.linalg.inv(delta * np.eye(n) + t * B)
 

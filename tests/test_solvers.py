@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracstep import _kernels, solvers
-from fracstep.fem import assemble_1d, assemble_2d_tensor
+from fracstep.fem import DiscreteOperator, assemble_1d, assemble_2d_tensor
 from fracstep.solvers import (
     PreconditionedCG,
     SolveError,
@@ -18,6 +19,7 @@ from fracstep.solvers import (
 from fracstep.experiments import ExperimentSpec
 from fracstep.meshes import TimeMesh
 from fracstep.stepping import StepperConfig, _pencil
+from tests.sparse_pair import sparse_pair
 
 
 def _jacobi(A):
@@ -27,9 +29,10 @@ def _jacobi(A):
 
 
 def _modal(op, a, b):
-    """The fast-diagonalization inverse of a K2 + b M2 as a callable."""
-    decomp = TensorDiagSolver(op).decomp
-    return functools.partial(decomp.apply, 1.0 / (a * decomp.lambda_grid + b))
+    """The fast-diagonalization inverse of a K2 + b M2 as a callable: CG's
+    preconditioner."""
+    cg = PreconditionedCG(op)
+    return functools.partial(cg.precondition, 1.0 / (a * cg.lambda_grid + b))
 
 
 def _cg(A, rhs, rtol=1e-12, maxiter=20000):
@@ -50,7 +53,7 @@ class TestSolveSpd:
         errs = []
         for n in (100, 200):
             op = assemble_1d(np.linspace(0, 1, n + 1))
-            rhs = op.mass @ np.ones(op.n_dofs)
+            rhs = sparse_pair(op)[1] @ np.ones(op.n_dofs)
             sol = _kernels.tridiag_solve(*(band.copy() for band in op.stiffness_bands), rhs)
             x = op.dof_coords
             errs.append(np.max(np.abs(sol - x * (1 - x) / 2)))
@@ -58,17 +61,18 @@ class TestSolveSpd:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
     def test_sparse_direct_and_cg_agree(self):
-        op = assemble_2d_tensor(10)
-        A = (op.stiffness + 3.0 * op.mass).tocsr()
+        K, M = sparse_pair(assemble_2d_tensor(10))
+        A = (K + 3.0 * M).tocsr()
         rng = np.random.default_rng(1)
-        b = rng.standard_normal(op.n_dofs)
+        b = rng.standard_normal(A.shape[0])
         x_direct = spla.spsolve(A.tocsc(), b)
         x_cg = _cg(A, b)
         np.testing.assert_allclose(x_cg, x_direct, atol=1e-9)
 
     def test_cg_iteration_budget_raises(self, monkeypatch):
         op = assemble_2d_tensor(12)
-        A = (op.stiffness + op.mass).tocsr()
+        K, M = sparse_pair(op)
+        A = (K + M).tocsr()
         b = np.ones(op.n_dofs)
         with pytest.raises(SolveError, match="did not converge in 1 iterations"):
             _cg(A, b, rtol=1e-14, maxiter=1)
@@ -94,7 +98,7 @@ class TestSolveSpd:
         rhs[7] = np.nan
         # the budget would let a NaN right-hand side spin for 20 000 iterations
         with pytest.raises(SolveError, match="right-hand side not finite"):
-            _cg(op.stiffness + op.mass, rhs)
+            _cg(sum(sparse_pair(op)), rhs)
         with pytest.raises(SolveError, match="right-hand side not finite"):
             PreconditionedCG(op).solve(1.0, 1.0, rhs[None])
 
@@ -108,9 +112,10 @@ class TestTensorDiagSolver:
         rng = np.random.default_rng(3)
         u = rng.standard_normal(op.n_dofs)
         coeffs = solver.load(solver.fold(u[None]))[0]
+        K, M = sparse_pair(op)
         for a, b in ((1.0, 1.0), (0.25, 3.5), (0.0, 1.0)):
-            A = (a * op.stiffness + b * op.mass).tocsc()
-            want = spla.spsolve(A, op.mass @ u)
+            A = (a * K + b * M).tocsc()
+            want = spla.spsolve(A, M @ u)
             got = solver.unfold(solver.combine([(a, b)], [1.0], coeffs))
             np.testing.assert_allclose(got[0], want, rtol=1e-9, atol=1e-12)
             modal = 1.0 / (a * solver.decomp.lambda_grid + b)
@@ -125,11 +130,12 @@ class TestTensorDiagSolver:
         rhs, sq_norms = solver.load(solver.fold(U))
         a, b = 0.25, 3.5
         got = solver.unfold(solver.combine([(a, b), (1.0, 2.0)], [1.0, -0.5], rhs))
+        K, M = sparse_pair(op)
         for u, sq, row in zip(U, sq_norms, got):
-            Mu = op.mass @ u
+            Mu = M @ u
             assert sq == pytest.approx(u.dot(Mu), rel=1e-13)
-            want = (spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), Mu)
-                    - 0.5 * spla.spsolve((op.stiffness + 2.0 * op.mass).tocsc(), Mu))
+            want = (spla.spsolve((a * K + b * M).tocsc(), Mu)
+                    - 0.5 * spla.spsolve((K + 2.0 * M).tocsc(), Mu))
             np.testing.assert_allclose(row, want, rtol=1e-9, atol=1e-12)
 
     def test_requires_tensor_operator(self):
@@ -166,7 +172,8 @@ class TestPcg:
     @pytest.fixture(scope="class")
     def system(self):
         op = assemble_2d_tensor(12)
-        A = (0.3 * op.stiffness + 5.0 * op.mass).tocsr()
+        K, M = sparse_pair(op)
+        A = (0.3 * K + 5.0 * M).tocsr()
         rhs = np.random.default_rng(5).standard_normal(op.n_dofs)
         return op, A, rhs
 
@@ -192,13 +199,22 @@ class TestPcg:
 
 class TestWarmStartCGPattern:
     def test_mismatched_patterns_rejected(self):
-        # a lumped (diagonal) M2 next to the five-point K2, put where the
-        # operator keeps the pair it built: a lumped 1D factor would be
-        # refused before the check, by eig_2d_tensor's test for sine bands
-        lumped = assemble_2d_tensor(6)
-        vars(lumped)["mass"] = sp.diags(lumped.mass.sum(axis=1).A1).tocsr()
-        with pytest.raises(ValueError, match="one sparsity pattern"):
-            PreconditionedCG(lumped)
+        # a tensor operator over a lumped 1D factor (diagonal M1): its M2 is
+        # diagonal next to the nine-point K2, and CG's state refuses the
+        # pair before it reads the modes, which would refuse the factor
+        f1 = assemble_1d(np.linspace(0.0, 1.0, 7))
+        md, me = f1.mass_bands  # 2h/3 and h/6: the lumped diagonal is h
+        lumped = dataclasses.replace(f1, mass_bands=(1.5 * md, np.zeros_like(me)))
+        op = DiscreteOperator(nodes=f1.nodes, factor=lumped)
+        for build in (solvers._cg_state, PreconditionedCG):
+            with pytest.raises(ValueError, match="one sparsity pattern"):
+                build(op)
+
+    def test_one_dimensional_operator_rejected(self):
+        op = assemble_1d(np.linspace(0.0, 1.0, 9))
+        for build in (solvers._cg_state, PreconditionedCG):
+            with pytest.raises(ValueError, match="requires a tensor operator"):
+                build(op)
 
     def test_iterations_counted_per_solver(self, monkeypatch):
         monkeypatch.setattr(solvers, "CG_RTOL", 1e-14)
@@ -206,8 +222,9 @@ class TestWarmStartCGPattern:
         cg = PreconditionedCG(op)
         rhs = np.linspace(1.0, 2.0, op.n_dofs)
         counts = []
+        K, M = sparse_pair(op)
         for a, b in ((2.0, 3.0), (0.01, 500.0)):
-            A = (a * op.stiffness + b * op.mass).tocsr()
+            A = (a * K + b * M).tocsr()
             counts.append(_pcg(A, _modal(op, a, b), rhs, solvers.CG_RTOL, solvers.CG_MAXITER)[1])
             cg.solve(a, b, rhs[None])
             assert cg.iterations(0) == (sum(counts), max(counts))
@@ -284,11 +301,12 @@ def _check_pencil(op, method, shifts, coeffs, U):
         mp.setattr(solvers, "CG_RTOL", 1e-14)
         got = pencil.unfold(pencil.combine(shifts, coeffs, rhs))
     assert got.shape == U.shape and len(sq_norms) == len(U)
+    K, M = sparse_pair(op)
     for u, sq, row in zip(U, sq_norms, got):
-        Mu = op.mass @ u
+        Mu = M @ u
         want = u.dot(Mu)
         assert abs(sq - want) <= 1e-13 * want
-        terms = [c * spla.spsolve((a * op.stiffness + b * op.mass).tocsc(), Mu)
+        terms = [c * spla.spsolve((a * K + b * M).tocsc(), Mu)
                  for (a, b), c in zip(shifts, coeffs)]
         # relative to the terms, so that coefficients which cancel do not count
         scale = sum(np.linalg.norm(term) for term in terms)

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracstep import _kernels, spectral
+from fracstep import _kernels, solvers, spectral
 from fracstep.fem import (DiscreteOperator, GridFunction, assemble_1d, assemble_2d_tensor,
                           l2_project, m_norm)
 from fracstep.meshes import build_geometric_mesh
@@ -19,14 +19,14 @@ from fracstep.spectral import (
     reference_power,
 )
 from fracstep.stepping import StepperConfig, run
+from tests.sparse_pair import sparse_pair
 from tests.test_fem import fem_eigenvalue
 
 
 class TestEig1D:
     def test_residuals_and_orthonormality(self, op_1d_small, decomp_1d_small):
         op, dec = op_1d_small, decomp_1d_small
-        K = op.stiffness.toarray()
-        M = op.mass.toarray()
+        K, M = (A.toarray() for A in sparse_pair(op))
         R = K @ dec.modes - M @ dec.modes * dec.lambdas
         for j in range(dec.n_modes):
             denom = np.linalg.norm(K @ dec.modes[:, j])
@@ -88,14 +88,14 @@ class TestUniformClosedForm:
     def test_eigenvalues_match_dense_eigh(self, n):
         # dense eigh is itself off by up to 7e-12 relative at 999 dofs
         op = uniform_op(n)
-        dense = sla.eigh(op.stiffness.toarray(), op.mass.toarray(), eigvals_only=True)
+        dense = sla.eigh(*(A.toarray() for A in sparse_pair(op)), eigvals_only=True)
         np.testing.assert_allclose(eig_1d(op).lambdas, dense, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("n", (10, 199, 999))
     def test_orthonormality_and_residuals(self, n):
         op = uniform_op(n)
         dec = eig_1d(op)
-        K, M, V = op.stiffness.toarray(), op.mass.toarray(), dec.modes
+        (K, M), V = (A.toarray() for A in sparse_pair(op)), dec.modes
         assert np.max(np.abs(V.T @ M @ V - np.eye(n))) < 1e-13
         # normwise backward error of each eigenpair, in infinity norms
         R = K @ V - M @ V * dec.lambdas
@@ -180,10 +180,11 @@ class TestUniformClosedForm:
 class TestEig2D:
     def test_tensor_pairs_satisfy_problem(self, op_2d_small, decomp_2d_small):
         op, dec = op_2d_small, decomp_2d_small
+        K, M = sparse_pair(op)
         for j in (0, 3, 17, dec.n_modes - 1):
             psi = dec.mode_vector(j)
-            lhs = op.stiffness @ psi
-            rhs = dec.lambdas[j] * (op.mass @ psi)
+            lhs = K @ psi
+            rhs = dec.lambdas[j] * (M @ psi)
             assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) < 1e-10
 
     def test_smallest_near_2pi2(self, decomp_2d_small):
@@ -235,7 +236,7 @@ class TestParityFold:
         op, dec, v = self._setup(n_per_side)
         n = n_per_side - 1
         Q = eig_1d(op.factor).modes
-        M1 = op.factor.mass.toarray()
+        M1 = sparse_pair(op.factor)[1].toarray()
         order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
         for got, row in zip(dec.folded_coefficients(dec.fold(v)), v):
             want = (Q.T @ M1 @ row.reshape(n, n) @ M1 @ Q)[np.ix_(order, order)].ravel()
@@ -271,27 +272,31 @@ class TestParityFold:
 
 
 class TestModalApply:
-    """The transforms of both bases on blocks, and ``apply``, the dense
-    tensor transform of the CG preconditioner."""
+    """The transforms of both bases on blocks, and the one dense transform
+    left, CG's preconditioner ``PreconditionedCG.precondition``."""
 
-    @pytest.mark.parametrize("dim", (2,))  # only the tensor basis has apply
-    def test_solves_the_shifted_pencil_row_by_row(self, dim, request):
-        op = request.getfixturevalue(f"op_{dim}d_small")
-        dec = request.getfixturevalue(f"decomp_{dim}d_small")
-        rhs = np.random.default_rng(dim).standard_normal((3, op.n_dofs))
+    @pytest.mark.parametrize("dim", (2,))  # only a tensor operator has CG
+    def test_solves_the_shifted_pencil_row_by_row(self, dim):
+        # the exact inverse of a K2 + b M2, at an odd (7) and an even (8)
+        # count of dofs per side
         a, b = 0.3, 5.0
-        got = dec.apply(1.0 / (a * dec.lambda_grid + b), rhs)
-        assert got.shape == rhs.shape
-        A = (a * op.stiffness + b * op.mass).tocsc()
-        for row, r in zip(got, rhs):
-            want = spla.spsolve(A, r)
-            assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+        for n_per_side in (8, 9):
+            op = assemble_2d_tensor(n_per_side)
+            cg = solvers.PreconditionedCG(op)
+            rhs = np.random.default_rng(n_per_side).standard_normal((3, op.n_dofs))
+            got = cg.precondition(1.0 / (a * cg.lambda_grid + b), rhs)
+            assert got.shape == rhs.shape
+            K, M = sparse_pair(op)
+            A = (a * K + b * M).tocsc()
+            for row, r in zip(got, rhs):
+                want = spla.spsolve(A, r)
+                assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_tensor_rows_have_their_one_vector_bits(self, op_2d_small, decomp_2d_small):
-        dec = decomp_2d_small
+        dec, cg = decomp_2d_small, solvers.PreconditionedCG(op_2d_small)
         rhs = np.random.default_rng(7).standard_normal((3, op_2d_small.n_dofs))
-        modal = 1.0 / (dec.lambda_grid + 2.0)
-        for block, one in ((dec.apply(modal, rhs), lambda r: dec.apply(modal, r)),
+        modal = 1.0 / (cg.lambda_grid + 2.0)
+        for block, one in ((cg.precondition(modal, rhs), lambda r: cg.precondition(modal, r)),
                            (dec.coefficients(rhs), dec.coefficients),
                            (dec.synthesize(rhs), dec.synthesize)):
             for j, r in enumerate(rhs):
@@ -306,34 +311,39 @@ class TestModalApply:
                 assert np.array_equal(block[j], one(r))
 
     def test_contiguous_transposes_only_for_tensor_operators(self, op_1d_small,
-                                                               decomp_2d_small):
-        # a uniform 1D basis transforms by sines and builds no n x n array
+                                                               op_2d_small, decomp_2d_small):
+        # a uniform 1D basis transforms by sines and builds no n x n array;
+        # CG keeps a contiguous copy of the transposed modes of the factor
         dec = eig_1d(op_1d_small)
         dec.synthesize(dec.coefficients(np.ones(op_1d_small.n_dofs)))
         assert "modes" not in vars(dec)
-        modes_t = decomp_2d_small._modes_t
-        assert modes_t.flags.c_contiguous
-        assert not np.shares_memory(modes_t, decomp_2d_small.modes)
+        cg = solvers.PreconditionedCG(op_2d_small)
+        assert cg.Qt.flags.c_contiguous
+        assert not np.shares_memory(cg.Qt, cg.Q)
+        assert np.array_equal(cg.Qt, eig_1d(op_2d_small.factor).modes.T)
         blocks = [A for part in decomp_2d_small._blocks for pair in part for A in pair]
         assert len(blocks) == 8 and all(A.flags.c_contiguous for A in blocks)
 
     def test_tensor_basis_returned_with_its_dense_factors(self):
         # the half-size factors of the folded transforms are built by
         # eig_2d_tensor, so they count as eigenbasis setup, not as the first
-        # transform's; the n x n modes only serve apply (CG), on first use
+        # transform's; the tensor basis has no dense n x n path at all
         dec = eig_2d_tensor(assemble_2d_tensor(12))
         assert "_blocks" in vars(dec)
-        assert {"modes", "_modes_t"}.isdisjoint(vars(dec))
+        assert not any(hasattr(dec, name) for name in ("modes", "_modes_t", "apply"))
 
     @pytest.mark.parametrize("n", range(4, 31))
     def test_tensor_coefficients_match_the_assembled_mass(self, n):
-        # P^T V P with P = M1 modes is modes^T (M2 v) modes along both axes
+        # P^T V P with P = M1 modes is modes^T (M2 v) modes along both axes,
+        # with the natural sine modes of the factor taken in the folded order
         op = assemble_2d_tensor(n)
         dec = eig_2d_tensor(op)
         v = np.random.default_rng(n).standard_normal((2, op.n_dofs))
         side = len(dec.lambdas_1d)
+        Q = eig_1d(op.factor).modes[:, spectral._parity_order(side)]
+        M2 = sparse_pair(op)[1]
         for got, row in zip(dec.coefficients(v), v):
-            want = dec.modes.T @ (op.mass @ row).reshape(side, side) @ dec.modes
+            want = Q.T @ (M2 @ row).reshape(side, side) @ Q
             assert np.linalg.norm(got - want.ravel()) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -357,7 +367,7 @@ class TestReferencePower:
         v = GridFunction(rng.standard_normal(op.n_dofs), op)
         spectral = reference_power(decomp_1d_small, v, 1.0)
         bands = (band.copy() for band in op.stiffness_bands)
-        direct = _kernels.tridiag_solve(*bands, op.mass @ v.coeffs)
+        direct = _kernels.tridiag_solve(*bands, sparse_pair(op)[1] @ v.coeffs)
         diff = GridFunction(spectral.coeffs - direct, op)
         assert m_norm(op, diff) / m_norm(op, spectral) < 1e-9
 

@@ -5,6 +5,7 @@ from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_proje
 from fracstep.meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from fracstep.pade import eval_rational, pade_coefficients
 from fracstep.scalar import ScalarRunConfig, scalar_run_grid
+from fracstep import solvers
 from fracstep.solvers import PreconditionedCG, SolveError
 from fracstep.spectral import (
     SpectralBounds,
@@ -16,6 +17,7 @@ from fracstep.spectral import (
     spectral_upper_bound,
 )
 from fracstep.stepping import StepperConfig, _pencil, run, run_grm, run_um
+from tests.sparse_pair import sparse_pair
 from tests.test_fem import built_fields, fem_eigenvalue
 
 
@@ -79,7 +81,8 @@ class TestSpectralBounds:
         interior = np.sort(np.random.default_rng(n).random(n))
         for nodes in (np.linspace(0.0, 1.0, n + 2), np.concatenate([[0.0], interior, [1.0]])):
             op = assemble_1d(nodes)
-            lam = sla.eigh(op.stiffness.toarray(), op.mass.toarray(), eigvals_only=True)[0]
+            K, M = sparse_pair(op)
+            lam = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
             bounds = estimate_spectral_bounds(op)
             assert bounds.lambda_min_est / 0.99 == pytest.approx(lam, rel=1e-14)
 
@@ -432,8 +435,9 @@ class TestGrowthContract:
 
     def test_direct_tensor_steps_apply_no_sparse_mass(self):
         # the direct tensor step loads mode coefficients: a run, with the
-        # projection before it and the norms after, never builds the
-        # operator's CSR pair, so it cannot apply it
+        # projection before it and the norms after, never reads CG's state,
+        # where the only CSR pair is, so it cannot apply it
+        reads = solvers._cg_state.cache_info()
         op = assemble_2d_tensor(8)
         f = l2_project(op, "e")
         cfg = StepperConfig(alpha=0.5, m=2, delta=_half_bottom(op),
@@ -441,6 +445,7 @@ class TestGrowthContract:
         out, stats = run(f, op, cfg, return_stats=True)
         assert stats.steps == 10 and m_norm(op, out) > 0
         assert built_fields(op) == set()
+        assert solvers._cg_state.cache_info() == reads
 
     def test_shift_below_the_spectrum_passes(self):
         op = assemble_1d(np.linspace(0, 1, 21))
