@@ -46,7 +46,7 @@ from .spectral import (
     reference_power,
     spectral_upper_bound,
 )
-from .stepping import RunStats, StepperConfig, run
+from .stepping import RunStats, StepperConfig, run, run_batch
 from .experiments import (
     ExperimentSpec,
     convergence_order,
@@ -96,6 +96,7 @@ __all__ = [
     "pade_error_bound_check",
     "reference_power",
     "run",
+    "run_batch",
     "run_pade_info",
     "run_scalar_diagnostics",
     "run_spatial_refinement",

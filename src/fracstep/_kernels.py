@@ -2,8 +2,8 @@
 
 Every 1D system the steppers meet is symmetric positive definite and
 tridiagonal, given as its diagonal ``d`` and off-diagonal ``e``.  Every
-solve is one direct LAPACK ``?ptsv`` call (factor and solve in one, for one
-or many right-hand sides), which skips the argument checks and band-array
+solve is one LAPACK ``?ptsv`` call (factor and solve in one, for one or many
+right-hand sides; a division at n = 1), skipping the argument checks and band
 copies of ``scipy.linalg.solve_banded``; the SPD test reads ``?pttrf``.
 """
 
@@ -13,24 +13,24 @@ import numpy as np
 from scipy.linalg.lapack import dptsv, dpttrf
 
 
-def tridiag_matvec(d, e, x, row=0):
+def tridiag_matvec(d, e, x, cuts=None):
     """y = T x along the last axis of x, T symmetric tridiagonal with diagonal d
     and off-diagonal e; a (c, n) block gets T applied to each of its rows.
 
-    With ``row`` = n > 0, x is a flat block of rows of length n, d and e are
-    tiled over it, and every product that crosses a row boundary is set to
-    zero rather than formed: a zero coupling would still carry 0 * nan into
-    the neighbouring row.  Each row then gets the bits of its own product.
+    ``cuts`` indexes the couplings across the boundaries of a flat x of
+    vectors end to end: their products are set to zero, not formed, as a
+    zero coupling would still carry 0 * nan over, so each vector gets its
+    own product's bits.
     """
     y = d * x
     upper = e * x[..., 1:]
-    if row:
+    if cuts is not None:
         # x + (-0.0) is x for every x, -0.0 included
-        upper[row - 1::row] = -0.0
+        upper[cuts] = -0.0
     y[..., :-1] += upper
     lower = e * x[..., :-1]
-    if row:
-        lower[row - 1::row] = -0.0
+    if cuts is not None:
+        lower[cuts] = -0.0
     y[..., 1:] += lower
     return y
 
@@ -50,7 +50,11 @@ def tridiag_solve(d, e, b):
 
     ``d`` and ``e`` are overwritten by the factorization, so pass bands
     built for this call; ``b`` (a vector or an n x k block) is left intact.
+    At n = 1 ``?ptsv`` scales by 1 / d, so this divides, as ``?ptsv`` does
+    at every n > 1: a system keeps its bits in a stack of uncoupled ones.
     """
+    if len(d) == 1 and d[0] > 0:
+        return b / d[0]
     _, _, x, info = dptsv(d, _offdiag(e), b, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dptsv failed (info={info}): matrix not SPD")

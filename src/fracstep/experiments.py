@@ -42,8 +42,9 @@ from .solvers import CG_RTOL, SOLVERS
 from .spectral import (DENSE_EIG_CAP, SpectralBounds, eig_1d, eig_2d_tensor,
                        estimate_spectral_bounds, reference_power)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
-# the runs by wrapping these two names
-from .stepping import StepperConfig, run_grm, run_um
+# the runs by wrapping these two names, so it does not see the uniform runs
+# of the spatial study, which step as one batch through run_batch
+from .stepping import StepperConfig, run_batch, run_grm, run_um
 
 DEFAULT_DELTA_FRACTION = 0.5
 log = logging.getLogger("fracstep")
@@ -338,7 +339,8 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
     """Graded-mesh study: per N, the step count needed to reach the
     semi-discrete error proxy, plus the uniform scheme's error at a large
     fixed step count (default 1e5).  Each mesh takes L and delta from the
-    spec as the tables do."""
+    spec as the tables do.  The uniform runs of every (N, m) step last, as
+    one batch (``run_batch``)."""
     Ns = spec.Ns
     # fine-mesh solution used as the stand-in for the continuum limit
     N_fine = max(Ns) * reference_factor
@@ -347,7 +349,8 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
     xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
     fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
 
-    rows = []
+    rows, um_runs, um_rows = [], [], []  # um_rows: the row, reference and m of each uniform run
+    um_mesh = build_uniform_mesh(spec.um_steps)
     for N in Ns:
         op, L, delta, f = _graded_setup(spec, N)
         nx = len(op.nodes) - 1
@@ -365,14 +368,15 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
             growth = max(growth, stats.max_growth)
             row[f"NS_m{m}"] = (L + 1) * Nt
             row[f"E_GRM_m{m}"] = err
-            cfg = StepperConfig(alpha=alpha, m=m, delta=delta,
-                                mesh=build_uniform_mesh(spec.um_steps))
-            u_um, um_stats = run_um(f, op, cfg, return_stats=True)
-            growth = max(growth, um_stats.max_growth)
-            row[f"E_UM_m{m}"] = m_norm(op, GridFunction(u_um.coeffs - u_ref.coeffs, op))
+            row[f"E_UM_m{m}"] = None  # from the batch below
+            um_runs.append((f, op, StepperConfig(alpha=alpha, m=m, delta=delta, mesh=um_mesh)))
+            um_rows.append((row, u_ref, m))
         row["max_step_growth"] = growth
         row.update(_provenance(spec, delta))
         rows.append(row)
+    for (row, u_ref, m), (u_um, stats) in zip(um_rows, run_batch(um_runs, return_stats=True)):
+        row["max_step_growth"] = max(row["max_step_growth"], stats.max_growth)
+        row[f"E_UM_m{m}"] = m_norm(u_ref.op, GridFunction(u_um.coeffs - u_ref.coeffs, u_ref.op))
     return rows
 
 

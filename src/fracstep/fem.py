@@ -10,11 +10,14 @@ assembly allocates O(n) for n dofs per side.  ``mass_apply`` (the product
 behind ``m_inner`` and the check of ``l2_project``) and ``mass_solver``
 (the solve behind ``l2_project``, one ``?ptsv`` per axis) apply the 1D mass
 bands along each axis of the coefficient grid, in 1D as in 2D.  No
-operator holds a CSR matrix; CG builds its own in ``solvers``.
+operator holds a CSR matrix; CG builds its own in ``solvers``, and
+``per_operator`` keeps it, and the tensor basis, while the operator lives.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,20 @@ class DiscreteOperator:
         if self.factor is None:
             return x
         return np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
+
+
+def per_operator(build):
+    """``build(op)``, built once per operator and kept while it lives (keyed
+    weakly); a value that held its operator would keep both alive for good."""
+    table = weakref.WeakKeyDictionary()
+
+    @functools.wraps(build)
+    def cached(op):
+        if op not in table:
+            table[op] = build(op)
+        return table[op]
+
+    return cached
 
 
 @dataclass

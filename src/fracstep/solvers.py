@@ -1,31 +1,31 @@
 """SPD solve backends used by the steppers.
 
-One rational step needs a weighted sum of shifted solves,
-sum_i c_i (a_i K + b_i M)^{-1} M u, and the M-norm of u, for every data
-case of a run.  The cases of a run share every shift, so they travel
-together as one block of shape (c, n), one row per case.  Every backend
-offers one protocol on that block: ``fold(U)`` and ``unfold(U)``, which
-move it to and from the coordinates the backend steps in (U itself, but
-for ``TensorDiagSolver``), ``load(U)`` on the moved block, which gives a
-right-hand side block and the squared M-norm of each row, ``combine(shifts,
-coeffs, rhs)`` on that right-hand side (one term per pair (a_i, b_i) of
-``shifts`` and weight c_i of ``coeffs``, applied to every row), which gives
-a block in the same coordinates as U, and ``iterations(j)``, the CG counts
-of row j (0 for direct backends).  Each row of a result has the bits that a
-one-row block would give it.  The step needs neither K nor a mass solve
-(see ``stepping``).
+One rational step is u_next = s u + sum_i w_i (a_i K + b_i M)^{-1} M u,
+plus the M-norm of u_next, for every data case of a run.  The cases of a
+run share every shift, so they travel together as one block of shape
+(c, n), one row per case.  Every backend offers one protocol on that
+block: ``fold(U)`` and ``unfold(U)``, which move it to and from the
+coordinates the backend steps in (U itself, but for ``TensorDiagSolver``),
+``load(U)`` on the moved block, which gives a right-hand side block and the
+squared M-norm of each row, ``step(terms, U, rhs)`` on that right-hand
+side, which gives u_next in the same coordinates, and ``iterations(j)``,
+the CG counts of row j (0 for direct backends).  ``terms`` holds (a_i, b_i,
+w_i) of each pole i, then s, one column per run (for one run, a list of
+floats).  Each row of a result has the bits a one-row block would give it.
 
 * ``BandedPencil``: 1D SPD tridiagonals, solved directly by LAPACK in
-  ``_kernels`` (one ``?ptsv`` per shift for the whole block, handed over
-  as the Fortran-ordered (n, c) view ``rhs.T``), each term scaled and
-  added in place.  The pencil is built for its block height c: it builds
-  each aK + bM in a band buffer of its own, which LAPACK factors in place,
-  and holds the mass bands tiled over the flat (c n,) block, so ``load``
-  is one contiguous banded ``M U`` (no product across a row boundary, so
-  rows stay apart, a non-finite one included) and u . M u per row.
+  ``_kernels``, for a batch of runs in lockstep (one run is a batch of
+  one).  Their dofs sit end to end in one tridiagonal with a zero coupling
+  between runs, which come by decreasing pole count, so pole i is one
+  ``?ptsv`` over the runs that have it, for the whole block (the Fortran
+  (n, c) view ``rhs.T``); each aK + bM is built in a band buffer that LAPACK
+  factors in place.  A zero off-diagonal makes the ``?pttrf``/``?ptts2``
+  recurrences exact identities for finite data, so each run keeps its bits.
+  ``load`` is one banded ``M U`` on the flat (c n,) block that forms no
+  product across a row or run boundary, and u . M u per row and run.
 * ``TensorDiagSolver``: tensor 2D systems by fast diagonalization in the 1D
-  eigenbasis of the decomposition that ``spectral.eig_2d_tensor`` caches
-  per operator (no transform of its own).  Its iterate is parity-folded
+  eigenbasis of the decomposition that ``spectral.eig_2d_tensor`` builds
+  once per operator (no transform of its own).  Its iterate is parity-folded
   along both grid axes (``fold``, see ``spectral``) for the whole run, so
   every transform is two half-size GEMMs per side.  ``load`` gives the
   mode coefficients of each row, P^T U P along both axes in the folded
@@ -44,12 +44,13 @@ one-row block would give it.  The step needs neither K nor a mass solve
   (atol = 0), so it returns the same bits without scipy's operator
   wrappers.  All that only CG reads is the last block of this module:
   ``_cg_state(op)`` builds the CSR pair (K2, M2) from the 1D factor's
-  bands, and takes the factor's dense sine modes, once per operator.
-  ``load`` is ``M U`` by the CSR ``M`` one row at a time (a sparse product
-  with the whole block is slower than c vector products) and u . M u per row.
+  bands, and takes the factor's dense sine modes, once per operator and
+  for as long as the operator lives.  ``load`` is ``M U`` by the CSR ``M``
+  one row at a time (a sparse product with the whole block is slower than
+  c vector products) and u . M u per row.
 
-A backend is built for one run and holds that run's state (the CG
-iteration counts).
+The tensor backends step one run (``combine`` of the poles' terms, then
+s u).  A backend is built for one run or batch and holds its CG counts.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401  a module global that perfbench/tracing.py swaps
 
 from . import _kernels
-from .fem import DiscreteOperator
+from .fem import DiscreteOperator, per_operator
 from .spectral import eig_1d, eig_2d_tensor
 
 
@@ -76,9 +77,7 @@ CG_MAXITER = 20_000  # the iteration budget of every CG solve
 
 
 class _Pencil:
-    """``load`` by the subclass's ``apply_M``, and ``combine`` as a sum of
-    per-shift block ``solve(a, b, rhs)`` calls, each a fresh array
-    (``TensorDiagSolver`` loads and sums in modal space)."""
+    """A one-run pencil: ``step`` as the subclass's ``combine`` plus s u."""
 
     def fold(self, U):
         """The block in the coordinates the backend steps in: U itself here."""
@@ -88,22 +87,11 @@ class _Pencil:
         """Inverse of :meth:`fold`."""
         return U
 
-    def load(self, U):
-        """(M U, [u . M u for each row u]) for the (c, n) block U."""
-        MU = self.apply_M(U)
-        # ndarray.dot gives the bits of u @ Mu at half the call cost
-        return MU, [float(u.dot(Mu)) for u, Mu in zip(U, MU)]
-
-    def combine(self, shifts, coeffs, rhs):
-        """sum_i coeffs[i] (a_i K + b_i M)^{-1} rhs over the pairs (a_i, b_i) of
-        shifts, for every row of the (c, n) block rhs = ``load(U)[0]``."""
-        # in place, with no temporary per term and no sum from 0
-        out = self.solve(*shifts[0], rhs)
-        out *= coeffs[0]
-        for (a, b), c in zip(shifts[1:], coeffs[1:]):
-            term = self.solve(a, b, rhs)
-            term *= c
-            out += term
+    def step(self, terms, U, rhs):
+        """u_next of the one run's ``terms`` (floats), rhs = ``load(U)[0]``."""
+        *poles, scale = terms
+        out = self.combine(list(zip(poles[0::3], poles[1::3])), poles[2::3], rhs)
+        out += scale * U
         return out
 
     def iterations(self, column: int) -> tuple[int, int]:
@@ -112,32 +100,61 @@ class _Pencil:
 
 
 class BandedPencil(_Pencil):
-    """The shifted pencil of a 1D operator on blocks of ``columns`` rows: SPD
-    tridiagonals solved by LAPACK, the mass apply on the flat block."""
+    """The shifted pencils of a batch of 1D runs on ``ops`` with ``poles[r]``
+    poles each (non-increasing), on blocks of ``columns`` rows: one stacked
+    SPD tridiagonal per pole solved by LAPACK, the mass apply on the flat
+    block."""
 
-    def __init__(self, op: DiscreteOperator, columns: int = 1):
-        md, me = op.mass_bands
-        self.n = len(md)
-        # the mass bands tiled over the flat (columns * n,) block; the
-        # coupling across each row boundary is never used
-        self.Md = np.tile(md, columns)
-        self.Me = np.tile(np.append(me, 0.0), columns)[:-1]
-        # [diag | off-diag] of K and of M, so a * K_band + b * M_band is aK + bM
-        self.K_band = np.concatenate(op.stiffness_bands)
-        self.M_band = np.concatenate(op.mass_bands)
-        self.band = np.empty_like(self.K_band)
-        self.scratch = np.empty_like(self.M_band)
+    def __init__(self, ops, columns: int = 1, poles=(1,)):
+        self.sizes = [op.n_dofs for op in ops]
+        ends = np.cumsum(self.sizes)
+        self.runs = [slice(end - size, end) for size, end in zip(self.sizes, ends)]
+        # [diagonal; off-diagonal] of K and of M, 0 after each run's last dof
+        K, M = (np.stack([np.concatenate([b[0] for b in bands]),
+                          np.concatenate([np.append(b[1], 0.0) for b in bands])])
+                for bands in ([op.stiffness_bands for op in ops], [op.mass_bands for op in ops]))
+        # the mass bands tiled over the flat (columns * N,) block, and the
+        # couplings across its run and row boundaries, never formed
+        self.Md, self.Me = np.tile(M[0], columns), np.tile(M[1], columns)[:-1]
+        cuts = (ends - 1 + ends[-1] * np.arange(columns)[:, None]).ravel()[:-1]
+        self.cuts = cuts if len(cuts) else None
+        band, scratch = np.empty_like(K), np.empty_like(K)  # aK + bM is built in band
+        # per pole, the bands over the runs that have it, a prefix of the stack
+        widths = [int(ends[sum(m > p for m in poles) - 1]) for p in range(poles[0])]
+        self.poles = [(K[:, :w], M[:, :w], band[:, :w], scratch[:, :w],
+                       band[0, :w], band[1, :w - 1], w) for w in widths]
+        # the width each row of the terms is cut to: three per pole, then s
+        self.term_widths = [w for w in widths for _ in range(3)] + [int(ends[-1])]
 
-    def apply_M(self, U):
-        flat = _kernels.tridiag_matvec(self.Md, self.Me, U.reshape(-1), self.n)
-        return flat.reshape(U.shape)
+    def load(self, U):
+        """(M U, [u . M u for each row and run, row by row])."""
+        MU = _kernels.tridiag_matvec(self.Md, self.Me, U.reshape(-1), self.cuts).reshape(U.shape)
+        pairs = zip(U, MU) if len(self.runs) == 1 else (
+            (u[run], Mu[run]) for u, Mu in zip(U, MU) for run in self.runs)
+        # ndarray.dot gives the bits of u @ Mu at half the call cost
+        return MU, [float(u.dot(Mu)) for u, Mu in pairs]
 
-    def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-        # aK + bM in the pencil's band buffer, which the LAPACK solve factors
-        # in place; it reads the (n, c) Fortran view rhs.T without a copy
-        band = np.multiply(self.K_band, a, out=self.band)
-        band += np.multiply(self.M_band, b, out=self.scratch)
-        return _kernels.tridiag_solve(band[:self.n], band[self.n:], rhs.T).T
+    def step(self, terms, U, rhs):
+        """u_next of every run, ``terms`` a (3 m + 1, runs) array (floats for one)."""
+        if len(self.sizes) > 1:
+            # each run's column spread over its dofs, cut to the runs of each pole
+            terms = [row[:w] for row, w in zip(np.repeat(terms, self.sizes, axis=1),
+                                                self.term_widths)]
+        out = None
+        for (K, M, band, scratch, d, e, w), a, b, c in zip(self.poles, terms[0::3],
+                                                           terms[1::3], terms[2::3]):
+            # aK + bM in the band buffer, which the LAPACK solve factors in place
+            np.multiply(K, a, out=band)
+            band += np.multiply(M, b, out=scratch)
+            z = _kernels.tridiag_solve(d, e, rhs[:, :w].T).T
+            # in place, with no temporary per term and no sum from 0
+            z *= c
+            if out is None:
+                out = z
+            else:
+                out[:, :w] += z
+        out += terms[-1] * U
+        return out
 
 
 class TensorDiagSolver(_Pencil):
@@ -178,13 +195,14 @@ class TensorDiagSolver(_Pencil):
 # CG, and all that only CG reads
 
 
-@functools.lru_cache(maxsize=8)
+@per_operator
 def _cg_state(op: DiscreteOperator):
     """(K2, M2, Q, Q^T, lambda_grid) of a tensor operator, built once per
-    operator (cached): the CSR pair K2 = kron(K1, M1) + kron(M1, K1), M2 =
-    kron(M1, M1) of the 1D factor's bands, refused on two sparsity patterns,
-    and the factor's sine modes Q (natural order) with a contiguous Q^T and
-    lambda_i + lambda_j in the same order.  A 1D operator is refused."""
+    operator and kept while it lives (``fem.per_operator``): the CSR pair
+    K2 = kron(K1, M1) + kron(M1, K1), M2 = kron(M1, M1) of the 1D factor's
+    bands, refused on two sparsity patterns, and the factor's sine modes Q
+    (natural order) with a contiguous Q^T and lambda_i + lambda_j in the
+    same order.  A 1D operator is refused."""
     if op.dim != 2:
         raise ValueError("PreconditionedCG requires a tensor operator")
     K1, M1 = (sp.diags([e, d, e], [-1, 0, 1], format="csr")
@@ -271,8 +289,20 @@ class PreconditionedCG(_Pencil):
         self.iters = [0] * columns
         self.iters_max = [0] * columns
 
-    def apply_M(self, U):
-        return np.stack([self.M @ u for u in U])
+    def load(self, U):
+        MU = np.stack([self.M @ u for u in U])
+        return MU, [float(u.dot(Mu)) for u, Mu in zip(U, MU)]
+
+    def combine(self, shifts, coeffs, rhs):
+        """sum_i coeffs[i] (a_i K2 + b_i M2)^{-1} rhs, (a_i, b_i) = shifts[i]."""
+        # in place, with no temporary per term and no sum from 0
+        out = self.solve(*shifts[0], rhs)
+        out *= coeffs[0]
+        for (a, b), c in zip(shifts[1:], coeffs[1:]):
+            term = self.solve(a, b, rhs)
+            term *= c
+            out += term
+        return out
 
     def precondition(self, modal: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Q (modal * Q^T R Q) Q^T on the n x n grid R of r (one vector or

@@ -33,10 +33,11 @@ folded for a whole run (``solvers.TensorDiagSolver``), and ``coefficients``
 and ``synthesize`` fold and unfold around the same transforms.  With these
 contiguous half-size factors the 2D bits of a table do not depend on the
 BLAS thread count on every grid tried from 99 to 229 dofs per axis but 199
-(measured, OpenBLAS; see README).  The tensor decomposition is cached per
-operator and builds its half-size factors before it returns; it holds no
-n x n array.  Only a 1D basis has dense ``modes``, built on first read up
-to ``DENSE_EIG_CAP`` dofs (for the tests, and for CG on a tensor factor).
+(measured, OpenBLAS; see README).  The arrays of the tensor decomposition,
+its half-size factors included, are built on its operator's first call and
+kept while the operator lives; none is n x n.  Only a 1D basis has dense
+``modes``, built on first read up to ``DENSE_EIG_CAP`` dofs (for the tests,
+and for CG on a tensor factor).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ._kernels import is_spd
-from .fem import DiscreteOperator, GridFunction, mass_apply
+from .fem import DiscreteOperator, GridFunction, mass_apply, per_operator
 
 DENSE_EIG_CAP = 4000
 
@@ -191,55 +192,22 @@ class SineBasis(SpectralDecomposition):
         return sine_transform(self.scale * coeffs)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
 class FoldedSineBasis(SpectralDecomposition):
     """The basis of a tensor operator, on parity-folded grids.
 
     Its modes are taken in the folded order (odd j, then even j) along each
-    axis of ``lambda_grid``.  ``fold`` and
-    ``unfold`` move a grid to and from parity-folded coordinates, where
-    ``folded_coefficients`` and ``folded_synthesize`` multiply by the four
-    half blocks of the modes and of the projector (``_blocks``, built by
-    ``eig_2d_tensor``): two half-size GEMMs per side, with no n x n operand.
+    axis of ``lambda_grid``, the eigenvalue of every mode coefficient.
+    ``fold`` and ``unfold`` (weighted by ``_unfold_weights``) move a grid to
+    and from parity-folded coordinates, where ``folded_coefficients`` and
+    ``folded_synthesize`` multiply by the four half blocks of the modes and
+    of the projector (``_blocks``, see ``_folded_blocks``): two half-size
+    GEMMs per side, with no n x n operand.  ``eig_2d_tensor`` builds them.
     """
 
-    @functools.cached_property
-    def lambda_grid(self) -> np.ndarray:
-        """The eigenvalue of every mode coefficient, in coefficient order."""
-        lam = self.lambdas_1d[_parity_order(len(self.scale))]
-        return _read_only((lam[:, None] + lam[None, :]).ravel())
-
-    @functools.cached_property
-    def _blocks(self):
-        """The half-size factors of the folded transforms, all contiguous
-        (built by ``eig_2d_tensor``): ``(analysis, synthesis)``, each
-        ``((L_s, R_s), (L_a, R_a))`` as ``_folded`` takes them.
-
-        Q_s holds the first n - n // 2 rows of the odd modes, the nodes of
-        the sum part, and Q_a the first n // 2 rows of the even ones.
-        Analysis multiplies by P^T and P, with P = M1 Q = Q diag(mu) on a
-        uniform factor.  Synthesis multiplies by S and S^T, with S = 2 Q: a
-        sum or difference holds a node and its mirror, but the middle row
-        of an odd n holds one node.
-
-        The transposed factors are copies, not ``.T`` views: with views the
-        2D bits change at n = 49, 99 and 100 for 1, 2 and 4 rows (equal at
-        199 and 399), and they are no faster (a ``coefficients`` and
-        ``synthesize`` round trip, 2 BLAS threads: 75 against 74 us at
-        n = 49 and one row, 343 against 321 us at n = 99 and two rows)."""
-        n = len(self.scale)
-        h = n // 2
-        top = sine_transform(np.eye(n - h, n)) * self.scale  # rows i < n - h of the modes
-        # scale = sqrt(2 / ((n+1) mu)), mu_j the eigenvalue of M1 at mode j
-        mu = 2.0 / ((n + 1) * self.scale**2)
-        analysis, synthesis = [], []
-        for Q, mu_part in ((top[:, 0::2], mu[0::2]), (top[:h, 1::2], mu[1::2])):
-            S = 2.0 * Q
-            S[h:] = Q[h:]  # the middle row, when n is odd
-            P = Q * mu_part
-            analysis.append((P.T, P))
-            synthesis.append((S, S.T))
-        return tuple(tuple(tuple(_read_only(np.ascontiguousarray(A)) for A in pair)
-                           for pair in part) for part in (analysis, synthesis))
+    lambda_grid: np.ndarray
+    _blocks: tuple
+    _unfold_weights: np.ndarray
 
     def _folded(self, blocks, v: np.ndarray) -> np.ndarray:
         """diag(L_s, L_a) X diag(R_s, R_a) on the n x n grid X of each
@@ -269,15 +237,6 @@ class FoldedSineBasis(SpectralDecomposition):
         out = self._both_axes(_unfold_rows, v)
         out *= self._unfold_weights
         return out
-
-    @functools.cached_property
-    def _unfold_weights(self) -> np.ndarray:
-        """w_i w_j on the flat n x n grid, w_i = 1 at the middle node of an
-        odd n and 1/2 elsewhere."""
-        n = len(self.lambdas_1d)
-        w = np.full(n, 0.5)
-        w[n // 2:n - n // 2] = 1.0
-        return _read_only(np.outer(w, w).ravel())
 
     def _both_axes(self, along_rows, v: np.ndarray) -> np.ndarray:
         n = len(self.lambdas_1d)
@@ -359,19 +318,62 @@ def eig_1d(op: DiscreteOperator) -> SineBasis:
     return SineBasis(op, *_sine_pairs(op, "eig_1d needs a uniform mesh (sine modes)"))
 
 
-@functools.lru_cache(maxsize=8)
+def _folded_blocks(scale: np.ndarray):
+    """The half-size factors of the folded transforms of the sine modes
+    ``scale[j] sin(i theta_j)``, all contiguous: ``(analysis, synthesis)``,
+    each ``((L_s, R_s), (L_a, R_a))`` as ``FoldedSineBasis._folded`` takes
+    them.
+
+    Q_s holds the first n - n // 2 rows of the odd modes, the nodes of
+    the sum part, and Q_a the first n // 2 rows of the even ones.
+    Analysis multiplies by P^T and P, with P = M1 Q = Q diag(mu) on a
+    uniform factor.  Synthesis multiplies by S and S^T, with S = 2 Q: a
+    sum or difference holds a node and its mirror, but the middle row
+    of an odd n holds one node.
+
+    The transposed factors are copies, not ``.T`` views: with views the
+    2D bits change at n = 49, 99 and 100 for 1, 2 and 4 rows (equal at
+    199 and 399), and they are no faster (a ``coefficients`` and
+    ``synthesize`` round trip, 2 BLAS threads: 75 against 74 us at
+    n = 49 and one row, 343 against 321 us at n = 99 and two rows)."""
+    n = len(scale)
+    h = n // 2
+    top = sine_transform(np.eye(n - h, n)) * scale  # rows i < n - h of the modes
+    # scale = sqrt(2 / ((n+1) mu)), mu_j the eigenvalue of M1 at mode j
+    mu = 2.0 / ((n + 1) * scale**2)
+    analysis, synthesis = [], []
+    for Q, mu_part in ((top[:, 0::2], mu[0::2]), (top[:h, 1::2], mu[1::2])):
+        S = 2.0 * Q
+        S[h:] = Q[h:]  # the middle row, when n is odd
+        P = Q * mu_part
+        analysis.append((P.T, P))
+        synthesis.append((S, S.T))
+    return tuple(tuple(tuple(_read_only(np.ascontiguousarray(A)) for A in pair)
+                       for pair in part) for part in (analysis, synthesis))
+
+
+@per_operator
+def _folded_arrays(op: DiscreteOperator) -> tuple:
+    """Every array of the tensor basis of ``op``, which holds no reference to
+    ``op``.  The fold needs the parity of the sine modes, so a factor that
+    is not a uniform mesh is refused."""
+    lam, scale = _sine_pairs(op.factor, "eig_2d_tensor needs a uniform 1D factor (sine modes)")
+    n = len(lam)
+    folded = lam[_parity_order(n)]
+    # unfold's weights w_i w_j: w_i = 1 at the middle node of an odd n, else 1/2
+    w = np.full(n, 0.5)
+    w[n // 2:n - n // 2] = 1.0
+    return (lam, scale, _read_only((folded[:, None] + folded[None, :]).ravel()),
+            _folded_blocks(scale), _read_only(np.outer(w, w).ravel()))
+
+
 def eig_2d_tensor(op: DiscreteOperator) -> FoldedSineBasis:
-    """The sine basis of a tensor operator's 1D factor, bound to it (cached),
-    with the half-size factors of the folded transforms already built.  The
-    fold needs the parity of the sine modes, so a factor that is not a
-    uniform mesh is refused."""
+    """The sine basis of a tensor operator's 1D factor, bound to it, on arrays
+    (the half-size factors of the folded transforms included) built on the
+    operator's first call and shared by every later one (``_folded_arrays``)."""
     if op.dim != 2:
         raise ValueError("eig_2d_tensor expects a tensor-assembled operator")
-    decomp = FoldedSineBasis(op, *_sine_pairs(
-        op.factor, "eig_2d_tensor needs a uniform 1D factor (sine modes)"))
-    # read once to build them here rather than inside the first transform
-    decomp._blocks
-    return decomp
+    return FoldedSineBasis(op, *_folded_arrays(op))
 
 
 def reference_power(decomp: SpectralDecomposition, v: GridFunction,

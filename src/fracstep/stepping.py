@@ -23,24 +23,25 @@ A step thus costs the m shifted solves and one ``load`` of the new
 iterate, which gives both the next step's right-hand side and the squared
 M-norm that the growth guard reads: M u and u . M u on the banded and CG
 backends, the mode coefficients of u and their squared norm (Parseval) on
-the direct tensor backend.  The weighted sum of solves is one ``combine``
-call on that right-hand side, on a shifted-pencil backend from
-``solvers``, picked by ``_pencil`` and built once per run, so CG
-iteration counts never outlive a run.  ``combine`` gives a fresh array,
-and the step adds u times its factor into it in place.  The iterate lives in the backend's
-coordinates: ``fold`` once before the first ``load`` and ``unfold`` once
-after the last step (parity-folded grids on the direct tensor backend,
-the coefficients as they are elsewhere); the update above is linear, so
-it holds in either.  The shifts and weights of every step are computed
-once per run.
+the direct tensor backend.  The step is one ``step`` call on that
+right-hand side, on a shifted-pencil backend from ``solvers``, picked by
+``_pencil`` and built once per run, so CG iteration counts never outlive a
+run.  The iterate lives in the backend's coordinates: ``fold`` once before
+the first ``load`` and ``unfold`` once after the last step (parity-folded
+grids on the direct tensor backend, the coefficients as they are
+elsewhere); the update above is linear, so it holds in either.  The
+shifts and weights are computed ``_CHUNK`` steps at a time.
 
 None of that depends on the data, so one run steps a block of c data
 vectors at once: U has shape (c, n), one row per grid function, and every
 backend call acts on all rows (see ``solvers``).  A single grid function is
-the block with c = 1.  Each row ends with the bits of its own one-row run
-and gets its own ``RunStats``.  The steps contract in the M-norm when
-delta lies below the spectrum, so a step that grows the M-norm of a row by
-more than 1 + 1e-9 raises ``SolveError``.
+the block with c = 1.  ``run_batch`` steps 1D runs of the same step and
+row counts in lockstep, their dofs end to end in U (one stacked ``?ptsv``
+per pole, ``solvers.BandedPencil``); ``run`` is a batch of one.  Each row
+of each run ends with the bits of its own one-row run and gets its own
+``RunStats``.  The steps contract in the M-norm when delta lies below the
+spectrum, so a step that grows the M-norm of a row by more than 1 + 1e-9
+raises ``SolveError``, and so does a non-finite one.
 
 The shift delta and the depth L of a geometric mesh come from the bracket
 of the spectrum in ``spectral``; this module takes them as given.
@@ -111,27 +112,104 @@ class RunStats:
     cg_iters_max: int = 0
 
 
-def _pencil(op: DiscreteOperator, solver: str, columns: int = 1):
-    """The shifted-pencil backend for one run of ``columns`` rows on ``op``
-    (see ``solvers``).  CG serves tensor operators only: a 1D operator is
-    always solved directly, so ``solver="cg"`` there is refused."""
+def _pencil(ops, solver: str, columns: int = 1, poles=(1,)):
+    """The shifted-pencil backend for the runs of ``columns`` rows on ``ops``
+    with ``poles[r]`` poles each (see ``solvers``): a 2D run steps alone, and
+    by CG only if ``solver="cg"``, which a 1D operator refuses."""
+    op = ops[0]
+    if len(ops) > 1 and any(o.dim != 1 for o in ops):
+        raise ValueError("only 1D runs step as a batch; a 2D run steps alone")
     if solver == "cg":
         if op.dim != 2:
             raise ValueError("the cg solver needs a tensor (2D) operator")
         return PreconditionedCG(op, columns)
-    return TensorDiagSolver(op) if op.dim == 2 else BandedPencil(op, columns)
+    return TensorDiagSolver(op) if op.dim == 2 else BandedPencil(ops, columns, poles)
 
 
-def _step_terms(r: PadeRational, delta: float, t: np.ndarray, k: np.ndarray):
-    """Per step: the (a_i, b_i) of every G_i = a_i K + b_i M, shape (steps, m, 2),
-    the ``combine`` weights k delta w_i / a_i, shape (steps, m), and the
-    factor 1 + k sum_i c_i / a_i on u, shape (steps,)."""
-    t, k = t[:, None], k[:, None]
-    a = k - r.poles * t
-    b = delta * (r.poles * (t - 1.0) - k)
-    coeffs = k * delta * r.residues / a
-    scale = 1.0 + np.sum(k * (r.residues / r.poles) / a, axis=1)
-    return np.stack([a, b], axis=-1), coeffs, scale
+def _step_terms(cfgs, lo: int, hi: int) -> np.ndarray:
+    """Steps lo to hi of the runs ``cfgs`` (the first has the most poles, m):
+    per step and run, (a_i, b_i, k delta w_i / a_i) of each G_i = a_i K + b_i M
+    and then 1 + k sum_i c_i / a_i, shape (hi - lo, 3 m + 1, runs); a run
+    with fewer poles has ones in place of the rest, never read."""
+    terms = np.ones((hi - lo, 3 * cfgs[0].m + 1, len(cfgs)))
+    for j, cfg in enumerate(cfgs):
+        x, w, delta, poles = cfg.rational.poles, cfg.rational.residues, cfg.delta, 3 * cfg.m
+        t, k = cfg.mesh.t_left[lo:hi, None], cfg.mesh.k[lo:hi, None]
+        a = terms[:, 0:poles:3, j] = k - x * t
+        terms[:, 1:poles:3, j] = delta * (x * (t - 1.0) - k)
+        terms[:, 2:poles:3, j] = k * delta * w / a
+        terms[:, -1, j] = 1.0 + np.sum(k * (w / x) / a, axis=1)
+    return terms
+
+
+# steps whose terms are computed at once (a table of 1 024 added 0.5 MB to refine1d's peak)
+_CHUNK = 256
+
+
+def run_batch(runs, return_stats: bool = False) -> list:
+    """Each ``(v, op, cfg)`` of ``runs`` stepped in lockstep: per run, what
+    ``run(v, op, cfg, return_stats)`` gives, with its bits.  The runs need
+    the same step and row counts; their operators, exponents, orders, shifts
+    and meshes may differ.  Only 1D runs step as a batch of more than one."""
+    runs = list(runs)
+    if not runs:
+        raise ValueError("no run to step")
+    blocks = [[v] if isinstance(v, GridFunction) else list(v) for v, _, _ in runs]
+    c, steps, R = len(blocks[0]), runs[0][2].mesh.num_steps, len(runs)
+    for vs, (_, op, cfg) in zip(blocks, runs):
+        if not vs:
+            raise ValueError("no grid function to step")
+        if any(w.op is not op for w in vs):
+            raise ValueError("grid function lives on a different operator")
+        if len(vs) != c or cfg.mesh.num_steps != steps:
+            raise ValueError("the runs of a batch need the same number of rows and of steps")
+    # by decreasing m, so the runs that have pole i come first
+    order = sorted(range(R), key=lambda j: -runs[j][2].m)
+    ops, cfgs = [runs[j][1] for j in order], [runs[j][2] for j in order]
+    solver = "cg" if any(cfg.solver == "cg" for cfg in cfgs) else "direct"
+    pencil = _pencil(ops, solver, c, [cfg.m for cfg in cfgs])
+    U = pencil.fold(np.concatenate([cfg.delta ** (-cfg.alpha) * np.stack(
+        [w.coeffs for w in blocks[j]]) for j, cfg in zip(order, cfgs)], axis=1))
+    rhs, sq_norms = pencil.load(U)
+    # per row and run, in Python floats: the M-norm and the worst growth so far
+    norms = [math.sqrt(max(sq, 0.0)) for sq in sq_norms]
+    growth = [0.0] * len(norms)
+
+    def where(x):  # the row and run of norm x, as the caller numbers them
+        return f"column {x // R}" + (f" of run {order[x % R]}" if R > 1 else "")
+
+    for lo in range(0, steps, _CHUNK):
+        chunk = _step_terms(cfgs, lo, min(lo + _CHUNK, steps))  # a lone run's as floats
+        for i, terms in enumerate(chunk if R > 1 else chunk[:, :, 0].tolist(), lo):
+            U = pencil.step(terms, U, rhs)
+            # one load feeds both the growth norms and the next step's right-hand side
+            rhs, sq_norms = pencil.load(U)
+            for x, sq in enumerate(sq_norms):
+                cur = math.sqrt(max(sq, 0.0))
+                if not math.isfinite(cur):
+                    # a non-finite run reaches the others of a batch in the
+                    # solves (0 * nan): name the run whose norm was not finite
+                    # before the step (its data), if one was (none before x)
+                    x = next((y for y in range(x, len(norms)) if not math.isfinite(norms[y])), x)
+                    raise SolveError(f"iterate not finite after step {i + 1} of {steps} "
+                                     f"in {where(x)} (M-norm {math.sqrt(max(sq_norms[x], 0.0))})")
+                if norms[x] > 0:
+                    ratio = cur / norms[x]
+                    if ratio > _GROWTH_TOL:
+                        raise SolveError(f"step {i + 1} of {steps} grew the M-norm of {where(x)} "
+                                         f"by {ratio:.12f} (delta above the spectrum?)")
+                    growth[x] = max(growth[x], ratio)
+                norms[x] = cur
+    rows, ends = pencil.unfold(U), np.cumsum([op.n_dofs for op in ops])
+    results = [None] * R
+    for r, (j, op, cfg) in enumerate(zip(order, ops, cfgs)):
+        outs = [GridFunction(u[ends[r] - op.n_dofs:ends[r]], op) for u in rows]
+        stats = [RunStats(steps, growth[k * R + r], steps * cfg.m, *pencil.iterations(k))
+                 for k in range(c)]
+        if isinstance(runs[j][0], GridFunction):
+            outs, stats = outs[0], stats[0]
+        results[j] = (outs, stats) if return_stats else outs
+    return results
 
 
 def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False):
@@ -140,47 +218,9 @@ def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False)
     The mesh picks the scheme: a geometric mesh gives GRM ((L+1)*N steps),
     a uniform one UM (N steps of size 1/N).  ``v`` is one ``GridFunction``
     or a sequence of them on ``op``, stepped as one block; a sequence gives
-    a list of outputs and of ``RunStats``.
+    a list of outputs and of ``RunStats``.  It is a ``run_batch`` of one.
     """
-    single = isinstance(v, GridFunction)
-    vs = [v] if single else list(v)
-    if not vs:
-        raise ValueError("no grid function to step")
-    if any(w.op is not op for w in vs):
-        raise ValueError("grid function lives on a different operator")
-    c = len(vs)
-    pencil = _pencil(op, cfg.solver, c)
-    delta, steps = cfg.delta, cfg.mesh.num_steps
-    shifts, coeffs, scales = _step_terms(cfg.rational, delta, cfg.mesh.t_left, cfg.mesh.k)
-    U = pencil.fold(delta ** (-cfg.alpha) * np.stack([w.coeffs for w in vs]))
-    rhs, sq_norms = pencil.load(U)
-    # per row, in Python floats: the M-norm and the worst growth so far
-    norms = [math.sqrt(max(sq, 0.0)) for sq in sq_norms]
-    growth = [0.0] * c
-    for i, scale in enumerate(scales.tolist()):
-        step = pencil.combine(shifts[i].tolist(), coeffs[i].tolist(), rhs)
-        step += scale * U
-        U = step
-        # one load feeds both the growth norms and the next step's right-hand side
-        rhs, sq_norms = pencil.load(U)
-        for j, sq in enumerate(sq_norms):
-            cur = math.sqrt(max(sq, 0.0))
-            if not math.isfinite(cur):
-                raise SolveError(f"iterate not finite after step {i + 1} of {steps} "
-                                 f"in column {j} (M-norm {cur})")
-            if norms[j] > 0:
-                ratio = cur / norms[j]
-                if ratio > _GROWTH_TOL:
-                    raise SolveError(f"step {i + 1} of {steps} grew the M-norm of column "
-                                     f"{j} by {ratio:.12f} (delta above the spectrum?)")
-                growth[j] = max(growth[j], ratio)
-            norms[j] = cur
-    outs = [GridFunction(u, op) for u in pencil.unfold(U)]
-    stats = [RunStats(steps, growth[j], steps * cfg.m, *pencil.iterations(j))
-             for j in range(c)]
-    if single:
-        outs, stats = outs[0], stats[0]
-    return (outs, stats) if return_stats else outs
+    return run_batch([(v, op, cfg)], return_stats)[0]
 
 
 # the GRM and UM names of ``run``; the mesh in the config picks the scheme

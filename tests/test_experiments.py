@@ -1,11 +1,13 @@
+import gc
 import io
 import logging
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fracstep import experiments, solvers
+from fracstep import experiments, solvers, spectral, stepping
 from fracstep.experiments import (
     ExperimentSpec,
     convergence_order,
@@ -17,7 +19,7 @@ from fracstep.experiments import (
     run_table_2d,
     write_csv,
 )
-from fracstep.fem import assemble_1d
+from fracstep.fem import assemble_1d, assemble_2d_tensor
 from fracstep.meshes import experiment_refinement_level, refinement_level_for
 from fracstep.spectral import eig_2d_tensor
 from tests.test_fem import built_fields
@@ -283,23 +285,48 @@ class TestTable2D:
         # CG's state, its CSR pair and dense modes, is built by the first CG
         # run on an operator and read by every later one; the direct path
         # neither builds nor reads it, and no operator keeps a pair
-        ops, krons = [], []
+        ops, krons, reads = [], [], []
         monkeypatch.setattr(experiments, "assemble_2d_tensor",
                             _recorded(ops, experiments.assemble_2d_tensor))
         monkeypatch.setattr(solvers.sp, "kron", _recorded(krons, solvers.sp.kron))
-        solvers._cg_state.cache_clear()
+        monkeypatch.setattr(solvers, "_cg_state", _recorded(reads, solvers._cg_state))
         spec = ExperimentSpec(dimension=2, data_cases=("e", "f"), alphas=(0.3, 0.7),
                               ms=(1,), Ns=(1, 2), n_per_side=10, L_policy="fixed",
                               L_fixed=4, solver=solver)
         assert len(run_table(spec)) == 16
         [op] = ops
         assert built_fields(op) == built_fields(op.factor) == set()
-        info = solvers._cg_state.cache_info()
         if solver == "direct":
-            assert (info.hits, info.misses) == (0, 0) and krons == []
+            assert reads == [] and krons == []
         else:
-            # 8 runs, one build: one kron for M2, two for K2
-            assert (info.hits, info.misses) == (7, 1) and len(krons) == 3
+            # 8 runs read one state, built once: one kron for M2, two for K2
+            assert len(reads) == 8 and all(state is reads[0] for state in reads)
+            assert len(krons) == 3
+
+    @pytest.mark.parametrize("solver", solvers.SOLVERS)
+    def test_table_builds_its_basis_once(self, monkeypatch, solver):
+        # the table's reference and every run share the arrays of one tensor
+        # basis, built on the first call for the table's operator
+        builds = []
+        monkeypatch.setattr(spectral, "_folded_blocks",
+                            _recorded(builds, spectral._folded_blocks))
+        spec = ExperimentSpec(dimension=2, data_cases=("e",), alphas=(0.3, 0.7), ms=(1,),
+                              Ns=(1, 2), n_per_side=10, L_policy="fixed", L_fixed=4,
+                              solver=solver)
+        assert len(run_table(spec)) == 8
+        assert len(builds) == 1
+
+    def test_dropped_operator_and_its_caches_are_collected(self):
+        # the tensor basis and CG's state live as long as their operator:
+        # kept while it is, gone with it (no reference cycle through a cache)
+        op = assemble_2d_tensor(10)
+        basis, state = eig_2d_tensor(op), solvers._cg_state(op)
+        assert eig_2d_tensor(op)._blocks is basis._blocks
+        assert solvers._cg_state(op) is state
+        refs = [weakref.ref(x) for x in (op, op.factor, basis, state[0], state[2])]
+        del op, basis, state
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
 
     @pytest.mark.parametrize("study", ("table", "spatial", "table2d"))
     def test_direct_1d_paths_build_no_csr_matrix(self, monkeypatch, study):
@@ -311,7 +338,8 @@ class TestTable2D:
             monkeypatch.setattr(experiments, name, _recorded(ops, getattr(experiments, name)))
         for name in ("diags", "kron"):
             monkeypatch.setattr(solvers.sp, name, _recorded(built, getattr(solvers.sp, name)))
-        reads = solvers._cg_state.cache_info()
+        reads = []
+        monkeypatch.setattr(solvers, "_cg_state", _recorded(reads, solvers._cg_state))
         if study == "table":
             spec = ExperimentSpec(dimension=1, data_cases=("a", "d"), alphas=(0.5,),
                                   ms=(1, 2), Ns=(1, 2), h=0.05)
@@ -324,7 +352,7 @@ class TestTable2D:
                                   Ns=(1, 2), n_per_side=10, L_policy="fixed", L_fixed=4)
             assert len(run_table(spec)) == 8
         assert ops and all(built_fields(op) == set() for op in ops)
-        assert built == [] and solvers._cg_state.cache_info() == reads
+        assert built == [] and reads == []
 
     def test_cg_table_leaves_the_tensor_basis_without_dense_modes(self, monkeypatch):
         # CG keeps the dense modes of the factor in its own state: the
@@ -394,6 +422,32 @@ class TestSpatialRefinement:
         spec = ExperimentSpec(dimension=1, ms=(2,), Ns=(4,), um_steps=200, delta=500.0)
         with pytest.raises(ValueError, match="not below lambda_min_est"):
             run_spatial_refinement(spec, alpha=0.5, reference_factor=2)
+
+    def test_uniform_runs_step_as_one_batch(self, monkeypatch):
+        # every (N, m) uniform run goes into one run_batch call, and the rows
+        # have the bits of rows built from lone runs
+        spec = ExperimentSpec(dimension=1, Ns=(2, 3), um_steps=20)
+        batches = []
+
+        def batched(runs, return_stats=False):
+            batches.append(list(runs))
+            return stepping.run_batch(batches[-1], return_stats)
+
+        def lone(runs, return_stats=False):
+            return [stepping.run(v, op, cfg, return_stats) for v, op, cfg in runs]
+
+        monkeypatch.setattr(experiments, "run_batch", batched)
+        rows = run_spatial_refinement(spec)
+        assert [len(runs) for runs in batches] == [len(spec.Ns) * len(spec.ms)]
+        assert {cfg.m for _, _, cfg in batches[0]} == set(spec.ms)
+        assert len({op.n_dofs for _, op, _ in batches[0]}) == len(spec.Ns)
+        monkeypatch.setattr(experiments, "run_batch", lone)
+
+        def bits(rows):
+            return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+                    for row in rows]
+
+        assert bits(run_spatial_refinement(spec)) == bits(rows)
 
 
 def _rows_without_seed(rows):

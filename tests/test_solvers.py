@@ -144,8 +144,12 @@ class TestTensorDiagSolver:
             TensorDiagSolver(op)
 
     def test_eigenbasis_shared_across_solvers(self):
+        # every solver on an operator reads the arrays of one basis, built once
         op = assemble_2d_tensor(7)
-        assert TensorDiagSolver(op).decomp is TensorDiagSolver(op).decomp
+        first, second = TensorDiagSolver(op).decomp, TensorDiagSolver(op).decomp
+        assert first.op is second.op is op
+        for name in ("lambdas_1d", "scale", "lambda_grid", "_blocks", "_unfold_weights"):
+            assert getattr(first, name) is getattr(second, name)
 
 
 class TestWarmStartCG:
@@ -256,7 +260,7 @@ class TestBandedPencil:
         U = rng.standard_normal((c, n))
         U[0] = -0.0
         U[-1, 0] = np.nan
-        MU, sq_norms = _pencil(op, "direct", c).load(U)
+        MU, sq_norms = _pencil([op], "direct", c).load(U)
         for u, Mu, sq in zip(U, MU, sq_norms):
             want = _kernels.tridiag_matvec(*op.mass_bands, u)
             assert Mu.tobytes() == want.tobytes()
@@ -292,14 +296,16 @@ class TestShiftedPencils:
 
 
 def _check_pencil(op, method, shifts, coeffs, U):
-    """``load`` and ``combine`` of the backend, between its ``fold`` and
+    """``load`` and ``step`` of the backend, between its ``fold`` and
     ``unfold``, against the assembled matrices: the squared M-norm of each
     row, and sum_i c_i (a_i K + b_i M)^{-1} M u."""
-    pencil = _pencil(op, method, len(U))
+    pencil = _pencil([op], method, len(U), [len(shifts)])
     rhs, sq_norms = pencil.load(pencil.fold(U))
+    # the step's terms: (a_i, b_i, c_i) of each pair, then 0 as the factor on u
+    terms = [*np.column_stack([shifts, coeffs]).ravel().tolist(), 0.0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "CG_RTOL", 1e-14)
-        got = pencil.unfold(pencil.combine(shifts, coeffs, rhs))
+        got = pencil.unfold(pencil.step(terms, pencil.fold(np.zeros_like(U)), rhs))
     assert got.shape == U.shape and len(sq_norms) == len(U)
     K, M = sparse_pair(op)
     for u, sq, row in zip(U, sq_norms, got):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
-from fracstep.meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
+from fracstep.meshes import (TimeMesh, build_geometric_mesh, build_graded_spatial_mesh,
+                             build_uniform_mesh)
 from fracstep.pade import eval_rational, pade_coefficients
 from fracstep.scalar import ScalarRunConfig, scalar_run_grid
 from fracstep import solvers
@@ -16,7 +19,7 @@ from fracstep.spectral import (
     reference_power,
     spectral_upper_bound,
 )
-from fracstep.stepping import StepperConfig, _pencil, run, run_grm, run_um
+from fracstep.stepping import StepperConfig, _pencil, run, run_batch, run_grm, run_um
 from tests.sparse_pair import sparse_pair
 from tests.test_fem import built_fields, fem_eigenvalue
 
@@ -299,7 +302,7 @@ class Test2DSolvers:
     def test_cg_refused_on_a_1d_operator(self):
         # 1D pencils are always solved directly: cg there would be ignored
         with pytest.raises(ValueError, match="tensor"):
-            _pencil(assemble_1d(np.linspace(0, 1, 11)), "cg")
+            _pencil([assemble_1d(np.linspace(0, 1, 11))], "cg")
 
     def test_cg_runs_are_bit_identical(self):
         # the CG counts and matrix of one run must not carry over to the next
@@ -433,11 +436,12 @@ class TestGrowthContract:
         with pytest.raises(SolveError, match=r"step 1 of 8 grew the M-norm of column 1"):
             run([GridFunction(np.zeros(op.n_dofs), op), f], op, cfg)
 
-    def test_direct_tensor_steps_apply_no_sparse_mass(self):
+    def test_direct_tensor_steps_apply_no_sparse_mass(self, monkeypatch):
         # the direct tensor step loads mode coefficients: a run, with the
         # projection before it and the norms after, never reads CG's state,
         # where the only CSR pair is, so it cannot apply it
-        reads = solvers._cg_state.cache_info()
+        reads = []
+        monkeypatch.setattr(solvers, "_cg_state", lambda op: reads.append(op))
         op = assemble_2d_tensor(8)
         f = l2_project(op, "e")
         cfg = StepperConfig(alpha=0.5, m=2, delta=_half_bottom(op),
@@ -445,7 +449,7 @@ class TestGrowthContract:
         out, stats = run(f, op, cfg, return_stats=True)
         assert stats.steps == 10 and m_norm(op, out) > 0
         assert built_fields(op) == set()
-        assert solvers._cg_state.cache_info() == reads
+        assert reads == []
 
     def test_shift_below_the_spectrum_passes(self):
         op = assemble_1d(np.linspace(0, 1, 21))
@@ -453,3 +457,99 @@ class TestGrowthContract:
         cfg = StepperConfig(alpha=0.5, m=2, delta=0.99 * lam_min, mesh=build_uniform_mesh(8))
         _, stats = run(l2_project(op, "b"), op, cfg, return_stats=True)
         assert stats.max_growth <= 1.0
+
+
+def _batch_run(data, c, steps_LN):
+    """One random 1D run for a batch: a uniform, random or graded mesh
+    (from one dof up), 1 to 4 poles, a geometric or uniform time mesh of
+    (L + 1) N steps, and c random data rows."""
+    kind = data.draw(st.sampled_from(("uniform", "random", "graded")))
+    if kind == "graded":
+        nodes = build_graded_spatial_mesh(data.draw(st.integers(2, 3)))
+    else:
+        n = data.draw(st.integers(1, 12))
+        if kind == "uniform":
+            nodes = np.linspace(0.0, 1.0, n + 2)
+        else:
+            gaps = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n + 1,
+                                               max_size=n + 1)))
+            nodes = np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
+    op = assemble_1d(nodes)
+    L, N = steps_LN
+    mesh = (build_geometric_mesh(None, N, L_override=L) if data.draw(st.booleans())
+            else build_uniform_mesh((L + 1) * N))
+    cfg = StepperConfig(alpha=data.draw(st.sampled_from((0.1, 0.5, 0.9))),
+                        m=data.draw(st.integers(1, 4)),
+                        delta=data.draw(st.sampled_from((0.3, 0.9))) * _half_bottom(op),
+                        mesh=mesh)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vs = [GridFunction(rng.standard_normal(op.n_dofs), op) for _ in range(c)]
+    return vs, op, cfg
+
+
+class TestBatchRuns:
+    """Runs stepped in lockstep (``run_batch``) equal their lone runs, bit
+    for bit, whatever their operators, exponents, orders, shifts and meshes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_runs_match_their_lone_runs(self, data):
+        c = data.draw(st.sampled_from((1, 3)))
+        steps_LN = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)))
+        runs = [_batch_run(data, c, steps_LN) for _ in range(data.draw(st.integers(1, 5)))]
+        # a lone grid function gives one output, as in ``run``
+        if c == 1 and data.draw(st.booleans()):
+            runs = [(vs[0], op, cfg) for vs, op, cfg in runs]
+        got = run_batch(runs, return_stats=True)
+        assert len(got) == len(runs)
+        for (v, op, cfg), (outs, stats) in zip(runs, got):
+            lone_outs, lone_stats = run(v, op, cfg, return_stats=True)
+            if isinstance(v, GridFunction):
+                outs, stats, lone_outs, lone_stats = [outs], [stats], [lone_outs], [lone_stats]
+            assert len(outs) == len(lone_outs)
+            for out, lone in zip(outs, lone_outs):
+                assert out.op is op and np.array_equal(out.coeffs, lone.coeffs)
+            assert stats == lone_stats
+
+    def test_refusals(self):
+        small, other = (assemble_1d(np.linspace(0, 1, n)) for n in (9, 14))
+        f, g = l2_project(small, "b"), l2_project(other, "b")
+
+        def cfg(op, steps):
+            return StepperConfig(alpha=0.5, m=1, delta=_half_bottom(op),
+                                 mesh=build_uniform_mesh(steps))
+
+        with pytest.raises(ValueError, match="same number of rows and of steps"):
+            run_batch([(f, small, cfg(small, 4)), (g, other, cfg(other, 5))])
+        with pytest.raises(ValueError, match="same number of rows and of steps"):
+            run_batch([(f, small, cfg(small, 4)), ([g, g], other, cfg(other, 4))])
+        with pytest.raises(ValueError, match="no run to step"):
+            run_batch([])
+        tensor = assemble_2d_tensor(6)
+        e = l2_project(tensor, "e")
+        with pytest.raises(ValueError, match="only 1D runs step as a batch"):
+            run_batch([(f, small, cfg(small, 4)), (e, tensor, cfg(tensor, 4))])
+        # alone, a 2D run steps as it always did
+        assert np.array_equal(run_batch([(e, tensor, cfg(tensor, 4))])[0].coeffs,
+                              run(e, tensor, cfg(tensor, 4)).coeffs)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    @pytest.mark.parametrize("culprit", (0, 1, 2))
+    def test_non_finite_data_names_its_run(self, culprit, bad):
+        # the bad entry reaches every run through 0 * nan in the stacked
+        # solves, so every iterate goes non-finite; the error names the run
+        # whose own data was not finite, before or after it in the stack
+        ops = [assemble_1d(np.linspace(0, 1, n)) for n in (9, 14, 6)]
+        runs = []
+        for r, (op, m) in enumerate(zip(ops, (1, 3, 2))):
+            rows = [np.ones(op.n_dofs), np.ones(op.n_dofs)]
+            if r == culprit:
+                rows[1][2] = bad
+            cfg = StepperConfig(alpha=0.5, m=m, delta=1.0, mesh=build_uniform_mesh(4))
+            runs.append(([GridFunction(u, op) for u in rows], op, cfg))
+        with pytest.raises(SolveError, match=f"after step 1 of 4 in column 1 of run {culprit} "):
+            run_batch(runs)
+        # alone, the message is the one-run message
+        with pytest.raises(SolveError, match=r"after step 1 of 4 in column 1 \(M-norm"):
+            run(*runs[culprit])
