@@ -36,7 +36,7 @@ from .meshes import (
     experiment_refinement_level,
     refinement_level_for,
 )
-from .pade import pade_coefficients
+from .pade import MAX_ORDER, pade_coefficients
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import CG_RTOL, SOLVERS
 from .spectral import (DENSE_EIG_CAP, SpectralBounds, eig_1d, eig_2d_tensor,
@@ -117,6 +117,16 @@ class ExperimentSpec:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if list(self.Ns) != sorted(set(self.Ns)):
             raise ValueError("Ns must be strictly increasing")
+        # refused with the messages of meshes, pade and stepping, before assembly
+        if self.Ns[0] < 1:
+            raise ValueError(f"N must be >= 1, got {self.Ns[0]}")
+        for m in self.ms:
+            if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_ORDER:
+                raise ValueError(f"order m must be an integer in [1, {MAX_ORDER}], got {m!r}")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if self.um_steps < 1:
+            raise ValueError(f"um_steps: N must be >= 1, got {self.um_steps}")
         for a in self.alphas:
             if not 0 < a < 1:
                 raise ValueError(f"alpha {a} outside (0, 1)")
@@ -142,6 +152,9 @@ class ExperimentSpec:
 TABLE_2D = {"dimension": 2, "data_cases": ("e", "f"), "alphas": (0.1, 0.3, 0.5, 0.7, 0.9),
             "ms": (2,), "Ns": (1, 2, 4, 8, 16, 32), "L_policy": "fixed", "L_fixed": 14}
 SPATIAL_REFINE = {"Ns": (4, 8, 16)}
+_REFERENCE_FACTOR = 4  # the spatial study's fine mesh: this many times its largest N
+_REFERENCE_NT = 32  # steps per interval of its GRM references
+_NT_CAP = 4096  # the largest step count per interval its threshold search tries
 
 
 def convergence_order(e_n: float, e_2n: float) -> float:
@@ -305,7 +318,7 @@ def _grm_at(op, f, alpha, m, delta, L, Nt, return_stats=False):
     return run_grm(f, op, cfg, return_stats=return_stats)
 
 
-def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold, Nt_cap=4096):
+def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold):
     """Smallest per-interval count whose geometric run beats the threshold.
 
     Returns (Nt, error, stats) of that run; each count is run at most once.
@@ -321,8 +334,8 @@ def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold, Nt_cap=409
     lo, hi = 0, 1
     while error_at(hi) > threshold:
         lo, hi = hi, hi * 2
-        if hi > Nt_cap:
-            raise RuntimeError(f"no Nt <= {Nt_cap} reaches threshold {threshold:.3e}")
+        if hi > _NT_CAP:
+            raise RuntimeError(f"no Nt <= {_NT_CAP} reaches threshold {threshold:.3e}")
     # invariant: error(hi) <= threshold < error(lo) (or lo == 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -333,19 +346,21 @@ def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold, Nt_cap=409
     return (hi, *runs[hi])
 
 
-def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
-                           reference_factor: int = 4,
-                           reference_Nt: int = 32) -> list[dict]:
+def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dict]:
     """Graded-mesh study: per N, the step count needed to reach the
     semi-discrete error proxy, plus the uniform scheme's error at a large
     fixed step count (default 1e5).  Each mesh takes L and delta from the
     spec as the tables do.  The uniform runs of every (N, m) step last, as
-    one batch (``run_batch``)."""
+    one batch (``run_batch``).  A graded N < 2 or a bad ``alpha`` is refused first."""
     Ns = spec.Ns
+    if Ns[0] < 2:
+        raise ValueError(f"N must be >= 2, got {Ns[0]}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     # fine-mesh solution used as the stand-in for the continuum limit
-    N_fine = max(Ns) * reference_factor
+    N_fine = max(Ns) * _REFERENCE_FACTOR
     fop, fL, fdelta, ff = _graded_setup(spec, N_fine)
-    u_fine = _grm_at(fop, ff, alpha, 2, fdelta, fL, reference_Nt)
+    u_fine = _grm_at(fop, ff, alpha, 2, fdelta, fL, _REFERENCE_NT)
     xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
     fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
 
@@ -354,7 +369,7 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5,
     for N in Ns:
         op, L, delta, f = _graded_setup(spec, N)
         nx = len(op.nodes) - 1
-        u_ref = _grm_at(op, f, alpha, 2, delta, L, reference_Nt)
+        u_ref = _grm_at(op, f, alpha, 2, delta, L, _REFERENCE_NT)
         fine_here = GridFunction(np.interp(op.dof_coords, xp, fp), op)
         threshold = m_norm(op, GridFunction(fine_here.coeffs - u_ref.coeffs, op))
         row = {

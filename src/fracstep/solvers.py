@@ -31,7 +31,7 @@ floats).  Each row of a result has the bits a one-row block would give it.
   mode coefficients of each row, P^T U P along both axes in the folded
   mode order, and their squared Euclidean norm, which is the squared
   M-norm (Parseval), so no step makes a sparse product.  The weighted sum
-  is diagonal in the modes, so ``combine`` costs one modal multiplier on
+  is diagonal in the modes, so ``step`` costs one modal multiplier on
   ``lambda_grid``, shared by the rows, and one synthesis back to the folded
   grid (``solve``) for any number of shifts.
 * ``PreconditionedCG``: tensor 2D systems by conjugate gradients, the
@@ -49,8 +49,9 @@ floats).  Each row of a result has the bits a one-row block would give it.
   one row at a time (a sparse product with the whole block is slower than
   c vector products) and u . M u per row.
 
-The tensor backends step one run (``combine`` of the poles' terms, then
-s u).  A backend is built for one run or batch and holds its CG counts.
+Every ``step`` first sums the poles' terms w_i z_i, then adds s u.  The
+tensor backends step one run.  A backend is built for one run or batch and
+holds its CG counts.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ CG_MAXITER = 20_000  # the iteration budget of every CG solve
 
 
 class _Pencil:
-    """A one-run pencil: ``step`` as the subclass's ``combine`` plus s u."""
+    """The identity ``fold``/``unfold`` and no CG iterations, unless overridden."""
 
     def fold(self, U):
         """The block in the coordinates the backend steps in: U itself here."""
@@ -86,13 +87,6 @@ class _Pencil:
     def unfold(self, U):
         """Inverse of :meth:`fold`."""
         return U
-
-    def step(self, terms, U, rhs):
-        """u_next of the one run's ``terms`` (floats), rhs = ``load(U)[0]``."""
-        *poles, scale = terms
-        out = self.combine(list(zip(poles[0::3], poles[1::3])), poles[2::3], rhs)
-        out += scale * U
-        return out
 
     def iterations(self, column: int) -> tuple[int, int]:
         """(total, worst single solve) CG iterations of one row; 0 when direct."""
@@ -180,9 +174,14 @@ class TensorDiagSolver(_Pencil):
         C = self.decomp.folded_coefficients(U)
         return C, [float(c.dot(c)) for c in C]
 
-    def combine(self, shifts, coeffs, rhs):
+    def step(self, terms, U, rhs):
+        """u_next of the one run's ``terms`` (floats), rhs = ``load(U)[0]``:
+        one ``solve`` with the weighted sum of the poles' modal inverses."""
         lam = self.decomp.lambda_grid
-        return self.solve(sum(c / (a * lam + b) for (a, b), c in zip(shifts, coeffs)), rhs)
+        poles = zip(terms[0::3], terms[1::3], terms[2::3])  # the m poles, not s
+        out = self.solve(sum(c / (a * lam + b) for a, b, c in poles), rhs)
+        out += terms[-1] * U
+        return out
 
     def solve(self, modal: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """modes (modal * coeffs) along both axes, row by row, folded:
@@ -293,15 +292,16 @@ class PreconditionedCG(_Pencil):
         MU = np.stack([self.M @ u for u in U])
         return MU, [float(u.dot(Mu)) for u, Mu in zip(U, MU)]
 
-    def combine(self, shifts, coeffs, rhs):
-        """sum_i coeffs[i] (a_i K2 + b_i M2)^{-1} rhs, (a_i, b_i) = shifts[i]."""
+    def step(self, terms, U, rhs):
+        """u_next of the one run's ``terms`` (floats), rhs = ``load(U)[0]``:
+        one ``solve`` per pole."""
         # in place, with no temporary per term and no sum from 0
-        out = self.solve(*shifts[0], rhs)
-        out *= coeffs[0]
-        for (a, b), c in zip(shifts[1:], coeffs[1:]):
-            term = self.solve(a, b, rhs)
-            term *= c
-            out += term
+        out = None
+        for a, b, c in zip(terms[0::3], terms[1::3], terms[2::3]):  # the m poles, not s
+            z = self.solve(a, b, rhs)
+            z *= c
+            out = z if out is None else np.add(out, z, out=out)
+        out += terms[-1] * U
         return out
 
     def precondition(self, modal: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -22,20 +22,24 @@ n x n grid V of v with the projector P = M1 modes (Lynch, Rice & Thomas
 1964), and the M-norm of v is their Euclidean norm (Parseval).
 
 Sine mode j is symmetric about the midpoint of the grid for odd j and
-antisymmetric for even j.  Parity-folding an axis (``fold``: the sums of
+antisymmetric for even j.  Parity-folding an axis (``_fold``: the sums of
 mirrored nodes, then their differences; the first butterfly of the DST,
 Van Loan 1992) therefore splits every 2D transform into two half-size
 products per side, odd modes on the sum parts and even modes on the
-difference parts: half the flops of the dense n x n GEMMs, still GEMMs.  2D
-coefficients come in that folded mode order (odd j, then even j, along each
-axis; see ``lambda_grid``).  The direct tensor step keeps its iterate
-folded for a whole run (``solvers.TensorDiagSolver``), and ``coefficients``
-and ``synthesize`` fold and unfold around the same transforms.  With these
-contiguous half-size factors the 2D bits of a table do not depend on the
-BLAS thread count on every grid tried from 99 to 229 dofs per axis but 199
-(measured, OpenBLAS; see README).  The arrays of the tensor decomposition,
-its half-size factors included, are built on its operator's first call and
-kept while the operator lives; none is n x n.  Only a 1D basis has dense
+difference parts: half the flops of the dense n x n GEMMs, still GEMMs.
+``fold`` is that 1D fold along the first grid axis and then the second;
+``unfold`` undoes it in the same order (``_unfold``, which halves each
+paired sum and difference).  2D coefficients come in the folded mode order
+(odd j, then even j, along each axis; see ``lambda_grid``).  The direct
+tensor step keeps its iterate folded for a whole run
+(``solvers.TensorDiagSolver``), and ``coefficients`` and ``synthesize``
+fold and unfold around the same transforms.  With these contiguous
+half-size factors the 2D bits of a table do not depend on the BLAS thread
+count on every grid tried from 99 to 229 dofs per axis but 199 (measured,
+OpenBLAS; see README).  The arrays of the tensor decomposition are built
+on its operator's first call and kept while the operator lives: about
+3 n^2 doubles, n^2 in ``lambda_grid`` and n^2 in each of the analysis and
+synthesis half blocks, with no dense n x n factor.  Only a 1D basis has dense
 ``modes``, built on first read up to ``DENSE_EIG_CAP`` dofs (for the tests,
 and for CG on a tensor factor).
 """
@@ -135,18 +139,12 @@ def _parity_order(n: int) -> np.ndarray:
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending in ``lambdas``) and M-orthonormal sine modes of
-    a uniform 1D mesh, ``scale[j] sin(i theta_j)``: the 1D factor of ``op``,
-    or ``op`` itself in 1D.  Mode coefficients come in the order of
-    ``lambda_grid``."""
+    a uniform 1D mesh: the 1D factor of ``op``, or ``op`` itself in 1D.
+    Mode coefficients come in the order of ``lambda_grid``.  Every array is
+    read-only, since tensor decompositions are cached and shared."""
 
     op: DiscreteOperator
     lambdas_1d: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        # tensor decompositions are cached and shared, so nothing may write them
-        for arr in (self.lambdas_1d, self.scale):
-            _read_only(arr)
 
     @functools.cached_property
     def lambdas(self) -> np.ndarray:
@@ -163,9 +161,13 @@ class SpectralDecomposition:
         return self.synthesize(unit)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
 class SineBasis(SpectralDecomposition):
     """The basis of a uniform 1D operator, applied by the DST-I
-    ``sine_transform``: it holds two length-n vectors, and ``modes`` once read."""
+    ``sine_transform``: the modes are ``scale[j] sin(i theta_j)``, so it
+    holds two length-n vectors, and ``modes`` once read."""
+
+    scale: np.ndarray
 
     @functools.cached_property
     def modes(self) -> np.ndarray:
@@ -198,8 +200,9 @@ class FoldedSineBasis(SpectralDecomposition):
 
     Its modes are taken in the folded order (odd j, then even j) along each
     axis of ``lambda_grid``, the eigenvalue of every mode coefficient.
-    ``fold`` and ``unfold`` (weighted by ``_unfold_weights``) move a grid to
-    and from parity-folded coordinates, where ``folded_coefficients`` and
+    ``fold`` and ``unfold`` move a grid to and from parity-folded
+    coordinates, one 1D fold (``_fold``, ``_unfold``) along the first grid
+    axis and then along the second.  There ``folded_coefficients`` and
     ``folded_synthesize`` multiply by the four half blocks of the modes and
     of the projector (``_blocks``, see ``_folded_blocks``): two half-size
     GEMMs per side, with no n x n operand.  ``eig_2d_tensor`` builds them.
@@ -207,7 +210,6 @@ class FoldedSineBasis(SpectralDecomposition):
 
     lambda_grid: np.ndarray
     _blocks: tuple
-    _unfold_weights: np.ndarray
 
     def _folded(self, blocks, v: np.ndarray) -> np.ndarray:
         """diag(L_s, L_a) X diag(R_s, R_a) on the n x n grid X of each
@@ -227,24 +229,14 @@ class FoldedSineBasis(SpectralDecomposition):
 
     def fold(self, v: np.ndarray) -> np.ndarray:
         """Each row of v (a (c, N) block or one vector) parity-folded along
-        both axes of its n x n grid (see ``_fold_rows``)."""
-        return self._both_axes(_fold_rows, v)
+        the first axis of its n x n grid, then along the second (``_fold``)."""
+        n = len(self.lambdas_1d)
+        return _fold(_fold(v.reshape(-1, n, n).swapaxes(1, 2)).swapaxes(1, 2)).reshape(v.shape)
 
     def unfold(self, v: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`fold`: ``_unfold_rows`` along both axes, which
-        doubles a node once per axis on which it has a mirror, then one
-        product with the weights that undo that."""
-        out = self._both_axes(_unfold_rows, v)
-        out *= self._unfold_weights
-        return out
-
-    def _both_axes(self, along_rows, v: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`fold`, ``_unfold`` in the same axis order."""
         n = len(self.lambdas_1d)
-        x = v.reshape(-1, n, n)
-        rows, out = np.empty_like(x), np.empty_like(x)
-        along_rows(x, rows)
-        along_rows(rows.swapaxes(1, 2), out.swapaxes(1, 2))
-        return out.reshape(v.shape)
+        return _unfold(_unfold(v.reshape(-1, n, n).swapaxes(1, 2)).swapaxes(1, 2)).reshape(v.shape)
 
     def folded_coefficients(self, v: np.ndarray) -> np.ndarray:
         """:meth:`coefficients` of the rows that ``fold`` gives: P^T V P in
@@ -265,35 +257,32 @@ class FoldedSineBasis(SpectralDecomposition):
         return self.unfold(self.folded_synthesize(coeffs))
 
 
-def _fold_rows(x: np.ndarray, out: np.ndarray) -> None:
-    """x parity-folded along axis 1 (length n) into out, with h = n // 2:
-    the sum part x_i + x_{n-1-i} for i < h, the middle node x_h of an odd
-    n, then the difference part x_i - x_{n-1-i}, as one length-n axis."""
-    n = x.shape[1]
+def _fold(x: np.ndarray) -> np.ndarray:
+    """x parity-folded along its last axis (length n, h = n // 2): the sum
+    part x_i + x_{n-1-i} for i < h, the middle node x_h of an odd n, then
+    the difference part x_i - x_{n-1-i}."""
+    n = x.shape[-1]
     h = n // 2
-    first, mirror = x[:, :h], x[:, :n - h - 1:-1]  # x_i and x_{n-1-i}, i < h
-    np.add(first, mirror, out=out[:, :h])
-    np.subtract(first, mirror, out=out[:, n - h:])
-    out[:, h:n - h] = x[:, h:n - h]
+    first, mirror = x[..., :h], x[..., :n - h - 1:-1]  # x_i and x_{n-1-i}, i < h
+    return np.concatenate([first + mirror, x[..., h:n - h], first - mirror], axis=-1)
 
 
-def _unfold_rows(y: np.ndarray, out: np.ndarray) -> None:
-    """``_fold_rows`` undone up to a factor 2 on the paired nodes: sum +
-    difference and sum - difference back at the node and its mirror, the
-    middle node as it is."""
-    n = y.shape[1]
+def _unfold(y: np.ndarray) -> np.ndarray:
+    """Inverse of ``_fold``: half the sum plus and minus half the difference
+    back at the node and its mirror, the middle node as it is.  A halving
+    is exact, so this has the bits of halving after the sum."""
+    n = y.shape[-1]
     h = n // 2
-    sums, diffs = y[:, :h], y[:, n - h:]
-    np.add(sums, diffs, out=out[:, :h])
-    np.subtract(sums, diffs, out=out[:, :n - h - 1:-1])
-    out[:, h:n - h] = y[:, h:n - h]
+    sums, diffs = 0.5 * y[..., :h], 0.5 * y[..., n - h:]
+    return np.concatenate([sums + diffs, y[..., h:n - h], (sums - diffs)[..., ::-1]], axis=-1)
 
 
 def _sine_pairs(op: DiscreteOperator, refusal: str) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_j, scale_j) of the sine modes of the 1D pair (K, M), which must
-    be the P1 matrices of a uniform mesh: bands 2/h, -1/h, 2h/3 and h/6 to a
-    relative 4 (n+1) eps (assembling on ``np.linspace`` nodes leaves them
-    about (n+1) eps / 2 off).  Any other pair is refused with ``refusal``."""
+    """(lambda_j, scale_j) of the sine modes of the 1D pair (K, M), read-only,
+    which must be the P1 matrices of a uniform mesh: bands 2/h, -1/h, 2h/3
+    and h/6 to a relative 4 (n+1) eps (assembling on ``np.linspace`` nodes
+    leaves them about (n+1) eps / 2 off).  Any other pair is refused with
+    ``refusal``."""
     n = op.n_dofs
     h = (op.nodes[-1] - op.nodes[0]) / (n + 1)
     rtol = 4 * (n + 1) * np.finfo(np.float64).eps
@@ -306,7 +295,7 @@ def _sine_pairs(op: DiscreteOperator, refusal: str) -> tuple[np.ndarray, np.ndar
     lam = (12.0 / h**2) * np.sin(theta / 2) ** 2 / (2.0 + np.cos(theta))
     mu = (h / 3.0) * (2.0 + np.cos(theta))
     # sum_i sin^2(i theta_j) = (n+1)/2, so this makes psi_j^T M psi_j = 1
-    return lam, np.sqrt(2.0 / ((n + 1) * mu))
+    return _read_only(lam), _read_only(np.sqrt(2.0 / ((n + 1) * mu)))
 
 
 def eig_1d(op: DiscreteOperator) -> SineBasis:
@@ -358,13 +347,8 @@ def _folded_arrays(op: DiscreteOperator) -> tuple:
     ``op``.  The fold needs the parity of the sine modes, so a factor that
     is not a uniform mesh is refused."""
     lam, scale = _sine_pairs(op.factor, "eig_2d_tensor needs a uniform 1D factor (sine modes)")
-    n = len(lam)
-    folded = lam[_parity_order(n)]
-    # unfold's weights w_i w_j: w_i = 1 at the middle node of an odd n, else 1/2
-    w = np.full(n, 0.5)
-    w[n // 2:n - n // 2] = 1.0
-    return (lam, scale, _read_only((folded[:, None] + folded[None, :]).ravel()),
-            _folded_blocks(scale), _read_only(np.outer(w, w).ravel()))
+    folded = lam[_parity_order(len(lam))]
+    return lam, _read_only((folded[:, None] + folded[None, :]).ravel()), _folded_blocks(scale)
 
 
 def eig_2d_tensor(op: DiscreteOperator) -> FoldedSineBasis:

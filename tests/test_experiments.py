@@ -115,6 +115,41 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{name} is empty"):
             ExperimentSpec(**{name: ()})
 
+    @staticmethod
+    def _refuse_assembly(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an operator was assembled before the settings were checked")
+
+        for name in ("assemble_1d", "assemble_2d_tensor"):
+            monkeypatch.setattr(experiments, name, refuse)
+
+    @pytest.mark.parametrize("study", (run_table, run_spatial_refinement))
+    @pytest.mark.parametrize("setting,message", (
+        ({"delta": float("nan")}, "^delta must be positive and finite, got nan$"),
+        ({"delta": 0.0}, "^delta must be positive and finite, got 0.0$"),
+        ({"delta": -1.0}, "^delta must be positive and finite, got -1.0$"),
+        ({"Ns": (0, 8)}, "^N must be >= 1, got 0$"),
+        ({"ms": (0, 2)}, r"^order m must be an integer in \[1, 8\], got 0$"),
+        ({"ms": (2, 9)}, r"^order m must be an integer in \[1, 8\], got 9$"),
+        ({"um_steps": 0}, "^um_steps: N must be >= 1, got 0$")),
+        ids=("delta-nan", "delta-0", "delta-negative", "N-0", "m-0", "m-9", "um_steps-0"))
+    def test_stepping_setting_refused_before_assembly(self, monkeypatch, study, setting,
+                                                     message):
+        # these were refused only once a run was set up, after the operator
+        # (and for the spatial study the fine-mesh reference run); a NaN
+        # delta was reported as not below the spectrum
+        self._refuse_assembly(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            study(ExperimentSpec(**setting))
+
+    @pytest.mark.parametrize("Ns,alpha,message", (
+        ((1, 4), 0.5, "^N must be >= 2, got 1$"),
+        ((4,), 1.5, r"^alpha must lie in \(0, 1\), got 1.5$")), ids=("N-1", "alpha-1.5"))
+    def test_spatial_setting_refused_before_assembly(self, monkeypatch, Ns, alpha, message):
+        self._refuse_assembly(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            run_spatial_refinement(ExperimentSpec(Ns=Ns), alpha=alpha)
+
 
 class TestCsv:
     def test_header_and_determinism(self):
@@ -345,8 +380,9 @@ class TestTable2D:
                                   ms=(1, 2), Ns=(1, 2), h=0.05)
             assert len(run_table(spec)) == 16
         elif study == "spatial":
+            monkeypatch.setattr(experiments, "_REFERENCE_FACTOR", 2)
             spec = ExperimentSpec(dimension=1, ms=(1,), Ns=(2,), um_steps=10)
-            assert len(run_spatial_refinement(spec, alpha=0.5, reference_factor=2)) == 1
+            assert len(run_spatial_refinement(spec, alpha=0.5)) == 1
         else:
             spec = ExperimentSpec(dimension=2, data_cases=("e", "f"), alphas=(0.5,), ms=(1,),
                                   Ns=(1, 2), n_per_side=10, L_policy="fixed", L_fixed=4)
@@ -395,7 +431,7 @@ class TestSpatialRefinement:
     def test_single_level(self):
         spec = ExperimentSpec(dimension=1, data_cases=("d",), ms=(1, 2),
                               Ns=(4,), um_steps=2000)
-        rows = run_spatial_refinement(spec, alpha=0.5, reference_factor=4)
+        rows = run_spatial_refinement(spec, alpha=0.5)
         row = rows[0]
         assert row["nx"] == 72
         assert row["NS_m2"] <= row["NS_m1"]
@@ -404,24 +440,27 @@ class TestSpatialRefinement:
         assert row["threshold_kind"] == "proxy_fine_mesh"
 
 
-    def test_explicit_delta_and_L_are_used(self):
+    def test_explicit_delta_and_L_are_used(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_REFERENCE_FACTOR", 2)
         spec = ExperimentSpec(dimension=1, ms=(2,), Ns=(4,), um_steps=200, delta=1.0,
                               L_policy="fixed", L_fixed=3)
-        rows = run_spatial_refinement(spec, alpha=0.5, reference_factor=2)
+        rows = run_spatial_refinement(spec, alpha=0.5)
         assert (rows[0]["delta"], rows[0]["L"]) == (1.0, 3)
         assert rows[0]["E_GRM_m2"] <= rows[0]["e_semi_proxy"]
 
-    def test_unreachable_threshold_raises(self):
+    def test_unreachable_threshold_raises(self, monkeypatch):
         from fracstep.experiments import _graded_setup, _smallest_passing_Nt
 
+        monkeypatch.setattr(experiments, "_NT_CAP", 1)
         op, L, delta, f = _graded_setup(ExperimentSpec(), 4)
         with pytest.raises(RuntimeError, match="no Nt <= 1"):
-            _smallest_passing_Nt(op, f, 0.5, 1, delta, L, f, 0.0, Nt_cap=1)
+            _smallest_passing_Nt(op, f, 0.5, 1, delta, L, f, 0.0)
 
-    def test_delta_at_the_spectrum_rejected(self):
+    def test_delta_at_the_spectrum_rejected(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_REFERENCE_FACTOR", 2)
         spec = ExperimentSpec(dimension=1, ms=(2,), Ns=(4,), um_steps=200, delta=500.0)
         with pytest.raises(ValueError, match="not below lambda_min_est"):
-            run_spatial_refinement(spec, alpha=0.5, reference_factor=2)
+            run_spatial_refinement(spec, alpha=0.5)
 
     def test_uniform_runs_step_as_one_batch(self, monkeypatch):
         # every (N, m) uniform run goes into one run_batch call, and the rows
@@ -466,11 +505,12 @@ class TestSeed:
             dimension=2, data_cases=("e",), alphas=(0.5,), ms=(2,), Ns=(1, 2), n_per_side=12,
             seed=seed)),
         "spatial": lambda seed: run_spatial_refinement(ExperimentSpec(
-            ms=(2,), Ns=(4,), um_steps=200, seed=seed), alpha=0.5, reference_factor=2),
+            ms=(2,), Ns=(4,), um_steps=200, seed=seed), alpha=0.5),
     }
 
     @pytest.mark.parametrize("study", STUDIES)
-    def test_rows_do_not_depend_on_the_seed(self, study):
+    def test_rows_do_not_depend_on_the_seed(self, monkeypatch, study):
+        monkeypatch.setattr(experiments, "_REFERENCE_FACTOR", 2)  # a smaller spatial study
         rows_0, rows_1 = (self.STUDIES[study](seed) for seed in (0, 1))
         assert [row["seed"] for row in rows_0 + rows_1] == [0] * len(rows_0) + [1] * len(rows_1)
         assert _rows_without_seed(rows_0) == _rows_without_seed(rows_1)

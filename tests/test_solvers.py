@@ -105,19 +105,20 @@ class TestSolveSpd:
 
 class TestTensorDiagSolver:
     def test_matches_sparse_solve(self):
-        # solve and combine take the mode coefficients of u, loaded from the
-        # folded u, and give (a K2 + b M2)^{-1} M2 u folded
+        # solve and step take the mode coefficients of u, loaded from the
+        # folded u, and give (a K2 + b M2)^{-1} M2 u folded (step adds s u)
         op = assemble_2d_tensor(9)
         solver = TensorDiagSolver(op)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(op.n_dofs)
-        coeffs = solver.load(solver.fold(u[None]))[0]
+        folded = solver.fold(u[None])
+        coeffs = solver.load(folded)[0]
         K, M = sparse_pair(op)
         for a, b in ((1.0, 1.0), (0.25, 3.5), (0.0, 1.0)):
             A = (a * K + b * M).tocsc()
             want = spla.spsolve(A, M @ u)
-            got = solver.unfold(solver.combine([(a, b)], [1.0], coeffs))
-            np.testing.assert_allclose(got[0], want, rtol=1e-9, atol=1e-12)
+            got = solver.unfold(solver.step([a, b, 1.0, 0.5], folded, coeffs))
+            np.testing.assert_allclose(got[0], want + 0.5 * u, rtol=1e-9, atol=1e-12)
             modal = 1.0 / (a * solver.decomp.lambda_grid + b)
             np.testing.assert_allclose(solver.unfold(solver.solve(modal, coeffs))[0], want,
                                        rtol=1e-9, atol=1e-12)
@@ -127,9 +128,10 @@ class TestTensorDiagSolver:
         op = assemble_2d_tensor(10)
         solver = TensorDiagSolver(op)
         U = np.random.default_rng(10).standard_normal((2, op.n_dofs))
-        rhs, sq_norms = solver.load(solver.fold(U))
+        folded = solver.fold(U)
+        rhs, sq_norms = solver.load(folded)
         a, b = 0.25, 3.5
-        got = solver.unfold(solver.combine([(a, b), (1.0, 2.0)], [1.0, -0.5], rhs))
+        got = solver.unfold(solver.step([a, b, 1.0, 1.0, 2.0, -0.5, 0.0], folded, rhs))
         K, M = sparse_pair(op)
         for u, sq, row in zip(U, sq_norms, got):
             Mu = M @ u
@@ -148,7 +150,7 @@ class TestTensorDiagSolver:
         op = assemble_2d_tensor(7)
         first, second = TensorDiagSolver(op).decomp, TensorDiagSolver(op).decomp
         assert first.op is second.op is op
-        for name in ("lambdas_1d", "scale", "lambda_grid", "_blocks", "_unfold_weights"):
+        for name in ("lambdas_1d", "lambda_grid", "_blocks"):
             assert getattr(first, name) is getattr(second, name)
 
 
@@ -166,8 +168,9 @@ class TestWarmStartCG:
         for a, b in ((1.0, 2.0), (1.05, 2.0), (1.1, 2.1)):
             # both give (a K2 + b M2)^{-1} M2 u from what their own load gives
             got = cg.solve(a, b, cg.load(u[None])[0])[0]
-            rhs = direct.load(direct.fold(u[None]))[0]
-            want = direct.unfold(direct.combine([(a, b)], [1.0], rhs))[0]
+            folded = direct.fold(u[None])
+            rhs = direct.load(folded)[0]
+            want = direct.unfold(direct.step([a, b, 1.0, 0.0], folded, rhs))[0]
             scale = np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-8 * scale
 

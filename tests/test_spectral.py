@@ -214,20 +214,50 @@ class TestParityFold:
         v = np.random.default_rng(n_per_side).standard_normal((3, op.n_dofs))
         return op, eig_2d_tensor(op), v
 
-    @pytest.mark.parametrize("n_per_side", SIDES)
-    def test_fold_is_the_sum_and_difference_of_mirrored_nodes(self, n_per_side):
-        op, dec, v = self._setup(n_per_side)
-        n, h = n_per_side - 1, (n_per_side - 1) // 2
+    @staticmethod
+    def _fold_matrix(n):
+        """The 1D parity fold as an n x n matrix of 0 and +-1."""
+        h = n // 2
         F = np.zeros((n, n))
         for i in range(h):
             F[i, i] = F[i, n - 1 - i] = F[n - h + i, i] = 1.0
             F[n - h + i, n - 1 - i] = -1.0
         if n % 2:
             F[h, h] = 1.0
+        return F
+
+    @pytest.mark.parametrize("n_per_side", SIDES)
+    def test_fold_is_the_sum_and_difference_of_mirrored_nodes(self, n_per_side):
+        op, dec, v = self._setup(n_per_side)
+        F = self._fold_matrix(n := n_per_side - 1)
         for got, row in zip(dec.fold(v), v):
             assert np.array_equal(got, (F @ row.reshape(n, n) @ F.T).ravel())
         back = dec.unfold(dec.fold(v))
         assert np.abs(back - v).max() <= 4 * np.finfo(float).eps * np.abs(v).max()
+
+    @pytest.mark.parametrize("n_per_side", SIDES)
+    def test_unfold_has_the_bits_of_the_weighted_transpose(self, n_per_side):
+        # F^T V F doubles a node once per axis on which it has a mirror, and
+        # the weights w_i w_j (w = 1 at a middle node, else 1/2) undo that;
+        # unfold halves on each axis instead, which is exact
+        _, dec, v = self._setup(n_per_side)
+        n = n_per_side - 1
+        F = self._fold_matrix(n)
+        w = np.full(n, 0.5)
+        w[n // 2:n - n // 2] = 1.0
+        for got, row in zip(dec.unfold(v), v):
+            assert np.array_equal(got, (F.T @ row.reshape(n, n) @ F * np.outer(w, w)).ravel())
+
+    def test_cached_basis_holds_three_grids_of_doubles(self):
+        # lambda_grid and the analysis and synthesis half blocks, n^2
+        # doubles each, plus the n eigenvalues of the factor
+        op = assemble_2d_tensor(100)
+        n = op.factor.n_dofs
+
+        def nbytes(x):
+            return sum(map(nbytes, x)) if isinstance(x, tuple) else x.nbytes
+
+        assert nbytes(spectral._folded_arrays(op)) <= 3.05 * n**2 * 8
 
     @pytest.mark.parametrize("n_per_side", SIDES)
     def test_folded_coefficients_are_the_dense_ones_in_parity_order(self, n_per_side):
