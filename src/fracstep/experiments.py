@@ -30,7 +30,6 @@ import numpy as np
 
 from .fem import DATA_CASE_DIM, GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
 from .meshes import (
-    build_geometric_mesh,
     build_graded_spatial_mesh,
     build_uniform_mesh,
     experiment_refinement_level,
@@ -39,7 +38,7 @@ from .meshes import (
 from .pade import MAX_ORDER, pade_coefficients
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import CG_RTOL, SOLVERS
-from .spectral import (DENSE_EIG_CAP, SpectralBounds, eig_1d, eig_2d_tensor,
+from .spectral import (DENSE_EIG_CAP, eig_1d, eig_2d_tensor,
                        estimate_spectral_bounds, reference_power)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
 # the runs by wrapping these two names, so it does not see the uniform runs
@@ -51,11 +50,16 @@ log = logging.getLogger("fracstep")
 log.addHandler(logging.NullHandler())  # silent unless the caller configures logging
 
 
-def _require_nonempty(**lists) -> None:
-    """Refuse an empty list of cases, exponents, orders or step counts."""
+def _require_lists(**lists) -> None:
+    """Refuse a list of cases, exponents, orders or step counts that is
+    empty or repeats an entry, and step counts ``Ns`` that do not increase."""
     for name, values in lists.items():
         if not len(values):
             raise ValueError(f"{name} is empty")
+        if name == "Ns" and list(values) != sorted(set(values)):
+            raise ValueError("Ns must be strictly increasing")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} has a repeated entry: {tuple(values)}")
 
 
 @dataclass(frozen=True)
@@ -102,21 +106,22 @@ class ExperimentSpec:
         if self.dimension == 1 and not (0 < self.h and 1.5 <= 1 / self.h < math.inf):
             raise ValueError(f"h = {self.h} must give a finite count of at least 2 cells "
                              "(0 < h <= 2/3)")
-        # the cap and the data cases are refused before anything is assembled
+        # the grid size and the data cases are refused before anything is assembled
         if self.dimension == 2 and self.cells - 1 > DENSE_EIG_CAP:
             raise ValueError(f"{self.cells - 1} dofs per axis, over the cap {DENSE_EIG_CAP}")
+        if self.dimension == 2 and self.n_per_side < 3:
+            raise ValueError(f"n_per_side = {self.n_per_side} must be >= 3 "
+                             "(at least two interior nodes per axis)")
         for tag in self.data_cases:
             if tag not in DATA_CASE_DIM:
                 raise ValueError(f"unknown data case {tag!r}")
             if DATA_CASE_DIM[tag] != self.dimension:
                 raise ValueError(f"data case {tag!r} is {DATA_CASE_DIM[tag]}D, "
                                  f"the table is {self.dimension}D")
-        _require_nonempty(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
-                          Ns=self.Ns)
+        _require_lists(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
+                       Ns=self.Ns)
         if self.scheme not in ("grm", "um", "both"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if list(self.Ns) != sorted(set(self.Ns)):
-            raise ValueError("Ns must be strictly increasing")
         # refused with the messages of meshes, pade and stepping, before assembly
         if self.Ns[0] < 1:
             raise ValueError(f"N must be >= 1, got {self.Ns[0]}")
@@ -164,27 +169,30 @@ def convergence_order(e_n: float, e_2n: float) -> float:
     return math.log(e_n / e_2n) / math.log(2.0)
 
 
-def _resolve_L(spec: ExperimentSpec, bounds: SpectralBounds, h_min: float) -> int:
+def _depth_and_shift(spec: ExperimentSpec, op, h_min: float) -> tuple[int, float]:
+    """Depth L (by ``spec.L_policy``; ``h_min`` is the smallest cell) and shift
+    delta of the runs on ``op``, from one estimate of its spectral bracket.
+    delta is ``spec.delta`` if given, else ``delta_fraction * lambda_min_est``;
+    a given one must lie below ``lambda_min_est``, or the steps stop contracting."""
+    bounds = estimate_spectral_bounds(op)
     if spec.L_policy == "fixed":
-        return int(spec.L_fixed)
-    if spec.L_policy == "experiment":
-        return experiment_refinement_level(h_min)
-    return refinement_level_for(bounds.lambda_max_est)
-
-
-def _resolve_delta(spec: ExperimentSpec, bounds: SpectralBounds) -> float:
-    """``spec.delta`` if given, else ``delta_fraction * lambda_min_est``.
-
-    A given shift must lie below ``lambda_min_est``: at or above the
-    spectrum the steps stop being contractive.
-    """
+        L = int(spec.L_fixed)
+    elif spec.L_policy == "experiment":
+        L = experiment_refinement_level(h_min)
+    else:
+        L = refinement_level_for(bounds.lambda_max_est)
     if spec.delta is None:
-        return spec.delta_fraction * bounds.lambda_min_est
+        return L, spec.delta_fraction * bounds.lambda_min_est
     delta = float(spec.delta)
     if not delta < bounds.lambda_min_est:
         raise ValueError(f"delta {delta} not below lambda_min_est "
                          f"{bounds.lambda_min_est:.6g} of the operator")
-    return delta
+    return L, delta
+
+
+def _m_distance(u: GridFunction, v: GridFunction) -> float:
+    """The M-norm of u - v, two grid functions on one operator."""
+    return m_norm(u.op, GridFunction(u.coeffs - v.coeffs, u.op))
 
 
 def _provenance(spec: ExperimentSpec, delta: float) -> dict:
@@ -237,9 +245,7 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
         op = assemble_2d_tensor(spec.cells)
     fs = [l2_project(op, tag) for tag in spec.data_cases]
     marks.append(time.perf_counter())
-    bounds = estimate_spectral_bounds(op)
-    L = _resolve_L(spec, bounds, 1.0 / spec.cells)
-    delta = _resolve_delta(spec, bounds)
+    L, delta = _depth_and_shift(spec, op, 1.0 / spec.cells)
     marks.append(time.perf_counter())
     decomp = eig_2d_tensor(op) if op.dim == 2 else eig_1d(op)
     marks.append(time.perf_counter())
@@ -261,17 +267,13 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
                 errors = {}  # (case position, N) -> relative error
                 for N in spec.Ns:
                     if scheme == "grm":
-                        mesh = build_geometric_mesh(None, N, L_override=L)
-                        runner = run_grm
+                        cfg = StepperConfig.grm(alpha, delta, m, None, N, L, spec.solver)
+                        outs, stats = run_grm(fs, op, cfg, return_stats=True)
                     else:
-                        mesh = build_uniform_mesh((L + 1) * N)
-                        runner = run_um
-                    cfg = StepperConfig(alpha=alpha, m=m, delta=delta,
-                                        mesh=mesh, solver=spec.solver)
-                    outs, stats = runner(fs, op, cfg, return_stats=True)
+                        cfg = StepperConfig.um(alpha, delta, m, (L + 1) * N, spec.solver)
+                        outs, stats = run_um(fs, op, cfg, return_stats=True)
                     for i, (out, ref, ref_norm, st) in enumerate(zip(outs, refs, ref_norms, stats)):
-                        diff = GridFunction(out.coeffs - ref.coeffs, op)
-                        err = errors[i, N] = m_norm(op, diff) / ref_norm
+                        err = errors[i, N] = _m_distance(out, ref) / ref_norm
                         prev = errors.get((i, N // 2))
                         rows.append((i, {
                             "dimension": spec.dimension,
@@ -307,15 +309,7 @@ def _graded_setup(spec: ExperimentSpec, N: int):
     L and delta are resolved from ``spec`` as in the tables."""
     nodes = build_graded_spatial_mesh(N)
     op = assemble_1d(nodes)
-    bounds = estimate_spectral_bounds(op)
-    L = _resolve_L(spec, bounds, nodes[1] - nodes[0])
-    return op, L, _resolve_delta(spec, bounds), l2_project(op, "d")
-
-
-def _grm_at(op, f, alpha, m, delta, L, Nt, return_stats=False):
-    mesh = build_geometric_mesh(None, Nt, L_override=L)
-    cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=mesh)
-    return run_grm(f, op, cfg, return_stats=return_stats)
+    return op, *_depth_and_shift(spec, op, nodes[1] - nodes[0]), l2_project(op, "d")
 
 
 def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold):
@@ -327,8 +321,9 @@ def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold):
 
     def error_at(Nt):
         if Nt not in runs:
-            out, stats = _grm_at(op, f, alpha, m, delta, L, Nt, return_stats=True)
-            runs[Nt] = (m_norm(op, GridFunction(out.coeffs - u_ref.coeffs, op)), stats)
+            cfg = StepperConfig.grm(alpha, delta, m, None, Nt, L)
+            out, stats = run_grm(f, op, cfg, return_stats=True)
+            runs[Nt] = (_m_distance(out, u_ref), stats)
         return runs[Nt][0]
 
     lo, hi = 0, 1
@@ -351,8 +346,11 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
     semi-discrete error proxy, plus the uniform scheme's error at a large
     fixed step count (default 1e5).  Each mesh takes L and delta from the
     spec as the tables do.  The uniform runs of every (N, m) step last, as
-    one batch (``run_batch``).  A graded N < 2 or a bad ``alpha`` is refused first."""
+    one batch (``run_batch``).  A 2D spec, a graded N < 2 or a bad ``alpha``
+    is refused first."""
     Ns = spec.Ns
+    if spec.dimension != 1:
+        raise ValueError("the spatial study runs on graded 1D meshes, not a 2D grid")
     if Ns[0] < 2:
         raise ValueError(f"N must be >= 2, got {Ns[0]}")
     if not 0 < alpha < 1:
@@ -360,7 +358,7 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
     # fine-mesh solution used as the stand-in for the continuum limit
     N_fine = max(Ns) * _REFERENCE_FACTOR
     fop, fL, fdelta, ff = _graded_setup(spec, N_fine)
-    u_fine = _grm_at(fop, ff, alpha, 2, fdelta, fL, _REFERENCE_NT)
+    u_fine = run_grm(ff, fop, StepperConfig.grm(alpha, fdelta, 2, None, _REFERENCE_NT, fL))
     xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
     fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
 
@@ -369,9 +367,8 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
     for N in Ns:
         op, L, delta, f = _graded_setup(spec, N)
         nx = len(op.nodes) - 1
-        u_ref = _grm_at(op, f, alpha, 2, delta, L, _REFERENCE_NT)
-        fine_here = GridFunction(np.interp(op.dof_coords, xp, fp), op)
-        threshold = m_norm(op, GridFunction(fine_here.coeffs - u_ref.coeffs, op))
+        u_ref = run_grm(f, op, StepperConfig.grm(alpha, delta, 2, None, _REFERENCE_NT, L))
+        threshold = _m_distance(GridFunction(np.interp(op.dof_coords, xp, fp), op), u_ref)
         row = {
             "N": N, "nx": nx, "L": L,
             "e_semi_proxy": threshold,
@@ -391,7 +388,7 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
         rows.append(row)
     for (row, u_ref, m), (u_um, stats) in zip(um_rows, run_batch(um_runs, return_stats=True)):
         row["max_step_growth"] = max(row["max_step_growth"], stats.max_growth)
-        row[f"E_UM_m{m}"] = m_norm(u_ref.op, GridFunction(u_um.coeffs - u_ref.coeffs, u_ref.op))
+        row[f"E_UM_m{m}"] = _m_distance(u_um, u_ref)
     return rows
 
 
@@ -401,7 +398,7 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
 
 def run_pade_info(ms=(1, 2), alphas=(0.1, 0.3, 0.5, 0.7, 0.9)) -> list[dict]:
     """Coefficients, poles and residues of each approximant, order by order."""
-    _require_nonempty(ms=ms, alphas=alphas)
+    _require_lists(ms=ms, alphas=alphas)
     rows = []
     for m in ms:
         for alpha in alphas:
@@ -423,7 +420,7 @@ def run_scalar_diagnostics(alphas=(0.1, 0.5, 0.9), ms=(1, 2), Ns=(8, 16, 32, 64)
     ``lambda_hi``, which is also the spectral top the GRM meshes take their
     depth L from.
     """
-    _require_nonempty(alphas=alphas, ms=ms, Ns=Ns)
+    _require_lists(alphas=alphas, ms=ms, Ns=Ns)
     # NaN fails every comparison, so it is refused too
     if not 0 < lambda_lo < lambda_hi < math.inf:
         raise ValueError(f"lambda_lo = {lambda_lo} and lambda_hi = {lambda_hi} must satisfy "

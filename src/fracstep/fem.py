@@ -118,7 +118,7 @@ def assemble_2d_tensor(n_per_side: int) -> DiscreteOperator:
     """Tensor-product bilinear elements on a uniform n x n grid of (0,1)^2:
     the 1D factor only (see ``DiscreteOperator``)."""
     if n_per_side < 3:
-        raise ValueError("need n_per_side >= 3 for at least one interior node per axis")
+        raise ValueError("need n_per_side >= 3 for at least two interior nodes per axis")
     f1 = assemble_1d(np.linspace(0.0, 1.0, n_per_side + 1))
     return DiscreteOperator(nodes=f1.nodes, factor=f1)
 

@@ -62,11 +62,11 @@ def scalar_error_sweep(lambda_grid, cfg: ScalarRunConfig) -> np.ndarray:
 
 
 def fit_loglog_slope(ns, errors) -> float:
-    """Least-squares slope of log2(error) against log2(n); needs >= 3 points."""
+    """Least-squares slope of log2(error) against log2(n); needs >= 3 distinct n."""
     ns = np.asarray(ns, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
-    if len(ns) < 3:
-        raise ValueError("slope fit needs at least 3 points")
+    if len(np.unique(ns)) < 3:
+        raise ValueError("slope fit needs at least 3 distinct n")
     if np.any(errors <= 0):
         raise ValueError("errors must be positive for a log-log fit")
     coeffs = np.polyfit(np.log2(ns), np.log2(errors), 1)

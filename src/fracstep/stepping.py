@@ -86,13 +86,12 @@ class StepperConfig:
         object.__setattr__(self, "rational", pade_coefficients(self.m, self.alpha))
 
     @classmethod
-    def grm(cls, alpha, delta, m, lambda_max, N, L_override=None):
-        mesh = build_geometric_mesh(lambda_max, N, L_override)
-        return cls(alpha=alpha, m=m, delta=delta, mesh=mesh)
+    def grm(cls, alpha, delta, m, lambda_max, N, L_override=None, solver="direct"):
+        return cls(alpha, m, delta, build_geometric_mesh(lambda_max, N, L_override), solver)
 
     @classmethod
-    def um(cls, alpha, delta, m, N):
-        return cls(alpha=alpha, m=m, delta=delta, mesh=build_uniform_mesh(N))
+    def um(cls, alpha, delta, m, N, solver="direct"):
+        return cls(alpha, m, delta, build_uniform_mesh(N), solver)
 
 
 @dataclass

@@ -56,6 +56,12 @@ class TestScalarSweep:
         assert (code, out) == (2, "")
         assert "alphas is empty" in capsys.readouterr().err
 
+    def test_repeated_step_counts_fail(self, capsys):
+        # they exited 0 with a slope fitted at one n
+        code, out = run_cli(["scalar-sweep", "--Ns", "8,8,8", "--points", "10"])
+        assert (code, out) == (2, "")
+        assert "Ns must be strictly increasing" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,message", [("--lambda-lo", "every lambda must be >= delta"),
                                               ("--delta", "delta must be positive")])
     def test_nan_setting_fails(self, flag, message, capsys):
@@ -160,7 +166,11 @@ class TestTable1D:
         (("table-1d", "--cases", "z"), "unknown data case 'z'"),
         (("table-2d", "--cases", "a"), "data case 'a' is 1D, the table is 2D"),
         (("table-1d", "--L-policy", "fixed", "--L", "0"), "L = 0 must be >= 1"),
-        (("table-1d", "--L-policy", "fixed", "--L", "-3"), "L = -3 must be >= 1")))
+        (("table-1d", "--L-policy", "fixed", "--L", "-3"), "L = -3 must be >= 1"),
+        (("table-1d", "--cases", "b,b"), "data_cases has a repeated entry: ('b', 'b')"),
+        (("table-1d", "--alphas", "0.5,0.5"), "alphas has a repeated entry"),
+        (("table-2d", "--ms", "2,2"), "ms has a repeated entry"),
+        (("table-2d", "--n-per-side", "2"), "n_per_side = 2 must be >= 3")))
     def test_bad_case_or_depth_fails_before_assembly(self, args, message, monkeypatch, capsys):
         def refuse(*a):
             raise AssertionError("operator assembled before the settings were checked")

@@ -9,6 +9,7 @@ import pytest
 
 from fracstep import experiments, solvers, spectral, stepping
 from fracstep.experiments import (
+    TABLE_2D,
     ExperimentSpec,
     convergence_order,
     run_pade_info,
@@ -115,6 +116,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{name} is empty"):
             ExperimentSpec(**{name: ()})
 
+    @pytest.mark.parametrize("name,values", (("data_cases", ("b", "a", "b")),
+                                             ("alphas", (0.5, 0.5)), ("ms", (1, 2, 1))))
+    def test_repeated_entry_refused(self, name, values):
+        # a repeated case, exponent or order wrote every one of its rows twice
+        with pytest.raises(ValueError, match=rf"^{name} has a repeated entry: "):
+            ExperimentSpec(**{name: values})
+
     @staticmethod
     def _refuse_assembly(monkeypatch):
         def refuse(*args, **kwargs):
@@ -149,6 +157,22 @@ class TestSpecValidation:
         self._refuse_assembly(monkeypatch)
         with pytest.raises(ValueError, match=message):
             run_spatial_refinement(ExperimentSpec(Ns=Ns), alpha=alpha)
+
+    def test_spatial_study_refuses_a_2d_spec(self, monkeypatch):
+        # it ran the 1D graded study with direct solves and reported "cg"
+        self._refuse_assembly(monkeypatch)
+        spec = ExperimentSpec(**{**TABLE_2D, "Ns": (2,), "ms": (1,), "um_steps": 10},
+                              solver="cg")
+        with pytest.raises(ValueError, match="^the spatial study runs on graded 1D meshes"):
+            run_spatial_refinement(spec)
+
+    @pytest.mark.parametrize("n_per_side", (2, 1, 0))
+    def test_tensor_grid_under_three_cells_refused_before_assembly(self, monkeypatch,
+                                                                   n_per_side):
+        self._refuse_assembly(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^n_per_side = {n_per_side} must be >= 3 "):
+            run_table(ExperimentSpec(dimension=2, data_cases=("e",), n_per_side=n_per_side))
+        assert ExperimentSpec(dimension=2, data_cases=("e",), n_per_side=3).cells == 3
 
 
 class TestCsv:
@@ -532,6 +556,17 @@ class TestScalarDiagnostics:
         with pytest.raises(ValueError, match=f"{empty} is empty"):
             run_scalar_diagnostics(**{empty: ()})
 
+    @pytest.mark.parametrize("Ns", ((8, 8, 8), (8, 16, 16, 32), (16, 8, 32)))
+    def test_Ns_must_increase(self, Ns):
+        # as in the tables; repeated Ns gave a slope from a rank-deficient fit
+        with pytest.raises(ValueError, match="^Ns must be strictly increasing$"):
+            run_scalar_diagnostics(Ns=Ns, points=10)
+
+    @pytest.mark.parametrize("name,values", (("alphas", (0.5, 0.5)), ("ms", (2, 2))))
+    def test_repeated_entry_rejected(self, name, values):
+        with pytest.raises(ValueError, match=f"^{name} has a repeated entry"):
+            run_scalar_diagnostics(**{name: values}, points=10)
+
 
 class TestPadeInfo:
     def test_one_row_per_order_and_exponent(self):
@@ -543,3 +578,8 @@ class TestPadeInfo:
     def test_empty_list_rejected(self, empty):
         with pytest.raises(ValueError, match=f"{empty} is empty"):
             run_pade_info(**{empty: ()})
+
+    @pytest.mark.parametrize("name,values", (("alphas", (0.5, 0.5)), ("ms", (1, 1))))
+    def test_repeated_entry_rejected(self, name, values):
+        with pytest.raises(ValueError, match=f"^{name} has a repeated entry"):
+            run_pade_info(**{name: values})

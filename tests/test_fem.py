@@ -173,6 +173,11 @@ class TestAssembly1D:
         with pytest.raises(ValueError):
             assemble_2d_tensor(2)
 
+    def test_tensor_grid_refusal_counts_interior_nodes(self):
+        # two cells give one interior node per axis; the smallest grid has two
+        with pytest.raises(ValueError, match="n_per_side >= 3 for at least two interior nodes"):
+            assemble_2d_tensor(2)
+
 
 class TestAssembly2D:
     @pytest.mark.parametrize("n", (3, 4))

@@ -170,6 +170,12 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             fit_loglog_slope([4, 8], [1.0, 0.5])
 
+    @pytest.mark.parametrize("ns", ([8, 8, 8], [4, 8, 8, 4]))
+    def test_needs_three_distinct_ns(self, ns):
+        # three points at two n fit a line through two means, at one n nothing
+        with pytest.raises(ValueError, match="at least 3 distinct n"):
+            fit_loglog_slope(ns, [1.0, 0.5, 0.25, 0.125][:len(ns)])
+
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([4, 8, 16], [1.0, 0.0, 0.1])
