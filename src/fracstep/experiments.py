@@ -15,15 +15,23 @@ Conventions baked in here (they reproduce the published tables):
   geometric step count whose error drops below a semi-discrete error proxy:
   the mismatch between this mesh's reference solution and a much finer
   graded mesh's solution (flagged as proxy in the output).
+* The spatial study's uniform runs step as one batch in a forked child
+  (``_forked``) while this process does the references and the geometric
+  searches; with one usable CPU, or without ``os.fork``, the batch runs
+  inline after them.  Either way the rows have the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
 import os
+import pickle
+import signal
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +50,8 @@ from .spectral import (DENSE_EIG_CAP, eig_1d, eig_2d_tensor,
                        estimate_spectral_bounds, reference_power)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
 # the runs by wrapping these two names, so it does not see the uniform runs
-# of the spatial study, which step as one batch through run_batch
+# of the spatial study, which step as one batch through run_batch, in a
+# forked child whose calls no hook of this process records
 from .stepping import StepperConfig, run_batch, run_grm, run_um
 
 DEFAULT_DELTA_FRACTION = 0.5
@@ -341,13 +350,86 @@ def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold):
     return (hi, *runs[hi])
 
 
+@contextlib.contextmanager
+def _forked(fn, *args):
+    """Call ``fn(*args)`` in a forked child while the ``with`` block runs;
+    the block gets a callable that waits for the child and returns its
+    result or raises its exception.
+
+    The child pickles its result or exception to a pipe and always ends
+    with ``os._exit``, so it runs no ``atexit`` handler and flushes no
+    inherited stdio buffer.  A child that ends without a result is a
+    ``RuntimeError`` naming its exit status or signal.  A block that leaves
+    without waiting (its own error wins) kills and reaps the child.
+    Without ``os.fork`` or with one usable CPU, the callable runs
+    ``fn(*args)`` inline.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        yield lambda: fn(*args)
+        return
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on any fork of a process with threads, and
+        # OpenBLAS's idle pool makes every numpy process one.  The child is
+        # safe: it runs only the 1D step (?ptsv, ufuncs and level-1 ddot),
+        # no level-3 BLAS that would wait on the pool's threads
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child never returns from here
+        status = 1
+        try:
+            os.close(r)
+            try:
+                result = (True, fn(*args))
+            except BaseException as exc:
+                result = (False, exc)
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(result, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    pipe, reaped = os.fdopen(r, "rb"), False
+
+    def wait():
+        nonlocal reaped
+        data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code:
+            how = (f"exited with status {code}" if code > 0
+                   else f"was killed by signal {-code} ({signal.strsignal(-code)})")
+            raise RuntimeError(f"the forked {fn.__name__} {how} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield wait
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _uniform_batch(runs) -> list:
+    """The ``(coeffs, RunStats)`` of each uniform run, stepped as one batch;
+    the caller scores them on its own operators."""
+    return [(u.coeffs, stats) for u, stats in run_batch(runs, return_stats=True)]
+
+
 def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dict]:
     """Graded-mesh study: per N, the step count needed to reach the
     semi-discrete error proxy, plus the uniform scheme's error at a large
     fixed step count (default 1e5).  Each mesh takes L and delta from the
-    spec as the tables do.  The uniform runs of every (N, m) step last, as
-    one batch (``run_batch``).  A 2D spec, a graded N < 2 or a bad ``alpha``
-    is refused first."""
+    spec as the tables do.  Every mesh is set up first; then the uniform
+    runs of every (N, m) step as one batch (``run_batch``) in a forked child
+    (``_forked``) while this process steps the references and the searches.
+    A 2D spec, a graded N < 2 or a bad ``alpha`` is refused first."""
     Ns = spec.Ns
     if spec.dimension != 1:
         raise ValueError("the spatial study runs on graded 1D meshes, not a 2D grid")
@@ -355,40 +437,42 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
         raise ValueError(f"N must be >= 2, got {Ns[0]}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    # fine-mesh solution used as the stand-in for the continuum limit
-    N_fine = max(Ns) * _REFERENCE_FACTOR
-    fop, fL, fdelta, ff = _graded_setup(spec, N_fine)
-    u_fine = run_grm(ff, fop, StepperConfig.grm(alpha, fdelta, 2, None, _REFERENCE_NT, fL))
-    xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
-    fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
-
-    rows, um_runs, um_rows = [], [], []  # um_rows: the row, reference and m of each uniform run
+    # the fine mesh's solution is the stand-in for the continuum limit; every
+    # setup comes before the fork, which would slow it
+    fop, fL, fdelta, ff = _graded_setup(spec, max(Ns) * _REFERENCE_FACTOR)
+    setups = [_graded_setup(spec, N) for N in Ns]
     um_mesh = build_uniform_mesh(spec.um_steps)
-    for N in Ns:
-        op, L, delta, f = _graded_setup(spec, N)
-        nx = len(op.nodes) - 1
-        u_ref = run_grm(f, op, StepperConfig.grm(alpha, delta, 2, None, _REFERENCE_NT, L))
-        threshold = _m_distance(GridFunction(np.interp(op.dof_coords, xp, fp), op), u_ref)
-        row = {
-            "N": N, "nx": nx, "L": L,
-            "e_semi_proxy": threshold,
-            "threshold_kind": "proxy_fine_mesh",
-        }
-        growth = 0.0
-        for m in spec.ms:
-            Nt, err, stats = _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold)
-            growth = max(growth, stats.max_growth)
-            row[f"NS_m{m}"] = (L + 1) * Nt
-            row[f"E_GRM_m{m}"] = err
-            row[f"E_UM_m{m}"] = None  # from the batch below
-            um_runs.append((f, op, StepperConfig(alpha=alpha, m=m, delta=delta, mesh=um_mesh)))
-            um_rows.append((row, u_ref, m))
-        row["max_step_growth"] = growth
-        row.update(_provenance(spec, delta))
-        rows.append(row)
-    for (row, u_ref, m), (u_um, stats) in zip(um_rows, run_batch(um_runs, return_stats=True)):
+    um_runs = [(f, op, StepperConfig(alpha=alpha, m=m, delta=delta, mesh=um_mesh))
+               for op, _, delta, f in setups for m in spec.ms]
+    rows, um_rows = [], []  # um_rows: the row, reference and m of each uniform run
+    with _forked(_uniform_batch, um_runs) as uniform:
+        u_fine = run_grm(ff, fop, StepperConfig.grm(alpha, fdelta, 2, None, _REFERENCE_NT, fL))
+        xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
+        fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
+        for N, (op, L, delta, f) in zip(Ns, setups):
+            nx = len(op.nodes) - 1
+            u_ref = run_grm(f, op, StepperConfig.grm(alpha, delta, 2, None, _REFERENCE_NT, L))
+            threshold = _m_distance(GridFunction(np.interp(op.dof_coords, xp, fp), op), u_ref)
+            row = {
+                "N": N, "nx": nx, "L": L,
+                "e_semi_proxy": threshold,
+                "threshold_kind": "proxy_fine_mesh",
+            }
+            growth = 0.0
+            for m in spec.ms:
+                Nt, err, stats = _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold)
+                growth = max(growth, stats.max_growth)
+                row[f"NS_m{m}"] = (L + 1) * Nt
+                row[f"E_GRM_m{m}"] = err
+                row[f"E_UM_m{m}"] = None  # from the batch below
+                um_rows.append((row, u_ref, m))
+            row["max_step_growth"] = growth
+            row.update(_provenance(spec, delta))
+            rows.append(row)
+        um_outs = uniform()
+    for (row, u_ref, m), (coeffs, stats) in zip(um_rows, um_outs):
         row["max_step_growth"] = max(row["max_step_growth"], stats.max_growth)
-        row[f"E_UM_m{m}"] = _m_distance(u_um, u_ref)
+        row[f"E_UM_m{m}"] = _m_distance(GridFunction(coeffs, u_ref.op), u_ref)
     return rows
 
 

@@ -1,13 +1,19 @@
 import gc
 import io
 import logging
+import os
+import signal
+import subprocess
+import sys
+import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracstep import experiments, solvers, spectral, stepping
+from fracstep import cli, experiments, solvers, spectral, stepping
 from fracstep.experiments import (
     TABLE_2D,
     ExperimentSpec,
@@ -488,7 +494,9 @@ class TestSpatialRefinement:
 
     def test_uniform_runs_step_as_one_batch(self, monkeypatch):
         # every (N, m) uniform run goes into one run_batch call, and the rows
-        # have the bits of rows built from lone runs
+        # have the bits of rows built from lone runs; on one CPU the batch
+        # runs inline, where ``batches`` can record it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         spec = ExperimentSpec(dimension=1, Ns=(2, 3), um_steps=20)
         batches = []
 
@@ -505,12 +513,89 @@ class TestSpatialRefinement:
         assert {cfg.m for _, _, cfg in batches[0]} == set(spec.ms)
         assert len({op.n_dofs for _, op, _ in batches[0]}) == len(spec.Ns)
         monkeypatch.setattr(experiments, "run_batch", lone)
+        assert _bits(run_spatial_refinement(spec)) == _bits(rows)
 
-        def bits(rows):
-            return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
-                    for row in rows]
 
-        assert bits(run_spatial_refinement(spec)) == bits(rows)
+def _bits(rows):
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the batch forks only where os.fork exists")
+class TestForkedBatch:
+    """With two usable CPUs the spatial study steps its uniform batch in a
+    forked child; every test here takes that path, and no child or zombie
+    is left after any of them."""
+
+    SPEC = ExperimentSpec(Ns=(2, 3), ms=(1, 2), um_steps=20)
+    ARGV = ["spatial-refine", "--Ns", "2,3", "--ms", "1,2", "--um-steps", "20"]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _batch_in_child(self, monkeypatch, body):
+        """Replace the batch by ``body``, which must run in a child."""
+        parent = os.getpid()
+
+        def batch(runs, return_stats=False):
+            assert os.getpid() != parent, "the batch ran in the calling process"
+            return body()
+
+        monkeypatch.setattr(experiments, "run_batch", batch)
+
+    def test_forked_rows_have_the_inline_bits(self, monkeypatch):
+        forks = []
+        monkeypatch.setattr(os, "fork", _recorded(forks, os.fork))
+        forked = run_spatial_refinement(self.SPEC)
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _bits(run_spatial_refinement(self.SPEC)) == _bits(forked)
+        assert len(forks) == 1
+
+    def test_child_error_reaches_the_caller(self, monkeypatch, capsys):
+        def fail():
+            raise solvers.SolveError(f"batch failed in process {os.getpid()}")
+
+        self._batch_in_child(monkeypatch, fail)
+        with pytest.raises(solvers.SolveError, match="^batch failed in process ") as info:
+            run_spatial_refinement(self.SPEC)
+        assert type(info.value) is solvers.SolveError
+        assert str(info.value) != f"batch failed in process {os.getpid()}"
+        assert cli.main(self.ARGV) == 2
+        assert "batch failed in process" in capsys.readouterr().err
+
+    def test_killed_child_is_a_runtime_error(self, monkeypatch, capsys):
+        self._batch_in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="_uniform_batch was killed by signal 9") as info:
+            run_spatial_refinement(self.SPEC)
+        assert type(info.value) is RuntimeError
+        assert cli.main(self.ARGV) == 2
+        assert "killed by signal 9" in capsys.readouterr().err
+
+    def test_parent_error_wins_without_waiting_for_the_batch(self, monkeypatch):
+        self._batch_in_child(monkeypatch, lambda: time.sleep(60))
+        monkeypatch.setattr(experiments, "_NT_CAP", 1)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="no Nt <= 1"):
+            run_spatial_refinement(self.SPEC)
+        assert time.monotonic() - start < 30
+
+    def test_child_runs_no_exit_handler_and_flushes_no_buffer(self):
+        # the parent's unflushed "before " and its atexit handler appear once
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        script = ("import atexit, os, sys; from fracstep import experiments as e\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "atexit.register(print, 'exit handler')\n"
+                  "sys.stdout.write('before ')\n"
+                  "e.run_spatial_refinement(e.ExperimentSpec(Ns=(2,), ms=(1,), um_steps=10))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout == "before exit handler\n"
 
 
 def _rows_without_seed(rows):
