@@ -15,10 +15,14 @@ Conventions baked in here (they reproduce the published tables):
   geometric step count whose error drops below a semi-discrete error proxy:
   the mismatch between this mesh's reference solution and a much finer
   graded mesh's solution (flagged as proxy in the output).
-* The spatial study's uniform runs step as one batch in a forked child
-  (``_forked``) while this process does the references and the geometric
-  searches; with one usable CPU, or without ``os.fork``, the batch runs
-  inline after them.  Either way the rows have the same bits.
+* Two studies step part of their runs in a forked child (``_forked``),
+  once every setup is done.  A 1D table splits its runs into two halves of
+  near-equal cost, and the child steps and scores one half while this
+  process does the other.  The spatial study's uniform runs step as one
+  batch in the child while this process does the references and the
+  geometric searches.  With one usable CPU, or without ``os.fork``, the
+  child's share runs inline after the rest; either way the rows have the
+  same bits.  A 2D table always steps in this process.
 """
 
 from __future__ import annotations
@@ -49,9 +53,10 @@ from .solvers import CG_RTOL, SOLVERS
 from .spectral import (DENSE_EIG_CAP, eig_1d, eig_2d_tensor,
                        estimate_spectral_bounds, reference_power)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
-# the runs by wrapping these two names, so it does not see the uniform runs
-# of the spatial study, which step as one batch through run_batch, in a
-# forked child whose calls no hook of this process records
+# the runs by wrapping these two names.  No hook of this process records a
+# call made in a forked child: neither the half of a 1D table's runs that
+# steps there (through these same names) nor the uniform runs of the
+# spatial study, which step there as one batch through run_batch
 from .stepping import StepperConfig, run_batch, run_grm, run_um
 
 DEFAULT_DELTA_FRACTION = 0.5
@@ -232,9 +237,119 @@ def write_csv(rows: list[dict], path_or_file) -> None:
     writer.writerows([_fmt(row[f]) for f in fields] for row in rows)
 
 
+def _portable(fn, result) -> bytes:
+    """The pickle of a child's ``(ok, value)`` if the parent can load it;
+    else that of a ``RuntimeError`` naming the type and message of the
+    exception that would not cross the pipe: the one ``fn`` raised, or the
+    one pickling its result raised."""
+    try:
+        data = pickle.dumps(result)
+        pickle.loads(data)  # an exception may pickle, yet fail to rebuild
+        return data
+    except Exception as err:
+        ok, value = result
+        what, exc = ("could not send its result:", err) if ok else ("raised", value)
+        return pickle.dumps((False, RuntimeError(
+            f"the forked {fn.__name__} {what} {type(exc).__qualname__}: {exc}")))
+
+
+@contextlib.contextmanager
+def _forked(fn, *args):
+    """Call ``fn(*args)`` in a forked child while the ``with`` block runs;
+    the block gets a callable that waits for the child and returns its
+    result or raises its exception.
+
+    The child pickles its result or exception to a pipe (``_portable``)
+    and always ends with ``os._exit``, so it runs no ``atexit`` handler and
+    flushes no inherited stdio buffer.  A child that ends without a result
+    is a ``RuntimeError`` naming its exit status or signal.  A block that
+    leaves without waiting (its own error wins) kills and reaps the child.
+    Without ``os.fork`` or with one usable CPU, the callable runs
+    ``fn(*args)`` inline.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        yield lambda: fn(*args)
+        return
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on any fork of a process with threads, and
+        # OpenBLAS's idle pool makes every numpy process one.  The child is
+        # safe: it runs only 1D work, the step (?ptsv, ufuncs and level-1
+        # ddot) and a table's M-norms (a band product and a ddot), no
+        # level-3 BLAS that would wait on the pool's threads
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child never returns from here
+        status = 1
+        try:
+            os.close(r)
+            try:
+                result = (True, fn(*args))
+            except BaseException as exc:
+                result = (False, exc)
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(_portable(fn, result))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    pipe, reaped = os.fdopen(r, "rb"), False
+
+    def wait():
+        nonlocal reaped
+        data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code:
+            how = (f"exited with status {code}" if code > 0
+                   else f"was killed by signal {-code} ({signal.strsignal(-code)})")
+            raise RuntimeError(f"the forked {fn.__name__} {how} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield wait
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 # ---------------------------------------------------------------------------
 # 1D / 2D convergence tables
 # ---------------------------------------------------------------------------
+
+def _score_runs(runs, fs, op, references, ref_norms) -> list:
+    """Per ``(alpha, m, scheme, N, cfg)`` of ``runs``: the relative error of
+    each row and its ``RunStats``.  Each run steps the block ``fs`` on ``op``
+    through ``run_grm`` or ``run_um`` and is scored against
+    ``references[alpha]`` at once, so no run's outputs outlive it."""
+    results = []
+    for alpha, _, scheme, _, cfg in runs:
+        step = run_grm if scheme == "grm" else run_um
+        outs, stats = step(fs, op, cfg, return_stats=True)
+        errors = [_m_distance(out, ref) / norm
+                  for out, ref, norm in zip(outs, references[alpha], ref_norms[alpha])]
+        results.append((errors, stats))
+    return results
+
+
+def _split_by_cost(costs) -> tuple[list, list]:
+    """Two halves of the positions of ``costs`` with near-equal totals: the
+    costliest first, each to the lighter half (the first on a tie), so the
+    first half is empty only if ``costs`` is."""
+    halves, totals = ([], []), [0, 0]
+    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
+        h = totals.index(min(totals))
+        halves[h].append(j)
+        totals[h] += costs[j]
+    return halves
+
 
 def run_table(spec: ExperimentSpec) -> list[dict]:
     """Relative-error/order table on the uniform 1D mesh of ``spec.cells``
@@ -246,6 +361,13 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     once per table, and the mesh size behind L is 1 / ``spec.cells``; both
     are resolved (and a bad delta refused) before the eigenbasis is built,
     and ``log`` gets one DEBUG record of the setup seconds.
+
+    On a 1D operator the runs split into two halves of near-equal cost
+    (steps x poles, ``_split_by_cost``), and the second half steps in a
+    forked child (``_forked``) while this process steps the first; a 2D
+    table, or one whose second half is empty, steps inline.  Each half
+    scores its own runs (``_score_runs``), and the rows take the table's
+    order from the per-run errors.
     """
     marks = [time.perf_counter()]
     if spec.dimension == 1:
@@ -265,42 +387,50 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     info = {"n_dofs": op.n_dofs,
             "setup_s": dict(zip(("assembly", "bounds", "eigenbasis", "references"), seconds))}
     log.debug("run_table setup on %(n_dofs)d dofs, in seconds: %(setup_s)s", info, extra=info)
-    prov = _provenance(spec, delta)
+    ref_norms = {alpha: [m_norm(op, ref) for ref in refs] for alpha, refs in references.items()}
     schemes = ("grm", "um") if spec.scheme == "both" else (spec.scheme,)
-    rows = []  # (position of the case in spec.data_cases, row)
+    runs = []  # (alpha, m, scheme, N, cfg) in the table's order
     for alpha in spec.alphas:
-        refs = references[alpha]
-        ref_norms = [m_norm(op, ref) for ref in refs]
         for m in spec.ms:
             for scheme in schemes:
-                errors = {}  # (case position, N) -> relative error
                 for N in spec.Ns:
                     if scheme == "grm":
                         cfg = StepperConfig.grm(alpha, delta, m, None, N, L, spec.solver)
-                        outs, stats = run_grm(fs, op, cfg, return_stats=True)
                     else:
                         cfg = StepperConfig.um(alpha, delta, m, (L + 1) * N, spec.solver)
-                        outs, stats = run_um(fs, op, cfg, return_stats=True)
-                    for i, (out, ref, ref_norm, st) in enumerate(zip(outs, refs, ref_norms, stats)):
-                        err = errors[i, N] = _m_distance(out, ref) / ref_norm
-                        prev = errors.get((i, N // 2))
-                        rows.append((i, {
-                            "dimension": spec.dimension,
-                            "scheme": scheme.upper(),
-                            "case": spec.data_cases[i],
-                            "alpha": alpha,
-                            "m": m,
-                            "L": L,
-                            "N": N,
-                            "steps": st.steps,
-                            # one shifted solve per pole per step
-                            "solves": st.solves,
-                            "rel_error": err,
-                            "order_vs_prev": (float("nan") if prev is None
-                                              else convergence_order(prev, err)),
-                            "max_step_growth": st.max_growth,
-                            **prov,
-                        }))
+                    runs.append((alpha, m, scheme, N, cfg))
+    mine, theirs = (_split_by_cost([cfg.mesh.num_steps * cfg.m for *_, cfg in runs])
+                    if op.dim == 1 else (range(len(runs)), []))
+    scoring = fs, op, references, ref_norms
+    with (_forked(_score_runs, [runs[j] for j in theirs], *scoring) if theirs
+          else contextlib.nullcontext(list)) as child:
+        results = dict(zip(mine, _score_runs([runs[j] for j in mine], *scoring)))
+        results.update(zip(theirs, child()))
+    prov = _provenance(spec, delta)
+    rows = []  # (position of the case in spec.data_cases, row)
+    errors = {}  # (alpha, m, scheme, case position, N) -> relative error
+    for j, (alpha, m, scheme, N, _) in enumerate(runs):
+        errs, stats = results[j]
+        for i, (err, st) in enumerate(zip(errs, stats)):
+            errors[alpha, m, scheme, i, N] = err
+            prev = errors.get((alpha, m, scheme, i, N // 2))
+            rows.append((i, {
+                "dimension": spec.dimension,
+                "scheme": scheme.upper(),
+                "case": spec.data_cases[i],
+                "alpha": alpha,
+                "m": m,
+                "L": L,
+                "N": N,
+                "steps": st.steps,
+                # one shifted solve per pole per step
+                "solves": st.solves,
+                "rel_error": err,
+                "order_vs_prev": (float("nan") if prev is None
+                                  else convergence_order(prev, err)),
+                "max_step_growth": st.max_growth,
+                **prov,
+            }))
     rows.sort(key=lambda pair: pair[0])
     return [row for _, row in rows]
 
@@ -348,72 +478,6 @@ def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold):
         else:
             lo = mid
     return (hi, *runs[hi])
-
-
-@contextlib.contextmanager
-def _forked(fn, *args):
-    """Call ``fn(*args)`` in a forked child while the ``with`` block runs;
-    the block gets a callable that waits for the child and returns its
-    result or raises its exception.
-
-    The child pickles its result or exception to a pipe and always ends
-    with ``os._exit``, so it runs no ``atexit`` handler and flushes no
-    inherited stdio buffer.  A child that ends without a result is a
-    ``RuntimeError`` naming its exit status or signal.  A block that leaves
-    without waiting (its own error wins) kills and reaps the child.
-    Without ``os.fork`` or with one usable CPU, the callable runs
-    ``fn(*args)`` inline.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
-        yield lambda: fn(*args)
-        return
-    r, w = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns on any fork of a process with threads, and
-        # OpenBLAS's idle pool makes every numpy process one.  The child is
-        # safe: it runs only the 1D step (?ptsv, ufuncs and level-1 ddot),
-        # no level-3 BLAS that would wait on the pool's threads
-        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                                r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:  # the child never returns from here
-        status = 1
-        try:
-            os.close(r)
-            try:
-                result = (True, fn(*args))
-            except BaseException as exc:
-                result = (False, exc)
-            with os.fdopen(w, "wb") as pipe:
-                pickle.dump(result, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    pipe, reaped = os.fdopen(r, "rb"), False
-
-    def wait():
-        nonlocal reaped
-        data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        if code:
-            how = (f"exited with status {code}" if code > 0
-                   else f"was killed by signal {-code} ({signal.strsignal(-code)})")
-            raise RuntimeError(f"the forked {fn.__name__} {how} without a result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield wait
-    finally:
-        pipe.close()
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _uniform_batch(runs) -> list:

@@ -397,7 +397,9 @@ class TestTable2D:
     def test_direct_1d_paths_build_no_csr_matrix(self, monkeypatch, study):
         # an operator is its bands, a tensor operator its factor's: assembly
         # makes no sparse matrix, and neither does a 1D table, the
-        # graded-mesh study or a direct 2D table, nor does any read CG's state
+        # graded-mesh study or a direct 2D table, nor does any read CG's state;
+        # on one CPU no run steps in a forked child, out of the recorders' sight
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         ops, built = [], []
         for name in ("assemble_1d", "assemble_2d_tensor"):
             monkeypatch.setattr(experiments, name, _recorded(ops, getattr(experiments, name)))
@@ -596,6 +598,144 @@ class TestForkedBatch:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True, timeout=120)
         assert done.stdout == "before exit handler\n"
+
+
+class Unrebuildable(Exception):
+    """Pickles, but its pickle cannot rebuild it: ``args`` holds one value."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the table forks only where os.fork exists")
+class TestForkedTable:
+    """With two usable CPUs a 1D table steps half of its runs, by cost, in a
+    forked child; no child or zombie is left after any test here."""
+
+    SPEC = ExperimentSpec(data_cases=("a", "d"), alphas=(0.5,), ms=(1, 2), Ns=(1, 2, 4),
+                          h=0.05)
+    ARGV = ["table-1d", "--h", "0.05", "--cases", "a,d", "--alphas", "0.5", "--ms", "1,2",
+            "--Ns", "1,2,4"]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _steps(self, monkeypatch, in_child, in_parent=None):
+        """Make every run return ``in_child()`` in a child; in this process,
+        call ``in_parent(cfg)`` if given, then step for real."""
+        parent, real = os.getpid(), experiments.run_grm
+
+        def step(fs, op, cfg, return_stats=False):
+            if os.getpid() != parent:
+                return in_child()
+            if in_parent is not None:
+                in_parent(cfg)
+            return real(fs, op, cfg, return_stats)
+
+        for name in ("run_grm", "run_um"):
+            monkeypatch.setattr(experiments, name, step)
+
+    @pytest.mark.parametrize("scheme", ("both", "grm", "um"))
+    def test_forked_rows_have_the_inline_and_serial_bits(self, monkeypatch, scheme):
+        spec = replace(self.SPEC, scheme=scheme)
+        forks = []
+        monkeypatch.setattr(os, "fork", _recorded(forks, os.fork))
+        forked = _bits(run_table(spec))
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _bits(run_table(spec)) == forked
+        # every run in one half, in the table's order: the serial loop
+        monkeypatch.setattr(experiments, "_split_by_cost",
+                            lambda costs: (list(range(len(costs))), []))
+        assert _bits(run_table(spec)) == forked
+        assert len(forks) == 1
+
+    def test_1d_table_forks_once_and_steps_half_the_cost_here(self, monkeypatch):
+        forks, costs, real = [], [], experiments.run_grm
+
+        def step(fs, op, cfg, return_stats=False):
+            costs.append(cfg.mesh.num_steps * cfg.m)  # a child's appends stay in the child
+            return real(fs, op, cfg, return_stats)
+
+        monkeypatch.setattr(os, "fork", _recorded(forks, os.fork))
+        for name in ("run_grm", "run_um"):
+            monkeypatch.setattr(experiments, name, step)
+        rows = run_table(self.SPEC)
+        assert len(forks) == 1
+        # GRM and UM twins cost the same, so the halves are exactly equal
+        total = sum(row["solves"] for row in rows if row["case"] == "a")
+        assert 0 < len(costs) < 12 and 2 * sum(costs) == total
+
+    def test_2d_table_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a 2D table forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        spec = ExperimentSpec(dimension=2, data_cases=("e",), alphas=(0.5,), ms=(1, 2),
+                              Ns=(1, 2), n_per_side=6, L_policy="fixed", L_fixed=3)
+        assert len(run_table(spec)) == 8
+
+    def test_child_error_reaches_the_caller(self, monkeypatch, capsys):
+        def fail():
+            raise solvers.SolveError(f"run failed in process {os.getpid()}")
+
+        self._steps(monkeypatch, fail)
+        with pytest.raises(solvers.SolveError, match="^run failed in process ") as info:
+            run_table(self.SPEC)
+        assert type(info.value) is solvers.SolveError
+        assert str(info.value) != f"run failed in process {os.getpid()}"
+        assert cli.main(self.ARGV) == 2
+        assert "run failed in process" in capsys.readouterr().err
+
+    def test_killed_child_is_a_runtime_error(self, monkeypatch, capsys):
+        self._steps(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="_score_runs was killed by signal 9") as info:
+            run_table(self.SPEC)
+        assert type(info.value) is RuntimeError
+        assert cli.main(self.ARGV) == 2
+        assert "killed by signal 9" in capsys.readouterr().err
+
+    def test_parent_error_wins_without_waiting_for_the_child(self, monkeypatch):
+        def fail(cfg):
+            raise solvers.SolveError("the parent's run failed")
+
+        self._steps(monkeypatch, lambda: time.sleep(60), fail)
+        start = time.monotonic()
+        with pytest.raises(solvers.SolveError, match="the parent's run failed"):
+            run_table(self.SPEC)
+        assert time.monotonic() - start < 30
+
+    def test_exception_that_cannot_be_rebuilt_is_a_runtime_error(self, monkeypatch, capsys):
+        def fail():
+            raise Unrebuildable("left", "right")
+
+        self._steps(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="_score_runs raised Unrebuildable: left and "):
+            run_table(self.SPEC)
+        assert cli.main(self.ARGV) == 2
+        assert "Unrebuildable: left and right" in capsys.readouterr().err
+
+    def test_exception_that_cannot_be_pickled_keeps_its_message(self, monkeypatch, capsys):
+        def fail():
+            raise ValueError(lambda: 0)
+
+        self._steps(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="_score_runs raised ValueError: <function "):
+            run_table(self.SPEC)
+        assert cli.main(self.ARGV) == 2
+        assert "ValueError: <function " in capsys.readouterr().err
+
+    def test_result_that_cannot_be_pickled_is_a_runtime_error(self):
+        def unpicklable():
+            return lambda: 0
+
+        with experiments._forked(unpicklable) as wait:
+            with pytest.raises(RuntimeError, match="unpicklable could not send its result: "):
+                wait()
 
 
 def _rows_without_seed(rows):

@@ -4,7 +4,9 @@ The benchmark swaps module globals and class attributes of fracstep for
 timed wrappers, looked up by name.  A renamed hook raises at install time;
 a call that bypasses its module global silently drops out of the layer
 split.  Three tiny CLI runs in a fresh interpreter pin both down, and a
-four-case table must make the stepping calls of a one-case table.
+four-case table must make the stepping calls of a one-case table.  The
+interpreter sees one usable CPU, so a 1D table steps no run in a forked
+child, where no hook records it.
 """
 
 import json
@@ -16,10 +18,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
-import json, sys
+import json, os, sys
 import tracing
 import fracstep.cli
 
+# one usable CPU: a 1D table steps every run in this process, where the hooks see it
+os.sched_getaffinity = lambda pid: {0}
 rec = tracing.Recorder()
 tracing.install(rec, traced=True)
 for i, argv in enumerate(json.loads(sys.argv[1])):
