@@ -6,7 +6,8 @@ Conventions baked in here (they reproduce the published tables):
 
 * Convergence order between step-count levels n and 2n is
   log(E_n / E_2n) / log(2), evaluated at n = 8 for the 1D tables and at
-  n = 2 refinement units for the 2D tables.
+  n = 2 refinement units for the 2D tables.  A row whose table has no
+  level N / 2 (an odd N, or a half not asked for) has order NaN.
 * Each table column "N" means N substeps per dyadic interval for the
   geometric scheme, i.e. (L+1)*N steps in total.  Uniform runs in the same
   table use the same total step budget (L+1)*N, which is how the two
@@ -19,8 +20,9 @@ Conventions baked in here (they reproduce the published tables):
   once every setup is done.  A 1D table splits its runs into two halves of
   near-equal cost, and the child steps and scores one half while this
   process does the other.  The spatial study's uniform runs step as one
-  batch in the child while this process does the references and the
-  geometric searches.  With one usable CPU, or without ``os.fork``, the
+  batch (``run_batch``) in the child, which sends back each run's grid
+  function and ``RunStats``, while this process does the references and
+  the geometric searches.  With one usable CPU, or without ``os.fork``, the
   child's share runs inline after the rest; either way the rows have the
   same bits.  A 2D table always steps in this process.
 """
@@ -205,7 +207,7 @@ def _depth_and_shift(spec: ExperimentSpec, op, h_min: float) -> tuple[int, float
 
 
 def _m_distance(u: GridFunction, v: GridFunction) -> float:
-    """The M-norm of u - v, two grid functions on one operator."""
+    """The M-norm of u - v on ``u.op``; v lives on it or on a copy of it."""
     return m_norm(u.op, GridFunction(u.coeffs - v.coeffs, u.op))
 
 
@@ -272,15 +274,20 @@ def _forked(fn, *args):
         yield lambda: fn(*args)
         return
     r, w = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns on any fork of a process with threads, and
-        # OpenBLAS's idle pool makes every numpy process one.  The child is
-        # safe: it runs only 1D work, the step (?ptsv, ufuncs and level-1
-        # ddot) and a table's M-norms (a band product and a ddot), no
-        # level-3 BLAS that would wait on the pool's threads
-        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                                r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
-        pid = os.fork()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on any fork of a process with threads, and
+            # OpenBLAS's idle pool makes every numpy process one.  The child is
+            # safe: it runs only 1D work, the step (?ptsv, ufuncs and level-1
+            # ddot) and a table's M-norms (a band product and a ddot), no
+            # level-3 BLAS that would wait on the pool's threads
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:  # no child was made, and no one else closes the pipe
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:  # the child never returns from here
         status = 1
         try:
@@ -356,8 +363,8 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     cells, or in 2D on the tensor grid of that many cells per side.
 
     One block run per (alpha, m, scheme, N) steps all data cases, since they
-    share every shifted system; a stable sort by case then gives the rows
-    case by case.  The spectral bounds behind L and delta are estimated
+    share every shifted system; the rows come case by case, each case's in
+    the runs' order.  The spectral bounds behind L and delta are estimated
     once per table, and the mesh size behind L is 1 / ``spec.cells``; both
     are resolved (and a bad delta refused) before the eigenbasis is built,
     and ``log`` gets one DEBUG record of the setup seconds.
@@ -366,8 +373,8 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     (steps x poles, ``_split_by_cost``), and the second half steps in a
     forked child (``_forked``) while this process steps the first; a 2D
     table, or one whose second half is empty, steps inline.  Each half
-    scores its own runs (``_score_runs``), and the rows take the table's
-    order from the per-run errors.
+    scores its own runs (``_score_runs``), and each row reads the errors
+    and ``RunStats`` of its run.
     """
     marks = [time.perf_counter()]
     if spec.dimension == 1:
@@ -407,17 +414,18 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
         results = dict(zip(mine, _score_runs([runs[j] for j in mine], *scoring)))
         results.update(zip(theirs, child()))
     prov = _provenance(spec, delta)
-    rows = []  # (position of the case in spec.data_cases, row)
-    errors = {}  # (alpha, m, scheme, case position, N) -> relative error
-    for j, (alpha, m, scheme, N, _) in enumerate(runs):
-        errs, stats = results[j]
-        for i, (err, st) in enumerate(zip(errs, stats)):
-            errors[alpha, m, scheme, i, N] = err
-            prev = errors.get((alpha, m, scheme, i, N // 2))
-            rows.append((i, {
+    rows = []
+    for i, case in enumerate(spec.data_cases):
+        errors = {}  # (alpha, m, scheme, N) -> relative error of this case
+        for j, (alpha, m, scheme, N, _) in enumerate(runs):
+            errs, stats = results[j]
+            err, st = errs[i], stats[i]
+            errors[alpha, m, scheme, N] = err
+            prev = errors.get((alpha, m, scheme, N / 2))  # none for an odd N
+            rows.append({
                 "dimension": spec.dimension,
                 "scheme": scheme.upper(),
-                "case": spec.data_cases[i],
+                "case": case,
                 "alpha": alpha,
                 "m": m,
                 "L": L,
@@ -430,9 +438,8 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
                                   else convergence_order(prev, err)),
                 "max_step_growth": st.max_growth,
                 **prov,
-            }))
-    rows.sort(key=lambda pair: pair[0])
-    return [row for _, row in rows]
+            })
+    return rows
 
 
 # the 1D and 2D names of ``run_table``; the spec's dimension picks the operator
@@ -480,12 +487,6 @@ def _smallest_passing_Nt(op, f, alpha, m, delta, L, u_ref, threshold):
     return (hi, *runs[hi])
 
 
-def _uniform_batch(runs) -> list:
-    """The ``(coeffs, RunStats)`` of each uniform run, stepped as one batch;
-    the caller scores them on its own operators."""
-    return [(u.coeffs, stats) for u, stats in run_batch(runs, return_stats=True)]
-
-
 def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dict]:
     """Graded-mesh study: per N, the step count needed to reach the
     semi-discrete error proxy, plus the uniform scheme's error at a large
@@ -509,7 +510,7 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
     um_runs = [(f, op, StepperConfig(alpha=alpha, m=m, delta=delta, mesh=um_mesh))
                for op, _, delta, f in setups for m in spec.ms]
     rows, um_rows = [], []  # um_rows: the row, reference and m of each uniform run
-    with _forked(_uniform_batch, um_runs) as uniform:
+    with _forked(run_batch, um_runs, True) as uniform:  # True: return_stats
         u_fine = run_grm(ff, fop, StepperConfig.grm(alpha, fdelta, 2, None, _REFERENCE_NT, fL))
         xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
         fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
@@ -534,9 +535,9 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
             row.update(_provenance(spec, delta))
             rows.append(row)
         um_outs = uniform()
-    for (row, u_ref, m), (coeffs, stats) in zip(um_rows, um_outs):
+    for (row, u_ref, m), (u, stats) in zip(um_rows, um_outs):
         row["max_step_growth"] = max(row["max_step_growth"], stats.max_growth)
-        row[f"E_UM_m{m}"] = _m_distance(GridFunction(coeffs, u_ref.op), u_ref)
+        row[f"E_UM_m{m}"] = _m_distance(u, u_ref)
     return rows
 
 

@@ -231,10 +231,7 @@ def load_vector(op: DiscreteOperator, f) -> np.ndarray:
     if isinstance(f, str):
         if DATA_CASE_DIM.get(f) != 2:
             raise ValueError(f"data case {f!r} does not match a 2D operator")
-        if f == "e":
-            b1 = _element_load_1d(f1.nodes, lambda x: x * (1.0 - x))
-            return np.kron(b1, b1)
-        b1 = _indicator_load_1d(f1.nodes)
+        b1 = load_vector(f1, "b") if f == "e" else _indicator_load_1d(f1.nodes)
         return np.kron(b1, b1)
     # tensor Gauss rule: F = f on the grid of Gauss points, then the 1D
     # element rule along each axis in turn (no BLAS product, so the bits do

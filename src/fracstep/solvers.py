@@ -160,7 +160,7 @@ class TensorDiagSolver(_Pencil):
 
     def __init__(self, op: DiscreteOperator):
         self.decomp = eig_2d_tensor(op)
-        self.n = len(self.decomp.lambdas_1d)
+        self.n = len(self.decomp.lambdas_1d)  # read by perfbench/tracing.py's flop tally
 
     def fold(self, U):
         return self.decomp.fold(U)
@@ -183,6 +183,7 @@ class TensorDiagSolver(_Pencil):
         out += terms[-1] * U
         return out
 
+    # a method of its own: perfbench/tracing.py wraps it as solvers.tensor_solve
     def solve(self, modal: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """modes (modal * coeffs) along both axes, row by row, folded:
         (a K2 + b M2)^{-1} M2 u for ``modal = 1 / (a lambda_grid + b)`` and

@@ -114,13 +114,11 @@ class RunStats:
 def _pencil(ops, solver: str, columns: int = 1, poles=(1,)):
     """The shifted-pencil backend for the runs of ``columns`` rows on ``ops``
     with ``poles[r]`` poles each (see ``solvers``): a 2D run steps alone, and
-    by CG only if ``solver="cg"``, which a 1D operator refuses."""
+    by CG only if ``solver="cg"``, which ``PreconditionedCG`` refuses in 1D."""
     op = ops[0]
     if len(ops) > 1 and any(o.dim != 1 for o in ops):
         raise ValueError("only 1D runs step as a batch; a 2D run steps alone")
     if solver == "cg":
-        if op.dim != 2:
-            raise ValueError("the cg solver needs a tensor (2D) operator")
         return PreconditionedCG(op, columns)
     return TensorDiagSolver(op) if op.dim == 2 else BandedPencil(ops, columns, poles)
 

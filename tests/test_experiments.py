@@ -1,6 +1,8 @@
+import errno
 import gc
 import io
 import logging
+import math
 import os
 import signal
 import subprocess
@@ -228,6 +230,18 @@ class TestTable1D:
         assert len(rows) == 3 * 2 * 2 * 2 * 2
         # exact equality, NaN orders included
         np.testing.assert_equal(rows, singles)
+
+    def test_order_compares_a_level_with_half_its_steps(self):
+        # an odd N, or an N whose half the table lacks, has no order; the
+        # others compare N with exactly N / 2
+        spec = ExperimentSpec(data_cases=("b",), alphas=(0.5,), ms=(1,), scheme="grm",
+                              Ns=(1, 2, 3, 4, 6, 9, 16), h=0.1)
+        rows = {row["N"]: row for row in run_table(spec)}
+        with_order = [N for N, row in rows.items() if not math.isnan(row["order_vs_prev"])]
+        assert with_order == [2, 4, 6]
+        for N in with_order:
+            assert rows[N]["order_vs_prev"] == convergence_order(
+                rows[N // 2]["rel_error"], rows[N]["rel_error"])
 
     def test_explicit_delta_below_the_spectrum_is_used(self):
         spec = ExperimentSpec(dimension=1, data_cases=("c",), alphas=(0.5,),
@@ -571,7 +585,7 @@ class TestForkedBatch:
 
     def test_killed_child_is_a_runtime_error(self, monkeypatch, capsys):
         self._batch_in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-        with pytest.raises(RuntimeError, match="_uniform_batch was killed by signal 9") as info:
+        with pytest.raises(RuntimeError, match="forked batch was killed by signal 9") as info:
             run_spatial_refinement(self.SPEC)
         assert type(info.value) is RuntimeError
         assert cli.main(self.ARGV) == 2
@@ -728,6 +742,24 @@ class TestForkedTable:
             run_table(self.SPEC)
         assert cli.main(self.ARGV) == 2
         assert "ValueError: <function " in capsys.readouterr().err
+
+    @staticmethod
+    def _no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    def test_failed_fork_leaves_no_descriptor_open(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", self._no_fork)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            with pytest.raises(BlockingIOError):
+                run_table(self.SPEC)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_failed_fork_is_an_error_of_the_command(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "fork", self._no_fork)
+        assert cli.main(self.ARGV) == 2
+        assert os.strerror(errno.EAGAIN) in capsys.readouterr().err
 
     def test_result_that_cannot_be_pickled_is_a_runtime_error(self):
         def unpicklable():
