@@ -15,16 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import (
-    SPATIAL_REFINE,
-    TABLE_2D,
-    ExperimentSpec,
-    run_pade_info,
-    run_scalar_diagnostics,
-    run_spatial_refinement,
-    run_table,
-    write_csv,
-)
+from .experiments import (L_POLICIES, SCHEMES, SPATIAL_REFINE, TABLE_2D, ExperimentSpec,
+                          run_pade_info, run_scalar_diagnostics, run_spatial_refinement,
+                          run_table, write_csv)
 from .solvers import SOLVERS, SolveError
 
 
@@ -73,8 +66,7 @@ def read_config(path: str) -> dict:
     return values
 
 
-_CHOICES = {"scheme": ("grm", "um", "both"), "L_policy": ("theorem", "experiment", "fixed"),
-            "solver": SOLVERS}
+_CHOICES = {"scheme": SCHEMES, "L_policy": L_POLICIES, "solver": SOLVERS}
 
 _HELP = {
     "cases": "comma-separated data cases, e.g. a,b,c,d",

@@ -1,6 +1,7 @@
 """Experiment harness: convergence tables, the spatial-refinement study,
 the Pade data and scalar-sweep diagnostics, all emitted as CSV rows.  The
-defaults of every study and the checks on its settings live here.
+defaults of every study and its allowed schemes and L policies live here;
+every other rule on a setting is one function of the module that owns it.
 
 Conventions baked in here (they reproduce the published tables):
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import logging
 import math
 import os
@@ -42,14 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import DATA_CASE_DIM, GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm
-from .meshes import (
-    build_graded_spatial_mesh,
-    build_uniform_mesh,
-    experiment_refinement_level,
-    refinement_level_for,
-)
-from .pade import MAX_ORDER, pade_coefficients
+from .fem import (GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm,
+                  require_data_case)
+from .meshes import (build_graded_spatial_mesh, build_uniform_mesh, experiment_refinement_level,
+                     refinement_level_for, require_depth, require_steps)
+from .pade import pade_coefficients, require_order_and_exponent
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import CG_RTOL, SOLVERS
 from .spectral import (DENSE_EIG_CAP, eig_1d, eig_2d_tensor,
@@ -62,6 +61,8 @@ from .spectral import (DENSE_EIG_CAP, eig_1d, eig_2d_tensor,
 from .stepping import StepperConfig, run_batch, run_grm, run_um
 
 DEFAULT_DELTA_FRACTION = 0.5
+SCHEMES = ("grm", "um", "both")
+L_POLICIES = ("theorem", "experiment", "fixed")
 log = logging.getLogger("fracstep")
 log.addHandler(logging.NullHandler())  # silent unless the caller configures logging
 
@@ -86,21 +87,24 @@ class ExperimentSpec:
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of
     ``round(1 / h)`` cells or the tensor grid of ``n_per_side``, with at most
     ``DENSE_EIG_CAP`` dofs per axis in 2D, where the eigenbasis holds dense
-    half blocks and CG the n x n modes of the 1D factor.
-    Each data case must be one of ``fem.DATA_CASE_DIM`` of that dimension.  ``solver``
-    is "direct" or "cg"; "cg" serves the tensor grid only, since 1D studies
-    always solve directly.
+    half blocks and CG the n x n modes of the 1D factor.  ``solver`` is
+    "direct" or "cg"; "cg" serves the tensor grid only, since 1D studies
+    always solve directly.  The settings another module owns are refused
+    here, before anything is assembled, by its rule: ``fem.require_data_case``
+    (``data_cases``), ``meshes.require_steps`` (``Ns``, ``um_steps``) and
+    ``require_depth`` (``L_fixed``), ``pade.require_order_and_exponent``
+    (``ms``, ``alphas``); ``SCHEMES`` and ``L_POLICIES`` are this module's.
     """
 
     dimension: int = 1
     data_cases: tuple = ("a", "b", "c", "d")
     alphas: tuple = (0.1, 0.5, 0.9)
     ms: tuple = (1, 2)
-    scheme: str = "both"  # grm | um | both
+    scheme: str = "both"
     Ns: tuple = (8, 16)
     h: float = 1e-3
     n_per_side: int = 100
-    L_policy: str = "experiment"  # theorem | experiment | fixed
+    L_policy: str = "experiment"
     L_fixed: int | None = None
     delta: float | None = None
     delta_fraction: float = DEFAULT_DELTA_FRACTION
@@ -122,39 +126,28 @@ class ExperimentSpec:
         if self.dimension == 1 and not (0 < self.h and 1.5 <= 1 / self.h < math.inf):
             raise ValueError(f"h = {self.h} must give a finite count of at least 2 cells "
                              "(0 < h <= 2/3)")
-        # the grid size and the data cases are refused before anything is assembled
         if self.dimension == 2 and self.cells - 1 > DENSE_EIG_CAP:
             raise ValueError(f"{self.cells - 1} dofs per axis, over the cap {DENSE_EIG_CAP}")
         if self.dimension == 2 and self.n_per_side < 3:
             raise ValueError(f"n_per_side = {self.n_per_side} must be >= 3 "
                              "(at least two interior nodes per axis)")
         for tag in self.data_cases:
-            if tag not in DATA_CASE_DIM:
-                raise ValueError(f"unknown data case {tag!r}")
-            if DATA_CASE_DIM[tag] != self.dimension:
-                raise ValueError(f"data case {tag!r} is {DATA_CASE_DIM[tag]}D, "
-                                 f"the table is {self.dimension}D")
+            require_data_case(tag, self.dimension, "table")
         _require_lists(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
                        Ns=self.Ns)
-        if self.scheme not in ("grm", "um", "both"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        # refused with the messages of meshes, pade and stepping, before assembly
-        if self.Ns[0] < 1:
-            raise ValueError(f"N must be >= 1, got {self.Ns[0]}")
-        for m in self.ms:
-            if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_ORDER:
-                raise ValueError(f"order m must be an integer in [1, {MAX_ORDER}], got {m!r}")
+        for N in self.Ns:
+            require_steps(N)
+        for m, a in itertools.product(self.ms, self.alphas):
+            require_order_and_exponent(m, a)
         if self.delta is not None and not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.um_steps < 1:
-            raise ValueError(f"um_steps: N must be >= 1, got {self.um_steps}")
-        for a in self.alphas:
-            if not 0 < a < 1:
-                raise ValueError(f"alpha {a} outside (0, 1)")
-        if self.L_policy not in ("theorem", "experiment", "fixed"):
+        require_steps(self.um_steps, name="um_steps: N")
+        if self.L_policy not in L_POLICIES:
             raise ValueError(f"unknown L policy {self.L_policy!r}")
-        if self.L_fixed is not None and not self.L_fixed >= 1:
-            raise ValueError(f"L = {self.L_fixed} must be >= 1")
+        if self.L_fixed is not None:
+            require_depth(self.L_fixed)
         if self.L_policy == "fixed" and self.L_fixed is None:
             raise ValueError("L_policy 'fixed' needs L_fixed")
         # delta = fraction * lambda_min_est must stay below the spectrum
@@ -192,7 +185,7 @@ def _depth_and_shift(spec: ExperimentSpec, op, h_min: float) -> tuple[int, float
     a given one must lie below ``lambda_min_est``, or the steps stop contracting."""
     bounds = estimate_spectral_bounds(op)
     if spec.L_policy == "fixed":
-        L = int(spec.L_fixed)
+        L = spec.L_fixed
     elif spec.L_policy == "experiment":
         L = experiment_refinement_level(h_min)
     else:
@@ -450,10 +443,9 @@ run_table_1d = run_table_2d = run_table
 # spatial refinement study
 # ---------------------------------------------------------------------------
 
-def _graded_setup(spec: ExperimentSpec, N: int):
-    """Operator, L, delta and data case d on the graded mesh of parameter N;
+def _graded_setup(spec: ExperimentSpec, nodes):
+    """Operator, L, delta and data case d on the graded mesh ``nodes``;
     L and delta are resolved from ``spec`` as in the tables."""
-    nodes = build_graded_spatial_mesh(N)
     op = assemble_1d(nodes)
     return op, *_depth_and_shift(spec, op, nodes[1] - nodes[0]), l2_project(op, "d")
 
@@ -494,18 +486,15 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
     spec as the tables do.  Every mesh is set up first; then the uniform
     runs of every (N, m) step as one batch (``run_batch``) in a forked child
     (``_forked``) while this process steps the references and the searches.
-    A 2D spec, a graded N < 2 or a bad ``alpha`` is refused first."""
-    Ns = spec.Ns
+    A 2D spec, a bad ``alpha`` or a graded N < 2 is refused before any assembly."""
     if spec.dimension != 1:
         raise ValueError("the spatial study runs on graded 1D meshes, not a 2D grid")
-    if Ns[0] < 2:
-        raise ValueError(f"N must be >= 2, got {Ns[0]}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    for m in spec.ms:
+        require_order_and_exponent(m, alpha)
     # the fine mesh's solution is the stand-in for the continuum limit; every
     # setup comes before the fork, which would slow it
-    fop, fL, fdelta, ff = _graded_setup(spec, max(Ns) * _REFERENCE_FACTOR)
-    setups = [_graded_setup(spec, N) for N in Ns]
+    grids = [build_graded_spatial_mesh(N) for N in (max(spec.Ns) * _REFERENCE_FACTOR, *spec.Ns)]
+    (fop, fL, fdelta, ff), *setups = [_graded_setup(spec, nodes) for nodes in grids]
     um_mesh = build_uniform_mesh(spec.um_steps)
     um_runs = [(f, op, StepperConfig(alpha=alpha, m=m, delta=delta, mesh=um_mesh))
                for op, _, delta, f in setups for m in spec.ms]
@@ -514,7 +503,7 @@ def run_spatial_refinement(spec: ExperimentSpec, alpha: float = 0.5) -> list[dic
         u_fine = run_grm(ff, fop, StepperConfig.grm(alpha, fdelta, 2, None, _REFERENCE_NT, fL))
         xp = np.concatenate([[0.0], fop.dof_coords, [1.0]])
         fp = np.concatenate([[0.0], u_fine.coeffs, [0.0]])
-        for N, (op, L, delta, f) in zip(Ns, setups):
+        for N, (op, L, delta, f) in zip(spec.Ns, setups):
             nx = len(op.nodes) - 1
             u_ref = run_grm(f, op, StepperConfig.grm(alpha, delta, 2, None, _REFERENCE_NT, L))
             threshold = _m_distance(GridFunction(np.interp(op.dof_coords, xp, fp), op), u_ref)

@@ -32,6 +32,15 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 DATA_CASE_DIM = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 2, "f": 2}
 
 
+def require_data_case(tag, dim: int | None = None, of: str | None = None) -> None:
+    """Refuse an unknown data case and, given ``dim``, one not ``dim``-D (``of``: the study)."""
+    if tag not in DATA_CASE_DIM:
+        raise ValueError(f"unknown data case {tag!r}")
+    if dim not in (None, DATA_CASE_DIM[tag]):
+        raise ValueError(f"data case {tag!r} is {DATA_CASE_DIM[tag]}D, the {of} is {dim}D" if of
+                         else f"data case {tag!r} does not match a {dim}D operator")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Mass/stiffness pair (M, K) over the interior degrees of freedom.
@@ -144,8 +153,7 @@ def data_case(tag: str, point):
     ``point`` is a scalar/array for 1D tags and an (x, y) pair (or arrays)
     for 2D tags.
     """
-    if tag not in DATA_CASE_DIM:
-        raise ValueError(f"unknown data case {tag!r}")
+    require_data_case(tag)
     if DATA_CASE_DIM[tag] == 1:
         x = np.asarray(point, dtype=np.float64)
         if tag == "a":
@@ -220,19 +228,16 @@ def _scatter(n_nodes, e, left, right):
 
 def load_vector(op: DiscreteOperator, f) -> np.ndarray:
     """Quadrature of f against every interior basis function."""
-    if op.dim == 1:
-        if isinstance(f, str):
-            if DATA_CASE_DIM.get(f) != 1:
-                raise ValueError(f"data case {f!r} does not match a 1D operator")
-            splits = (0.5,) if f == "c" else ()
-            return _element_load_1d(op.nodes, lambda x: data_case(f, x), splits)
-        return _element_load_1d(op.nodes, f)
     f1 = op.factor
     if isinstance(f, str):
-        if DATA_CASE_DIM.get(f) != 2:
-            raise ValueError(f"data case {f!r} does not match a 2D operator")
+        require_data_case(f, op.dim)
+        if op.dim == 1:
+            splits = (0.5,) if f == "c" else ()
+            return _element_load_1d(op.nodes, lambda x: data_case(f, x), splits)
         b1 = load_vector(f1, "b") if f == "e" else _indicator_load_1d(f1.nodes)
         return np.kron(b1, b1)
+    if op.dim == 1:
+        return _element_load_1d(op.nodes, f)
     # tensor Gauss rule: F = f on the grid of Gauss points, then the 1D
     # element rule along each axis in turn (no BLAS product, so the bits do
     # not depend on the BLAS thread count)

@@ -56,6 +56,22 @@ class TimeMesh:
         return np.diff(self.breakpoints)
 
 
+def require_steps(N, least: int = 1, name: str = "N") -> None:
+    """Refuse a step count (``name`` in the message) not an integer >= ``least``."""
+    if not isinstance(N, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {N!r}")
+    if N < least:
+        raise ValueError(f"{name} must be >= {least}, got {N}")
+
+
+def require_depth(L) -> None:
+    """Refuse a dyadic depth L that is not an integer >= 1."""
+    if not isinstance(L, (int, np.integer)):
+        raise ValueError(f"L = {L!r} must be an integer")
+    if L < 1:
+        raise ValueError(f"L = {L} must be >= 1")
+
+
 def refinement_level_for(lambda_max: float) -> int:
     """Smallest L with 2**-L <= 1/lambda_max, i.e. ceil(log2(lambda_max))."""
     return math.ceil(math.log2(lambda_max))
@@ -86,22 +102,18 @@ def build_geometric_mesh(lambda_max: float | None, N: int, L_override: int | Non
     k_0 * lambda_max <= 1/N.  Breakpoints are exact dyadics; every coarse
     interval endpoint t_{n,N} coincides bit-for-bit with t_{n+1}.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if L_override is not None:
-        if L_override < 1:
-            raise ValueError(f"L_override must be >= 1, got {L_override}")
-        L = int(L_override)
-    else:
+    require_steps(N)
+    L = L_override
+    if L is None:
         if lambda_max is None or lambda_max <= 1.0:
             raise ValueError("lambda_max must exceed 1 when L_override is not given")
         L = refinement_level_for(lambda_max)
+    require_depth(L)
     return TimeMesh(_dyadic_layout(L, N))
 
 
 def build_uniform_mesh(N: int) -> TimeMesh:
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    require_steps(N)
     pts = np.arange(N + 1, dtype=np.float64) / N
     pts[-1] = 1.0
     return TimeMesh(pts)
@@ -122,7 +134,6 @@ def build_graded_spatial_mesh(N: int) -> np.ndarray:
     h**2; the right half mirrors the left.  2*L*N elements in total.  The
     left half is the dyadic layout at depth L - 1 halved, which is exact.
     """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    require_steps(N, 2)
     left = 0.5 * _dyadic_layout(graded_refinement_level(N) - 1, N)
     return np.concatenate([left, 1.0 - left[:-1][::-1]])

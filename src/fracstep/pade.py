@@ -120,6 +120,14 @@ def _refine_poles_and_residues(p, q):
             np.array([float(w) for w in residues]))
 
 
+def require_order_and_exponent(m, alpha) -> None:
+    """Refuse an order m not an integer in [1, ``MAX_ORDER``] and an alpha outside (0, 1)."""
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"order m must be an integer in [1, {MAX_ORDER}], got {m!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 @functools.lru_cache(maxsize=64, typed=True)
 def pade_coefficients(m: int, alpha: float) -> PadeRational:
     """Construct the degree-(m, m) approximant of (1+x)**(-alpha).
@@ -128,20 +136,14 @@ def pade_coefficients(m: int, alpha: float) -> PadeRational:
     keeps the latest 64 approximants, keyed by value and type, so an
     invalid ``m = 2.0`` is never served the entry of ``m = 2``.
 
-    Args:
-        m: order, 1 <= m <= 8.
-        alpha: exponent in the open interval (0, 1).
-
     Raises:
-        ValueError: order or exponent outside the supported range.
+        ValueError: an order m or exponent alpha that
+            ``require_order_and_exponent`` refuses.
         PadeConstructionError: root finding failed its residual contract or
             poles are too clustered to decompose reliably, or a residue is
             not positive (r would not decrease on [0, inf)).
     """
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_ORDER:
-        raise ValueError(f"order m must be an integer in [1, {MAX_ORDER}], got {m!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    require_order_and_exponent(m, alpha)
     alpha = float(alpha)
 
     p, q = _series_coefficients(m, alpha)

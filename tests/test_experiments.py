@@ -29,7 +29,8 @@ from fracstep.experiments import (
     write_csv,
 )
 from fracstep.fem import assemble_1d, assemble_2d_tensor
-from fracstep.meshes import experiment_refinement_level, refinement_level_for
+from fracstep.meshes import (build_graded_spatial_mesh, experiment_refinement_level,
+                             refinement_level_for)
 from fracstep.spectral import eig_2d_tensor
 from tests.test_fem import built_fields
 
@@ -147,8 +148,15 @@ class TestSpecValidation:
         ({"Ns": (0, 8)}, "^N must be >= 1, got 0$"),
         ({"ms": (0, 2)}, r"^order m must be an integer in \[1, 8\], got 0$"),
         ({"ms": (2, 9)}, r"^order m must be an integer in \[1, 8\], got 9$"),
-        ({"um_steps": 0}, "^um_steps: N must be >= 1, got 0$")),
-        ids=("delta-nan", "delta-0", "delta-negative", "N-0", "m-0", "m-9", "um_steps-0"))
+        ({"um_steps": 0}, "^um_steps: N must be >= 1, got 0$"),
+        ({"alphas": (0.5, 1.5)}, r"^alpha must lie in \(0, 1\), got 1.5$"),
+        # a non-integer step count or depth ran: N = 1.5 stepped a GRM row
+        # 16 times, and L = 2.5 was truncated to 2
+        ({"Ns": (1.5, 3)}, "^N must be an integer, got 1.5$"),
+        ({"um_steps": 2.5}, "^um_steps: N must be an integer, got 2.5$"),
+        ({"L_policy": "fixed", "L_fixed": 2.5}, "^L = 2.5 must be an integer$")),
+        ids=("delta-nan", "delta-0", "delta-negative", "N-0", "m-0", "m-9", "um_steps-0",
+             "alpha-1.5", "N-1.5", "um_steps-2.5", "L-2.5"))
     def test_stepping_setting_refused_before_assembly(self, monkeypatch, study, setting,
                                                      message):
         # these were refused only once a run was set up, after the operator
@@ -498,7 +506,7 @@ class TestSpatialRefinement:
         from fracstep.experiments import _graded_setup, _smallest_passing_Nt
 
         monkeypatch.setattr(experiments, "_NT_CAP", 1)
-        op, L, delta, f = _graded_setup(ExperimentSpec(), 4)
+        op, L, delta, f = _graded_setup(ExperimentSpec(), build_graded_spatial_mesh(4))
         with pytest.raises(RuntimeError, match="no Nt <= 1"):
             _smallest_passing_Nt(op, f, 0.5, 1, delta, L, f, 0.0)
 

@@ -297,6 +297,13 @@ class TestDataCases:
             load_vector(assemble_2d_tensor(4), "a")
 
 
+    def test_unknown_tag_refused_by_load_vector(self):
+        # it was refused as a case of the other dimension
+        for op in (assemble_1d(np.linspace(0, 1, 11)), assemble_2d_tensor(4)):
+            with pytest.raises(ValueError, match="^unknown data case 'z'$"):
+                load_vector(op, "z")
+
+
 class TestProjection:
     def test_projection_of_basis_function(self, op_1d_small):
         op = op_1d_small

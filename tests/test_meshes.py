@@ -58,6 +58,34 @@ class TestGeometric:
             build_uniform_mesh(0)
 
 
+class TestStepCountsAndDepths:
+    def test_numpy_integers_accepted(self):
+        # counts read from an array are numpy integers: same meshes, same bits
+        for N in (np.int64(3), np.int32(3)):
+            np.testing.assert_array_equal(build_uniform_mesh(N).breakpoints,
+                                          build_uniform_mesh(3).breakpoints)
+            np.testing.assert_array_equal(build_geometric_mesh(100.0, N).breakpoints,
+                                          build_geometric_mesh(100.0, 3).breakpoints)
+            np.testing.assert_array_equal(build_graded_spatial_mesh(N),
+                                          build_graded_spatial_mesh(3))
+            np.testing.assert_array_equal(build_geometric_mesh(None, 2, L_override=N).breakpoints,
+                                          build_geometric_mesh(None, 2, L_override=3).breakpoints)
+
+    @pytest.mark.parametrize("N", (2.5, 3.0, "3", None))
+    def test_non_integer_step_count_refused(self, N):
+        # build_uniform_mesh(2.5) made the steps [0.4, 0.4, 0.2]
+        for build in (build_uniform_mesh, lambda N: build_geometric_mesh(100.0, N),
+                      build_graded_spatial_mesh):
+            with pytest.raises(ValueError, match="^N must be an integer, got "):
+                build(N)
+
+    @pytest.mark.parametrize("L", (2.5, 3.0))
+    def test_non_integer_depth_refused(self, L):
+        # L_override = 2.5 was truncated to a depth of 2
+        with pytest.raises(ValueError, match=rf"^L = {L} must be an integer$"):
+            build_geometric_mesh(None, 2, L_override=L)
+
+
 class TestUniform:
     def test_explicit_small(self):
         np.testing.assert_array_equal(build_uniform_mesh(1).breakpoints, [0.0, 1.0])
