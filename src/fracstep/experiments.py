@@ -50,7 +50,7 @@ from .meshes import (build_graded_spatial_mesh, build_uniform_mesh, experiment_r
                      refinement_level_for, require_depth, require_steps)
 from .pade import pade_coefficients, require_order_and_exponent
 from .scalar import fit_loglog_slope, sup_error
-from .solvers import CG_RTOL, SOLVERS
+from .solvers import CG_RTOL, require_solver
 from .spectral import (DENSE_EIG_CAP, eig_1d, eig_2d_tensor,
                        estimate_spectral_bounds, reference_power)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
@@ -58,7 +58,7 @@ from .spectral import (DENSE_EIG_CAP, eig_1d, eig_2d_tensor,
 # call made in a forked child: neither the half of a 1D table's runs that
 # steps there (through these same names) nor the uniform runs of the
 # spatial study, which step there as one batch through run_batch
-from .stepping import StepperConfig, run_batch, run_grm, run_um
+from .stepping import StepperConfig, require_shift, run_batch, run_grm, run_um
 
 DEFAULT_DELTA_FRACTION = 0.5
 SCHEMES = ("grm", "um", "both")
@@ -91,9 +91,11 @@ class ExperimentSpec:
     "direct" or "cg"; "cg" serves the tensor grid only, since 1D studies
     always solve directly.  The settings another module owns are refused
     here, before anything is assembled, by its rule: ``fem.require_data_case``
-    (``data_cases``), ``meshes.require_steps`` (``Ns``, ``um_steps``) and
-    ``require_depth`` (``L_fixed``), ``pade.require_order_and_exponent``
-    (``ms``, ``alphas``); ``SCHEMES`` and ``L_POLICIES`` are this module's.
+    (``data_cases``), ``meshes.require_steps`` (``Ns``, ``um_steps``,
+    ``n_per_side``) and ``require_depth`` (``L_fixed``),
+    ``pade.require_order_and_exponent`` (``ms``, ``alphas``),
+    ``stepping.require_shift`` (``delta``) and ``solvers.require_solver``
+    (``solver``); ``SCHEMES`` and ``L_POLICIES`` are this module's.
     """
 
     dimension: int = 1
@@ -116,21 +118,16 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.solver == "cg" and self.dimension == 1:
-            raise ValueError("the cg solver needs a 2D (tensor) operator; "
-                             "1D solves are always direct")
+        require_solver(self.solver, self.dimension)
         # NaN fails every comparison; round(1 / h) >= 2 cells needs 1 / h >= 1.5,
         # and a subnormal h overflows 1 / h
         if self.dimension == 1 and not (0 < self.h and 1.5 <= 1 / self.h < math.inf):
             raise ValueError(f"h = {self.h} must give a finite count of at least 2 cells "
                              "(0 < h <= 2/3)")
-        if self.dimension == 2 and self.cells - 1 > DENSE_EIG_CAP:
-            raise ValueError(f"{self.cells - 1} dofs per axis, over the cap {DENSE_EIG_CAP}")
-        if self.dimension == 2 and self.n_per_side < 3:
-            raise ValueError(f"n_per_side = {self.n_per_side} must be >= 3 "
-                             "(at least two interior nodes per axis)")
+        if self.dimension == 2:
+            require_steps(self.n_per_side, 3, "n_per_side")
+            if self.cells - 1 > DENSE_EIG_CAP:
+                raise ValueError(f"{self.cells - 1} dofs per axis, over the cap {DENSE_EIG_CAP}")
         for tag in self.data_cases:
             require_data_case(tag, self.dimension, "table")
         _require_lists(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
@@ -141,8 +138,8 @@ class ExperimentSpec:
             require_steps(N)
         for m, a in itertools.product(self.ms, self.alphas):
             require_order_and_exponent(m, a)
-        if self.delta is not None and not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if self.delta is not None:
+            require_shift(self.delta)
         require_steps(self.um_steps, name="um_steps: N")
         if self.L_policy not in L_POLICIES:
             raise ValueError(f"unknown L policy {self.L_policy!r}")
@@ -554,17 +551,16 @@ def run_scalar_diagnostics(alphas=(0.1, 0.5, 0.9), ms=(1, 2), Ns=(8, 16, 32, 64)
                            lambda_lo=1.0, lambda_hi=1e6, delta=0.5, points=1000) -> list[dict]:
     """Sup-error sweeps over a lambda grid with fitted convergence slopes.
 
-    The grid is ``points >= 2`` log-spaced values from ``lambda_lo`` up to
-    ``lambda_hi``, which is also the spectral top the GRM meshes take their
-    depth L from.
+    The grid is ``points`` (an integer >= 2) log-spaced values from
+    ``lambda_lo`` up to ``lambda_hi``, which is also the spectral top the
+    GRM meshes take their depth L from.
     """
     _require_lists(alphas=alphas, ms=ms, Ns=Ns)
     # NaN fails every comparison, so it is refused too
     if not 0 < lambda_lo < lambda_hi < math.inf:
         raise ValueError(f"lambda_lo = {lambda_lo} and lambda_hi = {lambda_hi} must satisfy "
                          "0 < lambda_lo < lambda_hi < inf, and every lambda must be >= delta")
-    if not points >= 2:
-        raise ValueError(f"points must be >= 2, got {points}")
+    require_steps(points, 2, "points")
     lams = np.logspace(math.log10(lambda_lo), math.log10(lambda_hi), points)
     lam_max = float(lambda_hi)
     rows = []

@@ -1,8 +1,9 @@
 """P1/Q1 finite element assembly on (0,1) and (0,1)^2 with Dirichlet walls.
 
 Every matrix here is a symmetric tridiagonal or a Kronecker product of two.
-A 1D operator, assembled on any strictly increasing node set, is the two
-bands (diagonal, off-diagonal) of its mass and stiffness matrices M and K.
+A 1D operator, assembled on any finite, strictly increasing node set, is
+the two bands (diagonal, off-diagonal) of its mass and stiffness matrices
+M and K.
 A 2D operator is the tensor product of a uniform 1D factor with itself and
 holds only that factor: M2 = kron(M, M) and K2 = kron(K, M) + kron(M, K).
 Boundary rows/columns are eliminated, keeping both matrices SPD, and
@@ -26,6 +27,7 @@ import numpy as np
 # calls of ``_kernels.tridiag_matvec`` as the 1D step's mass applies and of
 # ``_kernels.tridiag_solve`` as its shifted solves
 from ._kernels import tridiag_matvec, tridiag_solve
+from .meshes import require_steps
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
@@ -113,8 +115,9 @@ def assemble_1d(nodes) -> DiscreteOperator:
     if len(nodes) < 3:
         raise ValueError("need at least 3 nodes (one interior dof)")
     h = np.diff(nodes)
-    if np.any(h <= 0):
-        raise ValueError("nodes must be strictly increasing")
+    # a NaN or infinite node makes a NaN or infinite step, which fails too
+    if not np.all((0 < h) & (h < np.inf)):
+        raise ValueError("nodes must be finite and strictly increasing")
     hl, hr = h[:-1], h[1:]
     return DiscreteOperator(
         nodes=nodes.copy(),
@@ -125,9 +128,9 @@ def assemble_1d(nodes) -> DiscreteOperator:
 
 def assemble_2d_tensor(n_per_side: int) -> DiscreteOperator:
     """Tensor-product bilinear elements on a uniform n x n grid of (0,1)^2:
-    the 1D factor only (see ``DiscreteOperator``)."""
-    if n_per_side < 3:
-        raise ValueError("need n_per_side >= 3 for at least two interior nodes per axis")
+    the 1D factor only (see ``DiscreteOperator``).  n is an integer >= 3,
+    for at least two interior nodes per axis."""
+    require_steps(n_per_side, 3, "n_per_side")
     f1 = assemble_1d(np.linspace(0.0, 1.0, n_per_side + 1))
     return DiscreteOperator(nodes=f1.nodes, factor=f1)
 

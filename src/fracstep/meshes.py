@@ -57,7 +57,9 @@ class TimeMesh:
 
 
 def require_steps(N, least: int = 1, name: str = "N") -> None:
-    """Refuse a step count (``name`` in the message) not an integer >= ``least``."""
+    """Refuse a count (``name`` in the message) not an integer >= ``least``:
+    step counts, but also the cells per side of a tensor grid and the
+    points of a sweep."""
     if not isinstance(N, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {N!r}")
     if N < least:
@@ -98,15 +100,16 @@ def _dyadic_layout(L: int, N: int) -> np.ndarray:
 def build_geometric_mesh(lambda_max: float | None, N: int, L_override: int | None = None) -> TimeMesh:
     """Geometrically refined mesh with (L+1)*N intervals.
 
-    L defaults to ceil(log2(lambda_max)), which guarantees
-    k_0 * lambda_max <= 1/N.  Breakpoints are exact dyadics; every coarse
-    interval endpoint t_{n,N} coincides bit-for-bit with t_{n+1}.
+    L defaults to ceil(log2(lambda_max)) for a finite lambda_max > 1, which
+    guarantees k_0 * lambda_max <= 1/N.  Breakpoints are exact dyadics;
+    every coarse interval endpoint t_{n,N} coincides bit-for-bit with t_{n+1}.
     """
     require_steps(N)
     L = L_override
     if L is None:
-        if lambda_max is None or lambda_max <= 1.0:
-            raise ValueError("lambda_max must exceed 1 when L_override is not given")
+        # NaN fails every comparison, so it is refused too
+        if lambda_max is None or not 1.0 < lambda_max < math.inf:
+            raise ValueError(f"lambda_max must be in (1, inf) without L_override, got {lambda_max}")
         L = refinement_level_for(lambda_max)
     require_depth(L)
     return TimeMesh(_dyadic_layout(L, N))

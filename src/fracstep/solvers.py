@@ -61,7 +61,9 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla  # noqa: F401  a module global that perfbench/tracing.py swaps
+# a module global only because perfbench/tracing.py swaps it for a counting
+# wrapper; nothing calls spla (``_pcg`` is the one CG), so that wrapper counts nothing
+import scipy.sparse.linalg as spla  # noqa: F401
 
 from . import _kernels
 from .fem import DiscreteOperator, per_operator
@@ -75,6 +77,15 @@ class SolveError(RuntimeError):
 SOLVERS = ("direct", "cg")  # the solver names a run can pick (see stepping._pencil)
 CG_RTOL = 1e-12  # the relative residual every CG solve stops at
 CG_MAXITER = 20_000  # the iteration budget of every CG solve
+
+
+def require_solver(name, dim: int | None = None) -> None:
+    """Refuse a solver name not in ``SOLVERS`` and, given ``dim == 1``, "cg",
+    which serves tensor operators only (1D solves are always direct)."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}")
+    if name == "cg" and dim == 1:
+        raise ValueError("the cg solver needs a 2D (tensor) operator; 1D solves are always direct")
 
 
 class _Pencil:

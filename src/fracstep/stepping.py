@@ -57,9 +57,15 @@ import numpy as np
 from .fem import DiscreteOperator, GridFunction
 from .meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from .pade import PadeRational, pade_coefficients
-from .solvers import SOLVERS, BandedPencil, PreconditionedCG, SolveError, TensorDiagSolver
+from .solvers import BandedPencil, PreconditionedCG, SolveError, TensorDiagSolver, require_solver
 
 _GROWTH_TOL = 1.0 + 1e-9
+
+
+def require_shift(delta) -> None:
+    """Refuse a shift delta that is not positive and finite; NaN included."""
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +73,8 @@ class StepperConfig:
     """Everything one run needs: exponent, order, shift, mesh and solver.
 
     ``solver`` names how the shifted systems are solved, "direct" or "cg"
-    (see ``_pencil``).  The scalar recurrences take the same config
+    (see ``_pencil``); ``require_shift`` and ``solvers.require_solver``
+    refuse a bad ``delta`` or ``solver``.  The scalar recurrences take the same config
     (``scalar.ScalarRunConfig`` is this class) and ignore ``solver``.
     """
 
@@ -79,10 +86,8 @@ class StepperConfig:
     rational: PadeRational = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
+        require_shift(self.delta)
+        require_solver(self.solver)
         object.__setattr__(self, "rational", pade_coefficients(self.m, self.alpha))
 
     @classmethod

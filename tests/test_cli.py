@@ -170,7 +170,7 @@ class TestTable1D:
         (("table-1d", "--cases", "b,b"), "data_cases has a repeated entry: ('b', 'b')"),
         (("table-1d", "--alphas", "0.5,0.5"), "alphas has a repeated entry"),
         (("table-2d", "--ms", "2,2"), "ms has a repeated entry"),
-        (("table-2d", "--n-per-side", "2"), "n_per_side = 2 must be >= 3")))
+        (("table-2d", "--n-per-side", "2"), "n_per_side must be >= 3, got 2")))
     def test_bad_case_or_depth_fails_before_assembly(self, args, message, monkeypatch, capsys):
         def refuse(*a):
             raise AssertionError("operator assembled before the settings were checked")

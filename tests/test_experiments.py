@@ -29,8 +29,8 @@ from fracstep.experiments import (
     write_csv,
 )
 from fracstep.fem import assemble_1d, assemble_2d_tensor
-from fracstep.meshes import (build_graded_spatial_mesh, experiment_refinement_level,
-                             refinement_level_for)
+from fracstep.meshes import (build_geometric_mesh, build_graded_spatial_mesh,
+                             experiment_refinement_level, refinement_level_for)
 from fracstep.spectral import eig_2d_tensor
 from tests.test_fem import built_fields
 
@@ -186,9 +186,34 @@ class TestSpecValidation:
     def test_tensor_grid_under_three_cells_refused_before_assembly(self, monkeypatch,
                                                                    n_per_side):
         self._refuse_assembly(monkeypatch)
-        with pytest.raises(ValueError, match=rf"^n_per_side = {n_per_side} must be >= 3 "):
+        with pytest.raises(ValueError, match=rf"^n_per_side must be >= 3, got {n_per_side}$"):
             run_table(ExperimentSpec(dimension=2, data_cases=("e",), n_per_side=n_per_side))
         assert ExperimentSpec(dimension=2, data_cases=("e",), n_per_side=3).cells == 3
+
+    @pytest.mark.parametrize("build,message", (
+        (lambda: ExperimentSpec(dimension=2, data_cases=("e",), n_per_side=3.5),
+         "^n_per_side must be an integer, got 3.5$"),
+        (lambda: ExperimentSpec(dimension=2, data_cases=("e",), n_per_side=4.0),
+         "^n_per_side must be an integer, got 4.0$"),
+        (lambda: assemble_2d_tensor(3.5), "^n_per_side must be an integer, got 3.5$"),
+        (lambda: run_scalar_diagnostics(points=2.5), "^points must be an integer, got 2.5$"),
+        (lambda: assemble_1d([0.0, np.nan, 1.0]),
+         "^nodes must be finite and strictly increasing$"),
+        (lambda: assemble_1d([0.0, 1.0, np.inf]),
+         "^nodes must be finite and strictly increasing$"),
+        (lambda: build_geometric_mesh(np.nan, 4),
+         r"^lambda_max must be in \(1, inf\) without L_override, got nan$"),
+        (lambda: build_geometric_mesh(np.inf, 4),
+         r"^lambda_max must be in \(1, inf\) without L_override, got inf$")),
+        ids=("spec-n_per_side-3.5", "spec-n_per_side-4.0", "grid-3.5", "sweep-points-2.5",
+             "nodes-nan", "nodes-inf", "lambda_max-nan", "lambda_max-inf"))
+    def test_non_integer_count_or_non_finite_value_refused(self, build, message):
+        # a spec with a non-integer grid size was accepted, and that size (or
+        # a non-integer sweep size) failed in np.linspace or np.logspace as a
+        # TypeError; a NaN node gave NaN bands and an infinite one an infinite
+        # mass band; a NaN or infinite lambda_max failed in math.ceil
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestCsv:

@@ -175,7 +175,7 @@ class TestAssembly1D:
 
     def test_tensor_grid_refusal_counts_interior_nodes(self):
         # two cells give one interior node per axis; the smallest grid has two
-        with pytest.raises(ValueError, match="n_per_side >= 3 for at least two interior nodes"):
+        with pytest.raises(ValueError, match="^n_per_side must be >= 3, got 2$"):
             assemble_2d_tensor(2)
 
 
