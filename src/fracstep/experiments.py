@@ -87,12 +87,11 @@ class ExperimentSpec:
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of
     ``round(1 / h)`` cells or the tensor grid of ``n_per_side``, with at most
     ``DENSE_EIG_CAP`` dofs per axis in 2D, where the eigenbasis holds dense
-    half blocks and CG the n x n modes of the 1D factor.  ``solver`` is
-    "direct" or "cg"; "cg" serves the tensor grid only, since 1D studies
-    always solve directly.  The settings another module owns are refused
-    here, before anything is assembled, by its rule: ``fem.require_data_case``
-    (``data_cases``), ``meshes.require_steps`` (``Ns``, ``um_steps``,
-    ``n_per_side``) and ``require_depth`` (``L_fixed``),
+    half blocks and CG the n x n modes of the 1D factor.  The settings
+    another module owns are refused here, before anything is assembled, by
+    its rule: ``fem.require_data_case`` (``data_cases``),
+    ``meshes.require_steps`` (``Ns``, ``um_steps``, ``n_per_side``) and
+    ``require_depth`` (``L_fixed``),
     ``pade.require_order_and_exponent`` (``ms``, ``alphas``),
     ``stepping.require_shift`` (``delta``) and ``solvers.require_solver``
     (``solver``); ``SCHEMES`` and ``L_POLICIES`` are this module's.
@@ -321,15 +320,15 @@ def _forked(fn, *args):
 # 1D / 2D convergence tables
 # ---------------------------------------------------------------------------
 
-def _score_runs(runs, fs, op, references, ref_norms) -> list:
+def _score_runs(runs, fs, op, solver, references, ref_norms) -> list:
     """Per ``(alpha, m, scheme, N, cfg)`` of ``runs``: the relative error of
     each row and its ``RunStats``.  Each run steps the block ``fs`` on ``op``
-    through ``run_grm`` or ``run_um`` and is scored against
+    by ``solver`` through ``run_grm`` or ``run_um`` and is scored against
     ``references[alpha]`` at once, so no run's outputs outlive it."""
     results = []
     for alpha, _, scheme, _, cfg in runs:
         step = run_grm if scheme == "grm" else run_um
-        outs, stats = step(fs, op, cfg, return_stats=True)
+        outs, stats = step(fs, op, cfg, return_stats=True, solver=solver)
         errors = [_m_distance(out, ref) / norm
                   for out, ref, norm in zip(outs, references[alpha], ref_norms[alpha])]
         results.append((errors, stats))
@@ -392,13 +391,13 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
             for scheme in schemes:
                 for N in spec.Ns:
                     if scheme == "grm":
-                        cfg = StepperConfig.grm(alpha, delta, m, None, N, L, spec.solver)
+                        cfg = StepperConfig.grm(alpha, delta, m, None, N, L)
                     else:
-                        cfg = StepperConfig.um(alpha, delta, m, (L + 1) * N, spec.solver)
+                        cfg = StepperConfig.um(alpha, delta, m, (L + 1) * N)
                     runs.append((alpha, m, scheme, N, cfg))
     mine, theirs = (_split_by_cost([cfg.mesh.num_steps * cfg.m for *_, cfg in runs])
                     if op.dim == 1 else (range(len(runs)), []))
-    scoring = fs, op, references, ref_norms
+    scoring = fs, op, spec.solver, references, ref_norms
     with (_forked(_score_runs, [runs[j] for j in theirs], *scoring) if theirs
           else contextlib.nullcontext(list)) as child:
         results = dict(zip(mine, _score_runs([runs[j] for j in mine], *scoring)))

@@ -114,8 +114,9 @@ def assemble_1d(nodes) -> DiscreteOperator:
     nodes = np.asarray(nodes, dtype=np.float64)
     if len(nodes) < 3:
         raise ValueError("need at least 3 nodes (one interior dof)")
-    h = np.diff(nodes)
-    # a NaN or infinite node makes a NaN or infinite step, which fails too
+    # a NaN, infinite or overflowing step fails too, with no numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.diff(nodes)
     if not np.all((0 < h) & (h < np.inf)):
         raise ValueError("nodes must be finite and strictly increasing")
     hl, hr = h[:-1], h[1:]

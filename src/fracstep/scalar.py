@@ -67,8 +67,9 @@ def fit_loglog_slope(ns, errors) -> float:
     errors = np.asarray(errors, dtype=np.float64)
     if len(np.unique(ns)) < 3:
         raise ValueError("slope fit needs at least 3 distinct n")
-    if np.any(errors <= 0):
-        raise ValueError("errors must be positive for a log-log fit")
+    # NaN fails both comparisons, so it is refused too
+    if not np.all((errors > 0) & (errors < np.inf)):
+        raise ValueError("errors must be positive and finite for a log-log fit")
     coeffs = np.polyfit(np.log2(ns), np.log2(errors), 1)
     return float(-coeffs[0])
 

@@ -50,8 +50,8 @@ floats).  Each row of a result has the bits a one-row block would give it.
   c vector products) and u . M u per row.
 
 Every ``step`` first sums the poles' terms w_i z_i, then adds s u.  The
-tensor backends step one run.  A backend is built for one run or batch and
-holds its CG counts.
+tensor backends step one run.  ``pencil`` picks and builds the backend of
+one run or batch, which holds its CG counts.
 """
 
 from __future__ import annotations
@@ -74,18 +74,32 @@ class SolveError(RuntimeError):
     """An SPD solve failed (breakdown or iteration budget exhausted)."""
 
 
-SOLVERS = ("direct", "cg")  # the solver names a run can pick (see stepping._pencil)
+SOLVERS = ("direct", "cg")  # the solver names a run can pick (see ``pencil``)
 CG_RTOL = 1e-12  # the relative residual every CG solve stops at
 CG_MAXITER = 20_000  # the iteration budget of every CG solve
 
 
-def require_solver(name, dim: int | None = None) -> None:
-    """Refuse a solver name not in ``SOLVERS`` and, given ``dim == 1``, "cg",
-    which serves tensor operators only (1D solves are always direct)."""
+def require_solver(name, dim: int) -> None:
+    """Refuse a solver name not in ``SOLVERS``, and "cg" in dimension 1: it
+    serves tensor operators only (1D solves are always direct)."""
     if name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}")
     if name == "cg" and dim == 1:
         raise ValueError("the cg solver needs a 2D (tensor) operator; 1D solves are always direct")
+
+
+def pencil(ops, solver: str = "direct", columns: int = 1, poles=(1,)):
+    """The backend of one run, or of a batch of 1D runs, on ``ops`` with
+    ``columns`` rows and ``poles[r]`` poles in run r (non-increasing):
+    ``BandedPencil`` in 1D; in 2D, where a run steps alone,
+    ``PreconditionedCG`` for ``solver="cg"``, else ``TensorDiagSolver``."""
+    op = ops[0]
+    require_solver(solver, op.dim)
+    if len(ops) > 1 and any(o.dim != 1 for o in ops):
+        raise ValueError("only 1D runs step as a batch; a 2D run steps alone")
+    if solver == "cg":
+        return PreconditionedCG(op, columns)
+    return TensorDiagSolver(op) if op.dim == 2 else BandedPencil(ops, columns, poles)
 
 
 class _Pencil:
@@ -213,9 +227,7 @@ def _cg_state(op: DiscreteOperator):
     K2 = kron(K1, M1) + kron(M1, K1), M2 = kron(M1, M1) of the 1D factor's
     bands, refused on two sparsity patterns, and the factor's sine modes Q
     (natural order) with a contiguous Q^T and lambda_i + lambda_j in the
-    same order.  A 1D operator is refused."""
-    if op.dim != 2:
-        raise ValueError("PreconditionedCG requires a tensor operator")
+    same order."""
     K1, M1 = (sp.diags([e, d, e], [-1, 0, 1], format="csr")
               for d, e in (op.factor.stiffness_bands, op.factor.mass_bands))
     K = (sp.kron(K1, M1) + sp.kron(M1, K1)).tocsr()

@@ -1,10 +1,12 @@
 """Operator-level time stepping for the discrete fractional power.
 
 One step multiplies the iterate by r(k B (delta I + t B)^{-1}) where
-B = A_h - delta I and A_h = M^{-1} K in coefficient space.  ``run``
-steps U_0 = delta**-alpha v over the time mesh of the config, which alone
-picks the scheme: geometric for GRM, uniform for UM.  A single step from t
-is a run over the one-step mesh ``TimeMesh([t, t + k])``.  Through the
+B = A_h - delta I and A_h = M^{-1} K in coefficient space.  A run config
+(``StepperConfig``) is the time scheme: exponent, order, shift and time
+mesh.  ``run`` steps U_0 = delta**-alpha v over the config's mesh, which
+alone picks the scheme: geometric for GRM, uniform for UM.  A single step
+from t is a run over the one-step mesh ``TimeMesh([t, t + k])``.  The
+solver lies below the scheme, so ``run`` takes it.  Through the
 partial-fraction form of r (poles x_i, residues w_i, c_i = w_i / x_i) and
 r(0) = 1, the step is
 
@@ -21,16 +23,14 @@ so M^{-1} (K - delta M) z_i = (u + x_i delta z_i) / a_i exactly, and
 
 A step thus costs the m shifted solves and one ``load`` of the new
 iterate, which gives both the next step's right-hand side and the squared
-M-norm that the growth guard reads: M u and u . M u on the banded and CG
-backends, the mode coefficients of u and their squared norm (Parseval) on
-the direct tensor backend.  The step is one ``step`` call on that
-right-hand side, on a shifted-pencil backend from ``solvers``, picked by
-``_pencil`` and built once per run, so CG iteration counts never outlive a
-run.  The iterate lives in the backend's coordinates: ``fold`` once before
-the first ``load`` and ``unfold`` once after the last step (parity-folded
-grids on the direct tensor backend, the coefficients as they are
-elsewhere); the update above is linear, so it holds in either.  The
-shifts and weights are computed ``_CHUNK`` steps at a time.
+M-norm that the growth guard reads (each backend's in ``solvers``).  The
+step is one ``step`` call on that right-hand side, on the backend that
+``solvers.pencil`` picks by the operator and ``solver`` and builds once per
+run, so CG iteration counts never outlive a run.  The iterate lives in
+the backend's coordinates: ``fold`` once before the first ``load`` and
+``unfold`` once after the last step; the update above is linear, so it
+holds in either.  The shifts and weights are computed ``_CHUNK`` steps at
+a time.
 
 None of that depends on the data, so one run steps a block of c data
 vectors at once: U has shape (c, n), one row per grid function, and every
@@ -57,7 +57,7 @@ import numpy as np
 from .fem import DiscreteOperator, GridFunction
 from .meshes import TimeMesh, build_geometric_mesh, build_uniform_mesh
 from .pade import PadeRational, pade_coefficients
-from .solvers import BandedPencil, PreconditionedCG, SolveError, TensorDiagSolver, require_solver
+from .solvers import SolveError, pencil
 
 _GROWTH_TOL = 1.0 + 1e-9
 
@@ -70,33 +70,28 @@ def require_shift(delta) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StepperConfig:
-    """Everything one run needs: exponent, order, shift, mesh and solver.
-
-    ``solver`` names how the shifted systems are solved, "direct" or "cg"
-    (see ``_pencil``); ``require_shift`` and ``solvers.require_solver``
-    refuse a bad ``delta`` or ``solver``.  The scalar recurrences take the same config
-    (``scalar.ScalarRunConfig`` is this class) and ignore ``solver``.
-    """
+    """The time scheme of a run: exponent, Pade order, shift (refused by
+    ``require_shift``) and time mesh, and the approximant ``rational`` of
+    the first two.  The scalar recurrences take it too
+    (``scalar.ScalarRunConfig`` is this class); ``run`` takes the solver."""
 
     alpha: float
     m: int
     delta: float
     mesh: TimeMesh
-    solver: str = "direct"
     rational: PadeRational = field(init=False, repr=False)
 
     def __post_init__(self):
         require_shift(self.delta)
-        require_solver(self.solver)
         object.__setattr__(self, "rational", pade_coefficients(self.m, self.alpha))
 
     @classmethod
-    def grm(cls, alpha, delta, m, lambda_max, N, L_override=None, solver="direct"):
-        return cls(alpha, m, delta, build_geometric_mesh(lambda_max, N, L_override), solver)
+    def grm(cls, alpha, delta, m, lambda_max, N, L_override=None):
+        return cls(alpha, m, delta, build_geometric_mesh(lambda_max, N, L_override))
 
     @classmethod
-    def um(cls, alpha, delta, m, N, solver="direct"):
-        return cls(alpha, m, delta, build_uniform_mesh(N), solver)
+    def um(cls, alpha, delta, m, N):
+        return cls(alpha, m, delta, build_uniform_mesh(N))
 
 
 @dataclass
@@ -114,18 +109,6 @@ class RunStats:
     solves: int = 0
     cg_iters: int = 0
     cg_iters_max: int = 0
-
-
-def _pencil(ops, solver: str, columns: int = 1, poles=(1,)):
-    """The shifted-pencil backend for the runs of ``columns`` rows on ``ops``
-    with ``poles[r]`` poles each (see ``solvers``): a 2D run steps alone, and
-    by CG only if ``solver="cg"``, which ``PreconditionedCG`` refuses in 1D."""
-    op = ops[0]
-    if len(ops) > 1 and any(o.dim != 1 for o in ops):
-        raise ValueError("only 1D runs step as a batch; a 2D run steps alone")
-    if solver == "cg":
-        return PreconditionedCG(op, columns)
-    return TensorDiagSolver(op) if op.dim == 2 else BandedPencil(ops, columns, poles)
 
 
 def _step_terms(cfgs, lo: int, hi: int) -> np.ndarray:
@@ -148,11 +131,12 @@ def _step_terms(cfgs, lo: int, hi: int) -> np.ndarray:
 _CHUNK = 256
 
 
-def run_batch(runs, return_stats: bool = False) -> list:
+def run_batch(runs, return_stats: bool = False, *, solver: str = "direct") -> list:
     """Each ``(v, op, cfg)`` of ``runs`` stepped in lockstep: per run, what
-    ``run(v, op, cfg, return_stats)`` gives, with its bits.  The runs need
-    the same step and row counts; their operators, exponents, orders, shifts
-    and meshes may differ.  Only 1D runs step as a batch of more than one."""
+    ``run(v, op, cfg, return_stats, solver=solver)`` gives, with its bits.
+    The runs need the same step and row counts; their operators, exponents,
+    orders, shifts and meshes may differ.  Only 1D runs step as a batch of
+    more than one (``solvers.pencil`` picks the backend and refuses more)."""
     runs = list(runs)
     if not runs:
         raise ValueError("no run to step")
@@ -168,11 +152,10 @@ def run_batch(runs, return_stats: bool = False) -> list:
     # by decreasing m, so the runs that have pole i come first
     order = sorted(range(R), key=lambda j: -runs[j][2].m)
     ops, cfgs = [runs[j][1] for j in order], [runs[j][2] for j in order]
-    solver = "cg" if any(cfg.solver == "cg" for cfg in cfgs) else "direct"
-    pencil = _pencil(ops, solver, c, [cfg.m for cfg in cfgs])
-    U = pencil.fold(np.concatenate([cfg.delta ** (-cfg.alpha) * np.stack(
+    backend = pencil(ops, solver, c, [cfg.m for cfg in cfgs])
+    U = backend.fold(np.concatenate([cfg.delta ** (-cfg.alpha) * np.stack(
         [w.coeffs for w in blocks[j]]) for j, cfg in zip(order, cfgs)], axis=1))
-    rhs, sq_norms = pencil.load(U)
+    rhs, sq_norms = backend.load(U)
     # per row and run, in Python floats: the M-norm and the worst growth so far
     norms = [math.sqrt(max(sq, 0.0)) for sq in sq_norms]
     growth = [0.0] * len(norms)
@@ -183,9 +166,9 @@ def run_batch(runs, return_stats: bool = False) -> list:
     for lo in range(0, steps, _CHUNK):
         chunk = _step_terms(cfgs, lo, min(lo + _CHUNK, steps))  # a lone run's as floats
         for i, terms in enumerate(chunk if R > 1 else chunk[:, :, 0].tolist(), lo):
-            U = pencil.step(terms, U, rhs)
+            U = backend.step(terms, U, rhs)
             # one load feeds both the growth norms and the next step's right-hand side
-            rhs, sq_norms = pencil.load(U)
+            rhs, sq_norms = backend.load(U)
             for x, sq in enumerate(sq_norms):
                 cur = math.sqrt(max(sq, 0.0))
                 if not math.isfinite(cur):
@@ -202,11 +185,11 @@ def run_batch(runs, return_stats: bool = False) -> list:
                                          f"by {ratio:.12f} (delta above the spectrum?)")
                     growth[x] = max(growth[x], ratio)
                 norms[x] = cur
-    rows, ends = pencil.unfold(U), np.cumsum([op.n_dofs for op in ops])
+    rows, ends = backend.unfold(U), np.cumsum([op.n_dofs for op in ops])
     results = [None] * R
     for r, (j, op, cfg) in enumerate(zip(order, ops, cfgs)):
         outs = [GridFunction(u[ends[r] - op.n_dofs:ends[r]], op) for u in rows]
-        stats = [RunStats(steps, growth[k * R + r], steps * cfg.m, *pencil.iterations(k))
+        stats = [RunStats(steps, growth[k * R + r], steps * cfg.m, *backend.iterations(k))
                  for k in range(c)]
         if isinstance(runs[j][0], GridFunction):
             outs, stats = outs[0], stats[0]
@@ -214,15 +197,17 @@ def run_batch(runs, return_stats: bool = False) -> list:
     return results
 
 
-def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False):
+def run(v, op: DiscreteOperator, cfg: StepperConfig, return_stats: bool = False, *,
+        solver: str = "direct"):
     """U_0 = delta**-alpha v stepped over every step of ``cfg.mesh``.
 
     The mesh picks the scheme: a geometric mesh gives GRM ((L+1)*N steps),
     a uniform one UM (N steps of size 1/N).  ``v`` is one ``GridFunction``
     or a sequence of them on ``op``, stepped as one block; a sequence gives
-    a list of outputs and of ``RunStats``.  It is a ``run_batch`` of one.
+    a list of outputs and of ``RunStats``.  ``solver``, one of
+    ``solvers.SOLVERS``, names the backend.  It is a ``run_batch`` of one.
     """
-    return run_batch([(v, op, cfg)], return_stats)[0]
+    return run_batch([(v, op, cfg)], return_stats, solver=solver)[0]
 
 
 # the GRM and UM names of ``run``; the mesh in the config picks the scheme

@@ -62,6 +62,15 @@ class TestScalarSweep:
         assert (code, out) == (2, "")
         assert "Ns must be strictly increasing" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_errors_fail(self, capsys):
+        # with so small a shift theta overflows and every sup error is NaN;
+        # the sweep exited 0 and printed nan errors and slopes
+        code, out = run_cli(["scalar-sweep", "--delta", "1e-320", "--ms", "1",
+                             "--alphas", "0.5", "--Ns", "8,16,32"])
+        assert (code, out) == (2, "")
+        assert "errors must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,message", [("--lambda-lo", "every lambda must be >= delta"),
                                               ("--delta", "delta must be positive")])
     def test_nan_setting_fails(self, flag, message, capsys):

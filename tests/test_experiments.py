@@ -201,17 +201,26 @@ class TestSpecValidation:
          "^nodes must be finite and strictly increasing$"),
         (lambda: assemble_1d([0.0, 1.0, np.inf]),
          "^nodes must be finite and strictly increasing$"),
+        (lambda: assemble_1d([0.0, np.inf, np.inf]),
+         "^nodes must be finite and strictly increasing$"),
+        (lambda: assemble_1d([-np.inf, -np.inf, 0.0, 1.0]),
+         "^nodes must be finite and strictly increasing$"),
+        (lambda: assemble_1d([0.0, 1e308, -1e308]),
+         "^nodes must be finite and strictly increasing$"),
         (lambda: build_geometric_mesh(np.nan, 4),
          r"^lambda_max must be in \(1, inf\) without L_override, got nan$"),
         (lambda: build_geometric_mesh(np.inf, 4),
          r"^lambda_max must be in \(1, inf\) without L_override, got inf$")),
         ids=("spec-n_per_side-3.5", "spec-n_per_side-4.0", "grid-3.5", "sweep-points-2.5",
-             "nodes-nan", "nodes-inf", "lambda_max-nan", "lambda_max-inf"))
+             "nodes-nan", "nodes-inf", "nodes-inf-inf", "nodes-minus-inf-pair",
+             "nodes-step-overflow", "lambda_max-nan", "lambda_max-inf"))
     def test_non_integer_count_or_non_finite_value_refused(self, build, message):
         # a spec with a non-integer grid size was accepted, and that size (or
         # a non-integer sweep size) failed in np.linspace or np.logspace as a
         # TypeError; a NaN node gave NaN bands and an infinite one an infinite
-        # mass band; a NaN or infinite lambda_max failed in math.ceil
+        # mass band; two infinite nodes, or a step that overflows, raised
+        # numpy's RuntimeWarning ahead of the ValueError; a NaN or infinite
+        # lambda_max failed in math.ceil
         with pytest.raises(ValueError, match=message):
             build()
 
@@ -676,12 +685,12 @@ class TestForkedTable:
         call ``in_parent(cfg)`` if given, then step for real."""
         parent, real = os.getpid(), experiments.run_grm
 
-        def step(fs, op, cfg, return_stats=False):
+        def step(fs, op, cfg, return_stats=False, *, solver="direct"):
             if os.getpid() != parent:
                 return in_child()
             if in_parent is not None:
                 in_parent(cfg)
-            return real(fs, op, cfg, return_stats)
+            return real(fs, op, cfg, return_stats, solver=solver)
 
         for name in ("run_grm", "run_um"):
             monkeypatch.setattr(experiments, name, step)
@@ -704,9 +713,9 @@ class TestForkedTable:
     def test_1d_table_forks_once_and_steps_half_the_cost_here(self, monkeypatch):
         forks, costs, real = [], [], experiments.run_grm
 
-        def step(fs, op, cfg, return_stats=False):
+        def step(fs, op, cfg, return_stats=False, *, solver="direct"):
             costs.append(cfg.mesh.num_steps * cfg.m)  # a child's appends stay in the child
-            return real(fs, op, cfg, return_stats)
+            return real(fs, op, cfg, return_stats, solver=solver)
 
         monkeypatch.setattr(os, "fork", _recorded(forks, os.fork))
         for name in ("run_grm", "run_um"):

@@ -136,12 +136,11 @@ def _dense_step(op, u, t, k, delta, r):
 
 def _one_step(u, t, k, op, alpha, m, delta, solver="direct"):
     """(run over the one-step mesh [t, t + k], its dense reference)."""
-    cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=TimeMesh([t, t + k]),
-                        solver=solver)
+    cfg = StepperConfig(alpha=alpha, m=m, delta=delta, mesh=TimeMesh([t, t + k]))
     # the run starts from delta**-alpha u and takes the mesh's own t and k
     want = delta ** -alpha * _dense_step(op, u.coeffs, cfg.mesh.t_left[0], cfg.mesh.k[0],
                                           delta, cfg.rational)
-    return run(u, op, cfg).coeffs, want
+    return run(u, op, cfg, solver=solver).coeffs, want
 
 
 class TestStepAgainstDense:

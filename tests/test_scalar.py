@@ -179,3 +179,9 @@ class TestSlopeFit:
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([4, 8, 16], [1.0, 0.0, 0.1])
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_rejects_non_finite_errors(self, bad):
+        # NaN passed the positivity test and the fit returned a NaN slope
+        with pytest.raises(ValueError, match="^errors must be positive and finite"):
+            fit_loglog_slope([8, 16, 32], [1e-3, bad, 1e-5])

@@ -9,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracstep import _kernels, solvers
-from fracstep.fem import DiscreteOperator, assemble_1d, assemble_2d_tensor
+from fracstep.fem import DiscreteOperator, GridFunction, assemble_1d, assemble_2d_tensor
 from fracstep.solvers import (
+    BandedPencil,
     PreconditionedCG,
     SolveError,
     TensorDiagSolver,
     _pcg,
+    pencil,
 )
 from fracstep.experiments import ExperimentSpec
 from fracstep.meshes import TimeMesh
-from fracstep.stepping import StepperConfig, _pencil
+from fracstep.stepping import StepperConfig, run
 from tests.sparse_pair import sparse_pair
 
 
@@ -85,10 +87,12 @@ class TestSolveSpd:
         assert np.linalg.norm(b - A @ x) < 1e-13 * np.linalg.norm(b)
 
     def test_unknown_method_rejected(self):
-        # a solver is one of solvers.SOLVERS, refused otherwise when a run or a
-        # study is configured
-        with pytest.raises(ValueError, match="unknown solver 'lu'"):
-            StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=TimeMesh([0.0, 1.0]), solver="lu")
+        # a solver is one of solvers.SOLVERS, refused otherwise when a run
+        # picks its backend or a study is configured
+        cfg = StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=TimeMesh([0.0, 1.0]))
+        for op in (assemble_1d(np.linspace(0.0, 1.0, 9)), assemble_2d_tensor(6)):
+            with pytest.raises(ValueError, match="unknown solver 'lu'"):
+                run(GridFunction(np.ones(op.n_dofs), op), op, cfg, solver="lu")
         with pytest.raises(ValueError, match="unknown solver 'lu'"):
             ExperimentSpec(dimension=2, solver="lu")
 
@@ -217,11 +221,17 @@ class TestWarmStartCGPattern:
             with pytest.raises(ValueError, match="one sparsity pattern"):
                 build(op)
 
-    def test_one_dimensional_operator_rejected(self):
+    def test_one_dimensional_operator_rejected(self, monkeypatch):
+        # a 1D run by CG is refused by the solver-name rule when the run
+        # picks its backend, before CG's state is ever built
+        def never(op):
+            raise AssertionError("CG's state built for a 1D operator")
+
+        monkeypatch.setattr(solvers, "_cg_state", never)
         op = assemble_1d(np.linspace(0.0, 1.0, 9))
-        for build in (solvers._cg_state, PreconditionedCG):
-            with pytest.raises(ValueError, match="requires a tensor operator"):
-                build(op)
+        cfg = StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=TimeMesh([0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"^the cg solver needs a 2D \(tensor\) operator; "):
+            run(GridFunction(np.ones(op.n_dofs), op), op, cfg, solver="cg")
 
     def test_iterations_counted_per_solver(self, monkeypatch):
         monkeypatch.setattr(solvers, "CG_RTOL", 1e-14)
@@ -251,6 +261,30 @@ class TestWarmStartCGPattern:
             assert block.iterations(j) == single.iterations(0)
 
 
+class TestPencil:
+    """``pencil`` picks the one backend of a run or batch by the operators'
+    kind and the solver name, and refuses what fits neither."""
+
+    def test_backend_by_operator_and_name(self):
+        line, grid = assemble_1d(np.linspace(0.0, 1.0, 9)), assemble_2d_tensor(6)
+        assert type(pencil([line])) is BandedPencil
+        assert type(pencil([line, line], "direct", 2, (2, 1))) is BandedPencil
+        assert type(pencil([grid])) is TensorDiagSolver
+        assert type(pencil([grid], "cg", 2)) is PreconditionedCG
+
+    def test_refusals(self):
+        line, grid = assemble_1d(np.linspace(0.0, 1.0, 9)), assemble_2d_tensor(6)
+        for ops in ([line], [grid], [line, line]):
+            with pytest.raises(ValueError, match="^unknown solver 'lu'$"):
+                pencil(ops, "lu")
+        for ops in ([line], [line, line]):
+            with pytest.raises(ValueError, match="^the cg solver needs a 2D"):
+                pencil(ops, "cg")
+        for ops in ([line, grid], [grid, line], [grid, grid]):
+            with pytest.raises(ValueError, match="^only 1D runs step as a batch"):
+                pencil(ops)
+
+
 class TestBandedPencil:
     @pytest.mark.parametrize("n", (1, 2, 37))
     @pytest.mark.parametrize("c", (1, 2, 4))
@@ -263,7 +297,7 @@ class TestBandedPencil:
         U = rng.standard_normal((c, n))
         U[0] = -0.0
         U[-1, 0] = np.nan
-        MU, sq_norms = _pencil([op], "direct", c).load(U)
+        MU, sq_norms = pencil([op], "direct", c).load(U)
         for u, Mu, sq in zip(U, MU, sq_norms):
             want = _kernels.tridiag_matvec(*op.mass_bands, u)
             assert Mu.tobytes() == want.tobytes()
@@ -302,13 +336,13 @@ def _check_pencil(op, method, shifts, coeffs, U):
     """``load`` and ``step`` of the backend, between its ``fold`` and
     ``unfold``, against the assembled matrices: the squared M-norm of each
     row, and sum_i c_i (a_i K + b_i M)^{-1} M u."""
-    pencil = _pencil([op], method, len(U), [len(shifts)])
-    rhs, sq_norms = pencil.load(pencil.fold(U))
+    backend = pencil([op], method, len(U), [len(shifts)])
+    rhs, sq_norms = backend.load(backend.fold(U))
     # the step's terms: (a_i, b_i, c_i) of each pair, then 0 as the factor on u
     terms = [*np.column_stack([shifts, coeffs]).ravel().tolist(), 0.0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "CG_RTOL", 1e-14)
-        got = pencil.unfold(pencil.step(terms, pencil.fold(np.zeros_like(U)), rhs))
+        got = backend.unfold(backend.step(terms, backend.fold(np.zeros_like(U)), rhs))
     assert got.shape == U.shape and len(sq_norms) == len(U)
     K, M = sparse_pair(op)
     for u, sq, row in zip(U, sq_norms, got):

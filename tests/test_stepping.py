@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,8 @@ from fracstep.spectral import (
     reference_power,
     spectral_upper_bound,
 )
-from fracstep.stepping import StepperConfig, _pencil, run, run_batch, run_grm, run_um
+from fracstep import stepping
+from fracstep.stepping import StepperConfig, run, run_batch, run_grm, run_um
 from tests.sparse_pair import sparse_pair
 from tests.test_fem import built_fields, fem_eigenvalue
 
@@ -236,6 +240,13 @@ class TestRunSchemes:
         # the mesh in the config picks the scheme; the GRM/UM names are aliases
         assert run_grm is run_um is run
 
+    def test_config_is_the_time_scheme(self):
+        # exponent, order, shift and mesh; the solver is the run's, not the config's
+        assert [f.name for f in dataclasses.fields(StepperConfig)] == [
+            "alpha", "m", "delta", "mesh", "rational"]
+        for build in (StepperConfig.grm, StepperConfig.um):
+            assert "solver" not in inspect.signature(build).parameters
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -243,13 +254,12 @@ class TestRunSchemes:
         op, solver, _ = _backend_op(backend)
         v = np.ones(op.n_dofs)
         v[7] = bad
-        cfg = StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=build_uniform_mesh(4),
-                            solver=solver)
+        cfg = StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=build_uniform_mesh(4))
         # CG refuses the non-finite right-hand side before it iterates
         match = ("right-hand side not finite" if solver == "cg"
                  else "iterate not finite after step 1 of 4")
         with pytest.raises(SolveError, match=match):
-            run(GridFunction(v, op), op, cfg)
+            run(GridFunction(v, op), op, cfg, solver=solver)
         if backend == "banded":
             # the flat block's mass apply forms no product across a row
             # boundary, so the bad first entry of row 1 cannot reach row 0
@@ -277,9 +287,8 @@ class Test2DSolvers:
         f = l2_project(op, "e")
         mesh = build_geometric_mesh(bounds.lambda_max_est, 2)
         out_direct = run(f, op, StepperConfig(alpha=0.5, m=2, delta=delta, mesh=mesh))
-        out_cg = run(f, op, StepperConfig(
-            alpha=0.5, m=2, delta=delta, mesh=mesh,
-            solver="cg"))
+        out_cg = run(f, op, StepperConfig(alpha=0.5, m=2, delta=delta, mesh=mesh),
+                     solver="cg")
         diff = GridFunction(out_direct.coeffs - out_cg.coeffs, op)
         assert m_norm(op, diff) / m_norm(op, out_direct) < 1e-8
 
@@ -292,8 +301,7 @@ class Test2DSolvers:
         mesh = build_geometric_mesh(None, 2, L_override=10)
         kwargs = dict(alpha=0.5, m=2, delta=delta, mesh=mesh)
         direct = run(fs, op, StepperConfig(**kwargs))
-        cg, stats = run(fs, op, StepperConfig(**kwargs, solver="cg"),
-                        return_stats=True)
+        cg, stats = run(fs, op, StepperConfig(**kwargs), return_stats=True, solver="cg")
         for want, got, st in zip(direct, cg, stats):
             assert 1 <= st.cg_iters_max <= 2
             diff = GridFunction(want.coeffs - got.coeffs, op)
@@ -302,7 +310,7 @@ class Test2DSolvers:
     def test_cg_refused_on_a_1d_operator(self):
         # 1D pencils are always solved directly: cg there would be ignored
         with pytest.raises(ValueError, match="tensor"):
-            _pencil([assemble_1d(np.linspace(0, 1, 11))], "cg")
+            solvers.pencil([assemble_1d(np.linspace(0, 1, 11))], "cg")
 
     def test_cg_runs_are_bit_identical(self):
         # the CG counts and matrix of one run must not carry over to the next
@@ -310,20 +318,18 @@ class Test2DSolvers:
         delta = _half_bottom(op)
         f = l2_project(op, "f")
         cfg = StepperConfig(alpha=0.5, m=2, delta=delta,
-                            mesh=build_geometric_mesh(None, 2, L_override=6),
-                            solver="cg")
-        first = run(f, op, cfg)
-        second = run(f, op, cfg)
+                            mesh=build_geometric_mesh(None, 2, L_override=6))
+        first = run(f, op, cfg, solver="cg")
+        second = run(f, op, cfg, solver="cg")
         assert np.array_equal(first.coeffs, second.coeffs)
 
     def test_cg_steps_are_bit_identical(self):
         # a single step too, and every solve starts from zero
         op = assemble_2d_tensor(10)
         f = l2_project(op, "e")
-        cfg = StepperConfig(alpha=0.5, m=2, delta=_half_bottom(op),
-                            mesh=TimeMesh([0.25, 0.5]), solver="cg")
-        first = run(f, op, cfg)
-        second = run(f, op, cfg)
+        cfg = StepperConfig(alpha=0.5, m=2, delta=_half_bottom(op), mesh=TimeMesh([0.25, 0.5]))
+        first = run(f, op, cfg, solver="cg")
+        second = run(f, op, cfg, solver="cg")
         assert np.array_equal(first.coeffs, second.coeffs)
 
     def test_cg_iterations_on_run_stats(self):
@@ -331,11 +337,11 @@ class Test2DSolvers:
         f = l2_project(op, "f")
         mesh = build_geometric_mesh(None, 2, L_override=4)
         kwargs = dict(alpha=0.5, m=2, delta=_half_bottom(op), mesh=mesh)
-        _, direct = run(f, op, StepperConfig(**kwargs), return_stats=True)
+        cfg = StepperConfig(**kwargs)
+        _, direct = run(f, op, cfg, return_stats=True)
         assert direct.cg_iters == direct.cg_iters_max == 0
-        cfg = StepperConfig(**kwargs, solver="cg")
-        _, first = run(f, op, cfg, return_stats=True)
-        _, second = run(f, op, cfg, return_stats=True)
+        _, first = run(f, op, cfg, return_stats=True, solver="cg")
+        _, second = run(f, op, cfg, return_stats=True, solver="cg")
         assert 0 < first.cg_iters_max < first.cg_iters
         # counts are per run: every run builds its own CG and tallies
         assert (second.cg_iters, second.cg_iters_max) == (first.cg_iters, first.cg_iters_max)
@@ -352,9 +358,8 @@ class Test2DSolvers:
         monkeypatch.setattr(PreconditionedCG, "solve", counted)
         op = assemble_2d_tensor(8)
         mesh = build_geometric_mesh(None, 2, L_override=3)
-        cfg = StepperConfig(alpha=0.5, m=3, delta=_half_bottom(op), mesh=mesh,
-                            solver="cg")
-        run(l2_project(op, "e"), op, cfg)
+        cfg = StepperConfig(alpha=0.5, m=3, delta=_half_bottom(op), mesh=mesh)
+        run(l2_project(op, "e"), op, cfg, solver="cg")
         assert len(calls) == mesh.num_steps * 3
 
     def test_2d_eigen_equivalence(self):
@@ -375,9 +380,9 @@ class Test2DSolvers:
 
 
 def _block_problem(backend):
-    """(op, cfg) of a short GRM run on one of the three pencil backends;
-    "one-dof" is the banded one on a mesh of one dof, where every coupling
-    of the flat block is a row boundary."""
+    """(op, cfg, solver) of a short GRM run on one of the three pencil
+    backends; "one-dof" is the banded one on a mesh of one dof, where every
+    coupling of the flat block is a row boundary."""
     if backend == "banded":
         op = assemble_1d(np.linspace(0, 1, 101) ** 1.5)
     elif backend == "one-dof":
@@ -385,9 +390,8 @@ def _block_problem(backend):
     else:
         op = assemble_2d_tensor(9)
     cfg = StepperConfig(alpha=0.4, m=3, delta=_half_bottom(op),
-                        mesh=build_geometric_mesh(None, 2, L_override=4),
-                        solver="cg" if backend == "cg" else "direct")
-    return op, cfg
+                        mesh=build_geometric_mesh(None, 2, L_override=4))
+    return op, cfg, "cg" if backend == "cg" else "direct"
 
 
 class TestBlockRuns:
@@ -398,13 +402,13 @@ class TestBlockRuns:
                                              for backend in ("banded", "tensor", "cg")),
                                            (4, "banded"), (4, "one-dof")])
     def test_columns_match_single_runs(self, backend, c):
-        op, cfg = _block_problem(backend)
+        op, cfg, solver = _block_problem(backend)
         rng = np.random.default_rng(c)
         vs = [GridFunction(rng.standard_normal(op.n_dofs), op) for _ in range(c)]
-        outs, stats = run(vs, op, cfg, return_stats=True)
+        outs, stats = run(vs, op, cfg, return_stats=True, solver=solver)
         assert len(outs) == len(stats) == c
         for v, out, st in zip(vs, outs, stats):
-            one, one_stats = run(v, op, cfg, return_stats=True)
+            one, one_stats = run(v, op, cfg, return_stats=True, solver=solver)
             assert np.array_equal(out.coeffs, one.coeffs)
             assert (st.steps, st.solves) == (one_stats.steps, one_stats.solves)
             assert (st.max_growth, st.cg_iters, st.cg_iters_max) == (
@@ -430,11 +434,10 @@ class TestGrowthContract:
         # the direct tensor backend measures the growth by Parseval
         op, solver, case = _backend_op(backend)
         lam_min = (eig_1d(op) if op.dim == 1 else eig_2d_tensor(op)).lambdas[0]
-        cfg = StepperConfig(alpha=0.5, m=2, delta=5.0 * lam_min, mesh=build_uniform_mesh(8),
-                            solver=solver)
+        cfg = StepperConfig(alpha=0.5, m=2, delta=5.0 * lam_min, mesh=build_uniform_mesh(8))
         f = l2_project(op, case)
         with pytest.raises(SolveError, match=r"step 1 of 8 grew the M-norm of column 1"):
-            run([GridFunction(np.zeros(op.n_dofs), op), f], op, cfg)
+            run([GridFunction(np.zeros(op.n_dofs), op), f], op, cfg, solver=solver)
 
     def test_direct_tensor_steps_apply_no_sparse_mass(self, monkeypatch):
         # the direct tensor step loads mode coefficients: a run, with the
@@ -532,6 +535,27 @@ class TestBatchRuns:
         # alone, a 2D run steps as it always did
         assert np.array_equal(run_batch([(e, tensor, cfg(tensor, 4))])[0].coeffs,
                               run(e, tensor, cfg(tensor, 4)).coeffs)
+
+    def test_backend_refusals_come_from_the_pencil(self, monkeypatch):
+        # the batch rule and the solver names are the pencil's: a batch that
+        # mixes 1D and 2D runs, and an unknown name on either kind, are
+        # refused where the backend is picked, once per run or batch
+        picks = []
+
+        def pencil(ops, solver="direct", *args):
+            picks.append((len(ops), solver))
+            return solvers.pencil(ops, solver, *args)
+
+        monkeypatch.setattr(stepping, "pencil", pencil)
+        small, tensor = assemble_1d(np.linspace(0, 1, 9)), assemble_2d_tensor(6)
+        f, e = l2_project(small, "b"), l2_project(tensor, "e")
+        cfg = StepperConfig(alpha=0.5, m=1, delta=1.0, mesh=build_uniform_mesh(4))
+        with pytest.raises(ValueError, match="^only 1D runs step as a batch"):
+            run_batch([(f, small, cfg), (e, tensor, cfg)])
+        for v, op in ((f, small), (e, tensor)):
+            with pytest.raises(ValueError, match="^unknown solver 'lu'$"):
+                run(v, op, cfg, solver="lu")
+        assert picks == [(2, "direct"), (1, "lu"), (1, "lu")]
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
