@@ -13,6 +13,7 @@ is 0 on success and 2 when a solve or configuration fails.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  (argparse's gettext imports it on the first parser)
 import sys
 
 from .experiments import (L_POLICIES, SCHEMES, SPATIAL_REFINE, TABLE_2D, ExperimentSpec,

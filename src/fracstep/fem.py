@@ -196,7 +196,10 @@ def _element_load_1d(nodes, func, split_points=()):
     """
     nodes = np.asarray(nodes)
     inner = [s for s in split_points if nodes[0] < s < nodes[-1]]
-    cuts = np.unique(np.concatenate([nodes, inner])) if inner else nodes
+    cuts = nodes
+    if inner:  # sorted, repeats dropped: np.unique would import numpy.ma
+        cuts = np.sort(np.concatenate([nodes, inner]))
+        cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
     a, c = cuts[:-1], cuts[1:]
     e = np.searchsorted(nodes, a, side="right") - 1
     x0, x1 = nodes[e], nodes[e + 1]

@@ -31,7 +31,7 @@ def scalar_run_grid(lams, cfg: ScalarRunConfig):
 
     ``lams`` is one lambda, which gives a float, or an array of them, all
     stepped at once.  Each factor r(theta) = P(theta)/Q(theta) is evaluated
-    by Horner's rule.
+    by Horner's rule.  A shift so small that theta overflows is refused.
     """
     lams = np.asarray(lams, dtype=np.float64)
     # NaN fails the comparison, so it is refused too
@@ -40,13 +40,17 @@ def scalar_run_grid(lams, cfg: ScalarRunConfig):
     p, q = cfg.rational.p_coeffs, cfg.rational.q_coeffs
     mu = np.full(lams.shape, cfg.delta ** (-cfg.alpha))
     d = lams - cfg.delta
-    for t, k in zip(cfg.mesh.t_left, cfg.mesh.k):
-        theta = k * d / (cfg.delta + t * d)
-        num, den = p[-1], q[-1]
-        for j in range(len(p) - 2, -1, -1):
-            num = num * theta + p[j]
-            den = den * theta + q[j]
-        mu *= num / den
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning first
+        for t, k in zip(cfg.mesh.t_left, cfg.mesh.k):
+            theta = k * d / (cfg.delta + t * d)
+            num, den = p[-1], q[-1]
+            for j in range(len(p) - 2, -1, -1):
+                num = num * theta + p[j]
+                den = den * theta + q[j]
+            mu *= num / den
+    if not np.all(np.isfinite(mu)):
+        raise ValueError(f"theta = k (lambda - delta) / (delta + t (lambda - delta)) "
+                         f"overflows at delta = {cfg.delta}: mu is not finite")
     return mu if lams.ndim else float(mu)
 
 
@@ -65,9 +69,12 @@ def fit_loglog_slope(ns, errors) -> float:
     """Least-squares slope of log2(error) against log2(n); needs >= 3 distinct n."""
     ns = np.asarray(ns, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
-    if len(np.unique(ns)) < 3:
-        raise ValueError("slope fit needs at least 3 distinct n")
     # NaN fails both comparisons, so it is refused too
+    if not np.all((ns > 0) & (ns < np.inf)):
+        raise ValueError("ns must be positive and finite for a log-log fit")
+    ordered = np.sort(ns)  # distinct values counted here: np.unique would import numpy.ma
+    if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) < 3:
+        raise ValueError("slope fit needs at least 3 distinct n")
     if not np.all((errors > 0) & (errors < np.inf)):
         raise ValueError("errors must be positive and finite for a log-log fit")
     coeffs = np.polyfit(np.log2(ns), np.log2(errors), 1)

@@ -39,15 +39,17 @@ floats).  Each row of a result has the bits a one-row block would give it.
   ``CG_RTOL`` within ``CG_MAXITER`` iterations, with its own iteration counts.
   Each solve is preconditioned by the modal inverse of its own shifted
   pencil, which is exact on these constant-coefficient operators.  There
-  is one CG: ``_pcg``, a loop on a preassembled CSR matrix that repeats
-  the recurrences and the stopping rule of ``scipy.sparse.linalg.cg``
-  (atol = 0), so it returns the same bits without scipy's operator
-  wrappers.  All that only CG reads is the last block of this module:
-  ``_cg_state(op)`` builds the CSR pair (K2, M2) from the 1D factor's
-  bands, and takes the factor's dense sine modes, once per operator and
-  for as long as the operator lives.  ``load`` is ``M U`` by the CSR ``M``
-  one row at a time (a sparse product with the whole block is slower than
-  c vector products) and u . M u per row.
+  is one CG: ``_pcg``, a loop that repeats the recurrences and the
+  stopping rule of ``scipy.sparse.linalg.cg`` (atol = 0), so it returns
+  the same bits without scipy's operator wrappers.  All that only CG reads
+  is the last block of this module: ``_cg_state(op)`` builds the CSR pair
+  (K2, M2) from the 1D factor's bands with numpy (``_csr_pair``, the values
+  of ``scipy.sparse.kron`` on one pattern) and takes the factor's dense
+  sine modes, once per operator and for as long as the operator lives.
+  Every product with K2, M2 or a K2 + b M2 is scipy's C++ CSR routine
+  (``_kernels.csr_matvec``), with the bits of ``csr_array @ x``.  ``load``
+  is ``M U`` one row at a time (a sparse product with the whole block is
+  slower than c vector products) and u . M u per row.
 
 Every ``step`` first sums the poles' terms w_i z_i, then adds s u.  The
 tensor backends step one run.  ``pencil`` picks and builds the backend of
@@ -60,14 +62,13 @@ import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
-# a module global only because perfbench/tracing.py swaps it for a counting
-# wrapper; nothing calls spla (``_pcg`` is the one CG), so that wrapper counts nothing
-import scipy.sparse.linalg as spla  # noqa: F401
 
 from . import _kernels
 from .fem import DiscreteOperator, per_operator
 from .spectral import eig_1d, eig_2d_tensor
+
+# perfbench/tracing.py wraps this name as scipy.sparse.linalg; nothing here calls it
+spla = None
 
 
 class SolveError(RuntimeError):
@@ -188,6 +189,9 @@ class TensorDiagSolver(_Pencil):
         self.n = len(self.decomp.lambdas_1d)  # read by perfbench/tracing.py's flop tally
 
     def fold(self, U):
+        # the modal product and the transforms' work array of every step of the
+        # run: fresh 2-row blocks each step are mapped and unmapped by malloc
+        self._work = np.empty((2, *U.shape))
         return self.decomp.fold(U)
 
     def unfold(self, U):
@@ -196,7 +200,7 @@ class TensorDiagSolver(_Pencil):
     def load(self, U):
         """(C, [c . c for each row c]) with C the mode coefficients of the
         folded block U."""
-        C = self.decomp.folded_coefficients(U)
+        C = self.decomp.folded_coefficients(U, self._work[1])
         return C, [float(c.dot(c)) for c in C]
 
     def step(self, terms, U, rhs):
@@ -205,7 +209,7 @@ class TensorDiagSolver(_Pencil):
         lam = self.decomp.lambda_grid
         poles = zip(terms[0::3], terms[1::3], terms[2::3])  # the m poles, not s
         out = self.solve(sum(c / (a * lam + b) for a, b, c in poles), rhs)
-        out += terms[-1] * U
+        out += np.multiply(terms[-1], U, out=self._work[0])
         return out
 
     # a method of its own: perfbench/tracing.py wraps it as solvers.tensor_solve
@@ -214,31 +218,45 @@ class TensorDiagSolver(_Pencil):
         (a K2 + b M2)^{-1} M2 u for ``modal = 1 / (a lambda_grid + b)`` and
         ``coeffs`` the mode coefficients of u; any other modal multiplier is
         applied the same way."""
-        return self.decomp.folded_synthesize(modal * coeffs)
+        product, work = self._work
+        return self.decomp.folded_synthesize(np.multiply(modal, coeffs, out=product), work)
 
 
 # CG, and all that only CG reads
 
 
+def _csr_pair(factor: DiscreteOperator):
+    """(indptr, indices, K2, M2) of K2 = kron(K1, M1) + kron(M1, K1) and M2 =
+    kron(M1, M1), from the 1D factor's bands, on one CSR pattern: row i n + k
+    holds the nodes (i + a, k + b) of the grid, a, b in (-1, 0, 1), in that
+    (ascending) order, each value as ``scipy.sparse.kron`` and ``+`` form it."""
+    n = factor.n_dofs
+    # row i of a tridiagonal: its entries in columns i - 1, i, i + 1 (0 off the grid)
+    K1, M1 = (np.stack([np.r_[0.0, e], d, np.r_[e, 0.0]], axis=1)
+              for d, e in (factor.stiffness_bands, factor.mass_bands))
+    cols = np.arange(n)[:, None] + np.arange(-1, 2)
+    valid = (cols >= 0) & (cols < n)
+
+    def kron(A, B):  # (i, k, a, b) -> A[i, a] B[k, b]
+        return A[:, None, :, None] * B[None, :, None, :]
+
+    on = kron(valid, valid)
+    indptr = np.r_[0, np.cumsum(on.sum(axis=(2, 3)))].astype(np.int32)
+    indices = (cols[:, None, :, None] * n + cols[None, :, None, :])[on].astype(np.int32)
+    return indptr, indices, (kron(K1, M1) + kron(M1, K1))[on], kron(M1, M1)[on]
+
+
 @per_operator
 def _cg_state(op: DiscreteOperator):
-    """(K2, M2, Q, Q^T, lambda_grid) of a tensor operator, built once per
-    operator and kept while it lives (``fem.per_operator``): the CSR pair
-    K2 = kron(K1, M1) + kron(M1, K1), M2 = kron(M1, M1) of the 1D factor's
-    bands, refused on two sparsity patterns, and the factor's sine modes Q
-    (natural order) with a contiguous Q^T and lambda_i + lambda_j in the
-    same order."""
-    K1, M1 = (sp.diags([e, d, e], [-1, 0, 1], format="csr")
-              for d, e in (op.factor.stiffness_bands, op.factor.mass_bands))
-    K = (sp.kron(K1, M1) + sp.kron(M1, K1)).tocsr()
-    M = sp.kron(M1, M1).tocsr()
-    # each solve writes a K2 + b M2 into the values of a copy of K2
-    if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
-        raise ValueError("PreconditionedCG needs stiffness and mass on one sparsity pattern")
+    """(indptr, indices, K2, M2, Q, Q^T, lambda_grid) of a tensor operator,
+    built once per operator and kept while it lives (``fem.per_operator``):
+    the CSR pair of ``_csr_pair`` and the factor's sine modes Q (natural
+    order) with a contiguous Q^T and lambda_i + lambda_j in the same order."""
     basis = eig_1d(op.factor)
     lam = basis.lambda_grid
-    state = K, M, basis.modes, np.ascontiguousarray(basis.modes.T), (lam[:, None] + lam).ravel()
-    for arr in (K.data, M.data, *state[3:]):  # shared by every run: nothing may write it
+    state = (*_csr_pair(op.factor), basis.modes, np.ascontiguousarray(basis.modes.T),
+             (lam[:, None] + lam).ravel())
+    for arr in state:  # shared by every run: nothing may write it
         arr.setflags(write=False)
     return state
 
@@ -246,6 +264,7 @@ def _cg_state(op: DiscreteOperator):
 def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
     """Preconditioned CG on the SPD matrix A from zero; returns (x, iterations).
 
+    ``A`` is the product ``A(x)``, or a matrix with ``A @ x``;
     ``precond(r)`` applies an SPD approximation of A^{-1} to a vector.  The
     recurrences for p, x and r, and the test ``norm(r) < rtol * norm(b)``
     before each iteration, are those of ``scipy.sparse.linalg.cg`` with
@@ -255,6 +274,7 @@ def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarr
     Raises :class:`SolveError` at once when ``b`` is not finite, and when
     ``maxiter`` iterations do not converge.
     """
+    matvec = A if callable(A) else A.__matmul__
     bnrm = np.linalg.norm(b)
     if bnrm == 0:
         return b, 0
@@ -276,7 +296,7 @@ def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarr
             p += z
         else:
             p[:] = z
-        q = A @ p
+        q = matvec(p)
         alpha = rho / p.dot(q)
         np.multiply(alpha, p, out=step)
         x += step
@@ -285,7 +305,7 @@ def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarr
         rho_prev = rho
     if math.sqrt(r.dot(r)) < tol:
         return x, maxiter
-    res = np.linalg.norm(b - A @ x) / bnrm
+    res = np.linalg.norm(b - matvec(x)) / bnrm
     raise SolveError(
         f"cg did not converge in {maxiter} iterations: relative residual "
         f"{res:.3e}, target {rtol:.1e}"
@@ -293,27 +313,23 @@ def _pcg(A, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarr
 
 
 class PreconditionedCG(_Pencil):
-    """CG (``_pcg``) on a*K2 + b*M2, preconditioned by fast diagonalization.
-
-    Each solve is preconditioned by the modal inverse of the pencil at its
-    own shift, ``precondition`` with ``1 / (a lambda_grid + b)`` (Concus &
-    Golub 1973).  On the constant-coefficient operators of
-    ``assemble_2d_tensor`` it is the exact inverse, so a solve takes one or
-    two iterations.  K2, M2 and the modes are ``_cg_state(op)``, shared by
-    every run on the operator; the shifted matrix is built once per solver.
-    Every solve starts from zero, and ``iters`` and ``iters_max`` count the
-    iterations of each row (total and worst single solve) over this
-    solver's lifetime, one run of ``columns`` rows.
-    """
+    """CG (``_pcg``) on a*K2 + b*M2, each solve preconditioned by the modal
+    inverse of its own pencil, ``precondition`` with ``1 / (a lambda_grid +
+    b)`` (Concus & Golub 1973): exact on ``assemble_2d_tensor``'s operators,
+    so a solve takes one or two iterations.  Every solve starts from zero;
+    ``iters`` and ``iters_max`` count the iterations of each row (total and
+    worst single solve) over this solver's one run of ``columns`` rows."""
 
     def __init__(self, op: DiscreteOperator, columns: int = 1):
-        self.K, self.M, self.Q, self.Qt, self.lambda_grid = _cg_state(op)
-        self.A = self.K.copy()
+        indptr, indices, self.K, self.M, self.Q, self.Qt, self.lambda_grid = _cg_state(op)
+        # the product with a matrix on K2's pattern, given its values
+        self.product = functools.partial(_kernels.csr_matvec, indptr, indices)
+        self.A = np.empty_like(self.K)
         self.iters = [0] * columns
         self.iters_max = [0] * columns
 
     def load(self, U):
-        MU = np.stack([self.M @ u for u in U])
+        MU = np.stack([self.product(self.M, u) for u in U])
         return MU, [float(u.dot(Mu)) for u, Mu in zip(U, MU)]
 
     def step(self, terms, U, rhs):
@@ -338,12 +354,13 @@ class PreconditionedCG(_Pencil):
 
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
         """(a K2 + b M2)^{-1} applied to each row of the (c, n) block rhs."""
-        np.multiply(self.K.data, a, out=self.A.data)
-        self.A.data += b * self.M.data
+        np.multiply(self.K, a, out=self.A)
+        self.A += b * self.M
+        A = functools.partial(self.product, self.A)
         precond = functools.partial(self.precondition, 1.0 / (a * self.lambda_grid + b))
         out = np.empty_like(rhs)
         for j, row in enumerate(rhs):
-            out[j], iters = _pcg(self.A, precond, row, CG_RTOL, CG_MAXITER)
+            out[j], iters = _pcg(A, precond, row, CG_RTOL, CG_MAXITER)
             self.iters[j] += iters
             self.iters_max[j] = max(self.iters_max[j], iters)
         return out

@@ -51,6 +51,7 @@ import functools
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.fft import rfft  # at import: numpy loads numpy.fft on first use
 
 from ._kernels import is_spd
 from .fem import DiscreteOperator, GridFunction, mass_apply, per_operator
@@ -127,7 +128,7 @@ def sine_transform(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     ext = np.zeros((*x.shape[:-1], 2 * (n + 1)))
     ext[..., 1:n + 1], ext[..., :n + 1:-1] = x, -x
-    return -0.5 * np.fft.rfft(ext).imag[..., 1:n + 1]
+    return -0.5 * rfft(ext).imag[..., 1:n + 1]
 
 
 def _parity_order(n: int) -> np.ndarray:
@@ -211,16 +212,18 @@ class FoldedSineBasis(SpectralDecomposition):
     lambda_grid: np.ndarray
     _blocks: tuple
 
-    def _folded(self, blocks, v: np.ndarray) -> np.ndarray:
+    def _folded(self, blocks, v: np.ndarray, work=None) -> np.ndarray:
         """diag(L_s, L_a) X diag(R_s, R_a) on the n x n grid X of each
         folded row of v, for the ``((L_s, R_s), (L_a, R_a))`` of ``_blocks``
         (X split after its n - n // 2 sum rows and columns): four half-size
-        GEMMs, each row of v on its own."""
+        GEMMs, each row of v on its own.  ``work``, a contiguous array of
+        v's shape, holds the half-done product, if given."""
         n = len(self.lambdas_1d)
         k = n - n // 2
         (Ls, Rs), (La, Ra) = blocks
         x = v.reshape(-1, n, n)
-        rows, out = np.empty_like(x), np.empty_like(x)
+        rows = np.empty_like(x) if work is None else work.reshape(x.shape)
+        out = np.empty_like(x)
         np.matmul(Ls, x[:, :k], out=rows[:, :k])
         np.matmul(La, x[:, k:], out=rows[:, k:])
         np.matmul(rows[:, :, :k], Rs, out=out[:, :, :k])
@@ -238,14 +241,14 @@ class FoldedSineBasis(SpectralDecomposition):
         n = len(self.lambdas_1d)
         return _unfold(_unfold(v.reshape(-1, n, n).swapaxes(1, 2)).swapaxes(1, 2)).reshape(v.shape)
 
-    def folded_coefficients(self, v: np.ndarray) -> np.ndarray:
+    def folded_coefficients(self, v: np.ndarray, work=None) -> np.ndarray:
         """:meth:`coefficients` of the rows that ``fold`` gives: P^T V P in
-        two half-size products per side."""
-        return self._folded(self._blocks[0], v)
+        two half-size products per side (``work`` as in ``_folded``)."""
+        return self._folded(self._blocks[0], v, work)
 
-    def folded_synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+    def folded_synthesize(self, coeffs: np.ndarray, work=None) -> np.ndarray:
         """Inverse of :meth:`folded_coefficients`: ``fold`` of :meth:`synthesize`."""
-        return self._folded(self._blocks[1], coeffs)
+        return self._folded(self._blocks[1], coeffs, work)
 
     def coefficients(self, v: np.ndarray) -> np.ndarray:
         """M-weighted mode coefficients (v, psi_j)_M of a coefficient vector or

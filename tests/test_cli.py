@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -62,14 +63,13 @@ class TestScalarSweep:
         assert (code, out) == (2, "")
         assert "Ns must be strictly increasing" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_errors_fail(self, capsys):
-        # with so small a shift theta overflows and every sup error is NaN;
+        # with so small a shift theta overflows and every sup error was NaN;
         # the sweep exited 0 and printed nan errors and slopes
         code, out = run_cli(["scalar-sweep", "--delta", "1e-320", "--ms", "1",
                              "--alphas", "0.5", "--Ns", "8,16,32"])
         assert (code, out) == (2, "")
-        assert "errors must be positive and finite" in capsys.readouterr().err
+        assert "overflows at delta = 1e-320" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,message", [("--lambda-lo", "every lambda must be >= delta"),
                                               ("--delta", "delta must be positive")])
@@ -311,20 +311,79 @@ class TestSpatialRefine:
         assert code == 2
 
 
-def test_cli_runs_without_mpmath():
-    # mpmath is a test dependency only: a table run must never import it
+def _python(script, *args):
+    """The standard output of ``script`` run with ``args`` in a fresh
+    interpreter that imports fracstep from this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    script = ("import io, sys, contextlib; from fracstep import cli\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = cli.main(['table-1d', '--h', '0.1', '--cases', 'c', '--alphas',"
-              " '0.5', '--ms', '2', '--Ns', '4,8'])\n"
-              "assert code == 0, code\n"
-              "assert 'mpmath' not in sys.modules\n"
-              # scipy.fft costs 5 MB of resident memory; the sine transform is numpy.fft
-              "assert 'scipy.fft' not in sys.modules\n")
-    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+COMMANDS = [
+    ["pade-info", "--ms", "1", "--alphas", "0.5"],
+    ["scalar-sweep", "--ms", "1", "--alphas", "0.5", "--Ns", "8,16,32", "--points", "5"],
+    ["table-1d", "--h", "0.1", "--cases", "a,c", "--alphas", "0.5", "--ms", "1,2", "--Ns", "1,2"],
+    ["table-2d", "--n-per-side", "6", "--cases", "e", "--alphas", "0.5", "--ms", "1", "--Ns", "1,2"],
+    ["table-2d", "--n-per-side", "6", "--cases", "e", "--alphas", "0.5", "--ms", "1", "--Ns", "1,2",
+     "--solver", "cg"],
+    ["spatial-refine", "--Ns", "2,3", "--ms", "1", "--um-steps", "10"],
+]
+
+
+def test_a_command_imports_nothing():
+    # every module a command needs is imported with fracstep.cli: of scipy
+    # only the two extension modules the steps call, no package, no numpy.ma,
+    # no scipy.fft (5 MB of resident memory; the sine transform is numpy.fft)
+    # and no mpmath, a test dependency only
+    script = ("import contextlib, io, json, sys\n"
+              "from fracstep import cli\n"
+              "before = set(sys.modules)\n"
+              "print(sorted({'scipy.linalg', 'scipy.sparse', 'scipy.fft', 'numpy.ma', 'mpmath'}"
+              " & before))\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "    print(argv[0], sorted(set(sys.modules) - before))\n")
+    out = _python(script, json.dumps(COMMANDS)).splitlines()
+    assert out == ["[]", *(f"{argv[0]} []" for argv in COMMANDS)]
+
+
+# table-1d and a --solver cg table, every float as float.hex, and which scipy
+# packages were imported; sys.argv[1] names an extension the loader must not
+# read from its file, so that its public-API fallback stands in
+FALLBACK_SCRIPT = """
+import importlib.util, json, sys
+refused, from_file = sys.argv[1], importlib.util.spec_from_file_location
+
+def spec_from_file_location(name, *args, **kwargs):
+    if refused and name.endswith(refused):
+        raise ImportError(f"{name} refused")
+    return from_file(name, *args, **kwargs)
+
+importlib.util.spec_from_file_location = spec_from_file_location
+from fracstep.experiments import ExperimentSpec, run_table
+specs = [ExperimentSpec(h=0.1, data_cases=("a", "b"), alphas=(0.5,), ms=(1, 2), Ns=(1, 2)),
+         ExperimentSpec(dimension=2, n_per_side=6, data_cases=("e", "f"), alphas=(0.5,),
+                        ms=(1,), Ns=(1, 2), solver="cg")]
+rows = [[v.hex() if isinstance(v, float) else str(v) for v in row.values()]
+        for spec in specs for row in run_table(spec)]
+print(json.dumps([rows, sorted({"scipy.linalg", "scipy.sparse"} & set(sys.modules))]))
+"""
+
+
+@pytest.fixture(scope="module")
+def rows_from_files():
+    return json.loads(_python(FALLBACK_SCRIPT, ""))
+
+
+@pytest.mark.parametrize("refused,package", [("_flapack", "scipy.linalg"),
+                                             ("_sparsetools", "scipy.sparse")])
+def test_public_api_fallback_gives_the_same_rows(rows_from_files, refused, package):
+    rows, imported = json.loads(_python(FALLBACK_SCRIPT, refused))
+    assert rows_from_files[1] == [] and imported == [package]
+    assert len(rows) == 24 and rows == rows_from_files[0]
 
 
 def test_2d_table_bits_do_not_depend_on_the_blas_thread_count(tmp_path):

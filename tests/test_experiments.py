@@ -406,10 +406,10 @@ class TestTable2D:
         # CG's state, its CSR pair and dense modes, is built by the first CG
         # run on an operator and read by every later one; the direct path
         # neither builds nor reads it, and no operator keeps a pair
-        ops, krons, reads = [], [], []
+        ops, builds, reads = [], [], []
         monkeypatch.setattr(experiments, "assemble_2d_tensor",
                             _recorded(ops, experiments.assemble_2d_tensor))
-        monkeypatch.setattr(solvers.sp, "kron", _recorded(krons, solvers.sp.kron))
+        monkeypatch.setattr(solvers, "_csr_pair", _recorded(builds, solvers._csr_pair))
         monkeypatch.setattr(solvers, "_cg_state", _recorded(reads, solvers._cg_state))
         spec = ExperimentSpec(dimension=2, data_cases=("e", "f"), alphas=(0.3, 0.7),
                               ms=(1,), Ns=(1, 2), n_per_side=10, L_policy="fixed",
@@ -418,11 +418,11 @@ class TestTable2D:
         [op] = ops
         assert built_fields(op) == built_fields(op.factor) == set()
         if solver == "direct":
-            assert reads == [] and krons == []
+            assert reads == [] and builds == []
         else:
-            # 8 runs read one state, built once: one kron for M2, two for K2
+            # 8 runs read one state, whose pair is built once
             assert len(reads) == 8 and all(state is reads[0] for state in reads)
-            assert len(krons) == 3
+            assert len(builds) == 1
 
     @pytest.mark.parametrize("solver", solvers.SOLVERS)
     def test_table_builds_its_basis_once(self, monkeypatch, solver):
@@ -444,7 +444,7 @@ class TestTable2D:
         basis, state = eig_2d_tensor(op), solvers._cg_state(op)
         assert eig_2d_tensor(op)._blocks is basis._blocks
         assert solvers._cg_state(op) is state
-        refs = [weakref.ref(x) for x in (op, op.factor, basis, state[0], state[2])]
+        refs = [weakref.ref(x) for x in (op, op.factor, basis, state[0], state[2], state[4])]
         del op, basis, state
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)
@@ -459,8 +459,7 @@ class TestTable2D:
         ops, built = [], []
         for name in ("assemble_1d", "assemble_2d_tensor"):
             monkeypatch.setattr(experiments, name, _recorded(ops, getattr(experiments, name)))
-        for name in ("diags", "kron"):
-            monkeypatch.setattr(solvers.sp, name, _recorded(built, getattr(solvers.sp, name)))
+        monkeypatch.setattr(solvers, "_csr_pair", _recorded(built, solvers._csr_pair))
         reads = []
         monkeypatch.setattr(solvers, "_cg_state", _recorded(reads, solvers._cg_state))
         if study == "table":

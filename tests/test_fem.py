@@ -10,7 +10,7 @@ import pytest
 import scipy.integrate
 import scipy.sparse.linalg as spla
 
-from fracstep import fem, solvers
+from fracstep import _kernels, fem, solvers
 from fracstep.fem import (
     DiscreteOperator,
     GridFunction,
@@ -258,17 +258,27 @@ class TestTensorOperator:
         assert peak <= 0.5e6
         assert built_fields(op) == set()
 
-    @pytest.mark.parametrize("n", (3, 8))
+    # n = 6 has 5 dofs per side, where scipy's kron takes its dense-block path
+    @pytest.mark.parametrize("n", (3, 6, 8))
     def test_pair_built_on_read_is_the_kron_formula(self, n):
-        # the pair CG builds from the factor's bands, on its first read,
-        # is the Kronecker formula; the operator keeps nothing of it
+        # the pair CG builds from the factor's bands, on its first read, is
+        # the Kronecker formula, and its products have the bits of scipy's
+        # CSR products; the operator keeps nothing of it
         op = assemble_2d_tensor(n)
-        K, M, *dense = state = solvers._cg_state(op)
+        indptr, indices, K, M, *dense = state = solvers._cg_state(op)
         assert solvers._cg_state(op) is state  # kept, not rebuilt
         # shared by every CG run on the operator, so nothing may write it
-        assert not any(x.flags.writeable for x in (K.data, M.data, *dense))
+        assert not any(x.flags.writeable for x in (indptr, indices, K, M, *dense))
+        rows = np.repeat(np.arange(op.n_dofs), np.diff(indptr))
+        assert len(set(zip(rows, indices))) == len(indices)  # no entry twice
+        xs = np.random.default_rng(n).standard_normal((4, op.n_dofs))
         for got, want in zip((K, M), sparse_pair(op)):
-            assert got.format == "csr" and np.array_equal(got.toarray(), want.toarray())
+            full = np.zeros((op.n_dofs, op.n_dofs))
+            full[rows, indices] = got
+            assert np.array_equal(full, want.toarray())
+            # products, not arrays: scipy keeps some explicit zeros
+            for x in xs:
+                assert np.array_equal(_kernels.csr_matvec(indptr, indices, got, x), want @ x)
         x = op.factor.dof_coords
         assert np.array_equal(op.dof_coords.reshape(n - 1, n - 1, 2),
                               np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1))

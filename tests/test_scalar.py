@@ -159,6 +159,18 @@ class TestSweeps:
                 value = DELTA ** -alpha * np.prod((1.0 + theta) ** -alpha)
                 assert value == pytest.approx(lam ** -alpha, rel=1e-12)
 
+    # so small a shift overflows theta = k (lam - delta) / delta at t = 0, and
+    # both gave NaN behind numpy's RuntimeWarnings (an error under Tier-1's filter)
+    TINY_SHIFT = ScalarRunConfig.grm(0.5, 1e-320, 1, 1e6, 8)
+
+    def test_run_grid_refuses_an_overflowing_theta(self):
+        with pytest.raises(ValueError, match=r"^theta = .* overflows at delta = 1e-320"):
+            scalar_run_grid(10.0, self.TINY_SHIFT)
+
+    def test_sup_error_refuses_an_overflowing_theta(self):
+        with pytest.raises(ValueError, match=r"^theta = .* overflows at delta = 1e-320"):
+            sup_error(np.logspace(0, 6, 10), self.TINY_SHIFT)
+
 
 class TestSlopeFit:
     def test_exact_power_law(self):
@@ -179,6 +191,12 @@ class TestSlopeFit:
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([4, 8, 16], [1.0, 0.0, 0.1])
+
+    @pytest.mark.parametrize("ns", ([8, np.nan, np.nan], [8, 16, np.inf], [0, 8, 16]))
+    def test_rejects_ns_not_positive_and_finite(self, ns):
+        # they reached the least-squares fit, which raised LinAlgError
+        with pytest.raises(ValueError, match="^ns must be positive and finite"):
+            fit_loglog_slope(ns, [1e-1, 1e-2, 1e-3])
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_rejects_non_finite_errors(self, bad):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracstep import _kernels, solvers
-from fracstep.fem import DiscreteOperator, GridFunction, assemble_1d, assemble_2d_tensor
+from fracstep.fem import GridFunction, assemble_1d, assemble_2d_tensor
 from fracstep.solvers import (
     BandedPencil,
     PreconditionedCG,
@@ -209,18 +208,6 @@ class TestPcg:
 
 
 class TestWarmStartCGPattern:
-    def test_mismatched_patterns_rejected(self):
-        # a tensor operator over a lumped 1D factor (diagonal M1): its M2 is
-        # diagonal next to the nine-point K2, and CG's state refuses the
-        # pair before it reads the modes, which would refuse the factor
-        f1 = assemble_1d(np.linspace(0.0, 1.0, 7))
-        md, me = f1.mass_bands  # 2h/3 and h/6: the lumped diagonal is h
-        lumped = dataclasses.replace(f1, mass_bands=(1.5 * md, np.zeros_like(me)))
-        op = DiscreteOperator(nodes=f1.nodes, factor=lumped)
-        for build in (solvers._cg_state, PreconditionedCG):
-            with pytest.raises(ValueError, match="one sparsity pattern"):
-                build(op)
-
     def test_one_dimensional_operator_rejected(self, monkeypatch):
         # a 1D run by CG is refused by the solver-name rule when the run
         # picks its backend, before CG's state is ever built
