@@ -18,14 +18,14 @@ Conventions baked in here (they reproduce the published tables):
   the mismatch between this mesh's reference solution and a much finer
   graded mesh's solution (flagged as proxy in the output).
 * Two studies step part of their runs in a forked child (``_forked``),
-  once every setup is done.  A 1D table splits its runs into two halves of
+  once every setup is done.  A table splits its runs into two halves of
   near-equal cost, and the child steps and scores one half while this
   process does the other.  The spatial study's uniform runs step as one
   batch (``run_batch``) in the child, which sends back each run's grid
   function and ``RunStats``, while this process does the references and
   the geometric searches.  With one usable CPU, or without ``os.fork``, the
   child's share runs inline after the rest; either way the rows have the
-  same bits.  A 2D table always steps in this process.
+  same bits.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .spectral import (DENSE_EIG_CAP, eig_1d, eig_2d_tensor,
                        estimate_spectral_bounds, reference_power)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
 # the runs by wrapping these two names.  No hook of this process records a
-# call made in a forked child: neither the half of a 1D table's runs that
+# call made in a forked child: neither the half of a table's runs that
 # steps there (through these same names) nor the uniform runs of the
 # spatial study, which step there as one batch through run_batch
 from .stepping import StepperConfig, require_shift, run_batch, run_grm, run_um
@@ -256,7 +256,8 @@ def _forked(fn, *args):
     is a ``RuntimeError`` naming its exit status or signal.  A block that
     leaves without waiting (its own error wins) kills and reaps the child.
     Without ``os.fork`` or with one usable CPU, the callable runs
-    ``fn(*args)`` inline.
+    ``fn(*args)`` inline.  ``fn`` may call threaded BLAS after this process
+    has: OpenBLAS stops its thread pool before a fork (see below).
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1):
@@ -266,10 +267,12 @@ def _forked(fn, *args):
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on any fork of a process with threads, and
-            # OpenBLAS's idle pool makes every numpy process one.  The child is
-            # safe: it runs only 1D work, the step (?ptsv, ufuncs and level-1
-            # ddot) and a table's M-norms (a band product and a ddot), no
-            # level-3 BLAS that would wait on the pool's threads
+            # OpenBLAS's pool makes every numpy process one.  The fork is safe:
+            # both bundled OpenBLAS builds (numpy's and scipy's) register an
+            # atfork handler (__register_atfork, blas_thread_shutdown_) that
+            # stops the pool before the fork, and the pool restarts on the
+            # next call, in the child and here, so a child's level-3 BLAS
+            # (the 2D tensor step) waits on no thread it did not start
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
                                     r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
             pid = os.fork()
@@ -358,12 +361,12 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     are resolved (and a bad delta refused) before the eigenbasis is built,
     and ``log`` gets one DEBUG record of the setup seconds.
 
-    On a 1D operator the runs split into two halves of near-equal cost
-    (steps x poles, ``_split_by_cost``), and the second half steps in a
-    forked child (``_forked``) while this process steps the first; a 2D
-    table, or one whose second half is empty, steps inline.  Each half
-    scores its own runs (``_score_runs``), and each row reads the errors
-    and ``RunStats`` of its run.
+    The runs split into two halves of near-equal cost (steps x poles,
+    ``_split_by_cost``), and the second half steps in a forked child
+    (``_forked``) while this process steps the first; a table whose second
+    half is empty steps inline.  Each half scores its own runs
+    (``_score_runs``), and each row reads the errors and ``RunStats`` of
+    its run.
     """
     marks = [time.perf_counter()]
     if spec.dimension == 1:
@@ -395,8 +398,7 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
                     else:
                         cfg = StepperConfig.um(alpha, delta, m, (L + 1) * N)
                     runs.append((alpha, m, scheme, N, cfg))
-    mine, theirs = (_split_by_cost([cfg.mesh.num_steps * cfg.m for *_, cfg in runs])
-                    if op.dim == 1 else (range(len(runs)), []))
+    mine, theirs = _split_by_cost([cfg.mesh.num_steps * cfg.m for *_, cfg in runs])
     scoring = fs, op, spec.solver, references, ref_norms
     with (_forked(_score_runs, [runs[j] for j in theirs], *scoring) if theirs
           else contextlib.nullcontext(list)) as child:

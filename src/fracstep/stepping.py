@@ -72,8 +72,10 @@ def require_shift(delta) -> None:
 class StepperConfig:
     """The time scheme of a run: exponent, Pade order, shift (refused by
     ``require_shift``) and time mesh, and the approximant ``rational`` of
-    the first two.  The scalar recurrences take it too
-    (``scalar.ScalarRunConfig`` is this class); ``run`` takes the solver."""
+    the first two.  A shift whose delta**-alpha, the scale of the first
+    iterate, overflows a double is refused too.  The scalar recurrences
+    take it too (``scalar.ScalarRunConfig`` is this class); ``run`` takes
+    the solver."""
 
     alpha: float
     m: int
@@ -84,6 +86,11 @@ class StepperConfig:
     def __post_init__(self):
         require_shift(self.delta)
         object.__setattr__(self, "rational", pade_coefficients(self.m, self.alpha))
+        try:  # math.pow raises on overflow for a numpy float too
+            math.pow(self.delta, -self.alpha)
+        except OverflowError:
+            raise ValueError(f"delta**-alpha overflows at delta = {self.delta}, "
+                             f"alpha = {self.alpha}") from None
 
     @classmethod
     def grm(cls, alpha, delta, m, lambda_max, N, L_override=None):

@@ -71,6 +71,23 @@ class TestScalarSweep:
         assert (code, out) == (2, "")
         assert "overflows at delta = 1e-320" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", (
+        ["table-1d", "--h", "0.5", "--cases", "a", "--ms", "1", "--Ns", "1,2", "--scheme", "grm"],
+        ["table-2d", "--n-per-side", "9", "--cases", "e", "--ms", "1", "--Ns", "1,2"],
+        ["scalar-sweep", "--ms", "1", "--Ns", "8,16,32"]))
+    def test_overflowing_initial_scale_fails_before_any_fork(self, monkeypatch, argv, capsys):
+        # delta**-alpha overflows a double: it exited 2 with a bare
+        # "(34, 'Numerical result out of range')", naming neither setting
+        def no_fork():
+            raise AssertionError("forked before refusing the shift")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, out = run_cli([*argv, "--delta", "5e-324", "--alphas", "0.99"])
+        assert (code, out) == (2, "")
+        assert ("delta**-alpha overflows at delta = 5e-324, alpha = 0.99"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("flag,message", [("--lambda-lo", "every lambda must be >= delta"),
                                               ("--delta", "delta must be positive")])
     def test_nan_setting_fails(self, flag, message, capsys):

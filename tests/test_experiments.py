@@ -405,7 +405,9 @@ class TestTable2D:
     def test_sparse_pair_built_only_for_cg_and_once(self, monkeypatch, solver):
         # CG's state, its CSR pair and dense modes, is built by the first CG
         # run on an operator and read by every later one; the direct path
-        # neither builds nor reads it, and no operator keeps a pair
+        # neither builds nor reads it, and no operator keeps a pair; on one
+        # CPU no run steps in a forked child, out of the recorders' sight
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         ops, builds, reads = [], [], []
         monkeypatch.setattr(experiments, "assemble_2d_tensor",
                             _recorded(ops, experiments.assemble_2d_tensor))
@@ -664,7 +666,7 @@ class Unrebuildable(Exception):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the table forks only where os.fork exists")
 class TestForkedTable:
-    """With two usable CPUs a 1D table steps half of its runs, by cost, in a
+    """With two usable CPUs a table steps half of its runs, by cost, in a
     forked child; no child or zombie is left after any test here."""
 
     SPEC = ExperimentSpec(data_cases=("a", "d"), alphas=(0.5,), ms=(1, 2), Ns=(1, 2, 4),
@@ -725,14 +727,51 @@ class TestForkedTable:
         total = sum(row["solves"] for row in rows if row["case"] == "a")
         assert 0 < len(costs) < 12 and 2 * sum(costs) == total
 
-    def test_2d_table_never_forks(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("a 2D table forked")
+    @pytest.mark.parametrize("solver", solvers.SOLVERS)
+    def test_2d_table_forks_once_with_the_inline_and_serial_bits(self, monkeypatch, solver):
+        # the child steps its half through the tensor backend's level-3 BLAS
+        # (CG's state built anew there), as this process does its own
+        spec = ExperimentSpec(dimension=2, data_cases=("e", "f"), alphas=(0.3, 0.7),
+                              ms=(1, 2), Ns=(1, 2), n_per_side=10, L_policy="fixed",
+                              L_fixed=3, solver=solver)
+        forks = []
+        monkeypatch.setattr(os, "fork", _recorded(forks, os.fork))
+        forked = _bits(run_table(spec))
+        assert len(forks) == 1 and len(forked) == 32
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _bits(run_table(spec)) == forked
+        monkeypatch.setattr(experiments, "_split_by_cost",
+                            lambda costs: (list(range(len(costs))), []))
+        assert _bits(run_table(spec)) == forked
+        assert len(forks) == 1
 
-        monkeypatch.setattr(os, "fork", no_fork)
-        spec = ExperimentSpec(dimension=2, data_cases=("e",), alphas=(0.5,), ms=(1, 2),
-                              Ns=(1, 2), n_per_side=6, L_policy="fixed", L_fixed=3)
-        assert len(run_table(spec)) == 8
+    def test_fork_after_threaded_blas_neither_hangs_nor_changes_bits(self):
+        # OpenBLAS stops its pool before a fork and restarts it on the next
+        # call: a 2D table forked after a threaded GEMM ends (within the
+        # timeout) with the bits of the one-CPU table, and leaves no child
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        script = (
+            "import os, numpy as np; from fracstep import experiments as e\n"
+            "a = np.random.default_rng(0).standard_normal((400, 400))\n"
+            "a @ a\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "spec = e.ExperimentSpec(dimension=2, data_cases=('e', 'f'), alphas=(0.3, 0.7),\n"
+            "                        ms=(2,), Ns=(1, 2), n_per_side=100, scheme='grm')\n"
+            "forked = repr(e.run_table(spec))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    left = True\n"
+            "except ChildProcessError:\n"
+            "    left = False\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "print(len(forks), left, forked == repr(e.run_table(spec)))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout == "1 False True\n"
 
     def test_child_error_reaches_the_caller(self, monkeypatch, capsys):
         def fail():

@@ -171,6 +171,11 @@ class TestSweeps:
         with pytest.raises(ValueError, match=r"^theta = .* overflows at delta = 1e-320"):
             sup_error(np.logspace(0, 6, 10), self.TINY_SHIFT)
 
+    def test_run_grid_refuses_an_overflowing_initial_scale(self):
+        # delta**-alpha raised a bare OverflowError before any step
+        with pytest.raises(ValueError, match=r"^delta\*\*-alpha overflows at delta = 5e-324"):
+            scalar_run_grid(10.0, ScalarRunConfig.um(0.99, 5e-324, 1, 8))
+
 
 class TestSlopeFit:
     def test_exact_power_law(self):

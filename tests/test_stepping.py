@@ -158,6 +158,16 @@ def test_config_refuses_a_shift_that_is_not_positive_and_finite(delta):
         StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4))
 
 
+@pytest.mark.parametrize("delta", (5e-324, np.float64(5e-324)))
+def test_config_refuses_a_shift_whose_power_overflows(delta):
+    # delta**-alpha scales the first iterate; run_batch raised a bare
+    # OverflowError at alpha = 0.99, while alpha = 0.5 gives 4.5e161
+    with pytest.raises(ValueError, match=r"^delta\*\*-alpha overflows at delta = 5e-324, "
+                                         r"alpha = 0\.99$"):
+        StepperConfig(alpha=0.99, m=1, delta=delta, mesh=build_uniform_mesh(4))
+    assert StepperConfig(alpha=0.5, m=1, delta=delta, mesh=build_uniform_mesh(4)).delta == delta
+
+
 class TestRunSchemes:
     @pytest.mark.parametrize("scheme", ("grm", "um"))
     def test_diagonal_equivalence_on_eigenvectors(self, setup_1d, scheme):
