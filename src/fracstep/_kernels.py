@@ -5,8 +5,8 @@ tridiagonal, given as its diagonal ``d`` and off-diagonal ``e``.  Every
 solve is one LAPACK ``?ptsv`` call (factor and solve in one, for one or many
 right-hand sides; a division at n = 1), skipping the argument checks and band
 copies of ``scipy.linalg.solve_banded``; the SPD test reads ``?pttrf``.
-CG's sparse product is ``csr_matvec``.  Both read scipy's compiled modules
-from their files (``_scipy_extension``), so no scipy package is imported.
+Both come from scipy's compiled LAPACK module, read from its file
+(``_scipy_extension``), so no scipy package is imported.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 def _scipy_extension(package: str, name: str):
     """scipy's compiled module ``<package>.<name>`` read from its file, so no
     scipy package runs its ``__init__``; None where that fails (the name is
-    private to scipy), and ``scipy.linalg.lapack`` or a ``csr_array`` stands in."""
+    private to scipy), and ``scipy.linalg.lapack`` stands in."""
     try:
         root = importlib.util.find_spec("scipy").submodule_search_locations[0]
         paths = [os.path.join(root, package, name + suffix)
@@ -37,7 +37,6 @@ def _scipy_extension(package: str, name: str):
 
 _flapack = _scipy_extension("linalg", "_flapack") or importlib.import_module("scipy.linalg.lapack")
 dptsv, dpttrf = _flapack.dptsv, _flapack.dpttrf
-_sparsetools = _scipy_extension("sparse", "_sparsetools")
 
 
 def tridiag_matvec(d, e, x, cuts=None):
@@ -87,13 +86,3 @@ def tridiag_solve(d, e, b):
         raise np.linalg.LinAlgError(f"dptsv failed (info={info}): matrix not SPD")
     return x
 
-
-def csr_matvec(indptr, indices, data, x):
-    """A x for the square CSR matrix A of ``(indptr, indices, data)``: the C++
-    routine behind ``scipy.sparse.csr_array @ x``, so with its bits."""
-    if _sparsetools is None:
-        from scipy.sparse import csr_array
-        return csr_array((data, indices, indptr), shape=(len(x), len(x))) @ x
-    y = np.zeros_like(x)
-    _sparsetools.csr_matvec(len(x), len(x), indptr, indices, data, x, y)
-    return y

@@ -47,7 +47,7 @@ import numpy as np
 from .fem import (GridFunction, assemble_1d, assemble_2d_tensor, l2_project, m_norm,
                   require_data_case)
 from .meshes import (build_graded_spatial_mesh, build_uniform_mesh, experiment_refinement_level,
-                     refinement_level_for, require_depth, require_steps)
+                     is_integer, refinement_level_for, require_depth, require_steps)
 from .pade import pade_coefficients, require_order_and_exponent
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import CG_RTOL, require_solver
@@ -115,7 +115,7 @@ class ExperimentSpec:
     um_steps: int = 100_000
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
+        if not is_integer(self.dimension) or self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         require_solver(self.solver, self.dimension)
         # NaN fails every comparison; round(1 / h) >= 2 cells needs 1 / h >= 1.5,

@@ -11,8 +11,9 @@ assembly allocates O(n) for n dofs per side.  ``mass_apply`` (the product
 behind ``m_inner`` and the check of ``l2_project``) and ``mass_solver``
 (the solve behind ``l2_project``, one ``?ptsv`` per axis) apply the 1D mass
 bands along each axis of the coefficient grid, in 1D as in 2D.  No
-operator holds a CSR matrix; CG builds its own in ``solvers``, and
-``per_operator`` keeps it, and the tensor basis, while the operator lives.
+operator holds a sparse matrix, and nothing builds one.  CG's dense copies
+of the factor's matrices (``solvers``) and the tensor basis are kept by
+``per_operator`` while the operator lives.
 """
 
 from __future__ import annotations

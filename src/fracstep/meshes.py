@@ -56,11 +56,16 @@ class TimeMesh:
         return np.diff(self.breakpoints)
 
 
+def is_integer(x) -> bool:
+    """Whether x is an integer and not a bool, which Python counts as one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def require_steps(N, least: int = 1, name: str = "N") -> None:
     """Refuse a count (``name`` in the message) not an integer >= ``least``:
     step counts, but also the cells per side of a tensor grid and the
     points of a sweep."""
-    if not isinstance(N, (int, np.integer)):
+    if not is_integer(N):
         raise ValueError(f"{name} must be an integer, got {N!r}")
     if N < least:
         raise ValueError(f"{name} must be >= {least}, got {N}")
@@ -68,7 +73,7 @@ def require_steps(N, least: int = 1, name: str = "N") -> None:
 
 def require_depth(L) -> None:
     """Refuse a dyadic depth L that is not an integer >= 1."""
-    if not isinstance(L, (int, np.integer)):
+    if not is_integer(L):
         raise ValueError(f"L = {L!r} must be an integer")
     if L < 1:
         raise ValueError(f"L = {L} must be >= 1")

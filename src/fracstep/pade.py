@@ -22,6 +22,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .meshes import is_integer
+
 MAX_ORDER = 8
 
 _POLISH_DIGITS = 50
@@ -122,7 +124,7 @@ def _refine_poles_and_residues(p, q):
 
 def require_order_and_exponent(m, alpha) -> None:
     """Refuse an order m not an integer in [1, ``MAX_ORDER``] and an alpha outside (0, 1)."""
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_ORDER:
+    if not is_integer(m) or not 1 <= m <= MAX_ORDER:
         raise ValueError(f"order m must be an integer in [1, {MAX_ORDER}], got {m!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")

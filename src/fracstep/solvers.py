@@ -42,14 +42,12 @@ floats).  Each row of a result has the bits a one-row block would give it.
   is one CG: ``_pcg``, a loop that repeats the recurrences and the
   stopping rule of ``scipy.sparse.linalg.cg`` (atol = 0), so it returns
   the same bits without scipy's operator wrappers.  All that only CG reads
-  is the last block of this module: ``_cg_state(op)`` builds the CSR pair
-  (K2, M2) from the 1D factor's bands with numpy (``_csr_pair``, the values
-  of ``scipy.sparse.kron`` on one pattern) and takes the factor's dense
-  sine modes, once per operator and for as long as the operator lives.
-  Every product with K2, M2 or a K2 + b M2 is scipy's C++ CSR routine
-  (``_kernels.csr_matvec``), with the bits of ``csr_array @ x``.  ``load``
-  is ``M U`` one row at a time (a sparse product with the whole block is
-  slower than c vector products) and u . M u per row.
+  is the last block of this module: ``_cg_state(op)`` builds the 1D
+  factor's K1 and M1 as dense n x n matrices and takes its dense sine
+  modes, once per operator and for as long as the operator lives.  Every
+  product is on the n x n grid X of a vector, through the factors (a K2 +
+  b M2 = T (x) M1 + M1 (x) T with T = a K1 + (b/2) M1): T X M1 + M1 X T in
+  ``solve``, and M1 X M1 for every row of the block at once in ``load``.
 
 Every ``step`` first sums the poles' terms w_i z_i, then adds s u.  The
 tensor backends step one run.  ``pencil`` picks and builds the backend of
@@ -225,36 +223,17 @@ class TensorDiagSolver(_Pencil):
 # CG, and all that only CG reads
 
 
-def _csr_pair(factor: DiscreteOperator):
-    """(indptr, indices, K2, M2) of K2 = kron(K1, M1) + kron(M1, K1) and M2 =
-    kron(M1, M1), from the 1D factor's bands, on one CSR pattern: row i n + k
-    holds the nodes (i + a, k + b) of the grid, a, b in (-1, 0, 1), in that
-    (ascending) order, each value as ``scipy.sparse.kron`` and ``+`` form it."""
-    n = factor.n_dofs
-    # row i of a tridiagonal: its entries in columns i - 1, i, i + 1 (0 off the grid)
-    K1, M1 = (np.stack([np.r_[0.0, e], d, np.r_[e, 0.0]], axis=1)
-              for d, e in (factor.stiffness_bands, factor.mass_bands))
-    cols = np.arange(n)[:, None] + np.arange(-1, 2)
-    valid = (cols >= 0) & (cols < n)
-
-    def kron(A, B):  # (i, k, a, b) -> A[i, a] B[k, b]
-        return A[:, None, :, None] * B[None, :, None, :]
-
-    on = kron(valid, valid)
-    indptr = np.r_[0, np.cumsum(on.sum(axis=(2, 3)))].astype(np.int32)
-    indices = (cols[:, None, :, None] * n + cols[None, :, None, :])[on].astype(np.int32)
-    return indptr, indices, (kron(K1, M1) + kron(M1, K1))[on], kron(M1, M1)[on]
-
-
 @per_operator
 def _cg_state(op: DiscreteOperator):
-    """(indptr, indices, K2, M2, Q, Q^T, lambda_grid) of a tensor operator,
-    built once per operator and kept while it lives (``fem.per_operator``):
-    the CSR pair of ``_csr_pair`` and the factor's sine modes Q (natural
-    order) with a contiguous Q^T and lambda_i + lambda_j in the same order."""
+    """(K1, M1, Q, Q^T, lambda_grid) of a tensor operator, built once per
+    operator and kept while it lives (``fem.per_operator``): the 1D factor's
+    stiffness and mass as dense n x n matrices, its sine modes Q (natural
+    order) with a contiguous Q^T, and lambda_i + lambda_j in the same order."""
     basis = eig_1d(op.factor)
     lam = basis.lambda_grid
-    state = (*_csr_pair(op.factor), basis.modes, np.ascontiguousarray(basis.modes.T),
+    K1, M1 = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+              for d, e in (op.factor.stiffness_bands, op.factor.mass_bands))
+    state = (K1, M1, basis.modes, np.ascontiguousarray(basis.modes.T),
              (lam[:, None] + lam).ravel())
     for arr in state:  # shared by every run: nothing may write it
         arr.setflags(write=False)
@@ -321,15 +300,15 @@ class PreconditionedCG(_Pencil):
     worst single solve) over this solver's one run of ``columns`` rows."""
 
     def __init__(self, op: DiscreteOperator, columns: int = 1):
-        indptr, indices, self.K, self.M, self.Q, self.Qt, self.lambda_grid = _cg_state(op)
-        # the product with a matrix on K2's pattern, given its values
-        self.product = functools.partial(_kernels.csr_matvec, indptr, indices)
-        self.A = np.empty_like(self.K)
+        self.K, self.M, self.Q, self.Qt, self.lambda_grid = _cg_state(op)
         self.iters = [0] * columns
         self.iters_max = [0] * columns
 
     def load(self, U):
-        MU = np.stack([self.product(self.M, u) for u in U])
+        """(M2 U, [u . M2 u for each row u]): M1 X M1 on the n x n grid X of
+        every row at once."""
+        n = len(self.M)
+        MU = (self.M @ U.reshape(-1, n, n) @ self.M).reshape(U.shape)
         return MU, [float(u.dot(Mu)) for u, Mu in zip(U, MU)]
 
     def step(self, terms, U, rhs):
@@ -354,9 +333,15 @@ class PreconditionedCG(_Pencil):
 
     def solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
         """(a K2 + b M2)^{-1} applied to each row of the (c, n) block rhs."""
-        np.multiply(self.K, a, out=self.A)
-        self.A += b * self.M
-        A = functools.partial(self.product, self.A)
+        # a K2 + b M2 = T (x) M1 + M1 (x) T: the product T X M1 + M1 X T on the
+        # n x n grid X of a vector, in four dense n x n GEMMs
+        M, n = self.M, len(self.M)
+        T = a * self.K + (b / 2) * M
+
+        def A(x):
+            X = x.reshape(n, n)
+            return (T @ X @ M + M @ X @ T).ravel()
+
         precond = functools.partial(self.precondition, 1.0 / (a * self.lambda_grid + b))
         out = np.empty_like(rhs)
         for j, row in enumerate(rhs):

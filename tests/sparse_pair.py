@@ -4,8 +4,9 @@ check band products, solves and eigenpairs against.
 No ``fracstep.fem`` operator keeps a sparse matrix: a 1D operator is the
 bands of K and M, a tensor operator its 1D factor.  Here the 1D pair is
 ``sp.diags`` of the bands, and the tensor pair the Kronecker formula
-K2 = kron(K1, M1) + kron(M1, K1), M2 = kron(M1, M1), built apart from the
-pair that CG builds for itself (``fracstep.solvers._cg_state``).
+K2 = kron(K1, M1) + kron(M1, K1), M2 = kron(M1, M1).  Nothing in
+``fracstep`` builds a sparse matrix; CG multiplies through the dense 1D
+factors (``fracstep.solvers._cg_state``).
 """
 
 import scipy.sparse as sp

@@ -367,6 +367,21 @@ def test_a_command_imports_nothing():
     assert out == ["[]", *(f"{argv[0]} []" for argv in COMMANDS)]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_a_cg_table_maps_no_sparse_module():
+    # CG multiplies through the 1D factors, so a --solver cg table maps no
+    # shared object of scipy.sparse, not even its compiled _sparsetools;
+    # the LAPACK module shows that the maps list scipy's extensions
+    script = ("import contextlib, io, sys\n"
+              "from fracstep import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(sys.argv[1:]) == 0\n"
+              "print(open('/proc/self/maps').read())\n")
+    maps = _python(script, *COMMANDS[4])
+    assert "_flapack" in maps
+    assert "_sparsetools" not in maps and "/sparse/" not in maps
+
+
 # table-1d and a --solver cg table, every float as float.hex, and which scipy
 # packages were imported; sys.argv[1] names an extension the loader must not
 # read from its file, so that its public-API fallback stands in
@@ -395,8 +410,7 @@ def rows_from_files():
     return json.loads(_python(FALLBACK_SCRIPT, ""))
 
 
-@pytest.mark.parametrize("refused,package", [("_flapack", "scipy.linalg"),
-                                             ("_sparsetools", "scipy.sparse")])
+@pytest.mark.parametrize("refused,package", [("_flapack", "scipy.linalg")])
 def test_public_api_fallback_gives_the_same_rows(rows_from_files, refused, package):
     rows, imported = json.loads(_python(FALLBACK_SCRIPT, refused))
     assert rows_from_files[1] == [] and imported == [package]

@@ -28,7 +28,7 @@ from fracstep.experiments import (
     run_table_2d,
     write_csv,
 )
-from fracstep.fem import assemble_1d, assemble_2d_tensor
+from fracstep.fem import assemble_1d, assemble_2d_tensor, per_operator
 from fracstep.meshes import (build_geometric_mesh, build_graded_spatial_mesh,
                              experiment_refinement_level, refinement_level_for)
 from fracstep.spectral import eig_2d_tensor
@@ -41,6 +41,12 @@ def _recorded(calls, fn):
         calls.append(fn(*args, **kwargs))
         return calls[-1]
     return recorded
+
+
+def _record_cg_state(monkeypatch, builds, reads):
+    """Record each build of CG's state in ``builds`` and each read in ``reads``."""
+    build = _recorded(builds, solvers._cg_state.__wrapped__)
+    monkeypatch.setattr(solvers, "_cg_state", _recorded(reads, per_operator(build)))
 
 
 class TestConvergenceOrder:
@@ -79,8 +85,10 @@ class TestSpecValidation:
             ExperimentSpec(L_policy="fixed")
 
     def test_dimension_one_or_two(self):
-        with pytest.raises(ValueError, match="dimension"):
-            ExperimentSpec(dimension=3)
+        # True == 1 and 2.0 == 2, so both passed and were written to the CSV
+        for dimension in (3, True, 2.0):
+            with pytest.raises(ValueError, match=f"^dimension must be 1 or 2, got {dimension}$"):
+                ExperimentSpec(dimension=dimension)
 
     def test_cg_needs_dimension_two(self):
         # 1D solves are always direct: cg would be ignored yet reported
@@ -154,9 +162,15 @@ class TestSpecValidation:
         # 16 times, and L = 2.5 was truncated to 2
         ({"Ns": (1.5, 3)}, "^N must be an integer, got 1.5$"),
         ({"um_steps": 2.5}, "^um_steps: N must be an integer, got 2.5$"),
-        ({"L_policy": "fixed", "L_fixed": 2.5}, "^L = 2.5 must be an integer$")),
+        ({"L_policy": "fixed", "L_fixed": 2.5}, "^L = 2.5 must be an integer$"),
+        # a bool is an int: m = True and N = True ran and wrote True in the CSV
+        ({"ms": (True,)}, r"^order m must be an integer in \[1, 8\], got True$"),
+        ({"Ns": (True, 2)}, "^N must be an integer, got True$"),
+        ({"um_steps": True}, "^um_steps: N must be an integer, got True$"),
+        ({"L_policy": "fixed", "L_fixed": True}, "^L = True must be an integer$")),
         ids=("delta-nan", "delta-0", "delta-negative", "N-0", "m-0", "m-9", "um_steps-0",
-             "alpha-1.5", "N-1.5", "um_steps-2.5", "L-2.5"))
+             "alpha-1.5", "N-1.5", "um_steps-2.5", "L-2.5", "m-True", "N-True",
+             "um_steps-True", "L-True"))
     def test_stepping_setting_refused_before_assembly(self, monkeypatch, study, setting,
                                                      message):
         # these were refused only once a run was set up, after the operator
@@ -403,16 +417,15 @@ class TestTable2D:
 
     @pytest.mark.parametrize("solver", solvers.SOLVERS)
     def test_sparse_pair_built_only_for_cg_and_once(self, monkeypatch, solver):
-        # CG's state, its CSR pair and dense modes, is built by the first CG
-        # run on an operator and read by every later one; the direct path
-        # neither builds nor reads it, and no operator keeps a pair; on one
+        # CG's state, the factor's dense matrices and modes, is built by the
+        # first CG run on an operator and read by every later one; the direct
+        # path neither builds nor reads it, and no operator keeps it; on one
         # CPU no run steps in a forked child, out of the recorders' sight
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         ops, builds, reads = [], [], []
         monkeypatch.setattr(experiments, "assemble_2d_tensor",
                             _recorded(ops, experiments.assemble_2d_tensor))
-        monkeypatch.setattr(solvers, "_csr_pair", _recorded(builds, solvers._csr_pair))
-        monkeypatch.setattr(solvers, "_cg_state", _recorded(reads, solvers._cg_state))
+        _record_cg_state(monkeypatch, builds, reads)
         spec = ExperimentSpec(dimension=2, data_cases=("e", "f"), alphas=(0.3, 0.7),
                               ms=(1,), Ns=(1, 2), n_per_side=10, L_policy="fixed",
                               L_fixed=4, solver=solver)
@@ -422,9 +435,9 @@ class TestTable2D:
         if solver == "direct":
             assert reads == [] and builds == []
         else:
-            # 8 runs read one state, whose pair is built once
+            # 8 runs read one state, built once
             assert len(reads) == 8 and all(state is reads[0] for state in reads)
-            assert len(builds) == 1
+            assert len(builds) == 1 and builds[0] is reads[0]
 
     @pytest.mark.parametrize("solver", solvers.SOLVERS)
     def test_table_builds_its_basis_once(self, monkeypatch, solver):
@@ -454,16 +467,14 @@ class TestTable2D:
     @pytest.mark.parametrize("study", ("table", "spatial", "table2d"))
     def test_direct_1d_paths_build_no_csr_matrix(self, monkeypatch, study):
         # an operator is its bands, a tensor operator its factor's: assembly
-        # makes no sparse matrix, and neither does a 1D table, the
-        # graded-mesh study or a direct 2D table, nor does any read CG's state;
-        # on one CPU no run steps in a forked child, out of the recorders' sight
+        # keeps nothing more, and neither a 1D table, the graded-mesh study
+        # nor a direct 2D table builds or reads CG's state; on one CPU no
+        # run steps in a forked child, out of the recorders' sight
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        ops, built = [], []
+        ops, built, reads = [], [], []
         for name in ("assemble_1d", "assemble_2d_tensor"):
             monkeypatch.setattr(experiments, name, _recorded(ops, getattr(experiments, name)))
-        monkeypatch.setattr(solvers, "_csr_pair", _recorded(built, solvers._csr_pair))
-        reads = []
-        monkeypatch.setattr(solvers, "_cg_state", _recorded(reads, solvers._cg_state))
+        _record_cg_state(monkeypatch, built, reads)
         if study == "table":
             spec = ExperimentSpec(dimension=1, data_cases=("a", "d"), alphas=(0.5,),
                                   ms=(1, 2), Ns=(1, 2), h=0.05)

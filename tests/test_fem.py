@@ -10,7 +10,7 @@ import pytest
 import scipy.integrate
 import scipy.sparse.linalg as spla
 
-from fracstep import _kernels, fem, solvers
+from fracstep import fem, solvers
 from fracstep.fem import (
     DiscreteOperator,
     GridFunction,
@@ -209,7 +209,7 @@ def built_fields(op):
 
 class TestTensorOperator:
     """A tensor operator holds its 1D factor and never an n^2 x n^2 pair;
-    CG builds that pair for itself."""
+    CG applies one through dense copies of the factor's matrices."""
 
     def test_operator_holds_no_sparse_pair(self):
         # neither a 1D operator (its bands) nor a tensor one (its factor)
@@ -260,25 +260,32 @@ class TestTensorOperator:
 
     # n = 6 has 5 dofs per side, where scipy's kron takes its dense-block path
     @pytest.mark.parametrize("n", (3, 6, 8))
-    def test_pair_built_on_read_is_the_kron_formula(self, n):
-        # the pair CG builds from the factor's bands, on its first read, is
-        # the Kronecker formula, and its products have the bits of scipy's
-        # CSR products; the operator keeps nothing of it
+    def test_cg_products_are_the_kron_formula(self, monkeypatch, n):
+        # CG applies a K2 + b M2 and M2 through the factor's dense K1 and M1,
+        # built on its first read: to rounding, the products of the
+        # Kronecker formula; the operator keeps nothing of it
         op = assemble_2d_tensor(n)
-        indptr, indices, K, M, *dense = state = solvers._cg_state(op)
+        state = solvers._cg_state(op)
         assert solvers._cg_state(op) is state  # kept, not rebuilt
         # shared by every CG run on the operator, so nothing may write it
-        assert not any(x.flags.writeable for x in (indptr, indices, K, M, *dense))
-        rows = np.repeat(np.arange(op.n_dofs), np.diff(indptr))
-        assert len(set(zip(rows, indices))) == len(indices)  # no entry twice
-        xs = np.random.default_rng(n).standard_normal((4, op.n_dofs))
-        for got, want in zip((K, M), sparse_pair(op)):
-            full = np.zeros((op.n_dofs, op.n_dofs))
-            full[rows, indices] = got
-            assert np.array_equal(full, want.toarray())
-            # products, not arrays: scipy keeps some explicit zeros
-            for x in xs:
-                assert np.array_equal(_kernels.csr_matvec(indptr, indices, got, x), want @ x)
+        assert not any(x.flags.writeable for x in state)
+        K, M = sparse_pair(op)
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((4, op.n_dofs))
+        cg = solvers.PreconditionedCG(op, len(X))
+        MX, sq_norms = cg.load(X)
+        want = (M @ X.T).T
+        assert np.linalg.norm(MX - want) <= 1e-14 * np.linalg.norm(want)
+        np.testing.assert_allclose(sq_norms, np.sum(X * want, axis=1), rtol=1e-14)
+        # the product each solve hands to _pcg
+        products = []
+        monkeypatch.setattr(solvers, "_pcg", lambda A, precond, rhs, rtol, maxiter:
+                            (products.append(A), (rhs, 0))[1])
+        for a, b in rng.uniform(1e-2, 1e2, (3, 2)):
+            cg.solve(a, b, X[:1])
+            want = ((a * K + b * M) @ X.T).T
+            got = np.stack([products[-1](x) for x in X])
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (a, b)
         x = op.factor.dof_coords
         assert np.array_equal(op.dof_coords.reshape(n - 1, n - 1, 2),
                               np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1))

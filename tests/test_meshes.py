@@ -71,7 +71,7 @@ class TestStepCountsAndDepths:
             np.testing.assert_array_equal(build_geometric_mesh(None, 2, L_override=N).breakpoints,
                                           build_geometric_mesh(None, 2, L_override=3).breakpoints)
 
-    @pytest.mark.parametrize("N", (2.5, 3.0, "3", None))
+    @pytest.mark.parametrize("N", (2.5, 3.0, "3", None, True))
     def test_non_integer_step_count_refused(self, N):
         # build_uniform_mesh(2.5) made the steps [0.4, 0.4, 0.2]
         for build in (build_uniform_mesh, lambda N: build_geometric_mesh(100.0, N),
@@ -79,7 +79,7 @@ class TestStepCountsAndDepths:
             with pytest.raises(ValueError, match="^N must be an integer, got "):
                 build(N)
 
-    @pytest.mark.parametrize("L", (2.5, 3.0))
+    @pytest.mark.parametrize("L", (2.5, 3.0, True))
     def test_non_integer_depth_refused(self, L):
         # L_override = 2.5 was truncated to a depth of 2
         with pytest.raises(ValueError, match=rf"^L = {L} must be an integer$"):

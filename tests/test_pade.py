@@ -169,6 +169,8 @@ class TestCoefficients:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             pade_coefficients(0, 0.5)
+        with pytest.raises(ValueError, match="^order m must be an integer"):
+            pade_coefficients(True, 0.5)  # a bool is an int, but not an order
         with pytest.raises(ValueError):
             pade_coefficients(9, 0.5)
         with pytest.raises(ValueError):
