@@ -51,8 +51,8 @@ from .meshes import (build_graded_spatial_mesh, build_uniform_mesh, experiment_r
 from .pade import pade_coefficients, require_order_and_exponent
 from .scalar import fit_loglog_slope, sup_error
 from .solvers import CG_RTOL, require_solver
-from .spectral import (DENSE_EIG_CAP, eig_1d, eig_2d_tensor,
-                       estimate_spectral_bounds, reference_power)
+from .spectral import (eig_1d, eig_2d_tensor, estimate_spectral_bounds, reference_power,
+                       require_dense_cap)
 # run_grm and run_um are both stepping.run: perfbench/tracing.py times
 # the runs by wrapping these two names.  No hook of this process records a
 # call made in a forked child: neither the half of a table's runs that
@@ -85,13 +85,13 @@ class ExperimentSpec:
     defaults are the published 1D table.
 
     ``dimension`` (1 or 2) picks the table's operator: the 1D mesh of
-    ``round(1 / h)`` cells or the tensor grid of ``n_per_side``, with at most
-    ``DENSE_EIG_CAP`` dofs per axis in 2D, where the eigenbasis holds dense
-    half blocks and CG the n x n modes of the 1D factor.  The settings
-    another module owns are refused here, before anything is assembled, by
-    its rule: ``fem.require_data_case`` (``data_cases``),
+    ``round(1 / h)`` cells or the tensor grid of ``n_per_side``.  The
+    settings another module owns are refused here, before anything is
+    assembled, by its rule: ``fem.require_data_case`` (``data_cases``),
     ``meshes.require_steps`` (``Ns``, ``um_steps``, ``n_per_side``) and
-    ``require_depth`` (``L_fixed``),
+    ``require_depth`` (``L_fixed``), ``spectral.require_dense_cap`` (the
+    dofs per axis of a 2D grid, whose eigenbasis holds dense half blocks
+    and CG the n x n modes of the 1D pair),
     ``pade.require_order_and_exponent`` (``ms``, ``alphas``),
     ``stepping.require_shift`` (``delta``) and ``solvers.require_solver``
     (``solver``); ``SCHEMES`` and ``L_POLICIES`` are this module's.
@@ -125,8 +125,7 @@ class ExperimentSpec:
                              "(0 < h <= 2/3)")
         if self.dimension == 2:
             require_steps(self.n_per_side, 3, "n_per_side")
-            if self.cells - 1 > DENSE_EIG_CAP:
-                raise ValueError(f"{self.cells - 1} dofs per axis, over the cap {DENSE_EIG_CAP}")
+            require_dense_cap(self.cells - 1, 2)
         for tag in self.data_cases:
             require_data_case(tag, self.dimension, "table")
         _require_lists(data_cases=self.data_cases, alphas=self.alphas, ms=self.ms,
@@ -370,14 +369,14 @@ def run_table(spec: ExperimentSpec) -> list[dict]:
     """
     marks = [time.perf_counter()]
     if spec.dimension == 1:
-        op = assemble_1d(np.linspace(0.0, 1.0, spec.cells + 1))
+        op, eig = assemble_1d(np.linspace(0.0, 1.0, spec.cells + 1)), eig_1d
     else:
-        op = assemble_2d_tensor(spec.cells)
+        op, eig = assemble_2d_tensor(spec.cells), eig_2d_tensor
     fs = [l2_project(op, tag) for tag in spec.data_cases]
     marks.append(time.perf_counter())
     L, delta = _depth_and_shift(spec, op, 1.0 / spec.cells)
     marks.append(time.perf_counter())
-    decomp = eig_2d_tensor(op) if op.dim == 2 else eig_1d(op)
+    decomp = eig(op)
     marks.append(time.perf_counter())
     # one analysis per data case gives its references at every alpha
     per_case = [reference_power(decomp, f, spec.alphas) for f in fs]

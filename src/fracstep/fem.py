@@ -1,18 +1,19 @@
 """P1/Q1 finite element assembly on (0,1) and (0,1)^2 with Dirichlet walls.
 
 Every matrix here is a symmetric tridiagonal or a Kronecker product of two.
-A 1D operator, assembled on any finite, strictly increasing node set, is
-the two bands (diagonal, off-diagonal) of its mass and stiffness matrices
-M and K.
-A 2D operator is the tensor product of a uniform 1D factor with itself and
-holds only that factor: M2 = kron(M, M) and K2 = kron(K, M) + kron(M, K).
+Every operator has one shape: the nodes and the two bands (diagonal,
+off-diagonal) of the mass and stiffness matrices M and K of one 1D P1
+pair, and ``dim``.  A 1D operator (``dim = 1``) is that pair, assembled on
+any finite, strictly increasing node set.  A tensor operator holds the 1D
+bands of a uniform mesh and ``dim = 2``: it is the tensor product of that
+pair with itself, M2 = kron(M, M) and K2 = kron(K, M) + kron(M, K).
 Boundary rows/columns are eliminated, keeping both matrices SPD, and
 assembly allocates O(n) for n dofs per side.  ``mass_apply`` (the product
 behind ``m_inner`` and the check of ``l2_project``) and ``mass_solver``
 (the solve behind ``l2_project``, one ``?ptsv`` per axis) apply the 1D mass
-bands along each axis of the coefficient grid, in 1D as in 2D.  No
+bands along each of the ``dim`` axes of the coefficient grid.  No
 operator holds a sparse matrix, and nothing builds one.  CG's dense copies
-of the factor's matrices (``solvers``) and the tensor basis are kept by
+of the 1D matrices (``solvers``) and the tensor basis are kept by
 ``per_operator`` while the operator lives.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,30 +49,28 @@ def require_data_case(tag, dim: int | None = None, of: str | None = None) -> Non
 class DiscreteOperator:
     """Mass/stiffness pair (M, K) over the interior degrees of freedom.
 
-    A 1D operator holds the (diagonal, off-diagonal) bands of M and K.  An
-    operator with a ``factor`` is 2D, the tensor product of that 1D factor
-    with itself, and holds nothing of size above O(n).
+    It holds the (diagonal, off-diagonal) bands of the 1D P1 matrices M and
+    K on ``nodes``, and ``dim``: the operator is that 1D pair (``dim = 1``)
+    or its tensor product with itself (``dim = 2``), and holds nothing of
+    size above O(n) either way.  ``dataclasses.replace(op, dim=1)`` is the
+    1D pair of a tensor operator.
     """
 
     nodes: np.ndarray
-    factor: "DiscreteOperator | None" = None
-    mass_bands: tuple = None
-    stiffness_bands: tuple = None
+    mass_bands: tuple
+    stiffness_bands: tuple
+    dim: int = 1
 
     @property
     def n_dofs(self) -> int:
         return (len(self.nodes) - 2) ** self.dim
 
     @property
-    def dim(self) -> int:
-        return 1 if self.factor is None else 2
-
-    @property
     def dof_coords(self) -> np.ndarray:
         """The interior nodes in 1D; in 2D the (n**2, 2) grid, row-major,
         x-major ordering."""
         x = self.nodes[1:-1]
-        if self.factor is None:
+        if self.dim == 1:
             return x
         return np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
 
@@ -130,11 +129,10 @@ def assemble_1d(nodes) -> DiscreteOperator:
 
 def assemble_2d_tensor(n_per_side: int) -> DiscreteOperator:
     """Tensor-product bilinear elements on a uniform n x n grid of (0,1)^2:
-    the 1D factor only (see ``DiscreteOperator``).  n is an integer >= 3,
-    for at least two interior nodes per axis."""
+    the uniform 1D assembly with ``dim = 2`` (see ``DiscreteOperator``).
+    n is an integer >= 3, for at least two interior nodes per axis."""
     require_steps(n_per_side, 3, "n_per_side")
-    f1 = assemble_1d(np.linspace(0.0, 1.0, n_per_side + 1))
-    return DiscreteOperator(nodes=f1.nodes, factor=f1)
+    return replace(assemble_1d(np.linspace(0.0, 1.0, n_per_side + 1)), dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +234,20 @@ def _scatter(n_nodes, e, left, right):
 
 def load_vector(op: DiscreteOperator, f) -> np.ndarray:
     """Quadrature of f against every interior basis function."""
-    f1 = op.factor
     if isinstance(f, str):
         require_data_case(f, op.dim)
         if op.dim == 1:
             splits = (0.5,) if f == "c" else ()
             return _element_load_1d(op.nodes, lambda x: data_case(f, x), splits)
-        b1 = load_vector(f1, "b") if f == "e" else _indicator_load_1d(f1.nodes)
+        # both 2D cases are products of two 1D loads: x(1-x) (case b) and the indicator
+        b1 = load_vector(replace(op, dim=1), "b") if f == "e" else _indicator_load_1d(op.nodes)
         return np.kron(b1, b1)
     if op.dim == 1:
         return _element_load_1d(op.nodes, f)
     # tensor Gauss rule: F = f on the grid of Gauss points, then the 1D
     # element rule along each axis in turn (no BLAS product, so the bits do
     # not depend on the BLAS thread count)
-    nodes = f1.nodes
-    x0, x1 = nodes[:-1, None], nodes[1:, None]
+    x0, x1 = op.nodes[:-1, None], op.nodes[1:, None]
     half = (x1 - x0) / 2.0
     xs = (x0 + x1) / 2.0 + half * _GAUSS_X
     # the weight of each point against the hat functions of its element's two nodes
@@ -262,7 +259,7 @@ def load_vector(op: DiscreteOperator, f) -> np.ndarray:
     for _ in range(2):
         # the rule along the first axis, then the two axes swapped
         g = F.reshape(*w_left.shape, -1)
-        b = np.zeros((len(nodes), g.shape[-1]))
+        b = np.zeros((len(op.nodes), g.shape[-1]))
         b[:-1] += np.sum(w_left[:, :, None] * g, axis=1)
         b[1:] += np.sum(w_right[:, :, None] * g, axis=1)
         F = b.T
@@ -276,7 +273,7 @@ def mass_apply(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     coefficient grid of each row, as M2 = kron(M1, M1) in 2D; no sparse
     matrix is built.
     """
-    bands = (op.factor or op).mass_bands
+    bands = op.mass_bands
     x = v.reshape(*v.shape[:-1], *(len(bands[0]),) * op.dim)
     for _ in range(op.dim):
         # M1 along the last grid axis, then that axis made the first grid axis
@@ -291,7 +288,7 @@ def mass_solver(op: DiscreteOperator):
     tensor operator has M2 = kron(M1, M1), so M2^{-1} applies M1^{-1} along
     each axis of the n x n coefficient array.
     """
-    d, e = (op.factor or op).mass_bands
+    d, e = op.mass_bands
     shape = (len(d),) * op.dim
 
     def solve(rhs):

@@ -42,20 +42,24 @@ floats).  Each row of a result has the bits a one-row block would give it.
   is one CG: ``_pcg``, a loop that repeats the recurrences and the
   stopping rule of ``scipy.sparse.linalg.cg`` (atol = 0), so it returns
   the same bits without scipy's operator wrappers.  All that only CG reads
-  is the last block of this module: ``_cg_state(op)`` builds the 1D
-  factor's K1 and M1 as dense n x n matrices and takes its dense sine
-  modes, once per operator and for as long as the operator lives.  Every
-  product is on the n x n grid X of a vector, through the factors (a K2 +
-  b M2 = T (x) M1 + M1 (x) T with T = a K1 + (b/2) M1): T X M1 + M1 X T in
-  ``solve``, and M1 X M1 for every row of the block at once in ``load``.
+  is the last block of this module: ``_cg_state(op)`` builds K1 and M1
+  from the operator's own 1D bands as dense n x n matrices and takes the
+  dense sine modes of that 1D pair, once per operator and for as long as
+  the operator lives.  Every product is on the n x n grid X of a vector,
+  through the 1D matrices (a K2 + b M2 = T (x) M1 + M1 (x) T with
+  T = a K1 + (b/2) M1): T X M1 + M1 X T in ``solve``, and M1 X M1 for
+  every row of the block at once in ``load``.
 
 Every ``step`` first sums the poles' terms w_i z_i, then adds s u.  The
-tensor backends step one run.  ``pencil`` picks and builds the backend of
+tensor backends step one run.  A tensor operator holds the bands of its 1D
+pair and ``dim = 2``, so every backend reads the operator's own bands, and
+``op.dim`` picks the backend.  ``pencil`` picks and builds the backend of
 one run or batch, which holds its CG counts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -226,13 +230,14 @@ class TensorDiagSolver(_Pencil):
 @per_operator
 def _cg_state(op: DiscreteOperator):
     """(K1, M1, Q, Q^T, lambda_grid) of a tensor operator, built once per
-    operator and kept while it lives (``fem.per_operator``): the 1D factor's
-    stiffness and mass as dense n x n matrices, its sine modes Q (natural
-    order) with a contiguous Q^T, and lambda_i + lambda_j in the same order."""
-    basis = eig_1d(op.factor)
+    operator and kept while it lives (``fem.per_operator``): the stiffness
+    and mass of its 1D bands as dense n x n matrices, the sine modes Q of
+    that 1D pair (natural order) with a contiguous Q^T, and lambda_i +
+    lambda_j in the same order."""
+    basis = eig_1d(dataclasses.replace(op, dim=1))
     lam = basis.lambda_grid
     K1, M1 = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-              for d, e in (op.factor.stiffness_bands, op.factor.mass_bands))
+              for d, e in (op.stiffness_bands, op.mass_bands))
     state = (K1, M1, basis.modes, np.ascontiguousarray(basis.modes.T),
              (lam[:, None] + lam).ravel())
     for arr in state:  # shared by every run: nothing may write it

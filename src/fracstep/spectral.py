@@ -12,14 +12,17 @@ norms used to grade data smoothness.  Every table lives on a uniform mesh,
 whose modes are sines in closed form (Strang & Fix), so there is one basis
 per operator kind and no eigensolver: ``SineBasis`` (1D, a DST-I
 ``sine_transform`` as transform) and ``FoldedSineBasis`` (tensor grid),
-each two length-n vectors of the 1D factor.  Any other mesh is refused; the
-graded-mesh study takes a fine run as reference.  Mode coefficients are
-(v, psi_j)_M: modes^T (M v) in 1D, with M v the band product of
-``fem.mass_apply``, so a 1D basis stores no projector.  A tensor 2D
-operator has eigenvalues lambda_i + lambda_j and modes psi_i (x) psi_j,
-never materialized; as M2 = M1 (x) M1, its coefficients are P^T V P on the
-n x n grid V of v with the projector P = M1 modes (Lynch, Rice & Thomas
-1964), and the M-norm of v is their Euclidean norm (Parseval).
+each two length-n vectors of the operator's 1D bands: a tensor operator
+holds the bands of its 1D pair and ``dim = 2``, and every rule here reads
+those bands and scales by ``op.dim`` where the spectrum is a sum over the
+axes.  Any other mesh is refused; the graded-mesh study takes a fine run as
+reference.  Mode coefficients are (v, psi_j)_M: modes^T (M v) in 1D, with
+M v the band product of ``fem.mass_apply``, so a 1D basis stores no
+projector.  A tensor 2D operator has eigenvalues lambda_i + lambda_j and
+modes psi_i (x) psi_j, never materialized; as M2 = M1 (x) M1, its
+coefficients are P^T V P on the n x n grid V of v with the projector
+P = M1 modes (Lynch, Rice & Thomas 1964), and the M-norm of v is their
+Euclidean norm (Parseval).
 
 Sine mode j is symmetric about the midpoint of the grid for odd j and
 antisymmetric for even j.  Parity-folding an axis (``_fold``: the sums of
@@ -40,8 +43,9 @@ OpenBLAS; see README).  The arrays of the tensor decomposition are built
 on its operator's first call and kept while the operator lives: about
 3 n^2 doubles, n^2 in ``lambda_grid`` and n^2 in each of the analysis and
 synthesis half blocks, with no dense n x n factor.  Only a 1D basis has dense
-``modes``, built on first read up to ``DENSE_EIG_CAP`` dofs (for the tests,
-and for CG on a tensor factor).
+``modes``, built on first read (for the tests, and for CG on the 1D pair of
+a tensor operator).  ``require_dense_cap`` is the one rule on the size of
+either basis: at most ``DENSE_EIG_CAP`` dofs per axis.
 """
 
 from __future__ import annotations
@@ -57,6 +61,16 @@ from ._kernels import is_spd
 from .fem import DiscreteOperator, GridFunction, mass_apply, per_operator
 
 DENSE_EIG_CAP = 4000
+
+
+def require_dense_cap(n: int, dim: int) -> None:
+    """The one rule on the size of a basis: refuse more than ``DENSE_EIG_CAP``
+    dofs per axis.  A 1D basis holds its n x n ``modes`` once read, a tensor
+    basis n x n half blocks; this runs before either is built, and before a
+    2D table assembles anything."""
+    if n > DENSE_EIG_CAP:
+        raise ValueError(f"dense modes capped at {DENSE_EIG_CAP} dofs, have {n}" if dim == 1
+                         else f"{n} dofs per axis, over the cap {DENSE_EIG_CAP}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,9 +93,8 @@ def spectral_upper_bound(op: DiscreteOperator) -> float:
     dominant M has ||M^{-1}||_inf <= 1 / min_i (M_ii - sum_{j != i} |M_ij|)
     (Varah 1975).  Every P1 mass matrix is, with a margin of at least
     (h_l + h_r) / 6 in each row.  On a uniform mesh the bound is Fried's
-    12 / h**2.  A tensor operator's spectrum is lambda_i + lambda_j over its
-    1D factor's, so the bound of the factor (of ``op`` in 1D) is taken
-    ``op.dim`` times.
+    12 / h**2.  A tensor operator's spectrum is lambda_i + lambda_j over
+    its 1D pair's, so the bound of the bands is taken ``op.dim`` times.
     """
     def row_sums(diag, off):
         s = np.abs(diag)
@@ -89,12 +102,11 @@ def spectral_upper_bound(op: DiscreteOperator) -> float:
         s[1:] += np.abs(off)
         return s
 
-    base = op.factor or op
-    Md, Ml = base.mass_bands
+    Md, Ml = op.mass_bands
     margin = 2.0 * np.abs(Md) - row_sums(Md, Ml)
     if not np.all(margin > 0):
         raise ValueError("mass matrix is not strictly diagonally dominant")
-    return op.dim * float(np.max(row_sums(*base.stiffness_bands)) / np.min(margin))
+    return op.dim * float(np.max(row_sums(*op.stiffness_bands)) / np.min(margin))
 
 
 def estimate_spectral_bounds(op: DiscreteOperator) -> SpectralBounds:
@@ -104,12 +116,11 @@ def estimate_spectral_bounds(op: DiscreteOperator) -> SpectralBounds:
     eigenvalue, and one L D L^T factorization says which (spectrum slicing;
     Parlett, The Symmetric Eigenvalue Problem).  Bisection on [0, top] raises
     the lower end while the test passes, until the ends are adjacent doubles.
-    The top is ``spectral_upper_bound``.  A tensor operator brackets its 1D
-    factor and takes both ends ``op.dim`` times.
+    The top is ``spectral_upper_bound``.  The bisection brackets the 1D
+    pair of the bands, and both ends are taken ``op.dim`` times.
     """
-    base = op.factor or op
-    (Kd, Ke), (Md, Me) = base.stiffness_bands, base.mass_bands
-    top = spectral_upper_bound(base)
+    (Kd, Ke), (Md, Me) = op.stiffness_bands, op.mass_bands
+    top = spectral_upper_bound(op) / op.dim  # the 1D pair's: exact, dim is 1 or 2
     lo, hi = 0.0, top
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if is_spd(Kd - mid * Md, Ke - mid * Me) else (lo, mid)
@@ -140,7 +151,7 @@ def _parity_order(n: int) -> np.ndarray:
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending in ``lambdas``) and M-orthonormal sine modes of
-    a uniform 1D mesh: the 1D factor of ``op``, or ``op`` itself in 1D.
+    a uniform 1D mesh: the 1D bands of ``op``, in 1D as in 2D.
     Mode coefficients come in the order of ``lambda_grid``.  Every array is
     read-only, since tensor decompositions are cached and shared."""
 
@@ -173,8 +184,7 @@ class SineBasis(SpectralDecomposition):
     @functools.cached_property
     def modes(self) -> np.ndarray:
         """The n x n modes, one per column, built on first read."""
-        if (n := len(self.scale)) > DENSE_EIG_CAP:
-            raise ValueError(f"dense modes capped at {DENSE_EIG_CAP} dofs, have {n}")
+        require_dense_cap(n := len(self.scale), 1)
         modes = np.empty((n, n))
         for lo in range(0, n, 8):  # 8 rows of the identity at a time: one n x n array
             modes[lo:lo + 8] = sine_transform(np.eye(min(8, n - lo), n, lo)) * self.scale
@@ -281,12 +291,12 @@ def _unfold(y: np.ndarray) -> np.ndarray:
 
 
 def _sine_pairs(op: DiscreteOperator, refusal: str) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_j, scale_j) of the sine modes of the 1D pair (K, M), read-only,
-    which must be the P1 matrices of a uniform mesh: bands 2/h, -1/h, 2h/3
-    and h/6 to a relative 4 (n+1) eps (assembling on ``np.linspace`` nodes
-    leaves them about (n+1) eps / 2 off).  Any other pair is refused with
-    ``refusal``."""
-    n = op.n_dofs
+    """(lambda_j, scale_j) of the sine modes of the 1D pair (K, M) of the
+    bands of ``op``, read-only, which must be the P1 matrices of a uniform
+    mesh: bands 2/h, -1/h, 2h/3 and h/6 to a relative 4 (n+1) eps
+    (assembling on ``np.linspace`` nodes leaves them about (n+1) eps / 2
+    off).  Any other pair is refused with ``refusal``."""
+    n = len(op.nodes) - 2
     h = (op.nodes[-1] - op.nodes[0]) / (n + 1)
     rtol = 4 * (n + 1) * np.finfo(np.float64).eps
     bands = zip((*op.stiffness_bands, *op.mass_bands), (2 / h, -1 / h, 2 * h / 3, h / 6))
@@ -347,15 +357,17 @@ def _folded_blocks(scale: np.ndarray):
 @per_operator
 def _folded_arrays(op: DiscreteOperator) -> tuple:
     """Every array of the tensor basis of ``op``, which holds no reference to
-    ``op``.  The fold needs the parity of the sine modes, so a factor that
-    is not a uniform mesh is refused."""
-    lam, scale = _sine_pairs(op.factor, "eig_2d_tensor needs a uniform 1D factor (sine modes)")
+    ``op``.  A grid over the cap is refused before any n x n array is built
+    (``require_dense_cap``).  The fold needs the parity of the sine modes,
+    so bands that are not of a uniform mesh are refused."""
+    require_dense_cap(len(op.nodes) - 2, 2)
+    lam, scale = _sine_pairs(op, "eig_2d_tensor needs a uniform 1D factor (sine modes)")
     folded = lam[_parity_order(len(lam))]
     return lam, _read_only((folded[:, None] + folded[None, :]).ravel()), _folded_blocks(scale)
 
 
 def eig_2d_tensor(op: DiscreteOperator) -> FoldedSineBasis:
-    """The sine basis of a tensor operator's 1D factor, bound to it, on arrays
+    """The sine basis of a tensor operator's 1D bands, bound to it, on arrays
     (the half-size factors of the folded transforms included) built on the
     operator's first call and shared by every later one (``_folded_arrays``)."""
     if op.dim != 2:

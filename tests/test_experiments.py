@@ -417,7 +417,7 @@ class TestTable2D:
 
     @pytest.mark.parametrize("solver", solvers.SOLVERS)
     def test_sparse_pair_built_only_for_cg_and_once(self, monkeypatch, solver):
-        # CG's state, the factor's dense matrices and modes, is built by the
+        # CG's state, the dense matrices and modes of the 1D pair, is built by the
         # first CG run on an operator and read by every later one; the direct
         # path neither builds nor reads it, and no operator keeps it; on one
         # CPU no run steps in a forked child, out of the recorders' sight
@@ -431,7 +431,7 @@ class TestTable2D:
                               L_fixed=4, solver=solver)
         assert len(run_table(spec)) == 16
         [op] = ops
-        assert built_fields(op) == built_fields(op.factor) == set()
+        assert built_fields(op) == set() and op.dim == 2
         if solver == "direct":
             assert reads == [] and builds == []
         else:
@@ -459,14 +459,15 @@ class TestTable2D:
         basis, state = eig_2d_tensor(op), solvers._cg_state(op)
         assert eig_2d_tensor(op)._blocks is basis._blocks
         assert solvers._cg_state(op) is state
-        refs = [weakref.ref(x) for x in (op, op.factor, basis, state[0], state[2], state[4])]
+        refs = [weakref.ref(x) for x in (op, op.mass_bands[0], basis, state[0], state[2],
+                                         state[4])]
         del op, basis, state
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)
 
     @pytest.mark.parametrize("study", ("table", "spatial", "table2d"))
     def test_direct_1d_paths_build_no_csr_matrix(self, monkeypatch, study):
-        # an operator is its bands, a tensor operator its factor's: assembly
+        # an operator is its 1D bands and dim, in 2D as in 1D: assembly
         # keeps nothing more, and neither a 1D table, the graded-mesh study
         # nor a direct 2D table builds or reads CG's state; on one CPU no
         # run steps in a forked child, out of the recorders' sight
@@ -491,7 +492,7 @@ class TestTable2D:
         assert built == [] and reads == []
 
     def test_cg_table_leaves_the_tensor_basis_without_dense_modes(self, monkeypatch):
-        # CG keeps the dense modes of the factor in its own state: the
+        # CG keeps the dense modes of the 1D pair in its own state: the
         # tensor basis of the reference, read by the same table, holds no
         # n x n array
         ops = []
@@ -502,7 +503,7 @@ class TestTable2D:
                               solver="cg")
         assert len(run_table(spec)) == 2
         [op] = ops
-        dec, n = eig_2d_tensor(op), op.factor.n_dofs  # cached: the table's basis
+        dec, n = eig_2d_tensor(op), replace(op, dim=1).n_dofs  # cached: the table's basis
         assert "_blocks" in vars(dec) and {"modes", "_modes_t"}.isdisjoint(vars(dec))
         assert not any(isinstance(v, np.ndarray) and v.shape == (n, n)
                        for v in vars(dec).values())

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +193,7 @@ class TestAssembly2D:
 
         op = assemble_2d_tensor(8)
         lam1, lam2 = (sla.eigh(*(A.toarray() for A in sparse_pair(x)), eigvals_only=True)
-                      for x in (op.factor, op))
+                      for x in (replace(op, dim=1), op))
         expected = np.sort((lam1[:, None] + lam1[None, :]).ravel())
         np.testing.assert_allclose(lam2, expected, rtol=1e-9)
 
@@ -202,21 +203,27 @@ class TestAssembly2D:
         assert np.max(np.abs(diff)) == 0.0
 
 
+OPERATOR_FIELDS = ["nodes", "mass_bands", "stiffness_bands", "dim"]
+
+
 def built_fields(op):
     """What an operator keeps beyond its four fields: nothing."""
-    return set(vars(op)) - {"nodes", "factor", "mass_bands", "stiffness_bands"}
+    return set(vars(op)) - set(OPERATOR_FIELDS)
 
 
 class TestTensorOperator:
-    """A tensor operator holds its 1D factor and never an n^2 x n^2 pair;
-    CG applies one through dense copies of the factor's matrices."""
+    """A tensor operator holds its 1D bands and dim = 2, never an n^2 x n^2
+    pair; CG applies one through dense copies of the 1D matrices."""
 
     def test_operator_holds_no_sparse_pair(self):
-        # neither a 1D operator (its bands) nor a tensor one (its factor)
-        # has a CSR pair to read
-        for op in (assemble_1d(np.linspace(0.0, 1.0, 6)), assemble_2d_tensor(5)):
+        # a 1D operator and a tensor one have the same four fields, the 1D
+        # bands and dim, and no CSR pair to read
+        assert [f.name for f in fields(DiscreteOperator)] == OPERATOR_FIELDS
+        ops = (assemble_1d(np.linspace(0.0, 1.0, 6)), assemble_2d_tensor(5))
+        for dim, op in enumerate(ops, 1):
             assert not hasattr(op, "mass") and not hasattr(op, "stiffness")
-            assert built_fields(op) == set()
+            assert built_fields(op) == set() and op.dim == dim
+            assert len(op.mass_bands[0]) == len(op.stiffness_bands[0]) == 4
 
     @pytest.mark.parametrize("n", (3, 8, 100))
     def test_mass_apply_is_the_kron_product(self, n):
@@ -261,7 +268,7 @@ class TestTensorOperator:
     # n = 6 has 5 dofs per side, where scipy's kron takes its dense-block path
     @pytest.mark.parametrize("n", (3, 6, 8))
     def test_cg_products_are_the_kron_formula(self, monkeypatch, n):
-        # CG applies a K2 + b M2 and M2 through the factor's dense K1 and M1,
+        # CG applies a K2 + b M2 and M2 through the dense K1 and M1 of the 1D bands,
         # built on its first read: to rounding, the products of the
         # Kronecker formula; the operator keeps nothing of it
         op = assemble_2d_tensor(n)
@@ -286,7 +293,7 @@ class TestTensorOperator:
             want = ((a * K + b * M) @ X.T).T
             got = np.stack([products[-1](x) for x in X])
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (a, b)
-        x = op.factor.dof_coords
+        x = replace(op, dim=1).dof_coords
         assert np.array_equal(op.dof_coords.reshape(n - 1, n - 1, 2),
                               np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1))
         assert built_fields(op) == set()
@@ -413,7 +420,7 @@ class TestProjection:
         # h = 1/50 puts the jumps at 0.25 and 0.75 inside elements
         op2 = assemble_2d_tensor(50)
         b = load_vector(op2, "f")
-        f1 = op2.factor
+        f1 = replace(op2, dim=1)
         b1 = np.empty(f1.n_dofs)
         for i in range(f1.n_dofs):
             def hat(x):
@@ -436,7 +443,7 @@ class TestProjection:
         def func(xy):
             return np.sin(3 * xy[0]) * np.exp(xy[1]) + xy[0] * xy[1] ** 2
 
-        want = load_2d_loop(op2.factor.nodes, func)
+        want = load_2d_loop(op2.nodes, func)
         got = load_vector(op2, func)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         # the callable route agrees with the separable route of tag "e"

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracstep import _kernels, solvers, spectral
-from fracstep.fem import (DiscreteOperator, GridFunction, assemble_1d, assemble_2d_tensor,
+from fracstep.experiments import ExperimentSpec
+from fracstep.fem import (GridFunction, assemble_1d, assemble_2d_tensor,
                           l2_project, m_norm)
 from fracstep.meshes import build_geometric_mesh
 from fracstep.spectral import (
@@ -74,7 +76,7 @@ class TestUniformClosedForm:
 
     def test_every_table_mesh_is_uniform(self):
         # a table assembles np.linspace(0, 1, cells + 1), in 1D and as the
-        # factor of a 2D grid; a mesh missed as uniform would be refused
+        # 1D bands of a 2D grid; a mesh missed as uniform would be refused
         for cells in range(2, 1001):
             eig_1d(assemble_1d(np.linspace(0.0, 1.0, cells + 1)))
 
@@ -142,6 +144,27 @@ class TestUniformClosedForm:
         assert peak < 8 * n
         assert "modes" not in vars(dec)
 
+    def test_one_cap_rule_refuses_both_bases_before_building(self, monkeypatch):
+        # require_dense_cap is the one rule: at a lowered cap, a 12-cell grid
+        # (11 dofs per axis) is refused by the 1D modes, by the tensor basis
+        # before any half block is built, and by a 2D spec, each with its
+        # message; 8 dofs per axis pass
+        monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 8)
+        blocks = []
+        monkeypatch.setattr(spectral, "_folded_blocks",
+                            lambda scale: blocks.append(scale) or (((), ()), ((), ())))
+        with pytest.raises(ValueError, match="dense modes capped at 8 dofs, have 11"):
+            eig_1d(uniform_op(11)).modes
+        with pytest.raises(ValueError, match="11 dofs per axis, over the cap 8"):
+            eig_2d_tensor(assemble_2d_tensor(12))
+        assert blocks == []
+        with pytest.raises(ValueError, match="11 dofs per axis, over the cap 8"):
+            ExperimentSpec(dimension=2, data_cases=("e",), n_per_side=12)
+        assert eig_1d(uniform_op(8)).modes.shape == (8, 8)
+        eig_2d_tensor(assemble_2d_tensor(9))
+        assert len(blocks) == 1
+        assert ExperimentSpec(dimension=2, data_cases=("e",), n_per_side=9).cells == 9
+
     @pytest.mark.parametrize("n", (1, 2, 3, 10, 64))
     def test_sine_transform_is_the_sine_matrix(self, n):
         j = np.arange(1, n + 1)
@@ -191,7 +214,7 @@ class TestEig2D:
         assert decomp_2d_small.lambdas[0] == pytest.approx(2 * np.pi**2, rel=2e-2)
 
     def test_mode_count_squares(self, op_2d_small, decomp_2d_small):
-        assert decomp_2d_small.n_modes == op_2d_small.factor.n_dofs ** 2
+        assert decomp_2d_small.n_modes == replace(op_2d_small, dim=1).n_dofs ** 2
 
     def test_requires_tensor(self, op_1d_small, op_2d_small):
         with pytest.raises(ValueError):
@@ -250,9 +273,9 @@ class TestParityFold:
 
     def test_cached_basis_holds_three_grids_of_doubles(self):
         # lambda_grid and the analysis and synthesis half blocks, n^2
-        # doubles each, plus the n eigenvalues of the factor
+        # doubles each, plus the n eigenvalues of the 1D pair
         op = assemble_2d_tensor(100)
-        n = op.factor.n_dofs
+        n = replace(op, dim=1).n_dofs
 
         def nbytes(x):
             return sum(map(nbytes, x)) if isinstance(x, tuple) else x.nbytes
@@ -261,17 +284,18 @@ class TestParityFold:
 
     @pytest.mark.parametrize("n_per_side", SIDES)
     def test_folded_coefficients_are_the_dense_ones_in_parity_order(self, n_per_side):
-        # modes^T M1 V M1 modes with the natural sine modes of the factor,
+        # modes^T M1 V M1 modes with the natural sine modes of the 1D pair,
         # rows and columns taken odd j first, then even j
         op, dec, v = self._setup(n_per_side)
         n = n_per_side - 1
-        Q = eig_1d(op.factor).modes
-        M1 = sparse_pair(op.factor)[1].toarray()
+        op1 = replace(op, dim=1)
+        Q = eig_1d(op1).modes
+        M1 = sparse_pair(op1)[1].toarray()
         order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
         for got, row in zip(dec.folded_coefficients(dec.fold(v)), v):
             want = (Q.T @ M1 @ row.reshape(n, n) @ M1 @ Q)[np.ix_(order, order)].ravel()
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        lam = eig_1d(op.factor).lambdas[order]
+        lam = eig_1d(op1).lambdas[order]
         np.testing.assert_array_equal(dec.lambda_grid, (lam[:, None] + lam[None, :]).ravel())
         # the synthesis of those coefficients is the folded grid again
         np.testing.assert_allclose(dec.folded_synthesize(dec.coefficients(v)), dec.fold(v),
@@ -294,9 +318,9 @@ class TestParityFold:
                 assert np.array_equal(block[j], transform(row))
 
     def test_non_uniform_factor_refused(self):
-        # the fold needs the parity of the sine modes, which a graded factor lacks
+        # the fold needs the parity of the sine modes, which graded bands lack
         graded = assemble_1d(np.linspace(0.0, 1.0, 10) ** 1.5)
-        op = DiscreteOperator(nodes=graded.nodes, factor=graded)
+        op = replace(graded, dim=2)
         with pytest.raises(ValueError, match="uniform 1D factor"):
             eig_2d_tensor(op)
 
@@ -343,14 +367,14 @@ class TestModalApply:
     def test_contiguous_transposes_only_for_tensor_operators(self, op_1d_small,
                                                                op_2d_small, decomp_2d_small):
         # a uniform 1D basis transforms by sines and builds no n x n array;
-        # CG keeps a contiguous copy of the transposed modes of the factor
+        # CG keeps a contiguous copy of the transposed modes of the 1D pair
         dec = eig_1d(op_1d_small)
         dec.synthesize(dec.coefficients(np.ones(op_1d_small.n_dofs)))
         assert "modes" not in vars(dec)
         cg = solvers.PreconditionedCG(op_2d_small)
         assert cg.Qt.flags.c_contiguous
         assert not np.shares_memory(cg.Qt, cg.Q)
-        assert np.array_equal(cg.Qt, eig_1d(op_2d_small.factor).modes.T)
+        assert np.array_equal(cg.Qt, eig_1d(replace(op_2d_small, dim=1)).modes.T)
         blocks = [A for part in decomp_2d_small._blocks for pair in part for A in pair]
         assert len(blocks) == 8 and all(A.flags.c_contiguous for A in blocks)
 
@@ -365,12 +389,12 @@ class TestModalApply:
     @pytest.mark.parametrize("n", range(4, 31))
     def test_tensor_coefficients_match_the_assembled_mass(self, n):
         # P^T V P with P = M1 modes is modes^T (M2 v) modes along both axes,
-        # with the natural sine modes of the factor taken in the folded order
+        # with the natural sine modes of the 1D pair taken in the folded order
         op = assemble_2d_tensor(n)
         dec = eig_2d_tensor(op)
         v = np.random.default_rng(n).standard_normal((2, op.n_dofs))
         side = len(dec.lambdas_1d)
-        Q = eig_1d(op.factor).modes[:, spectral._parity_order(side)]
+        Q = eig_1d(replace(op, dim=1)).modes[:, spectral._parity_order(side)]
         M2 = sparse_pair(op)[1]
         for got, row in zip(dec.coefficients(v), v):
             want = Q.T @ (M2 @ row).reshape(side, side) @ Q

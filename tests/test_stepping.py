@@ -76,7 +76,7 @@ class TestSpectralBounds:
 
     def test_tensor_doubles_factor_bounds(self):
         op2 = assemble_2d_tensor(10)
-        b1 = estimate_spectral_bounds(op2.factor)
+        b1 = estimate_spectral_bounds(dataclasses.replace(op2, dim=1))
         b2 = estimate_spectral_bounds(op2)
         assert b2.lambda_min_est == pytest.approx(2 * b1.lambda_min_est, rel=1e-12)
         assert b2.lambda_max_est == 2 * b1.lambda_max_est == spectral_upper_bound(op2)
